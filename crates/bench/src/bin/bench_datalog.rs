@@ -1,8 +1,8 @@
 //! Datalog-engine benchmark and regression gate.
 //!
-//! Runs the two Datalog engines (`cache-datalog`, `linear-datalog`) on a
-//! fixed litmus subset at `threads = 1` and records, per (benchmark,
-//! engine): best-of-N wall-clock, and the evaluator's deterministic work
+//! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset at
+//! `threads = 1` and records, per (benchmark, engine): best-of-N
+//! wall-clock, and the evaluator's deterministic work
 //! counters (join attempts, index builds, index hits).
 //!
 //! ```text
@@ -36,7 +36,7 @@ const BENCHES: &[&str] = &[
     "corr-parameterized",
 ];
 
-const ENGINES: [EngineId; 2] = [EngineId::CacheDatalog, EngineId::LinearDatalog];
+const ENGINES: [EngineId; 1] = [EngineId::CacheDatalog];
 
 /// Timed repetitions per entry; the best is recorded.
 const REPS: usize = 3;

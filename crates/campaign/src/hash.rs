@@ -18,42 +18,19 @@
 //!    resume re-runs anyway — keying on the budget would throw away
 //!    every decisive verdict whenever a sweep's time slice changes).
 //!
-//! The hash is FNV-1a/64 run twice with independent offset bases over
-//! the same framed stream, concatenated to 32 hex digits. FNV is not
-//! cryptographic, but campaign keys only need collision resistance
-//! against accidental coincidence across at most ~10⁵–10⁶ inputs, where
-//! a 128-bit digest has collision probability below 10⁻²⁴; the std-only
-//! constraint rules out pulling in a real SHA implementation.
+//! The hash is [`parra_core::cache::content_hash`], the 128-bit double
+//! FNV-1a the prepared-verifier cache also keys on; the std-only
+//! constraint rules out pulling in a real SHA implementation. Existing
+//! stores' keys depend on it staying byte-for-byte stable.
 
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(offset: u64, parts: &[&str]) -> u64 {
-    let mut h = offset;
-    for part in parts {
-        // Length framing: ("ab","c") and ("a","bc") must not collide.
-        for b in part.len().to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for &b in part.as_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
+use parra_core::cache::content_hash;
 
 /// The campaign key of one `(system, engine, options)` work unit, as 32
 /// lower-case hex digits. `canonical_text` must already be canonical
 /// (parse + pretty-print); this function hashes exactly what it is
 /// given.
 pub fn content_key(canonical_text: &str, engine_id: &str, options_fp: &str) -> String {
-    let parts = [canonical_text, engine_id, options_fp];
-    format!(
-        "{:016x}{:016x}",
-        fnv1a(FNV_OFFSET_A, &parts),
-        fnv1a(FNV_OFFSET_B, &parts)
-    )
+    content_hash(&[canonical_text, engine_id, options_fp])
 }
 
 #[cfg(test)]
@@ -69,6 +46,16 @@ mod tests {
         assert_ne!(k, content_key("sys2", "all-engines", "unroll=None"));
         assert_ne!(k, content_key("sys", "race", "unroll=None"));
         assert_ne!(k, content_key("sys", "all-engines", "unroll=Some(2)"));
+    }
+
+    /// Keys written by earlier releases must keep resolving: this pins
+    /// one key to the value every store so far has used.
+    #[test]
+    fn key_is_pinned_across_releases() {
+        assert_eq!(
+            content_key("sys", "all-engines", "unroll=None"),
+            "fad72750008a818b9d3a7f219f9571d2"
+        );
     }
 
     #[test]

@@ -16,13 +16,12 @@
 
 use crate::hash::content_key;
 use crate::store::{Record, Store};
-use parra_core::verify::{Verdict, Verifier, VerifierOptions};
-use parra_core::EngineId;
+use parra_core::verify::{Verdict, VerifierOptions};
+use parra_core::{verify_text, EngineId};
 use parra_obs::{Level, Recorder};
 use parra_program::parser::parse_system;
 use parra_program::pretty::system_to_string;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Exit code of the `PARRA_CAMPAIGN_KILL_AFTER` crash-injection hook,
 /// chosen outside the CLI's 0/1/2/64+ vocabulary so tests can tell an
@@ -222,9 +221,9 @@ pub fn shard_of(keys: &BTreeSet<String>, n: u64) -> BTreeMap<String, u64> {
 /// per-input recorder (enabled only when `rec` is), so the CLI can
 /// stream progress lines and assemble an event log.
 ///
-/// Honors two test hooks: `PARRA_INJECT_PANIC=<substring>` (panic on
-/// matching inputs; contained, recorded as an error, retried on resume)
-/// and `PARRA_CAMPAIGN_KILL_AFTER=<n>` (hard `exit(`
+/// Honors the [`verify_text`] fault-injection hooks (an injected panic
+/// is contained, recorded as an error, and retried on resume) and
+/// `PARRA_CAMPAIGN_KILL_AFTER=<n>` (hard `exit(`
 /// [`KILL_EXIT_CODE`]`)` after `n` fresh records — the crash-injection
 /// test's simulated kill).
 ///
@@ -335,9 +334,9 @@ pub fn run_campaign(
     Ok(summary)
 }
 
-/// Verifies one entry into a record. Panics (injected or real engine
-/// escapes) are contained here so one poisoned input cannot take down a
-/// 100k-input sweep.
+/// Verifies one entry into a record through the shared selection path
+/// ([`verify_text`]), whose panic boundary keeps one poisoned input from
+/// taking down a 100k-input sweep.
 fn verify_entry(entry: &PlanEntry, copts: &CampaignOptions, rec: &Recorder) -> Record {
     let base = Record {
         key: entry.key.clone(),
@@ -359,20 +358,17 @@ fn verify_entry(entry: &PlanEntry, copts: &CampaignOptions, rec: &Recorder) -> R
         .as_deref()
         .expect("entries without errors carry canonical text");
     let start = std::time::Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if let Ok(needle) = std::env::var("PARRA_INJECT_PANIC") {
-            if !needle.is_empty() && entry.input.contains(&needle) {
-                panic!("injected panic (PARRA_INJECT_PANIC={needle})");
-            }
-        }
-        let sys = parse_system(canonical).map_err(|e| format!("canonical text re-parse: {e}"))?;
-        let verifier = Verifier::new_with_recorder(&sys, copts.options.clone(), rec.clone())
-            .map_err(|e| e.to_string())?;
-        verifier.run_selection(&copts.engines, copts.race)
-    }));
+    let outcome = verify_text(
+        &entry.input,
+        canonical,
+        &copts.engines,
+        copts.race,
+        &copts.options,
+        rec,
+    );
     let duration_us = start.elapsed().as_micros() as u64;
     match outcome {
-        Ok(Ok(sel)) => {
+        Ok(sel) => {
             // Batch-line parity: the interruption reason is kept only
             // while the aggregate is undecided. (`--strict`-style budget
             // audits live in the CLI, not the store.)
@@ -388,23 +384,11 @@ fn verify_entry(entry: &PlanEntry, copts: &CampaignOptions, rec: &Recorder) -> R
                 ..base
             }
         }
-        Ok(Err(error)) => Record {
+        Err(error) => Record {
             error: Some(error),
             duration_us,
             ..base
         },
-        Err(payload) => {
-            let msg: &str = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("panic with non-string payload");
-            Record {
-                error: Some(format!("panicked: {msg}")),
-                duration_us,
-                ..base
-            }
-        }
     }
 }
 

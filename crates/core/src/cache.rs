@@ -6,8 +6,8 @@
 //! verifier instead of re-paying the `plan` phase. [`VerifierCache`] keys
 //! on the *canonical* pretty-printed system (so formatting differences in
 //! the source text still hit) combined with
-//! [`VerifierOptions::fingerprint`], using the same double-FNV-1a 128-bit
-//! content hash the campaign store uses for its experiment keys.
+//! [`VerifierOptions::fingerprint`], using [`content_hash`] — the same
+//! 128-bit hash the campaign store uses for its experiment keys.
 //!
 //! The cache stores each prepared verifier pristine; lookups hand out
 //! [`Verifier::rescoped`] clones carrying the request's own options and
@@ -24,36 +24,35 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-// The same FNV-1a parameters as the campaign store's content keys
-// (crates/campaign/src/hash.rs): two independent 64-bit offset bases over
-// length-framed parts give a 128-bit key with no cross-part ambiguity.
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(offset: u64, parts: &[&[u8]]) -> u64 {
+fn fnv1a(offset: u64, parts: &[&str]) -> u64 {
     let mut h = offset;
     for part in parts {
-        for b in part.len().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+        // Length framing: ("ab","c") and ("a","bc") must not collide.
+        for b in part.len().to_le_bytes().iter().chain(part.as_bytes()) {
+            h = (h ^ *b as u64).wrapping_mul(FNV_PRIME);
         }
     }
     h
 }
 
-/// The cache key for one prepared verifier: 32 hex digits over the
-/// canonical system text and the verdict-relevant options fingerprint.
-fn entry_key(canonical: &str, options_fp: &str) -> String {
-    let parts: [&[u8]; 2] = [canonical.as_bytes(), options_fp.as_bytes()];
+/// The workspace's one content hash: FNV-1a/64 run twice with
+/// independent offset bases over the length-framed `parts`,
+/// concatenated to 32 lower-case hex digits. It keys this cache and the
+/// campaign store (whose on-disk keys depend on it staying
+/// byte-for-byte stable).
+///
+/// FNV is not cryptographic; the keys only need resistance to
+/// accidental collisions, where a 128-bit digest over ~10⁶ inputs has
+/// collision probability below 10⁻²⁴.
+pub fn content_hash(parts: &[&str]) -> String {
     format!(
         "{:016x}{:016x}",
-        fnv1a(FNV_OFFSET_A, &parts),
-        fnv1a(FNV_OFFSET_B, &parts)
+        fnv1a(FNV_OFFSET_A, parts),
+        fnv1a(FNV_OFFSET_B, parts)
     )
 }
 
@@ -92,7 +91,7 @@ impl VerifierCache {
         options: VerifierOptions,
         rec: Recorder,
     ) -> Result<(Verifier, bool), VerifierError> {
-        let key = entry_key(&system_to_string(sys), &options.fingerprint());
+        let key = content_hash(&[&system_to_string(sys), &options.fingerprint()]);
         if let Some(prepared) = self
             .entries
             .lock()

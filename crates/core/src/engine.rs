@@ -1,7 +1,7 @@
 //! The uniform engine abstraction and the portfolio race.
 //!
 //! Every decision procedure — the §3 simplified-semantics search, the
-//! two §4 `makeP` Datalog routes, and the bounded concrete-RA baseline —
+//! §4 `makeP` Datalog route, and the bounded concrete-RA baseline —
 //! implements one [`Engine`] trait: *run under this budget, polling this
 //! cancel token, recording into this recorder*. The trait replaces the
 //! ad-hoc per-engine dispatch the verifier used to carry and is what the
@@ -22,13 +22,14 @@
 
 use crate::makep::{DatalogTarget, Guess, MakeP};
 use crate::verify::{
-    aggregate_verdicts, EngineId, RunReport, Stats, Verdict, VerificationResult, Verifier,
+    aggregate_verdicts, EngineId, RunReport, SharedPlanCache, Stats, Verdict, VerificationResult,
+    Verifier, VerifierOptions,
 };
 use crate::witness::{self, LinearCheck};
 use parra_datalog::eval::Evaluator;
-use parra_datalog::plan::PlanCache;
 use parra_limits::{CancelToken, InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
+use parra_program::parser::parse_system;
 use parra_ra::explore::{ExploreOutcome, Explorer, Target};
 use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
@@ -69,9 +70,6 @@ pub struct SimplifiedReachEngine<'v>(&'v Verifier);
 /// [`EngineId::CacheDatalog`] as an [`Engine`].
 pub struct CacheDatalogEngine<'v>(&'v Verifier);
 
-/// [`EngineId::LinearDatalog`] as an [`Engine`].
-pub struct LinearDatalogEngine<'v>(&'v Verifier);
-
 /// [`EngineId::BoundedConcrete`] as an [`Engine`].
 pub struct BoundedConcreteEngine<'v>(&'v Verifier);
 
@@ -105,23 +103,6 @@ impl Engine for CacheDatalogEngine<'_> {
         self.0
             .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
                 self.0.run_datalog(scope, gov)
-            })
-    }
-}
-
-impl Engine for LinearDatalogEngine<'_> {
-    fn id(&self) -> EngineId {
-        EngineId::LinearDatalog
-    }
-    fn run(
-        &self,
-        budget: &ResourceBudget,
-        cancel: &CancelToken,
-        rec: &Recorder,
-    ) -> VerificationResult {
-        self.0
-            .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
-                self.0.run_linear(scope, gov)
             })
     }
 }
@@ -181,7 +162,6 @@ impl Verifier {
         match id {
             EngineId::SimplifiedReach => Box::new(SimplifiedReachEngine(self)),
             EngineId::CacheDatalog => Box::new(CacheDatalogEngine(self)),
-            EngineId::LinearDatalog => Box::new(LinearDatalogEngine(self)),
             EngineId::BoundedConcrete => Box::new(BoundedConcreteEngine(self)),
         }
     }
@@ -211,11 +191,8 @@ impl Verifier {
             .map(|&id| {
                 let cancel = race_cancel.clone();
                 let budget = budget.clone();
-                Box::new(move || {
-                    self.catch_panics(id, &self.rec, || {
-                        self.engine(id).run(&budget, &cancel, &self.rec)
-                    })
-                }) as Box<dyn FnOnce() -> VerificationResult + Send + '_>
+                Box::new(move || self.engine(id).run(&budget, &cancel, &self.rec))
+                    as Box<dyn FnOnce() -> VerificationResult + Send + '_>
             })
             .collect();
         let outcome = parra_search::race(
@@ -223,10 +200,13 @@ impl Verifier {
             |r: &VerificationResult| r.verdict.is_decided(),
             || race_cancel.cancel(),
         );
+        // The race contains each job's panic; a panicked racer degrades
+        // exactly as a panicking `run_isolated` does.
         let mut results: Vec<VerificationResult> = outcome
             .results
             .into_iter()
-            .map(|r| r.expect("panics are contained inside catch_panics"))
+            .zip(engines)
+            .map(|(r, &id)| r.unwrap_or_else(|msg| self.panicked(id, &msg)))
             .collect();
         let duration = start.elapsed();
 
@@ -352,6 +332,73 @@ pub struct SelectionOutcome {
     pub results: Vec<VerificationResult>,
 }
 
+/// Verifies one program text under an engine selection: parse (timed as
+/// the `parse` phase), prepare a verifier, and
+/// [`Verifier::run_selection`], all inside one panic boundary. This is
+/// the single "run a selection" path behind `parra batch` lines and
+/// campaign records; each front end only renders the outcome.
+///
+/// `name` identifies the input (its path) for the fault-injection
+/// hooks, which fire when the variable's value is a substring of it:
+///
+/// * `PARRA_INJECT_PANIC` panics before parsing;
+/// * `PARRA_INJECT_DEADLINE` re-runs the selection's last engine under
+///   an already-spent deadline (sequential selections only) — the shape
+///   `batch --strict` exists for: a *decided* input whose portfolio
+///   still lost an engine to a budget.
+///
+/// # Errors
+///
+/// Parse failures, rejected systems, and engine disagreement, as their
+/// messages; a panic as `panicked: {message}`.
+pub fn verify_text(
+    name: &str,
+    text: &str,
+    engines: &[EngineId],
+    race: bool,
+    options: &VerifierOptions,
+    rec: &Recorder,
+) -> Result<SelectionOutcome, String> {
+    parra_search::catch_panic(|| {
+        if let Some(needle) = injected("PARRA_INJECT_PANIC", name) {
+            panic!("injected panic (PARRA_INJECT_PANIC={needle})");
+        }
+        let sys = {
+            let phases = PhaseTimer::new(rec);
+            let _parse = phases.start(Phase::Parse);
+            parse_system(text).map_err(|e| e.to_string())?
+        };
+        let verifier = Verifier::new_with_recorder(&sys, options.clone(), rec.clone())
+            .map_err(|e| e.to_string())?;
+        match engines.split_last() {
+            Some((&last, head)) if !race && injected("PARRA_INJECT_DEADLINE", name).is_some() => {
+                let mut sel = verifier.run_selection(head, false)?;
+                let spent = VerifierOptions {
+                    deadline_at: Some(Instant::now()),
+                    ..options.clone()
+                };
+                let result = verifier.rescoped(spent, rec.clone()).run_isolated(last);
+                sel.interrupted = sel.interrupted.or(result.verdict.interrupt_reason());
+                sel.results.push(result);
+                let verdicts: Vec<(EngineId, Verdict)> =
+                    sel.results.iter().map(|r| (r.engine, r.verdict)).collect();
+                sel.verdict = aggregate_verdicts(&verdicts)?;
+                Ok(sel)
+            }
+            _ => verifier.run_selection(engines, race),
+        }
+    })
+    .unwrap_or_else(|msg| Err(format!("panicked: {msg}")))
+}
+
+/// The value of the fault-injection variable `var` when it is non-empty
+/// and a substring of `name` (an input path or serve request name).
+pub fn injected(var: &str, name: &str) -> Option<String> {
+    std::env::var(var)
+        .ok()
+        .filter(|needle| !needle.is_empty() && name.contains(needle.as_str()))
+}
+
 /// Aggregate outcome of the Datalog guess fleet.
 struct FleetOutcome {
     /// Max rule count over the evaluated guess programs.
@@ -437,36 +484,6 @@ impl Verifier {
         }
     }
 
-    /// Builds `makeP` and enumerates its guesses, mapping failures to an
-    /// `Unknown` result for `engine`.
-    fn makep_setup(
-        &self,
-        rec: &Recorder,
-        engine: EngineId,
-    ) -> Result<(MakeP<'_>, Vec<Guess>), Box<VerificationResult>> {
-        let unknown = |note: String| {
-            Box::new(VerificationResult {
-                verdict: Verdict::Unknown,
-                engine,
-                stats: Stats::default(),
-                env_thread_bound: None,
-                witness_lines: vec![],
-                notes: vec![note],
-                report: RunReport::empty(engine),
-            })
-        };
-        let sys = &self.goal.system;
-        let mk = match MakeP::new(sys, self.budget.clone(), self.options.makep_limits) {
-            Ok(mk) => mk.with_recorder(rec.clone()),
-            Err(e) => return Err(unknown(format!("makeP not applicable: {e}"))),
-        };
-        let guesses = match mk.guesses() {
-            Ok(g) => g,
-            Err(e) => return Err(unknown(format!("guess enumeration failed: {e}"))),
-        };
-        Ok((mk, guesses))
-    }
-
     /// Evaluates every guess's Datalog query with provenance *off*,
     /// racing the fleet and stopping as soon as one derives the goal.
     /// Returns the max program/database sizes seen and the lowest-index
@@ -478,7 +495,7 @@ impl Verifier {
         mk: &MakeP,
         guesses: &[Guess],
         target: DatalogTarget,
-        cache: &std::sync::Mutex<PlanCache>,
+        cache: &SharedPlanCache,
         gov: &ResourceBudget,
     ) -> FleetOutcome {
         let n_workers = self.options.threads.max(1);
@@ -519,7 +536,7 @@ impl Verifier {
                             // Guess programs share rule lists; the cache
                             // hands every worker the same plan after the
                             // first computes it.
-                            let plan = cache.lock().expect("plan cache poisoned").plan(&prog);
+                            let plan = cache.plan(&prog);
                             // Round events stay deterministic only when a
                             // single guess runs (the fleet races workers,
                             // so multi-guess schedules are timing-bound).
@@ -585,34 +602,46 @@ impl Verifier {
     }
 
     pub(crate) fn run_datalog(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
-        if let Some(r) = self.trivially_safe(EngineId::CacheDatalog) {
+        let engine = EngineId::CacheDatalog;
+        if let Some(r) = self.trivially_safe(engine) {
             return r;
         }
+        let unknown = |note: String| VerificationResult {
+            verdict: Verdict::Unknown,
+            engine,
+            stats: Stats::default(),
+            env_thread_bound: None,
+            witness_lines: vec![],
+            notes: vec![note],
+            report: RunReport::empty(engine),
+        };
+        let mk = match MakeP::new(
+            &self.goal.system,
+            self.budget.clone(),
+            self.options.makep_limits,
+        ) {
+            Ok(mk) => mk.with_recorder(rec.clone()),
+            Err(e) => return unknown(format!("makeP not applicable: {e}")),
+        };
+        let guesses = match mk.guesses() {
+            Ok(g) => g,
+            Err(e) => return unknown(format!("guess enumeration failed: {e}")),
+        };
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        let (mk, guesses) = match self.makep_setup(rec, EngineId::CacheDatalog) {
-            Ok(x) => x,
-            Err(r) => return *r,
-        };
         // A host-provided shared cache (warm serve requests) takes the
-        // place of the run-local one; plans are deterministic, so the
-        // only difference is who pays for planning.
-        let local_cache;
-        let plan_cache: &std::sync::Mutex<PlanCache> = match self.options.plan_cache.as_ref() {
-            Some(shared) => shared.as_mutex(),
-            None => {
-                local_cache = std::sync::Mutex::new(PlanCache::new());
-                &local_cache
-            }
-        };
-        let fleet = self.datalog_fleet(rec, &mk, &guesses, target, plan_cache, gov);
+        // place of a run-local one; plans are deterministic, so the only
+        // difference is who pays for planning.
+        let plan_cache = self.options.plan_cache.clone().unwrap_or_default();
+        let fleet = self.datalog_fleet(rec, &mk, &guesses, target, &plan_cache, gov);
         let mut stats = Stats {
             guesses: guesses.len(),
             datalog_rules: fleet.rules,
             datalog_atoms: fleet.atoms,
             ..Stats::default()
         };
-        let mut report = RunReport::empty(EngineId::CacheDatalog);
+        let mut report = RunReport::empty(engine);
         let mut notes = Vec::new();
+        let mut witness_lines = Vec::new();
         // A winning guess is a sound Unsafe witness even if other guesses
         // were cut short; without one, an interrupted fleet is
         // inconclusive, never Safe.
@@ -630,73 +659,11 @@ impl Verifier {
             verdict = Verdict::Unsafe;
             // Lemma 4.6: re-run only the winning guess with provenance on
             // and read a bounded-cache schedule off its derivation,
-            // counting intensional atoms only.
+            // counting intensional atoms only; the schedule is certified
+            // under ⊢ₖ and cross-checked through the Lemma 4.2
+            // cache→linear translation.
             let (prog, goal) = mk.program(&guesses[wi], target);
-            let plan = plan_cache.lock().expect("plan cache poisoned").plan(&prog);
-            let phases = PhaseTimer::new(rec);
-            let _replay = phases.start(Phase::WitnessReplay);
-            if let Some(w) = witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
-                stats.cache_peak = w.peak_intensional;
-                stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);
-                let occupancy: Vec<u64> = w.occupancy.iter().map(|&c| c as u64).collect();
-                if !occupancy.is_empty() {
-                    rec.record_series("cache_occupancy", occupancy.clone());
-                }
-                report.cache_occupancy = occupancy;
-            }
-        }
-        VerificationResult {
-            verdict,
-            engine: EngineId::CacheDatalog,
-            stats,
-            env_thread_bound: None,
-            witness_lines: vec![],
-            notes,
-            report,
-        }
-    }
-
-    pub(crate) fn run_linear(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
-        if let Some(r) = self.trivially_safe(EngineId::LinearDatalog) {
-            return r;
-        }
-        let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        let (mk, guesses) = match self.makep_setup(rec, EngineId::LinearDatalog) {
-            Ok(x) => x,
-            Err(r) => return *r,
-        };
-        let local_cache;
-        let plan_cache: &std::sync::Mutex<PlanCache> = match self.options.plan_cache.as_ref() {
-            Some(shared) => shared.as_mutex(),
-            None => {
-                local_cache = std::sync::Mutex::new(PlanCache::new());
-                &local_cache
-            }
-        };
-        let fleet = self.datalog_fleet(rec, &mk, &guesses, target, plan_cache, gov);
-        let mut stats = Stats {
-            guesses: guesses.len(),
-            datalog_rules: fleet.rules,
-            datalog_atoms: fleet.atoms,
-            ..Stats::default()
-        };
-        let mut report = RunReport::empty(EngineId::LinearDatalog);
-        let mut notes = Vec::new();
-        let mut witness_lines = Vec::new();
-        let mut verdict = match fleet.interrupted {
-            Some(reason) if fleet.winner.is_none() => {
-                notes.push(format!(
-                    "interrupted ({reason}): not every guess was evaluated; \
-                     partial statistics only, Safe could not be concluded"
-                ));
-                Verdict::Interrupted(reason)
-            }
-            _ => Verdict::Safe,
-        };
-        if let Some(wi) = fleet.winner {
-            verdict = Verdict::Unsafe;
-            let (prog, goal) = mk.program(&guesses[wi], target);
-            let plan = plan_cache.lock().expect("plan cache poisoned").plan(&prog);
+            let plan = plan_cache.plan(&prog);
             let phases = PhaseTimer::new(rec);
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
@@ -746,7 +713,7 @@ impl Verifier {
         }
         VerificationResult {
             verdict,
-            engine: EngineId::LinearDatalog,
+            engine,
             stats,
             env_thread_bound: None,
             witness_lines,
@@ -878,7 +845,7 @@ mod tests {
             let race = v.race(&EngineId::ALL).expect("no disagreement");
             assert_eq!(race.verdict, seq, "safe={safe}");
             assert_eq!(race.engines, EngineId::ALL.to_vec());
-            assert_eq!(race.results.len(), 4);
+            assert_eq!(race.results.len(), 3);
             if let Some(w) = race.winner {
                 assert!(race.results[w].verdict.is_decided());
                 assert_eq!(race.winner_engine(), Some(race.engines[w]));
@@ -980,12 +947,10 @@ mod tests {
         let e = race_events[0];
         assert!(e
             .fields
-            .contains(&("n_engines".into(), parra_obs::EventValue::U64(4))));
+            .contains(&("n_engines".into(), parra_obs::EventValue::U64(3))));
         assert!(e.fields.contains(&(
             "engines".into(),
-            parra_obs::EventValue::Str(
-                "simplified-reach,cache-datalog,linear-datalog,bounded-concrete".into()
-            )
+            parra_obs::EventValue::Str("simplified-reach,cache-datalog,bounded-concrete".into())
         )));
         assert!(e.fields.contains(&(
             "verdict".into(),

@@ -7,7 +7,7 @@
 //! reaches an assertion violation (Section 4 of *"Parameterized
 //! Verification under Release Acquire is PSPACE-complete"*, PODC 2022).
 //!
-//! Four engines, cross-validating each other:
+//! Three engines, cross-validating each other:
 //!
 //! * [`EngineId::SimplifiedReach`] — the direct decision procedure on the
 //!   simplified semantics (`parra-simplified`): saturation of the
@@ -16,13 +16,13 @@
 //!   ([`makep`]): enumerate the nondeterministic guesses of the `dis`
 //!   run skeletons, emit a Datalog program per guess (predicates `emp`,
 //!   `etp`, `dmp`, `dtpᵢ`), and evaluate the goal query with the
-//!   `parra-datalog` engine — reporting the cache-schedule peak that
-//!   realizes Lemma 4.4/4.6;
-//! * [`EngineId::LinearDatalog`] — the same encoding taken through the
-//!   paper's full certificate route ([`witness`]): the winning guess is
-//!   re-evaluated with provenance, its Lemma 4.6 schedule is replayed
-//!   under the `⊢ₖ` Cache semantics, and (inside the ≤2-atom-body
-//!   fragment) cross-checked via the Lemma 4.2 cache→linear translation;
+//!   `parra-datalog` engine. On `Unsafe` it takes the winning guess
+//!   through the paper's certificate route ([`witness`]): re-evaluation
+//!   with provenance, the Lemma 4.6 schedule replayed under the `⊢ₖ`
+//!   Cache semantics (reporting the Lemma 4.4 cache peak), and — inside
+//!   the ≤2-atom-body fragment — the Lemma 4.2 cache→linear translation
+//!   as a cross-check. Linear Datalog is this route's compilation
+//!   target, not a separate decision procedure;
 //! * [`EngineId::BoundedConcrete`] — the concrete-RA baseline
 //!   (`parra-ra`): explicit-state exploration of instances with growing
 //!   `env` counts; it can only ever return `Unsafe` or `Unknown` for a
@@ -39,8 +39,10 @@ pub mod verify;
 pub mod witness;
 
 pub use cache::VerifierCache;
-pub use engine::{Engine, RaceReport, SelectionOutcome};
+pub use engine::{verify_text, Engine, RaceReport, SelectionOutcome};
 pub use makep::{DisGuess, Guess, MakeP, MakePLimits};
+/// The workspace's one panic boundary, re-exported for the front ends.
+pub use parra_search::catch_panic;
 pub use verify::{
     ConcreteWitness, EngineId, SharedPlanCache, Verdict, VerificationResult, Verifier,
     VerifierOptions,

@@ -8,7 +8,8 @@
 //! containment, and the [`RunReport`].
 
 use crate::makep::{MakePError, MakePLimits};
-use parra_datalog::plan::PlanCache;
+use parra_datalog::plan::{Plan, PlanCache};
+use parra_datalog::Program;
 use parra_limits::{CancelToken, InterruptReason, ResourceBudget};
 use parra_obs::json::ObjWriter;
 use parra_obs::{GaugeSnapshot, HistSnapshot, Phase, PhaseTimer, Recorder};
@@ -30,9 +31,8 @@ use std::time::{Duration, Instant};
 /// request plans against the same cache, so a query shape planned once is
 /// never re-planned, whichever request (or guess) meets it next.
 ///
-/// Cloning is shallow ([`Arc`]); the shared cache is protected by a
-/// [`Mutex`] exactly like the per-run local caches the engines fall back
-/// to when no shared cache is configured.
+/// Cloning is shallow ([`Arc`]). Runs without a configured shared cache
+/// plan against a fresh one of their own.
 #[derive(Clone, Default)]
 pub struct SharedPlanCache(Arc<Mutex<PlanCache>>);
 
@@ -42,9 +42,24 @@ impl SharedPlanCache {
         SharedPlanCache::default()
     }
 
-    /// The underlying lock, in the shape the engine fleet consumes.
+    /// The underlying lock.
     pub fn as_mutex(&self) -> &Mutex<PlanCache> {
         &self.0
+    }
+
+    /// The plan for `program`, computed on first sight of its rule shape.
+    ///
+    /// A panic while the lock was held poisons it; plans are a pure memo,
+    /// so the cache is then reset to empty and the poison cleared rather
+    /// than failing every later run of a long-lived host.
+    pub fn plan(&self, program: &Program) -> Arc<Plan> {
+        let mut cache = self.0.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            *cache = PlanCache::new();
+            self.0.clear_poison();
+            cache
+        });
+        cache.plan(program)
     }
 }
 
@@ -62,18 +77,14 @@ pub enum EngineId {
     /// The direct search on the simplified semantics (Section 3) —
     /// the default: exact for the decidable class.
     SimplifiedReach,
-    /// The `makeP` Datalog encoding (Section 4): enumerate guesses,
-    /// evaluate queries. Exact for the decidable class; also reports the
-    /// cache-schedule peak (Lemmas 4.4/4.6).
+    /// The `makeP` Datalog encoding (Section 4): enumerate guesses and
+    /// evaluate each guess's query. Exact for the decidable class. On
+    /// `Unsafe` the winning guess's derivation becomes a Lemma 4.6 cache
+    /// schedule, replayed under the `⊢ₖ` Cache semantics and (inside the
+    /// ≤2-atom-body fragment) cross-checked through the Lemma 4.2
+    /// cache→linear translation; the result carries the certification
+    /// notes, the cache-schedule peak, and an inference-step witness.
     CacheDatalog,
-    /// The `makeP` encoding with the full certificate route: the winning
-    /// guess's derivation is turned into a Lemma 4.6 cache schedule,
-    /// replayed under the `⊢ₖ` Cache semantics, and — where the program
-    /// falls in the ≤2-atom-body fragment — cross-checked through the
-    /// Lemma 4.2 cache→linear translation. Same verdicts as
-    /// [`EngineId::CacheDatalog`], plus the certification notes and an
-    /// inference-step witness.
-    LinearDatalog,
     /// Bounded concrete-RA exploration of instances — an
     /// under-approximation: can prove `Unsafe`, never `Safe`.
     BoundedConcrete,
@@ -83,12 +94,27 @@ impl EngineId {
     /// Every engine, in the canonical portfolio order (exact engines
     /// first). This is the `--all-engines` selection and the default
     /// `--race` field.
-    pub const ALL: [EngineId; 4] = [
+    pub const ALL: [EngineId; 3] = [
         EngineId::SimplifiedReach,
         EngineId::CacheDatalog,
-        EngineId::LinearDatalog,
         EngineId::BoundedConcrete,
     ];
+
+    /// Resolves one engine name: the wire name (`cache-datalog`), the
+    /// CLI short name (`datalog`), or a legacy name.
+    pub fn from_name(name: &str) -> Option<EngineId> {
+        match name {
+            "simplified-reach" | "simplified" => Some(EngineId::SimplifiedReach),
+            "cache-datalog" | "datalog" => Some(EngineId::CacheDatalog),
+            // The former certificate-route engine, folded into
+            // cache-datalog (which reports the same notes and witness).
+            // Campaign stores hash this label into their keys and v1
+            // serve clients may still send it.
+            "linear-datalog" | "linear" => Some(EngineId::CacheDatalog),
+            "bounded-concrete" | "concrete" => Some(EngineId::BoundedConcrete),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for EngineId {
@@ -96,10 +122,41 @@ impl fmt::Display for EngineId {
         let s = match self {
             EngineId::SimplifiedReach => "simplified-reach",
             EngineId::CacheDatalog => "cache-datalog",
-            EngineId::LinearDatalog => "linear-datalog",
             EngineId::BoundedConcrete => "bounded-concrete",
         };
         f.write_str(s)
+    }
+}
+
+/// The engine-selection label stored in campaign manifests and keys and
+/// used as a serve request's `engine`: one engine's name, `all-engines`,
+/// or `race`. Inverted by [`selection_from_label`].
+pub fn selection_label(engines: &[EngineId], race: bool) -> String {
+    match engines {
+        _ if race => "race".to_string(),
+        [one] => one.to_string(),
+        _ => "all-engines".to_string(),
+    }
+}
+
+/// Parses an engine-selection label into the engines to run and whether
+/// to race them — the one parser behind the CLI, campaign resume, and
+/// serve requests.
+///
+/// # Errors
+///
+/// An unknown label.
+pub fn selection_from_label(label: &str) -> Result<(Vec<EngineId>, bool), String> {
+    match label {
+        "race" => Ok((EngineId::ALL.to_vec(), true)),
+        "all-engines" => Ok((EngineId::ALL.to_vec(), false)),
+        name => EngineId::from_name(name)
+            .map(|e| (vec![e], false))
+            .ok_or_else(|| {
+                format!(
+                    "unknown engine label `{name}` (expected an engine name, all-engines, or race)"
+                )
+            }),
     }
 }
 
@@ -182,8 +239,10 @@ pub struct VerificationResult {
     /// For `Unsafe` via [`EngineId::SimplifiedReach`]: the §4.3 bound on the
     /// number of `env` threads sufficient to exhibit the bug.
     pub env_thread_bound: Option<u64>,
-    /// For `Unsafe` via [`EngineId::SimplifiedReach`]: a human-readable
-    /// witness (the dis steps between saturations).
+    /// For `Unsafe`: a human-readable witness — the dis steps between
+    /// saturations ([`EngineId::SimplifiedReach`]), up to 64 `infer …`
+    /// steps of the certified cache schedule ([`EngineId::CacheDatalog`]),
+    /// or the concrete interleaving ([`EngineId::BoundedConcrete`]).
     pub witness_lines: Vec<String>,
     /// Notes (approximations applied, limits hit).
     pub notes: Vec<String>,
@@ -463,18 +522,6 @@ impl fmt::Display for VerifierError {
 
 impl std::error::Error for VerifierError {}
 
-/// Best-effort rendering of a panic payload (`&str` and `String` cover
-/// every `panic!` in this workspace).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The verifier: owns the (goal-transformed) system and dispatches engines.
 #[derive(Debug, Clone)]
 pub struct Verifier {
@@ -751,57 +798,47 @@ impl Verifier {
     /// other runs.
     pub fn run_isolated(&self, engine: EngineId) -> VerificationResult {
         let run_cancel = self.options.cancel.child();
-        let result = self.catch_panics(engine, &self.rec, || {
+        let result = parra_search::catch_panic(|| {
             self.engine(engine)
                 .run(&self.base_budget(), &run_cancel, &self.rec)
-        });
+        })
+        .unwrap_or_else(|msg| self.panicked(engine, &msg));
         if result.verdict == Verdict::Interrupted(InterruptReason::Cancelled) {
             self.options.cancel.acknowledge();
         }
         result
     }
 
-    /// Panic containment shared by [`Verifier::run_isolated`] and the
-    /// race jobs: a panic degrades to `Unknown` with a diagnostic note,
-    /// and a degraded `run_end` event closes the `run_start` the panic
-    /// orphaned — `parra report` run pairing and `--check-schema` stay
-    /// sound even for a crashed engine.
-    pub(crate) fn catch_panics(
-        &self,
-        engine: EngineId,
-        rec: &Recorder,
-        f: impl FnOnce() -> VerificationResult,
-    ) -> VerificationResult {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(result) => result,
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                let note = format!("engine panicked: {msg}; verdict degraded to UNKNOWN");
-                if rec.is_enabled() {
-                    // The panic message may carry addresses or other
-                    // nondeterminism, so only the fixed marker goes in
-                    // the deterministic fields; the note has the text.
-                    rec.scoped(&format!("{engine}/")).event_with(
-                        "run_end",
-                        &[
-                            ("verdict", Verdict::Unknown.to_string().into()),
-                            ("panic", 1u64.into()),
-                        ],
-                        &[],
-                    );
-                }
-                let mut report = RunReport::empty(engine);
-                report.notes = vec![note.clone()];
-                VerificationResult {
-                    verdict: Verdict::Unknown,
-                    engine,
-                    stats: Stats::default(),
-                    env_thread_bound: None,
-                    witness_lines: vec![],
-                    notes: vec![note],
-                    report,
-                }
-            }
+    /// The result of an engine run that panicked with `msg` — shared by
+    /// [`Verifier::run_isolated`] and the race: `Unknown` with a
+    /// diagnostic note, plus a degraded `run_end` event closing the
+    /// `run_start` the panic orphaned, so `parra report` run pairing and
+    /// `--check-schema` stay sound even for a crashed engine.
+    pub(crate) fn panicked(&self, engine: EngineId, msg: &str) -> VerificationResult {
+        let note = format!("engine panicked: {msg}; verdict degraded to UNKNOWN");
+        if self.rec.is_enabled() {
+            // The panic message may carry addresses or other
+            // nondeterminism, so only the fixed marker goes in the
+            // deterministic fields; the note has the text.
+            self.rec.scoped(&format!("{engine}/")).event_with(
+                "run_end",
+                &[
+                    ("verdict", Verdict::Unknown.to_string().into()),
+                    ("panic", 1u64.into()),
+                ],
+                &[],
+            );
+        }
+        let mut report = RunReport::empty(engine);
+        report.notes = vec![note.clone()];
+        VerificationResult {
+            verdict: Verdict::Unknown,
+            engine,
+            stats: Stats::default(),
+            env_thread_bound: None,
+            witness_lines: vec![],
+            notes: vec![note],
+            report,
         }
     }
 
@@ -986,27 +1023,15 @@ mod tests {
         assert_eq!(r2.verdict, Verdict::Unsafe);
         assert!(r2.stats.guesses >= 1);
         assert!(r2.stats.cache_peak >= 1);
+        assert!(
+            r2.notes.iter().any(|n| n.contains("certified under")),
+            "missing certification note: {:?}",
+            r2.notes
+        );
+        assert!(!r2.witness_lines.is_empty());
+        assert!(r2.witness_lines[0].starts_with("infer "));
         let r3 = v.run(EngineId::BoundedConcrete);
         assert_eq!(r3.verdict, Verdict::Unsafe);
-        let r4 = v.run(EngineId::LinearDatalog);
-        assert_eq!(r4.verdict, Verdict::Unsafe);
-        assert!(r4.stats.cache_peak >= 1);
-        assert!(
-            r4.notes.iter().any(|n| n.contains("certified under")),
-            "missing certification note: {:?}",
-            r4.notes
-        );
-        assert!(!r4.witness_lines.is_empty());
-        assert!(r4.witness_lines[0].starts_with("infer "));
-    }
-
-    #[test]
-    fn linear_engine_on_safe_handshake() {
-        let sys = handshake(true);
-        let v = Verifier::new(&sys, VerifierOptions::default()).unwrap();
-        let r = v.run(EngineId::LinearDatalog);
-        assert_eq!(r.verdict, Verdict::Safe);
-        assert!(r.witness_lines.is_empty());
     }
 
     #[test]
@@ -1014,9 +1039,41 @@ mod tests {
         let sys = handshake(true);
         let v = Verifier::new(&sys, VerifierOptions::default()).unwrap();
         assert_eq!(v.run(EngineId::SimplifiedReach).verdict, Verdict::Safe);
-        assert_eq!(v.run(EngineId::CacheDatalog).verdict, Verdict::Safe);
+        let datalog = v.run(EngineId::CacheDatalog);
+        assert_eq!(datalog.verdict, Verdict::Safe);
+        assert!(datalog.witness_lines.is_empty());
         // The concrete engine can never prove parameterized safety.
         assert_eq!(v.run(EngineId::BoundedConcrete).verdict, Verdict::Unknown);
+    }
+
+    #[test]
+    fn selection_labels_parse_including_legacy_names() {
+        use EngineId::*;
+        for legacy in ["linear-datalog", "linear"] {
+            assert_eq!(
+                selection_from_label(legacy),
+                Ok((vec![CacheDatalog], false))
+            );
+        }
+        assert_eq!(
+            selection_from_label("all-engines"),
+            Ok((vec![SimplifiedReach, CacheDatalog, BoundedConcrete], false))
+        );
+        assert_eq!(
+            selection_from_label("race"),
+            Ok((vec![SimplifiedReach, CacheDatalog, BoundedConcrete], true))
+        );
+        assert!(selection_from_label("nope").is_err());
+        for (engines, race) in [
+            (vec![SimplifiedReach], false),
+            (vec![CacheDatalog], false),
+            (vec![BoundedConcrete], false),
+            (EngineId::ALL.to_vec(), false),
+            (EngineId::ALL.to_vec(), true),
+        ] {
+            let label = selection_label(&engines, race);
+            assert_eq!(selection_from_label(&label), Ok((engines, race)), "{label}");
+        }
     }
 
     #[test]
@@ -1282,12 +1339,7 @@ mod tests {
         };
         let rec = Recorder::enabled(parra_obs::Level::Summary);
         let v = Verifier::new_with_recorder(&sys, opts, rec.clone()).unwrap();
-        for engine in [
-            EngineId::SimplifiedReach,
-            EngineId::CacheDatalog,
-            EngineId::LinearDatalog,
-            EngineId::BoundedConcrete,
-        ] {
+        for engine in EngineId::ALL {
             let r = v.run(engine);
             assert_eq!(
                 r.verdict,
@@ -1311,7 +1363,7 @@ mod tests {
             .filter(|(n, _)| n.ends_with("/interrupted_deadline"))
             .map(|(_, v)| *v)
             .sum();
-        assert_eq!(hits, 4, "counters: {:?}", snap.counters);
+        assert_eq!(hits, 3, "counters: {:?}", snap.counters);
     }
 
     /// Regression: a cancellation that interrupts engine A must not leak
@@ -1342,7 +1394,7 @@ mod tests {
         cancel.cancel();
         let c = v.run_isolated(EngineId::SimplifiedReach);
         assert_eq!(c.verdict, Verdict::Interrupted(InterruptReason::Cancelled));
-        let d = v.run_isolated(EngineId::LinearDatalog);
+        let d = v.run_isolated(EngineId::CacheDatalog);
         assert_eq!(d.verdict, Verdict::Unsafe);
     }
 
@@ -1363,7 +1415,7 @@ mod tests {
         );
         for engine in [
             EngineId::CacheDatalog,
-            EngineId::LinearDatalog,
+            EngineId::BoundedConcrete,
             EngineId::SimplifiedReach,
         ] {
             let later = v.run(engine);

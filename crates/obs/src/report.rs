@@ -712,12 +712,12 @@ mod tests {
     #[test]
     fn ingests_race_events_and_attributes_the_winner() {
         let mut set = ReportSet::default();
-        set.ingest_line(r#"{"v":1,"file":"a.ra","seq":9,"t_us":50,"scope":"race/","kind":"race","fields":{"n_engines":4,"engines":"simplified-reach,cache-datalog,linear-datalog,bounded-concrete","verdict":"UNSAFE"},"volatile":{"duration_us":1234,"winner":1}}"#).unwrap();
+        set.ingest_line(r#"{"v":1,"file":"a.ra","seq":9,"t_us":50,"scope":"race/","kind":"race","fields":{"n_engines":3,"engines":"simplified-reach,cache-datalog,bounded-concrete","verdict":"UNSAFE"},"volatile":{"duration_us":1234,"winner":1}}"#).unwrap();
         set.ingest_line(r#"{"v":1,"seq":9,"t_us":50,"scope":"race/","kind":"race","fields":{"n_engines":2,"engines":"simplified-reach,cache-datalog","verdict":"UNKNOWN"},"volatile":{"duration_us":7}}"#).unwrap();
         assert_eq!(set.races.len(), 2);
         let r = &set.races[0];
         assert_eq!(r.file.as_deref(), Some("a.ra"));
-        assert_eq!(r.engines.len(), 4);
+        assert_eq!(r.engines.len(), 3);
         // The volatile winner index resolves against the engines field.
         assert_eq!(r.winner.as_deref(), Some("cache-datalog"));
         assert_eq!((r.verdict.as_str(), r.duration_us), ("UNSAFE", 1234));

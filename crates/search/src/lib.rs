@@ -39,6 +39,6 @@ pub mod threads;
 
 pub use frontier::{ordered_map, round_chunk};
 pub use graph::SearchGraph;
-pub use race::{race, RaceOutcome};
+pub use race::{catch_panic, race, RaceOutcome};
 pub use shard::ShardedIndex;
 pub use threads::Threads;

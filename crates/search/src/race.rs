@@ -39,14 +39,23 @@ pub struct RaceOutcome<T> {
 /// Sentinel for "no winner claimed yet".
 const NO_WINNER: usize = usize::MAX;
 
-fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs `f`, containing a panic as `Err(message)` — the one panic
+/// boundary of the workspace: the race below, the verifier's isolated
+/// engine runs, the batch/campaign selection path, and the serve
+/// daemon's last-resort request shield all go through it.
+///
+/// The message is the panic payload when it is a string (`&str` and
+/// `String` cover every `panic!` in the workspace).
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
 /// Races `jobs` to the first decisive result.
@@ -79,7 +88,7 @@ where
         let mut handles = Vec::with_capacity(n);
         for (idx, job) in jobs.into_iter().enumerate() {
             handles.push(scope.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(job)).map_err(payload_msg);
+                let result = catch_panic(job);
                 if let Ok(value) = &result {
                     if decisive(value)
                         && winner

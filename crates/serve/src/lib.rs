@@ -34,4 +34,4 @@ pub mod proto;
 pub mod server;
 
 pub use proto::{canonical_response, ErrorCode, ProtoError, Request, PROTO_VERSION};
-pub use server::{selection_from_label, ServeConfig, Server};
+pub use server::{ServeConfig, Server};

@@ -36,6 +36,11 @@
 //! Malformed input never kills the connection: an unparseable, oversized,
 //! wrongly-versioned, or unknown-typed line yields a structured `error`
 //! response with a stable `code`.
+//!
+//! The codes form a closed set ([`ErrorCode`]). It has grown once within
+//! version 1: `internal` reports a failure inside the daemon itself,
+//! which earlier v1 daemons reported as `bad-program`. Clients should
+//! treat an unknown code as an error they cannot act on.
 
 use parra_obs::json::{self, write_escaped, Value};
 use std::collections::BTreeMap;
@@ -68,6 +73,11 @@ pub enum ErrorCode {
     Overloaded,
     /// Decisive engines disagreed (an engine bug worth reporting).
     Disagreement,
+    /// The daemon itself failed while processing the request (a daemon
+    /// bug, not a fault of the request). Added to the closed v1 code set
+    /// after `disagreement`; before it, such failures were reported as
+    /// `bad-program`.
+    Internal,
 }
 
 impl ErrorCode {
@@ -82,6 +92,7 @@ impl ErrorCode {
             ErrorCode::BadProgram => "bad-program",
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::Disagreement => "disagreement",
+            ErrorCode::Internal => "internal",
         }
     }
 }

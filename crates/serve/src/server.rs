@@ -41,7 +41,8 @@
 //! deterministically.
 
 use crate::proto::{self, ErrorCode, ProtoError, Request, Source, VerifyRequest, PROTO_VERSION};
-use parra_core::verify::{EngineId, SharedPlanCache, Verifier, VerifierOptions};
+use parra_core::engine::injected;
+use parra_core::verify::{selection_from_label, EngineId, SharedPlanCache, VerifierOptions};
 use parra_core::VerifierCache;
 use parra_limits::{AdmissionGate, CancelToken};
 use parra_obs::json::ObjWriter;
@@ -83,22 +84,6 @@ impl Default for ServeConfig {
             max_in_flight: 64,
             memory_watermark: None,
         }
-    }
-}
-
-/// Parses an engine selection label (the serve-side mirror of the CLI's
-/// `--engine`/`--all-engines`/`--race` resolution).
-pub fn selection_from_label(label: &str) -> Result<(Vec<EngineId>, bool), String> {
-    match label {
-        "race" => Ok((EngineId::ALL.to_vec(), true)),
-        "all-engines" => Ok((EngineId::ALL.to_vec(), false)),
-        single => EngineId::ALL
-            .iter()
-            .find(|e| e.to_string() == single)
-            .map(|&e| (vec![e], false))
-            .ok_or_else(|| {
-                format!("unknown engine label `{single}` (expected an engine name, all-engines, or race)")
-            }),
     }
 }
 
@@ -277,20 +262,18 @@ impl Server {
     /// Last-resort panic containment around a whole request: the
     /// engine-level paths already degrade panics to `Unknown` verdicts,
     /// so anything reaching this catch is a daemon bug — answered as a
-    /// structured error so the daemon (and the connection) live on.
+    /// structured `internal` error (never blamed on the client's
+    /// program) so the daemon (and the connection) live on.
     fn contained(&self, id: &str, f: impl FnOnce() -> String) -> String {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(response) => response,
-            Err(_) => {
-                self.panics.fetch_add(1, Ordering::Relaxed);
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                proto::error_response(&ProtoError {
-                    code: ErrorCode::BadProgram,
-                    message: "request processing panicked; verdict unavailable".into(),
-                    id: Some(id.to_string()),
-                })
-            }
-        }
+        parra_core::catch_panic(f).unwrap_or_else(|msg| {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            proto::error_response(&ProtoError {
+                code: ErrorCode::Internal,
+                message: format!("request processing panicked ({msg}); verdict unavailable"),
+                id: Some(id.to_string()),
+            })
+        })
     }
 
     fn status_response(&self, id: &str) -> String {
@@ -359,7 +342,7 @@ impl Server {
             id: Some(req.id.clone()),
         })?;
         let admitted = Instant::now();
-        if env_needle_matches("PARRA_SERVE_INJECT_STALL", &req.name) {
+        if injected("PARRA_SERVE_INJECT_STALL", &req.name).is_some() {
             std::thread::sleep(INJECT_STALL);
         }
 
@@ -382,10 +365,10 @@ impl Server {
             .or(options.timeout);
         options.timeout = None;
         options.deadline_at = window.map(|d| admitted + d);
-        if env_needle_matches("PARRA_INJECT_DEADLINE", &req.name) {
+        if injected("PARRA_INJECT_DEADLINE", &req.name).is_some() {
             options.deadline_at = Some(admitted);
         }
-        if env_needle_matches("PARRA_INJECT_PANIC", &req.name) {
+        if injected("PARRA_INJECT_PANIC", &req.name).is_some() {
             options.fail_point_panic = Some(engines[0]);
         }
         options.cancel = CancelToken::new();
@@ -404,11 +387,13 @@ impl Server {
                 message: e.to_string(),
                 id: Some(req.id.clone()),
             })?;
-        let sel = run_selection_for(&verifier, &engines, race).map_err(|message| ProtoError {
-            code: ErrorCode::Disagreement,
-            message,
-            id: Some(req.id.clone()),
-        })?;
+        let sel = verifier
+            .run_selection(&engines, race)
+            .map_err(|message| ProtoError {
+                code: ErrorCode::Disagreement,
+                message,
+                id: Some(req.id.clone()),
+            })?;
         let duration_us = admitted.elapsed().as_micros() as u64;
 
         if let Some(sink) = &self.events {
@@ -439,24 +424,6 @@ impl Server {
             vol.num_field("in_flight", in_flight);
             w.raw_field("volatile", &vol.finish());
         }))
-    }
-}
-
-/// Runs the selection through the portfolio's isolated paths (shared
-/// with `parra verify`): sequential selections via `run_isolated`, races
-/// via `race()` — both panic-contained per engine.
-fn run_selection_for(
-    verifier: &Verifier,
-    engines: &[EngineId],
-    race: bool,
-) -> Result<parra_core::SelectionOutcome, String> {
-    verifier.run_selection(engines, race)
-}
-
-fn env_needle_matches(var: &str, name: &str) -> bool {
-    match std::env::var(var) {
-        Ok(needle) => !needle.is_empty() && name.contains(&needle),
-        Err(_) => false,
     }
 }
 
@@ -590,6 +557,18 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, ["1", "", "2"]);
+    }
+
+    #[test]
+    fn a_panic_inside_the_daemon_is_internal_not_bad_program() {
+        let s = server();
+        let resp = s.contained("p", || panic!("daemon bug"));
+        let v = json::parse(&resp).expect("error response parses");
+        assert_eq!(v.get("type").and_then(Value::as_str), Some("error"));
+        assert_eq!(v.get("code").and_then(Value::as_str), Some("internal"));
+        assert_eq!(v.get("id").and_then(Value::as_str), Some("p"));
+        assert_eq!(s.panics.load(Ordering::Relaxed), 1);
+        assert_eq!(s.errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]

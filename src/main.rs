@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! parra classify <file.ra>
-//! parra verify   <file.ra> [--engine simplified|datalog|linear|concrete]
+//! parra verify   <file.ra> [--engine simplified|datalog|concrete]
 //!                          [--unroll N] [--all-engines] [--race] [--concretize]
 //!                          [--timeout SECS] [--memory-budget SIZE]
 //!                          [--stats] [--json] [--trace-out FILE]
@@ -55,6 +55,7 @@
 //! `parra report --diff A B` compares two report sets for verdict flips
 //! and phase-time regressions.
 
+use parra::core::verify::{selection_from_label, selection_label};
 use parra::limits::{parse_byte_size, TrackingAlloc};
 use parra::obs::{Level, Phase, PhaseTimer, Recorder};
 use parra::prelude::*;
@@ -97,7 +98,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage:\n  parra classify <file.ra>\n  parra verify <file.ra> \
-     [--engine simplified|datalog|linear|concrete] [--unroll N] [--all-engines] \
+     [--engine simplified|datalog|concrete] [--unroll N] [--all-engines] \
      [--race] [--concretize] [--timeout SECS] [--memory-budget SIZE] [--threads N] \
      [--stats] [--json] [--trace-out FILE] [--events-out FILE] \
      [--metrics-out FILE]\n  \
@@ -475,79 +476,15 @@ fn engine_selection(args: &[String]) -> Result<Vec<EngineId>, String> {
     if all || race {
         return Ok(EngineId::ALL.to_vec());
     }
-    let engine = match single.as_deref() {
-        None | Some("simplified") => EngineId::SimplifiedReach,
-        Some("datalog") => EngineId::CacheDatalog,
-        Some("linear") => EngineId::LinearDatalog,
-        Some("concrete") => EngineId::BoundedConcrete,
-        Some(other) => return Err(format!("unknown engine `{other}`")),
-    };
-    Ok(vec![engine])
-}
-
-/// Verifies one batch input. Errors (unreadable file, parse failure,
-/// rejected system, engine disagreement) become the line's `error` field.
-fn batch_one(
-    path: &std::path::Path,
-    engines: &[EngineId],
-    race: bool,
-    options: &VerifierOptions,
-    rec: &Recorder,
-) -> Result<(Verdict, Option<InterruptReason>, Vec<String>), String> {
-    // Test hook: `PARRA_INJECT_PANIC=<substring>` panics on matching
-    // files so the batch loop's panic isolation can be exercised
-    // end-to-end.
-    if let Ok(needle) = std::env::var("PARRA_INJECT_PANIC") {
-        if !needle.is_empty() && path.display().to_string().contains(&needle) {
-            panic!("injected panic (PARRA_INJECT_PANIC={needle})");
-        }
+    match single.as_deref() {
+        None => Ok(vec![EngineId::SimplifiedReach]),
+        Some(name) => EngineId::from_name(name)
+            .map(|e| vec![e])
+            .ok_or_else(|| format!("unknown engine `{name}`")),
     }
-    let sys = {
-        let phases = PhaseTimer::new(rec);
-        let _parse = phases.start(Phase::Parse);
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-        parse_system(&text).map_err(|e| e.to_string())?
-    };
-    let verifier = Verifier::new_with_recorder(&sys, options.clone(), rec.clone())
-        .map_err(|e| e.to_string())?;
-    // Test hook: `PARRA_INJECT_DEADLINE=<substring>` re-runs the
-    // selection's last engine under a zero wall-clock deadline on
-    // matching files (sequential selections only). This manufactures the
-    // shape `--strict` exists for — a *decided* file whose portfolio
-    // still lost an engine to a budget — deterministically, without a
-    // real timeout race.
-    let inject_deadline = !race
-        && std::env::var("PARRA_INJECT_DEADLINE")
-            .is_ok_and(|needle| !needle.is_empty() && path.display().to_string().contains(&needle));
-    let sel = if inject_deadline {
-        let (head, last) = engines.split_at(engines.len() - 1);
-        let mut sel = verifier.run_selection(head, false)?;
-        let zero = Verifier::new_with_recorder(
-            &sys,
-            VerifierOptions {
-                timeout: Some(Duration::ZERO),
-                ..options.clone()
-            },
-            rec.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        let result = zero.run_isolated(last[0]);
-        sel.interrupted = sel.interrupted.or(result.verdict.interrupt_reason());
-        let mut verdicts: Vec<(EngineId, Verdict)> =
-            sel.results.iter().map(|r| (r.engine, r.verdict)).collect();
-        verdicts.push((result.engine, result.verdict));
-        sel.verdict = aggregate_verdicts(&verdicts)?;
-        sel.results.push(result);
-        sel
-    } else {
-        verifier.run_selection(engines, race)?
-    };
-    let reports = sel.results.iter().map(|r| r.report.to_json()).collect();
-    Ok((sel.verdict, sel.interrupted, reports))
 }
 
 fn batch(args: &[String]) -> Result<ExitCode, String> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::PathBuf;
 
     let (timeout, memory_budget) = parse_limit_flags(args)?;
@@ -616,18 +553,24 @@ fn batch(args: &[String]) -> Result<ExitCode, String> {
             Recorder::disabled()
         };
         let start = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            batch_one(file, &engines, race, &options, &rec)
-        }));
+        // Read failures, parse failures, rejected systems, engine
+        // disagreement, and panics all become the line's `error` field.
+        let name = file.display().to_string();
+        let outcome = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read: {e}"))
+            .and_then(|text| {
+                parra::core::verify_text(&name, &text, &engines, race, &options, &rec)
+            });
         let duration_us = start.elapsed().as_micros() as u64;
         if events_out.is_some() {
-            event_log.push_str(&rec.render_events_jsonl(&[("file", &file.display().to_string())]));
+            event_log.push_str(&rec.render_events_jsonl(&[("file", &name)]));
         }
 
         let mut w = parra::obs::json::ObjWriter::new();
-        w.str_field("file", &file.display().to_string());
+        w.str_field("file", &name);
         match outcome {
-            Ok(Ok((verdict, interrupted, reports))) => {
+            Ok(sel) => {
+                let (verdict, interrupted) = (sel.verdict, sel.interrupted);
                 any_unsafe |= verdict == Verdict::Unsafe;
                 any_undecided |= !verdict.is_decided();
                 any_degraded |= matches!(
@@ -648,26 +591,14 @@ fn batch(args: &[String]) -> Result<ExitCode, String> {
                 }
                 w.raw_field("error", "null");
                 w.num_field("duration_us", duration_us);
+                let reports: Vec<String> = sel.results.iter().map(|r| r.report.to_json()).collect();
                 w.raw_field("reports", &format!("[{}]", reports.join(",")));
             }
-            Ok(Err(error)) => {
+            Err(error) => {
                 any_undecided = true;
                 w.raw_field("verdict", "null");
                 w.raw_field("interrupted", "null");
                 w.str_field("error", &error);
-                w.num_field("duration_us", duration_us);
-                w.raw_field("reports", "[]");
-            }
-            Err(payload) => {
-                any_undecided = true;
-                let msg: &str = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("panic with non-string payload");
-                w.raw_field("verdict", "null");
-                w.raw_field("interrupted", "null");
-                w.str_field("error", &format!("panicked: {msg}"));
                 w.num_field("duration_us", duration_us);
                 w.raw_field("reports", "[]");
             }
@@ -743,7 +674,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         .transpose()?;
     let engines = engine_selection(args)?;
     let race = args.iter().any(|a| a == "--race");
-    let all = args.iter().any(|a| a == "--all-engines");
     let max_queue = flag_value(args, "--max-queue")
         .map(|v| v.parse::<usize>().map_err(|e| format!("--max-queue: {e}")))
         .transpose()?
@@ -761,7 +691,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             memory_budget,
             ..Default::default()
         },
-        engine: selection_label(&engines, race, all),
+        engine: selection_label(&engines, race),
         max_in_flight: max_queue,
         memory_watermark: watermark,
     };
@@ -1055,31 +985,6 @@ fn campaign(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// The engine-selection label stored in manifests and content keys.
-fn selection_label(engines: &[EngineId], race: bool, all: bool) -> String {
-    if race {
-        "race".to_string()
-    } else if all {
-        "all-engines".to_string()
-    } else {
-        engines[0].to_string()
-    }
-}
-
-/// Inverts [`selection_label`] — how `campaign resume` reconstructs the
-/// engine selection from a manifest.
-fn selection_from_label(label: &str) -> Result<(Vec<EngineId>, bool), String> {
-    match label {
-        "race" => Ok((EngineId::ALL.to_vec(), true)),
-        "all-engines" => Ok((EngineId::ALL.to_vec(), false)),
-        single => EngineId::ALL
-            .iter()
-            .find(|e| e.to_string() == single)
-            .map(|&e| (vec![e], false))
-            .ok_or_else(|| format!("manifest: unknown engine label `{single}`")),
-    }
-}
-
 /// Expands positional arguments into the input list (directories expand
 /// to their `.ra` files in sorted order, as in `parra batch`).
 fn campaign_inputs(args: &[String]) -> Result<Vec<String>, String> {
@@ -1130,12 +1035,11 @@ fn campaign_run(args: &[String]) -> Result<ExitCode, String> {
     };
     let engines = engine_selection(args)?;
     let race = args.iter().any(|a| a == "--race");
-    let all = args.iter().any(|a| a == "--all-engines");
     let shard = flag_value(args, "--shard")
         .map(|s| Shard::parse(&s))
         .transpose()?;
     let copts = CampaignOptions {
-        engine_label: selection_label(&engines, race, all),
+        engine_label: selection_label(&engines, race),
         engines,
         race,
         options,

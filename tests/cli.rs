@@ -86,12 +86,7 @@ fn json_emits_one_object_per_engine() {
         .collect();
     assert_eq!(
         engines,
-        [
-            "simplified-reach",
-            "cache-datalog",
-            "linear-datalog",
-            "bounded-concrete"
-        ]
+        ["simplified-reach", "cache-datalog", "bounded-concrete"]
     );
 }
 

@@ -1,4 +1,4 @@
-//! Golden-verdict snapshot: every litmus benchmark × all four engines,
+//! Golden-verdict snapshot: every litmus benchmark × all three engines,
 //! with the expected verdict per engine and the §4.3 env-thread bound
 //! pinned in one table.
 //!
@@ -20,40 +20,39 @@ use parra_litmus::all;
 /// [`ENGINES`] order, then the §4.3 env-thread bound reported by
 /// `simplified-reach` (`-` when none, i.e. safe benchmarks).
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &str, &str, &str, &str, &str)] = &[
-    // (name, simplified-reach, cache-datalog, linear-datalog, bounded-concrete, env-bound)
-    ("producer-consumer", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "3"),
-    ("peterson-ra", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("peterson-ra-bratosz", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("dekker", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("lamport-2-ra", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
-    ("lamport-2-3-ra", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
-    ("spinlock-cas", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("rcu", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("barrier", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("chase-lev-deque", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("histogram", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("kmeans", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("linear-regression", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("matrix-multiply", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("pca", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("string-match", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("word-count", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("sort-pthread", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("mp", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("sb", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
-    ("lb", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("iriw", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("wrc", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("corr", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("corr-parameterized", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("2+2w", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
+const GOLDEN: &[(&str, &str, &str, &str, &str)] = &[
+    // (name, simplified-reach, cache-datalog, bounded-concrete, env-bound)
+    ("producer-consumer", "UNSAFE", "UNSAFE", "UNSAFE", "3"),
+    ("peterson-ra", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("peterson-ra-bratosz", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("dekker", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("lamport-2-ra", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
+    ("lamport-2-3-ra", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
+    ("spinlock-cas", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("rcu", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("barrier", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("chase-lev-deque", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("histogram", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("kmeans", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("linear-regression", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("matrix-multiply", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("pca", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("string-match", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("word-count", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("sort-pthread", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("mp", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("sb", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
+    ("lb", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("iriw", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("wrc", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("corr", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("corr-parameterized", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("2+2w", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
 ];
 
-const ENGINES: [EngineId; 4] = [
+const ENGINES: [EngineId; 3] = [
     EngineId::SimplifiedReach,
     EngineId::CacheDatalog,
-    EngineId::LinearDatalog,
     EngineId::BoundedConcrete,
 ];
 
@@ -68,7 +67,7 @@ fn verdict_str(v: Verdict) -> &'static str {
 }
 
 /// Runs the full matrix and renders one row per benchmark.
-fn actual_rows() -> Vec<(String, [String; 5])> {
+fn actual_rows() -> Vec<(String, [String; 4])> {
     all()
         .iter()
         .map(|bench| {
@@ -86,18 +85,18 @@ fn actual_rows() -> Vec<(String, [String; 5])> {
                 }
             }
             cells.push(env_bound);
-            let cells: [String; 5] = cells.try_into().unwrap();
+            let cells: [String; 4] = cells.try_into().unwrap();
             (bench.name.to_string(), cells)
         })
         .collect()
 }
 
-fn render(rows: &[(String, [String; 5])]) -> String {
+fn render(rows: &[(String, [String; 4])]) -> String {
     let mut out = String::new();
     for (name, c) in rows {
         out.push_str(&format!(
-            "    (\"{name}\", \"{}\", \"{}\", \"{}\", \"{}\", \"{}\"),\n",
-            c[0], c[1], c[2], c[3], c[4]
+            "    (\"{name}\", \"{}\", \"{}\", \"{}\", \"{}\"),\n",
+            c[0], c[1], c[2], c[3]
         ));
     }
     out
@@ -119,11 +118,10 @@ fn golden_verdicts_match() {
         match GOLDEN.iter().find(|g| g.0 == name) {
             None => drift.push(format!("{name}: missing from GOLDEN")),
             Some(g) => {
-                let pinned = [g.1, g.2, g.3, g.4, g.5];
+                let pinned = [g.1, g.2, g.3, g.4];
                 let labels = [
                     "simplified-reach",
                     "cache-datalog",
-                    "linear-datalog",
                     "bounded-concrete",
                     "env-bound",
                 ];
