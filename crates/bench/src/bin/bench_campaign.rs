@@ -6,37 +6,24 @@
 //! campaign layer's contract is that the warm pass re-verifies nothing;
 //! the gate enforces it structurally (≥90% of inputs must be skipped —
 //! in practice 100%) and keeps the cold wall-clock under the shared
-//! 25%-and-20ms regression rule.
+//! [`gate::WALL_CLOCK`] rule of [`parra_bench::gate`]. The baseline is a
+//! single `litmus-suite` row.
 //!
 //! ```text
 //! bench_campaign [--out FILE]        # measure and write FILE (default BENCH_campaign.json)
 //! bench_campaign --check BASELINE    # measure and fail (exit 1) on regression
 //! ```
 
+use parra_bench::gate::{self, Row};
 use parra_campaign::{plan, run_campaign, CampaignOptions, Manifest, Store};
 use parra_core::verify::{EngineId, VerifierOptions};
-use parra_obs::json::{self, ObjWriter, Value};
 use parra_obs::Recorder;
 use std::process::ExitCode;
-
-/// Relative wall-clock tolerance of the `--check` gate.
-const TOLERANCE: f64 = 1.25;
-
-/// Absolute wall-clock floor (µs) below which drift is timer noise.
-const FLOOR_US: u64 = 20_000;
 
 /// Minimum fraction of inputs the warm re-run must skip, in permille.
 const MIN_SKIP_PERMILLE: u64 = 900;
 
-struct Measurement {
-    inputs: u64,
-    cold_us: u64,
-    warm_us: u64,
-    warm_verified: u64,
-    skip_permille: u64,
-}
-
-fn measure() -> Measurement {
+fn measure() -> (Vec<Row>, Vec<String>) {
     let scratch = std::env::temp_dir().join(format!("parra-bench-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let corpus = scratch.join("corpus");
@@ -103,136 +90,26 @@ fn measure() -> Measurement {
         .checked_div(warm.assigned)
         .unwrap_or(0);
     let _ = std::fs::remove_dir_all(&scratch);
-    Measurement {
-        inputs: inputs.len() as u64,
-        cold_us,
-        warm_us,
-        warm_verified: warm.verified,
-        skip_permille,
-    }
-}
-
-fn to_json(m: &Measurement) -> String {
-    let mut w = ObjWriter::new();
-    w.num_field("inputs", m.inputs);
-    w.num_field("cold_us", m.cold_us);
-    w.num_field("warm_us", m.warm_us);
-    w.num_field("warm_verified", m.warm_verified);
-    w.num_field("skip_permille", m.skip_permille);
-    let mut buf = w.finish();
-    buf.push('\n');
-    buf
-}
-
-/// Whether `current` wall-clock regresses past `base` under the
-/// 25%-and-20ms rule.
-fn regresses(base: u64, current: u64) -> bool {
-    current as f64 > base as f64 * TOLERANCE && current > base + FLOOR_US
-}
-
-fn check(m: &Measurement, baseline_path: &str) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let root = json::parse(&text).map_err(|e| format!("baseline is not valid JSON: {e:?}"))?;
-    let base_cold = root
-        .get("cold_us")
-        .and_then(Value::as_u64)
-        .ok_or("baseline missing numeric `cold_us`")?;
-    let mut failures = Vec::new();
     // The structural gate: a warm re-run over an unchanged corpus must
     // skip at least 90% of inputs. This does not depend on the baseline
     // — it is the campaign layer's contract.
-    if m.skip_permille < MIN_SKIP_PERMILLE {
+    let mut failures = Vec::new();
+    if skip_permille < MIN_SKIP_PERMILLE {
         failures.push(format!(
-            "warm re-run skipped only {}‰ of inputs (contract: ≥{}‰; {} re-verified)",
-            m.skip_permille, MIN_SKIP_PERMILLE, m.warm_verified
+            "warm re-run skipped only {skip_permille}‰ of inputs (contract: ≥{MIN_SKIP_PERMILLE}‰; {} re-verified)",
+            warm.verified
         ));
     }
-    if regresses(base_cold, m.cold_us) {
-        failures.push(format!(
-            "cold sweep {} µs vs baseline {} µs (>{:.0}% and >{} ms floor)",
-            m.cold_us,
-            base_cold,
-            (TOLERANCE - 1.0) * 100.0,
-            FLOOR_US / 1000
-        ));
-    }
-    println!(
-        "campaign: {} inputs, cold {:>9} µs (baseline {:>9}), warm {:>9} µs, \
-         warm skipped {}‰ {}",
-        m.inputs,
-        m.cold_us,
-        base_cold,
-        m.warm_us,
-        m.skip_permille,
-        if failures.is_empty() { "ok" } else { "FAILED" }
-    );
-    if failures.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("campaign bench regression:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        Ok(ExitCode::from(1))
-    }
+    let row = Row::new()
+        .info("bench", "litmus-suite")
+        .info("inputs", inputs.len() as u64)
+        .wall("cold_us", cold_us)
+        .info("warm_us", warm_us)
+        .info("warm_verified", warm.verified)
+        .info("skip_permille", skip_permille);
+    (vec![row], failures)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let m = measure();
-    match flag("--check") {
-        Some(baseline) => match check(&m, &baseline) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("bench_campaign: {msg}");
-                ExitCode::from(64)
-            }
-        },
-        None => {
-            let out = flag("--out").unwrap_or_else(|| "BENCH_campaign.json".into());
-            let jsonv = to_json(&m);
-            if let Err(e) = std::fs::write(&out, &jsonv) {
-                eprintln!("bench_campaign: cannot write `{out}`: {e}");
-                return ExitCode::from(64);
-            }
-            println!(
-                "campaign: {} inputs, cold {} µs, warm {} µs ({}‰ skipped, {} re-verified)",
-                m.inputs, m.cold_us, m.warm_us, m.skip_permille, m.warm_verified
-            );
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn regression_rule_needs_both_ratio_and_floor() {
-        assert!(!regresses(1_000, 10_000)); // tiny baseline: under the floor
-        assert!(!regresses(100_000, 119_000)); // under 25%
-        assert!(regresses(100_000, 126_000)); // over both
-    }
-
-    #[test]
-    fn json_exposes_the_gate_fields() {
-        let m = Measurement {
-            inputs: 10,
-            cold_us: 1_000_000,
-            warm_us: 1_000,
-            warm_verified: 0,
-            skip_permille: 1000,
-        };
-        let v = json::parse(to_json(&m).trim()).unwrap();
-        assert_eq!(v.get("cold_us").and_then(Value::as_u64), Some(1_000_000));
-        assert_eq!(v.get("skip_permille").and_then(Value::as_u64), Some(1000));
-    }
+    gate::main("bench_campaign", "BENCH_campaign.json", measure)
 }

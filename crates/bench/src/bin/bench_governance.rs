@@ -13,13 +13,14 @@
 //! bench_governance --check BASELINE    # measure and fail (exit 1) on regression
 //! ```
 //!
-//! The check fails when a governed entry's wall-clock exceeds the
-//! baseline by more than 25% *and* by more than an absolute 20 ms floor.
-//! The governed/ungoverned ratio is recorded per entry (permille) but is
-//! informational only — on CI timers it is too noisy to gate on.
+//! The check ([`parra_bench::gate`]) fails when a governed entry's
+//! wall-clock regresses past [`gate::WALL_CLOCK`] or its verdict differs
+//! from the baseline. The governed/ungoverned ratio is recorded per entry
+//! (permille) but is informational only — on CI timers it is too noisy
+//! to gate on.
 
+use parra_bench::gate::{self, Row};
 use parra_core::verify::{EngineId, Verifier, VerifierOptions};
-use parra_obs::json::{self, ObjWriter, Value};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -39,30 +40,6 @@ const ENGINES: [EngineId; 2] = [EngineId::SimplifiedReach, EngineId::CacheDatalo
 /// Timed repetitions per entry; the best is recorded.
 const REPS: usize = 3;
 
-/// Relative wall-clock tolerance of the `--check` gate.
-const TOLERANCE: f64 = 1.25;
-
-/// Absolute wall-clock floor (µs) below which drift is timer noise.
-const FLOOR_US: u64 = 20_000;
-
-struct Entry {
-    bench: String,
-    engine: String,
-    verdict: String,
-    ungoverned_us: u64,
-    governed_us: u64,
-}
-
-impl Entry {
-    /// Governed/ungoverned wall-clock ratio in permille (1000 = parity).
-    fn overhead_permille(&self) -> u64 {
-        if self.ungoverned_us == 0 {
-            return 1000;
-        }
-        self.governed_us.saturating_mul(1000) / self.ungoverned_us
-    }
-}
-
 fn best_wall_us(verifier: &Verifier, engine: EngineId, verdict: &mut String) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..REPS {
@@ -73,8 +50,8 @@ fn best_wall_us(verifier: &Verifier, engine: EngineId, verdict: &mut String) -> 
     best
 }
 
-fn measure() -> Vec<Entry> {
-    let mut out = Vec::new();
+fn measure() -> (Vec<Row>, Vec<String>) {
+    let mut rows = Vec::new();
     for name in BENCHES {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
@@ -101,189 +78,25 @@ fn measure() -> Vec<Entry> {
                 verdict, governed_verdict,
                 "{name}/{engine}: generous limits changed the verdict"
             );
-            out.push(Entry {
-                bench: name.to_string(),
-                engine: engine.to_string(),
-                verdict,
-                ungoverned_us,
-                governed_us,
-            });
-        }
-    }
-    out
-}
-
-fn to_json(entries: &[Entry]) -> String {
-    let mut items = Vec::new();
-    for e in entries {
-        let mut w = ObjWriter::new();
-        w.str_field("bench", &e.bench);
-        w.str_field("engine", &e.engine);
-        w.str_field("verdict", &e.verdict);
-        w.num_field("ungoverned_us", e.ungoverned_us);
-        w.num_field("governed_us", e.governed_us);
-        w.num_field("overhead_permille", e.overhead_permille());
-        items.push(w.finish());
-    }
-    let mut root = ObjWriter::new();
-    root.num_field("threads", 1);
-    root.raw_field("entries", &format!("[{}]", items.join(",")));
-    let mut buf = root.finish();
-    buf.push('\n');
-    buf
-}
-
-fn parse_baseline(text: &str) -> Result<Vec<(String, String, u64)>, String> {
-    let root = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e:?}"))?;
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("baseline has no `entries` array")?;
-    let mut out = Vec::new();
-    for e in entries {
-        out.push((
-            e.get("bench")
-                .and_then(Value::as_str)
-                .ok_or("baseline entry missing `bench`")?
-                .to_string(),
-            e.get("engine")
-                .and_then(Value::as_str)
-                .ok_or("baseline entry missing `engine`")?
-                .to_string(),
-            e.get("governed_us")
-                .and_then(Value::as_u64)
-                .ok_or("baseline entry missing numeric `governed_us`")?,
-        ));
-    }
-    Ok(out)
-}
-
-/// Whether `current` wall-clock regresses past `base` under the
-/// 25%-and-20ms rule.
-fn regresses(base: u64, current: u64) -> bool {
-    current as f64 > base as f64 * TOLERANCE && current > base + FLOOR_US
-}
-
-fn check(entries: &[Entry], baseline_path: &str) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let baseline = parse_baseline(&text)?;
-    let mut failures = Vec::new();
-    for e in entries {
-        let Some((_, _, base_us)) = baseline
-            .iter()
-            .find(|(b, eng, _)| *b == e.bench && *eng == e.engine)
-        else {
-            println!(
-                "note: {} / {} has no baseline entry (new benchmark?)",
-                e.bench, e.engine
+            // Governed/ungoverned wall-clock ratio in permille (1000 = parity).
+            let overhead_permille = governed_us
+                .saturating_mul(1000)
+                .checked_div(ungoverned_us)
+                .unwrap_or(1000);
+            rows.push(
+                Row::new()
+                    .info("bench", *name)
+                    .info("engine", engine.to_string())
+                    .exact("verdict", verdict)
+                    .info("ungoverned_us", ungoverned_us)
+                    .wall("governed_us", governed_us)
+                    .info("overhead_permille", overhead_permille),
             );
-            continue;
-        };
-        let marker = if regresses(*base_us, e.governed_us) {
-            failures.push(format!(
-                "{} / {}: governed {} µs vs baseline {} µs (>{:.0}% and >{} ms floor)",
-                e.bench,
-                e.engine,
-                e.governed_us,
-                base_us,
-                (TOLERANCE - 1.0) * 100.0,
-                FLOOR_US / 1000
-            ));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<22} {:<18} governed {:>9} µs (baseline {:>9}, overhead {:>5}‰) {}",
-            e.bench,
-            e.engine,
-            e.governed_us,
-            base_us,
-            e.overhead_permille(),
-            marker
-        );
-    }
-    if failures.is_empty() {
-        println!(
-            "governed wall-clock within tolerance for all {} entries",
-            entries.len()
-        );
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("governance bench regression:");
-        for f in &failures {
-            eprintln!("  {f}");
         }
-        Ok(ExitCode::from(1))
     }
+    (rows, Vec::new())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let entries = measure();
-    match flag("--check") {
-        Some(baseline) => match check(&entries, &baseline) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("bench_governance: {msg}");
-                ExitCode::from(64)
-            }
-        },
-        None => {
-            let out = flag("--out").unwrap_or_else(|| "BENCH_governance.json".into());
-            let jsonv = to_json(&entries);
-            if let Err(e) = std::fs::write(&out, &jsonv) {
-                eprintln!("bench_governance: cannot write `{out}`: {e}");
-                return ExitCode::from(64);
-            }
-            for e in &entries {
-                println!(
-                    "{:<22} {:<18} ungoverned {:>9} µs  governed {:>9} µs  overhead {:>5}‰",
-                    e.bench,
-                    e.engine,
-                    e.ungoverned_us,
-                    e.governed_us,
-                    e.overhead_permille()
-                );
-            }
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn regression_rule_needs_both_ratio_and_floor() {
-        assert!(!regresses(1_000, 10_000)); // tiny baseline: under the floor
-        assert!(!regresses(100_000, 119_000)); // under 25%
-        assert!(regresses(100_000, 126_000)); // over both
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let entries = vec![Entry {
-            bench: "dekker".into(),
-            engine: "simplified-reach".into(),
-            verdict: "UNSAFE".into(),
-            ungoverned_us: 1000,
-            governed_us: 1010,
-        }];
-        assert_eq!(entries[0].overhead_permille(), 1010);
-        let parsed = parse_baseline(&to_json(&entries)).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let (bench, engine, governed_us) = &parsed[0];
-        assert_eq!(bench, "dekker");
-        assert_eq!(engine, "simplified-reach");
-        assert_eq!(*governed_us, 1010);
-    }
+    gate::main("bench_governance", "BENCH_governance.json", measure)
 }

@@ -12,17 +12,18 @@
 //! bench_obs --check BASELINE    # measure and fail (exit 1) on regression
 //! ```
 //!
-//! `--check` enforces two rules:
+//! `--check` enforces three rules:
 //!
-//! 1. **Overhead** (self-relative, immune to machine speed): the recorded
-//!    run must not exceed the unrecorded run by more than 5% *and* an
-//!    absolute 2 ms floor (sub-millisecond runs are timer noise).
-//! 2. **Wall-clock** (vs the committed baseline): the recorded wall-clock
-//!    must not regress past the baseline by more than 25% and a 20 ms
-//!    floor — the same rule as the other bench gates.
+//! 1. **Overhead** (self-relative, immune to machine speed, checked here):
+//!    the recorded run must not exceed the unrecorded run past
+//!    [`gate::RECORDER_OVERHEAD`] — 5% *and* an absolute 2 ms floor.
+//! 2. **Wall-clock** (vs the committed baseline, by [`parra_bench::gate`]):
+//!    the recorded wall-clock must not regress past [`gate::WALL_CLOCK`].
+//! 3. **Exact** (vs the baseline): the verdict and the number of events
+//!    one recorded run logs are deterministic and must not change.
 
+use parra_bench::gate::{self, Row, RECORDER_OVERHEAD};
 use parra_core::verify::{EngineId, Verifier, VerifierOptions};
-use parra_obs::json::{self, ObjWriter, Value};
 use parra_obs::{Level, Recorder};
 use std::process::ExitCode;
 
@@ -42,39 +43,8 @@ const ENGINES: [EngineId; 2] = [EngineId::SimplifiedReach, EngineId::CacheDatalo
 /// Timed repetitions per entry; the best is recorded.
 const REPS: usize = 3;
 
-/// Max tolerated recorder overhead: recorded > unrecorded × 1.05 ...
-const OVERHEAD_TOLERANCE: f64 = 1.05;
-
-/// ... *and* recorded > unrecorded + 2 ms (below that it is timer noise).
-const OVERHEAD_FLOOR_US: u64 = 2_000;
-
-/// Relative wall-clock tolerance of the baseline comparison.
-const TOLERANCE: f64 = 1.25;
-
-/// Absolute wall-clock floor (µs) below which baseline drift is noise.
-const FLOOR_US: u64 = 20_000;
-
-struct Entry {
-    bench: String,
-    engine: String,
-    verdict: String,
-    off_us: u64,
-    on_us: u64,
-    events: u64,
-}
-
-impl Entry {
-    /// Recorded/unrecorded wall-clock ratio in permille (1000 = parity).
-    fn overhead_permille(&self) -> u64 {
-        if self.off_us == 0 {
-            return 1000;
-        }
-        self.on_us.saturating_mul(1000) / self.off_us
-    }
-}
-
-fn measure() -> Vec<Entry> {
-    let mut out = Vec::new();
+fn measure() -> (Vec<Row>, Vec<String>) {
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
     for name in BENCHES {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
@@ -109,228 +79,34 @@ fn measure() -> Vec<Entry> {
                 on_us = on_us.min(r.stats.duration.as_micros() as u64);
                 events = rec.events().len() as u64;
             }
-            out.push(Entry {
-                bench: name.to_string(),
-                engine: engine.to_string(),
-                verdict,
-                off_us,
-                on_us,
-                events,
-            });
+            if RECORDER_OVERHEAD.regressed(off_us, on_us) {
+                failures.push(format!(
+                    "{name} / {engine}: recorder overhead {off_us} µs → {on_us} µs \
+                     (>{}% and >{} ms floor)",
+                    RECORDER_OVERHEAD.threshold_pct,
+                    RECORDER_OVERHEAD.floor_us / 1000
+                ));
+            }
+            // Recorded/unrecorded wall-clock ratio in permille (1000 = parity).
+            let overhead_permille = on_us
+                .saturating_mul(1000)
+                .checked_div(off_us)
+                .unwrap_or(1000);
+            rows.push(
+                Row::new()
+                    .info("bench", *name)
+                    .info("engine", engine.to_string())
+                    .exact("verdict", verdict)
+                    .info("off_us", off_us)
+                    .wall("on_us", on_us)
+                    .exact("events", events)
+                    .info("overhead_permille", overhead_permille),
+            );
         }
     }
-    out
-}
-
-fn to_json(entries: &[Entry]) -> String {
-    let mut items = Vec::new();
-    for e in entries {
-        let mut w = ObjWriter::new();
-        w.str_field("bench", &e.bench);
-        w.str_field("engine", &e.engine);
-        w.str_field("verdict", &e.verdict);
-        w.num_field("off_us", e.off_us);
-        w.num_field("on_us", e.on_us);
-        w.num_field("events", e.events);
-        w.num_field("overhead_permille", e.overhead_permille());
-        items.push(w.finish());
-    }
-    let mut root = ObjWriter::new();
-    root.num_field("threads", 1);
-    root.raw_field("entries", &format!("[{}]", items.join(",")));
-    let mut buf = root.finish();
-    buf.push('\n');
-    buf
-}
-
-fn parse_baseline(text: &str) -> Result<Vec<(String, String, u64)>, String> {
-    let root = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e:?}"))?;
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("baseline has no `entries` array")?;
-    let mut out = Vec::new();
-    for e in entries {
-        out.push((
-            e.get("bench")
-                .and_then(Value::as_str)
-                .ok_or("baseline entry missing `bench`")?
-                .to_string(),
-            e.get("engine")
-                .and_then(Value::as_str)
-                .ok_or("baseline entry missing `engine`")?
-                .to_string(),
-            e.get("on_us")
-                .and_then(Value::as_u64)
-                .ok_or("baseline entry missing numeric `on_us`")?,
-        ));
-    }
-    Ok(out)
-}
-
-/// Whether the recorded run exceeds the unrecorded one past the 5%-and-2ms
-/// overhead rule.
-fn overhead_exceeded(off_us: u64, on_us: u64) -> bool {
-    on_us as f64 > off_us as f64 * OVERHEAD_TOLERANCE && on_us > off_us + OVERHEAD_FLOOR_US
-}
-
-/// Whether `current` wall-clock regresses past `base` under the
-/// 25%-and-20ms rule.
-fn regresses(base: u64, current: u64) -> bool {
-    current as f64 > base as f64 * TOLERANCE && current > base + FLOOR_US
-}
-
-fn check(entries: &[Entry], baseline_path: &str) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let baseline = parse_baseline(&text)?;
-    let mut failures = Vec::new();
-    for e in entries {
-        let mut markers = Vec::new();
-        if overhead_exceeded(e.off_us, e.on_us) {
-            failures.push(format!(
-                "{} / {}: recorder overhead {} µs → {} µs (>{:.0}% and >{} ms floor)",
-                e.bench,
-                e.engine,
-                e.off_us,
-                e.on_us,
-                (OVERHEAD_TOLERANCE - 1.0) * 100.0,
-                OVERHEAD_FLOOR_US / 1000
-            ));
-            markers.push("OVERHEAD");
-        }
-        let base = baseline
-            .iter()
-            .find(|(b, eng, _)| *b == e.bench && *eng == e.engine);
-        let base_us = match base {
-            Some((_, _, us)) => {
-                if regresses(*us, e.on_us) {
-                    failures.push(format!(
-                        "{} / {}: recorded {} µs vs baseline {} µs (>{:.0}% and >{} ms floor)",
-                        e.bench,
-                        e.engine,
-                        e.on_us,
-                        us,
-                        (TOLERANCE - 1.0) * 100.0,
-                        FLOOR_US / 1000
-                    ));
-                    markers.push("REGRESSED");
-                }
-                *us
-            }
-            None => {
-                println!(
-                    "note: {} / {} has no baseline entry (new benchmark?)",
-                    e.bench, e.engine
-                );
-                0
-            }
-        };
-        println!(
-            "{:<22} {:<18} off {:>9} µs  on {:>9} µs (baseline {:>9}, overhead {:>5}‰, {} events) {}",
-            e.bench,
-            e.engine,
-            e.off_us,
-            e.on_us,
-            base_us,
-            e.overhead_permille(),
-            e.events,
-            if markers.is_empty() {
-                "ok".to_string()
-            } else {
-                markers.join("+")
-            }
-        );
-    }
-    if failures.is_empty() {
-        println!(
-            "recorder overhead and wall-clock within tolerance for all {} entries",
-            entries.len()
-        );
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("flight-recorder bench regression:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        Ok(ExitCode::from(1))
-    }
+    (rows, failures)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let entries = measure();
-    match flag("--check") {
-        Some(baseline) => match check(&entries, &baseline) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("bench_obs: {msg}");
-                ExitCode::from(64)
-            }
-        },
-        None => {
-            let out = flag("--out").unwrap_or_else(|| "BENCH_obs.json".into());
-            let jsonv = to_json(&entries);
-            if let Err(e) = std::fs::write(&out, &jsonv) {
-                eprintln!("bench_obs: cannot write `{out}`: {e}");
-                return ExitCode::from(64);
-            }
-            for e in &entries {
-                println!(
-                    "{:<22} {:<18} off {:>9} µs  on {:>9} µs  overhead {:>5}‰  {} events",
-                    e.bench,
-                    e.engine,
-                    e.off_us,
-                    e.on_us,
-                    e.overhead_permille(),
-                    e.events
-                );
-            }
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overhead_rule_needs_both_ratio_and_floor() {
-        assert!(!overhead_exceeded(1_000, 2_900)); // tiny run: under the floor
-        assert!(!overhead_exceeded(100_000, 104_000)); // under 5%
-        assert!(overhead_exceeded(100_000, 106_000)); // over both
-    }
-
-    #[test]
-    fn regression_rule_needs_both_ratio_and_floor() {
-        assert!(!regresses(1_000, 10_000)); // tiny baseline: under the floor
-        assert!(!regresses(100_000, 119_000)); // under 25%
-        assert!(regresses(100_000, 126_000)); // over both
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let entries = vec![Entry {
-            bench: "dekker".into(),
-            engine: "simplified-reach".into(),
-            verdict: "UNSAFE".into(),
-            off_us: 1000,
-            on_us: 1010,
-            events: 7,
-        }];
-        assert_eq!(entries[0].overhead_permille(), 1010);
-        let parsed = parse_baseline(&to_json(&entries)).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let (bench, engine, on_us) = &parsed[0];
-        assert_eq!(bench, "dekker");
-        assert_eq!(engine, "simplified-reach");
-        assert_eq!(*on_us, 1010);
-    }
+    gate::main("bench_obs", "BENCH_obs.json", measure)
 }

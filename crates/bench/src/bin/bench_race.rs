@@ -15,13 +15,14 @@
 //! bench_race --check BASELINE    # measure and fail (exit 1) on regression
 //! ```
 //!
-//! The check fails when a raced entry's wall-clock exceeds the baseline
-//! by more than 25% *and* by more than an absolute 20 ms floor. Every
-//! measurement also asserts the race invariant: the raced verdict equals
-//! the sequential aggregate over the same engines.
+//! The check ([`parra_bench::gate`]) fails when a raced entry's
+//! wall-clock regresses past [`gate::WALL_CLOCK`] or its verdict differs
+//! from the baseline; the winner depends on wall-clock and is
+//! informational. Every measurement also asserts the race invariant: the
+//! raced verdict equals the sequential aggregate over the same engines.
 
+use parra_bench::gate::{self, Row};
 use parra_core::verify::{aggregate_verdicts, EngineId, Verdict, Verifier, VerifierOptions};
-use parra_obs::json::{self, ObjWriter, Value};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -40,36 +41,8 @@ const BENCHES: &[&str] = &[
 /// Timed repetitions per entry; the best is recorded.
 const REPS: usize = 3;
 
-/// Relative wall-clock tolerance of the `--check` gate.
-const TOLERANCE: f64 = 1.25;
-
-/// Absolute wall-clock floor (µs) below which drift is timer noise.
-const FLOOR_US: u64 = 20_000;
-
-struct Entry {
-    bench: String,
-    verdict: String,
-    /// The winning engine of the *last* repetition (wall-clock-bound,
-    /// informational only).
-    winner: String,
-    raced_us: u64,
-    sequential_us: u64,
-}
-
-impl Entry {
-    /// Raced/sequential wall-clock ratio in permille (1000 = parity;
-    /// lower is better). Informational — single-core runners only see
-    /// the cancellation saving.
-    fn speedup_permille(&self) -> u64 {
-        if self.sequential_us == 0 {
-            return 1000;
-        }
-        self.raced_us.saturating_mul(1000) / self.sequential_us
-    }
-}
-
-fn measure() -> Vec<Entry> {
-    let mut out = Vec::new();
+fn measure() -> (Vec<Row>, Vec<String>) {
+    let mut rows = Vec::new();
     for name in BENCHES {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
@@ -97,6 +70,7 @@ fn measure() -> Vec<Entry> {
         }
 
         let mut raced_us = u64::MAX;
+        // The winner of the *last* repetition (wall-clock-bound).
         let mut winner = String::from("(none)");
         let mut verdict = Verdict::Unknown;
         for _ in 0..REPS {
@@ -113,173 +87,26 @@ fn measure() -> Vec<Entry> {
                 winner = w.to_string();
             }
         }
-        out.push(Entry {
-            bench: name.to_string(),
-            verdict: verdict.to_string(),
-            winner,
-            raced_us,
-            sequential_us,
-        });
-    }
-    out
-}
-
-fn to_json(entries: &[Entry]) -> String {
-    let mut items = Vec::new();
-    for e in entries {
-        let mut w = ObjWriter::new();
-        w.str_field("bench", &e.bench);
-        w.str_field("verdict", &e.verdict);
-        w.str_field("winner", &e.winner);
-        w.num_field("raced_us", e.raced_us);
-        w.num_field("sequential_us", e.sequential_us);
-        w.num_field("speedup_permille", e.speedup_permille());
-        items.push(w.finish());
-    }
-    let mut root = ObjWriter::new();
-    root.num_field("threads", 1);
-    root.raw_field("entries", &format!("[{}]", items.join(",")));
-    let mut buf = root.finish();
-    buf.push('\n');
-    buf
-}
-
-fn parse_baseline(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let root = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e:?}"))?;
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("baseline has no `entries` array")?;
-    let mut out = Vec::new();
-    for e in entries {
-        out.push((
-            e.get("bench")
-                .and_then(Value::as_str)
-                .ok_or("baseline entry missing `bench`")?
-                .to_string(),
-            e.get("raced_us")
-                .and_then(Value::as_u64)
-                .ok_or("baseline entry missing numeric `raced_us`")?,
-        ));
-    }
-    Ok(out)
-}
-
-/// Whether `current` wall-clock regresses past `base` under the
-/// 25%-and-20ms rule.
-fn regresses(base: u64, current: u64) -> bool {
-    current as f64 > base as f64 * TOLERANCE && current > base + FLOOR_US
-}
-
-fn check(entries: &[Entry], baseline_path: &str) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let baseline = parse_baseline(&text)?;
-    let mut failures = Vec::new();
-    for e in entries {
-        let Some((_, base_us)) = baseline.iter().find(|(b, _)| *b == e.bench) else {
-            println!("note: {} has no baseline entry (new benchmark?)", e.bench);
-            continue;
-        };
-        let marker = if regresses(*base_us, e.raced_us) {
-            failures.push(format!(
-                "{}: raced {} µs vs baseline {} µs (>{:.0}% and >{} ms floor)",
-                e.bench,
-                e.raced_us,
-                base_us,
-                (TOLERANCE - 1.0) * 100.0,
-                FLOOR_US / 1000
-            ));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<22} raced {:>9} µs (baseline {:>9}, vs sequential {:>5}‰, winner {}) {}",
-            e.bench,
-            e.raced_us,
-            base_us,
-            e.speedup_permille(),
-            e.winner,
-            marker
+        // Raced/sequential wall-clock ratio in permille (1000 = parity;
+        // lower is better). Single-core runners only see the
+        // cancellation saving.
+        let speedup_permille = raced_us
+            .saturating_mul(1000)
+            .checked_div(sequential_us)
+            .unwrap_or(1000);
+        rows.push(
+            Row::new()
+                .info("bench", *name)
+                .exact("verdict", verdict.to_string())
+                .info("winner", winner)
+                .wall("raced_us", raced_us)
+                .info("sequential_us", sequential_us)
+                .info("speedup_permille", speedup_permille),
         );
     }
-    if failures.is_empty() {
-        println!(
-            "raced wall-clock within tolerance for all {} entries",
-            entries.len()
-        );
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("race bench regression:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        Ok(ExitCode::from(1))
-    }
+    (rows, Vec::new())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let entries = measure();
-    match flag("--check") {
-        Some(baseline) => match check(&entries, &baseline) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("bench_race: {msg}");
-                ExitCode::from(64)
-            }
-        },
-        None => {
-            let out = flag("--out").unwrap_or_else(|| "BENCH_race.json".into());
-            let jsonv = to_json(&entries);
-            if let Err(e) = std::fs::write(&out, &jsonv) {
-                eprintln!("bench_race: cannot write `{out}`: {e}");
-                return ExitCode::from(64);
-            }
-            for e in &entries {
-                println!(
-                    "{:<22} raced {:>9} µs  sequential {:>9} µs  ratio {:>5}‰  winner {}",
-                    e.bench,
-                    e.raced_us,
-                    e.sequential_us,
-                    e.speedup_permille(),
-                    e.winner
-                );
-            }
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn regression_rule_needs_both_ratio_and_floor() {
-        assert!(!regresses(1_000, 10_000)); // tiny baseline: under the floor
-        assert!(!regresses(100_000, 119_000)); // under 25%
-        assert!(regresses(100_000, 126_000)); // over both
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let entries = vec![Entry {
-            bench: "dekker".into(),
-            verdict: "UNSAFE".into(),
-            winner: "simplified-reach".into(),
-            raced_us: 900,
-            sequential_us: 1800,
-        }];
-        assert_eq!(entries[0].speedup_permille(), 500);
-        let parsed = parse_baseline(&to_json(&entries)).unwrap();
-        assert_eq!(parsed, vec![("dekker".to_string(), 900)]);
-    }
+    gate::main("bench_race", "BENCH_race.json", measure)
 }

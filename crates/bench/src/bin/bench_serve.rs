@@ -8,23 +8,19 @@
 //! structurally — every warm request is a cache hit and its reports
 //! carry **zero** `plan` phase time, i.e. warm requests skip parse/plan
 //! entirely — and the cold wall-clock is kept under the shared
-//! 25%-and-20ms regression rule.
+//! [`gate::WALL_CLOCK`] rule of [`parra_bench::gate`]. The baseline is a
+//! single `litmus-suite` row.
 //!
 //! ```text
 //! bench_serve [--out FILE]        # measure and write FILE (default BENCH_serve.json)
 //! bench_serve --check BASELINE    # measure and fail (exit 1) on regression
 //! ```
 
+use parra_bench::gate::{self, Row};
 use parra_core::verify::{EngineId, VerifierOptions};
-use parra_obs::json::{self, ObjWriter, Value};
+use parra_obs::json::{self, Value};
 use parra_serve::{ServeConfig, Server};
 use std::process::ExitCode;
-
-/// Relative wall-clock tolerance of the `--check` gate.
-const TOLERANCE: f64 = 1.25;
-
-/// Absolute wall-clock floor (µs) below which drift is timer noise.
-const FLOOR_US: u64 = 20_000;
 
 #[derive(Clone, Copy)]
 struct Measurement {
@@ -56,7 +52,7 @@ fn plan_us_of(resp: &str) -> u64 {
         .sum()
 }
 
-fn measure() -> Measurement {
+fn measure_suite() -> Measurement {
     // Cache Datalog so every cold report carries a real `plan` phase —
     // the phase whose disappearance on warm hits is the gated contract.
     // The null events sink turns request recording on (phase timers are
@@ -113,25 +109,6 @@ fn measure() -> Measurement {
     }
 }
 
-fn to_json(m: &Measurement) -> String {
-    let mut w = ObjWriter::new();
-    w.num_field("requests", m.requests);
-    w.num_field("cold_us", m.cold_us);
-    w.num_field("warm_us", m.warm_us);
-    w.num_field("warm_hit_permille", m.warm_hit_permille);
-    w.num_field("cold_plan_us", m.cold_plan_us);
-    w.num_field("warm_plan_us", m.warm_plan_us);
-    let mut buf = w.finish();
-    buf.push('\n');
-    buf
-}
-
-/// Whether `current` wall-clock regresses past `base` under the
-/// 25%-and-20ms rule.
-fn regresses(base: u64, current: u64) -> bool {
-    current as f64 > base as f64 * TOLERANCE && current > base + FLOOR_US
-}
-
 /// The warm-cache contract, independent of any baseline: every warm
 /// request hits the verifier cache, warm reports carry no plan time, and
 /// the instrument itself is live (cold plans took measurable time).
@@ -157,114 +134,26 @@ fn structural_failures(m: &Measurement) -> Vec<String> {
     failures
 }
 
-fn check(m: &Measurement, baseline_path: &str) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let root = json::parse(&text).map_err(|e| format!("baseline is not valid JSON: {e:?}"))?;
-    let base_cold = root
-        .get("cold_us")
-        .and_then(Value::as_u64)
-        .ok_or("baseline missing numeric `cold_us`")?;
-    let mut failures = structural_failures(m);
-    if regresses(base_cold, m.cold_us) {
-        failures.push(format!(
-            "cold sweep {} µs vs baseline {} µs (>{:.0}% and >{} ms floor)",
-            m.cold_us,
-            base_cold,
-            (TOLERANCE - 1.0) * 100.0,
-            FLOOR_US / 1000
-        ));
-    }
-    println!(
-        "serve: {} requests, cold {:>9} µs (baseline {:>9}), warm {:>9} µs, \
-         warm hits {}‰, warm plan {} µs {}",
-        m.requests,
-        m.cold_us,
-        base_cold,
-        m.warm_us,
-        m.warm_hit_permille,
-        m.warm_plan_us,
-        if failures.is_empty() { "ok" } else { "FAILED" }
-    );
-    if failures.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("serve bench regression:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        Ok(ExitCode::from(1))
-    }
+fn measure() -> (Vec<Row>, Vec<String>) {
+    let m = measure_suite();
+    let row = Row::new()
+        .info("bench", "litmus-suite")
+        .info("requests", m.requests)
+        .wall("cold_us", m.cold_us)
+        .info("warm_us", m.warm_us)
+        .info("warm_hit_permille", m.warm_hit_permille)
+        .info("cold_plan_us", m.cold_plan_us)
+        .info("warm_plan_us", m.warm_plan_us);
+    (vec![row], structural_failures(&m))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let m = measure();
-    match flag("--check") {
-        Some(baseline) => match check(&m, &baseline) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("bench_serve: {msg}");
-                ExitCode::from(64)
-            }
-        },
-        None => {
-            let out = flag("--out").unwrap_or_else(|| "BENCH_serve.json".into());
-            let jsonv = to_json(&m);
-            if let Err(e) = std::fs::write(&out, &jsonv) {
-                eprintln!("bench_serve: cannot write `{out}`: {e}");
-                return ExitCode::from(64);
-            }
-            println!(
-                "serve: {} requests, cold {} µs ({} µs planning), warm {} µs \
-                 ({}‰ cache hits, {} µs planning)",
-                m.requests,
-                m.cold_us,
-                m.cold_plan_us,
-                m.warm_us,
-                m.warm_hit_permille,
-                m.warm_plan_us
-            );
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-    }
+    gate::main("bench_serve", "BENCH_serve.json", measure)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn regression_rule_needs_both_ratio_and_floor() {
-        assert!(!regresses(1_000, 10_000)); // tiny baseline: under the floor
-        assert!(!regresses(100_000, 119_000)); // under 25%
-        assert!(regresses(100_000, 126_000)); // over both
-    }
-
-    #[test]
-    fn json_exposes_the_gate_fields() {
-        let m = Measurement {
-            requests: 26,
-            cold_us: 500_000,
-            warm_us: 50_000,
-            warm_hit_permille: 1000,
-            cold_plan_us: 30_000,
-            warm_plan_us: 0,
-        };
-        let v = json::parse(to_json(&m).trim()).unwrap();
-        assert_eq!(v.get("cold_us").and_then(Value::as_u64), Some(500_000));
-        assert_eq!(
-            v.get("warm_hit_permille").and_then(Value::as_u64),
-            Some(1000)
-        );
-        assert_eq!(v.get("warm_plan_us").and_then(Value::as_u64), Some(0));
-    }
 
     #[test]
     fn structural_gate_enforces_the_warm_cache_contract() {

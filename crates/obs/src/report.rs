@@ -484,6 +484,16 @@ pub struct DiffOptions {
     pub floor_us: u64,
 }
 
+impl DiffOptions {
+    /// Whether a time that went from `base_us` to `new_us` regressed:
+    /// it grew by more than `threshold_pct` percent *and* by more than
+    /// `floor_us`. The one regression rule shared by `report --diff`,
+    /// `campaign diff` and the `bench_*` gates.
+    pub fn regressed(&self, base_us: u64, new_us: u64) -> bool {
+        new_us > base_us + base_us * self.threshold_pct / 100 && new_us > base_us + self.floor_us
+    }
+}
+
 impl Default for DiffOptions {
     fn default() -> DiffOptions {
         DiffOptions {
@@ -565,9 +575,6 @@ fn key_label(k: &(String, String, usize)) -> String {
 pub fn diff(a: &ReportSet, b: &ReportSet, opts: DiffOptions) -> DiffReport {
     let (ka, kb) = (keyed(a), keyed(b));
     let mut report = DiffReport::default();
-    let regressed = |a_us: u64, b_us: u64| {
-        b_us > a_us + a_us * opts.threshold_pct / 100 && b_us > a_us + opts.floor_us
-    };
     for (k, ra) in &ka {
         let Some(rb) = kb.get(k) else {
             report.only_in_a.push(key_label(k));
@@ -596,7 +603,7 @@ pub fn diff(a: &ReportSet, b: &ReportSet, opts: DiffOptions) -> DiffReport {
             ));
         }
         for (phase, a_us, b_us) in phases {
-            if regressed(a_us, b_us) {
+            if opts.regressed(a_us, b_us) {
                 report.regressions.push(PhaseRegression {
                     key: key_label(k),
                     phase: phase.to_string(),
