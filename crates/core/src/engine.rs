@@ -1,17 +1,19 @@
-//! The uniform engine abstraction and the portfolio race.
+//! The engine bodies and the portfolio race.
 //!
-//! Every decision procedure — the §3 simplified-semantics search, the
-//! §4 `makeP` Datalog route, and the bounded concrete-RA baseline —
-//! implements one [`Engine`] trait: *run under this budget, polling this
-//! cancel token, recording into this recorder*. The trait replaces the
-//! ad-hoc per-engine dispatch the verifier used to carry and is what the
-//! portfolio scheduler, the CLI, and batch campaigns program against.
+//! The three decision procedures — the §3 simplified-semantics search,
+//! the §4 `makeP` Datalog route, and the bounded concrete-RA baseline —
+//! are the `run_*` methods here. Each runs under an explicit resource
+//! budget, polls an explicit cancel token, and records into an explicit
+//! recorder; `Verifier::run_engine` dispatches on [`EngineId`] and wraps
+//! the body in the shared instrumentation, and [`Verifier::run`],
+//! [`Verifier::run_isolated`], and [`Verifier::race`] all go through it.
 //!
 //! [`Verifier::race`] builds on it: the selected engines run
 //! concurrently, each on its own OS thread (engines keep their own
 //! internal worker fleets), and the first *decisive* verdict —
 //! [`Safe`](Verdict::Safe) or [`Unsafe`](Verdict::Unsafe) — cancels the
-//! rest through a race-scoped child [`CancelToken`]. Losers finish as
+//! rest through a race-scoped child
+//! [`CancelToken`](parra_limits::CancelToken). Losers finish as
 //! `Interrupted(cancelled)` and are kept as portfolio metadata; they are
 //! never aggregated as if an engine had genuinely answered `Unknown`
 //! *and* they never trip the caller's token (child tokens do not
@@ -27,7 +29,7 @@ use crate::verify::{
 };
 use crate::witness::{self, LinearCheck};
 use parra_datalog::eval::Evaluator;
-use parra_limits::{CancelToken, InterruptReason, ResourceBudget};
+use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
 use parra_program::parser::parse_system;
 use parra_ra::explore::{ExploreOutcome, Explorer, Target};
@@ -36,93 +38,6 @@ use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachOutcome, Reachability, SimpTarget};
 use std::time::{Duration, Instant};
-
-/// A verification engine: one decision procedure over the verifier's
-/// goal-transformed system.
-///
-/// Implementations are cheap handles borrowing a [`Verifier`] (obtain
-/// one with [`Verifier::engine`]); `run` is where the work happens. The
-/// shared instrumentation — recorder scoping under `{engine}/`,
-/// `run_start`/`run_end` events, counter/phase attribution — is applied
-/// uniformly inside `run`, so every implementation reports identically.
-pub trait Engine: Sync {
-    /// Which engine this is.
-    fn id(&self) -> EngineId;
-
-    /// Runs the engine to a [`VerificationResult`].
-    ///
-    /// `budget` carries the deadline/memory limits; `cancel` is the
-    /// run-scoping cancellation token the engine polls at round
-    /// granularity (callers pass a child token so cancelling this run
-    /// never leaks into sibling runs); `rec` receives the run's metrics
-    /// and flight-recorder events.
-    fn run(
-        &self,
-        budget: &ResourceBudget,
-        cancel: &CancelToken,
-        rec: &Recorder,
-    ) -> VerificationResult;
-}
-
-/// [`EngineId::SimplifiedReach`] as an [`Engine`].
-pub struct SimplifiedReachEngine<'v>(&'v Verifier);
-
-/// [`EngineId::CacheDatalog`] as an [`Engine`].
-pub struct CacheDatalogEngine<'v>(&'v Verifier);
-
-/// [`EngineId::BoundedConcrete`] as an [`Engine`].
-pub struct BoundedConcreteEngine<'v>(&'v Verifier);
-
-impl Engine for SimplifiedReachEngine<'_> {
-    fn id(&self) -> EngineId {
-        EngineId::SimplifiedReach
-    }
-    fn run(
-        &self,
-        budget: &ResourceBudget,
-        cancel: &CancelToken,
-        rec: &Recorder,
-    ) -> VerificationResult {
-        self.0
-            .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
-                self.0.run_simplified(scope, gov)
-            })
-    }
-}
-
-impl Engine for CacheDatalogEngine<'_> {
-    fn id(&self) -> EngineId {
-        EngineId::CacheDatalog
-    }
-    fn run(
-        &self,
-        budget: &ResourceBudget,
-        cancel: &CancelToken,
-        rec: &Recorder,
-    ) -> VerificationResult {
-        self.0
-            .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
-                self.0.run_datalog(scope, gov)
-            })
-    }
-}
-
-impl Engine for BoundedConcreteEngine<'_> {
-    fn id(&self) -> EngineId {
-        EngineId::BoundedConcrete
-    }
-    fn run(
-        &self,
-        budget: &ResourceBudget,
-        cancel: &CancelToken,
-        rec: &Recorder,
-    ) -> VerificationResult {
-        self.0
-            .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
-                self.0.run_concrete(scope, gov)
-            })
-    }
-}
 
 /// The outcome of one portfolio race ([`Verifier::race`]).
 #[derive(Debug, Clone)]
@@ -157,15 +72,6 @@ impl RaceReport {
 }
 
 impl Verifier {
-    /// The [`Engine`] implementation for `id`, borrowing this verifier.
-    pub fn engine(&self, id: EngineId) -> Box<dyn Engine + '_> {
-        match id {
-            EngineId::SimplifiedReach => Box::new(SimplifiedReachEngine(self)),
-            EngineId::CacheDatalog => Box::new(CacheDatalogEngine(self)),
-            EngineId::BoundedConcrete => Box::new(BoundedConcreteEngine(self)),
-        }
-    }
-
     /// Races `engines` concurrently; the first decisive verdict (Safe or
     /// Unsafe) cancels the rest via a race-scoped child of
     /// [`VerifierOptions::cancel`](crate::verify::VerifierOptions::cancel)
@@ -191,7 +97,7 @@ impl Verifier {
             .map(|&id| {
                 let cancel = race_cancel.clone();
                 let budget = budget.clone();
-                Box::new(move || self.engine(id).run(&budget, &cancel, &self.rec))
+                Box::new(move || self.run_engine(id, &budget, &cancel, &self.rec))
                     as Box<dyn FnOnce() -> VerificationResult + Send + '_>
             })
             .collect();
@@ -531,7 +437,6 @@ impl Verifier {
                             if i >= guesses.len() {
                                 break;
                             }
-                            rec.heartbeat(|| format!("datalog: guess {i}/{n_guesses}"));
                             let (prog, goal) = mk.program(&guesses[i], target);
                             // Guess programs share rule lists; the cache
                             // hands every worker the same plan after the
@@ -670,11 +575,7 @@ impl Verifier {
                 Some(w) => {
                     stats.cache_peak = w.peak_intensional;
                     stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);
-                    let occupancy: Vec<u64> = w.occupancy.iter().map(|&c| c as u64).collect();
-                    if !occupancy.is_empty() {
-                        rec.record_series("cache_occupancy", occupancy.clone());
-                    }
-                    report.cache_occupancy = occupancy;
+                    report.cache_occupancy = w.occupancy.iter().map(|&c| c as u64).collect();
                     if w.certified {
                         notes.push(format!(
                             "Lemma 4.6 schedule ({} steps) certified under ⊢ₖ with \

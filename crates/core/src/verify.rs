@@ -1,11 +1,10 @@
 //! The verifier facade: classification, goal transformation, engine
 //! orchestration, statistics, and the §4.3 thread-count bound.
 //!
-//! The engine-specific decision procedures live behind the
-//! [`Engine`](crate::engine::Engine) trait in [`crate::engine`]; this
-//! module owns the shared plumbing every run goes through — recorder
-//! scoping, resource governance, run-scoped cancellation, panic
-//! containment, and the [`RunReport`].
+//! The engine-specific decision procedures live in [`crate::engine`];
+//! this module owns the shared plumbing every run goes through —
+//! dispatch on [`EngineId`], recorder scoping, resource governance,
+//! run-scoped cancellation, panic containment, and the [`RunReport`].
 
 use crate::makep::{MakePError, MakePLimits};
 use parra_datalog::plan::{Plan, PlanCache};
@@ -669,28 +668,26 @@ impl Verifier {
     /// engine reporting `Interrupted(cancelled)` forever.
     pub fn run(&self, engine: EngineId) -> VerificationResult {
         let run_cancel = self.options.cancel.child();
-        let result = self
-            .engine(engine)
-            .run(&self.base_budget(), &run_cancel, &self.rec);
+        let result = self.run_engine(engine, &self.base_budget(), &run_cancel, &self.rec);
         if result.verdict == Verdict::Interrupted(InterruptReason::Cancelled) {
             self.options.cancel.acknowledge();
         }
         result
     }
 
-    /// Shared instrumentation wrapping every engine body: scopes the
-    /// recorder to `{engine}/`, attaches the cancel token to the budget,
-    /// emits `run_start`/`run_end` events, and attributes counter deltas
-    /// and phase times to the run's [`RunReport`]. The
-    /// [`Engine`](crate::engine::Engine) impls call this; everything
-    /// engine-specific happens inside `body`.
-    pub(crate) fn instrumented(
+    /// Runs `engine`'s body under `budget`, polling `cancel` (callers
+    /// pass a child token so cancelling this run never leaks into sibling
+    /// runs) and recording into `rec`. The shared instrumentation wraps
+    /// every body alike: it scopes the recorder to `{engine}/`, attaches
+    /// the cancel token to the budget, emits `run_start`/`run_end`
+    /// events, and attributes counter deltas and phase times to the
+    /// run's [`RunReport`].
+    pub(crate) fn run_engine(
         &self,
         engine: EngineId,
         budget: &ResourceBudget,
         cancel: &CancelToken,
         rec: &Recorder,
-        body: impl FnOnce(&Recorder, &ResourceBudget) -> VerificationResult,
     ) -> VerificationResult {
         let start = Instant::now();
         // Metrics for this run land under `{engine}/`; the before/after
@@ -709,7 +706,11 @@ impl Verifier {
             if self.options.fail_point_panic == Some(engine) {
                 panic!("fail point: injected panic in {engine}");
             }
-            let r = body(&scope, &gov);
+            let r = match engine {
+                EngineId::SimplifiedReach => self.run_simplified(&scope, &gov),
+                EngineId::CacheDatalog => self.run_datalog(&scope, &gov),
+                EngineId::BoundedConcrete => self.run_concrete(&scope, &gov),
+            };
             span.arg_str("verdict", &r.verdict.to_string());
             r
         };
@@ -799,8 +800,7 @@ impl Verifier {
     pub fn run_isolated(&self, engine: EngineId) -> VerificationResult {
         let run_cancel = self.options.cancel.child();
         let result = parra_search::catch_panic(|| {
-            self.engine(engine)
-                .run(&self.base_budget(), &run_cancel, &self.rec)
+            self.run_engine(engine, &self.base_budget(), &run_cancel, &self.rec)
         })
         .unwrap_or_else(|msg| self.panicked(engine, &msg));
         if result.verdict == Verdict::Interrupted(InterruptReason::Cancelled) {

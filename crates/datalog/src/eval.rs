@@ -399,7 +399,6 @@ impl<'p> Evaluator<'p> {
 
     /// Computes the least model, stopping early if `stop_at` is derived.
     pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> Database {
-        let _span = self.rec.span_debug("eval.run");
         let db = self.run_until_inner(stop_at);
         if self.rec.is_enabled() {
             // Per-predicate atom counts, keyed by predicate name so traces

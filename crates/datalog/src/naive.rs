@@ -180,7 +180,6 @@ impl<'p> NaiveEvaluator<'p> {
 
     /// Computes the least model, stopping early if `stop_at` is derived.
     pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> NaiveDatabase {
-        let _span = self.rec.span_debug("eval.run");
         let db = self.run_until_inner(stop_at);
         if self.rec.is_enabled() {
             for p in self.program.predicates() {
@@ -438,8 +437,8 @@ mod tests {
         use parra_obs::Level;
 
         let (p, _path, _c) = tc_program();
-        let naive_rec = Recorder::enabled(Level::Debug);
-        let eval_rec = Recorder::enabled(Level::Debug);
+        let naive_rec = Recorder::enabled(Level::Summary);
+        let eval_rec = Recorder::enabled(Level::Summary);
         NaiveEvaluator::new(&p)
             .with_recorder(naive_rec.clone())
             .run();
@@ -471,14 +470,6 @@ mod tests {
         assert_eq!(ns.counters["atoms/edge"], es.counters["atoms/edge"]);
         assert!(ns.counters["join_attempts"] > 0);
         assert!(es.counters["join_attempts"] > 0);
-        // Both wrap evaluation in the same debug span.
-        for rec in [&naive_rec, &eval_rec] {
-            let spans = rec.spans();
-            assert!(
-                spans.iter().any(|s| s.name == "eval.run"),
-                "missing eval.run span"
-            );
-        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 
 //! # parra-obs — zero-dependency observability
 //!
-//! Metrics, spans, traces, and progress heartbeats for the verification
-//! engines, built on `std` alone (the build environment is offline). The
-//! central type is [`Recorder`]: a cheap, cloneable handle that is either
-//! *enabled* (backed by a shared registry + span store) or *disabled*
-//! (`Recorder::disabled()`, the default), in which case every operation
-//! is a branch-on-`None` no-op.
+//! Metrics, spans, traces, and the flight-recorder event log for the
+//! verification engines, built on `std` alone (the build environment is
+//! offline). The central type is [`Recorder`]: a cheap, cloneable handle
+//! that is either *enabled* (backed by a shared registry + span store)
+//! or *disabled* (`Recorder::disabled()`, the default), in which case
+//! every operation is a branch-on-`None` no-op.
 //!
 //! | need | API |
 //! |---|---|
@@ -15,12 +15,13 @@
 //! | track a level + its peak | [`Recorder::gauge`] → [`Gauge::set`] |
 //! | distribution of a quantity | [`Recorder::histogram`] → [`Histogram::record`] |
 //! | time a phase, build the tree | [`Recorder::span`] (RAII guard) |
-//! | long-run progress on stderr | [`Recorder::heartbeat`] (rate-limited) |
+//! | round-by-round event log | [`Recorder::event`] / [`Recorder::event_with`] |
 //! | `chrome://tracing` file | [`Recorder::chrome_trace`] |
 //!
-//! Level selection follows the `PARRA_LOG` environment variable
-//! (`off` | `summary` | `debug`, see [`Recorder::from_env`]); the CLI's
-//! `--stats` flag forces `summary`.
+//! Every output has a consumer: the span tree backs the CLI's `--stats`,
+//! the Chrome trace `--trace-out`, the event log `--events-out` and
+//! `parra report`, and the metric registry the per-run `RunReport`. The
+//! CLI enables a recorder exactly when one of those flags is given.
 //!
 //! # Example
 //!
@@ -44,7 +45,6 @@
 //! ```
 
 pub mod events;
-pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod phase;
@@ -56,37 +56,20 @@ pub use events::{Event, EventValue, SCHEMA_VERSION};
 pub use metrics::{Counter, Gauge, GaugeSnapshot, HistSnapshot, Histogram, MetricsSnapshot};
 pub use phase::{Phase, PhaseGuard, PhaseTimer};
 pub use span::{ArgValue, SpanRecord};
-pub use trace::CounterSeries;
 
 use metrics::Registry;
 use span::SpanStore;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Observability verbosity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Level {
     /// Everything off (the recorder is disabled).
     #[default]
     Off,
-    /// Metrics, top-level spans, heartbeats.
+    /// Metrics, spans, and events.
     Summary,
-    /// Additionally fine-grained spans (per world / per guess) and
-    /// debug logging.
-    Debug,
-}
-
-impl std::str::FromStr for Level {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Level, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "0" | "" => Ok(Level::Off),
-            "summary" | "1" | "on" | "info" => Ok(Level::Summary),
-            "debug" | "2" | "trace" => Ok(Level::Debug),
-            other => Err(format!("unknown log level `{other}` (off|summary|debug)")),
-        }
-    }
 }
 
 /// State shared by a recorder and all its scoped views.
@@ -95,21 +78,17 @@ struct Shared {
     epoch: Instant,
     metrics: Registry,
     spans: SpanStore,
-    heartbeat_interval_us: u64,
-    heartbeat_last: AtomicU64,
-    series: Mutex<Vec<CounterSeries>>,
     events: Mutex<Vec<Event>>,
 }
 
 #[derive(Debug)]
 struct Inner {
-    level: Level,
     prefix: String,
     shared: Arc<Shared>,
 }
 
 /// The observability handle. Cloning is cheap (an `Arc`); clones share
-/// the same registry, span store, and heartbeat limiter.
+/// the same registry, span store, and event log.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -126,46 +105,23 @@ impl Recorder {
         if level == Level::Off {
             return Recorder::disabled();
         }
-        let interval_ms = std::env::var("PARRA_HEARTBEAT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1000);
         Recorder {
             inner: Some(Arc::new(Inner {
-                level,
                 prefix: String::new(),
                 shared: Arc::new(Shared {
                     epoch: Instant::now(),
                     metrics: Registry::default(),
                     spans: SpanStore::new(),
-                    heartbeat_interval_us: interval_ms.saturating_mul(1000),
-                    heartbeat_last: AtomicU64::new(0),
-                    series: Mutex::new(Vec::new()),
                     events: Mutex::new(Vec::new()),
                 }),
             })),
         }
     }
 
-    /// A recorder configured from the `PARRA_LOG` environment variable
-    /// (`off` | `summary` | `debug`; unset or unparsable means off).
-    pub fn from_env() -> Recorder {
-        let level = std::env::var("PARRA_LOG")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(Level::Off);
-        Recorder::enabled(level)
-    }
-
     /// Whether the recorder records anything at all.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The active level ([`Level::Off`] when disabled).
-    pub fn level(&self) -> Level {
-        self.inner.as_ref().map(|i| i.level).unwrap_or(Level::Off)
     }
 
     /// A view of the same recorder whose metric names gain `prefix` —
@@ -176,7 +132,6 @@ impl Recorder {
             None => Recorder::disabled(),
             Some(inner) => Recorder {
                 inner: Some(Arc::new(Inner {
-                    level: inner.level,
                     prefix: format!("{}{}", inner.prefix, prefix),
                     shared: Arc::clone(&inner.shared),
                 })),
@@ -218,64 +173,6 @@ impl Recorder {
                     opened: Some((Arc::clone(&i.shared), idx)),
                 }
             }
-        }
-    }
-
-    /// Opens a span only at [`Level::Debug`] — for fine-grained phases
-    /// (per world, per guess) that would flood a summary trace.
-    pub fn span_debug(&self, name: &str) -> SpanGuard {
-        if self.level() >= Level::Debug {
-            self.span(name)
-        } else {
-            SpanGuard { opened: None }
-        }
-    }
-
-    /// Emits a rate-limited progress line to stderr; `make` is only
-    /// called when a heartbeat is actually due (at most once per
-    /// `PARRA_HEARTBEAT_MS`, default 1000).
-    #[inline]
-    pub fn heartbeat(&self, make: impl FnOnce() -> String) {
-        let Some(i) = &self.inner else { return };
-        let s = &i.shared;
-        let now = s.epoch.elapsed().as_micros() as u64;
-        let last = s.heartbeat_last.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < s.heartbeat_interval_us {
-            return;
-        }
-        if s.heartbeat_last
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            eprintln!("[parra {:>7.1}s] {}", now as f64 / 1e6, make());
-        }
-    }
-
-    /// Logs a line to stderr at `Level::Debug`.
-    pub fn debug(&self, make: impl FnOnce() -> String) {
-        if self.level() >= Level::Debug {
-            eprintln!("[parra debug] {}", make());
-        }
-    }
-
-    /// Records a named value-over-time series (rendered as Chrome counter
-    /// events in the trace and exposed in reports).
-    pub fn record_series(&self, name: &str, values: Vec<u64>) {
-        let Some(i) = &self.inner else { return };
-        let now = i.shared.epoch.elapsed().as_micros() as u64;
-        i.shared.series.lock().unwrap().push(CounterSeries {
-            name: format!("{}{}", i.prefix, name),
-            start_us: now.saturating_sub(values.len() as u64),
-            end_us: now,
-            values,
-        });
-    }
-
-    /// All recorded series.
-    pub fn series(&self) -> Vec<CounterSeries> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(i) => i.shared.series.lock().unwrap().clone(),
         }
     }
 
@@ -353,9 +250,9 @@ impl Recorder {
         }
     }
 
-    /// The full Chrome-trace JSON document (spans + counter series).
+    /// The full Chrome-trace JSON document.
     pub fn chrome_trace(&self) -> String {
-        trace::render_chrome_trace(&self.spans(), &self.series())
+        trace::render_chrome_trace(&self.spans())
     }
 
     /// Writes the Chrome trace to `path`.
@@ -408,14 +305,11 @@ mod tests {
         rec.gauge("g").set(3);
         rec.histogram("h").record(3);
         let _g = rec.span("s");
-        rec.heartbeat(|| unreachable!("disabled recorder must not format"));
-        rec.record_series("s", vec![1]);
         rec.event("e", &[("k", 1u64.into())]);
         assert!(rec.events().is_empty());
         assert_eq!(rec.render_events_jsonl(&[]), "");
         assert!(rec.snapshot().counters.is_empty());
         assert!(rec.spans().is_empty());
-        assert!(rec.series().is_empty());
         assert_eq!(rec.render_tree(), "");
     }
 
@@ -423,14 +317,6 @@ mod tests {
     fn level_off_means_disabled() {
         assert!(!Recorder::enabled(Level::Off).is_enabled());
         assert!(Recorder::enabled(Level::Summary).is_enabled());
-    }
-
-    #[test]
-    fn level_parsing() {
-        assert_eq!("summary".parse::<Level>().unwrap(), Level::Summary);
-        assert_eq!("DEBUG".parse::<Level>().unwrap(), Level::Debug);
-        assert_eq!("off".parse::<Level>().unwrap(), Level::Off);
-        assert!("loud".parse::<Level>().is_err());
     }
 
     #[test]
@@ -457,20 +343,6 @@ mod tests {
         assert!(tree.contains("states: 12"));
         // And the chrome trace is one valid JSON document.
         assert!(json::parse(&rec.chrome_trace()).is_ok());
-    }
-
-    #[test]
-    fn debug_spans_skipped_at_summary() {
-        let rec = Recorder::enabled(Level::Summary);
-        {
-            let _s = rec.span_debug("world-0");
-        }
-        assert!(rec.spans().is_empty());
-        let rec = Recorder::enabled(Level::Debug);
-        {
-            let _s = rec.span_debug("world-0");
-        }
-        assert_eq!(rec.spans().len(), 1);
     }
 
     #[test]

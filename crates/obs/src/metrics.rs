@@ -300,12 +300,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot in the Prometheus text exposition format.
-    /// See [`crate::export::render_prometheus`].
-    pub fn render_prometheus(&self) -> String {
-        crate::export::render_prometheus(self)
-    }
-
     /// Counters under `prefix`, as `(suffix, delta since before)` — used to
     /// isolate one engine run's numbers out of a shared recorder.
     pub fn counter_deltas(&self, before: &MetricsSnapshot, prefix: &str) -> Vec<(String, u64)> {

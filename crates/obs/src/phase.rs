@@ -5,9 +5,9 @@
 //! counters on the recorder it was built from. Because phases are plain
 //! counters they flow — with zero extra plumbing — into metric
 //! snapshots, per-run counter deltas (and thus `RunReport` / `--json`),
-//! the Prometheus exposition, and `parra report` aggregation. Each
-//! [`PhaseGuard`] additionally opens a `phase:{name}` span so phases
-//! show up as blocks in the Chrome trace.
+//! and `parra report` aggregation. Each [`PhaseGuard`] additionally
+//! opens a `phase:{name}` span so phases show up as blocks in the Chrome
+//! trace.
 //!
 //! Phase counters are *CPU-time-like sums*: when several fleet workers
 //! run fixpoints concurrently their phase times add, so a run's phase
@@ -102,27 +102,13 @@ impl PhaseTimer {
     }
 
     /// Starts timing `phase`; time accrues when the guard drops. Opens a
-    /// summary-level `phase:{name}` span (visible in the default trace).
+    /// `phase:{name}` span so the phase shows in the trace.
     pub fn start(&self, phase: Phase) -> PhaseGuard<'_> {
-        self.start_inner(phase, self.rec.span(&format!("phase:{}", phase.as_str())))
-    }
-
-    /// Like [`PhaseTimer::start`] but the span only exists at
-    /// `Level::Debug` — for per-round / per-guess phases that would
-    /// flood a summary trace.
-    pub fn start_debug(&self, phase: Phase) -> PhaseGuard<'_> {
-        self.start_inner(
-            phase,
-            self.rec.span_debug(&format!("phase:{}", phase.as_str())),
-        )
-    }
-
-    fn start_inner(&self, phase: Phase, span: SpanGuard) -> PhaseGuard<'_> {
         PhaseGuard {
             timer: self,
             phase,
             start: self.enabled.then(Instant::now),
-            _span: span,
+            _span: self.rec.span(&format!("phase:{}", phase.as_str())),
         }
     }
 
@@ -190,18 +176,6 @@ mod tests {
             let _g = timer.start(Phase::Fixpoint);
         }
         assert_eq!(timer.get_us(Phase::Fixpoint), 0);
-    }
-
-    #[test]
-    fn debug_phase_spans_skipped_at_summary() {
-        let rec = Recorder::enabled(Level::Summary);
-        let timer = PhaseTimer::new(&rec);
-        {
-            let _g = timer.start_debug(Phase::Fixpoint);
-        }
-        assert!(rec.spans().is_empty());
-        // But the time still accrues.
-        assert!(rec.snapshot().counters.contains_key("phase/fixpoint_us"));
     }
 
     #[test]

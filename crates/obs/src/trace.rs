@@ -4,8 +4,7 @@
 //! Format's JSON array: one `"ph":"B"` / `"ph":"E"` pair per finished
 //! span, one record per line, so the file both loads in
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev) and greps
-//! like JSONL. Counter (`"ph":"C"`) series can be appended for recorded
-//! time series such as the Cache Datalog occupancy curve.
+//! like JSONL.
 //!
 //! Emission walks each thread's span forest recursively (begin, children
 //! in start order, end), which guarantees two properties the validity
@@ -16,9 +15,8 @@
 use crate::json::{write_escaped, ObjWriter};
 use crate::span::{ArgValue, SpanRecord};
 
-/// Renders spans (and optional counter series) as a Trace Event Format
-/// JSON array, one event per line.
-pub fn render_chrome_trace(spans: &[SpanRecord], series: &[CounterSeries]) -> String {
+/// Renders spans as a Trace Event Format JSON array, one event per line.
+pub fn render_chrome_trace(spans: &[SpanRecord]) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
     let mut push = |event: String, out: &mut String| {
@@ -78,21 +76,6 @@ pub fn render_chrome_trace(spans: &[SpanRecord], series: &[CounterSeries]) -> St
         }
     }
 
-    for s in series {
-        // Spread the samples over the series' span so the curve is visible
-        // next to the spans that produced it.
-        let n = s.values.len().max(1) as u64;
-        let step = (s.end_us.saturating_sub(s.start_us) / n).max(1);
-        for (i, &v) in s.values.iter().enumerate() {
-            let mut w = ObjWriter::new();
-            w.str_field("name", &s.name);
-            w.str_field("ph", "C");
-            w.num_field("ts", s.start_us + i as u64 * step);
-            w.num_field("pid", 1);
-            w.raw_field("args", &format!("{{\"value\":{v}}}"));
-            push(w.finish(), &mut out);
-        }
-    }
     out.push_str("\n]\n");
     out
 }
@@ -133,19 +116,6 @@ fn process_name_event() -> String {
     w.finish()
 }
 
-/// A named value-over-time series rendered as Chrome counter events.
-#[derive(Debug, Clone)]
-pub struct CounterSeries {
-    /// The counter track name.
-    pub name: String,
-    /// Timestamp (µs since epoch) of the first sample.
-    pub start_us: u64,
-    /// Timestamp of the last sample.
-    pub end_us: u64,
-    /// The samples.
-    pub values: Vec<u64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,17 +149,11 @@ mod tests {
                 args: vec![],
             },
         ];
-        let series = vec![CounterSeries {
-            name: "cache".into(),
-            start_us: 10,
-            end_us: 90,
-            values: vec![1, 2, 1],
-        }];
-        let text = render_chrome_trace(&spans, &series);
+        let text = render_chrome_trace(&spans);
         let v = parse(&text).expect("valid JSON");
         let events = v.as_arr().unwrap();
-        // 1 metadata + 2 finished spans × (B + E) + 3 counter samples.
-        assert_eq!(events.len(), 8);
+        // 1 metadata + 2 finished spans × (B + E).
+        assert_eq!(events.len(), 5);
         // Nesting: B verify, B child, E child, E verify.
         let phs: Vec<(&str, &str)> = events[1..5]
             .iter()
@@ -221,7 +185,6 @@ mod tests {
                 .as_u64(),
             Some(4)
         );
-        assert_eq!(events[5].get("ph").unwrap().as_str(), Some("C"));
         // Every record sits on its own line (JSONL-greppable).
         for line in text.lines() {
             let trimmed = line.trim().trim_end_matches(',');
@@ -306,7 +269,7 @@ mod tests {
                 args: vec![],
             },
         ];
-        let text = render_chrome_trace(&spans, &[]);
+        let text = render_chrome_trace(&spans);
         let v = parse(&text).expect("valid JSON");
         assert_trace_validity(v.as_arr().unwrap());
         assert!(!text.contains("abandoned"));

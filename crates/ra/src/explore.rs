@@ -256,7 +256,7 @@ impl Explorer {
     pub fn run(&self, target: Target) -> ExploreReport {
         let span = self.rec.span("explore.run");
         let phases = PhaseTimer::new(&self.rec);
-        let _search = phases.start_debug(Phase::Search);
+        let _search = phases.start(Phase::Search);
         let report = self.run_inner(target);
         span.arg_u64("states", report.states as u64);
         span.arg_u64("transitions", report.transitions as u64);
@@ -318,18 +318,7 @@ impl Explorer {
                     witness: None,
                 };
             }
-            self.rec.heartbeat(|| {
-                format!(
-                    "explore: {} states, {transitions} transitions, frontier {} \
-                     ({n_workers} workers)",
-                    graph.len(),
-                    frontier.len()
-                )
-            });
             g_frontier.set(frontier.len() as u64);
-            let round_span = self.rec.span_debug("explore.round");
-            round_span.arg_u64("round", round);
-            round_span.arg_u64("frontier", frontier.len() as u64);
             round += 1;
             c_rounds.incr();
 

@@ -245,7 +245,7 @@ impl Reachability {
     pub fn run(&self, target: SimpTarget) -> ReachReport {
         let span = self.rec.span("reach.run");
         let phases = PhaseTimer::new(&self.rec);
-        let _search = phases.start_debug(Phase::Search);
+        let _search = phases.start(Phase::Search);
         let report = self.run_inner(target);
         span.arg_u64("states", report.states as u64);
         span.arg_u64("worlds", report.worlds as u64);
@@ -339,12 +339,6 @@ impl Reachability {
                         &vol,
                     );
                 }
-                self.rec.heartbeat(|| {
-                    format!(
-                        "reach: world {worlds}, {total_states} states, \
-                         peak env msgs {peak_msg}"
-                    )
-                });
                 if res.witness.is_some() {
                     return ReachReport {
                         outcome: ReachOutcome::Unsafe,
@@ -402,8 +396,6 @@ impl Reachability {
         let sys = &self.sys;
         let budget = &self.budget;
         let limits = self.limits;
-        let span = self.rec.span_debug("reach.world");
-        span.arg_u64("preclosed", world.len() as u64);
 
         let target_holds = |st: &SimpState| match target {
             SimpTarget::AssertViolation => st.assert_enabled(sys),
@@ -491,8 +483,6 @@ impl Reachability {
             }
             m.c_rounds.incr();
             m.g_frontier.set(frontier.len() as u64);
-            let round_span = self.rec.span_debug("reach.round");
-            round_span.arg_u64("frontier", frontier.len() as u64);
 
             let current = std::mem::take(&mut frontier);
             // Parallel mode buffers expansions one bounded chunk at a
@@ -544,14 +534,6 @@ impl Reachability {
                         let ni = graph.insert(next, Some((si, step)));
                         result.states += 1;
                         m.c_states.incr();
-                        self.rec.heartbeat(|| {
-                            format!(
-                                "reach: world {}, {} states in world, peak env msgs {}",
-                                pos + 1,
-                                result.states,
-                                result.peak_msg
-                            )
-                        });
                         if hit {
                             result.witness = Some(Witness {
                                 preclosed: world.iter().copied().collect(),

@@ -21,7 +21,7 @@
 //! | [`core`] | the verifier: `makeP` encoding and engine orchestration (Section 4) |
 //! | [`qbf`] | QBF and the Figure 6 TQBF→PureRA reduction (Section 5) |
 //! | [`litmus`] | the benchmark programs the paper classifies |
-//! | [`obs`] | zero-dependency metrics, spans, heartbeats, Chrome-trace emission |
+//! | [`obs`] | zero-dependency metrics, spans, Chrome-trace emission, flight-recorder events |
 //! | [`search`] | deterministic parallel-search layer shared by the state-space engines |
 //! | [`fuzz`] | differential fuzzing: system generator, cross-engine oracles, shrinker, corpus |
 //! | [`limits`] | resource governance: deadlines, memory budgets, cooperative cancellation |
@@ -78,7 +78,7 @@ pub use parra_simplified as simplified;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use parra_core::engine::{Engine, RaceReport};
+    pub use parra_core::engine::RaceReport;
     pub use parra_core::verify::{
         aggregate_verdicts, EngineId, RunReport, Verdict, VerificationResult, Verifier,
         VerifierOptions,

@@ -5,13 +5,16 @@
 //! parra verify   <file.ra> [--engine simplified|datalog|concrete]
 //!                          [--unroll N] [--all-engines] [--race] [--concretize]
 //!                          [--timeout SECS] [--memory-budget SIZE]
-//!                          [--stats] [--json] [--trace-out FILE]
+//!                          [--threads N] [--stats] [--json]
+//!                          [--trace-out FILE] [--events-out FILE]
 //! parra batch    <dir|file.ra ...> [--engine E] [--all-engines] [--race]
 //!                          [--unroll N] [--timeout SECS]
 //!                          [--memory-budget SIZE] [--threads N]
+//!                          [--events-out FILE] [--strict]
 //! parra print    <file.ra>
 //! parra fuzz     [--oracle NAME] [--seconds N | --cases N | --timeout SECS]
 //!                [--seed N] [--corpus DIR] [--minimize FILE] [--json]
+//!                [--events-out FILE]
 //! parra report   <file|dir ...> | --diff A B | --check-schema <file ...>
 //! parra serve    (--socket PATH | --stdio) [--max-queue N]
 //!                [--memory-watermark SIZE] [--events-out FILE]
@@ -21,7 +24,9 @@
 //! Input files use the `system { … }` syntax (see the README or
 //! `examples/`). Exit code 0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN or
 //! INTERRUPTED, 64+ = usage/input errors (including exact-engine
-//! disagreement under `--all-engines`).
+//! disagreement under `--all-engines`). Each subcommand checks its
+//! command line against its own flag table before reading any input: an
+//! unknown flag, or a value flag without a value, exits 64.
 //!
 //! `--race` races the whole portfolio concurrently: the first decisive
 //! verdict (SAFE or UNSAFE) cancels the remaining engines, whose
@@ -40,20 +45,18 @@
 //! JSON line per input, so one pathological system cannot starve or
 //! crash the rest of the batch.
 //!
-//! Observability: `PARRA_LOG=off|summary|debug` selects the logging level
-//! (heartbeats and debug lines go to stderr); `--stats` implies at least
-//! `summary` and prints the span tree plus metric totals to stderr after
-//! the run; `--trace-out FILE` writes a Chrome-trace JSON (load it in
-//! `chrome://tracing` or Perfetto); `--json` prints each engine's
-//! structured [`RunReport`](parra::core::verify::RunReport) as one JSON
-//! object per line on stdout instead of the human-readable report;
-//! `--events-out FILE` writes the schema-versioned flight-recorder event
-//! log as JSONL (`verify`, `batch`, and `fuzz`); `--metrics-out FILE`
-//! writes the final metric snapshot in Prometheus text exposition format.
-//! `parra report` ingests any mix of those outputs (plus `--json` run
-//! reports, batch lines, and fuzz summaries) into a text dashboard, and
-//! `parra report --diff A B` compares two report sets for verdict flips
-//! and phase-time regressions.
+//! Observability: `--stats` prints the span tree plus metric totals to
+//! stderr after the run; `--trace-out FILE` writes a Chrome-trace JSON
+//! (load it in `chrome://tracing` or Perfetto); `--json` prints each
+//! engine's structured [`RunReport`](parra::core::verify::RunReport) as
+//! one JSON object per line on stdout instead of the human-readable
+//! report; `--events-out FILE` writes the schema-versioned
+//! flight-recorder event log as JSONL (`verify`, `batch`, and `fuzz`).
+//! The recorder is on exactly when one of `--stats`, `--trace-out`, or
+//! `--events-out` is given. `parra report` ingests any mix of those
+//! outputs (plus `--json` run reports, batch lines, and fuzz summaries)
+//! into a text dashboard, and `parra report --diff A B` compares two
+//! report sets for verdict flips and phase-time regressions.
 
 use parra::core::verify::{selection_from_label, selection_label};
 use parra::limits::{parse_byte_size, TrackingAlloc};
@@ -100,8 +103,7 @@ fn usage() -> String {
     "usage:\n  parra classify <file.ra>\n  parra verify <file.ra> \
      [--engine simplified|datalog|concrete] [--unroll N] [--all-engines] \
      [--race] [--concretize] [--timeout SECS] [--memory-budget SIZE] [--threads N] \
-     [--stats] [--json] [--trace-out FILE] [--events-out FILE] \
-     [--metrics-out FILE]\n  \
+     [--stats] [--json] [--trace-out FILE] [--events-out FILE]\n  \
      parra batch <dir|file.ra ...> [--engine E] [--all-engines] [--race] \
      [--unroll N] [--timeout SECS] [--memory-budget SIZE] [--threads N] \
      [--events-out FILE] [--strict]\n  \
@@ -118,12 +120,11 @@ fn usage() -> String {
      parra serve --send REQUEST|- --socket PATH\n  \
      parra print <file.ra>\n  parra fuzz [--oracle NAME] [--seconds N | \
      --cases N | --timeout SECS] [--seed N] [--corpus DIR] [--minimize FILE] \
-     [--json] [--events-out FILE] [--metrics-out FILE]\n  \
+     [--json] [--events-out FILE]\n  \
      parra report <file|dir ...> [--threshold PCT]\n  \
      parra report --diff A B [--threshold PCT]\n  \
      parra report --check-schema <file ...>\n\n\
-     PARRA_LOG=off|summary|debug selects the logging level (--stats \
-     implies summary). --threads defaults to PARRA_THREADS or the \
+     --threads defaults to PARRA_THREADS or the \
      machine's parallelism; reports are identical for every thread \
      count. --timeout takes fractional seconds; --memory-budget takes \
      bytes with an optional k/m/g suffix (e.g. 512m). Exhausted budgets \
@@ -175,58 +176,227 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// Flags whose next argument is a value, not the input path.
-const VALUE_FLAGS: &[&str] = &[
-    "--engine",
-    "--unroll",
-    "--trace-out",
-    "--events-out",
-    "--metrics-out",
-    "--threshold",
-    "--threads",
-    "--timeout",
-    "--memory-budget",
-    "--oracle",
-    "--seconds",
-    "--cases",
-    "--seed",
-    "--corpus",
-    "--minimize",
-    "--store",
-    "--shard",
-    "--merge-out",
-    "--socket",
-    "--send",
-    "--max-queue",
-    "--memory-watermark",
-];
+/// One subcommand's flag table: `switches` stand alone, `values` take
+/// the next argument. Any other `--word` is a usage error, so a typo or
+/// a removed flag is never silently ignored.
+struct Flags {
+    switches: &'static [&'static str],
+    values: &'static [&'static str],
+}
 
-fn load(args: &[String]) -> Result<ParamSystem, String> {
-    let mut path = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            iter.next();
-        } else if !a.starts_with("--") {
-            path = Some(a);
-            break;
+const NO_FLAGS: Flags = Flags {
+    switches: &[],
+    values: &[],
+};
+const VERIFY_FLAGS: Flags = Flags {
+    switches: &[
+        "--all-engines",
+        "--race",
+        "--concretize",
+        "--stats",
+        "--json",
+    ],
+    values: &[
+        "--engine",
+        "--unroll",
+        "--timeout",
+        "--memory-budget",
+        "--threads",
+        "--trace-out",
+        "--events-out",
+    ],
+};
+const BATCH_FLAGS: Flags = Flags {
+    switches: &["--all-engines", "--race", "--strict"],
+    values: &[
+        "--engine",
+        "--unroll",
+        "--timeout",
+        "--memory-budget",
+        "--threads",
+        "--events-out",
+    ],
+};
+const FUZZ_FLAGS: Flags = Flags {
+    switches: &["--json"],
+    values: &[
+        "--oracle",
+        "--seconds",
+        "--cases",
+        "--timeout",
+        "--seed",
+        "--corpus",
+        "--minimize",
+        "--events-out",
+    ],
+};
+const REPORT_FLAGS: Flags = Flags {
+    switches: &["--diff", "--check-schema"],
+    values: &["--threshold"],
+};
+const SERVE_FLAGS: Flags = Flags {
+    switches: &["--stdio", "--all-engines", "--race"],
+    values: &[
+        "--socket",
+        "--send",
+        "--engine",
+        "--unroll",
+        "--timeout",
+        "--memory-budget",
+        "--threads",
+        "--max-queue",
+        "--memory-watermark",
+        "--events-out",
+    ],
+};
+const CAMPAIGN_RUN_FLAGS: Flags = Flags {
+    switches: &["--all-engines", "--race"],
+    values: &[
+        "--store",
+        "--engine",
+        "--unroll",
+        "--timeout",
+        "--memory-budget",
+        "--threads",
+        "--shard",
+        "--events-out",
+    ],
+};
+const CAMPAIGN_RESUME_FLAGS: Flags = Flags {
+    switches: &[],
+    values: &["--store", "--threads", "--events-out"],
+};
+const CAMPAIGN_STATUS_FLAGS: Flags = Flags {
+    switches: &[],
+    values: &["--merge-out"],
+};
+const CAMPAIGN_DIFF_FLAGS: Flags = Flags {
+    switches: &[],
+    values: &["--threshold"],
+};
+
+/// A command line checked against its subcommand's [`Flags`] table.
+struct Args {
+    cmd: &'static str,
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Splits `args` into switches, flag values, and positional inputs.
+    /// An unknown `--flag`, or a value flag whose value is missing or
+    /// itself starts with `--`, is an error naming the flag.
+    fn parse(cmd: &'static str, flags: &Flags, args: &[String]) -> Result<Args, String> {
+        let mut out = Args {
+            cmd,
+            switches: Vec::new(),
+            values: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut iter = args.iter();
+        while let Some(a) = iter.next() {
+            if !a.starts_with("--") {
+                out.positional.push(a.clone());
+            } else if let Some(&flag) = flags.switches.iter().find(|f| **f == a) {
+                out.switches.push(flag);
+            } else if let Some(&flag) = flags.values.iter().find(|f| **f == a) {
+                match iter.next() {
+                    Some(v) if !v.starts_with("--") => out.values.push((flag, v.clone())),
+                    _ => return Err(format!("{cmd}: {flag} needs a value")),
+                }
+            } else {
+                return Err(format!("{cmd}: unknown flag `{a}`"));
+            }
+        }
+        Ok(out)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// The value of the first `flag` occurrence.
+    fn value(&self, flag: &str) -> Option<String> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.clone())
+    }
+
+    /// Parses `flag`'s value with `FromStr`, naming the flag on error.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse::<T>().map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+
+    /// The single positional input of `classify`, `print`, and `verify`.
+    fn input(&self) -> Result<&str, String> {
+        match self.positional.as_slice() {
+            [path] => Ok(path),
+            [] => Err(format!("{}: missing input file", self.cmd)),
+            [_, extra, ..] => Err(format!("{}: unexpected argument `{extra}`", self.cmd)),
         }
     }
-    let path = path.ok_or("missing input file")?;
+
+    /// Rejects positional arguments (for subcommands that take none).
+    fn no_positional(&self) -> Result<(), String> {
+        match self.positional.first() {
+            None => Ok(()),
+            Some(extra) => Err(format!("{}: unexpected argument `{extra}`", self.cmd)),
+        }
+    }
+}
+
+fn load(path: &str) -> Result<ParamSystem, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     parse_system(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Expands positional inputs: a directory becomes its `.ra` files in
+/// sorted order (so output order is deterministic), a file stays as is.
+fn expand_inputs(args: &Args) -> Result<Vec<std::path::PathBuf>, String> {
+    let mut files = Vec::new();
+    for a in &args.positional {
+        let path = std::path::PathBuf::from(a);
+        if path.is_dir() {
+            let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(&path)
+                .map_err(|e| format!("cannot read directory `{a}`: {e}"))?
+                .filter_map(|entry| entry.ok().map(|e| e.path()))
+                .filter(|p| p.extension().is_some_and(|ext| ext == "ra"))
+                .collect();
+            entries.sort();
+            files.extend(entries);
+        } else {
+            files.push(path);
+        }
+    }
+    Ok(files)
+}
+
+/// The `VerifierOptions` of `verify`, `batch`, `campaign run`, and
+/// `serve`, from their shared `--unroll`/`--threads`/`--timeout`/
+/// `--memory-budget` flags.
+fn run_options(args: &Args) -> Result<VerifierOptions, String> {
+    let (timeout, memory_budget) = parse_limit_flags(args)?;
+    Ok(VerifierOptions {
+        unroll_dis: args.parsed("--unroll")?,
+        threads: parra::search::Threads::resolve(args.parsed("--threads")?).get(),
+        timeout,
+        memory_budget,
+        ..Default::default()
+    })
 }
 
 /// Parses `--timeout` (fractional seconds) and `--memory-budget`
 /// (bytes with an optional k/m/g suffix).
-fn parse_limit_flags(args: &[String]) -> Result<(Option<Duration>, Option<usize>), String> {
-    let timeout = flag_value(args, "--timeout")
+fn parse_limit_flags(args: &Args) -> Result<(Option<Duration>, Option<usize>), String> {
+    let timeout = args
+        .value("--timeout")
         .map(|v| {
             v.parse::<f64>()
                 .ok()
@@ -235,7 +405,8 @@ fn parse_limit_flags(args: &[String]) -> Result<(Option<Duration>, Option<usize>
                 .ok_or_else(|| format!("--timeout: `{v}` is not a non-negative number of seconds"))
         })
         .transpose()?;
-    let memory_budget = flag_value(args, "--memory-budget")
+    let memory_budget = args
+        .value("--memory-budget")
         .map(|v| {
             parse_byte_size(&v)
                 .ok_or_else(|| format!("--memory-budget: `{v}` is not a byte size (try 512m, 2g)"))
@@ -254,7 +425,8 @@ fn exit_code_for(verdict: Verdict) -> ExitCode {
 }
 
 fn classify(args: &[String]) -> Result<ExitCode, String> {
-    let sys = load(args)?;
+    let args = Args::parse("classify", &NO_FLAGS, args)?;
+    let sys = load(args.input()?)?;
     let class = SystemClass::of(&sys);
     println!("class      : {class}");
     println!("complexity : {}", class.complexity());
@@ -272,59 +444,36 @@ fn classify(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn verify(args: &[String]) -> Result<ExitCode, String> {
-    let unroll = flag_value(args, "--unroll")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--unroll: {e}")))
-        .transpose()?;
-    let json = args.iter().any(|a| a == "--json");
-    let stats_flag = args.iter().any(|a| a == "--stats");
-    let trace_out = flag_value(args, "--trace-out");
-    let events_out = flag_value(args, "--events-out");
-    let metrics_out = flag_value(args, "--metrics-out");
-    for (flag, v) in [
-        ("--trace-out", &trace_out),
-        ("--events-out", &events_out),
-        ("--metrics-out", &metrics_out),
-    ] {
-        if args.iter().any(|a| a == flag) && v.is_none() {
-            return Err(format!("{flag} needs a file path"));
-        }
-    }
-    let threads = flag_value(args, "--threads")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--threads: {e}")))
-        .transpose()?;
-    let threads = parra::search::Threads::resolve(threads).get();
-    let (timeout, memory_budget) = parse_limit_flags(args)?;
+    let args = &Args::parse("verify", &VERIFY_FLAGS, args)?;
+    let input = args.input()?;
+    let json = args.has("--json");
+    let stats_flag = args.has("--stats");
+    let trace_out = args.value("--trace-out");
+    let events_out = args.value("--events-out");
+    let options = run_options(args)?;
+    let engines = engine_selection(args)?;
 
-    let mut rec = Recorder::from_env();
-    let wants_obs =
-        stats_flag || trace_out.is_some() || events_out.is_some() || metrics_out.is_some();
-    if wants_obs && !rec.is_enabled() {
-        rec = Recorder::enabled(Level::Summary);
-    }
+    // The recorder is on exactly when an output that reads it is asked
+    // for.
+    let rec = if stats_flag || trace_out.is_some() || events_out.is_some() {
+        Recorder::enabled(Level::Summary)
+    } else {
+        Recorder::disabled()
+    };
 
     // The recorder exists before the input does, so loading gets its own
     // phase attribution.
     let sys = {
         let phases = PhaseTimer::new(&rec);
         let _parse = phases.start(Phase::Parse);
-        load(args)?
+        load(input)?
     };
 
-    let options = VerifierOptions {
-        unroll_dis: unroll,
-        threads,
-        timeout,
-        memory_budget,
-        ..Default::default()
-    };
     let verifier =
         Verifier::new_with_recorder(&sys, options, rec.clone()).map_err(|e| e.to_string())?;
 
-    let engines = engine_selection(args)?;
-
-    let concretize = args.iter().any(|a| a == "--concretize");
-    let race_flag = args.iter().any(|a| a == "--race");
-    let (results, race_meta) = if race_flag {
+    let concretize = args.has("--concretize");
+    let (results, race_meta) = if args.has("--race") {
         let race = verifier.race(&engines)?;
         let meta = (race.winner_engine(), race.verdict, race.duration);
         (race.results, Some(meta))
@@ -428,11 +577,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("--events-out `{path}`: {e}"))?;
         eprintln!("events written to {path}");
     }
-    if let Some(path) = metrics_out {
-        std::fs::write(&path, rec.snapshot().render_prometheus())
-            .map_err(|e| format!("--metrics-out `{path}`: {e}"))?;
-        eprintln!("metrics written to {path}");
-    }
 
     // The raced aggregate is computed inside `race` (and equals the
     // sequential aggregate over the same engines).
@@ -448,10 +592,10 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
 /// engine, `--all-engines` runs the portfolio sequentially, `--race`
 /// races it. Conflicting combinations are rejected rather than silently
 /// resolved (an ignored `--engine` used to mask typos).
-fn engine_selection(args: &[String]) -> Result<Vec<EngineId>, String> {
-    let race = args.iter().any(|a| a == "--race");
-    let all = args.iter().any(|a| a == "--all-engines");
-    let single = flag_value(args, "--engine");
+fn engine_selection(args: &Args) -> Result<Vec<EngineId>, String> {
+    let race = args.has("--race");
+    let all = args.has("--all-engines");
+    let single = args.value("--engine");
     if all && single.is_some() {
         return Err(
             "--engine and --all-engines conflict: pass one engine or the whole portfolio, \
@@ -485,56 +629,17 @@ fn engine_selection(args: &[String]) -> Result<Vec<EngineId>, String> {
 }
 
 fn batch(args: &[String]) -> Result<ExitCode, String> {
-    use std::path::PathBuf;
-
-    let (timeout, memory_budget) = parse_limit_flags(args)?;
-    let unroll = flag_value(args, "--unroll")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--unroll: {e}")))
-        .transpose()?;
-    let threads = flag_value(args, "--threads")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--threads: {e}")))
-        .transpose()?;
-    let options = VerifierOptions {
-        unroll_dis: unroll,
-        threads: parra::search::Threads::resolve(threads).get(),
-        timeout,
-        memory_budget,
-        ..Default::default()
-    };
+    let args = &Args::parse("batch", &BATCH_FLAGS, args)?;
+    let options = run_options(args)?;
     let engines = engine_selection(args)?;
-    let race = args.iter().any(|a| a == "--race");
+    let race = args.has("--race");
+    let events_out = args.value("--events-out");
+    let strict = args.has("--strict");
 
-    // Inputs are the non-flag arguments; a directory expands to its
-    // `.ra` files in sorted order, so line order is deterministic.
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            iter.next();
-        } else if !a.starts_with("--") {
-            let path = PathBuf::from(a);
-            if path.is_dir() {
-                let mut entries: Vec<PathBuf> = std::fs::read_dir(&path)
-                    .map_err(|e| format!("cannot read directory `{a}`: {e}"))?
-                    .filter_map(|entry| entry.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|ext| ext == "ra"))
-                    .collect();
-                entries.sort();
-                files.extend(entries);
-            } else {
-                files.push(path);
-            }
-        }
-    }
+    let files = expand_inputs(args)?;
     if files.is_empty() {
         return Err("batch: no input files (pass .ra files or directories)".into());
     }
-    let events_out = flag_value(args, "--events-out");
-    if args.iter().any(|a| a == "--events-out") && events_out.is_none() {
-        return Err("--events-out needs a file path".into());
-    }
-
-    let strict = args.iter().any(|a| a == "--strict");
     let mut any_unsafe = false;
     let mut any_undecided = false;
     // `--strict` health audit: decided files whose portfolio still lost
@@ -619,7 +724,8 @@ fn batch(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn print_system(args: &[String]) -> Result<ExitCode, String> {
-    let sys = load(args)?;
+    let args = Args::parse("print", &NO_FLAGS, args)?;
+    let sys = load(args.input()?)?;
     print!("{}", parra::program::pretty::system_to_string(&sys));
     Ok(ExitCode::SUCCESS)
 }
@@ -633,9 +739,13 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::sync::Arc;
 
+    let args = &Args::parse("serve", &SERVE_FLAGS, args)?;
+    args.no_positional()?;
     // Client mode: write request lines, print response lines.
-    if let Some(request) = flag_value(args, "--send") {
-        let path = flag_value(args, "--socket").ok_or("serve --send: --socket PATH is required")?;
+    if let Some(request) = args.value("--send") {
+        let path = args
+            .value("--socket")
+            .ok_or("serve --send: --socket PATH is required")?;
         let stream =
             UnixStream::connect(&path).map_err(|e| format!("cannot connect to `{path}`: {e}"))?;
         let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
@@ -665,45 +775,31 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
 
     // Daemon mode.
-    let (timeout, memory_budget) = parse_limit_flags(args)?;
-    let unroll = flag_value(args, "--unroll")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--unroll: {e}")))
-        .transpose()?;
-    let threads = flag_value(args, "--threads")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--threads: {e}")))
-        .transpose()?;
+    let options = run_options(args)?;
     let engines = engine_selection(args)?;
-    let race = args.iter().any(|a| a == "--race");
-    let max_queue = flag_value(args, "--max-queue")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--max-queue: {e}")))
-        .transpose()?
-        .unwrap_or(64);
-    let watermark = flag_value(args, "--memory-watermark")
+    let race = args.has("--race");
+    let max_queue = args.parsed("--max-queue")?.unwrap_or(64);
+    let watermark = args
+        .value("--memory-watermark")
         .map(|v| {
             parse_byte_size(&v).ok_or_else(|| format!("--memory-watermark: invalid size `{v}`"))
         })
         .transpose()?;
     let cfg = ServeConfig {
-        options: VerifierOptions {
-            unroll_dis: unroll,
-            threads: parra::search::Threads::resolve(threads).get(),
-            timeout,
-            memory_budget,
-            ..Default::default()
-        },
+        options,
         engine: selection_label(&engines, race),
         max_in_flight: max_queue,
         memory_watermark: watermark,
     };
     let mut server = Server::new(cfg);
-    if let Some(path) = flag_value(args, "--events-out") {
+    if let Some(path) = args.value("--events-out") {
         let file = std::fs::File::create(&path)
             .map_err(|e| format!("--events-out: cannot create `{path}`: {e}"))?;
         server = server.with_events_sink(Box::new(file));
     }
     let server = Arc::new(server);
 
-    if args.iter().any(|a| a == "--stdio") {
+    if args.has("--stdio") {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         server
@@ -712,7 +808,9 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let path = flag_value(args, "--socket").ok_or("serve: pass --socket PATH or --stdio")?;
+    let path = args
+        .value("--socket")
+        .ok_or("serve: pass --socket PATH or --stdio")?;
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path).map_err(|e| format!("cannot bind `{path}`: {e}"))?;
     // Non-blocking accept so a `shutdown` request received on any
@@ -757,17 +855,12 @@ fn fuzz(args: &[String]) -> Result<ExitCode, String> {
     use parra::fuzz::oracle::{all_oracles, oracle_by_name, Oracle, OracleOutcome};
     use parra::fuzz::runner::{self, FuzzBudget, FuzzConfig, MinimizeOutcome};
 
-    let json = args.iter().any(|a| a == "--json");
-    let seed = flag_value(args, "--seed")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let cases = flag_value(args, "--cases")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--cases: {e}")))
-        .transpose()?;
-    let seconds = flag_value(args, "--seconds")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--seconds: {e}")))
-        .transpose()?;
+    let args = &Args::parse("fuzz", &FUZZ_FLAGS, args)?;
+    args.no_positional()?;
+    let json = args.has("--json");
+    let seed = args.parsed("--seed")?.unwrap_or(0);
+    let cases = args.parsed("--cases")?;
+    let seconds = args.parsed("--seconds")?;
     let (timeout, _) = parse_limit_flags(args)?;
     // A wall-clock --timeout on its own means "as many cases as fit":
     // the case target becomes unbounded and the deadline stops the run.
@@ -777,8 +870,9 @@ fn fuzz(args: &[String]) -> Result<ExitCode, String> {
         (None, None, Some(_)) => FuzzBudget::Cases(u64::MAX),
         (None, None, None) => FuzzBudget::Seconds(1),
     };
-    let corpus_dir = flag_value(args, "--corpus").map(std::path::PathBuf::from);
-    let oracles: Vec<Box<dyn Oracle>> = match flag_value(args, "--oracle").as_deref() {
+    let corpus_dir = args.value("--corpus").map(std::path::PathBuf::from);
+    let events_out = args.value("--events-out");
+    let oracles: Vec<Box<dyn Oracle>> = match args.value("--oracle").as_deref() {
         None | Some("all") => all_oracles(),
         Some(name) => vec![oracle_by_name(name).ok_or_else(|| {
             format!(
@@ -792,7 +886,7 @@ fn fuzz(args: &[String]) -> Result<ExitCode, String> {
         })?],
     };
 
-    if let Some(path) = flag_value(args, "--minimize") {
+    if let Some(path) = args.value("--minimize") {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
         let sys = parse_system(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -835,12 +929,11 @@ fn fuzz(args: &[String]) -> Result<ExitCode, String> {
         });
     }
 
-    let events_out = flag_value(args, "--events-out");
-    let metrics_out = flag_value(args, "--metrics-out");
-    let mut rec = Recorder::from_env();
-    if (events_out.is_some() || metrics_out.is_some()) && !rec.is_enabled() {
-        rec = Recorder::enabled(Level::Summary);
-    }
+    let rec = if events_out.is_some() {
+        Recorder::enabled(Level::Summary)
+    } else {
+        Recorder::disabled()
+    };
     // The deadline is handed to the runner unanchored: `runner::run`
     // anchors it when the run is admitted, not at flag-parse time, so a
     // long-lived caller looping over oracles gives each run the full
@@ -883,11 +976,6 @@ fn fuzz(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("--events-out `{path}`: {e}"))?;
         eprintln!("events written to {path}");
     }
-    if let Some(path) = metrics_out {
-        std::fs::write(&path, rec.snapshot().render_prometheus())
-            .map_err(|e| format!("--metrics-out `{path}`: {e}"))?;
-        eprintln!("metrics written to {path}");
-    }
     Ok(if any_failure {
         ExitCode::from(1)
     } else {
@@ -902,21 +990,14 @@ fn report(args: &[String]) -> Result<ExitCode, String> {
     use parra::obs::report as rpt;
     use std::path::PathBuf;
 
+    let args = &Args::parse("report", &REPORT_FLAGS, args)?;
     let mut opts = rpt::DiffOptions::default();
-    if let Some(t) = flag_value(args, "--threshold") {
-        opts.threshold_pct = t.parse::<u64>().map_err(|e| format!("--threshold: {e}"))?;
+    if let Some(t) = args.parsed("--threshold")? {
+        opts.threshold_pct = t;
     }
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            iter.next();
-        } else if !a.starts_with("--") {
-            paths.push(PathBuf::from(a));
-        }
-    }
+    let paths: Vec<PathBuf> = args.positional.iter().map(PathBuf::from).collect();
 
-    if args.iter().any(|a| a == "--check-schema") {
+    if args.has("--check-schema") {
         if paths.is_empty() {
             return Err("report --check-schema: no event-log files given".into());
         }
@@ -936,7 +1017,7 @@ fn report(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    if args.iter().any(|a| a == "--diff") {
+    if args.has("--diff") {
         if paths.len() != 2 {
             return Err("report --diff: pass exactly two files/directories (baseline new)".into());
         }
@@ -985,59 +1066,27 @@ fn campaign(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Expands positional arguments into the input list (directories expand
-/// to their `.ra` files in sorted order, as in `parra batch`).
-fn campaign_inputs(args: &[String]) -> Result<Vec<String>, String> {
-    let mut inputs = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            iter.next();
-        } else if !a.starts_with("--") {
-            let path = std::path::PathBuf::from(a);
-            if path.is_dir() {
-                let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(&path)
-                    .map_err(|e| format!("cannot read directory `{a}`: {e}"))?
-                    .filter_map(|entry| entry.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|ext| ext == "ra"))
-                    .collect();
-                entries.sort();
-                inputs.extend(entries.iter().map(|p| p.display().to_string()));
-            } else {
-                inputs.push(a.clone());
-            }
-        }
-    }
-    Ok(inputs)
-}
-
 fn campaign_run(args: &[String]) -> Result<ExitCode, String> {
     use parra::campaign::{CampaignOptions, Manifest, Shard, Store};
 
-    let store_dir = flag_value(args, "--store").ok_or("campaign run: --store DIR is required")?;
-    let inputs = campaign_inputs(args)?;
+    let args = &Args::parse("campaign run", &CAMPAIGN_RUN_FLAGS, args)?;
+    let store_dir = args
+        .value("--store")
+        .ok_or("campaign run: --store DIR is required")?;
+    let options = run_options(args)?;
+    let engines = engine_selection(args)?;
+    let race = args.has("--race");
+    let shard = args
+        .value("--shard")
+        .map(|s| Shard::parse(&s))
+        .transpose()?;
+    let inputs: Vec<String> = expand_inputs(args)?
+        .iter()
+        .map(|p| p.display().to_string())
+        .collect();
     if inputs.is_empty() {
         return Err("campaign run: no input files (pass .ra files or directories)".into());
     }
-    let (timeout, memory_budget) = parse_limit_flags(args)?;
-    let unroll = flag_value(args, "--unroll")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--unroll: {e}")))
-        .transpose()?;
-    let threads = flag_value(args, "--threads")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--threads: {e}")))
-        .transpose()?;
-    let options = VerifierOptions {
-        unroll_dis: unroll,
-        threads: parra::search::Threads::resolve(threads).get(),
-        timeout,
-        memory_budget,
-        ..Default::default()
-    };
-    let engines = engine_selection(args)?;
-    let race = args.iter().any(|a| a == "--race");
-    let shard = flag_value(args, "--shard")
-        .map(|s| Shard::parse(&s))
-        .transpose()?;
     let copts = CampaignOptions {
         engine_label: selection_label(&engines, race),
         engines,
@@ -1048,9 +1097,9 @@ fn campaign_run(args: &[String]) -> Result<ExitCode, String> {
     let manifest = Manifest {
         engine: copts.engine_label.clone(),
         options_fp: copts.options_fp(),
-        unroll: unroll.map(|n| n as u64),
-        timeout_us: timeout.map(|d| d.as_micros() as u64),
-        memory_budget: memory_budget.map(|n| n as u64),
+        unroll: copts.options.unroll_dis.map(|n| n as u64),
+        timeout_us: copts.options.timeout.map(|d| d.as_micros() as u64),
+        memory_budget: copts.options.memory_budget.map(|n| n as u64),
         shard: shard.map(|s| (s.k, s.n)),
         inputs,
     };
@@ -1061,13 +1110,14 @@ fn campaign_run(args: &[String]) -> Result<ExitCode, String> {
 fn campaign_resume(args: &[String]) -> Result<ExitCode, String> {
     use parra::campaign::{CampaignOptions, Shard, Store};
 
-    let store_dir =
-        flag_value(args, "--store").ok_or("campaign resume: --store DIR is required")?;
+    let args = &Args::parse("campaign resume", &CAMPAIGN_RESUME_FLAGS, args)?;
+    args.no_positional()?;
+    let store_dir = args
+        .value("--store")
+        .ok_or("campaign resume: --store DIR is required")?;
+    let threads = args.parsed("--threads")?;
     let (store, manifest) = Store::open(std::path::Path::new(&store_dir))?;
     let (engines, race) = selection_from_label(&manifest.engine)?;
-    let threads = flag_value(args, "--threads")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--threads: {e}")))
-        .transpose()?;
     let options = VerifierOptions {
         unroll_dis: manifest.unroll.map(|n| n as usize),
         threads: parra::search::Threads::resolve(threads).get(),
@@ -1100,12 +1150,9 @@ fn campaign_execute(
     store: &parra::campaign::Store,
     manifest: &parra::campaign::Manifest,
     copts: &parra::campaign::CampaignOptions,
-    args: &[String],
+    args: &Args,
 ) -> Result<ExitCode, String> {
-    let events_out = flag_value(args, "--events-out");
-    if args.iter().any(|a| a == "--events-out") && events_out.is_none() {
-        return Err("--events-out needs a file path".into());
-    }
+    let events_out = args.value("--events-out");
     let rec = if events_out.is_some() {
         Recorder::enabled(Level::Summary)
     } else {
@@ -1169,25 +1216,15 @@ fn campaign_status(args: &[String]) -> Result<ExitCode, String> {
     use parra::campaign::{Manifest, Record, Store};
     use std::collections::BTreeMap;
 
-    let stores: Vec<String> = {
-        let mut v = Vec::new();
-        let mut iter = args.iter();
-        while let Some(a) = iter.next() {
-            if VALUE_FLAGS.contains(&a.as_str()) {
-                iter.next();
-            } else if !a.starts_with("--") {
-                v.push(a.clone());
-            }
-        }
-        v
-    };
+    let args = &Args::parse("campaign status", &CAMPAIGN_STATUS_FLAGS, args)?;
+    let stores = &args.positional;
     if stores.is_empty() {
         return Err("campaign status: pass one or more store directories".into());
     }
     let mut merged: BTreeMap<String, Record> = BTreeMap::new();
     let mut all_inputs: Vec<String> = Vec::new();
     let mut first_manifest: Option<Manifest> = None;
-    for dir in &stores {
+    for dir in stores {
         let (store, manifest) = Store::open(std::path::Path::new(dir))?;
         if let Some(first) = &first_manifest {
             if manifest.engine != first.engine || manifest.options_fp != first.options_fp {
@@ -1243,7 +1280,7 @@ fn campaign_status(args: &[String]) -> Result<ExitCode, String> {
          {interrupted} interrupted, {errors} errors",
         merged.len()
     );
-    if let Some(out) = flag_value(args, "--merge-out") {
+    if let Some(out) = args.value("--merge-out") {
         let manifest = Manifest {
             shard: None,
             inputs: all_inputs,
@@ -1256,24 +1293,12 @@ fn campaign_status(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn campaign_diff(args: &[String]) -> Result<ExitCode, String> {
-    let dirs: Vec<String> = {
-        let mut v = Vec::new();
-        let mut iter = args.iter();
-        while let Some(a) = iter.next() {
-            if VALUE_FLAGS.contains(&a.as_str()) {
-                iter.next();
-            } else if !a.starts_with("--") {
-                v.push(a.clone());
-            }
-        }
-        v
-    };
+    let args = &Args::parse("campaign diff", &CAMPAIGN_DIFF_FLAGS, args)?;
+    let dirs = &args.positional;
     if dirs.len() != 2 {
         return Err("campaign diff: pass exactly two store directories (baseline new)".into());
     }
-    let threshold = flag_value(args, "--threshold")
-        .map(|t| t.parse::<u64>().map_err(|e| format!("--threshold: {e}")))
-        .transpose()?;
+    let threshold = args.parsed("--threshold")?;
     let (a, b) = (
         std::path::Path::new(&dirs[0]),
         std::path::Path::new(&dirs[1]),

@@ -536,3 +536,64 @@ fn stats_flag_prints_span_tree_and_metrics() {
         "stderr: {err}"
     );
 }
+
+/// Each subcommand checks its command line against its own flag table
+/// before it reads an input or writes a file: a mistyped flag, a value
+/// flag whose value is missing (or is the next flag), and the removed
+/// `--metrics-out` all exit 64, name the flag, and leave nothing behind.
+#[test]
+fn bad_flags_exit_64_before_any_output() {
+    let input = example("handshake.ra");
+    let dir = format!("{}/examples/systems", env!("CARGO_MANIFEST_DIR"));
+    let fuzz = ["fuzz", "--oracle", "round-trip", "--cases", "1"];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["verify", "--stat", &input], "--stat"),
+        (
+            vec!["verify", "--trace-out", "--stats", &input],
+            "--trace-out",
+        ),
+        (vec!["verify", &input, "--events-out"], "--events-out"),
+        (
+            vec!["verify", &input, "--metrics-out", "m.prom"],
+            "--metrics-out",
+        ),
+        (vec!["batch", "--strcit", &dir], "--strcit"),
+        (
+            vec!["batch", "--events-out", "--strict", &dir],
+            "--events-out",
+        ),
+        (
+            vec!["batch", &dir, "--metrics-out", "m.prom"],
+            "--metrics-out",
+        ),
+        ([&fuzz[..], &["--case", "1"]].concat(), "--case"),
+        (
+            [&fuzz[..], &["--events-out", "--json"]].concat(),
+            "--events-out",
+        ),
+        (
+            [&fuzz[..], &["--metrics-out", "m.prom"]].concat(),
+            "--metrics-out",
+        ),
+    ];
+    for (i, (args, flag)) in cases.iter().enumerate() {
+        let cwd =
+            std::env::temp_dir().join(format!("parra_cli_bad_flags_{}_{i}", std::process::id()));
+        std::fs::create_dir_all(&cwd).unwrap();
+        let out = Command::new(BIN)
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "{args:?}: stderr: {err}");
+        assert!(
+            err.contains(flag),
+            "{args:?}: stderr does not name {flag}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+        let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(left.is_empty(), "{args:?}: wrote {left:?}");
+        std::fs::remove_dir(&cwd).ok();
+    }
+}
