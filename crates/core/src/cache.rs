@@ -28,15 +28,21 @@ const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(offset: u64, parts: &[&str]) -> u64 {
-    let mut h = offset;
+/// FNV-1a/64 from both offset bases in one pass over the bytes.
+fn fnv1a_pair(parts: &[&str]) -> (u64, u64) {
+    let (mut a, mut b) = (FNV_OFFSET_A, FNV_OFFSET_B);
+    let mut eat = |bytes: &[u8]| {
+        for &byte in bytes {
+            a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+            b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+    };
     for part in parts {
         // Length framing: ("ab","c") and ("a","bc") must not collide.
-        for b in part.len().to_le_bytes().iter().chain(part.as_bytes()) {
-            h = (h ^ *b as u64).wrapping_mul(FNV_PRIME);
-        }
+        eat(&part.len().to_le_bytes());
+        eat(part.as_bytes());
     }
-    h
+    (a, b)
 }
 
 /// The workspace's one content hash: FNV-1a/64 run twice with
@@ -49,11 +55,8 @@ fn fnv1a(offset: u64, parts: &[&str]) -> u64 {
 /// accidental collisions, where a 128-bit digest over ~10⁶ inputs has
 /// collision probability below 10⁻²⁴.
 pub fn content_hash(parts: &[&str]) -> String {
-    format!(
-        "{:016x}{:016x}",
-        fnv1a(FNV_OFFSET_A, parts),
-        fnv1a(FNV_OFFSET_B, parts)
-    )
+    let (a, b) = fnv1a_pair(parts);
+    format!("{a:016x}{b:016x}")
 }
 
 /// A thread-safe cache of prepared verifiers, keyed on canonical system

@@ -34,7 +34,7 @@
 //! have at most two *intensional* body atoms (a thread predicate and a
 //! message predicate), the property the cache bound of Lemma 4.4 exploits.
 
-use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Term};
+use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Term};
 use parra_obs::{Counter, Recorder};
 use parra_program::cfg::{Cfa, Instr, Loc};
 use parra_program::expr::RegVal;
@@ -45,6 +45,8 @@ use parra_simplified::state::Budget;
 use parra_simplified::timestamp::ATime;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// How a guessed CAS obtains its loaded message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,12 +152,16 @@ pub enum DatalogTarget {
 }
 
 /// The `makeP` encoder.
+///
+/// [`MakeP::new`] encodes the guess-independent part of every program
+/// once, into a template; [`MakeP::program`] then adds only what one
+/// guess changes.
 #[derive(Debug)]
 pub struct MakeP<'s> {
     sys: &'s ParamSystem,
     budget: Budget,
     limits: MakePLimits,
-    timeline: Vec<ATime>,
+    tpl: Template,
     rec: Recorder,
 }
 
@@ -190,11 +196,12 @@ impl<'s> MakeP<'s> {
             timeline.push(ATime::Int(i));
             timeline.push(ATime::Plus(i));
         }
+        let tpl = Template::build(sys, &budget, &timeline);
         Ok(MakeP {
             sys,
             budget,
             limits,
-            timeline,
+            tpl,
             rec: Recorder::disabled(),
         })
     }
@@ -419,9 +426,45 @@ impl<'s> MakeP<'s> {
         )
     }
 
-    /// Emits the Datalog query instance `(Prog, goal)` for one guess.
+    /// Emits the Datalog query instance `(Prog, goal)` for one guess:
+    /// the template's registry and segment A, this guess's segment B,
+    /// the shared segment C, and segment D encoded for the guess.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `guess` has one skeleton per `dis` thread, as every
+    /// guess from [`MakeP::guesses`] does.
     pub fn program(&self, guess: &Guess, target: DatalogTarget) -> (Program, GroundAtom) {
-        Encoder::new(self, guess, target).build()
+        assert_eq!(
+            guess.dis.len(),
+            self.sys.dis.len(),
+            "a guess has one skeleton per dis thread"
+        );
+        let tpl = &self.tpl;
+        let mut enc = Encoder {
+            sys: self.sys,
+            syms: &tpl.syms,
+            base: Some(&tpl.preds),
+            preds: PredMaps::default(),
+            prog: tpl.head.clone(),
+        };
+        // Segment B: every candidate gap minus those this guess closes.
+        let closed = closed_gaps(self.sys, guess);
+        for (facts, closed_x) in tpl.gapstore.iter().zip(&closed) {
+            let open = facts
+                .iter()
+                .filter(|(g, _)| !closed_x.contains(g))
+                .map(|(_, fact)| fact);
+            enc.prog
+                .extend_shared(open)
+                .expect("gapstore facts fit the registry");
+        }
+        enc.prog
+            .extend_shared(&tpl.env)
+            .expect("env rules fit the registry");
+        enc.emit_dis_rules(guess);
+        enc.emit_goal_rules(guess, target, &tpl.env_asserts);
+        (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
     }
 
     /// The extensional (side-condition) predicates of a generated program —
@@ -443,34 +486,114 @@ impl<'s> MakeP<'s> {
     }
 }
 
-/// Builds one Datalog program.
-struct Encoder<'a, 's> {
-    mk: &'a MakeP<'s>,
-    guess: &'a Guess,
-    target: DatalogTarget,
-    prog: Program,
+/// The guess-independent part of every program of one encoder.
+///
+/// A program is laid out in four segments:
+///
+/// * **A** — the timeline facts (`tle`, `tlt`, `tmax`, `gapjoin`);
+/// * **B** — the `gapstore_x` facts, minus the gaps the guess's
+///   integer-read CAS steps close;
+/// * **C** — the initial facts and the grounded `env` rules;
+/// * **D** — the `dis` rules along the guessed skeletons, then the goal
+///   rules.
+///
+/// Only B and D depend on the guess, and neither creates a constant or a
+/// predicate before C's are all declared. So `head` carries the registry
+/// in the order a from-scratch encoding creates it, and every program
+/// gets the same ids, rules and rule order as one. B's candidates and C
+/// are shared by [`Arc`] rather than copied per guess.
+#[derive(Debug)]
+struct Template {
+    /// The registry after segment C, holding segment A's rules.
+    head: Program,
+    /// Segment B's candidates per variable: `(gap, fact)` in emission
+    /// order.
+    gapstore: Vec<Vec<(u32, Arc<Rule>)>>,
+    /// Segment C.
+    env: Vec<Arc<Rule>>,
+    syms: Symbols,
+    /// The predicates segment C created.
+    preds: PredMaps,
+    /// `etp` predicates at `env` locations with an outgoing assert edge,
+    /// in creation order.
+    env_asserts: Vec<PredId>,
+}
+
+impl Template {
+    fn build(sys: &ParamSystem, budget: &Budget, timeline: &[ATime]) -> Template {
+        let mut prog = Program::new();
+        let syms = Symbols::declare(&mut prog, sys.n_vars() as usize, timeline);
+        let mut enc = Encoder {
+            sys,
+            syms: &syms,
+            base: None,
+            preds: PredMaps::default(),
+            prog,
+        };
+        enc.emit_timeline_facts(timeline);
+        let a_len = enc.prog.rules().len();
+        enc.emit_initial_facts();
+        enc.emit_env_rules();
+        let Encoder {
+            mut prog, preds, ..
+        } = enc;
+        let env = prog.split_rules_off(a_len);
+        let t = |a: ATime| Term::Const(syms.tc[&a]);
+        let gapstore = (0..syms.n_vars)
+            .map(|x| {
+                let mut facts = Vec::new();
+                for &a in timeline {
+                    for g in a.floor()..=budget.slots(VarId(x as u32)) {
+                        let head = Atom::new(syms.gapstore[x], vec![t(a), t(ATime::Plus(g))]);
+                        let body = Vec::new();
+                        facts.push((g, Arc::new(Rule { head, body })));
+                    }
+                }
+                facts
+            })
+            .collect();
+        let assert_locs: BTreeSet<Loc> = sys
+            .env
+            .cfa()
+            .edges()
+            .iter()
+            .filter(|e| matches!(e.instr, Instr::AssertFalse))
+            .map(|e| e.from)
+            .collect();
+        let mut env_asserts: Vec<PredId> = preds
+            .etp
+            .iter()
+            .filter(|((l, _), _)| assert_locs.contains(l))
+            .map(|(_, &p)| p)
+            .collect();
+        env_asserts.sort_unstable();
+        Template {
+            head: prog,
+            gapstore,
+            env,
+            syms,
+            preds,
+            env_asserts,
+        }
+    }
+}
+
+/// The timestamp constants and fixed predicates, declared first.
+#[derive(Debug)]
+struct Symbols {
     n_vars: usize,
     /// Constant per abstract timestamp.
     tc: HashMap<ATime, Const>,
-    // Predicates.
     tle: PredId,
     tlt: PredId,
     tmax: PredId,
     gapjoin: PredId,
     gapstore: Vec<PredId>,
     goal: PredId,
-    emp: HashMap<(VarId, Val), PredId>,
-    dmp: HashMap<(VarId, Val), PredId>,
-    /// env control-state predicates: (loc, rv) → pred.
-    etp: HashMap<(Loc, RegVal), PredId>,
-    /// dis position predicates: (thread, position) → pred.
-    dtp: HashMap<(usize, usize), PredId>,
 }
 
-impl<'a, 's> Encoder<'a, 's> {
-    fn new(mk: &'a MakeP<'s>, guess: &'a Guess, target: DatalogTarget) -> Self {
-        let mut prog = Program::new();
-        let n_vars = mk.sys.n_vars() as usize;
+impl Symbols {
+    fn declare(prog: &mut Program, n_vars: usize, timeline: &[ATime]) -> Symbols {
         let tle = prog.predicate("tle", 2);
         let tlt = prog.predicate("tlt", 2);
         let tmax = prog.predicate("tmax", 3);
@@ -479,15 +602,11 @@ impl<'a, 's> Encoder<'a, 's> {
             .map(|x| prog.predicate(&format!("gapstore_{x}"), 2))
             .collect();
         let goal = prog.predicate("goal", 0);
-        let mut tc = HashMap::new();
-        for &a in &mk.timeline {
-            tc.insert(a, prog.constant(&format!("{a}")));
-        }
-        Encoder {
-            mk,
-            guess,
-            target,
-            prog,
+        let tc = timeline
+            .iter()
+            .map(|&a| (a, prog.constant(&format!("{a}"))))
+            .collect();
+        Symbols {
             n_vars,
             tc,
             tle,
@@ -496,138 +615,161 @@ impl<'a, 's> Encoder<'a, 's> {
             gapjoin,
             gapstore,
             goal,
-            emp: HashMap::new(),
-            dmp: HashMap::new(),
-            etp: HashMap::new(),
-            dtp: HashMap::new(),
         }
     }
+}
 
+/// Message and thread predicates by what they stand for.
+#[derive(Debug, Default)]
+struct PredMaps {
+    emp: HashMap<(VarId, Val), PredId>,
+    dmp: HashMap<(VarId, Val), PredId>,
+    /// env control-state predicates: (loc, rv) → pred.
+    etp: HashMap<(Loc, RegVal), PredId>,
+    /// dis position predicates: (thread, position) → pred.
+    dtp: HashMap<(usize, usize), PredId>,
+}
+
+/// The predicate for `key`: the template's if it has one, else this
+/// encoder's, declared on first use.
+fn pred_for<K: Hash + Eq>(
+    prog: &mut Program,
+    base: Option<&HashMap<K, PredId>>,
+    own: &mut HashMap<K, PredId>,
+    key: K,
+    arity: usize,
+    name: impl FnOnce() -> String,
+) -> PredId {
+    if let Some(&p) = base.and_then(|m| m.get(&key)) {
+        return p;
+    }
+    *own.entry(key)
+        .or_insert_with(|| prog.predicate(&name(), arity))
+}
+
+/// Per variable, the gaps closed by the guess's integer-read CAS steps.
+fn closed_gaps(sys: &ParamSystem, guess: &Guess) -> Vec<Vec<u32>> {
+    let mut closed = vec![Vec::new(); sys.n_vars() as usize];
+    for (ti, skel) in guess.dis.iter().enumerate() {
+        let cfa = sys.dis[ti].cfa();
+        for step in &skel.steps {
+            if let Instr::Cas(x, ..) = &cfa.edges()[step.edge].instr {
+                if step.cas_read == Some(CasRead::IntSlot) {
+                    let slot = step.slot.expect("cas step has a slot");
+                    closed[x.index()].push(slot - 1);
+                }
+            }
+        }
+    }
+    closed
+}
+
+/// Emits rules into one program: the template's segments A and C, or one
+/// guess's segment D on top of the template.
+struct Encoder<'a> {
+    sys: &'a ParamSystem,
+    syms: &'a Symbols,
+    /// The template's predicates, when encoding a guess.
+    base: Option<&'a PredMaps>,
+    /// The predicates this encoder declared.
+    preds: PredMaps,
+    prog: Program,
+}
+
+impl Encoder<'_> {
     fn t(&self, a: ATime) -> Const {
-        self.tc[&a]
+        self.syms.tc[&a]
     }
 
     fn emp_pred(&mut self, x: VarId, d: Val) -> PredId {
-        let n = self.n_vars;
-        *self
-            .emp
-            .entry((x, d))
-            .or_insert_with(|| self.prog.predicate(&format!("emp_{}_{}", x.0, d.0), n))
+        pred_for(
+            &mut self.prog,
+            self.base.map(|b| &b.emp),
+            &mut self.preds.emp,
+            (x, d),
+            self.syms.n_vars,
+            || format!("emp_{}_{}", x.0, d.0),
+        )
     }
 
     fn dmp_pred(&mut self, x: VarId, d: Val) -> PredId {
-        let n = self.n_vars;
-        *self
-            .dmp
-            .entry((x, d))
-            .or_insert_with(|| self.prog.predicate(&format!("dmp_{}_{}", x.0, d.0), n))
+        pred_for(
+            &mut self.prog,
+            self.base.map(|b| &b.dmp),
+            &mut self.preds.dmp,
+            (x, d),
+            self.syms.n_vars,
+            || format!("dmp_{}_{}", x.0, d.0),
+        )
     }
 
     fn etp_pred(&mut self, loc: Loc, rv: &RegVal) -> PredId {
-        let n = self.n_vars;
-        if let Some(&p) = self.etp.get(&(loc, rv.clone())) {
-            return p;
-        }
-        let name = format!(
-            "etp_{}_{}",
-            loc.0,
-            rv.iter()
-                .map(|v| v.0.to_string())
-                .collect::<Vec<_>>()
-                .join("_")
-        );
-        let p = self.prog.predicate(&name, n);
-        self.etp.insert((loc, rv.clone()), p);
-        p
+        let name = || {
+            let vals: Vec<String> = rv.iter().map(|v| v.0.to_string()).collect();
+            format!("etp_{}_{}", loc.0, vals.join("_"))
+        };
+        pred_for(
+            &mut self.prog,
+            self.base.map(|b| &b.etp),
+            &mut self.preds.etp,
+            (loc, rv.clone()),
+            self.syms.n_vars,
+            name,
+        )
     }
 
     fn dtp_pred(&mut self, thread: usize, pos: usize) -> PredId {
-        let n = self.n_vars;
-        *self
-            .dtp
-            .entry((thread, pos))
-            .or_insert_with(|| self.prog.predicate(&format!("dtp{thread}_{pos}"), n))
+        pred_for(
+            &mut self.prog,
+            self.base.map(|b| &b.dtp),
+            &mut self.preds.dtp,
+            (thread, pos),
+            self.syms.n_vars,
+            || format!("dtp{thread}_{pos}"),
+        )
     }
 
     /// View variable vector `base..base+n`.
     fn vvec(&self, base: u32) -> Vec<Term> {
-        (0..self.n_vars as u32)
+        (0..self.syms.n_vars as u32)
             .map(|i| Term::Var(base + i))
             .collect()
     }
 
-    fn build(mut self) -> (Program, GroundAtom) {
-        self.emit_edb_facts();
-        self.emit_initial_facts();
-        self.emit_env_rules();
-        self.emit_dis_rules();
-        self.emit_goal_rules();
-        let goal = GroundAtom::new(self.goal, Vec::new());
-        (self.prog, goal)
-    }
-
-    /// tle/tlt/tmax/gapjoin over the timeline; gapstore per variable,
-    /// excluding gaps closed by the guess's integer-read CAS steps.
-    fn emit_edb_facts(&mut self) {
-        let timeline = self.mk.timeline.clone();
-        for &a in &timeline {
-            for &b in &timeline {
+    /// Segment A: tle/tlt/tmax/gapjoin over the timeline.
+    fn emit_timeline_facts(&mut self, timeline: &[ATime]) {
+        let s = self.syms;
+        for &a in timeline {
+            for &b in timeline {
                 let (ca, cb) = (self.t(a), self.t(b));
                 if a <= b {
-                    self.prog.fact(self.tle, vec![ca, cb]).unwrap();
+                    self.prog.fact(s.tle, vec![ca, cb]).unwrap();
                 }
                 if a < b {
-                    self.prog.fact(self.tlt, vec![ca, cb]).unwrap();
+                    self.prog.fact(s.tlt, vec![ca, cb]).unwrap();
                 }
                 let cmax = self.t(a.max(b));
-                self.prog.fact(self.tmax, vec![ca, cb, cmax]).unwrap();
-                let gj = ATime::Plus(a.floor().max(b.floor()));
-                let cgj = self.t(gj);
-                self.prog.fact(self.gapjoin, vec![ca, cb, cgj]).unwrap();
-            }
-        }
-        // Gaps closed by integer-read CAS guesses, per variable.
-        let mut closed: HashMap<VarId, BTreeSet<u32>> = HashMap::new();
-        for (ti, skel) in self.guess.dis.iter().enumerate() {
-            let cfa = self.mk.sys.dis[ti].cfa();
-            for step in &skel.steps {
-                if let Instr::Cas(x, ..) = &cfa.edges()[step.edge].instr {
-                    if step.cas_read == Some(CasRead::IntSlot) {
-                        let slot = step.slot.expect("cas step has a slot");
-                        closed.entry(*x).or_default().insert(slot - 1);
-                    }
-                }
-            }
-        }
-        for x in 0..self.n_vars {
-            let var = VarId(x as u32);
-            let closed_x = closed.get(&var).cloned().unwrap_or_default();
-            for &a in &timeline {
-                for g in a.floor()..=self.mk.budget.slots(var) {
-                    if closed_x.contains(&g) {
-                        continue;
-                    }
-                    let (ca, cg) = (self.t(a), self.t(ATime::Plus(g)));
-                    self.prog.fact(self.gapstore[x], vec![ca, cg]).unwrap();
-                }
+                self.prog.fact(s.tmax, vec![ca, cb, cmax]).unwrap();
+                let cgj = self.t(ATime::Plus(a.floor().max(b.floor())));
+                self.prog.fact(s.gapjoin, vec![ca, cb, cgj]).unwrap();
             }
         }
     }
 
     fn emit_initial_facts(&mut self) {
-        let zero: Vec<Const> = (0..self.n_vars).map(|_| self.t(ATime::ZERO)).collect();
+        let zero: Vec<Const> = (0..self.syms.n_vars).map(|_| self.t(ATime::ZERO)).collect();
         // Initial messages.
-        for x in 0..self.n_vars {
+        for x in 0..self.syms.n_vars {
             let p = self.dmp_pred(VarId(x as u32), Val::INIT);
             self.prog.fact(p, zero.clone()).unwrap();
         }
         // Initial env thread.
-        let entry = self.mk.sys.env.cfa().entry();
-        let rv0 = RegVal::new(self.mk.sys.env.n_regs() as usize);
+        let entry = self.sys.env.cfa().entry();
+        let rv0 = RegVal::new(self.sys.env.n_regs() as usize);
         let p = self.etp_pred(entry, &rv0);
         self.prog.fact(p, zero.clone()).unwrap();
         // Initial dis threads at position 0.
-        for ti in 0..self.guess.dis.len() {
+        for ti in 0..self.sys.dis.len() {
             let p = self.dtp_pred(ti, 0);
             self.prog.fact(p, zero.clone()).unwrap();
         }
@@ -635,10 +777,9 @@ impl<'a, 's> Encoder<'a, 's> {
 
     /// Env transition rules, grounded over register valuations.
     fn emit_env_rules(&mut self) {
-        let sys = self.mk.sys;
+        let sys = self.sys;
         let cfa = sys.env.cfa_arc();
         let dom = sys.dom;
-        let n = self.n_vars as u32;
         let rvs = enumerate_rvs(sys.env.n_regs() as usize, dom);
         for rv in &rvs {
             for edge in cfa.edges() {
@@ -684,7 +825,6 @@ impl<'a, 's> Encoder<'a, 's> {
                 }
             }
         }
-        let _ = n;
     }
 
     /// Load rules shared by env and dis threads: one rule reading a
@@ -694,7 +834,7 @@ impl<'a, 's> Encoder<'a, 's> {
     /// Variable layout: `0..n` = V̄ (thread view), `n..2n` = W̄ (message
     /// view), `2n..3n` = V̄' (joined view).
     fn emit_load_rules(&mut self, src_atom: Atom, dst: PredId, x: VarId, d: Val) {
-        let n = self.n_vars as u32;
+        let n = self.syms.n_vars as u32;
         let v = self.vvec(0);
         let w = self.vvec(n);
         let vp = self.vvec(2 * n);
@@ -704,9 +844,9 @@ impl<'a, 's> Encoder<'a, 's> {
         {
             let dmp = self.dmp_pred(x, d);
             let mut body = vec![src_atom.clone(), Atom::new(dmp, w.clone())];
-            body.push(Atom::new(self.tle, vec![v[xi], w[xi]]));
-            for i in 0..self.n_vars {
-                body.push(Atom::new(self.tmax, vec![v[i], w[i], vp[i]]));
+            body.push(Atom::new(self.syms.tle, vec![v[xi], w[xi]]));
+            for i in 0..self.syms.n_vars {
+                body.push(Atom::new(self.syms.tmax, vec![v[i], w[i], vp[i]]));
             }
             self.prog.rule(Atom::new(dst, vp.clone()), body).unwrap();
         }
@@ -714,10 +854,10 @@ impl<'a, 's> Encoder<'a, 's> {
         {
             let emp = self.emp_pred(x, d);
             let mut body = vec![src_atom, Atom::new(emp, w.clone())];
-            body.push(Atom::new(self.gapjoin, vec![v[xi], w[xi], vp[xi]]));
-            for i in 0..self.n_vars {
+            body.push(Atom::new(self.syms.gapjoin, vec![v[xi], w[xi], vp[xi]]));
+            for i in 0..self.syms.n_vars {
                 if i != xi {
-                    body.push(Atom::new(self.tmax, vec![v[i], w[i], vp[i]]));
+                    body.push(Atom::new(self.syms.tmax, vec![v[i], w[i], vp[i]]));
                 }
             }
             self.prog.rule(Atom::new(dst, vp), body).unwrap();
@@ -727,13 +867,13 @@ impl<'a, 's> Encoder<'a, 's> {
     /// Env store: choose a gap via `gapstore_x(Vx, G)`; emit the message
     /// and the moved thread, both with `x ↦ G`.
     fn emit_env_store_rules(&mut self, src_atom: Atom, dst: PredId, x: VarId, d: Val) {
-        let n = self.n_vars as u32;
+        let n = self.syms.n_vars as u32;
         let v = self.vvec(0);
         let g = Term::Var(n); // the chosen gap
         let xi = x.index();
         let mut head_view = v.clone();
         head_view[xi] = g;
-        let body = vec![src_atom, Atom::new(self.gapstore[xi], vec![v[xi], g])];
+        let body = vec![src_atom, Atom::new(self.syms.gapstore[xi], vec![v[xi], g])];
         let emp = self.emp_pred(x, d);
         self.prog
             .rule(Atom::new(emp, head_view.clone()), body.clone())
@@ -742,10 +882,10 @@ impl<'a, 's> Encoder<'a, 's> {
     }
 
     /// Dis rules along the guessed skeletons.
-    fn emit_dis_rules(&mut self) {
-        let sys = self.mk.sys;
+    fn emit_dis_rules(&mut self, guess: &Guess) {
+        let sys = self.sys;
         let dom = sys.dom;
-        for (ti, skel) in self.guess.dis.iter().enumerate() {
+        for (ti, skel) in guess.dis.iter().enumerate() {
             let cfa = sys.dis[ti].cfa_arc();
             let mut rv = RegVal::new(sys.dis[ti].n_regs() as usize);
             for (pos, step) in skel.steps.iter().enumerate() {
@@ -805,7 +945,7 @@ impl<'a, 's> Encoder<'a, 's> {
         let slot_c = Term::Const(self.t(ATime::Int(slot)));
         let mut head_view = v.clone();
         head_view[xi] = slot_c;
-        let body = vec![src_atom, Atom::new(self.tlt, vec![v[xi], slot_c])];
+        let body = vec![src_atom, Atom::new(self.syms.tlt, vec![v[xi], slot_c])];
         let dmp = self.dmp_pred(x, d);
         self.prog
             .rule(Atom::new(dmp, head_view.clone()), body.clone())
@@ -828,7 +968,7 @@ impl<'a, 's> Encoder<'a, 's> {
         slot: u32,
         read: CasRead,
     ) {
-        let n = self.n_vars as u32;
+        let n = self.syms.n_vars as u32;
         let v = self.vvec(0);
         let w = self.vvec(n);
         let vp = self.vvec(2 * n);
@@ -846,7 +986,7 @@ impl<'a, 's> Encoder<'a, 's> {
                 w_pinned[xi] = Term::Const(self.t(load_ts));
                 body.push(Atom::new(dmp, w_pinned));
                 body.push(Atom::new(
-                    self.tle,
+                    self.syms.tle,
                     vec![v[xi], Term::Const(self.t(load_ts))],
                 ));
             }
@@ -855,18 +995,18 @@ impl<'a, 's> Encoder<'a, 's> {
                 let emp = self.emp_pred(x, d1);
                 body.push(Atom::new(emp, w.clone()));
                 body.push(Atom::new(
-                    self.tle,
+                    self.syms.tle,
                     vec![w[xi], Term::Const(self.t(gap_ts))],
                 ));
                 body.push(Atom::new(
-                    self.tle,
+                    self.syms.tle,
                     vec![v[xi], Term::Const(self.t(gap_ts))],
                 ));
             }
         }
-        for i in 0..self.n_vars {
+        for i in 0..self.syms.n_vars {
             if i != xi {
-                body.push(Atom::new(self.tmax, vec![v[i], w[i], vp[i]]));
+                body.push(Atom::new(self.syms.tmax, vec![v[i], w[i], vp[i]]));
             }
         }
         let mut head_view = vp.clone();
@@ -879,60 +1019,41 @@ impl<'a, 's> Encoder<'a, 's> {
     }
 
     /// Goal rules per target.
-    fn emit_goal_rules(&mut self) {
-        match self.target {
+    fn emit_goal_rules(&mut self, guess: &Guess, target: DatalogTarget, env_asserts: &[PredId]) {
+        let goal = self.syms.goal;
+        match target {
             DatalogTarget::MessageGenerated(x, d) => {
                 let v = self.vvec(0);
                 let emp = self.emp_pred(x, d);
                 self.prog
-                    .rule(
-                        Atom::new(self.goal, vec![]),
-                        vec![Atom::new(emp, v.clone())],
-                    )
+                    .rule(Atom::new(goal, vec![]), vec![Atom::new(emp, v.clone())])
                     .unwrap();
                 let dmp = self.dmp_pred(x, d);
                 self.prog
-                    .rule(Atom::new(self.goal, vec![]), vec![Atom::new(dmp, v)])
+                    .rule(Atom::new(goal, vec![]), vec![Atom::new(dmp, v)])
                     .unwrap();
                 if d == Val::INIT {
                     // Initial messages already carry d_init.
-                    self.prog.fact(self.goal, vec![]).unwrap();
+                    self.prog.fact(goal, vec![]).unwrap();
                 }
             }
             DatalogTarget::AssertViolation => {
                 // env asserts: any etp state at a location with an
                 // outgoing assert edge.
-                let sys = self.mk.sys;
-                let assert_locs: BTreeSet<Loc> = sys
-                    .env
-                    .cfa()
-                    .edges()
-                    .iter()
-                    .filter(|e| matches!(e.instr, Instr::AssertFalse))
-                    .map(|e| e.from)
-                    .collect();
-                let states: Vec<(Loc, RegVal)> = self
-                    .etp
-                    .keys()
-                    .filter(|(l, _)| assert_locs.contains(l))
-                    .cloned()
-                    .collect();
-                for (l, rv) in states {
-                    let p = self.etp_pred(l, &rv);
-                    let v = self.vvec(0);
+                for &p in env_asserts {
                     self.prog
-                        .rule(Atom::new(self.goal, vec![]), vec![Atom::new(p, v)])
+                        .rule(Atom::new(goal, vec![]), vec![Atom::new(p, self.vvec(0))])
                         .unwrap();
                 }
                 // dis asserts: positions whose next edge is an assert.
-                for (ti, skel) in self.guess.dis.iter().enumerate() {
-                    let cfa = self.mk.sys.dis[ti].cfa_arc();
+                for (ti, skel) in guess.dis.iter().enumerate() {
+                    let cfa = self.sys.dis[ti].cfa_arc();
                     for (pos, step) in skel.steps.iter().enumerate() {
                         if matches!(cfa.edges()[step.edge].instr, Instr::AssertFalse) {
                             let p = self.dtp_pred(ti, pos);
                             let v = self.vvec(0);
                             self.prog
-                                .rule(Atom::new(self.goal, vec![]), vec![Atom::new(p, v)])
+                                .rule(Atom::new(goal, vec![]), vec![Atom::new(p, v)])
                                 .unwrap();
                         }
                     }
@@ -1082,6 +1203,73 @@ mod tests {
         assert_eq!(guesses.len(), 1);
         let (prog, goal) = mk.program(&guesses[0], DatalogTarget::MessageGenerated(x, Val(1)));
         assert!(Evaluator::new(&prog).query(&goal));
+    }
+
+    #[test]
+    fn guess_programs_share_the_env_rules() {
+        let (sys, goal_var) = handshake();
+        let budget = Budget::exact(&sys).unwrap();
+        let mk = MakeP::new(&sys, budget, MakePLimits::default()).unwrap();
+        let guesses = mk.guesses().unwrap();
+        assert!(guesses.len() >= 2);
+        let target = DatalogTarget::MessageGenerated(goal_var, Val(1));
+        let (p0, _) = mk.program(&guesses[0], target);
+        let (p1, _) = mk.program(&guesses[1], target);
+        // The env's `etp_* :- etp_*, …` rules come from the template:
+        // the same allocation in both programs, not an equal copy.
+        let is_env = |p: &Program, r: &Rule| p.pred_name(r.head.pred).starts_with("etp_");
+        let env0: Vec<&Arc<Rule>> = p0.rules().iter().filter(|r| is_env(&p0, r)).collect();
+        let env1: Vec<&Arc<Rule>> = p1.rules().iter().filter(|r| is_env(&p1, r)).collect();
+        assert!(env0.iter().any(|r| !r.is_fact()));
+        assert_eq!(env0.len(), env1.len());
+        for (a, b) in env0.iter().zip(&env1) {
+            assert!(Arc::ptr_eq(a, b), "env rule copied, not shared: {a:?}");
+        }
+    }
+
+    #[test]
+    fn env_assert_goal_rules_come_in_creation_order() {
+        // An env assert reachable under several register valuations: one
+        // goal rule per `etp` state there, in predicate-id order, however
+        // the encoder's maps happen to iterate.
+        let mut b = SystemBuilder::new(3);
+        let x = b.var("x");
+        let mut env = b.program("env");
+        let r = env.reg("r");
+        env.load(r, x).assert_false();
+        let env = env.finish();
+        let sys = b.build(env, vec![]);
+        let budget = Budget::exact(&sys).unwrap();
+        let programs: Vec<Program> = (0..4)
+            .map(|_| {
+                let mk = MakeP::new(&sys, budget.clone(), MakePLimits::default()).unwrap();
+                let guesses = mk.guesses().unwrap();
+                mk.program(&guesses[0], DatalogTarget::AssertViolation).0
+            })
+            .collect();
+        let goal = programs[0].lookup_pred("goal").unwrap();
+        let bodies: Vec<PredId> = programs[0]
+            .rules()
+            .iter()
+            .filter(|r| r.head.pred == goal)
+            .map(|r| r.body[0].pred)
+            .collect();
+        assert_eq!(bodies.len(), 3, "one goal rule per register value");
+        assert!(bodies.windows(2).all(|w| w[0] < w[1]));
+        for p in &programs[1..] {
+            assert_eq!(p.rules(), programs[0].rules());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one skeleton per dis thread")]
+    fn program_rejects_a_guess_with_missing_threads() {
+        let (sys, goal_var) = handshake();
+        let mk = MakeP::new(&sys, Budget::exact(&sys).unwrap(), MakePLimits::default()).unwrap();
+        mk.program(
+            &Guess::default(),
+            DatalogTarget::MessageGenerated(goal_var, Val(1)),
+        );
     }
 
     #[test]

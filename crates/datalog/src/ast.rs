@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An (opaque) constant. Constants are dense `u32` ids; a [`Program`] can
 /// attach display names.
@@ -182,12 +183,16 @@ impl std::error::Error for RuleError {}
 
 #[derive(Debug, Clone)]
 struct PredInfo {
-    name: String,
+    name: Arc<str>,
     arity: usize,
 }
 
 /// A positive Datalog program: a predicate registry, constant names, and
 /// validated rules.
+///
+/// Rules are stored behind [`Arc`], so programs built from a common
+/// template (the `makeP` guess fleet) can share rule values instead of
+/// copying them; see [`Program::extend_shared`].
 ///
 /// # Example
 ///
@@ -210,10 +215,10 @@ struct PredInfo {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     preds: Vec<PredInfo>,
-    pred_index: HashMap<String, PredId>,
-    const_names: Vec<String>,
-    const_index: HashMap<String, Const>,
-    rules: Vec<Rule>,
+    pred_index: HashMap<Arc<str>, PredId>,
+    const_names: Vec<Arc<str>>,
+    const_index: HashMap<Arc<str>, Const>,
+    rules: Vec<Arc<Rule>>,
 }
 
 impl Program {
@@ -236,11 +241,12 @@ impl Program {
             return id;
         }
         let id = PredId(self.preds.len() as u32);
+        let name: Arc<str> = name.into();
         self.preds.push(PredInfo {
-            name: name.to_owned(),
+            name: Arc::clone(&name),
             arity,
         });
-        self.pred_index.insert(name.to_owned(), id);
+        self.pred_index.insert(name, id);
         id
     }
 
@@ -250,8 +256,9 @@ impl Program {
             return c;
         }
         let c = Const(self.const_names.len() as u32);
-        self.const_names.push(name.to_owned());
-        self.const_index.insert(name.to_owned(), c);
+        let name: Arc<str> = name.into();
+        self.const_names.push(Arc::clone(&name));
+        self.const_index.insert(name, c);
         c
     }
 
@@ -272,7 +279,7 @@ impl Program {
 
     /// The display name of a constant, if it was interned by name.
     pub fn const_name(&self, c: Const) -> Option<&str> {
-        self.const_names.get(c.0 as usize).map(String::as_str)
+        self.const_names.get(c.0 as usize).map(|n| &**n)
     }
 
     /// Looks up a predicate by name.
@@ -286,7 +293,7 @@ impl Program {
     }
 
     /// The validated rules.
-    pub fn rules(&self) -> &[Rule] {
+    pub fn rules(&self) -> &[Arc<Rule>] {
         &self.rules
     }
 
@@ -306,7 +313,45 @@ impl Program {
     ///
     /// See [`RuleError`].
     pub fn rule(&mut self, head: Atom, body: Vec<Atom>) -> Result<(), RuleError> {
-        for atom in std::iter::once(&head).chain(body.iter()) {
+        self.validate(&head, &body)?;
+        self.rules.push(Arc::new(Rule { head, body }));
+        Ok(())
+    }
+
+    /// Appends already-built rules, sharing them instead of copying: each
+    /// is validated against this program's registry exactly as
+    /// [`Program::rule`] would, then its [`Arc`] is pushed.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first invalid rule (see [`RuleError`]); the rules
+    /// before it stay appended.
+    pub fn extend_shared<'r>(
+        &mut self,
+        rules: impl IntoIterator<Item = &'r Arc<Rule>>,
+    ) -> Result<(), RuleError> {
+        for rule in rules {
+            self.validate(&rule.head, &rule.body)?;
+            self.rules.push(Arc::clone(rule));
+        }
+        Ok(())
+    }
+
+    /// Removes and returns the rules from index `at` on, like
+    /// [`Vec::split_off`]; the registry is left as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` exceeds the number of rules.
+    pub fn split_rules_off(&mut self, at: usize) -> Vec<Arc<Rule>> {
+        self.rules.split_off(at)
+    }
+
+    /// Checks arities and predicates (head first, then the body in order),
+    /// then safety, reporting the smallest head variable missing from the
+    /// body. Allocation-free: each head variable scans the body terms.
+    fn validate(&self, head: &Atom, body: &[Atom]) -> Result<(), RuleError> {
+        for atom in std::iter::once(head).chain(body) {
             let info = self
                 .preds
                 .get(atom.pred.0 as usize)
@@ -319,15 +364,20 @@ impl Program {
                 });
             }
         }
-        let body_vars: std::collections::HashSet<u32> =
-            body.iter().flat_map(|a| a.variables()).collect();
-        for v in head.variables() {
-            if !body_vars.contains(&v) {
-                return Err(RuleError::UnsafeVariable { var: v });
+        let mut unbound: Option<u32> = None;
+        for t in &head.terms {
+            if let Term::Var(v) = *t {
+                if unbound.is_none_or(|u| v < u)
+                    && !body.iter().any(|a| a.terms.contains(&Term::Var(v)))
+                {
+                    unbound = Some(v);
+                }
             }
         }
-        self.rules.push(Rule { head, body });
-        Ok(())
+        match unbound {
+            Some(var) => Err(RuleError::UnsafeVariable { var }),
+            None => Ok(()),
+        }
     }
 
     /// Renders a ground atom with names where available.
@@ -410,6 +460,143 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, RuleError::UnsafeVariable { var: 1 });
+    }
+
+    #[test]
+    fn unsafe_rule_reports_the_smallest_unbound_variable() {
+        let mut p = Program::new();
+        let q = p.predicate("q", 4);
+        let r = p.predicate("r", 2);
+        let head = Atom::new(
+            q,
+            vec![Term::Var(7), Term::Var(3), Term::Var(5), Term::Var(0)],
+        );
+        let body = vec![Atom::new(r, vec![Term::Var(0), Term::Var(5)])];
+        assert_eq!(
+            p.rule(head, body),
+            Err(RuleError::UnsafeVariable { var: 3 })
+        );
+        // A variable repeated in the head and bound nowhere.
+        let head = Atom::new(
+            q,
+            vec![Term::Var(4), Term::cst(0), Term::Var(4), Term::Var(1)],
+        );
+        let body = vec![Atom::new(r, vec![Term::Var(1), Term::cst(2)])];
+        assert_eq!(
+            p.rule(head, body),
+            Err(RuleError::UnsafeVariable { var: 4 })
+        );
+        // No body at all: every head variable is unbound.
+        let head = Atom::new(r, vec![Term::Var(9), Term::Var(2)]);
+        assert_eq!(
+            p.rule(head, Vec::new()),
+            Err(RuleError::UnsafeVariable { var: 2 })
+        );
+        assert!(p.rules().is_empty());
+    }
+
+    #[test]
+    fn arity_errors_come_before_unsafe_variables() {
+        let mut p = Program::new();
+        let q = p.predicate("q", 2);
+        let r = p.predicate("r", 1);
+        // Head arity wrong and X1 unbound: the arity error wins.
+        let head = Atom::new(q, vec![Term::Var(1)]);
+        let body = vec![Atom::new(r, vec![Term::Var(0)])];
+        assert_eq!(
+            p.rule(head, body),
+            Err(RuleError::ArityMismatch {
+                pred: q,
+                expected: 2,
+                got: 1
+            })
+        );
+        // A body atom with the wrong arity, head variable X3 unbound.
+        let head = Atom::new(q, vec![Term::Var(0), Term::Var(3)]);
+        let body = vec![
+            Atom::new(r, vec![Term::Var(0)]),
+            Atom::new(r, vec![Term::Var(0), Term::Var(2), Term::Var(2)]),
+        ];
+        assert_eq!(
+            p.rule(head, body),
+            Err(RuleError::ArityMismatch {
+                pred: r,
+                expected: 1,
+                got: 3
+            })
+        );
+        assert!(p.rules().is_empty());
+    }
+
+    #[test]
+    fn unknown_predicates_are_reported_in_atom_order() {
+        let mut p = Program::new();
+        let q = p.predicate("q", 1);
+        let ghost = PredId(42);
+        // Head first: its arity error precedes the body's unknown predicate.
+        assert_eq!(
+            p.rule(
+                Atom::new(q, vec![]),
+                vec![Atom::new(ghost, vec![Term::Var(0)])]
+            ),
+            Err(RuleError::ArityMismatch {
+                pred: q,
+                expected: 1,
+                got: 0
+            })
+        );
+        // An unknown body predicate precedes a later body arity error and
+        // the unbound head variable.
+        assert_eq!(
+            p.rule(
+                Atom::new(q, vec![Term::Var(5)]),
+                vec![
+                    Atom::new(ghost, vec![Term::Var(0)]),
+                    Atom::new(q, vec![Term::Var(0), Term::Var(1)]),
+                ]
+            ),
+            Err(RuleError::UnknownPredicate(ghost))
+        );
+        assert_eq!(
+            p.fact(PredId(7), vec![]),
+            Err(RuleError::UnknownPredicate(PredId(7)))
+        );
+        assert!(p.rules().is_empty());
+    }
+
+    #[test]
+    fn shared_rules_are_validated_and_not_copied() {
+        let mut p = Program::new();
+        let q = p.predicate("q", 1);
+        let a = p.constant("a");
+        p.fact(q, vec![a]).unwrap();
+        p.rule(
+            Atom::new(q, vec![Term::Var(0)]),
+            vec![Atom::new(q, vec![Term::Var(0)])],
+        )
+        .unwrap();
+        let shared = p.split_rules_off(1);
+        assert_eq!((p.rules().len(), shared.len()), (1, 1));
+        let mut copy = p.clone();
+        copy.extend_shared(&shared).unwrap();
+        assert!(Arc::ptr_eq(&copy.rules()[1], &shared[0]));
+        // Validated against the receiving registry, not the builder's.
+        let mut other = Program::new();
+        other.predicate("r", 2);
+        assert_eq!(
+            other.extend_shared(&shared),
+            Err(RuleError::ArityMismatch {
+                pred: q,
+                expected: 2,
+                got: 1
+            })
+        );
+        let mut empty = Program::new();
+        assert_eq!(
+            empty.extend_shared(&shared),
+            Err(RuleError::UnknownPredicate(q))
+        );
+        assert!(other.rules().is_empty() && empty.rules().is_empty());
     }
 
     #[test]

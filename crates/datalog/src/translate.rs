@@ -163,7 +163,7 @@ pub fn cache_to_linear(
     // the same-slot variant for unifiable double bodies.
     let mut expanded: Vec<Rule> = Vec::new();
     for rule in prog.rules() {
-        expanded.push(rule.clone());
+        expanded.push(Rule::clone(rule));
         if rule.body.len() == 2 {
             if let Some(unified) = unify_rule(rule) {
                 expanded.push(unified);

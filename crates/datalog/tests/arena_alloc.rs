@@ -7,40 +7,54 @@
 //!
 //! The whole integration-test binary runs under a counting allocator
 //! (test binaries get their own process, so the shim does not leak into
-//! other suites).
+//! other suites). It counts per thread, so each measurement sees only
+//! the allocations of the test thread that takes it.
 
 use parra_datalog::ast::{Const, PredId};
 use parra_datalog::TupleStore;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The tests share one process-global allocation counter, so their
-/// measured windows must not overlap: the harness runs tests on
-/// parallel threads by default, and another test's (or the harness's
-/// own) allocations landing inside a window turns a true zero into a
-/// flaky nonzero. Every test holds this lock across its measurement.
+/// Keeps the tests' measured windows apart. The counter below is per
+/// thread, so this is belt and braces: a window only ever counts its own
+/// thread's allocations, whatever the harness's other threads do.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Counts every allocation and reallocation; frees are irrelevant to the
-/// steady-state property.
+/// Takes [`SERIAL`], also after a sibling test panicked holding it.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Counts every allocation and reallocation made by the calling thread;
+/// frees are irrelevant to the steady-state property.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and destructor-free, so the allocator can touch
+    // it without allocating or re-entering itself.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // During thread teardown the slot may be gone; those allocations are
+    // outside every measured window anyway.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -52,8 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 const TUPLES: u32 = 2_000;
@@ -61,7 +76,7 @@ const ARITY: usize = 3;
 
 #[test]
 fn steady_state_intern_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let pred = PredId(0);
     let mut store = TupleStore::new();
     store.reserve(TUPLES as usize, TUPLES as usize * ARITY);
@@ -89,7 +104,7 @@ fn steady_state_intern_allocates_nothing() {
 
 #[test]
 fn lookup_and_duplicate_intern_allocate_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let pred = PredId(0);
     let mut store = TupleStore::new();
     store.reserve(TUPLES as usize, TUPLES as usize * ARITY);
@@ -123,7 +138,7 @@ fn lookup_and_duplicate_intern_allocate_nothing() {
 /// only O(log n) times (amortized doubling), never per tuple.
 #[test]
 fn unreserved_growth_allocates_logarithmically() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let pred = PredId(0);
     let mut store = TupleStore::new();
     let before = allocations();

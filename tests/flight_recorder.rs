@@ -5,6 +5,7 @@
 use parra::obs::json::{self, Value};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const BIN: &str = env!("CARGO_BIN_EXE_parra");
 
@@ -14,6 +15,16 @@ fn example(name: &str) -> String {
 
 fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+/// Serializes this file's tests: each spawns `parra` processes, and one
+/// test's processes competing with another's for the CPUs show up as
+/// genuine wall-clock regressions in `report --diff`.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], also after a sibling test panicked holding it.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn run_ok(args: &[&str], allow: &[i32]) -> std::process::Output {
@@ -41,6 +52,7 @@ fn deterministic_key(line: &str) -> (u64, String, String, Value) {
 
 #[test]
 fn event_log_is_deterministic_across_thread_counts() {
+    let _serial = serial();
     let input = example("peterson.ra");
     let mut logs = Vec::new();
     for threads in ["1", "4"] {
@@ -73,6 +85,7 @@ fn event_log_is_deterministic_across_thread_counts() {
 
 #[test]
 fn event_log_passes_its_own_schema_check() {
+    let _serial = serial();
     let input = example("handshake.ra");
     let path = tmp("events_schema.jsonl");
     run_ok(
@@ -95,6 +108,7 @@ fn event_log_passes_its_own_schema_check() {
 
 #[test]
 fn check_schema_rejects_malformed_lines_with_location() {
+    let _serial = serial();
     let path = tmp("events_bad.jsonl");
     std::fs::write(
         &path,
@@ -109,6 +123,7 @@ fn check_schema_rejects_malformed_lines_with_location() {
 
 #[test]
 fn trace_out_is_a_valid_chrome_trace() {
+    let _serial = serial();
     let input = example("barrier.ra");
     let path = tmp("trace.json");
     run_ok(
@@ -172,6 +187,7 @@ fn trace_out_is_a_valid_chrome_trace() {
 
 #[test]
 fn batch_event_logs_diff_clean_against_themselves() {
+    let _serial = serial();
     let dir = format!("{}/examples/systems", env!("CARGO_MANIFEST_DIR"));
     let mut paths = Vec::new();
     for rep in ["a", "b"] {
@@ -236,6 +252,7 @@ fn batch_event_logs_diff_clean_against_themselves() {
 
 #[test]
 fn json_report_carries_phases_and_percentiles() {
+    let _serial = serial();
     let input = example("peterson.ra");
     let out = run_ok(
         &["verify", "--engine", "datalog", "--json", "--stats", &input],
