@@ -62,8 +62,9 @@ fn measure() -> (Vec<Row>, Vec<String>) {
                 verdict = r.verdict.to_string();
                 off_us = off_us.min(r.stats.duration.as_micros() as u64);
             }
-            // A fresh recorder per rep: event sequence numbers, spans,
-            // and counters start from zero exactly as in a real run.
+            // A fresh recorder per rep: event sequence numbers, phase
+            // intervals and counters start from zero exactly as in a
+            // real run.
             let mut on_us = u64::MAX;
             let mut events = 0u64;
             for _ in 0..REPS {

@@ -238,8 +238,8 @@ pub struct SelectionOutcome {
     pub results: Vec<VerificationResult>,
 }
 
-/// Verifies one program text under an engine selection: parse (timed as
-/// the `parse` phase), prepare a verifier, and
+/// Verifies one program text under an engine selection: parse and
+/// prepare a verifier ([`Verifier::parse_and_prepare`]) and
 /// [`Verifier::run_selection`], all inside one panic boundary. This is
 /// the single "run a selection" path behind `parra batch` lines and
 /// campaign records; each front end only renders the outcome.
@@ -269,13 +269,11 @@ pub fn verify_text(
         if let Some(needle) = injected("PARRA_INJECT_PANIC", name) {
             panic!("injected panic (PARRA_INJECT_PANIC={needle})");
         }
-        let sys = {
-            let phases = PhaseTimer::new(rec);
-            let _parse = phases.start(Phase::Parse);
-            parse_system(text).map_err(|e| e.to_string())?
-        };
-        let verifier = Verifier::new_with_recorder(&sys, options.clone(), rec.clone())
-            .map_err(|e| e.to_string())?;
+        let verifier = Verifier::parse_and_prepare(
+            || parse_system(text).map_err(|e| e.to_string()),
+            options.clone(),
+            rec.clone(),
+        )?;
         match engines.split_last() {
             Some((&last, head)) if !race && injected("PARRA_INJECT_DEADLINE", name).is_some() => {
                 let mut sel = verifier.run_selection(head, false)?;
@@ -520,6 +518,10 @@ impl Verifier {
             notes: vec![note],
             report: RunReport::empty(engine),
         };
+        // The makeP template build and the guess enumeration (§4.1,
+        // Lemma 4.3) are the `guess` phase.
+        let phases = PhaseTimer::new(rec);
+        let guess_phase = phases.start(Phase::Guess);
         let mk = match MakeP::new(
             &self.goal.system,
             self.budget.clone(),
@@ -532,6 +534,7 @@ impl Verifier {
             Ok(g) => g,
             Err(e) => return unknown(format!("guess enumeration failed: {e}")),
         };
+        drop(guess_phase);
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
         // A host-provided shared cache (warm serve requests) takes the
         // place of a run-local one; plans are deterministic, so the only
@@ -569,7 +572,6 @@ impl Verifier {
             // cache→linear translation.
             let (prog, goal) = mk.program(&guesses[wi], target);
             let plan = plan_cache.plan(&prog);
-            let phases = PhaseTimer::new(rec);
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
                 Some(w) => {

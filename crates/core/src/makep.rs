@@ -206,7 +206,7 @@ impl<'s> MakeP<'s> {
         })
     }
 
-    /// The same encoder reporting metrics/spans through `rec`.
+    /// The same encoder reporting metrics through `rec`.
     pub fn with_recorder(mut self, rec: Recorder) -> MakeP<'s> {
         self.rec = rec;
         self
@@ -218,7 +218,6 @@ impl<'s> MakeP<'s> {
     ///
     /// Fails with [`MakePError::TooManyGuesses`] beyond the limit.
     pub fn guesses(&self) -> Result<Vec<Guess>, MakePError> {
-        let span = self.rec.span("makep.guesses");
         // Per-thread skeleton candidates (paths with loaded values).
         let mut per_thread: Vec<Vec<DisGuess>> = Vec::new();
         for d in &self.sys.dis {
@@ -232,7 +231,6 @@ impl<'s> MakeP<'s> {
         let mut partial = Vec::new();
         self.product(&per_thread, 0, &mut partial, &mut out)?;
         self.rec.counter("guesses_enumerated").add(out.len() as u64);
-        span.arg_u64("guesses", out.len() as u64);
         Ok(out)
     }
 

@@ -530,14 +530,17 @@ pub struct Verifier {
     pub(crate) options: VerifierOptions,
     notes: Vec<String>,
     pub(crate) rec: Recorder,
-    /// Time spent in the preparation (classify/unroll/goal-transform)
-    /// phase. Preparation is shared by every engine run of this
-    /// verifier, so it is attributed as the `plan` phase exactly once —
-    /// to the first report — rather than re-counted per run.
+    /// Time spent parsing the input ([`Verifier::parse_and_prepare`];
+    /// zero when the caller parsed) and preparing it
+    /// (classify/unroll/goal-transform). Both are shared by every engine
+    /// run of this verifier, so they are attributed as the `parse` and
+    /// `plan` phases exactly once — to the first report — rather than
+    /// re-counted per run.
+    parse_us: u64,
     plan_us: u64,
-    /// Whether some run already claimed the `plan` phase. Shared across
-    /// clones: a cloned verifier reuses the same preparation work.
-    plan_attributed: Arc<AtomicBool>,
+    /// Whether some run already claimed the preparation phases. Shared
+    /// across clones: a cloned verifier reuses the same preparation work.
+    prep_claimed: Arc<AtomicBool>,
 }
 
 impl Verifier {
@@ -552,9 +555,9 @@ impl Verifier {
         Verifier::new_with_recorder(sys, options, Recorder::disabled())
     }
 
-    /// [`Verifier::new`] with an observability recorder: the preparation
-    /// phases get `classify` / `transform` spans, and every engine run
-    /// records its metrics under a `{engine}/` scope.
+    /// [`Verifier::new`] with an observability recorder: preparation is
+    /// timed as the `plan` phase, and every engine run records its
+    /// metrics under a `{engine}/` scope.
     pub fn new_with_recorder(
         sys: &ParamSystem,
         options: VerifierOptions,
@@ -562,14 +565,10 @@ impl Verifier {
     ) -> Result<Verifier, VerifierError> {
         let phase_timer = PhaseTimer::new(&rec);
         let plan_guard = phase_timer.start(Phase::Plan);
-        let original_class = {
-            let _span = rec.span("classify");
-            SystemClass::of(sys)
-        };
+        let original_class = SystemClass::of(sys);
         if !original_class.env.nocas {
             return Err(VerifierError::Undecidable(original_class.complexity()));
         }
-        let span = rec.span("transform");
         let mut notes = Vec::new();
         let sys = if original_class.dis.iter().all(|d| d.acyc) {
             sys.clone()
@@ -587,9 +586,7 @@ impl Verifier {
         };
         let goal = transform::assert_to_goal(&sys);
         let budget = Budget::exact(&goal.system).expect("dis is loop-free after unrolling");
-        drop(span);
-        drop(plan_guard);
-        let plan_us = phase_timer.get_us(Phase::Plan);
+        let plan_us = plan_guard.finish();
         Ok(Verifier {
             original_class,
             goal,
@@ -597,9 +594,34 @@ impl Verifier {
             options,
             notes,
             rec,
+            parse_us: 0,
             plan_us,
-            plan_attributed: Arc::new(AtomicBool::new(false)),
+            prep_claimed: Arc::new(AtomicBool::new(false)),
         })
+    }
+
+    /// Parses the input with `parse`, timed as the `parse` phase, and
+    /// prepares a verifier ([`Verifier::new_with_recorder`]) whose first
+    /// report claims both the `parse` and the `plan` phase. This is the
+    /// one path by which a front end that reads its own input gets that
+    /// input's parse time into a report.
+    ///
+    /// # Errors
+    ///
+    /// `parse`'s error, or the [`VerifierError`] as a message.
+    pub fn parse_and_prepare(
+        parse: impl FnOnce() -> Result<ParamSystem, String>,
+        options: VerifierOptions,
+        rec: Recorder,
+    ) -> Result<Verifier, String> {
+        let phase_timer = PhaseTimer::new(&rec);
+        let parse_guard = phase_timer.start(Phase::Parse);
+        let sys = parse()?;
+        let parse_us = parse_guard.finish();
+        let mut verifier =
+            Verifier::new_with_recorder(&sys, options, rec).map_err(|e| e.to_string())?;
+        verifier.parse_us = parse_us;
+        Ok(verifier)
     }
 
     /// Replaces the recorder (builder style).
@@ -612,9 +634,9 @@ impl Verifier {
     /// classify/unroll/goal-transform work) is reused, while the options
     /// and recorder are replaced with the new request's. This is the warm
     /// path of a long-lived host: a cache hit skips preparation entirely,
-    /// so the clone carries *no* `plan` phase — `plan_us` stays with the
-    /// preparing verifier and the shared `plan_attributed` flag keeps the
-    /// phase claimed exactly once across all clones.
+    /// so the clone carries *no* `parse` or `plan` phase — the shared
+    /// `prep_claimed` flag keeps both claimed exactly once across all
+    /// clones.
     pub fn rescoped(&self, options: VerifierOptions, rec: Recorder) -> Verifier {
         let mut v = self.clone();
         v.options = options;
@@ -701,18 +723,13 @@ impl Verifier {
             &[("threads", self.options.threads as u64)],
         );
         let gov = budget.clone().with_cancel(cancel.clone());
-        let mut result = {
-            let span = rec.span(&format!("engine:{engine}"));
-            if self.options.fail_point_panic == Some(engine) {
-                panic!("fail point: injected panic in {engine}");
-            }
-            let r = match engine {
-                EngineId::SimplifiedReach => self.run_simplified(&scope, &gov),
-                EngineId::CacheDatalog => self.run_datalog(&scope, &gov),
-                EngineId::BoundedConcrete => self.run_concrete(&scope, &gov),
-            };
-            span.arg_str("verdict", &r.verdict.to_string());
-            r
+        if self.options.fail_point_panic == Some(engine) {
+            panic!("fail point: injected panic in {engine}");
+        }
+        let mut result = match engine {
+            EngineId::SimplifiedReach => self.run_simplified(&scope, &gov),
+            EngineId::CacheDatalog => self.run_datalog(&scope, &gov),
+            EngineId::BoundedConcrete => self.run_concrete(&scope, &gov),
         };
         if let Verdict::Interrupted(reason) = result.verdict {
             scope.counter(&format!("interrupted_{reason}")).incr();
@@ -743,10 +760,15 @@ impl Verifier {
             })
             .collect();
         // Preparation is shared by every run of this verifier, so the
-        // `plan` phase is claimed by the first report only — re-counting
-        // it per engine would inflate aggregate phase breakdowns.
-        if self.plan_us > 0 && !self.plan_attributed.swap(true, Ordering::Relaxed) {
-            report.phases.push(("plan".to_string(), self.plan_us));
+        // `parse` and `plan` phases are claimed by the first report only —
+        // re-counting them per engine would inflate aggregate phase
+        // breakdowns.
+        if !self.prep_claimed.swap(true, Ordering::Relaxed) {
+            for (phase, us) in [(Phase::Parse, self.parse_us), (Phase::Plan, self.plan_us)] {
+                if us > 0 {
+                    report.phases.push((phase.as_str().to_string(), us));
+                }
+            }
             report.phases.sort();
         }
         report.gauges = after
@@ -1216,10 +1238,24 @@ mod tests {
             .counters
             .iter()
             .any(|(n, v)| n == "guesses_enumerated" && *v >= 1));
-        // The spans include the engine runs and the prep phases.
-        let spans = rec.spans();
-        assert!(spans.iter().any(|s| s.name == "classify"));
-        assert!(spans.iter().any(|s| s.name == "engine:simplified-reach"));
+        // The trace intervals include the prep phase and both engine
+        // runs' own phases.
+        let timed: Vec<(String, Phase)> = rec
+            .phase_intervals()
+            .into_iter()
+            .map(|i| (i.scope, i.phase))
+            .collect();
+        for want in [
+            ("", Phase::Plan),
+            ("simplified-reach/", Phase::Search),
+            ("cache-datalog/", Phase::Guess),
+            ("cache-datalog/", Phase::WitnessReplay),
+        ] {
+            assert!(
+                timed.contains(&(want.0.to_string(), want.1)),
+                "{want:?} missing from {timed:?}"
+            );
+        }
     }
 
     #[test]
@@ -1400,19 +1436,31 @@ mod tests {
 
     /// Regression: shared preparation time (`plan`) used to be pushed
     /// into every report's phases, so aggregate phase breakdowns counted
-    /// it once per engine; it belongs to exactly one report.
+    /// it once per engine; it belongs to exactly one report, as does the
+    /// `parse` time of [`Verifier::parse_and_prepare`].
     #[test]
     fn plan_time_is_attributed_to_one_report_only() {
         let rec = Recorder::enabled(parra_obs::Level::Summary);
-        let v = Verifier::new_with_recorder(&handshake(false), VerifierOptions::default(), rec)
-            .unwrap();
-        let has_plan = |r: &VerificationResult| r.report.phases.iter().any(|(n, _)| n == "plan");
+        // A parse that takes measurable time, so its phase is non-zero.
+        let parse = || {
+            std::thread::sleep(Duration::from_millis(1));
+            Ok(handshake(false))
+        };
+        let v = Verifier::parse_and_prepare(parse, VerifierOptions::default(), rec).unwrap();
+        let has_prep = |r: &VerificationResult| {
+            r.report
+                .phases
+                .iter()
+                .any(|(n, _)| n == "plan" || n == "parse")
+        };
         let first = v.run(EngineId::SimplifiedReach);
-        assert!(
-            has_plan(&first),
-            "first report should carry the plan phase: {:?}",
-            first.report.phases
-        );
+        for phase in ["parse", "plan"] {
+            assert!(
+                first.report.phases.iter().any(|(n, _)| n == phase),
+                "first report should carry the {phase} phase: {:?}",
+                first.report.phases
+            );
+        }
         for engine in [
             EngineId::CacheDatalog,
             EngineId::BoundedConcrete,
@@ -1420,8 +1468,8 @@ mod tests {
         ] {
             let later = v.run(engine);
             assert!(
-                !has_plan(&later),
-                "{engine} re-counted the shared plan time: {:?}",
+                !has_prep(&later),
+                "{engine} re-counted the shared preparation time: {:?}",
                 later.report.phases
             );
         }

@@ -2,7 +2,7 @@
 //!
 //! The evaluation substrate keys all of its bookkeeping on [`AtomId`] — a
 //! dense, `Copy`, insertion-ordered handle — instead of cloning
-//! [`GroundAtom`](crate::ast::GroundAtom)s into hash maps. Argument
+//! [`GroundAtom`]s into hash maps. Argument
 //! constants live in one flat `Vec<Const>`; per-atom metadata (predicate,
 //! span, cached hash) lives in parallel columns; membership is decided by
 //! an open-addressing table of `u32` slots probing on the cached hashes.

@@ -7,7 +7,7 @@
 //!   every derived ground tuple is interned once and handled by a `Copy`
 //!   [`AtomId`]; no `GroundAtom` is cloned on the insert path.
 //! * **Column-keyed join indices** — each rule body is solved following a
-//!   static [`Plan`](crate::plan::Plan); partially bound probes go through
+//!   static [`Plan`]; partially bound probes go through
 //!   a hash index keyed on the bound columns, built lazily per
 //!   (predicate, bound-column-set) and caught up incrementally from the
 //!   semi-naive deltas at the start of every round.
@@ -16,7 +16,7 @@
 //!   ([`cache::schedule_from_database`](crate::cache::schedule_from_database))
 //!   needs it, plain queries do not pay for it.
 //! * **Parallel delta batches** — each round's delta is expanded by
-//!   `parra-search`'s [`ordered_map`] and merged sequentially in delta
+//!   `parra-search`'s [`ordered_map`](parra_search::ordered_map) and merged sequentially in delta
 //!   order, so the resulting database (and every statistic derived from
 //!   it) is byte-identical for every thread count
 //!   ([`Evaluator::with_threads`]).

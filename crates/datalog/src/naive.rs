@@ -159,11 +159,11 @@ impl<'p> NaiveEvaluator<'p> {
 
     /// The same evaluator reporting metrics through `rec`, under the same
     /// names as the optimized [`Evaluator`](crate::eval::Evaluator) —
-    /// `rules_fired`, `join_attempts`, `atoms/{pred}`,
-    /// `eval_interrupted_{reason}`, and the `eval.run` span — so traces
-    /// from both engines line up in reports. (The optimized engine
-    /// additionally reports index counters this engine has no analogue
-    /// for: `index_builds`, `index_hits`, `arena_atoms`, `arena_bytes`.)
+    /// `rules_fired`, `join_attempts`, `atoms/{pred}` and
+    /// `eval_interrupted_{reason}` — so both engines line up in reports.
+    /// (The optimized engine additionally reports index counters this
+    /// engine has no analogue for: `index_builds`, `index_hits`,
+    /// `arena_atoms`, `arena_bytes`.)
     pub fn with_recorder(mut self, rec: Recorder) -> NaiveEvaluator<'p> {
         self.rec = rec;
         self
@@ -432,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn metric_and_span_names_match_the_optimized_evaluator() {
+    fn metric_names_match_the_optimized_evaluator() {
         use crate::eval::Evaluator;
         use parra_obs::Level;
 

@@ -93,7 +93,7 @@ pub struct Failure {
     /// Accepted shrink steps.
     pub shrink_steps: usize,
     /// Size metric of the minimized system (see
-    /// [`system_size`](crate::shrink::system_size)).
+    /// [`system_size`]).
     pub minimized_size: usize,
     /// Where the minimized system was saved, when a corpus directory was
     /// configured and the write succeeded.

@@ -171,8 +171,8 @@ impl ResourceBudget {
 
     /// Sets an approximate limit on live heap bytes.
     ///
-    /// Enforced only when the process installed [`TrackingAlloc`]
-    /// (crate::TrackingAlloc) as its global allocator; otherwise heap
+    /// Enforced only when the process installed
+    /// [`TrackingAlloc`](crate::TrackingAlloc) as its global allocator; otherwise heap
     /// usage is unknown and the limit soundly never trips.
     pub fn with_memory_limit(mut self, bytes: usize) -> ResourceBudget {
         self.memory_limit = Some(bytes);

@@ -131,7 +131,7 @@ pub fn peterson_ra_bratosz() -> Benchmark {
     }
 }
 
-/// `dekker` (from `dekker-fences` [37], modelled fence-free — see the
+/// `dekker` (from `dekker-fences` \[37\], modelled fence-free — see the
 /// crate docs): the first round of Dekker's entry protocol. Without the
 /// SC fences of the original, RA lets both roles in — **unsafe**.
 pub fn dekker() -> Benchmark {

@@ -1,4 +1,4 @@
-//! Phoenix-2.0 data-parallel kernels (Kozyrakis [29]), reduced to their
+//! Phoenix-2.0 data-parallel kernels (Kozyrakis \[29\]), reduced to their
 //! shared-memory synchronization skeletons.
 //!
 //! All eight benchmarks follow the map-reduce shape the paper classifies

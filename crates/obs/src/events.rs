@@ -114,6 +114,23 @@ impl Event {
         w.num_field("t_us", self.t_us);
         w.str_field("scope", &self.scope);
         w.str_field("kind", &self.kind);
+        w.raw_field("fields", &self.fields_json());
+        let mut vol = String::from("{");
+        for (i, (k, v)) in self.volatile.iter().enumerate() {
+            if i > 0 {
+                vol.push(',');
+            }
+            write_escaped(&mut vol, k);
+            vol.push(':');
+            vol.push_str(&v.to_string());
+        }
+        vol.push('}');
+        w.raw_field("volatile", &vol);
+        w.finish()
+    }
+
+    /// The deterministic `fields` section as one JSON object.
+    pub(crate) fn fields_json(&self) -> String {
         let mut fields = String::from("{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
@@ -127,19 +144,7 @@ impl Event {
             }
         }
         fields.push('}');
-        w.raw_field("fields", &fields);
-        let mut vol = String::from("{");
-        for (i, (k, v)) in self.volatile.iter().enumerate() {
-            if i > 0 {
-                vol.push(',');
-            }
-            write_escaped(&mut vol, k);
-            vol.push(':');
-            vol.push_str(&v.to_string());
-        }
-        vol.push('}');
-        w.raw_field("volatile", &vol);
-        w.finish()
+        fields
     }
 
     /// The deterministic projection `(seq, scope, kind, fields)` used by

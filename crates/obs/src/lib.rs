@@ -2,41 +2,45 @@
 
 //! # parra-obs — zero-dependency observability
 //!
-//! Metrics, spans, traces, and the flight-recorder event log for the
+//! Metrics, phase timing, and the flight-recorder event log for the
 //! verification engines, built on `std` alone (the build environment is
 //! offline). The central type is [`Recorder`]: a cheap, cloneable handle
-//! that is either *enabled* (backed by a shared registry + span store)
-//! or *disabled* (`Recorder::disabled()`, the default), in which case
-//! every operation is a branch-on-`None` no-op.
+//! that is either *enabled* (backed by a shared metric registry, phase
+//! intervals and event log) or *disabled* (`Recorder::disabled()`, the
+//! default), in which case every operation is a branch-on-`None` no-op.
 //!
 //! | need | API |
 //! |---|---|
 //! | count events on a hot path | [`Recorder::counter`] → [`Counter::incr`] |
 //! | track a level + its peak | [`Recorder::gauge`] → [`Gauge::set`] |
 //! | distribution of a quantity | [`Recorder::histogram`] → [`Histogram::record`] |
-//! | time a phase, build the tree | [`Recorder::span`] (RAII guard) |
+//! | time a region | [`PhaseTimer::start`] (RAII guard) |
 //! | round-by-round event log | [`Recorder::event`] / [`Recorder::event_with`] |
 //! | `chrome://tracing` file | [`Recorder::chrome_trace`] |
 //!
-//! Every output has a consumer: the span tree backs the CLI's `--stats`,
-//! the Chrome trace `--trace-out`, the event log `--events-out` and
-//! `parra report`, and the metric registry the per-run `RunReport`. The
-//! CLI enables a recorder exactly when one of those flags is given.
+//! Every output has a consumer: the metric registry (phase counters
+//! included) backs the CLI's `--stats` and the per-run `RunReport`, the
+//! phase intervals plus the events the Chrome trace `--trace-out`, and
+//! the event log `--events-out` and `parra report`. The CLI enables a
+//! recorder exactly when one of those flags is given.
 //!
 //! # Example
 //!
 //! ```
-//! use parra_obs::{Level, Recorder};
+//! use parra_obs::{Level, Phase, PhaseTimer, Recorder};
 //!
 //! let rec = Recorder::enabled(Level::Summary);
 //! let states = rec.counter("engine/states");
+//! let phases = PhaseTimer::new(&rec);
 //! {
-//!     let _span = rec.span("engine:search");
+//!     let _search = phases.start(Phase::Search);
 //!     states.incr();
 //!     states.incr();
 //! }
-//! assert_eq!(rec.snapshot().counters["engine/states"], 2);
-//! assert!(rec.render_tree().contains("engine:search"));
+//! let snap = rec.snapshot();
+//! assert_eq!(snap.counters["engine/states"], 2);
+//! assert!(snap.counters.contains_key("phase/search_us"));
+//! assert!(rec.chrome_trace().contains("phase:search"));
 //!
 //! // Disabled: same calls, no work, no output.
 //! let off = Recorder::disabled();
@@ -49,16 +53,13 @@ pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod report;
-pub mod span;
 pub mod trace;
 
 pub use events::{Event, EventValue, SCHEMA_VERSION};
 pub use metrics::{Counter, Gauge, GaugeSnapshot, HistSnapshot, Histogram, MetricsSnapshot};
-pub use phase::{Phase, PhaseGuard, PhaseTimer};
-pub use span::{ArgValue, SpanRecord};
+pub use phase::{Phase, PhaseGuard, PhaseInterval, PhaseTimer};
 
 use metrics::Registry;
-use span::SpanStore;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -68,7 +69,7 @@ pub enum Level {
     /// Everything off (the recorder is disabled).
     #[default]
     Off,
-    /// Metrics, spans, and events.
+    /// Metrics, phases, and events.
     Summary,
 }
 
@@ -77,7 +78,7 @@ pub enum Level {
 struct Shared {
     epoch: Instant,
     metrics: Registry,
-    spans: SpanStore,
+    phases: Mutex<Vec<PhaseInterval>>,
     events: Mutex<Vec<Event>>,
 }
 
@@ -88,7 +89,7 @@ struct Inner {
 }
 
 /// The observability handle. Cloning is cheap (an `Arc`); clones share
-/// the same registry, span store, and event log.
+/// the same registry, phase intervals, and event log.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -111,7 +112,7 @@ impl Recorder {
                 shared: Arc::new(Shared {
                     epoch: Instant::now(),
                     metrics: Registry::default(),
-                    spans: SpanStore::new(),
+                    phases: Mutex::new(Vec::new()),
                     events: Mutex::new(Vec::new()),
                 }),
             })),
@@ -126,7 +127,7 @@ impl Recorder {
 
     /// A view of the same recorder whose metric names gain `prefix` —
     /// used to give each engine run its own namespace while sharing one
-    /// span store and trace.
+    /// event log and trace.
     pub fn scoped(&self, prefix: &str) -> Recorder {
         match &self.inner {
             None => Recorder::disabled(),
@@ -163,16 +164,24 @@ impl Recorder {
         }
     }
 
-    /// Opens a span; it closes when the guard drops.
-    pub fn span(&self, name: &str) -> SpanGuard {
+    /// Appends the interval a [`PhaseGuard`] measured.
+    fn record_phase(&self, phase: Phase, start: Instant, dur_us: u64) {
+        let Some(i) = &self.inner else { return };
+        let interval = PhaseInterval {
+            scope: i.prefix.clone(),
+            phase,
+            tid: phase::current_thread_id(),
+            start_us: start.duration_since(i.shared.epoch).as_micros() as u64,
+            dur_us,
+        };
+        i.shared.phases.lock().unwrap().push(interval);
+    }
+
+    /// Every timed phase region, in the order the regions ended.
+    pub fn phase_intervals(&self) -> Vec<PhaseInterval> {
         match &self.inner {
-            None => SpanGuard { opened: None },
-            Some(i) => {
-                let idx = i.shared.spans.open(name, i.shared.epoch);
-                SpanGuard {
-                    opened: Some((Arc::clone(&i.shared), idx)),
-                }
-            }
+            None => Vec::new(),
+            Some(i) => i.shared.phases.lock().unwrap().clone(),
         }
     }
 
@@ -234,62 +243,15 @@ impl Recorder {
         }
     }
 
-    /// All finished (and still-open) spans.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(i) => i.shared.spans.records(),
-        }
-    }
-
-    /// The indented span tree (empty string when disabled).
-    pub fn render_tree(&self) -> String {
-        match &self.inner {
-            None => String::new(),
-            Some(i) => i.shared.spans.render_tree(),
-        }
-    }
-
-    /// The full Chrome-trace JSON document.
+    /// The full Chrome-trace JSON document: the phase intervals and the
+    /// flight-recorder events (see [`trace`]).
     pub fn chrome_trace(&self) -> String {
-        trace::render_chrome_trace(&self.spans())
+        trace::render_chrome_trace(&self.phase_intervals(), &self.events())
     }
 
     /// Writes the Chrome trace to `path`.
     pub fn write_chrome_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.chrome_trace())
-    }
-}
-
-/// RAII guard for an open span; the span closes when this drops.
-#[derive(Debug)]
-pub struct SpanGuard {
-    opened: Option<(Arc<Shared>, usize)>,
-}
-
-impl SpanGuard {
-    /// Attaches an integer argument to the span.
-    pub fn arg_u64(&self, key: &str, val: u64) {
-        if let Some((inner, idx)) = &self.opened {
-            inner.spans.add_arg(*idx, key, ArgValue::U64(val));
-        }
-    }
-
-    /// Attaches a string argument to the span.
-    pub fn arg_str(&self, key: &str, val: &str) {
-        if let Some((inner, idx)) = &self.opened {
-            inner
-                .spans
-                .add_arg(*idx, key, ArgValue::Str(val.to_string()));
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((inner, idx)) = self.opened.take() {
-            inner.spans.close(idx, inner.epoch);
-        }
     }
 }
 
@@ -304,13 +266,12 @@ mod tests {
         rec.counter("c").add(3);
         rec.gauge("g").set(3);
         rec.histogram("h").record(3);
-        let _g = rec.span("s");
+        drop(PhaseTimer::new(&rec).start(Phase::Search));
         rec.event("e", &[("k", 1u64.into())]);
         assert!(rec.events().is_empty());
         assert_eq!(rec.render_events_jsonl(&[]), "");
         assert!(rec.snapshot().counters.is_empty());
-        assert!(rec.spans().is_empty());
-        assert_eq!(rec.render_tree(), "");
+        assert!(rec.phase_intervals().is_empty());
     }
 
     #[test]
@@ -320,29 +281,31 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_via_recorder() {
+    fn chrome_trace_renders_phases_and_events() {
         let rec = Recorder::enabled(Level::Summary);
-        {
-            let verify = rec.span("verify");
-            verify.arg_str("file", "x.ra");
-            {
-                let _classify = rec.span("classify");
-            }
-            {
-                let engine = rec.span("engine:simplified-reach");
-                engine.arg_u64("states", 12);
-            }
-        }
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[1].parent, Some(0));
-        assert_eq!(spans[2].parent, Some(0));
-        let tree = rec.render_tree();
-        assert!(tree.contains("verify"));
-        assert!(tree.contains("  classify"));
-        assert!(tree.contains("states: 12"));
-        // And the chrome trace is one valid JSON document.
-        assert!(json::parse(&rec.chrome_trace()).is_ok());
+        let engine = rec.scoped("simplified-reach/");
+        engine.event("run_start", &[]);
+        drop(PhaseTimer::new(&engine).start(Phase::Search));
+        engine.event("run_end", &[("verdict", "UNSAFE".into())]);
+        let trace = json::parse(&rec.chrome_trace()).expect("one JSON document");
+        let records: Vec<(&str, &str)> = trace
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|r| {
+                let field = |k| r.get(k).and_then(json::Value::as_str).unwrap();
+                (field("ph"), field("name"))
+            })
+            .collect();
+        assert_eq!(
+            records,
+            [
+                ("M", "process_name"),
+                ("X", "phase:search"),
+                ("i", "simplified-reach/run_start"),
+                ("i", "simplified-reach/run_end"),
+            ]
+        );
     }
 
     #[test]
@@ -381,11 +344,9 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.counters.get("engine/states"), Some(&2));
         assert_eq!(snap.counters.get("engine/sub/x"), Some(&1));
-        // Spans from scoped views land in the same store.
-        {
-            let _s = scoped.span("from-scope");
-        }
-        assert_eq!(rec.spans().len(), 1);
+        // Phases timed through scoped views land in the same store.
+        drop(PhaseTimer::new(&scoped).start(Phase::Plan));
+        assert_eq!(rec.phase_intervals().len(), 1);
         // Counter deltas isolate a prefix.
         let before = MetricsSnapshot::default();
         let deltas = snap.counter_deltas(&before, "engine/");

@@ -112,9 +112,9 @@ impl fmt::Display for SystemClass {
 pub enum Complexity {
     /// Decidable in PSPACE, with a matching lower bound (Theorems 4.1, 5.1).
     PspaceComplete,
-    /// Decidable but non-primitive-recursive (inherited from [1]).
+    /// Decidable but non-primitive-recursive (inherited from \[1\]).
     NonPrimitiveRecursive,
-    /// Undecidable (Theorem 1.1 / [1]).
+    /// Undecidable (Theorem 1.1 / \[1\]).
     Undecidable,
     /// Open problem (CAS-free threads with loops on both sides; see the
     /// paper's Conclusion).

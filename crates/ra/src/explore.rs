@@ -229,7 +229,7 @@ impl Explorer {
         }
     }
 
-    /// The same explorer reporting metrics/spans through `rec`.
+    /// The same explorer reporting metrics and phases through `rec`.
     pub fn with_recorder(mut self, rec: Recorder) -> Explorer {
         self.rec = rec;
         self
@@ -254,14 +254,9 @@ impl Explorer {
 
     /// Runs the search for `target`.
     pub fn run(&self, target: Target) -> ExploreReport {
-        let span = self.rec.span("explore.run");
         let phases = PhaseTimer::new(&self.rec);
         let _search = phases.start(Phase::Search);
-        let report = self.run_inner(target);
-        span.arg_u64("states", report.states as u64);
-        span.arg_u64("transitions", report.transitions as u64);
-        span.arg_str("outcome", &format!("{:?}", report.outcome));
-        report
+        self.run_inner(target)
     }
 
     fn run_inner(&self, target: Target) -> ExploreReport {

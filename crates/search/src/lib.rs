@@ -19,7 +19,7 @@
 //! | expand a frontier in parallel, merge in order | [`ordered_map`] |
 //! | hash-sharded visited set | [`ShardedIndex`] |
 //! | states + parents + dedup + witness unwind | [`SearchGraph`] |
-//! | race N heterogeneous jobs to the first decisive result | [`race`] |
+//! | race N heterogeneous jobs to the first decisive result | [`race()`] |
 //!
 //! The invariant every engine built on this crate maintains: **worker
 //! threads only produce per-item results; all decisions that affect the

@@ -9,7 +9,7 @@
 //! `msg'` — the multiplicity that drives the §4.3 cost function.
 //!
 //! [`DepGraph::build`] reconstructs the graph from a reachability
-//! [`Witness`](crate::reach::Witness) by re-running the saturation with
+//! [`Witness`] by re-running the saturation with
 //! provenance tracking along the witness's `dis` path.
 //! [`DepGraph::compact`] applies the two reductions behind Lemma 4.5
 //! (fan-in merging and duplicate-pair truncation on `env` nodes).

@@ -28,7 +28,7 @@
 //!   Results are committed strictly in pop order — totals, spawned-world
 //!   enqueueing, and the `Unsafe` short-circuit all replay the sequential
 //!   schedule. A world whose result a witness from an *earlier* world
-//!   would discard cancels itself ([`WaveCancel`]).
+//!   would discard cancels itself (`WaveCancel`).
 //! * **Frontier**: within a world, the BFS runs in batched rounds. Workers
 //!   expand frontier states (successor generation + saturation — the hot
 //!   part) against a frozen [`SearchGraph`]; a sequential merge then walks
@@ -208,7 +208,7 @@ impl Reachability {
         })
     }
 
-    /// The same engine reporting metrics/spans through `rec`.
+    /// The same engine reporting metrics and phases through `rec`.
     pub fn with_recorder(mut self, rec: Recorder) -> Reachability {
         self.rec = rec;
         self
@@ -243,14 +243,9 @@ impl Reachability {
 
     /// Runs the search.
     pub fn run(&self, target: SimpTarget) -> ReachReport {
-        let span = self.rec.span("reach.run");
         let phases = PhaseTimer::new(&self.rec);
         let _search = phases.start(Phase::Search);
-        let report = self.run_inner(target);
-        span.arg_u64("states", report.states as u64);
-        span.arg_u64("worlds", report.worlds as u64);
-        span.arg_str("outcome", &format!("{:?}", report.outcome));
-        report
+        self.run_inner(target)
     }
 
     fn run_inner(&self, target: SimpTarget) -> ReachReport {

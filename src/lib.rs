@@ -21,7 +21,7 @@
 //! | [`core`] | the verifier: `makeP` encoding and engine orchestration (Section 4) |
 //! | [`qbf`] | QBF and the Figure 6 TQBF→PureRA reduction (Section 5) |
 //! | [`litmus`] | the benchmark programs the paper classifies |
-//! | [`obs`] | zero-dependency metrics, spans, Chrome-trace emission, flight-recorder events |
+//! | [`obs`] | zero-dependency metrics, phase timing, Chrome-trace emission, flight-recorder events |
 //! | [`search`] | deterministic parallel-search layer shared by the state-space engines |
 //! | [`fuzz`] | differential fuzzing: system generator, cross-engine oracles, shrinker, corpus |
 //! | [`limits`] | resource governance: deadlines, memory budgets, cooperative cancellation |

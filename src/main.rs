@@ -45,9 +45,11 @@
 //! JSON line per input, so one pathological system cannot starve or
 //! crash the rest of the batch.
 //!
-//! Observability: `--stats` prints the span tree plus metric totals to
-//! stderr after the run; `--trace-out FILE` writes a Chrome-trace JSON
-//! (load it in `chrome://tracing` or Perfetto); `--json` prints each
+//! Observability: `--stats` prints the metric totals, phase times
+//! (`{scope}phase/*_us`) included, to stderr after the run;
+//! `--trace-out FILE` writes a Chrome-trace JSON of the timed phases and
+//! the flight-recorder events (load it in `chrome://tracing` or
+//! Perfetto); `--json` prints each
 //! engine's structured [`RunReport`](parra::core::verify::RunReport) as
 //! one JSON object per line on stdout instead of the human-readable
 //! report; `--events-out FILE` writes the schema-versioned
@@ -60,7 +62,7 @@
 
 use parra::core::verify::{selection_from_label, selection_label};
 use parra::limits::{parse_byte_size, TrackingAlloc};
-use parra::obs::{Level, Phase, PhaseTimer, Recorder};
+use parra::obs::{Level, Recorder};
 use parra::prelude::*;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -463,14 +465,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
 
     // The recorder exists before the input does, so loading gets its own
     // phase attribution.
-    let sys = {
-        let phases = PhaseTimer::new(&rec);
-        let _parse = phases.start(Phase::Parse);
-        load(input)?
-    };
-
-    let verifier =
-        Verifier::new_with_recorder(&sys, options, rec.clone()).map_err(|e| e.to_string())?;
+    let verifier = Verifier::parse_and_prepare(|| load(input), options, rec.clone())?;
 
     let concretize = args.has("--concretize");
     let (results, race_meta) = if args.has("--race") {
@@ -555,10 +550,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if stats_flag {
-        let tree = rec.render_tree();
-        if !tree.is_empty() {
-            eprint!("{tree}");
-        }
+        // The `{scope}phase/*_us` counters are the phase table.
         let snap = rec.snapshot();
         for (name, v) in &snap.counters {
             eprintln!("  {name} = {v}");

@@ -124,11 +124,19 @@ fn flag_values_are_not_mistaken_for_the_input_path() {
     );
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     let events = json::parse(&text).expect("chrome trace is valid JSON");
-    assert!(events
+    let names: Vec<&str> = events
         .as_arr()
         .unwrap()
         .iter()
-        .any(|e| { e.get("name").and_then(|n| n.as_str()) == Some("engine:simplified-reach") }));
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+        .collect();
+    for want in [
+        "phase:search",
+        "simplified-reach/run_start",
+        "simplified-reach/run_end",
+    ] {
+        assert!(names.contains(&want), "{want} missing from {names:?}");
+    }
     std::fs::remove_file(&trace).ok();
 
     // A missing input still errors out cleanly.
@@ -522,15 +530,20 @@ fn fuzz_timeout_stops_the_run() {
 }
 
 #[test]
-fn stats_flag_prints_span_tree_and_metrics() {
+fn stats_flag_prints_phase_table_and_metrics() {
     let out = Command::new(BIN)
         .args(["verify", "--stats", &example("handshake.ra")])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("engine:simplified-reach"), "stderr: {err}");
-    assert!(err.contains("reach.run"), "stderr: {err}");
+    for phase in [
+        "  phase/parse_us = ",
+        "  phase/plan_us = ",
+        "  simplified-reach/phase/search_us = ",
+    ] {
+        assert!(err.contains(phase), "stderr: {err}");
+    }
     assert!(
         err.contains("simplified-reach/worlds_explored"),
         "stderr: {err}"

@@ -121,67 +121,74 @@ fn check_schema_rejects_malformed_lines_with_location() {
     assert!(stderr.contains(":2:"), "error should name line 2: {stderr}");
 }
 
-#[test]
-fn trace_out_is_a_valid_chrome_trace() {
-    let _serial = serial();
-    let input = example("barrier.ra");
-    let path = tmp("trace.json");
+/// Runs `verify --trace-out` and returns the `(ph, name)` of every
+/// record, after checking each record's shape: `X` phase blocks carry a
+/// duration, a thread and their scope; `i` event instants are
+/// process-scoped.
+fn trace_records(engine: &str, input: &str) -> Vec<(String, String)> {
+    let path = tmp(&format!("trace_{engine}.json"));
     run_ok(
         &[
             "verify",
             "--engine",
-            "simplified",
+            engine,
             "--trace-out",
             path.to_str().unwrap(),
-            &input,
+            &example(input),
         ],
         &[0, 1],
     );
     let text = std::fs::read_to_string(&path).expect("trace written");
     let v = json::parse(text.trim()).expect("trace file is one JSON array");
-    let events = v.as_arr().expect("top level is an array");
-    assert!(!events.is_empty());
+    let records = v.as_arr().expect("top level is an array");
+    let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).map(str::to_string);
+    records
+        .iter()
+        .map(|e| {
+            let ph = field(e, "ph").expect("ph field");
+            let name = field(e, "name").expect("name field");
+            let num = |k: &str| e.get(k).and_then(Value::as_u64);
+            match ph.as_str() {
+                "M" => {}
+                "X" => {
+                    assert!(name.starts_with("phase:"), "X record `{name}`");
+                    assert!(num("ts").is_some() && num("dur").is_some(), "{name}");
+                    assert!(num("tid").is_some(), "{name} has no tid");
+                    let scope = e.get("args").and_then(|a| a.get("scope"));
+                    assert!(scope.and_then(Value::as_str).is_some(), "{name}");
+                }
+                "i" => {
+                    assert!(num("ts").is_some(), "{name} has no ts");
+                    assert_eq!(field(e, "s").as_deref(), Some("p"), "{name}");
+                }
+                other => panic!("unexpected record kind `{other}` ({name})"),
+            }
+            (ph, name)
+        })
+        .collect()
+}
 
-    // Every B must close with an E on the same tid, stack-ordered, with
-    // non-decreasing timestamps; the file must contain at least the
-    // verify span.
-    use std::collections::HashMap;
-    let mut stacks: HashMap<u64, Vec<(String, u64)>> = HashMap::new();
-    let mut names = Vec::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Value::as_str).expect("ph field");
-        if ph != "B" && ph != "E" {
-            continue; // metadata (M) and counter (C) events
-        }
-        let tid = e.get("tid").and_then(Value::as_u64).expect("tid field");
-        let ts = e.get("ts").and_then(Value::as_u64).expect("ts field");
-        let name = e
-            .get("name")
-            .and_then(Value::as_str)
-            .expect("name field")
-            .to_string();
-        let stack = stacks.entry(tid).or_default();
-        if ph == "B" {
-            names.push(name.clone());
-            stack.push((name, ts));
-        } else {
-            let (open, start) = stack
-                .pop()
-                .unwrap_or_else(|| panic!("E for `{name}` on tid {tid} without a matching B"));
-            assert_eq!(open, name, "E closes a different span than the open B");
-            assert!(start <= ts, "span `{name}` ends before it starts");
-        }
+#[test]
+fn trace_out_is_a_valid_chrome_trace() {
+    let _serial = serial();
+    let datalog = trace_records("cache-datalog", "handshake.ra");
+    for (ph, name) in [
+        ("X", "phase:parse"),
+        ("X", "phase:plan"),
+        ("X", "phase:guess"),
+        ("X", "phase:witness_replay"),
+        ("i", "cache-datalog/run_start"),
+        ("i", "cache-datalog/run_end"),
+    ] {
+        assert!(
+            datalog.iter().any(|r| r.0 == ph && r.1 == name),
+            "cache-datalog trace has no {ph} `{name}`: {datalog:?}"
+        );
     }
-    for (tid, stack) in &stacks {
-        assert!(stack.is_empty(), "tid {tid} has unclosed spans: {stack:?}");
-    }
+    let reach = trace_records("simplified", "barrier.ra");
     assert!(
-        names.iter().any(|n| n == "engine:simplified-reach"),
-        "trace has no engine span: {names:?}"
-    );
-    assert!(
-        names.iter().any(|n| n.starts_with("phase:")),
-        "trace has no phase spans: {names:?}"
+        reach.iter().any(|r| r.0 == "X" && r.1 == "phase:search"),
+        "simplified-reach trace has no search phase: {reach:?}"
     );
 }
 
@@ -264,14 +271,12 @@ fn json_report_carries_phases_and_percentiles() {
         .get("phases")
         .and_then(Value::as_obj)
         .expect("report has a phases object");
-    assert!(
-        phases.iter().any(|(k, _)| k == "plan"),
-        "phases missing `plan`: {phases:?}"
-    );
-    assert!(
-        phases.iter().any(|(k, _)| k == "fixpoint"),
-        "phases missing `fixpoint`: {phases:?}"
-    );
+    for phase in ["parse", "plan", "guess", "fixpoint"] {
+        assert!(
+            phases.iter().any(|(k, _)| k == phase),
+            "phases missing `{phase}`: {phases:?}"
+        );
+    }
     // Every histogram in the report exposes quantile estimates.
     let hists = v.get("histograms").and_then(Value::as_obj);
     if let Some(hists) = hists {
