@@ -22,7 +22,10 @@ use std::process::ExitCode;
 
 /// The litmus subset: every benchmark where the Datalog engines do real
 /// work (unsafe ones walk the guess fleet to a winner and extract the
-/// witness; the safe ones saturate every guess).
+/// witness; the safe ones evaluate their whole fleet). `barrier`, `lb`
+/// and `spinlock-cas` are SAFE multi-guess fleets: at one thread their
+/// summed counters cover every guess evaluated, so the gate pins the
+/// SAFE path exactly.
 const BENCHES: &[&str] = &[
     "producer-consumer",
     "peterson-ra",
@@ -33,6 +36,9 @@ const BENCHES: &[&str] = &[
     "sb",
     "iriw",
     "corr-parameterized",
+    "barrier",
+    "lb",
+    "spinlock-cas",
 ];
 
 const ENGINES: [EngineId; 1] = [EngineId::CacheDatalog];
