@@ -22,7 +22,7 @@ use parra_program::pretty::system_to_string;
 use parra_program::system::ParamSystem;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
@@ -95,12 +95,7 @@ impl VerifierCache {
         rec: Recorder,
     ) -> Result<(Verifier, bool), VerifierError> {
         let key = content_hash(&[&system_to_string(sys), &options.fingerprint()]);
-        if let Some(prepared) = self
-            .entries
-            .lock()
-            .expect("verifier cache poisoned")
-            .get(&key)
-        {
+        if let Some(prepared) = self.entries().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((prepared.rescoped(options, rec), true));
         }
@@ -111,11 +106,23 @@ impl VerifierCache {
         let prepared = Verifier::new_with_recorder(sys, options.clone(), rec.clone())?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         let scoped = prepared.rescoped(options, rec);
-        self.entries
-            .lock()
-            .expect("verifier cache poisoned")
-            .insert(key, prepared);
+        self.entries().insert(key, prepared);
         Ok((scoped, false))
+    }
+
+    /// The locked entries.
+    ///
+    /// A panic while the lock was held poisons it; prepared verifiers
+    /// are a pure memo, so the cache is then reset to empty and the
+    /// poison cleared rather than failing every later request of a
+    /// long-lived host.
+    fn entries(&self) -> MutexGuard<'_, HashMap<String, Verifier>> {
+        self.entries.lock().unwrap_or_else(|poisoned| {
+            let mut entries = poisoned.into_inner();
+            entries.clear();
+            self.entries.clear_poison();
+            entries
+        })
     }
 
     /// Cache hits so far.
@@ -130,7 +137,7 @@ impl VerifierCache {
 
     /// Number of prepared verifiers currently held.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("verifier cache poisoned").len()
+        self.entries().len()
     }
 
     /// Whether the cache holds no entries.
@@ -272,5 +279,29 @@ mod tests {
             .get_or_prepare(&sys, opts, Recorder::disabled())
             .expect("prepare with unroll");
         assert!(!was_cached);
+    }
+
+    #[test]
+    fn a_poisoned_lock_resets_the_cache_instead_of_panicking() {
+        let cache = VerifierCache::new();
+        let sys = handshake(true);
+        cache
+            .get_or_prepare(&sys, VerifierOptions::default(), Recorder::disabled())
+            .expect("prepare");
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = cache.entries.lock().unwrap();
+                panic!("poison the verifier cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.entries.is_poisoned());
+        let (_, was_cached) = cache
+            .get_or_prepare(&sys, VerifierOptions::default(), Recorder::disabled())
+            .expect("a poisoned cache still serves");
+        assert!(!was_cached, "the reset cache must miss");
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.len(), 1);
+        assert!(!cache.entries.is_poisoned());
     }
 }

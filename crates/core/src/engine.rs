@@ -305,12 +305,16 @@ pub fn injected(var: &str, name: &str) -> Option<String> {
 
 /// Aggregate outcome of the Datalog guess fleet.
 struct FleetOutcome {
-    /// Max rule count over the evaluated guess programs.
+    /// Max rule count over the evaluated programs, the union included.
     rules: usize,
-    /// Max derived-atom count over the evaluated guess databases.
+    /// Max derived-atom count over the evaluated databases, the union
+    /// included.
     atoms: usize,
     /// Lowest-index guess whose query derived the goal.
     winner: Option<usize>,
+    /// The union program reached its fixpoint without the goal, which
+    /// settles the fleet as safe.
+    union_settled: bool,
     /// Set when the governor stopped any worker or evaluation before
     /// every guess completed; "no winner" is then inconclusive.
     interrupted: Option<InterruptReason>,
@@ -393,6 +397,12 @@ impl Verifier {
     /// Returns the max program/database sizes seen and the lowest-index
     /// winning guess (`None` means every query completed without the
     /// goal: `Safe`).
+    ///
+    /// A fleet of two or more guesses also evaluates the union program
+    /// `U` ([`MakeP::union_program`]), queued right after guess 0: guess
+    /// 0, `U`, guess 1, guess 2, …. If `U` completes without the goal, no
+    /// guess derives it, so the fleet stops and is safe. Otherwise the
+    /// fleet runs on; `U` never makes a winner.
     fn datalog_fleet(
         &self,
         rec: &Recorder,
@@ -402,25 +412,30 @@ impl Verifier {
         cache: &SharedPlanCache,
         gov: &ResourceBudget,
     ) -> FleetOutcome {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
         let n_workers = self.options.threads.max(1);
         // With a single guess there is no fleet to parallelize; hand the
         // thread budget to the evaluator's delta batches instead.
         let eval_threads = if guesses.len() <= 1 { n_workers } else { 1 };
-        let found = std::sync::atomic::AtomicBool::new(false);
-        let next = std::sync::atomic::AtomicUsize::new(0);
         let n_guesses = guesses.len();
+        let with_union = n_guesses >= 2;
+        let n_items = n_guesses + usize::from(with_union);
+        // Set by a winning guess or by a settling union: stop the fleet.
+        let stop = AtomicBool::new(false);
+        let next = AtomicUsize::new(0);
         let interrupted: std::sync::Mutex<Option<InterruptReason>> = std::sync::Mutex::new(None);
-        // Per-guess records: (guess index, rules, atoms, derived goal).
-        let records: Vec<(usize, usize, usize, bool)> = std::thread::scope(|scope| {
+        // Per-program records: (guess index, or `None` for the union;
+        // rules, atoms, derived goal). An interrupted union leaves none.
+        let records: Vec<(Option<usize>, usize, usize, bool)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_workers)
                 .map(|_| {
-                    let found = &found;
+                    let stop = &stop;
                     let next = &next;
                     let interrupted = &interrupted;
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         loop {
-                            if found.load(std::sync::atomic::Ordering::Relaxed) {
+                            if stop.load(Relaxed) {
                                 break;
                             }
                             // Round granularity for the fleet is one guess;
@@ -431,11 +446,19 @@ impl Verifier {
                                 slot.get_or_insert(reason);
                                 break;
                             }
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= guesses.len() {
+                            let item = next.fetch_add(1, Relaxed);
+                            if item >= n_items {
                                 break;
                             }
-                            let (prog, goal) = mk.program(&guesses[i], target);
+                            let guess = match item {
+                                1 if with_union => None,
+                                0 => Some(0),
+                                _ => Some(item - usize::from(with_union)),
+                            };
+                            let (prog, goal) = match guess {
+                                Some(i) => mk.program(&guesses[i], target),
+                                None => mk.union_program(guesses, target),
+                            };
                             // Guess programs share rule lists; the cache
                             // hands every worker the same plan after the
                             // first computes it.
@@ -450,6 +473,20 @@ impl Verifier {
                                 .with_governor(gov.clone())
                                 .run_until(Some(&goal));
                             let won = db.contains(&goal);
+                            let record = (guess, prog.rules().len(), db.len(), won);
+                            if guess.is_none() {
+                                // A partial union database proves nothing;
+                                // the guesses after it check the governor
+                                // themselves.
+                                if db.interrupted().is_none() {
+                                    local.push(record);
+                                    if !won {
+                                        stop.store(true, Relaxed);
+                                        break;
+                                    }
+                                }
+                                continue;
+                            }
                             if let Some(reason) = db.interrupted() {
                                 // The partial database is a sound under-
                                 // approximation: "goal not derived" proves
@@ -460,9 +497,9 @@ impl Verifier {
                                     break;
                                 }
                             }
-                            local.push((i, prog.rules().len(), db.len(), won));
+                            local.push(record);
                             if won {
-                                found.store(true, std::sync::atomic::Ordering::Relaxed);
+                                stop.store(true, Relaxed);
                                 break;
                             }
                         }
@@ -479,19 +516,23 @@ impl Verifier {
             rules: 0,
             atoms: 0,
             winner: None,
+            union_settled: false,
             interrupted: interrupted.into_inner().expect("interrupt slot poisoned"),
         };
-        for &(i, rules, atoms, won) in &records {
+        for &(guess, rules, atoms, won) in &records {
             out.rules = out.rules.max(rules);
             out.atoms = out.atoms.max(atoms);
-            if won {
-                out.winner = Some(out.winner.map_or(i, |w: usize| w.min(i)));
+            match (guess, won) {
+                (Some(i), true) => out.winner = Some(out.winner.map_or(i, |w: usize| w.min(i))),
+                (None, false) => out.union_settled = true,
+                _ => {}
             }
         }
         if rec.is_enabled() {
             // Which guesses got evaluated (and so the maxima, and even the
             // winning index when several guesses win) depends on worker
-            // timing — everything but the guess count is volatile.
+            // timing — everything but the guess count and whether the
+            // union settled the fleet is volatile.
             let mut vol: Vec<(&str, u64)> = vec![
                 ("rules_max", out.rules as u64),
                 ("atoms_max", out.atoms as u64),
@@ -499,7 +540,11 @@ impl Verifier {
             if let Some(w) = out.winner {
                 vol.push(("winner", w as u64));
             }
-            rec.event_with("fleet", &[("n_guesses", n_guesses.into())], &vol);
+            let mut fields = vec![("n_guesses", n_guesses.into())];
+            if with_union {
+                fields.push(("union_settled", u64::from(out.union_settled).into()));
+            }
+            rec.event_with("fleet", &fields, &vol);
         }
         out
     }

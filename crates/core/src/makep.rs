@@ -49,7 +49,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 /// How a guessed CAS obtains its loaded message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CasRead {
     /// Reads an integer-timestamped message (initial or `dis`) at slot
     /// `store_slot - 1`; the gap in between is closed for `env` stores.
@@ -60,7 +60,7 @@ pub enum CasRead {
 }
 
 /// One step of a guessed `dis` run skeleton.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DisStepGuess {
     /// The CFA edge taken.
     pub edge: usize,
@@ -439,13 +439,7 @@ impl<'s> MakeP<'s> {
             "a guess has one skeleton per dis thread"
         );
         let tpl = &self.tpl;
-        let mut enc = Encoder {
-            sys: self.sys,
-            syms: &tpl.syms,
-            base: Some(&tpl.preds),
-            preds: PredMaps::default(),
-            prog: tpl.head.clone(),
-        };
+        let mut enc = self.encoder();
         // Segment B: every candidate gap minus those this guess closes.
         let closed = closed_gaps(self.sys, guess);
         for (facts, closed_x) in tpl.gapstore.iter().zip(&closed) {
@@ -461,8 +455,68 @@ impl<'s> MakeP<'s> {
             .extend_shared(&tpl.env)
             .expect("env rules fit the registry");
         enc.emit_dis_rules(guess);
-        enc.emit_goal_rules(guess, target, &tpl.env_asserts);
+        enc.emit_goal_rules(target, &tpl.env_asserts, assert_positions(self.sys, guess));
         (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
+    }
+
+    /// The union `U` of the programs of `guesses`, matched up by
+    /// predicate key: the template's segments A and C, every candidate
+    /// segment-B fact, the rules of each distinct `dis` step, and the
+    /// goal rules once.
+    ///
+    /// Every guess program embeds rule for rule into `U`, and positive
+    /// Datalog is monotone, so `U ⊬ goal` proves that no guess derives
+    /// the goal (Lemma 4.3: the fleet is safe). `U ⊢ goal` proves
+    /// nothing: `U` conflates mutually exclusive `dis` executions.
+    ///
+    /// A step's rules depend only on its thread, position, guessed step
+    /// and the register valuation before it, so steps are deduplicated
+    /// on that key before any rule is encoded.
+    ///
+    /// # Panics
+    ///
+    /// As [`MakeP::program`], for every guess.
+    pub fn union_program(&self, guesses: &[Guess], target: DatalogTarget) -> (Program, GroundAtom) {
+        let tpl = &self.tpl;
+        let mut enc = self.encoder();
+        for facts in &tpl.gapstore {
+            enc.prog
+                .extend_shared(facts.iter().map(|(_, fact)| fact))
+                .expect("gapstore facts fit the registry");
+        }
+        enc.prog
+            .extend_shared(&tpl.env)
+            .expect("env rules fit the registry");
+        let mut seen = HashSet::new();
+        let mut asserts = BTreeSet::new();
+        for guess in guesses {
+            assert_eq!(
+                guess.dis.len(),
+                self.sys.dis.len(),
+                "a guess has one skeleton per dis thread"
+            );
+            for (ti, skel) in guess.dis.iter().enumerate() {
+                walk_dis(self.sys, ti, skel, |pos, step, rv| {
+                    if seen.insert((ti, pos, step, rv.clone())) {
+                        enc.emit_dis_step(ti, pos, step, rv);
+                    }
+                });
+            }
+            asserts.extend(assert_positions(self.sys, guess));
+        }
+        enc.emit_goal_rules(target, &tpl.env_asserts, asserts);
+        (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
+    }
+
+    /// An encoder on top of the template: its registry and segment A.
+    fn encoder(&self) -> Encoder<'_> {
+        Encoder {
+            sys: self.sys,
+            syms: &self.tpl.syms,
+            base: Some(&self.tpl.preds),
+            preds: PredMaps::default(),
+            prog: self.tpl.head.clone(),
+        }
     }
 
     /// The extensional (side-condition) predicates of a generated program —
@@ -662,8 +716,47 @@ fn closed_gaps(sys: &ParamSystem, guess: &Guess) -> Vec<Vec<u32>> {
     closed
 }
 
-/// Emits rules into one program: the template's segments A and C, or one
-/// guess's segment D on top of the template.
+/// Calls `f(pos, step, rv)` along thread `ti`'s skeleton, where `rv` is
+/// the register valuation before the step.
+fn walk_dis<'g>(
+    sys: &ParamSystem,
+    ti: usize,
+    skel: &'g DisGuess,
+    mut f: impl FnMut(usize, &'g DisStepGuess, &RegVal),
+) {
+    let cfa = sys.dis[ti].cfa();
+    let mut rv = RegVal::new(sys.dis[ti].n_regs() as usize);
+    for (pos, step) in skel.steps.iter().enumerate() {
+        f(pos, step, &rv);
+        match &cfa.edges()[step.edge].instr {
+            Instr::Assign(r, e) => {
+                let d = e.eval(&rv, sys.dom);
+                rv.set(*r, d);
+            }
+            Instr::Load(r, _) => rv.set(*r, step.loaded.expect("load step carries a value")),
+            _ => {}
+        }
+    }
+}
+
+/// The `(thread, position)` of each `assert false` step of `guess`, in
+/// order.
+fn assert_positions<'g>(
+    sys: &'g ParamSystem,
+    guess: &'g Guess,
+) -> impl Iterator<Item = (usize, usize)> + 'g {
+    guess.dis.iter().enumerate().flat_map(move |(ti, skel)| {
+        let edges = sys.dis[ti].cfa().edges();
+        skel.steps
+            .iter()
+            .enumerate()
+            .filter(move |(_, step)| matches!(edges[step.edge].instr, Instr::AssertFalse))
+            .map(move |(pos, _)| (ti, pos))
+    })
+}
+
+/// Emits rules into one program: the template's segments A and C, or
+/// segment D on top of the template.
 struct Encoder<'a> {
     sys: &'a ParamSystem,
     syms: &'a Symbols,
@@ -882,55 +975,51 @@ impl Encoder<'_> {
     /// Dis rules along the guessed skeletons.
     fn emit_dis_rules(&mut self, guess: &Guess) {
         let sys = self.sys;
-        let dom = sys.dom;
         for (ti, skel) in guess.dis.iter().enumerate() {
-            let cfa = sys.dis[ti].cfa_arc();
-            let mut rv = RegVal::new(sys.dis[ti].n_regs() as usize);
-            for (pos, step) in skel.steps.iter().enumerate() {
-                let src = self.dtp_pred(ti, pos);
-                let dst = self.dtp_pred(ti, pos + 1);
-                let src_atom = Atom::new(src, self.vvec(0));
-                let edge = &cfa.edges()[step.edge];
-                match &edge.instr {
-                    Instr::Skip | Instr::AssertFalse => {
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Assume(e) => {
-                        debug_assert!(e.eval(&rv, dom).as_bool());
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Assign(r, e) => {
-                        rv.set(*r, e.eval(&rv, dom));
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Load(r, x) => {
-                        let d = step.loaded.expect("load step carries a value");
-                        self.emit_load_rules(src_atom, dst, *x, d);
-                        rv.set(*r, d);
-                    }
-                    Instr::Store(x, e) => {
-                        let d = e.eval(&rv, dom);
-                        let slot = step.slot.expect("store step carries a slot");
-                        self.emit_dis_store_rules(src_atom, dst, *x, d, slot);
-                    }
-                    Instr::Cas(x, e1, e2) => {
-                        let d1 = e1.eval(&rv, dom);
-                        debug_assert_eq!(step.loaded, Some(d1));
-                        let d2 = e2.eval(&rv, dom);
-                        let slot = step.slot.expect("cas step carries a slot");
-                        let read = step.cas_read.expect("cas step carries a read kind");
-                        self.emit_dis_cas_rules(src_atom, dst, *x, d1, d2, slot, read);
-                    }
-                }
+            walk_dis(sys, ti, skel, |pos, step, rv| {
+                self.emit_dis_step(ti, pos, step, rv)
+            });
+        }
+    }
+
+    /// The rules of thread `ti`'s step from position `pos`, taken under
+    /// register valuation `rv`.
+    fn emit_dis_step(&mut self, ti: usize, pos: usize, step: &DisStepGuess, rv: &RegVal) {
+        let sys = self.sys;
+        let dom = sys.dom;
+        let src = self.dtp_pred(ti, pos);
+        let dst = self.dtp_pred(ti, pos + 1);
+        let src_atom = Atom::new(src, self.vvec(0));
+        match &sys.dis[ti].cfa().edges()[step.edge].instr {
+            Instr::Skip | Instr::AssertFalse | Instr::Assign(..) => {
+                let v = self.vvec(0);
+                self.prog
+                    .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
+                    .unwrap();
+            }
+            Instr::Assume(e) => {
+                debug_assert!(e.eval(rv, dom).as_bool());
+                let v = self.vvec(0);
+                self.prog
+                    .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
+                    .unwrap();
+            }
+            Instr::Load(_, x) => {
+                let d = step.loaded.expect("load step carries a value");
+                self.emit_load_rules(src_atom, dst, *x, d);
+            }
+            Instr::Store(x, e) => {
+                let d = e.eval(rv, dom);
+                let slot = step.slot.expect("store step carries a slot");
+                self.emit_dis_store_rules(src_atom, dst, *x, d, slot);
+            }
+            Instr::Cas(x, e1, e2) => {
+                let d1 = e1.eval(rv, dom);
+                debug_assert_eq!(step.loaded, Some(d1));
+                let d2 = e2.eval(rv, dom);
+                let slot = step.slot.expect("cas step carries a slot");
+                let read = step.cas_read.expect("cas step carries a read kind");
+                self.emit_dis_cas_rules(src_atom, dst, *x, d1, d2, slot, read);
             }
         }
     }
@@ -1016,8 +1105,14 @@ impl Encoder<'_> {
         self.prog.rule(Atom::new(dst, head_view), body).unwrap();
     }
 
-    /// Goal rules per target.
-    fn emit_goal_rules(&mut self, guess: &Guess, target: DatalogTarget, env_asserts: &[PredId]) {
+    /// Goal rules per target; `dis_asserts` are the `(thread, position)`
+    /// of the `dis` assert steps.
+    fn emit_goal_rules(
+        &mut self,
+        target: DatalogTarget,
+        env_asserts: &[PredId],
+        dis_asserts: impl IntoIterator<Item = (usize, usize)>,
+    ) {
         let goal = self.syms.goal;
         match target {
             DatalogTarget::MessageGenerated(x, d) => {
@@ -1044,17 +1139,12 @@ impl Encoder<'_> {
                         .unwrap();
                 }
                 // dis asserts: positions whose next edge is an assert.
-                for (ti, skel) in guess.dis.iter().enumerate() {
-                    let cfa = self.sys.dis[ti].cfa_arc();
-                    for (pos, step) in skel.steps.iter().enumerate() {
-                        if matches!(cfa.edges()[step.edge].instr, Instr::AssertFalse) {
-                            let p = self.dtp_pred(ti, pos);
-                            let v = self.vvec(0);
-                            self.prog
-                                .rule(Atom::new(goal, vec![]), vec![Atom::new(p, v)])
-                                .unwrap();
-                        }
-                    }
+                for (ti, pos) in dis_asserts {
+                    let p = self.dtp_pred(ti, pos);
+                    let v = self.vvec(0);
+                    self.prog
+                        .rule(Atom::new(goal, vec![]), vec![Atom::new(p, v)])
+                        .unwrap();
                 }
             }
         }
@@ -1120,11 +1210,15 @@ mod tests {
         let budget = Budget::exact(&sys).unwrap();
         let mk = MakeP::new(&sys, budget, MakePLimits::default()).unwrap();
         let target = DatalogTarget::MessageGenerated(goal_var, Val(1));
-        let proved = mk.guesses().unwrap().iter().any(|g| {
+        let guesses = mk.guesses().unwrap();
+        let proved = guesses.iter().any(|g| {
             let (prog, goal) = mk.program(g, target);
             Evaluator::new(&prog).query(&goal)
         });
         assert!(proved);
+        // The union over-approximates the fleet, so it derives the goal too.
+        let (union, goal) = mk.union_program(&guesses, target);
+        assert!(Evaluator::new(&union).query(&goal));
     }
 
     #[test]
@@ -1147,11 +1241,18 @@ mod tests {
         let budget = Budget::exact(&sys).unwrap();
         let mk = MakeP::new(&sys, budget, MakePLimits::default()).unwrap();
         let target = DatalogTarget::MessageGenerated(goal, Val(1));
-        let proved = mk.guesses().unwrap().iter().any(|g| {
+        let guesses = mk.guesses().unwrap();
+        assert!(guesses.len() >= 2);
+        let proved = guesses.iter().any(|g| {
             let (prog, goal) = mk.program(g, target);
             Evaluator::new(&prog).query(&goal)
         });
         assert!(!proved);
+        // `dtp` predicates key on the position alone, so the union joins
+        // the load-0 guess's first step to the load-1 guess's rest and
+        // derives the goal: `U ⊢ goal` proves nothing.
+        let (union, goal) = mk.union_program(&guesses, target);
+        assert!(Evaluator::new(&union).query(&goal));
     }
 
     #[test]

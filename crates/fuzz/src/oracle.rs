@@ -10,13 +10,14 @@
 //! | [`Monotonicity`] | verdicts persist under larger `max_states` / deeper unrolling | search soundness |
 //! | [`EvalAgree`] | indexed Datalog evaluator ≡ naive reference on `makeP` outputs | evaluator substrate |
 //! | [`ServeRoundTrip`] | every serve frame — mangled or not — gets one structured response; served verdicts match direct runs | §7i protocol totality |
+//! | [`UnionOverapprox`] | the union program over-approximates every guess: `U ⊬ goal` ⇒ no guess derives it; guess models ⊆ `U`'s | Lemma 4.3, monotonicity |
 //!
 //! An oracle returns [`OracleOutcome::Skip`] when the system is outside
 //! its preconditions (undecidable class, truncated search, no target) —
 //! a skip is not a pass, and the fuzz summary counts them separately.
 
 use crate::gen::GenConfig;
-use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
+use parra_core::makep::{DatalogTarget, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
 use parra_datalog::{Evaluator, NaiveEvaluator};
 use parra_program::parser::parse_system;
@@ -76,6 +77,7 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
         Box::new(Monotonicity),
         Box::new(EvalAgree),
         Box::new(ServeRoundTrip),
+        Box::new(UnionOverapprox),
     ]
 }
 
@@ -497,61 +499,74 @@ impl Oracle for EvalAgree {
     }
 
     fn check(&self, sys: &ParamSystem) -> OracleOutcome {
-        if sys.dom.size() < 2 {
-            return OracleOutcome::Skip("goal transformation needs |Dom| >= 2".into());
-        }
-        // Resolve the goal message exactly as `Equivalence` does.
-        let (sys, goal_var, goal_val) =
-            if sys.env.com().has_assert() || sys.dis.iter().any(|p| p.com().has_assert()) {
-                let g = transform::assert_to_goal(sys);
-                (g.system, g.goal_var, g.goal_val)
-            } else if let Some(i) = sys.vars.lookup("goal") {
-                (sys.clone(), parra_program::ident::VarId(i), Val(1))
-            } else {
-                return OracleOutcome::Skip("no assert and no `goal` variable to target".into());
-            };
-        let budget = match Budget::exact(&sys) {
-            Some(b) => b,
-            None => return OracleOutcome::Skip("dis threads have loops (no exact budget)".into()),
-        };
-        let mk = match MakeP::new(&sys, budget, MakePLimits::default()) {
-            Ok(mk) => mk,
-            Err(e) => return OracleOutcome::Skip(format!("makeP not applicable: {e}")),
-        };
-        let guesses = match mk.guesses() {
-            Ok(g) => g,
-            Err(e) => return OracleOutcome::Skip(format!("guess enumeration failed: {e}")),
-        };
-        let target = DatalogTarget::MessageGenerated(goal_var, goal_val);
-        for (gi, guess) in guesses.iter().take(EVAL_AGREE_MAX_GUESSES).enumerate() {
-            let (prog, goal) = mk.program(guess, target);
-            // Full least models (no early exit), so the comparison covers
-            // every derivation path, not just the goal cone.
-            let fast = Evaluator::new(&prog).run();
-            let slow = NaiveEvaluator::new(&prog).run();
-            let fast_set: std::collections::HashSet<_> = fast.iter().collect();
-            let slow_set: std::collections::HashSet<_> = slow.atoms().iter().cloned().collect();
-            if fast_set != slow_set {
-                let missing = slow_set.difference(&fast_set).next();
-                let extra = fast_set.difference(&slow_set).next();
-                return OracleOutcome::Fail(format!(
-                    "guess {gi}: indexed evaluator derived {} atoms, naive reference \
-                     {}; first missing: {}; first extra: {}",
-                    fast_set.len(),
-                    slow_set.len(),
-                    missing.map_or("none".into(), |a| prog.display_ground(a)),
-                    extra.map_or("none".into(), |a| prog.display_ground(a)),
-                ));
+        with_makep_fleet(sys, |mk, guesses, target| {
+            for (gi, guess) in guesses.iter().take(EVAL_AGREE_MAX_GUESSES).enumerate() {
+                let (prog, goal) = mk.program(guess, target);
+                // Full least models (no early exit), so the comparison covers
+                // every derivation path, not just the goal cone.
+                let fast = Evaluator::new(&prog).run();
+                let slow = NaiveEvaluator::new(&prog).run();
+                let fast_set: std::collections::HashSet<_> = fast.iter().collect();
+                let slow_set: std::collections::HashSet<_> = slow.atoms().iter().cloned().collect();
+                if fast_set != slow_set {
+                    let missing = slow_set.difference(&fast_set).next();
+                    let extra = fast_set.difference(&slow_set).next();
+                    return OracleOutcome::Fail(format!(
+                        "guess {gi}: indexed evaluator derived {} atoms, naive reference \
+                         {}; first missing: {}; first extra: {}",
+                        fast_set.len(),
+                        slow_set.len(),
+                        missing.map_or("none".into(), |a| prog.display_ground(a)),
+                        extra.map_or("none".into(), |a| prog.display_ground(a)),
+                    ));
+                }
+                if fast.contains(&goal) != slow.contains(&goal) {
+                    return OracleOutcome::Fail(format!(
+                        "guess {gi}: evaluators disagree on the goal {}",
+                        prog.display_ground(&goal)
+                    ));
+                }
             }
-            if fast.contains(&goal) != slow.contains(&goal) {
-                return OracleOutcome::Fail(format!(
-                    "guess {gi}: evaluators disagree on the goal {}",
-                    prog.display_ground(&goal)
-                ));
-            }
-        }
-        OracleOutcome::Pass
+            OracleOutcome::Pass
+        })
     }
+}
+
+/// Runs `f` on the `makeP` encoder, guess fleet and goal of `sys`, with
+/// the goal message resolved exactly as `Equivalence` does.
+fn with_makep_fleet(
+    sys: &ParamSystem,
+    f: impl FnOnce(&MakeP, &[Guess], DatalogTarget) -> OracleOutcome,
+) -> OracleOutcome {
+    if sys.dom.size() < 2 {
+        return OracleOutcome::Skip("goal transformation needs |Dom| >= 2".into());
+    }
+    let (sys, goal_var, goal_val) =
+        if sys.env.com().has_assert() || sys.dis.iter().any(|p| p.com().has_assert()) {
+            let g = transform::assert_to_goal(sys);
+            (g.system, g.goal_var, g.goal_val)
+        } else if let Some(i) = sys.vars.lookup("goal") {
+            (sys.clone(), parra_program::ident::VarId(i), Val(1))
+        } else {
+            return OracleOutcome::Skip("no assert and no `goal` variable to target".into());
+        };
+    let budget = match Budget::exact(&sys) {
+        Some(b) => b,
+        None => return OracleOutcome::Skip("dis threads have loops (no exact budget)".into()),
+    };
+    let mk = match MakeP::new(&sys, budget, MakePLimits::default()) {
+        Ok(mk) => mk,
+        Err(e) => return OracleOutcome::Skip(format!("makeP not applicable: {e}")),
+    };
+    let guesses = match mk.guesses() {
+        Ok(g) => g,
+        Err(e) => return OracleOutcome::Skip(format!("guess enumeration failed: {e}")),
+    };
+    f(
+        &mk,
+        &guesses,
+        DatalogTarget::MessageGenerated(goal_var, goal_val),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -699,6 +714,75 @@ impl Oracle for ServeRoundTrip {
     }
 }
 
+// ---------------------------------------------------------------------
+// 8. The union program over-approximates every guess
+// ---------------------------------------------------------------------
+
+/// The cache-datalog fleet settles as safe when the union program `U`
+/// ([`MakeP::union_program`]) does not derive the goal. That is sound
+/// only if every guess program's least model sits inside `U`'s: this
+/// oracle checks both halves on generated systems.
+///
+/// * *Soundness:* when `U ⊬ goal`, no guess program derives the goal
+///   (the whole fleet is evaluated, none skipped).
+/// * *Containment:* the full least models of the first few guesses,
+///   compared by printed atom, are subsets of `U`'s.
+pub struct UnionOverapprox;
+
+/// Guesses whose full models are compared against `U`'s.
+const UNION_CONTAINMENT_GUESSES: usize = 4;
+
+impl Oracle for UnionOverapprox {
+    fn name(&self) -> &'static str {
+        "union-overapprox"
+    }
+
+    fn gen_config(&self) -> GenConfig {
+        GenConfig::agreement()
+    }
+
+    fn cases_per_second(&self) -> u64 {
+        100
+    }
+
+    fn check(&self, sys: &ParamSystem) -> OracleOutcome {
+        with_makep_fleet(sys, |mk, guesses, target| {
+            let (union, goal) = mk.union_program(guesses, target);
+            let union_db = Evaluator::new(&union).run();
+            let union_atoms: std::collections::HashSet<String> =
+                union_db.iter().map(|a| union.display_ground(&a)).collect();
+            let settled = !union_db.contains(&goal);
+            for (gi, guess) in guesses.iter().enumerate() {
+                let contain = gi < UNION_CONTAINMENT_GUESSES;
+                if !settled && !contain {
+                    break;
+                }
+                let (prog, goal) = mk.program(guess, target);
+                let db = Evaluator::new(&prog).run();
+                if settled && db.contains(&goal) {
+                    return OracleOutcome::Fail(format!(
+                        "the union of {} guesses does not derive the goal, \
+                         but guess {gi} does",
+                        guesses.len()
+                    ));
+                }
+                if contain {
+                    if let Some(a) = db
+                        .iter()
+                        .map(|a| prog.display_ground(&a))
+                        .find(|a| !union_atoms.contains(a))
+                    {
+                        return OracleOutcome::Fail(format!(
+                            "guess {gi} derives {a}, which the union program does not"
+                        ));
+                    }
+                }
+            }
+            OracleOutcome::Pass
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,7 +820,8 @@ mod tests {
                 "round-trip",
                 "monotonicity",
                 "eval-agree",
-                "serve-roundtrip"
+                "serve-roundtrip",
+                "union-overapprox"
             ]
         );
         for n in names {
@@ -776,6 +861,28 @@ mod tests {
             }
             assert!(checked > 0, "oracle {} skipped every seed", o.name());
         }
+    }
+
+    #[test]
+    fn union_overapprox_passes_on_seeded_fleets_the_union_settles() {
+        let gen = SystemGen::new(UnionOverapprox.gen_config());
+        let mut settled = 0;
+        for seed in 0..64u64 {
+            let sys = gen.case(seed).sys;
+            if let OracleOutcome::Fail(msg) = UnionOverapprox.check(&sys) {
+                panic!("union-overapprox failed on seed {seed}: {msg}");
+            }
+            // Count the multi-guess fleets whose union leaves the goal
+            // underived: those exercise the soundness half.
+            with_makep_fleet(&sys, |mk, guesses, target| {
+                let (union, goal) = mk.union_program(guesses, target);
+                if guesses.len() >= 2 && !Evaluator::new(&union).query(&goal) {
+                    settled += 1;
+                }
+                OracleOutcome::Pass
+            });
+        }
+        assert!(settled > 0, "no seed has a fleet the union settles");
     }
 
     #[test]

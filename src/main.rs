@@ -152,8 +152,8 @@ fn usage() -> String {
      --threshold PCT with a 50ms floor; added/removed inputs listed, \
      never fatal) and exits 1 when dirty.\n\nfuzz oracles: engines-agree, \
      equivalence, \
-     thread-determinism, round-trip, monotonicity, eval-agree \
-     (default: all). A \
+     thread-determinism, round-trip, monotonicity, eval-agree, \
+     serve-roundtrip, union-overapprox (default: all). A \
      --seconds budget is a deterministic case target (seconds x the \
      oracle's calibrated cases/sec), so repeated runs are identical; \
      --timeout is a wall-clock bound instead (the completed cases are \

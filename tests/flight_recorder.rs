@@ -107,6 +107,45 @@ fn event_log_passes_its_own_schema_check() {
 }
 
 #[test]
+fn union_settled_fleet_is_reported_at_every_thread_count() {
+    let _serial = serial();
+    // `barrier.ra` is SAFE with two guesses, and their union program
+    // does not derive the goal.
+    let input = example("barrier.ra");
+    for threads in ["1", "4"] {
+        let path = tmp(&format!("events_union_t{threads}.jsonl"));
+        run_ok(
+            &[
+                "verify",
+                "--engine",
+                "datalog",
+                "--threads",
+                threads,
+                "--events-out",
+                path.to_str().unwrap(),
+                &input,
+            ],
+            &[0],
+        );
+        let text = std::fs::read_to_string(&path).expect("event log written");
+        let fleet: Vec<_> = text
+            .lines()
+            .map(deterministic_key)
+            .filter(|(_, _, kind, _)| kind == "fleet")
+            .collect();
+        assert_eq!(fleet.len(), 1, "one fleet event at {threads} threads");
+        let fields = &fleet[0].3;
+        assert_eq!(fields.get("n_guesses").and_then(Value::as_u64), Some(2));
+        assert_eq!(
+            fields.get("union_settled").and_then(Value::as_u64),
+            Some(1),
+            "at {threads} threads"
+        );
+        run_ok(&["report", "--check-schema", path.to_str().unwrap()], &[0]);
+    }
+}
+
+#[test]
 fn check_schema_rejects_malformed_lines_with_location() {
     let _serial = serial();
     let path = tmp("events_bad.jsonl");
