@@ -58,7 +58,8 @@ fn main() {
 
         let indexed = best_of(REPS, || {
             // One plan cache per fleet walk, exactly as the engine runs it:
-            // the first guess pays the planner, the rest share its plan.
+            // the first guess plans the shared template, the rest plan
+            // only their own rules.
             let mut cache = PlanCache::new();
             for (prog, g) in &programs {
                 let plan = cache.plan(prog);

@@ -2,8 +2,10 @@
 //!
 //! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset at
 //! `threads = 1` and records, per (benchmark, engine): best-of-N
-//! wall-clock, and the evaluator's deterministic work
-//! counters (join attempts, index builds, index hits).
+//! wall-clock, the evaluator's deterministic work counters (join
+//! attempts, index builds, index hits) and the planner's (rules planned
+//! from scratch: each guess's own rules, plus the template segment's
+//! once per statistics key).
 //!
 //! ```text
 //! bench_datalog [--out FILE]        # measure and write FILE (default BENCH_datalog.json)
@@ -12,7 +14,7 @@
 //!
 //! The check ([`parra_bench::gate`]) fails when an entry's wall-clock
 //! regresses past [`gate::WALL_CLOCK`], or when its verdict or any of
-//! the three counters differs from the baseline at all: at one thread the
+//! the four counters differs from the baseline at all: at one thread the
 //! counters are deterministic, so any drift is a plan change.
 
 use parra_bench::gate::{self, Row};
@@ -80,7 +82,8 @@ fn measure() -> (Vec<Row>, Vec<String>) {
                         .wall("wall_us", wall_us)
                         .exact("join_attempts", counter(&r.report, "join_attempts"))
                         .exact("index_builds", counter(&r.report, "index_builds"))
-                        .exact("index_hits", counter(&r.report, "index_hits"));
+                        .exact("index_hits", counter(&r.report, "index_hits"))
+                        .exact("rules_planned", counter(&r.report, "rules_planned"));
                     best = Some((wall_us, row));
                 }
             }

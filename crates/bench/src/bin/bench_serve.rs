@@ -6,7 +6,7 @@
 //! (every request must hit the shared prepared-verifier cache and the
 //! shared plan cache). The serve layer's warm-cache contract is enforced
 //! structurally — every warm request is a cache hit and its reports
-//! carry **zero** `plan` phase time, i.e. warm requests skip parse/plan
+//! carry **zero** `prepare` phase time, i.e. warm requests skip parse/prepare
 //! entirely — and the cold wall-clock is kept under the shared
 //! [`gate::WALL_CLOCK`] rule of [`parra_bench::gate`]. The baseline is a
 //! single `litmus-suite` row.
@@ -28,13 +28,13 @@ struct Measurement {
     cold_us: u64,
     warm_us: u64,
     warm_hit_permille: u64,
-    cold_plan_us: u64,
-    warm_plan_us: u64,
+    cold_prepare_us: u64,
+    warm_prepare_us: u64,
 }
 
-/// Total `plan` phase time (µs) across a response's engine reports;
+/// Total `prepare` phase time (µs) across a response's engine reports;
 /// panics on error responses — the litmus suite must serve cleanly.
-fn plan_us_of(resp: &str) -> u64 {
+fn prepare_us_of(resp: &str) -> u64 {
     let v = json::parse(resp).expect("serve response parses");
     assert!(
         v.get("error").map(Value::is_null).unwrap_or(false),
@@ -46,14 +46,14 @@ fn plan_us_of(resp: &str) -> u64 {
         .iter()
         .filter_map(|r| {
             r.get("phases")
-                .and_then(|p| p.get("plan"))
+                .and_then(|p| p.get("prepare"))
                 .and_then(Value::as_u64)
         })
         .sum()
 }
 
 fn measure_suite() -> Measurement {
-    // Cache Datalog so every cold report carries a real `plan` phase —
+    // Cache Datalog so every cold report carries a real `prepare` phase —
     // the phase whose disappearance on warm hits is the gated contract.
     // The null events sink turns request recording on (phase timers are
     // no-ops under a disabled recorder) without I/O in the timed path.
@@ -77,23 +77,23 @@ fn measure_suite() -> Measurement {
         .collect();
     let sweep = |label: &str| {
         let start = std::time::Instant::now();
-        let plan_us: u64 = requests
+        let prepare_us: u64 = requests
             .iter()
             .map(|r| {
-                plan_us_of(
+                prepare_us_of(
                     &server
                         .process_line(r)
                         .unwrap_or_else(|| panic!("{label} sweep: no response")),
                 )
             })
             .sum();
-        (start.elapsed().as_micros() as u64, plan_us)
+        (start.elapsed().as_micros() as u64, prepare_us)
     };
-    let (cold_us, cold_plan_us) = sweep("cold");
+    let (cold_us, cold_prepare_us) = sweep("cold");
     let (hits_after_cold, misses) = server.cache_counters();
     assert_eq!(hits_after_cold, 0, "cold sweep must miss every entry");
     assert_eq!(misses, requests.len() as u64);
-    let (warm_us, warm_plan_us) = sweep("warm");
+    let (warm_us, warm_prepare_us) = sweep("warm");
     let (hits, _) = server.cache_counters();
     let warm_hit_permille = hits
         .saturating_mul(1000)
@@ -104,14 +104,14 @@ fn measure_suite() -> Measurement {
         cold_us,
         warm_us,
         warm_hit_permille,
-        cold_plan_us,
-        warm_plan_us,
+        cold_prepare_us,
+        warm_prepare_us,
     }
 }
 
 /// The warm-cache contract, independent of any baseline: every warm
-/// request hits the verifier cache, warm reports carry no plan time, and
-/// the instrument itself is live (cold plans took measurable time).
+/// request hits the verifier cache, warm reports carry no prepare time, and
+/// the instrument itself is live (cold preparation took measurable time).
 fn structural_failures(m: &Measurement) -> Vec<String> {
     let mut failures = Vec::new();
     if m.warm_hit_permille < 1000 {
@@ -120,15 +120,16 @@ fn structural_failures(m: &Measurement) -> Vec<String> {
             m.warm_hit_permille
         ));
     }
-    if m.warm_plan_us != 0 {
+    if m.warm_prepare_us != 0 {
         failures.push(format!(
-            "warm reports carry {} µs of `plan` phase (contract: 0 — warm requests skip planning)",
-            m.warm_plan_us
+            "warm reports carry {} µs of `prepare` phase (contract: 0 — warm requests skip preparation)",
+            m.warm_prepare_us
         ));
     }
-    if m.cold_plan_us == 0 {
+    if m.cold_prepare_us == 0 {
         failures.push(
-            "cold sweep recorded no `plan` phase at all — the gate's instrument is broken".into(),
+            "cold sweep recorded no `prepare` phase at all — the gate's instrument is broken"
+                .into(),
         );
     }
     failures
@@ -142,8 +143,8 @@ fn measure() -> (Vec<Row>, Vec<String>) {
         .wall("cold_us", m.cold_us)
         .info("warm_us", m.warm_us)
         .info("warm_hit_permille", m.warm_hit_permille)
-        .info("cold_plan_us", m.cold_plan_us)
-        .info("warm_plan_us", m.warm_plan_us);
+        .info("cold_prepare_us", m.cold_prepare_us)
+        .info("warm_prepare_us", m.warm_prepare_us);
     (vec![row], structural_failures(&m))
 }
 
@@ -162,8 +163,8 @@ mod tests {
             cold_us: 1,
             warm_us: 1,
             warm_hit_permille: 1000,
-            cold_plan_us: 10,
-            warm_plan_us: 0,
+            cold_prepare_us: 10,
+            warm_prepare_us: 0,
         };
         assert!(structural_failures(&ok).is_empty());
         let misses = Measurement {
@@ -172,12 +173,12 @@ mod tests {
         };
         assert_eq!(structural_failures(&misses).len(), 1);
         let replans = Measurement {
-            warm_plan_us: 5,
+            warm_prepare_us: 5,
             ..ok
         };
         assert_eq!(structural_failures(&replans).len(), 1);
         let dead_instrument = Measurement {
-            cold_plan_us: 0,
+            cold_prepare_us: 0,
             ..ok
         };
         assert_eq!(structural_failures(&dead_instrument).len(), 1);

@@ -464,7 +464,13 @@ mod tests {
                 "BENCH_datalog.json",
                 include_str!("../../../BENCH_datalog.json"),
                 &["wall_us"],
-                &["verdict", "join_attempts", "index_builds", "index_hits"],
+                &[
+                    "verdict",
+                    "join_attempts",
+                    "index_builds",
+                    "index_hits",
+                    "rules_planned",
+                ],
             ),
             (
                 "BENCH_governance.json",

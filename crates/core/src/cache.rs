@@ -204,7 +204,11 @@ mod tests {
         // The preparation time belongs to the cold request's first run;
         // the warm report must show no plan phase at all.
         assert!(
-            !warm_result.report.phases.iter().any(|(n, _)| n == "plan"),
+            !warm_result
+                .report
+                .phases
+                .iter()
+                .any(|(n, _)| n == "prepare"),
             "warm run re-claimed the plan phase: {:?}",
             warm_result.report.phases
         );

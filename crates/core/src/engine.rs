@@ -22,13 +22,14 @@
 //! and with no decisive verdict every engine runs to completion exactly
 //! as it would sequentially.
 
-use crate::makep::{DatalogTarget, Guess, MakeP};
+use crate::makep::{DatalogTarget, Guess, MakeP, MakePLimits, Template};
 use crate::verify::{
     aggregate_verdicts, EngineId, RunReport, SharedPlanCache, Stats, Verdict, VerificationResult,
     Verifier, VerifierOptions,
 };
 use crate::witness::{self, LinearCheck};
 use parra_datalog::eval::Evaluator;
+use parra_datalog::plan::Plan;
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
 use parra_program::parser::parse_system;
@@ -37,7 +38,17 @@ use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachOutcome, Reachability, SimpTarget};
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
+
+/// A prepared verifier's makeP work, kept across its runs and clones:
+/// the template (whose segment keys the plan cache, so warm runs keep
+/// their template plans) and the guesses, or why makeP does not apply.
+#[derive(Debug)]
+pub(crate) struct CachedMakeP {
+    limits: MakePLimits,
+    built: Result<(Arc<Template>, Arc<[Guess]>), String>,
+}
 
 /// The outcome of one portfolio race ([`Verifier::race`]).
 #[derive(Debug, Clone)]
@@ -310,8 +321,9 @@ struct FleetOutcome {
     /// Max derived-atom count over the evaluated databases, the union
     /// included.
     atoms: usize,
-    /// Lowest-index guess whose query derived the goal.
-    winner: Option<usize>,
+    /// Lowest-index guess whose query derived the goal, with the plan it
+    /// ran under (the witness replay reuses it).
+    winner: Option<(usize, Arc<Plan>)>,
     /// The union program reached its fixpoint without the goal, which
     /// settles the fleet as safe.
     union_settled: bool,
@@ -420,18 +432,22 @@ impl Verifier {
         let n_guesses = guesses.len();
         let with_union = n_guesses >= 2;
         let n_items = n_guesses + usize::from(with_union);
+        let phases = PhaseTimer::new(rec);
+        let planned = rec.counter("rules_planned");
         // Set by a winning guess or by a settling union: stop the fleet.
         let stop = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
         let interrupted: std::sync::Mutex<Option<InterruptReason>> = std::sync::Mutex::new(None);
         // Per-program records: (guess index, or `None` for the union;
-        // rules, atoms, derived goal). An interrupted union leaves none.
-        let records: Vec<(Option<usize>, usize, usize, bool)> = std::thread::scope(|scope| {
+        // rules, atoms, the plan if it derived the goal). An interrupted
+        // union leaves none.
+        let records: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_workers)
                 .map(|_| {
                     let stop = &stop;
                     let next = &next;
                     let interrupted = &interrupted;
+                    let (phases, planned) = (&phases, &planned);
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         loop {
@@ -459,21 +475,25 @@ impl Verifier {
                                 Some(i) => mk.program(&guesses[i], target),
                                 None => mk.union_program(guesses, target),
                             };
-                            // Guess programs share rule lists; the cache
-                            // hands every worker the same plan after the
-                            // first computes it.
-                            let plan = cache.plan(&prog);
+                            // Guess programs share the template segment;
+                            // the cache plans it once for every worker,
+                            // and shares whole plans between guesses whose
+                            // own rules match.
+                            let join_plan = phases.start(Phase::JoinPlan);
+                            let (plan, n_planned) = cache.plan(&prog);
+                            drop(join_plan);
+                            planned.add(n_planned as u64);
                             // Round events stay deterministic only when a
                             // single guess runs (the fleet races workers,
                             // so multi-guess schedules are timing-bound).
-                            let db = Evaluator::with_plan(&prog, plan)
+                            let db = Evaluator::with_plan(&prog, Arc::clone(&plan))
                                 .with_recorder(rec.clone())
                                 .with_events(n_guesses == 1)
                                 .with_threads(eval_threads)
                                 .with_governor(gov.clone())
                                 .run_until(Some(&goal));
                             let won = db.contains(&goal);
-                            let record = (guess, prog.rules().len(), db.len(), won);
+                            let record = (guess, prog.rules().len(), db.len(), won.then_some(plan));
                             if guess.is_none() {
                                 // A partial union database proves nothing;
                                 // the guesses after it check the governor
@@ -519,12 +539,14 @@ impl Verifier {
             union_settled: false,
             interrupted: interrupted.into_inner().expect("interrupt slot poisoned"),
         };
-        for &(guess, rules, atoms, won) in &records {
+        for (guess, rules, atoms, won) in records {
             out.rules = out.rules.max(rules);
             out.atoms = out.atoms.max(atoms);
             match (guess, won) {
-                (Some(i), true) => out.winner = Some(out.winner.map_or(i, |w: usize| w.min(i))),
-                (None, false) => out.union_settled = true,
+                (Some(i), Some(plan)) if out.winner.as_ref().is_none_or(|(w, _)| i < *w) => {
+                    out.winner = Some((i, plan));
+                }
+                (None, None) => out.union_settled = true,
                 _ => {}
             }
         }
@@ -537,8 +559,8 @@ impl Verifier {
                 ("rules_max", out.rules as u64),
                 ("atoms_max", out.atoms as u64),
             ];
-            if let Some(w) = out.winner {
-                vol.push(("winner", w as u64));
+            if let Some((w, _)) = &out.winner {
+                vol.push(("winner", *w as u64));
             }
             let mut fields = vec![("n_guesses", n_guesses.into())];
             if with_union {
@@ -547,6 +569,35 @@ impl Verifier {
             rec.event_with("fleet", &fields, &vol);
         }
         out
+    }
+
+    /// The makeP encoder and guesses of this verifier's system. The first
+    /// run builds the template and enumerates the guesses (§4.1, Lemma
+    /// 4.3), timed as the `guess` phase; later runs and clones reuse them
+    /// unless the limits changed.
+    fn makep(
+        &self,
+        phases: &PhaseTimer,
+        rec: &Recorder,
+    ) -> Result<(MakeP<'_>, Arc<[Guess]>), String> {
+        let limits = self.options.makep_limits;
+        let mut cached = self.makep.lock().unwrap_or_else(PoisonError::into_inner);
+        if cached.as_ref().is_none_or(|c| c.limits != limits) {
+            let _guess = phases.start(Phase::Guess);
+            let built = MakeP::new(&self.goal.system, self.budget.clone(), limits)
+                .map_err(|e| format!("makeP not applicable: {e}"))
+                .and_then(|mk| {
+                    let mk = mk.with_recorder(rec.clone());
+                    let guesses = mk
+                        .guesses()
+                        .map_err(|e| format!("guess enumeration failed: {e}"))?;
+                    Ok((mk.template(), guesses.into()))
+                });
+            *cached = Some(CachedMakeP { limits, built });
+        }
+        let (tpl, guesses) = cached.as_ref().expect("just built").built.clone()?;
+        let mk = MakeP::with_template(&self.goal.system, self.budget.clone(), limits, tpl);
+        Ok((mk.with_recorder(rec.clone()), guesses))
     }
 
     pub(crate) fn run_datalog(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
@@ -563,23 +614,11 @@ impl Verifier {
             notes: vec![note],
             report: RunReport::empty(engine),
         };
-        // The makeP template build and the guess enumeration (§4.1,
-        // Lemma 4.3) are the `guess` phase.
         let phases = PhaseTimer::new(rec);
-        let guess_phase = phases.start(Phase::Guess);
-        let mk = match MakeP::new(
-            &self.goal.system,
-            self.budget.clone(),
-            self.options.makep_limits,
-        ) {
-            Ok(mk) => mk.with_recorder(rec.clone()),
-            Err(e) => return unknown(format!("makeP not applicable: {e}")),
+        let (mk, guesses) = match self.makep(&phases, rec) {
+            Ok(built) => built,
+            Err(note) => return unknown(note),
         };
-        let guesses = match mk.guesses() {
-            Ok(g) => g,
-            Err(e) => return unknown(format!("guess enumeration failed: {e}")),
-        };
-        drop(guess_phase);
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
         // A host-provided shared cache (warm serve requests) takes the
         // place of a run-local one; plans are deterministic, so the only
@@ -608,15 +647,15 @@ impl Verifier {
             }
             _ => Verdict::Safe,
         };
-        if let Some(wi) = fleet.winner {
+        if let Some((wi, plan)) = fleet.winner {
             verdict = Verdict::Unsafe;
             // Lemma 4.6: re-run only the winning guess with provenance on
             // and read a bounded-cache schedule off its derivation,
             // counting intensional atoms only; the schedule is certified
             // under ⊢ₖ and cross-checked through the Lemma 4.2
-            // cache→linear translation.
+            // cache→linear translation. The program is rebuilt exactly as
+            // the fleet built it, so the fleet's plan serves the replay.
             let (prog, goal) = mk.program(&guesses[wi], target);
-            let plan = plan_cache.plan(&prog);
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
                 Some(w) => {

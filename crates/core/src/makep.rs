@@ -34,7 +34,7 @@
 //! have at most two *intensional* body atoms (a thread predicate and a
 //! message predicate), the property the cache bound of Lemma 4.4 exploits.
 
-use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Term};
+use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Segment, Term};
 use parra_obs::{Counter, Recorder};
 use parra_program::cfg::{Cfa, Instr, Loc};
 use parra_program::expr::RegVal;
@@ -89,7 +89,7 @@ pub struct Guess {
 }
 
 /// Enumeration limits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MakePLimits {
     /// Maximum number of guesses to enumerate.
     pub max_guesses: usize,
@@ -161,7 +161,7 @@ pub struct MakeP<'s> {
     sys: &'s ParamSystem,
     budget: Budget,
     limits: MakePLimits,
-    tpl: Template,
+    tpl: Arc<Template>,
     rec: Recorder,
 }
 
@@ -196,14 +196,31 @@ impl<'s> MakeP<'s> {
             timeline.push(ATime::Int(i));
             timeline.push(ATime::Plus(i));
         }
-        let tpl = Template::build(sys, &budget, &timeline);
-        Ok(MakeP {
+        let tpl = Arc::new(Template::build(sys, &budget, &timeline));
+        Ok(MakeP::with_template(sys, budget, limits, tpl))
+    }
+
+    /// The encoder of `sys` over a template that [`MakeP::new`] built for
+    /// the same system, budget and limits ([`MakeP::template`]).
+    pub(crate) fn with_template(
+        sys: &'s ParamSystem,
+        budget: Budget,
+        limits: MakePLimits,
+        tpl: Arc<Template>,
+    ) -> MakeP<'s> {
+        MakeP {
             sys,
             budget,
             limits,
             tpl,
             rec: Recorder::disabled(),
-        })
+        }
+    }
+
+    /// The guess-independent template, to rebuild this encoder with
+    /// [`MakeP::with_template`].
+    pub(crate) fn template(&self) -> Arc<Template> {
+        Arc::clone(&self.tpl)
     }
 
     /// The same encoder reporting metrics through `rec`.
@@ -452,7 +469,7 @@ impl<'s> MakeP<'s> {
                 .expect("gapstore facts fit the registry");
         }
         enc.prog
-            .extend_shared(&tpl.env)
+            .extend_segment(&tpl.env)
             .expect("env rules fit the registry");
         enc.emit_dis_rules(guess);
         enc.emit_goal_rules(target, &tpl.env_asserts, assert_positions(self.sys, guess));
@@ -485,7 +502,7 @@ impl<'s> MakeP<'s> {
                 .expect("gapstore facts fit the registry");
         }
         enc.prog
-            .extend_shared(&tpl.env)
+            .extend_segment(&tpl.env)
             .expect("env rules fit the registry");
         let mut seen = HashSet::new();
         let mut asserts = BTreeSet::new();
@@ -553,16 +570,18 @@ impl<'s> MakeP<'s> {
 /// predicate before C's are all declared. So `head` carries the registry
 /// in the order a from-scratch encoding creates it, and every program
 /// gets the same ids, rules and rule order as one. B's candidates and C
-/// are shared by [`Arc`] rather than copied per guess.
+/// are shared by [`Arc`] rather than copied per guess, and C is every
+/// program's recorded [`Segment`], so a `PlanCache` plans it once per
+/// fleet.
 #[derive(Debug)]
-struct Template {
+pub(crate) struct Template {
     /// The registry after segment C, holding segment A's rules.
     head: Program,
     /// Segment B's candidates per variable: `(gap, fact)` in emission
     /// order.
     gapstore: Vec<Vec<(u32, Arc<Rule>)>>,
     /// Segment C.
-    env: Vec<Arc<Rule>>,
+    env: Segment,
     syms: Symbols,
     /// The predicates segment C created.
     preds: PredMaps,
@@ -589,7 +608,7 @@ impl Template {
         let Encoder {
             mut prog, preds, ..
         } = enc;
-        let env = prog.split_rules_off(a_len);
+        let env = prog.split_rules_off(a_len).into();
         let t = |a: ATime| Term::Const(syms.tc[&a]);
         let gapstore = (0..syms.n_vars)
             .map(|x| {
@@ -1324,6 +1343,10 @@ mod tests {
         for (a, b) in env0.iter().zip(&env1) {
             assert!(Arc::ptr_eq(a, b), "env rule copied, not shared: {a:?}");
         }
+        // Both programs, and the union, record the template's segment.
+        let (u, _) = mk.union_program(&guesses, target);
+        let seg = |p: &Program| Arc::clone(p.segment().expect("a recorded segment").1);
+        assert!(Arc::ptr_eq(&seg(&p0), &seg(&p1)) && Arc::ptr_eq(&seg(&p0), &seg(&u)));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! dispatch on [`EngineId`], recorder scoping, resource governance,
 //! run-scoped cancellation, panic containment, and the [`RunReport`].
 
+use crate::engine::CachedMakeP;
 use crate::makep::{MakePError, MakePLimits};
 use parra_datalog::plan::{Plan, PlanCache};
 use parra_datalog::Program;
@@ -27,8 +28,10 @@ use std::time::{Duration, Instant};
 
 /// A [`PlanCache`] shared across verifiers — the warm-cache backbone of
 /// long-lived hosts like `parra serve`: every Datalog engine run of every
-/// request plans against the same cache, so a query shape planned once is
-/// never re-planned, whichever request (or guess) meets it next.
+/// request plans against the same cache. A verifier keeps its makeP
+/// template across runs and clones, so a template segment planned once
+/// is not re-planned while its verifier is cached, and body shapes are
+/// shared across all programs.
 ///
 /// Cloning is shallow ([`Arc`]). Runs without a configured shared cache
 /// plan against a fresh one of their own.
@@ -46,19 +49,15 @@ impl SharedPlanCache {
         &self.0
     }
 
-    /// The plan for `program`, computed on first sight of its rule shape.
+    /// The plan for `program`, and the rules this call planned
+    /// ([`PlanCache::plan_shared`]): the lock is held only for the cache
+    /// lookups.
     ///
     /// A panic while the lock was held poisons it; plans are a pure memo,
     /// so the cache is then reset to empty and the poison cleared rather
     /// than failing every later run of a long-lived host.
-    pub fn plan(&self, program: &Program) -> Arc<Plan> {
-        let mut cache = self.0.lock().unwrap_or_else(|poisoned| {
-            let mut cache = poisoned.into_inner();
-            *cache = PlanCache::new();
-            self.0.clear_poison();
-            cache
-        });
-        cache.plan(program)
+    pub fn plan(&self, program: &Program) -> (Arc<Plan>, usize) {
+        PlanCache::plan_shared(&self.0, program)
     }
 }
 
@@ -534,13 +533,16 @@ pub struct Verifier {
     /// zero when the caller parsed) and preparing it
     /// (classify/unroll/goal-transform). Both are shared by every engine
     /// run of this verifier, so they are attributed as the `parse` and
-    /// `plan` phases exactly once — to the first report — rather than
+    /// `prepare` phases exactly once — to the first report — rather than
     /// re-counted per run.
     parse_us: u64,
-    plan_us: u64,
+    prepare_us: u64,
     /// Whether some run already claimed the preparation phases. Shared
     /// across clones: a cloned verifier reuses the same preparation work.
     prep_claimed: Arc<AtomicBool>,
+    /// The makeP template and guesses, built by the first `cache-datalog`
+    /// run and shared by every later run and clone.
+    pub(crate) makep: Arc<Mutex<Option<CachedMakeP>>>,
 }
 
 impl Verifier {
@@ -556,7 +558,7 @@ impl Verifier {
     }
 
     /// [`Verifier::new`] with an observability recorder: preparation is
-    /// timed as the `plan` phase, and every engine run records its
+    /// timed as the `prepare` phase, and every engine run records its
     /// metrics under a `{engine}/` scope.
     pub fn new_with_recorder(
         sys: &ParamSystem,
@@ -564,7 +566,7 @@ impl Verifier {
         rec: Recorder,
     ) -> Result<Verifier, VerifierError> {
         let phase_timer = PhaseTimer::new(&rec);
-        let plan_guard = phase_timer.start(Phase::Plan);
+        let prepare_guard = phase_timer.start(Phase::Prepare);
         let original_class = SystemClass::of(sys);
         if !original_class.env.nocas {
             return Err(VerifierError::Undecidable(original_class.complexity()));
@@ -586,7 +588,7 @@ impl Verifier {
         };
         let goal = transform::assert_to_goal(&sys);
         let budget = Budget::exact(&goal.system).expect("dis is loop-free after unrolling");
-        let plan_us = plan_guard.finish();
+        let prepare_us = prepare_guard.finish();
         Ok(Verifier {
             original_class,
             goal,
@@ -595,14 +597,15 @@ impl Verifier {
             notes,
             rec,
             parse_us: 0,
-            plan_us,
+            prepare_us,
             prep_claimed: Arc::new(AtomicBool::new(false)),
+            makep: Arc::default(),
         })
     }
 
     /// Parses the input with `parse`, timed as the `parse` phase, and
     /// prepares a verifier ([`Verifier::new_with_recorder`]) whose first
-    /// report claims both the `parse` and the `plan` phase. This is the
+    /// report claims both the `parse` and the `prepare` phase. This is the
     /// one path by which a front end that reads its own input gets that
     /// input's parse time into a report.
     ///
@@ -634,7 +637,7 @@ impl Verifier {
     /// classify/unroll/goal-transform work) is reused, while the options
     /// and recorder are replaced with the new request's. This is the warm
     /// path of a long-lived host: a cache hit skips preparation entirely,
-    /// so the clone carries *no* `parse` or `plan` phase — the shared
+    /// so the clone carries *no* `parse` or `prepare` phase — the shared
     /// `prep_claimed` flag keeps both claimed exactly once across all
     /// clones.
     pub fn rescoped(&self, options: VerifierOptions, rec: Recorder) -> Verifier {
@@ -760,11 +763,14 @@ impl Verifier {
             })
             .collect();
         // Preparation is shared by every run of this verifier, so the
-        // `parse` and `plan` phases are claimed by the first report only —
+        // `parse` and `prepare` phases are claimed by the first report only —
         // re-counting them per engine would inflate aggregate phase
         // breakdowns.
         if !self.prep_claimed.swap(true, Ordering::Relaxed) {
-            for (phase, us) in [(Phase::Parse, self.parse_us), (Phase::Plan, self.plan_us)] {
+            for (phase, us) in [
+                (Phase::Parse, self.parse_us),
+                (Phase::Prepare, self.prepare_us),
+            ] {
                 if us > 0 {
                     report.phases.push((phase.as_str().to_string(), us));
                 }
@@ -1121,13 +1127,13 @@ mod tests {
         let first = v.run(EngineId::SimplifiedReach);
         assert_eq!(first.verdict, Verdict::Unsafe);
         // The warm clone gets fresh options; its runs must not re-claim
-        // the plan phase the first run already took.
+        // the prepare phase the first run already took.
         let warm = v.rescoped(VerifierOptions::default(), Recorder::disabled());
         let again = warm.run(EngineId::SimplifiedReach);
         assert_eq!(again.verdict, Verdict::Unsafe);
         assert!(
-            !again.report.phases.iter().any(|(n, _)| n == "plan"),
-            "rescoped run re-claimed the plan phase: {:?}",
+            !again.report.phases.iter().any(|(n, _)| n == "prepare"),
+            "rescoped run re-claimed the prepare phase: {:?}",
             again.report.phases
         );
     }
@@ -1246,9 +1252,10 @@ mod tests {
             .map(|i| (i.scope, i.phase))
             .collect();
         for want in [
-            ("", Phase::Plan),
+            ("", Phase::Prepare),
             ("simplified-reach/", Phase::Search),
             ("cache-datalog/", Phase::Guess),
+            ("cache-datalog/", Phase::JoinPlan),
             ("cache-datalog/", Phase::WitnessReplay),
         ] {
             assert!(
@@ -1434,7 +1441,7 @@ mod tests {
         assert_eq!(d.verdict, Verdict::Unsafe);
     }
 
-    /// Regression: shared preparation time (`plan`) used to be pushed
+    /// Regression: shared preparation time (`prepare`) used to be pushed
     /// into every report's phases, so aggregate phase breakdowns counted
     /// it once per engine; it belongs to exactly one report, as does the
     /// `parse` time of [`Verifier::parse_and_prepare`].
@@ -1451,10 +1458,10 @@ mod tests {
             r.report
                 .phases
                 .iter()
-                .any(|(n, _)| n == "plan" || n == "parse")
+                .any(|(n, _)| n == "prepare" || n == "parse")
         };
         let first = v.run(EngineId::SimplifiedReach);
-        for phase in ["parse", "plan"] {
+        for phase in ["parse", "prepare"] {
             assert!(
                 first.report.phases.iter().any(|(n, _)| n == phase),
                 "first report should carry the {phase} phase: {:?}",

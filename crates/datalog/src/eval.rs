@@ -110,7 +110,6 @@ impl Database {
             derivations: provenance.then(Vec::new),
             indices: plan
                 .indices()
-                .iter()
                 .map(|spec| ColumnIndex {
                     pred: spec.pred,
                     cols: spec.cols.clone(),
@@ -336,13 +335,33 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Creates an evaluator reusing a precomputed plan — typically from a
-    /// [`PlanCache`](crate::plan::PlanCache), which shares one plan across
-    /// a whole guess fleet.
+    /// [`PlanCache`](crate::plan::PlanCache), which plans a guess fleet's
+    /// shared template once.
     ///
     /// `plan` must have been computed for a program with an identical rule
     /// list (the cache guarantees this); plans reference rules by index
-    /// and body positions, so a mismatched plan derives wrong models.
+    /// and body positions, so a mismatched plan would derive wrong models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers another number of rules, and in debug
+    /// builds also if any rule's body length or variable count differs.
     pub fn with_plan(program: &'p Program, plan: Arc<Plan>) -> Evaluator<'p> {
+        assert_eq!(
+            plan.n_rules(),
+            program.rules().len(),
+            "join plan built for another rule list"
+        );
+        #[cfg(debug_assertions)]
+        for (ri, rule) in program.rules().iter().enumerate() {
+            let rp = plan.rule(ri);
+            let n_body = rp.body.as_ref().map_or(0, |b| b.per_delta.len());
+            assert_eq!(
+                (n_body, rp.n_vars),
+                (rule.body.len(), crate::plan::rule_n_vars(rule)),
+                "join plan of rule {ri} built for another rule"
+            );
+        }
         Evaluator {
             program,
             plan,
@@ -553,7 +572,7 @@ impl<'p> Evaluator<'p> {
                 counters.joins.incr();
                 if self.match_pattern(db, &rule.body[bi], d, scratch) {
                     scratch.used[bi] = d.index();
-                    let body = self.plan.body_plan(plans.body_plan);
+                    let body = plans.body.as_deref().expect("a rule with a body");
                     let dp = &body.per_delta[bi];
                     let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
                     self.join_steps(db, rule, ri, dp, slots, 0, scratch, &mut out, counters);
@@ -981,5 +1000,38 @@ mod tests {
         );
         assert!(get("index_hits") > 0);
         assert!(snap.gauges.contains_key("arena_atoms"));
+    }
+
+    #[test]
+    #[should_panic(expected = "join plan built for another rule list")]
+    fn a_plan_for_another_rule_count_is_refused() {
+        let (p, path, _) = tc_program();
+        let mut longer = p.clone();
+        let x = Term::Var(0);
+        longer
+            .rule(
+                Atom::new(path, vec![x, x]),
+                vec![Atom::new(path, vec![x, x])],
+            )
+            .unwrap();
+        let _ = Evaluator::with_plan(&longer, Arc::new(Plan::new(&p)));
+    }
+
+    /// Same rule count, another last body: caught in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "join plan of rule 4 built for another rule")]
+    fn a_plan_for_another_rule_is_refused_in_debug_builds() {
+        let (p, path, _) = tc_program();
+        let mut other = p.clone();
+        other.split_rules_off(p.rules().len() - 1);
+        let (x, y) = (Term::Var(0), Term::Var(1));
+        other
+            .rule(
+                Atom::new(path, vec![x, y]),
+                vec![Atom::new(path, vec![x, y])],
+            )
+            .unwrap();
+        let _ = Evaluator::with_plan(&other, Arc::new(Plan::new(&p)));
     }
 }

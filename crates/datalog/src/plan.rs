@@ -10,68 +10,44 @@
 //! an evaluation can ever need: they are enumerated here and addressed by
 //! dense *slot* ids, sparing the evaluator a hash lookup per probe.
 //!
-//! The cost model is greedy most-bound-first with exact statistics for
-//! predicates defined by facts (the `makeP` EDB relations: timeline
-//! orders, `gapjoin`/`gapstore` tables) and flat defaults for intensional
-//! predicates. Statistics are quantized to powers of two — the planner
-//! only needs order-of-magnitude selectivity. Fully bound atoms cost
-//! nearly nothing and are always hoisted; otherwise the estimated
-//! candidate count after index filtering decides.
+//! The cost model is greedy most-bound-first with statistics quantized to
+//! powers of two for predicates defined by facts (the `makeP` EDB
+//! relations) and flat defaults for intensional ones. Fully bound atoms
+//! are always hoisted; otherwise the estimated candidate count decides.
 //!
-//! Planning is on the critical path of every guess in the `makeP` fleet
-//! (one program per guess), and `makeP` emits rules in large structurally
-//! identical families (same term shapes, same statistics, different
-//! predicate ids). Two memoization layers keep it off the profile:
-//!
-//! * **within a program** — each unique *body signature* (canonicalized
-//!   term structure plus statistics) is planned once ([`BodyPlan`]) and
-//!   every rule sharing it keeps only its own dense index-slot table
-//!   ([`RulePlans::slots`]);
-//! * **across programs** — [`PlanCache`] shares whole plans between
-//!   programs whose rule lists are equal up to fact content and constant
-//!   values (one `makeP` guess fleet), and pools [`BodyPlan`]s across
-//!   the remaining misses.
+//! Planning is on the critical path of every guess in the `makeP` fleet.
+//! A [`PlanCache`] plans each *body signature* (canonicalized term
+//! structure plus statistics) once ([`BodyPlan`]), every rule keeping
+//! only its own index-slot table ([`RulePlans::slots`]); and it plans the
+//! rules a program shares with its template ([`Program::segment`]) once
+//! per statistics key, so each guess plans only its own rules.
 
-use crate::ast::{PredId, Program, Rule, Term};
-use std::collections::{HashMap, HashSet};
+use crate::ast::{PredId, Program, Rule, Segment, Term};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Cheap word-mixing hasher for the planner's internal maps (signature
-/// memos, slot dedup, fact statistics). Planning happens once per
-/// program but for every rule, and SipHash on multi-word keys showed up
-/// as the planner's single largest cost on the `makeP` fleet.
+/// Cheap word-mixing hasher for the planner's maps: SipHash on multi-word
+/// keys showed up as the planner's single largest cost on the fleet.
 #[derive(Default)]
 struct FxWords(u64);
-
-impl FxWords {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
 
 impl Hasher for FxWords {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
+            self.write_u64(b as u64);
         }
     }
 
     #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 
     #[inline]
@@ -81,7 +57,6 @@ impl Hasher for FxWords {
 }
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxWords>>;
-type FxSet<T> = HashSet<T, BuildHasherDefault<FxWords>>;
 
 /// The slot value meaning "this step probes no index" (fully bound, or a
 /// column set that cannot be bitmask-keyed).
@@ -94,9 +69,8 @@ pub const NO_SLOT: u32 = u32::MAX;
 pub struct JoinStep {
     /// The body position being solved at this step.
     pub pos: usize,
-    /// The argument columns (positions) whose values are known when the
-    /// probe happens: constants in the pattern plus already-bound
-    /// variables. Sorted ascending.
+    /// The argument columns (ascending) whose values are known when the
+    /// probe happens: constants plus already-bound variables.
     pub cols: Vec<u8>,
     /// Whether *every* argument is known — the probe degenerates to a
     /// membership test on the tuple arena.
@@ -120,8 +94,6 @@ pub struct BodyPlan {
     /// Flat step offset of each delta position into a rule's
     /// [`RulePlans::slots`] table.
     offsets: Vec<usize>,
-    /// Total steps across all delta positions (a rule's slot-table size).
-    n_steps: usize,
 }
 
 impl BodyPlan {
@@ -136,19 +108,17 @@ impl BodyPlan {
 /// index-slot table.
 #[derive(Debug, Clone, Default)]
 pub struct RulePlans {
-    /// Index of the shared body plan in [`Plan::body_plan`].
-    pub body_plan: usize,
-    /// Dense index-slot per step, flattened over delta positions
-    /// (`slots[body.slot_offset(bi) + si]` pairs with
-    /// `body.per_delta[bi].steps[si]`); [`NO_SLOT`] for membership tests
-    /// and unindexable column sets.
+    /// The join orders, shared by every rule with the same body
+    /// signature; `None` for facts.
+    pub body: Option<Arc<BodyPlan>>,
+    /// Dense index-slot per step, flattened over delta positions:
+    /// `slots[body.slot_offset(bi) + si]` pairs with
+    /// `body.per_delta[bi].steps[si]`.
     pub slots: Vec<u32>,
-    /// One more than the largest variable id in the rule (substitution
-    /// buffer size).
+    /// One more than the rule's largest variable id.
     pub n_vars: usize,
-    /// The distinct predicates of the rule's body. If any of them has an
-    /// empty relation the rule cannot fire this round — the evaluator
-    /// checks this before any join work.
+    /// The distinct predicates of the rule's body: if one has an empty
+    /// relation, the rule cannot fire this round.
     pub body_preds: Vec<PredId>,
 }
 
@@ -164,33 +134,47 @@ pub struct IndexSpec {
 
 /// Default estimated relation size for intensional predicates.
 const DEFAULT_SIZE: f64 = 256.0;
-/// Default estimated distinct values per column for intensional
-/// predicates.
+/// Default estimated distinct values per column.
 const DEFAULT_DISTINCT: f64 = 8.0;
 
-/// Per-predicate statistics driving the cost model. Sizes and distinct
-/// counts are quantized to powers of two: the greedy planner only needs
-/// order-of-magnitude selectivity, and coarse stats let structurally
-/// identical rules over same-shaped relations share one memoized plan.
-#[derive(Debug, Clone)]
-struct PredStats {
-    /// Estimated number of tuples.
-    size: f64,
-    /// Reciprocal of the estimated distinct values per column (the cost
-    /// model only ever divides by distinct counts).
-    inv_distinct: Vec<f64>,
+/// Per-predicate statistics driving the cost model, quantized to powers
+/// of two: the greedy planner only needs order-of-magnitude selectivity,
+/// and coarse stats let same-shaped rules share one memoized plan.
+/// Predicate `p`'s values, `vals[at[p]..at[p + 1]]`, are its estimated
+/// size, then per column the reciprocal of its distinct values.
+struct Stats {
+    at: Vec<u32>,
+    vals: Vec<f64>,
 }
 
-/// The static plan for a whole program.
+impl Stats {
+    /// The size, then the reciprocal distinct count per column, of `p`.
+    fn of(&self, p: PredId) -> &[f64] {
+        &self.vals[self.at[p.0 as usize] as usize..self.at[p.0 as usize + 1] as usize]
+    }
+}
+
+/// The plans of a run of rules, and the index slots they add.
+#[derive(Debug, Clone, Default)]
+struct Rules {
+    plans: Vec<RulePlans>,
+    /// The specs of the slots these rules probe first, in slot order;
+    /// their ids follow those of the run planned before (the template
+    /// segment's, for a program's own rules).
+    indices: Vec<IndexSpec>,
+    slot_ids: FxMap<(u64, u64), u32>,
+}
+
+/// The static plan for a whole program: its template segment's shared
+/// plan, if it has one, plus the plans of its own rules.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    rules: Vec<RulePlans>,
-    body_plans: Vec<Arc<BodyPlan>>,
-    indices: Vec<IndexSpec>,
+    /// The template segment's plans and the index of its first rule.
+    template: Option<(usize, Arc<Rules>)>,
+    /// Every other rule, in program order.
+    own: Rules,
     /// For each predicate, every (rule, body position) where it occurs —
-    /// the semi-naive "uses" of a delta atom. Predicates past the end of
-    /// the vector (possible for fact-only predicates of a cache-shared
-    /// program) have no uses.
+    /// the semi-naive "uses" of a delta atom.
     uses: Vec<Vec<(u32, u32)>>,
     max_vars: usize,
 }
@@ -205,205 +189,186 @@ fn indexable(cols: &[u8]) -> bool {
     !cols.is_empty() && cols.iter().all(|&c| c < 64)
 }
 
-/// Cross-program pool of [`BodyPlan`]s keyed by body signature. One
-/// `makeP` fleet produces many structurally overlapping programs even
-/// when their rule lists differ; the pool plans every body shape once per
-/// [`PlanCache`] lifetime.
+/// Memo of [`BodyPlan`]s keyed by body signature: every body shape is
+/// planned once per pool lifetime.
 #[derive(Default)]
 struct BodyPool {
-    entries: FxMap<u64, Vec<PoolEntry>>,
+    entries: FxMap<Vec<u64>, Arc<BodyPlan>>,
+    sig: Vec<u64>,
+    canon: Vec<u32>,
+    bound: Vec<bool>,
+    bound_list: Vec<u32>,
 }
 
-struct PoolEntry {
-    sig: Vec<u64>,
-    body: Arc<BodyPlan>,
+impl BodyPool {
+    /// The body plan of each rule (`None` for facts), planning only the
+    /// signatures never seen before.
+    fn bodies<'r>(
+        &mut self,
+        rules: impl Iterator<Item = &'r Arc<Rule>>,
+        stats: &Stats,
+    ) -> Vec<Option<Arc<BodyPlan>>> {
+        rules
+            .map(|rule| (!rule.is_fact()).then(|| self.body(rule, stats)))
+            .collect()
+    }
+
+    fn body(&mut self, rule: &Rule, stats: &Stats) -> Arc<BodyPlan> {
+        let n_vars = rule_n_vars(rule);
+        if self.canon.len() < n_vars {
+            self.canon.resize(n_vars, u32::MAX);
+            self.bound.resize(n_vars, false);
+        }
+        body_signature(rule, stats, &mut self.sig, &mut self.canon);
+        if let Some(body) = self.entries.get(self.sig.as_slice()) {
+            return Arc::clone(body);
+        }
+        let mut offsets = Vec::with_capacity(rule.body.len());
+        let mut flat = 0usize;
+        let per_delta: Vec<DeltaPlan> = (0..rule.body.len())
+            .map(|bi| {
+                let dp = plan_delta(rule, bi, stats, &mut self.bound, &mut self.bound_list);
+                for v in self.bound_list.drain(..) {
+                    self.bound[v as usize] = false;
+                }
+                offsets.push(flat);
+                flat += dp.steps.len();
+                dp
+            })
+            .collect();
+        let body = Arc::new(BodyPlan { per_delta, offsets });
+        self.entries.insert(self.sig.clone(), Arc::clone(&body));
+        body
+    }
+}
+
+impl Rules {
+    /// Plans `rules` from their body plans, numbering new index slots
+    /// after `base`'s and reusing `base`'s slot for a probe it shares.
+    fn build<'r>(
+        rules: impl Iterator<Item = &'r Arc<Rule>>,
+        bodies: Vec<Option<Arc<BodyPlan>>>,
+        base: Option<&Rules>,
+    ) -> Rules {
+        let first = base.map_or(0, |b| b.indices.len());
+        let mut out = Rules::default();
+        // Per body plan, the (predicate, slot) each step last resolved to:
+        // rules sharing a body plan mostly probe the same predicates, so
+        // most steps resolve with one comparison instead of a lookup.
+        let mut memos: FxMap<u64, Vec<(PredId, u32)>> = FxMap::default();
+        for (rule, body) in rules.zip(bodies) {
+            let Some(body) = body else {
+                out.plans.push(RulePlans::default());
+                continue;
+            };
+            let n_vars = rule_n_vars(rule);
+            let mut body_preds: Vec<PredId> = rule.body.iter().map(|a| a.pred).collect();
+            body_preds.sort_unstable_by_key(|p| p.0);
+            body_preds.dedup();
+            let steps = body.per_delta.iter().flat_map(|dp| &dp.steps);
+            let memo = memos
+                .entry(Arc::as_ptr(&body) as u64)
+                .or_insert_with(|| vec![(PredId(u32::MAX), NO_SLOT); steps.clone().count()]);
+            let mut slots = Vec::with_capacity(memo.len());
+            for (step, memo) in steps.zip(memo.iter_mut()) {
+                let pred = rule.body[step.pos].pred;
+                if step.fully_bound || !indexable(&step.cols) {
+                    slots.push(NO_SLOT);
+                } else if memo.0 == pred {
+                    slots.push(memo.1);
+                } else {
+                    let key = (pred.0 as u64, colmask(&step.cols));
+                    let shared = base.and_then(|b| b.slot_ids.get(&key).copied());
+                    let slot = shared.unwrap_or_else(|| {
+                        *out.slot_ids.entry(key).or_insert_with(|| {
+                            out.indices.push(IndexSpec {
+                                pred,
+                                cols: step.cols.clone(),
+                            });
+                            (first + out.indices.len() - 1) as u32
+                        })
+                    });
+                    *memo = (pred, slot);
+                    slots.push(slot);
+                }
+            }
+            out.plans.push(RulePlans {
+                body: Some(body),
+                slots,
+                n_vars,
+                body_preds,
+            });
+        }
+        out
+    }
 }
 
 impl Plan {
     /// Computes the plan for `program` (once per load; evaluation only
-    /// reads it).
+    /// reads it). Every rule is planned, a shared segment included.
     pub fn new(program: &Program) -> Plan {
-        Plan::new_in(program, &mut BodyPool::default())
+        let stats = collect_stats(program);
+        let bodies = BodyPool::default().bodies(program.rules().iter(), &stats);
+        Plan::assemble(program, None, bodies)
     }
 
-    /// Computes the plan for `program`, drawing memoized body plans from
-    /// (and contributing new ones to) `pool`.
-    fn new_in(program: &Program, pool: &mut BodyPool) -> Plan {
-        let stats = collect_stats(program);
-        let mut body_plans: Vec<Arc<BodyPlan>> = Vec::new();
-        // This plan's body-plan ids per pooled signature, and a
-        // per-flat-step (predicate → slot) memo: rules sharing a body
-        // plan mostly probe the same predicates (the glue EDB relations
-        // of their family), so the memo turns most slot lookups into one
-        // comparison. Both are plan-local — slot ids are.
-        let mut local_ids: FxMap<u64, Vec<(usize, usize)>> = FxMap::default();
-        let mut step_memos: Vec<Vec<(PredId, u32)>> = Vec::new();
-        let mut slot_ids: FxMap<(PredId, u64), u32> = FxMap::default();
-        let mut indices: Vec<IndexSpec> = Vec::new();
-        let mut uses: Vec<Vec<(u32, u32)>> = Vec::new();
-        let mut max_vars = 0usize;
-        // Reusable planning scratch: `bound[v]` plus the list of set
-        // entries for O(bound) clearing between delta positions.
-        let mut bound: Vec<bool> = Vec::new();
-        let mut bound_list: Vec<u32> = Vec::new();
-        let mut sig: Vec<u64> = Vec::new();
-        let mut canon: Vec<u32> = Vec::new();
-        let rules = program
-            .rules()
-            .iter()
-            .enumerate()
-            .map(|(ri, rule)| {
-                let n_vars = rule_n_vars(rule);
-                max_vars = max_vars.max(n_vars);
-                if bound.len() < n_vars {
-                    bound.resize(n_vars, false);
-                    canon.resize(n_vars, u32::MAX);
-                }
-                let mut body_preds: Vec<PredId> = rule.body.iter().map(|a| a.pred).collect();
-                body_preds.sort_unstable_by_key(|p| p.0);
-                body_preds.dedup();
-                for (bi, atom) in rule.body.iter().enumerate() {
-                    let p = atom.pred.0 as usize;
-                    if uses.len() <= p {
-                        uses.resize_with(p + 1, Vec::new);
-                    }
-                    uses[p].push((ri as u32, bi as u32));
-                }
-
-                let digest = body_signature(rule, &stats, &mut sig, &mut canon);
-                // Resolve the signature to a plan-local body-plan id:
-                // first in this plan's own table, then the cross-program
-                // pool, planning from scratch only on a double miss.
-                let locals = local_ids.entry(digest).or_default();
-                let mut body_plan = usize::MAX;
-                for &(pi, id) in locals.iter() {
-                    if pool.entries[&digest][pi].sig == sig {
-                        body_plan = id;
-                        break;
-                    }
-                }
-                if body_plan == usize::MAX {
-                    let pooled = pool.entries.entry(digest).or_default();
-                    let mut pool_idx = usize::MAX;
-                    for (pi, e) in pooled.iter().enumerate() {
-                        if e.sig == sig {
-                            pool_idx = pi;
-                            break;
-                        }
-                    }
-                    if pool_idx == usize::MAX {
-                        let mut offsets = Vec::with_capacity(rule.body.len());
-                        let mut flat = 0usize;
-                        let per_delta: Vec<DeltaPlan> = (0..rule.body.len())
-                            .map(|bi| {
-                                let dp = plan_delta(rule, bi, &stats, &mut bound, &mut bound_list);
-                                for v in bound_list.drain(..) {
-                                    bound[v as usize] = false;
-                                }
-                                offsets.push(flat);
-                                flat += dp.steps.len();
-                                dp
-                            })
-                            .collect();
-                        pool_idx = pooled.len();
-                        pooled.push(PoolEntry {
-                            sig: sig.clone(),
-                            body: Arc::new(BodyPlan {
-                                per_delta,
-                                offsets,
-                                n_steps: flat,
-                            }),
-                        });
-                    }
-                    let body = Arc::clone(&pooled[pool_idx].body);
-                    body_plan = body_plans.len();
-                    locals.push((pool_idx, body_plan));
-                    // An impossible predicate: every memo entry starts as
-                    // a guaranteed miss.
-                    step_memos.push(vec![(PredId(u32::MAX), NO_SLOT); body.n_steps]);
-                    body_plans.push(body);
-                }
-
-                // The rule's own slot table: same step shapes, its own
-                // body predicates.
-                let bp = &body_plans[body_plan];
-                let memo = &mut step_memos[body_plan];
-                let mut slots = Vec::with_capacity(bp.n_steps);
-                let mut fi = 0usize;
-                for dp in &bp.per_delta {
-                    for step in &dp.steps {
-                        let slot = if step.fully_bound || !indexable(&step.cols) {
-                            NO_SLOT
-                        } else {
-                            let pred = rule.body[step.pos].pred;
-                            if memo[fi].0 == pred {
-                                memo[fi].1
-                            } else {
-                                let s = *slot_ids
-                                    .entry((pred, colmask(&step.cols)))
-                                    .or_insert_with(|| {
-                                        indices.push(IndexSpec {
-                                            pred,
-                                            cols: step.cols.clone(),
-                                        });
-                                        (indices.len() - 1) as u32
-                                    });
-                                memo[fi] = (pred, s);
-                                s
-                            }
-                        };
-                        slots.push(slot);
-                        fi += 1;
-                    }
-                }
-                RulePlans {
-                    body_plan,
-                    slots,
-                    n_vars,
-                    body_preds,
-                }
-            })
-            .collect();
+    /// The plan of `program` from its template plan (with the segment's
+    /// start) and its own rules' body plans: the own rules' slot tables,
+    /// and the `uses` table over every rule.
+    fn assemble(
+        program: &Program,
+        template: Option<(usize, Arc<Rules>)>,
+        bodies: Vec<Option<Arc<BodyPlan>>>,
+    ) -> Plan {
+        let rules = program.rules();
+        let base = template.as_ref().map(|(_, t)| &**t);
+        let at = template.as_ref().map_or(rules.len(), |(at, _)| *at);
+        let end = at + base.map_or(0, |t| t.plans.len());
+        let own = Rules::build(rules[..at].iter().chain(&rules[end..]), bodies, base);
+        let mut uses = vec![Vec::new(); program.predicates().count()];
+        for (ri, rule) in rules.iter().enumerate() {
+            for (bi, atom) in rule.body.iter().enumerate() {
+                uses[atom.pred.0 as usize].push((ri as u32, bi as u32));
+            }
+        }
+        let all = own.plans.iter().chain(base.iter().flat_map(|t| &t.plans));
+        let max_vars = all.map(|p| p.n_vars).max().unwrap_or(0);
         Plan {
-            rules,
-            body_plans,
-            indices,
+            template,
+            own,
             uses,
             max_vars,
         }
     }
 
+    /// The number of rules the plan covers.
+    pub fn n_rules(&self) -> usize {
+        self.own.plans.len() + self.template.as_ref().map_or(0, |(_, t)| t.plans.len())
+    }
+
     /// The plans of rule `ri`.
     #[inline]
     pub fn rule(&self, ri: usize) -> &RulePlans {
-        &self.rules[ri]
-    }
-
-    /// The shared body plan referenced by a [`RulePlans`].
-    #[inline]
-    pub fn body_plan(&self, id: usize) -> &BodyPlan {
-        &self.body_plans[id]
+        match &self.template {
+            Some((at, tpl)) if ri >= *at => match tpl.plans.get(ri - at) {
+                Some(plans) => plans,
+                None => &self.own.plans[ri - tpl.plans.len()],
+            },
+            _ => &self.own.plans[ri],
+        }
     }
 
     /// Every join index any plan step can probe, in slot order.
-    pub fn indices(&self) -> &[IndexSpec] {
-        &self.indices
+    pub fn indices(&self) -> impl Iterator<Item = &IndexSpec> {
+        let tpl = self.template.iter().flat_map(|(_, t)| &t.indices);
+        tpl.chain(&self.own.indices)
     }
 
     /// Every (rule, body position) in which predicate `p` occurs — where
     /// a delta atom of `p` can fire.
     #[inline]
     pub fn uses(&self, p: PredId) -> &[(u32, u32)] {
-        self.uses
-            .get(p.0 as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Number of distinct body shapes planned (diagnostics: how well the
-    /// signature memoization compresses the program's rule families).
-    pub fn n_body_plans(&self) -> usize {
-        self.body_plans.len()
+        self.uses.get(p.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// The largest `n_vars` over all rules (shared substitution buffer
@@ -413,30 +378,41 @@ impl Plan {
     }
 }
 
-/// Shares plans across programs with compatible rule lists, and body
-/// plans across all programs it ever sees.
+/// Shares join plans between the programs of a `makeP` guess fleet.
 ///
-/// The `makeP` fleet evaluates one program per guess; the guess changes
-/// the *facts* (which messages exist) and the message constants baked
-/// into rule bodies, but plans hold only body positions, bound-column
-/// sets, and (predicate, column-set) index slots — none of which can see
-/// a constant's value, only that the column is bound. A plan computed for
-/// one program is therefore **correct** for any program whose rule list
-/// matches predicates, arities, and variable ids position for position
-/// (facts, whose plans are empty, match as wildcards); the fact-derived
-/// statistics only tune join-order quality. The full shape is compared on
-/// every digest hit, so a reused plan is always exact, never
-/// probabilistic.
+/// A program's template segment ([`Program::segment`]) is planned once
+/// per *statistics key* (the quantized statistics of the predicates its
+/// bodies read); each program then plans only its own rules, unless an
+/// earlier one had the same template plan and the same own rules and
+/// statistics, whose plan it shares. Reuse is exact: a segment matches
+/// by address, and its entry holds the [`Segment`], so no address is
+/// reused while its plans are cached. Every plan decides what
+/// [`Plan::new`] decides, up to slot numbering.
 #[derive(Default)]
 pub struct PlanCache {
-    entries: FxMap<u64, Vec<CacheEntry>>,
+    /// Per segment address: the segment, and the predicates its bodies
+    /// read.
+    reads: FxMap<u64, (Segment, BTreeSet<PredId>)>,
+    /// Template plans by segment address and the statistics of `reads`.
+    templates: FxMap<Vec<u64>, Arc<Rules>>,
+    /// Program plans by [`own_key`].
+    plans: FxMap<Vec<u64>, Arc<Plan>>,
     pool: BodyPool,
-    shape_buf: Vec<u64>,
+    computed: usize,
 }
 
-struct CacheEntry {
-    shape: Vec<u64>,
-    plan: Arc<Plan>,
+/// What a plan call finds under the cache lock.
+enum Resolved {
+    /// The plan of an earlier program with the same key.
+    Hit(Arc<Plan>),
+    /// The template plan with the segment's start, the own rules' body
+    /// plans, the template rules this call planned, and the key.
+    Miss(
+        Option<(usize, Arc<Rules>)>,
+        Vec<Option<Arc<BodyPlan>>>,
+        usize,
+        Vec<u64>,
+    ),
 }
 
 impl PlanCache {
@@ -445,9 +421,10 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Number of distinct rule shapes planned so far.
+    /// Number of plans computed so far: template plans, one per segment
+    /// and statistics key, and program plans, one per distinct key.
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.computed
     }
 
     /// Whether no plan has been computed yet.
@@ -455,127 +432,157 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// The plan for `program`, computed on first sight of its rule shape
-    /// and shared afterwards.
+    /// The plan for `program` ([`PlanCache::plan_shared`] on this cache).
     pub fn plan(&mut self, program: &Program) -> Arc<Plan> {
-        let digest = rules_shape(program, &mut self.shape_buf);
-        if let Some(entries) = self.entries.get(&digest) {
-            for e in entries {
-                if e.shape == self.shape_buf {
-                    return Arc::clone(&e.plan);
-                }
-            }
-        }
-        let plan = Arc::new(Plan::new_in(program, &mut self.pool));
-        self.entries.entry(digest).or_default().push(CacheEntry {
-            shape: self.shape_buf.clone(),
-            plan: Arc::clone(&plan),
-        });
+        let cache = Mutex::new(std::mem::take(self));
+        let (plan, _) = PlanCache::plan_shared(&cache, program);
+        *self = cache.into_inner().unwrap_or_else(PoisonError::into_inner);
         plan
     }
-}
 
-/// Flattens a program's rule list to the words that determine plan
-/// validity — per non-fact rule: head and body atoms with predicate ids,
-/// arities, and exact variable ids, constants collapsed to a token; facts
-/// collapse to a marker (their plans are empty whatever their content).
-/// Two programs with equal shapes produce position-for-position valid
-/// plans for each other. Returns the shape's digest.
-fn rules_shape(program: &Program, shape: &mut Vec<u64>) -> u64 {
-    shape.clear();
-    let mut h = FxWords::default();
-    let mut word = |shape: &mut Vec<u64>, w: u64| {
-        shape.push(w);
-        h.mix(w);
-    };
-    for rule in program.rules() {
-        if rule.is_fact() {
-            word(shape, 0xFAC7);
-            continue;
+    /// The plan for `program` from a cache shared between threads, and the
+    /// rules this call planned. The lock is held only for the memo
+    /// lookups; statistics, slot tables and `uses` are built outside it.
+    /// A lock poisoned by a panic is reset to an empty cache (plans are a
+    /// pure memo) and cleared.
+    pub fn plan_shared(cache: &Mutex<PlanCache>, program: &Program) -> (Arc<Plan>, usize) {
+        let lock = || {
+            cache.lock().unwrap_or_else(|poisoned| {
+                let mut guard = poisoned.into_inner();
+                *guard = PlanCache::new();
+                cache.clear_poison();
+                guard
+            })
+        };
+        let stats = collect_stats(program);
+        let (template, bodies, planned, key) = match lock().resolve(program, &stats) {
+            Resolved::Hit(plan) => return (plan, 0),
+            Resolved::Miss(template, bodies, planned, key) => (template, bodies, planned, key),
+        };
+        let planned = planned + bodies.iter().flatten().count();
+        let plan = Arc::new(Plan::assemble(program, template, bodies));
+        let mut guard = lock();
+        let cache = &mut *guard;
+        if let Entry::Vacant(slot) = cache.plans.entry(key) {
+            slot.insert(Arc::clone(&plan));
+            cache.computed += 1;
         }
-        word(shape, 0x517e);
-        for atom in std::iter::once(&rule.head).chain(&rule.body) {
-            word(shape, atom.pred.0 as u64);
-            word(shape, atom.terms.len() as u64);
-            for t in &atom.terms {
-                word(
-                    shape,
-                    match t {
-                        Term::Var(v) => (1u64 << 32) | *v as u64,
-                        Term::Const(_) => 2u64 << 32,
-                    },
-                );
+        (plan, planned)
+    }
+
+    fn resolve(&mut self, program: &Program, stats: &Stats) -> Resolved {
+        let rules = program.rules();
+        let (at, template, planned) = match program.segment() {
+            None => (rules.len(), None, 0),
+            Some((at, segment)) => {
+                let (tpl, planned) = self.template(segment, stats);
+                (at, Some((at, tpl)), planned)
             }
+        };
+        let end = at + template.as_ref().map_or(0, |(_, t)| t.plans.len());
+        let own = || rules[..at].iter().chain(&rules[end..]);
+        let tpl = template.as_ref().map_or(0, |(_, t)| Arc::as_ptr(t) as u64);
+        let key = own_key(own(), [tpl, at as u64], stats);
+        match self.plans.get(&key) {
+            Some(plan) => Resolved::Hit(Arc::clone(plan)),
+            None => Resolved::Miss(template, self.pool.bodies(own(), stats), planned, key),
         }
     }
-    h.finish()
+
+    /// The plan of `segment` under `stats`, and the rules planning it took
+    /// (none when it was cached).
+    fn template(&mut self, segment: &Segment, stats: &Stats) -> (Arc<Rules>, usize) {
+        let at = Arc::as_ptr(segment) as *const () as u64;
+        let (_, reads) = self.reads.entry(at).or_insert_with(|| {
+            let reads = segment.iter().flat_map(|r| &r.body).map(|a| a.pred);
+            (Arc::clone(segment), reads.collect())
+        });
+        // Two programs with equal keys plan the segment identically.
+        let words = reads.iter().flat_map(|p| stats.of(*p)).map(|v| v.to_bits());
+        let key: Vec<_> = std::iter::once(at).chain(words).collect();
+        if let Some(tpl) = self.templates.get(&key) {
+            return (Arc::clone(tpl), 0);
+        }
+        let bodies = self.pool.bodies(segment.iter(), stats);
+        let planned = bodies.iter().flatten().count();
+        let tpl = Arc::new(Rules::build(segment.iter(), bodies, None));
+        self.templates.insert(key, Arc::clone(&tpl));
+        self.computed += 1;
+        (tpl, planned)
+    }
 }
 
 /// One more than the largest variable id in `rule`.
-fn rule_n_vars(rule: &Rule) -> usize {
-    let mut max: Option<u32> = None;
-    let mut see = |t: &Term| {
-        if let Term::Var(v) = t {
-            max = Some(max.map_or(*v, |m: u32| m.max(*v)));
-        }
-    };
-    rule.head.terms.iter().for_each(&mut see);
-    for a in &rule.body {
-        a.terms.iter().for_each(&mut see);
-    }
-    max.map(|m| m as usize + 1).unwrap_or(0)
+pub(crate) fn rule_n_vars(rule: &Rule) -> usize {
+    let atoms = std::iter::once(&rule.head).chain(&rule.body);
+    let vars = atoms.flat_map(|a| &a.terms).filter_map(|t| match t {
+        Term::Var(v) => Some(*v as usize + 1),
+        Term::Const(_) => None,
+    });
+    vars.max().unwrap_or(0)
 }
 
 /// Everything `plan_delta` reads from a rule body, flattened to words:
-/// per atom, its statistics (size and per-column distinct counts, as raw
-/// f64 bits) and its term structure. The structure is *canonicalized* —
-/// every constant becomes one token (the planner only cares that the
-/// column is bound, never which value) and variables are renumbered by
-/// first occurrence (only the sharing pattern matters) — so the large
-/// rule families `makeP` emits collapse to a handful of signatures.
-/// Rules with equal signatures get byte-identical join orders. Returns
-/// the signature's digest (the memo key; equality is re-checked against
-/// the words on digest hits). `canon` is caller-provided scratch mapping
-/// var id → canonical id, `u32::MAX`-filled at entry and restored before
-/// returning.
-fn body_signature(rule: &Rule, stats: &[PredStats], sig: &mut Vec<u64>, canon: &mut [u32]) -> u64 {
+/// per atom, its statistics (as raw f64 bits) and its term structure,
+/// *canonicalized* — constants collapse to one token and variables are
+/// renumbered by first occurrence — so the large rule families `makeP`
+/// emits collapse to a handful of signatures with byte-identical join
+/// orders. `canon` is scratch mapping var id → canonical id,
+/// `u32::MAX`-filled throughout.
+fn body_signature(rule: &Rule, stats: &Stats, sig: &mut Vec<u64>, canon: &mut [u32]) {
     sig.clear();
-    let mut h = FxWords::default();
-    let mut word = |sig: &mut Vec<u64>, w: u64| {
-        sig.push(w);
-        h.mix(w);
-    };
     let mut next = 0u32;
-    let mut assigned: Vec<u32> = Vec::new();
     for atom in &rule.body {
-        let st = &stats[atom.pred.0 as usize];
-        word(sig, st.size.to_bits());
-        for d in &st.inv_distinct {
-            word(sig, d.to_bits());
-        }
-        word(sig, 0xa707); // atom separator
+        sig.extend(stats.of(atom.pred).iter().map(|v| v.to_bits()));
+        sig.push(0xa707); // atom separator
         for t in &atom.terms {
-            word(
-                sig,
-                match t {
-                    Term::Var(v) => {
-                        let c = &mut canon[*v as usize];
-                        if *c == u32::MAX {
-                            *c = next;
-                            assigned.push(*v);
-                            next += 1;
-                        }
-                        (1u64 << 32) | *c as u64
+            sig.push(match t {
+                Term::Var(v) => {
+                    let c = &mut canon[*v as usize];
+                    if *c == u32::MAX {
+                        *c = next;
+                        next += 1;
                     }
-                    Term::Const(_) => 2u64 << 32,
-                },
-            );
+                    (1u64 << 32) | *c as u64
+                }
+                Term::Const(_) => 2u64 << 32,
+            });
         }
     }
-    for v in assigned {
-        canon[v as usize] = u32::MAX;
+    for t in rule.body.iter().flat_map(|a| &a.terms) {
+        if let Term::Var(v) = t {
+            canon[*v as usize] = u32::MAX;
+        }
     }
-    h.finish()
+}
+
+/// Everything a program's plan depends on beside its template plan
+/// (`first`: that plan's address and the segment's start): per own rule,
+/// its body length, then its atoms' predicates, arities and terms
+/// (constants collapsed), with each body predicate's statistics.
+fn own_key<'r>(
+    rules: impl Iterator<Item = &'r Arc<Rule>>,
+    first: [u64; 2],
+    stats: &Stats,
+) -> Vec<u64> {
+    let mut key = first.to_vec();
+    for rule in rules {
+        key.push(rule.body.len() as u64);
+        for (i, atom) in std::iter::once(&rule.head).chain(&rule.body).enumerate() {
+            if rule.is_fact() {
+                break;
+            }
+            key.push((atom.pred.0 as u64) << 32 | atom.terms.len() as u64);
+            if i > 0 {
+                key.extend(stats.of(atom.pred).iter().map(|v| v.to_bits()));
+            }
+            key.extend(atom.terms.iter().map(|t| match t {
+                Term::Var(v) => (1u64 << 32) | *v as u64,
+                Term::Const(_) => 2u64 << 32,
+            }));
+        }
+    }
+    key
 }
 
 /// Rounds a count up to a power of two (the quantization grid).
@@ -585,45 +592,41 @@ fn quantize(n: f64) -> f64 {
 
 /// Statistics for predicates defined by facts (quantized), defaults
 /// otherwise.
-fn collect_stats(program: &Program) -> Vec<PredStats> {
-    let n_preds = program.predicates().count();
-    let mut stats: Vec<PredStats> = (0..n_preds)
-        .map(|p| PredStats {
-            size: quantize(DEFAULT_SIZE),
-            inv_distinct: vec![
-                1.0 / quantize(DEFAULT_DISTINCT);
-                program.pred_arity(PredId(p as u32))
-            ],
-        })
-        .collect();
-    // Count facts and per-column distinct constants; `seen` is allocated
-    // only for predicates that actually have facts.
-    let mut counts = vec![0usize; n_preds];
-    let mut seen: Vec<Vec<FxSet<u32>>> = vec![Vec::new(); n_preds];
-    for rule in program.rules() {
-        if !rule.is_fact() {
-            continue;
-        }
+fn collect_stats(program: &Program) -> Stats {
+    let mut at = vec![0u32];
+    for p in program.predicates() {
+        at.push(at[p.0 as usize] + 1 + program.pred_arity(p) as u32);
+    }
+    let mut vals = vec![1.0 / quantize(DEFAULT_DISTINCT); *at.last().unwrap_or(&0) as usize];
+    let mut counts = vec![0usize; at.len() - 1];
+    // One bit per (column value index, constant): a column's distinct
+    // constants are its set bits.
+    let words = program.n_constants().div_ceil(64).max(1);
+    let mut seen = vec![0u64; vals.len() * words];
+    for rule in program.rules().iter().filter(|r| r.is_fact()) {
         let p = rule.head.pred.0 as usize;
         counts[p] += 1;
-        if seen[p].is_empty() {
-            seen[p] = vec![FxSet::default(); rule.head.terms.len()];
-        }
         for (col, t) in rule.head.terms.iter().enumerate() {
             if let Term::Const(c) = t {
-                seen[p][col].insert(c.0);
+                let (i, c) = (at[p] as usize + 1 + col, c.0 as usize);
+                seen[i * words + c / 64] |= 1 << (c % 64);
             }
         }
     }
-    for p in 0..n_preds {
-        if counts[p] > 0 {
-            stats[p].size = quantize(counts[p] as f64);
-            for (col, s) in seen[p].iter().enumerate() {
-                stats[p].inv_distinct[col] = 1.0 / quantize(s.len() as f64);
-            }
+    for (p, &count) in counts.iter().enumerate() {
+        let (lo, hi) = (at[p] as usize, at[p + 1] as usize);
+        let size = if count == 0 {
+            DEFAULT_SIZE
+        } else {
+            count as f64
+        };
+        vals[lo] = quantize(size);
+        for i in (lo + 1..hi).filter(|_| count > 0) {
+            let bits = &seen[i * words..][..words];
+            vals[i] = 1.0 / quantize(bits.iter().map(|w| w.count_ones()).sum::<u32>() as f64);
         }
     }
-    stats
+    Stats { at, vals }
 }
 
 /// Greedy most-bound-first order for one (rule, delta-position) pair.
@@ -632,21 +635,21 @@ fn collect_stats(program: &Program) -> Vec<PredStats> {
 fn plan_delta(
     rule: &Rule,
     delta_pos: usize,
-    stats: &[PredStats],
+    stats: &Stats,
     bound: &mut [bool],
     bound_list: &mut Vec<u32>,
 ) -> DeltaPlan {
-    let mut bind = |bound: &mut [bool], v: u32| {
-        if !bound[v as usize] {
-            bound[v as usize] = true;
-            bound_list.push(v);
+    let mut bind = |bound: &mut [bool], pos: usize| {
+        for t in &rule.body[pos].terms {
+            if let Term::Var(v) = *t {
+                if !bound[v as usize] {
+                    bound[v as usize] = true;
+                    bound_list.push(v);
+                }
+            }
         }
     };
-    for t in &rule.body[delta_pos].terms {
-        if let Term::Var(v) = t {
-            bind(bound, *v);
-        }
-    }
+    bind(bound, delta_pos);
     let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&b| b != delta_pos).collect();
     let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
@@ -663,47 +666,38 @@ fn plan_delta(
         }
         let pos = remaining.remove(choice);
         let atom = &rule.body[pos];
-        let mut cols = Vec::with_capacity(atom.terms.len());
-        let mut fully = true;
-        for (col, t) in atom.terms.iter().enumerate() {
-            let known = match t {
-                Term::Const(_) => true,
-                Term::Var(v) => bound[*v as usize],
-            };
-            if known {
-                cols.push(col as u8);
-            } else {
-                fully = false;
-            }
-        }
+        let cols: Vec<u8> = (0..atom.terms.len() as u8)
+            .filter(|&col| known(&atom.terms[col as usize], bound))
+            .collect();
+        let fully_bound = cols.len() == atom.terms.len();
         steps.push(JoinStep {
             pos,
             cols,
-            fully_bound: fully,
+            fully_bound,
         });
-        for t in &atom.terms {
-            if let Term::Var(v) = t {
-                bind(bound, *v);
-            }
-        }
+        bind(bound, pos);
     }
     DeltaPlan { steps }
 }
 
+/// Whether the value of `t` is known: a constant, or a bound variable.
+fn known(t: &Term, bound: &[bool]) -> bool {
+    match t {
+        Term::Const(_) => true,
+        Term::Var(v) => bound[*v as usize],
+    }
+}
+
 /// Estimated candidates to scan when probing body atom `pos` given the
 /// currently bound variables.
-fn cost(rule: &Rule, pos: usize, bound: &[bool], stats: &[PredStats]) -> f64 {
+fn cost(rule: &Rule, pos: usize, bound: &[bool], stats: &Stats) -> f64 {
     let atom = &rule.body[pos];
-    let st = &stats[atom.pred.0 as usize];
-    let mut est = st.size;
+    let st = stats.of(atom.pred);
+    let mut est = st[0];
     let mut fully = true;
-    for (col, t) in atom.terms.iter().enumerate() {
-        let known = match t {
-            Term::Const(_) => true,
-            Term::Var(v) => bound[*v as usize],
-        };
-        if known {
-            est *= st.inv_distinct.get(col).copied().unwrap_or(1.0);
+    for (t, inv_distinct) in atom.terms.iter().zip(&st[1..]) {
+        if known(t, bound) {
+            est *= inv_distinct;
         } else {
             fully = false;
         }
@@ -723,7 +717,7 @@ mod tests {
     /// The (step, slot) pairs of one delta position.
     fn steps_of(plan: &Plan, ri: usize, bi: usize) -> Vec<(&JoinStep, u32)> {
         let rp = plan.rule(ri);
-        let bp = plan.body_plan(rp.body_plan);
+        let bp = rp.body.as_deref().expect("a rule, not a fact");
         let off = bp.slot_offset(bi);
         bp.per_delta[bi]
             .steps
@@ -797,7 +791,7 @@ mod tests {
         assert!(!step.fully_bound);
         // The probe got a dense slot, and the plan exposes its spec.
         assert_ne!(slot, NO_SLOT);
-        let spec = &plan.indices()[slot as usize];
+        let spec = plan.indices().nth(slot as usize).unwrap();
         assert_eq!(spec.pred, link);
         assert_eq!(spec.cols, vec![0]);
     }
@@ -840,7 +834,7 @@ mod tests {
         .unwrap();
         let plan = Plan::new(&prog);
         let rp = plan.rule(0);
-        let bp = plan.body_plan(rp.body_plan);
+        let bp = rp.body.as_deref().unwrap();
         assert_eq!(bp.per_delta.len(), 3);
         assert_eq!(rp.body_preds, vec![e]);
         assert_eq!(plan.uses(e), &[(0, 0), (0, 1), (0, 2)]);
@@ -854,7 +848,7 @@ mod tests {
             }
         }
         // Both probe column sets of `e` ({0} and {1}) get distinct slots.
-        assert_eq!(plan.indices().len(), 2);
+        assert_eq!(plan.indices().count(), 2);
         assert_eq!(plan.max_vars(), 3);
     }
 
@@ -879,15 +873,15 @@ mod tests {
             .unwrap();
         }
         let plan = Plan::new(&prog);
-        assert_eq!(plan.rule(0).body_plan, plan.rule(1).body_plan);
-        assert_eq!(plan.n_body_plans(), 1);
+        let (b0, b1) = (plan.rule(0).body.as_ref(), plan.rule(1).body.as_ref());
+        assert!(Arc::ptr_eq(b0.unwrap(), b1.unwrap()));
         // Same shape, but each rule probes its own predicate's index.
         let s0 = steps_of(&plan, 0, 0)[0].1;
         let s1 = steps_of(&plan, 1, 0)[0].1;
         assert_ne!(s0, NO_SLOT);
         assert_ne!(s1, NO_SLOT);
         assert_ne!(s0, s1, "distinct predicates need distinct indices");
-        assert_eq!(plan.indices().len(), 2);
+        assert_eq!(plan.indices().count(), 2);
     }
 
     #[test]
@@ -923,45 +917,128 @@ mod tests {
         assert!(used0.iter().any(|s| used1.contains(s)));
     }
 
-    #[test]
-    fn plan_cache_shares_across_fact_and_constant_changes() {
-        // Same rules, different fact tuples and body constants: one plan.
-        let build = |fact_consts: &[&str], body_const: &str| {
-            let mut prog = Program::new();
-            let e = prog.predicate("e", 2);
-            let out = prog.predicate("out", 1);
-            let k = prog.constant(body_const);
-            for w in fact_consts.windows(2) {
-                let a = prog.constant(w[0]);
-                let b = prog.constant(w[1]);
-                prog.fact(e, vec![a, b]).unwrap();
+    /// Everything a plan decides, flattened with slots resolved to the
+    /// (predicate, columns) they probe: two plans of `prog` with equal
+    /// flattenings join identically.
+    fn decisions(plan: &Plan, prog: &Program) -> Vec<String> {
+        let specs: Vec<&IndexSpec> = plan.indices().collect();
+        let mut out = vec![format!("max_vars {}", plan.max_vars())];
+        for ri in 0..prog.rules().len() {
+            let rp = plan.rule(ri);
+            out.push(format!("rule {ri}: {} {:?}", rp.n_vars, rp.body_preds));
+            let Some(bp) = rp.body.as_deref() else {
+                continue;
+            };
+            for (bi, dp) in bp.per_delta.iter().enumerate() {
+                for (si, st) in dp.steps.iter().enumerate() {
+                    let slot = rp.slots[bp.slot_offset(bi) + si];
+                    let probe = (slot != NO_SLOT).then(|| {
+                        let spec = specs[slot as usize];
+                        (spec.pred, spec.cols.clone())
+                    });
+                    out.push(format!("{bi}.{si}: {st:?} {probe:?}"));
+                }
             }
-            prog.rule(
-                Atom::new(out, vec![Term::Var(0)]),
-                vec![Atom::new(e, vec![Term::Const(k), Term::Var(0)])],
-            )
-            .unwrap();
-            prog
-        };
-        let p1 = build(&["a", "b", "c"], "a");
-        let p2 = build(&["x", "y", "z"], "y");
-        let mut cache = PlanCache::new();
-        let plan1 = cache.plan(&p1);
-        let plan2 = cache.plan(&p2);
-        assert!(Arc::ptr_eq(&plan1, &plan2), "shape-equal programs share");
-        assert_eq!(cache.len(), 1);
-        // A structurally different program does not share.
-        let mut p3 = build(&["a", "b"], "a");
-        let e = p3.lookup_pred("e").unwrap();
-        let out = p3.lookup_pred("out").unwrap();
-        p3.rule(
+        }
+        for p in prog.predicates() {
+            out.push(format!("uses {p:?}: {:?}", plan.uses(p)));
+        }
+        out
+    }
+
+    /// A program of `n_facts` facts `e(c_i, c_i+1)`, then `segment`, then
+    /// one own rule `out(X) :- e(k, X)`.
+    fn around(segment: &Segment, n_facts: usize, k: &str) -> Program {
+        let mut prog = Program::new();
+        let e = prog.predicate("e", 2);
+        let path = prog.predicate("path", 2);
+        let out = prog.predicate("out", 1);
+        let k = prog.constant(k);
+        for i in 0..n_facts {
+            let a = prog.constant(&format!("c{i}"));
+            let b = prog.constant(&format!("c{}", i + 1));
+            prog.fact(e, vec![a, b]).unwrap();
+        }
+        prog.extend_segment(segment).unwrap();
+        prog.rule(
             Atom::new(out, vec![Term::Var(0)]),
-            vec![Atom::new(e, vec![Term::Var(0), Term::Var(0)])],
+            vec![Atom::new(path, vec![Term::Const(k), Term::Var(0)])],
         )
         .unwrap();
-        let plan3 = cache.plan(&p3);
-        assert!(!Arc::ptr_eq(&plan1, &plan3));
-        assert_eq!(cache.len(), 2);
+        prog
+    }
+
+    /// `path(X, Y) :- e(X, Y).  path(X, Z) :- path(X, Y), e(Y, Z).`
+    fn path_segment() -> Segment {
+        let mut prog = Program::new();
+        let e = prog.predicate("e", 2);
+        let path = prog.predicate("path", 2);
+        let (x, y, z) = (Term::Var(0), Term::Var(1), Term::Var(2));
+        prog.rule(Atom::new(path, vec![x, y]), vec![Atom::new(e, vec![x, y])])
+            .unwrap();
+        prog.rule(
+            Atom::new(path, vec![x, z]),
+            vec![Atom::new(path, vec![x, y]), Atom::new(e, vec![y, z])],
+        )
+        .unwrap();
+        prog.split_rules_off(0).into()
+    }
+
+    #[test]
+    fn template_segment_is_planned_once_per_statistics_key() {
+        let seg = path_segment();
+        let cache = Mutex::new(PlanCache::new());
+        let plan = |prog: &Program| PlanCache::plan_shared(&cache, prog);
+        let len = || cache.lock().unwrap().len();
+        // Different facts, same quantized statistics (3 and 4 tuples both
+        // round to 4) and different body constants: one segment plan,
+        // and each program plans its own rule.
+        let p1 = around(&seg, 3, "c0");
+        let p2 = around(&seg, 4, "c2");
+        let (plan1, planned) = plan(&p1);
+        assert_eq!((len(), planned), (2, 3), "template plan + program plan");
+        let (plan2, planned) = plan(&p2);
+        assert_eq!((len(), planned), (3, 1));
+        // The segment sits after the facts: its rules shift, its plan does
+        // not.
+        assert!(Arc::ptr_eq(
+            plan1.rule(3).body.as_ref().unwrap(),
+            plan2.rule(4).body.as_ref().unwrap()
+        ));
+        // Same own rules and statistics, other constants: the same plan.
+        let (again, planned) = plan(&around(&seg, 3, "c1"));
+        assert!(Arc::ptr_eq(&again, &plan1));
+        assert_eq!((len(), planned), (3, 0));
+        // Statistics the segment reads changed magnitude: planned again.
+        let p3 = around(&seg, 40, "c0");
+        let (plan3, planned) = plan(&p3);
+        assert_eq!((len(), planned), (5, 3));
+        // An equal segment that is another allocation is another key.
+        let p4 = around(&path_segment(), 3, "c0");
+        let (plan4, planned) = plan(&p4);
+        assert_eq!((len(), planned), (7, 3));
+        // Every assembled plan decides exactly what a from-scratch one
+        // does.
+        for (prog, plan) in [(&p1, &plan1), (&p2, &plan2), (&p3, &plan3), (&p4, &plan4)] {
+            assert_eq!(decisions(plan, prog), decisions(&Plan::new(prog), prog));
+        }
+    }
+
+    #[test]
+    fn shared_cache_plans_like_a_private_one_and_recovers_from_poison() {
+        let seg = path_segment();
+        let prog = around(&seg, 3, "c0");
+        let shared = Mutex::new(PlanCache::new());
+        let (plan, _) = PlanCache::plan_shared(&shared, &prog);
+        assert_eq!(decisions(&plan, &prog), decisions(&Plan::new(&prog), &prog));
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = shared.lock().unwrap();
+            panic!("poison the cache");
+        });
+        assert!(shared.is_poisoned());
+        let (_, planned) = PlanCache::plan_shared(&shared, &prog);
+        assert!(!shared.is_poisoned());
+        assert_eq!(planned, 3, "the reset cache planned afresh");
     }
 
     #[test]
@@ -995,11 +1072,12 @@ mod tests {
         let mut cache = PlanCache::new();
         let plan1 = cache.plan(&p1);
         let plan2 = cache.plan(&p2);
-        assert!(!Arc::ptr_eq(&plan1, &plan2), "different shapes");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 2, "programs without a segment are keyed whole");
         // The recursive rule's body plan object is pooled: same Arc.
-        let b1 = plan1.body_plan(plan1.rule(0).body_plan) as *const BodyPlan;
-        let b2 = plan2.body_plan(plan2.rule(0).body_plan) as *const BodyPlan;
-        assert_eq!(b1, b2, "pooled body plans are shared by pointer");
+        let (b1, b2) = (plan1.rule(0).body.as_ref(), plan2.rule(0).body.as_ref());
+        assert!(
+            Arc::ptr_eq(b1.unwrap(), b2.unwrap()),
+            "pooled body plans are shared"
+        );
     }
 }

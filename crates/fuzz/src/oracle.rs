@@ -11,6 +11,7 @@
 //! | [`EvalAgree`] | indexed Datalog evaluator ≡ naive reference on `makeP` outputs | evaluator substrate |
 //! | [`ServeRoundTrip`] | every serve frame — mangled or not — gets one structured response; served verdicts match direct runs | §7i protocol totality |
 //! | [`UnionOverapprox`] | the union program over-approximates every guess: `U ⊬ goal` ⇒ no guess derives it; guess models ⊆ `U`'s | Lemma 4.3, monotonicity |
+//! | [`PlanReuse`] | a fleet's shared `PlanCache` plans evaluate every guess and `U` to the same model as a fresh `Plan::new` | planner substrate |
 //!
 //! An oracle returns [`OracleOutcome::Skip`] when the system is outside
 //! its preconditions (undecidable class, truncated search, no target) —
@@ -19,6 +20,7 @@
 use crate::gen::GenConfig;
 use parra_core::makep::{DatalogTarget, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
+use parra_datalog::plan::PlanCache;
 use parra_datalog::{Evaluator, NaiveEvaluator};
 use parra_program::parser::parse_system;
 use parra_program::pretty;
@@ -78,6 +80,7 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
         Box::new(EvalAgree),
         Box::new(ServeRoundTrip),
         Box::new(UnionOverapprox),
+        Box::new(PlanReuse),
     ]
 }
 
@@ -783,6 +786,58 @@ impl Oracle for UnionOverapprox {
     }
 }
 
+/// A fleet shares one [`PlanCache`]: the template segment is planned
+/// once per statistics key and each program plans only its own rules.
+/// Reusing those plans must never change a model, so every guess program
+/// and the union `U`, evaluated to their full least models under the
+/// fleet's cache, must derive exactly the atoms a fresh `Plan::new`
+/// derives.
+pub struct PlanReuse;
+
+impl Oracle for PlanReuse {
+    fn name(&self) -> &'static str {
+        "plan-reuse"
+    }
+
+    fn gen_config(&self) -> GenConfig {
+        GenConfig::wide()
+    }
+
+    fn cases_per_second(&self) -> u64 {
+        20
+    }
+
+    fn check(&self, sys: &ParamSystem) -> OracleOutcome {
+        with_makep_fleet(sys, |mk, guesses, target| {
+            let mut cache = PlanCache::new();
+            let union = (guesses.len() >= 2).then(|| mk.union_program(guesses, target));
+            let programs = guesses.iter().map(|g| mk.program(g, target)).chain(union);
+            for (i, (prog, _)) in programs.enumerate() {
+                let reused = Evaluator::with_plan(&prog, cache.plan(&prog)).run();
+                let fresh = Evaluator::new(&prog).run();
+                let reused: std::collections::HashSet<_> = reused.iter().collect();
+                let fresh: std::collections::HashSet<_> = fresh.iter().collect();
+                if reused != fresh {
+                    let which = if i < guesses.len() {
+                        format!("guess {i}")
+                    } else {
+                        "the union program".into()
+                    };
+                    let diff = reused.symmetric_difference(&fresh).next();
+                    return OracleOutcome::Fail(format!(
+                        "{which}: the shared plan derived {} atoms, a fresh plan {}; \
+                         first difference: {}",
+                        reused.len(),
+                        fresh.len(),
+                        diff.map_or("none".into(), |a| prog.display_ground(a)),
+                    ));
+                }
+            }
+            OracleOutcome::Pass
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,7 +876,8 @@ mod tests {
                 "monotonicity",
                 "eval-agree",
                 "serve-roundtrip",
-                "union-overapprox"
+                "union-overapprox",
+                "plan-reuse"
             ]
         );
         for n in names {

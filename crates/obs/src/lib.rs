@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(snap.counters.get("engine/states"), Some(&2));
         assert_eq!(snap.counters.get("engine/sub/x"), Some(&1));
         // Phases timed through scoped views land in the same store.
-        drop(PhaseTimer::new(&scoped).start(Phase::Plan));
+        drop(PhaseTimer::new(&scoped).start(Phase::Prepare));
         assert_eq!(rec.phase_intervals().len(), 1);
         // Counter deltas isolate a prefix.
         let before = MetricsSnapshot::default();

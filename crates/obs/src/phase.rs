@@ -26,9 +26,12 @@ pub enum Phase {
     Parse,
     /// Preparation: classification, `dis` unrolling and the goal
     /// transformation.
-    Plan,
+    Prepare,
     /// The makeP template build and guess enumeration (§4.1, Lemma 4.3).
     Guess,
+    /// Join planning: every `PlanCache` call of the guess fleet, of the
+    /// union program and of the witness replay.
+    JoinPlan,
     /// Building or catching up join indices.
     IndexBuild,
     /// Semi-naive / naive Datalog fixpoint rounds.
@@ -41,10 +44,11 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 8] = [
         Phase::Parse,
-        Phase::Plan,
+        Phase::Prepare,
         Phase::Guess,
+        Phase::JoinPlan,
         Phase::IndexBuild,
         Phase::Fixpoint,
         Phase::Search,
@@ -55,8 +59,9 @@ impl Phase {
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Parse => "parse",
-            Phase::Plan => "plan",
+            Phase::Prepare => "prepare",
             Phase::Guess => "guess",
+            Phase::JoinPlan => "join_plan",
             Phase::IndexBuild => "index_build",
             Phase::Fixpoint => "fixpoint",
             Phase::Search => "search",
@@ -226,11 +231,11 @@ mod tests {
                             }
                         }
                         // `finish` returns what it recorded.
-                        let us = timer.start(Phase::Plan).finish();
+                        let us = timer.start(Phase::Prepare).finish();
                         assert!(rec
                             .phase_intervals()
                             .iter()
-                            .any(|i| i.phase == Phase::Plan && i.dur_us == us));
+                            .any(|i| i.phase == Phase::Prepare && i.dur_us == us));
                     }
                 });
             }
@@ -277,8 +282,9 @@ mod tests {
             names,
             [
                 "parse",
-                "plan",
+                "prepare",
                 "guess",
+                "join_plan",
                 "index_build",
                 "fixpoint",
                 "search",

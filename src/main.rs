@@ -153,7 +153,7 @@ fn usage() -> String {
      never fatal) and exits 1 when dirty.\n\nfuzz oracles: engines-agree, \
      equivalence, \
      thread-determinism, round-trip, monotonicity, eval-agree, \
-     serve-roundtrip, union-overapprox (default: all). A \
+     serve-roundtrip, union-overapprox, plan-reuse (default: all). A \
      --seconds budget is a deterministic case target (seconds x the \
      oracle's calibrated cases/sec), so repeated runs are identical; \
      --timeout is a wall-clock bound instead (the completed cases are \

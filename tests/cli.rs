@@ -539,7 +539,7 @@ fn stats_flag_prints_phase_table_and_metrics() {
     let err = String::from_utf8_lossy(&out.stderr);
     for phase in [
         "  phase/parse_us = ",
-        "  phase/plan_us = ",
+        "  phase/prepare_us = ",
         "  simplified-reach/phase/search_us = ",
     ] {
         assert!(err.contains(phase), "stderr: {err}");

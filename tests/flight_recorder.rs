@@ -213,8 +213,9 @@ fn trace_out_is_a_valid_chrome_trace() {
     let datalog = trace_records("cache-datalog", "handshake.ra");
     for (ph, name) in [
         ("X", "phase:parse"),
-        ("X", "phase:plan"),
+        ("X", "phase:prepare"),
         ("X", "phase:guess"),
+        ("X", "phase:join_plan"),
         ("X", "phase:witness_replay"),
         ("i", "cache-datalog/run_start"),
         ("i", "cache-datalog/run_end"),
@@ -310,7 +311,7 @@ fn json_report_carries_phases_and_percentiles() {
         .get("phases")
         .and_then(Value::as_obj)
         .expect("report has a phases object");
-    for phase in ["parse", "plan", "guess", "fixpoint"] {
+    for phase in ["parse", "prepare", "guess", "fixpoint"] {
         assert!(
             phases.iter().any(|(k, _)| k == phase),
             "phases missing `{phase}`: {phases:?}"
