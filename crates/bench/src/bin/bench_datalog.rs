@@ -14,8 +14,9 @@
 //!
 //! The check ([`parra_bench::gate`]) fails when an entry's wall-clock
 //! regresses past [`gate::WALL_CLOCK`], or when its verdict or any of
-//! the four counters differs from the baseline at all: at one thread the
-//! counters are deterministic, so any drift is a plan change.
+//! the four counters differs from the baseline at all: the Datalog route
+//! runs on one thread, so the counters are deterministic and any drift is
+//! a plan change.
 
 use parra_bench::gate::{self, Row};
 use parra_core::verify::{EngineId, RunReport, Verifier, VerifierOptions};
@@ -25,9 +26,8 @@ use std::process::ExitCode;
 /// The litmus subset: every benchmark where the Datalog engines do real
 /// work (unsafe ones walk the guess fleet to a winner and extract the
 /// witness; the safe ones evaluate their whole fleet). `barrier`, `lb`
-/// and `spinlock-cas` are SAFE multi-guess fleets: at one thread their
-/// summed counters cover every guess evaluated, so the gate pins the
-/// SAFE path exactly.
+/// and `spinlock-cas` are SAFE multi-guess fleets: their summed counters
+/// cover every guess evaluated, so the gate pins the SAFE path exactly.
 const BENCHES: &[&str] = &[
     "producer-consumer",
     "peterson-ra",
@@ -64,7 +64,7 @@ fn measure() -> (Vec<Row>, Vec<String>) {
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
         let rec = Recorder::enabled(Level::Summary);
         let options = VerifierOptions {
-            threads: 1, // deterministic counters: no guess-fleet races
+            threads: 1, // cache-datalog runs on one thread at any count
             ..Default::default()
         };
         let verifier = Verifier::new_with_recorder(&bench.system, options, rec)

@@ -8,9 +8,15 @@
 //! the body in the shared instrumentation, and [`Verifier::run`],
 //! [`Verifier::run_isolated`], and [`Verifier::race`] all go through it.
 //!
+//! [`VerifierOptions::threads`] sizes the worker pools of the two
+//! state-space searches only. The Datalog route evaluates its guesses one
+//! after another on the calling thread, as the paper's procedure tries
+//! them (§4, Theorem 4.1), so its reports never depend on the thread
+//! count.
+//!
 //! [`Verifier::race`] builds on it: the selected engines run
-//! concurrently, each on its own OS thread (engines keep their own
-//! internal worker fleets), and the first *decisive* verdict —
+//! concurrently, each on its own OS thread (the searches keep their own
+//! internal worker pools), and the first *decisive* verdict —
 //! [`Safe`](Verdict::Safe) or [`Unsafe`](Verdict::Unsafe) — cancels the
 //! rest through a race-scoped child
 //! [`CancelToken`](parra_limits::CancelToken). Losers finish as
@@ -321,14 +327,14 @@ struct FleetOutcome {
     /// Max derived-atom count over the evaluated databases, the union
     /// included.
     atoms: usize,
-    /// Lowest-index guess whose query derived the goal, with the plan it
-    /// ran under (the witness replay reuses it).
+    /// The first guess whose query derived the goal, with the plan it ran
+    /// under (the witness replay reuses it).
     winner: Option<(usize, Arc<Plan>)>,
     /// The union program reached its fixpoint without the goal, which
     /// settles the fleet as safe.
     union_settled: bool,
-    /// Set when the governor stopped any worker or evaluation before
-    /// every guess completed; "no winner" is then inconclusive.
+    /// Set when the governor stopped the fleet or a guess's evaluation
+    /// before every guess completed; "no winner" is then inconclusive.
     interrupted: Option<InterruptReason>,
 }
 
@@ -404,17 +410,17 @@ impl Verifier {
         }
     }
 
-    /// Evaluates every guess's Datalog query with provenance *off*,
-    /// racing the fleet and stopping as soon as one derives the goal.
-    /// Returns the max program/database sizes seen and the lowest-index
-    /// winning guess (`None` means every query completed without the
-    /// goal: `Safe`).
+    /// Evaluates the guesses' Datalog queries with provenance *off*, one
+    /// after another on the calling thread, stopping at the first guess
+    /// that derives the goal. Returns the max program/database sizes seen
+    /// and that winning guess (`None` means every query completed without
+    /// the goal: `Safe`).
     ///
     /// A fleet of two or more guesses also evaluates the union program
-    /// `U` ([`MakeP::union_program`]), queued right after guess 0: guess
-    /// 0, `U`, guess 1, guess 2, …. If `U` completes without the goal, no
-    /// guess derives it, so the fleet stops and is safe. Otherwise the
-    /// fleet runs on; `U` never makes a winner.
+    /// `U` ([`MakeP::union_program`]) right after guess 0: guess 0, `U`,
+    /// guess 1, guess 2, …. If `U` completes without the goal, no guess
+    /// derives it, so the fleet stops and is safe. Otherwise the fleet
+    /// runs on; `U` never makes a winner.
     fn datalog_fleet(
         &self,
         rec: &Recorder,
@@ -424,149 +430,91 @@ impl Verifier {
         cache: &SharedPlanCache,
         gov: &ResourceBudget,
     ) -> FleetOutcome {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
-        let n_workers = self.options.threads.max(1);
-        // With a single guess there is no fleet to parallelize; hand the
-        // thread budget to the evaluator's delta batches instead.
-        let eval_threads = if guesses.len() <= 1 { n_workers } else { 1 };
         let n_guesses = guesses.len();
         let with_union = n_guesses >= 2;
-        let n_items = n_guesses + usize::from(with_union);
         let phases = PhaseTimer::new(rec);
         let planned = rec.counter("rules_planned");
-        // Set by a winning guess or by a settling union: stop the fleet.
-        let stop = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-        let interrupted: std::sync::Mutex<Option<InterruptReason>> = std::sync::Mutex::new(None);
-        // Per-program records: (guess index, or `None` for the union;
-        // rules, atoms, the plan if it derived the goal). An interrupted
-        // union leaves none.
-        let records: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    let stop = &stop;
-                    let next = &next;
-                    let interrupted = &interrupted;
-                    let (phases, planned) = (&phases, &planned);
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            if stop.load(Relaxed) {
-                                break;
-                            }
-                            // Round granularity for the fleet is one guess;
-                            // the evaluator below also checks per
-                            // semi-naive round within a guess.
-                            if let Err(reason) = gov.check() {
-                                let mut slot = interrupted.lock().expect("interrupt slot poisoned");
-                                slot.get_or_insert(reason);
-                                break;
-                            }
-                            let item = next.fetch_add(1, Relaxed);
-                            if item >= n_items {
-                                break;
-                            }
-                            let guess = match item {
-                                1 if with_union => None,
-                                0 => Some(0),
-                                _ => Some(item - usize::from(with_union)),
-                            };
-                            let (prog, goal) = match guess {
-                                Some(i) => mk.program(&guesses[i], target),
-                                None => mk.union_program(guesses, target),
-                            };
-                            // Guess programs share the template segment;
-                            // the cache plans it once for every worker,
-                            // and shares whole plans between guesses whose
-                            // own rules match.
-                            let join_plan = phases.start(Phase::JoinPlan);
-                            let (plan, n_planned) = cache.plan(&prog);
-                            drop(join_plan);
-                            planned.add(n_planned as u64);
-                            // Round events stay deterministic only when a
-                            // single guess runs (the fleet races workers,
-                            // so multi-guess schedules are timing-bound).
-                            let db = Evaluator::with_plan(&prog, Arc::clone(&plan))
-                                .with_recorder(rec.clone())
-                                .with_events(n_guesses == 1)
-                                .with_threads(eval_threads)
-                                .with_governor(gov.clone())
-                                .run_until(Some(&goal));
-                            let won = db.contains(&goal);
-                            let record = (guess, prog.rules().len(), db.len(), won.then_some(plan));
-                            if guess.is_none() {
-                                // A partial union database proves nothing;
-                                // the guesses after it check the governor
-                                // themselves.
-                                if db.interrupted().is_none() {
-                                    local.push(record);
-                                    if !won {
-                                        stop.store(true, Relaxed);
-                                        break;
-                                    }
-                                }
-                                continue;
-                            }
-                            if let Some(reason) = db.interrupted() {
-                                // The partial database is a sound under-
-                                // approximation: "goal not derived" proves
-                                // nothing for this guess.
-                                let mut slot = interrupted.lock().expect("interrupt slot poisoned");
-                                slot.get_or_insert(reason);
-                                if !won {
-                                    break;
-                                }
-                            }
-                            local.push(record);
-                            if won {
-                                stop.store(true, Relaxed);
-                                break;
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("guess worker panicked"))
-                .collect()
-        });
         let mut out = FleetOutcome {
             rules: 0,
             atoms: 0,
             winner: None,
             union_settled: false,
-            interrupted: interrupted.into_inner().expect("interrupt slot poisoned"),
+            interrupted: None,
         };
-        for (guess, rules, atoms, won) in records {
-            out.rules = out.rules.max(rules);
-            out.atoms = out.atoms.max(atoms);
-            match (guess, won) {
-                (Some(i), Some(plan)) if out.winner.as_ref().is_none_or(|(w, _)| i < *w) => {
-                    out.winner = Some((i, plan));
+        // Guess indices in evaluation order; `None` is the union.
+        let mut order = (0..n_guesses.min(1))
+            .map(Some)
+            .chain(with_union.then_some(None))
+            .chain((1..n_guesses).map(Some));
+        loop {
+            // Round granularity for the fleet is one program, checked
+            // before each and once after the last; the evaluator below
+            // also checks per semi-naive round.
+            if let Err(reason) = gov.check() {
+                out.interrupted = Some(reason);
+                break;
+            }
+            let Some(guess) = order.next() else { break };
+            let (prog, goal) = match guess {
+                Some(i) => mk.program(&guesses[i], target),
+                None => mk.union_program(guesses, target),
+            };
+            // Guess programs share the template segment; the cache plans
+            // it once per fleet, and shares whole plans between guesses
+            // whose own rules match.
+            let join_plan = phases.start(Phase::JoinPlan);
+            let (plan, n_planned) = cache.plan(&prog);
+            drop(join_plan);
+            planned.add(n_planned as u64);
+            // Round events only for a single-guess run, so that a fleet's
+            // event log does not grow with the guesses it evaluates.
+            let db = Evaluator::with_plan(&prog, Arc::clone(&plan))
+                .with_recorder(rec.clone())
+                .with_events(n_guesses == 1)
+                .with_governor(gov.clone())
+                .run_until(Some(&goal));
+            let won = db.contains(&goal);
+            match (guess, db.interrupted()) {
+                // A partial union database proves nothing; the guesses
+                // after it check the governor themselves.
+                (None, Some(_)) => continue,
+                // The partial database is a sound under-approximation:
+                // "goal not derived" proves nothing for this guess.
+                (Some(_), Some(reason)) => {
+                    out.interrupted = Some(reason);
+                    if !won {
+                        break;
+                    }
                 }
-                (None, None) => out.union_settled = true,
+                (_, None) => {}
+            }
+            out.rules = out.rules.max(prog.rules().len());
+            out.atoms = out.atoms.max(db.len());
+            match guess {
+                Some(i) if won => {
+                    out.winner = Some((i, plan));
+                    break;
+                }
+                None if !won => {
+                    out.union_settled = true;
+                    break;
+                }
                 _ => {}
             }
         }
         if rec.is_enabled() {
-            // Which guesses got evaluated (and so the maxima, and even the
-            // winning index when several guesses win) depends on worker
-            // timing — everything but the guess count and whether the
-            // union settled the fleet is volatile.
-            let mut vol: Vec<(&str, u64)> = vec![
-                ("rules_max", out.rules as u64),
-                ("atoms_max", out.atoms as u64),
+            let mut fields = vec![
+                ("n_guesses", n_guesses.into()),
+                ("rules_max", out.rules.into()),
+                ("atoms_max", out.atoms.into()),
             ];
-            if let Some((w, _)) = &out.winner {
-                vol.push(("winner", *w as u64));
-            }
-            let mut fields = vec![("n_guesses", n_guesses.into())];
             if with_union {
                 fields.push(("union_settled", u64::from(out.union_settled).into()));
             }
-            rec.event_with("fleet", &fields, &vol);
+            if let Some((w, _)) = &out.winner {
+                fields.push(("winner", (*w).into()));
+            }
+            rec.event("fleet", &fields);
         }
         out
     }
@@ -657,7 +605,7 @@ impl Verifier {
             // the fleet built it, so the fleet's plan serves the replay.
             let (prog, goal) = mk.program(&guesses[wi], target);
             let _replay = phases.start(Phase::WitnessReplay);
-            match witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
+            match witness::extract(&prog, &goal, rec, 1, Some(plan)) {
                 Some(w) => {
                     stats.cache_peak = w.peak_intensional;
                     stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);

@@ -400,11 +400,12 @@ pub struct VerifierOptions {
     pub concrete_max_env: usize,
     /// Concrete exploration limits.
     pub concrete_limits: ExploreLimits,
-    /// Worker threads for the state-space engines and the Datalog guess
-    /// fleet. Reports are identical for every value (the searches commit
-    /// results in a deterministic merge order); `1` is the sequential
-    /// legacy path. Defaults to [`Threads::resolve`]`(None)`:
-    /// `PARRA_THREADS` if set, else the machine's parallelism.
+    /// Worker threads for the two state-space engines. The Datalog route
+    /// ignores it and evaluates its guesses one after another. Reports
+    /// are identical for every value (the searches commit results in a
+    /// deterministic merge order); `1` is the sequential legacy path.
+    /// Defaults to [`Threads::resolve`]`(None)`: `PARRA_THREADS` if set,
+    /// else the machine's parallelism.
     pub threads: usize,
     /// Wall-clock budget per engine run (each engine under `--all-engines`
     /// gets the full timeout); `None` is unlimited. An exhausted budget
@@ -1578,7 +1579,11 @@ mod tests {
                     },
                 )
                 .unwrap();
-                for engine in [EngineId::SimplifiedReach, EngineId::BoundedConcrete] {
+                for engine in [
+                    EngineId::SimplifiedReach,
+                    EngineId::BoundedConcrete,
+                    EngineId::CacheDatalog,
+                ] {
                     assert_eq!(
                         canonical_json(unlimited.run(engine).report),
                         canonical_json(governed.run(engine).report),
@@ -1666,9 +1671,14 @@ mod tests {
     }
 
     /// The thread count is plumbed through every engine and never changes
-    /// a verdict or the deterministic stats.
+    /// a verdict, the deterministic stats, the notes or the witness.
     #[test]
     fn verifier_reports_identical_across_thread_counts() {
+        let stats = |r: &VerificationResult| {
+            let mut stats = r.stats.clone();
+            stats.duration = Duration::ZERO;
+            format!("{stats:?}")
+        };
         for safe in [false, true] {
             let sys = handshake(safe);
             let base = Verifier::new(
@@ -1687,22 +1697,23 @@ mod tests {
                 },
             )
             .unwrap();
-            for engine in [EngineId::SimplifiedReach, EngineId::BoundedConcrete] {
+            for engine in [
+                EngineId::SimplifiedReach,
+                EngineId::BoundedConcrete,
+                EngineId::CacheDatalog,
+            ] {
                 let a = base.run(engine);
                 let b = par.run(engine);
                 assert_eq!(a.verdict, b.verdict, "{engine}, safe={safe}");
-                assert_eq!(a.stats.states, b.stats.states, "{engine}, safe={safe}");
-                assert_eq!(a.stats.worlds, b.stats.worlds, "{engine}, safe={safe}");
+                assert_eq!(stats(&a), stats(&b), "{engine}, safe={safe}");
                 assert_eq!(a.witness_lines, b.witness_lines, "{engine}, safe={safe}");
+                assert_eq!(a.notes, b.notes, "{engine}, safe={safe}");
                 assert_eq!(a.env_thread_bound, b.env_thread_bound, "{engine}");
+                assert_eq!(
+                    a.report.cache_occupancy, b.report.cache_occupancy,
+                    "{engine}, safe={safe}"
+                );
             }
-            // The datalog fleet races guesses, so only the verdict is
-            // pinned there.
-            assert_eq!(
-                base.run(EngineId::CacheDatalog).verdict,
-                par.run(EngineId::CacheDatalog).verdict,
-                "safe={safe}"
-            );
         }
     }
 }

@@ -66,16 +66,16 @@ const LINEAR_CHECK_MAX_SIZE: usize = 400;
 const LINEAR_CHECK_MAX_K: usize = 6;
 
 /// Re-evaluates `prog` with provenance on and extracts the bounded-cache
-/// witness for `goal`. `threads` drives the evaluator's parallel delta
-/// batches; `plan` reuses the fleet's join plan (it must come from a
-/// `PlanCache` hit on this program's rule list). Returns `None` if the
+/// witness for `goal`. `_threads` is ignored: evaluation is sequential.
+/// `plan` reuses the fleet's join plan (it must come from a `PlanCache`
+/// hit on this program's rule list). Returns `None` if the
 /// goal is not derivable (the caller claimed a win that does not replay —
 /// an engine bug surfaced upstream).
 pub fn extract(
     prog: &Program,
     goal: &GroundAtom,
     rec: &Recorder,
-    threads: usize,
+    _threads: usize,
     plan: Option<Arc<Plan>>,
 ) -> Option<DatalogWitness> {
     let ev = match plan {
@@ -85,7 +85,6 @@ pub fn extract(
     let db = ev
         .with_recorder(rec.clone())
         .with_provenance(true)
-        .with_threads(threads)
         .run_until(Some(goal));
     let atoms = db.len();
     let schedule = schedule_from_database(&db, goal)?;

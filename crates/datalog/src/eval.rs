@@ -15,11 +15,9 @@
 //!   ([`Evaluator::with_provenance`]); witness extraction
 //!   ([`cache::schedule_from_database`](crate::cache::schedule_from_database))
 //!   needs it, plain queries do not pay for it.
-//! * **Parallel delta batches** — each round's delta is expanded by
-//!   `parra-search`'s [`ordered_map`](parra_search::ordered_map) and merged sequentially in delta
-//!   order, so the resulting database (and every statistic derived from
-//!   it) is byte-identical for every thread count
-//!   ([`Evaluator::with_threads`]).
+//! * **Whole-round deltas** — each round derives every candidate tuple
+//!   from the previous round's delta against the database as it stood,
+//!   and only then merges them in delta order.
 //!
 //! The pre-rewrite engine survives as [`naive`](crate::naive) and pins
 //! this one differentially (the `eval-agree` fuzz oracle).
@@ -275,10 +273,9 @@ struct Counters {
     index_hits: Counter,
 }
 
-/// Per-worker scratch for one delta item's rule firings. Kept in a
-/// thread-local so the `makeP` fleet (thousands of delta items across
-/// many small programs) allocates it once per worker thread, not once
-/// per delta item.
+/// Scratch for one delta item's rule firings, allocated once per run and
+/// reused by every delta item. The trail fully unwinds after every use,
+/// so `subst` is all-`None` between delta items.
 #[derive(Default)]
 struct JoinScratch {
     /// Variable bindings, indexed by variable id.
@@ -289,14 +286,6 @@ struct JoinScratch {
     used: Vec<usize>,
     /// Instantiation buffer for keys, membership tests, and heads.
     buf: Vec<Const>,
-}
-
-thread_local! {
-    /// The trail fully unwinds after every use, so `subst` is all-`None`
-    /// between delta items and the scratch can be shared across programs
-    /// (growing `subst` as larger plans come along).
-    static SCRATCH: std::cell::RefCell<JoinScratch> =
-        std::cell::RefCell::new(JoinScratch::default());
 }
 
 /// Bottom-up evaluator.
@@ -323,13 +312,12 @@ pub struct Evaluator<'p> {
     rec: Recorder,
     events: bool,
     provenance: bool,
-    threads: usize,
     gov: ResourceBudget,
 }
 
 impl<'p> Evaluator<'p> {
     /// Creates an evaluator for `program`. The join plan is computed here,
-    /// once; provenance is off and evaluation is sequential by default.
+    /// once; provenance is off by default.
     pub fn new(program: &'p Program) -> Evaluator<'p> {
         Evaluator::with_plan(program, Arc::new(Plan::new(program)))
     }
@@ -368,7 +356,6 @@ impl<'p> Evaluator<'p> {
             rec: Recorder::disabled(),
             events: false,
             provenance: false,
-            threads: 1,
             gov: ResourceBudget::unlimited(),
         }
     }
@@ -381,11 +368,9 @@ impl<'p> Evaluator<'p> {
 
     /// Turns per-round flight-recorder events on (off by default).
     ///
-    /// Callers must only enable this for evaluations whose schedule is
-    /// deterministic across thread counts — e.g. a single-guess run, or
-    /// the sequential reference evaluator. A multi-guess fleet races its
-    /// workers, so the set of evaluated guesses (and hence their rounds)
-    /// is thread-count-dependent and would break the event-log contract.
+    /// The Datalog route enables this only for a single-guess run, so a
+    /// fleet's event log does not grow with the number of guesses it
+    /// evaluates.
     pub fn with_events(mut self, on: bool) -> Evaluator<'p> {
         self.events = on;
         self
@@ -395,15 +380,6 @@ impl<'p> Evaluator<'p> {
     /// cache-schedule extraction need it; queries run faster without.
     pub fn with_provenance(mut self, on: bool) -> Evaluator<'p> {
         self.provenance = on;
-        self
-    }
-
-    /// Expands each semi-naive round's delta with `threads` workers. The
-    /// database is identical for every value: workers only produce
-    /// candidate tuples, and a sequential merge walking the delta in order
-    /// makes every insertion decision. `1` (the default) never spawns.
-    pub fn with_threads(mut self, threads: usize) -> Evaluator<'p> {
-        self.threads = threads.max(1);
         self
     }
 
@@ -465,12 +441,17 @@ impl<'p> Evaluator<'p> {
             }
         }
 
-        // Round-based semi-naive: expand the delta (in parallel), merge the
-        // candidate tuples sequentially in delta order. Indices catch up
-        // with the previous round's insertions first, so the workers only
-        // ever read them. The (body predicate → rule occurrence) table
-        // driving the expansion lives in the plan ([`Plan::uses`]).
+        // Round-based semi-naive: expand the whole delta against the
+        // database as it stood, then merge the candidate tuples in delta
+        // order. Indices catch up with the previous round's insertions
+        // first, so the expansion only reads them. The (body predicate →
+        // rule occurrence) table driving the expansion lives in the plan
+        // ([`Plan::uses`]).
         let phases = PhaseTimer::new(&self.rec);
+        let mut scratch = JoinScratch {
+            subst: vec![None; self.plan.max_vars()],
+            ..JoinScratch::default()
+        };
         let mut round: u64 = 0;
         while !delta.is_empty() {
             if let Err(reason) = self.gov.check() {
@@ -486,13 +467,13 @@ impl<'p> Evaluator<'p> {
                 phases.add_us(Phase::IndexBuild, t0.elapsed().as_micros() as u64);
             }
             let t0 = phases.is_enabled().then(Instant::now);
-            let batches: Vec<Vec<Derived>> =
-                parra_search::ordered_map(self.threads.min(delta.len()), &delta, |_w, _i, &d| {
-                    self.derive_from(&db, d, &counters)
-                });
+            let mut candidates = Vec::new();
+            for &d in &delta {
+                self.derive_from(&db, d, &counters, &mut scratch, &mut candidates);
+            }
             let mut next_delta = Vec::new();
             let mut goal_hit = false;
-            for derived in batches.into_iter().flatten() {
+            for derived in candidates {
                 let hit = stop_at
                     .map(|g| g.pred == derived.pred && g.args[..] == derived.args[..])
                     .unwrap_or(false);
@@ -540,47 +521,41 @@ impl<'p> Evaluator<'p> {
         self.run_until(Some(goal)).contains(goal)
     }
 
-    /// All rule firings in which the delta atom `d` participates (at every
-    /// body position of its predicate). Read-only over `db`.
-    fn derive_from(&self, db: &Database, d: AtomId, counters: &Counters) -> Vec<Derived> {
+    /// Appends to `out` all rule firings in which the delta atom `d`
+    /// participates (at every body position of its predicate). Read-only
+    /// over `db`.
+    fn derive_from(
+        &self,
+        db: &Database,
+        d: AtomId,
+        counters: &Counters,
+        scratch: &mut JoinScratch,
+        out: &mut Vec<Derived>,
+    ) {
         let pred = db.store.pred(d);
-        let uses = self.plan.uses(pred);
-        let mut out = Vec::new();
-        if uses.is_empty() {
-            return out;
+        'uses: for &(ri, bi) in self.plan.uses(pred) {
+            let (ri, bi) = (ri as usize, bi as usize);
+            let rule = &self.program.rules()[ri];
+            let plans = self.plan.rule(ri);
+            // A rule with an empty body relation cannot fire: skip it
+            // before any matching work.
+            for p in &plans.body_preds {
+                if db.per_pred[p.0 as usize].is_empty() {
+                    continue 'uses;
+                }
+            }
+            scratch.used.clear();
+            scratch.used.resize(rule.body.len(), 0);
+            counters.joins.incr();
+            if self.match_pattern(db, &rule.body[bi], d, scratch) {
+                scratch.used[bi] = d.index();
+                let body = plans.body.as_deref().expect("a rule with a body");
+                let dp = &body.per_delta[bi];
+                let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
+                self.join_steps(db, rule, ri, dp, slots, 0, scratch, out, counters);
+            }
+            unwind(scratch, 0);
         }
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            // The trail fully unwinds between uses, so `subst` only ever
-            // needs growing, never clearing.
-            if scratch.subst.len() < self.plan.max_vars() {
-                scratch.subst.resize(self.plan.max_vars(), None);
-            }
-            'uses: for &(ri, bi) in uses {
-                let (ri, bi) = (ri as usize, bi as usize);
-                let rule = &self.program.rules()[ri];
-                let plans = self.plan.rule(ri);
-                // A rule with an empty body relation cannot fire: skip it
-                // before any matching work.
-                for p in &plans.body_preds {
-                    if db.per_pred[p.0 as usize].is_empty() {
-                        continue 'uses;
-                    }
-                }
-                scratch.used.clear();
-                scratch.used.resize(rule.body.len(), 0);
-                counters.joins.incr();
-                if self.match_pattern(db, &rule.body[bi], d, scratch) {
-                    scratch.used[bi] = d.index();
-                    let body = plans.body.as_deref().expect("a rule with a body");
-                    let dp = &body.per_delta[bi];
-                    let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
-                    self.join_steps(db, rule, ri, dp, slots, 0, scratch, &mut out, counters);
-                }
-                unwind(scratch, 0);
-            }
-        });
-        out
     }
 
     /// Matches `pattern` against the stored tuple `id`, extending the
@@ -789,17 +764,11 @@ mod tests {
     fn generous_budget_reaches_same_fixpoint() {
         let (p, path, c) = tc_program();
         let base = Evaluator::new(&p).run();
-        for threads in [1, 4] {
-            let gov =
-                ResourceBudget::unlimited().with_deadline(std::time::Duration::from_secs(3600));
-            let governed = Evaluator::new(&p)
-                .with_threads(threads)
-                .with_governor(gov)
-                .run();
-            assert_eq!(governed.interrupted(), None, "threads {threads}");
-            assert_eq!(governed.len(), base.len(), "threads {threads}");
-            assert!(governed.contains(&GroundAtom::new(path, vec![c[0], c[3]])));
-        }
+        let gov = ResourceBudget::unlimited().with_deadline(std::time::Duration::from_secs(3600));
+        let governed = Evaluator::new(&p).with_governor(gov).run();
+        assert_eq!(governed.interrupted(), None);
+        assert_eq!(governed.len(), base.len());
+        assert!(governed.contains(&GroundAtom::new(path, vec![c[0], c[3]])));
     }
 
     #[test]
@@ -890,50 +859,6 @@ mod tests {
         let db = Evaluator::new(&p).run();
         assert!(db.contains(&GroundAtom::new(from_a, vec![b])));
         assert!(!db.contains(&GroundAtom::new(from_a, vec![c])));
-    }
-
-    /// The database is byte-identical for every thread count.
-    #[test]
-    fn threads_do_not_change_the_database() {
-        let mut p = Program::new();
-        let e = p.predicate("e", 2);
-        let path = p.predicate("path", 2);
-        let n = 12u32;
-        let consts: Vec<Const> = (0..n).map(|i| p.constant(&format!("v{i}"))).collect();
-        for i in 0..n as usize {
-            for j in 0..n as usize {
-                if (i + 2 * j) % 3 == 0 && i != j {
-                    p.fact(e, vec![consts[i], consts[j]]).unwrap();
-                }
-            }
-        }
-        p.rule(
-            Atom::new(path, vec![Term::Var(0), Term::Var(1)]),
-            vec![Atom::new(e, vec![Term::Var(0), Term::Var(1)])],
-        )
-        .unwrap();
-        p.rule(
-            Atom::new(path, vec![Term::Var(0), Term::Var(2)]),
-            vec![
-                Atom::new(path, vec![Term::Var(0), Term::Var(1)]),
-                Atom::new(e, vec![Term::Var(1), Term::Var(2)]),
-            ],
-        )
-        .unwrap();
-        let base = Evaluator::new(&p).with_provenance(true).run();
-        let base_atoms: Vec<GroundAtom> = base.iter().collect();
-        for threads in [2, 4, 7] {
-            let db = Evaluator::new(&p)
-                .with_provenance(true)
-                .with_threads(threads)
-                .run();
-            assert_eq!(db.len(), base.len(), "threads={threads}");
-            let atoms: Vec<GroundAtom> = db.iter().collect();
-            assert_eq!(atoms, base_atoms, "threads={threads}");
-            for i in 0..db.len() {
-                assert_eq!(db.derivation(i), base.derivation(i), "threads={threads}");
-            }
-        }
     }
 
     /// The optimized engine agrees with the naive reference on a model

@@ -18,8 +18,8 @@
 //!   arity validation) and a text [`parser`];
 //! * [`eval`] — indexed semi-naive bottom-up evaluation (`Prog ⊢ g` for
 //!   arbitrary positive Datalog): an interned tuple [`arena`],
-//!   column-keyed join indices driven by a static join [`plan`], optional
-//!   provenance, and deterministic parallel delta batches;
+//!   column-keyed join indices driven by a static join [`plan`], and
+//!   optional provenance;
 //! * [`naive`] — the unindexed reference evaluator the optimized engine is
 //!   differentially pinned against (fuzzing, benchmarks);
 //! * [`linear`] — the linear-Datalog fragment check and a worklist

@@ -19,7 +19,9 @@
 
 use crate::gen::GenConfig;
 use parra_core::makep::{DatalogTarget, Guess, MakeP, MakePLimits};
-use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
+use parra_core::verify::{
+    EngineId, Verdict, VerificationResult, Verifier, VerifierError, VerifierOptions,
+};
 use parra_datalog::plan::PlanCache;
 use parra_datalog::{Evaluator, NaiveEvaluator};
 use parra_program::parser::parse_system;
@@ -33,6 +35,7 @@ use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
 use parra_simplified::state::Budget;
+use std::time::Duration;
 
 /// The result of one oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,8 +274,9 @@ impl Oracle for Equivalence {
 // ---------------------------------------------------------------------
 
 /// The sharded parallel searches commit results in a deterministic merge
-/// order: every report field (verdict, state counts, witness, §4.3 bound)
-/// must be byte-identical between a 1-worker and an N-worker run.
+/// order, and the Datalog route runs on one thread at any count: every
+/// report field (verdict, stats, notes, witness, §4.3 bound, cache
+/// occupancy) must be identical between a 1-worker and an N-worker run.
 pub struct ThreadDeterminism;
 
 impl Oracle for ThreadDeterminism {
@@ -302,7 +306,16 @@ impl Oracle for ThreadDeterminism {
             (Ok(a), Ok(b)) => (a, b),
             (Err(skip), _) | (_, Err(skip)) => return skip,
         };
-        for engine in [EngineId::SimplifiedReach, EngineId::BoundedConcrete] {
+        let stats = |r: &VerificationResult| {
+            let mut stats = r.stats.clone();
+            stats.duration = Duration::ZERO;
+            format!("{stats:?}")
+        };
+        for engine in [
+            EngineId::SimplifiedReach,
+            EngineId::BoundedConcrete,
+            EngineId::CacheDatalog,
+        ] {
             let a = seq.run(engine);
             let b = par.run(engine);
             let mismatch = |field: &str| {
@@ -313,17 +326,20 @@ impl Oracle for ThreadDeterminism {
             if a.verdict != b.verdict {
                 return mismatch("verdict");
             }
-            if a.stats.states != b.stats.states {
-                return mismatch("stats.states");
+            if stats(&a) != stats(&b) {
+                return mismatch("stats");
             }
-            if a.stats.worlds != b.stats.worlds {
-                return mismatch("stats.worlds");
+            if a.notes != b.notes {
+                return mismatch("notes");
             }
             if a.witness_lines != b.witness_lines {
                 return mismatch("witness");
             }
             if a.env_thread_bound != b.env_thread_bound {
                 return mismatch("env_thread_bound");
+            }
+            if a.report.cache_occupancy != b.report.cache_occupancy {
+                return mismatch("cache_occupancy");
             }
         }
         OracleOutcome::Pass

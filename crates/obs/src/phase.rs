@@ -12,8 +12,8 @@
 //! - one flat [`PhaseInterval`] in the recorder, which `--trace-out`
 //!   renders as a `"ph":"X"` block.
 //!
-//! Phase counters are *CPU-time-like sums*: when several fleet workers
-//! run fixpoints concurrently their phase times add, so a run's phase
+//! Phase counters are *CPU-time-like sums*: when `--race` runs several
+//! engines concurrently their phase times add, so a raced run's phase
 //! total can exceed its wall-clock duration.
 
 use crate::{Counter, Recorder};

@@ -19,7 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope joins all workers first).
+/// Re-raises a panic from `f` with its own payload (the scope joins all
+/// workers first), so [`catch_panic`](crate::catch_panic) sees the
+/// worker's message.
 pub fn ordered_map<I, O, F>(workers: usize, items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
@@ -55,7 +57,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
     let mut slots: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
@@ -119,6 +121,20 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 100);
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_message() {
+        let items: Vec<u32> = (0..16).collect();
+        let caught = crate::catch_panic(|| {
+            ordered_map(4, &items, |_, i, &x| {
+                if i == 7 {
+                    panic!("item 7 exploded");
+                }
+                x
+            })
+        });
+        assert_eq!(caught, Err("item 7 exploded".to_string()));
     }
 
     #[test]

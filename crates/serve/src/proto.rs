@@ -19,8 +19,8 @@
 //!
 //! A `verify` request names its system either by `litmus` benchmark name
 //! or inline `program` source, and may override the daemon's defaults
-//! with `engine` (an engine name, `all-engines`, or `race`), `threads`,
-//! `unroll`, `timeout_ms` (anchored at *admission*, not connection or
+//! with `engine` (an engine name, `all-engines`, or `race`), `threads`
+//! (clamped to the daemon's own), `unroll`, `timeout_ms` (anchored at *admission*, not connection or
 //! daemon start), and `memory` (a byte size like `"512M"`).
 //!
 //! ## Responses
@@ -132,7 +132,7 @@ pub struct VerifyRequest {
     /// Engine selection label (`simplified-reach`, …, `all-engines`,
     /// `race`); `None` uses the daemon default.
     pub engine: Option<String>,
-    /// Worker-thread override.
+    /// Worker-thread override, clamped to the daemon's own `--threads`.
     pub threads: Option<usize>,
     /// Per-request wall-clock budget in milliseconds, anchored at
     /// admission.

@@ -315,6 +315,47 @@ impl Server {
         }
     }
 
+    /// The options one request runs under: the daemon's, with the
+    /// request's overrides applied. A requested `threads` is clamped to
+    /// the daemon's own worker count, so a client cannot make the daemon
+    /// spawn more threads than its operator allowed. The deadline window
+    /// anchors at `admitted`.
+    fn request_options(
+        &self,
+        req: &VerifyRequest,
+        first_engine: EngineId,
+        admitted: Instant,
+    ) -> VerifierOptions {
+        let mut options = self.cfg.options.clone();
+        if let Some(t) = req.threads {
+            options.threads = t.clamp(1, self.cfg.options.threads.max(1));
+        }
+        if let Some(u) = req.unroll {
+            options.unroll_dis = Some(u);
+        }
+        if let Some(m) = req.memory {
+            options.memory_budget = Some(m);
+        }
+        // The request window (explicit or the daemon default) anchors at
+        // admission; the relative `timeout` is cleared so nothing
+        // re-anchors it at run time.
+        let window = req
+            .timeout_ms
+            .map(Duration::from_millis)
+            .or(options.timeout);
+        options.timeout = None;
+        options.deadline_at = window.map(|d| admitted + d);
+        if injected("PARRA_INJECT_DEADLINE", &req.name).is_some() {
+            options.deadline_at = Some(admitted);
+        }
+        if injected("PARRA_INJECT_PANIC", &req.name).is_some() {
+            options.fail_point_panic = Some(first_engine);
+        }
+        options.cancel = CancelToken::new();
+        options.plan_cache = Some(self.plans.clone());
+        options
+    }
+
     /// Admits and executes one verify request. Returns a closure that
     /// writes the result fields (everything after `type`) so the caller
     /// can embed them in a top-level response or a batch item alike.
@@ -346,33 +387,7 @@ impl Server {
             std::thread::sleep(INJECT_STALL);
         }
 
-        let mut options = self.cfg.options.clone();
-        if let Some(t) = req.threads {
-            options.threads = t.max(1);
-        }
-        if let Some(u) = req.unroll {
-            options.unroll_dis = Some(u);
-        }
-        if let Some(m) = req.memory {
-            options.memory_budget = Some(m);
-        }
-        // The request window (explicit or the daemon default) anchors at
-        // admission; the relative `timeout` is cleared so nothing
-        // re-anchors it at run time.
-        let window = req
-            .timeout_ms
-            .map(Duration::from_millis)
-            .or(options.timeout);
-        options.timeout = None;
-        options.deadline_at = window.map(|d| admitted + d);
-        if injected("PARRA_INJECT_DEADLINE", &req.name).is_some() {
-            options.deadline_at = Some(admitted);
-        }
-        if injected("PARRA_INJECT_PANIC", &req.name).is_some() {
-            options.fail_point_panic = Some(engines[0]);
-        }
-        options.cancel = CancelToken::new();
-        options.plan_cache = Some(self.plans.clone());
+        let options = self.request_options(req, engines[0], admitted);
 
         let rec = if self.events.is_some() {
             Recorder::enabled(Level::Summary)
@@ -557,6 +572,33 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, ["1", "", "2"]);
+    }
+
+    /// A request's `threads` is clamped to the daemon's worker count;
+    /// only the options are computed, no engine runs.
+    #[test]
+    fn requested_threads_are_clamped_to_the_daemon() {
+        let s = Server::new(ServeConfig {
+            options: VerifierOptions {
+                threads: 3,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let threads_for = |field: &str| {
+            let line = format!(r#"{{"proto":1,"type":"verify","litmus":"sb"{field}}}"#);
+            let Ok(Request::Verify(req)) = proto::parse_request(&line) else {
+                panic!("{line} parses as a verify request");
+            };
+            s.request_options(&req, EngineId::CacheDatalog, Instant::now())
+                .threads
+        };
+        assert_eq!(threads_for(""), 3);
+        assert_eq!(threads_for(r#","threads":0"#), 1);
+        assert_eq!(threads_for(r#","threads":2"#), 2);
+        assert_eq!(threads_for(r#","threads":3"#), 3);
+        assert_eq!(threads_for(r#","threads":1000000"#), 3);
+        assert_eq!(threads_for(&format!(r#","threads":{}"#, u64::MAX)), 3);
     }
 
     #[test]

@@ -126,9 +126,10 @@ fn usage() -> String {
      parra report <file|dir ...> [--threshold PCT]\n  \
      parra report --diff A B [--threshold PCT]\n  \
      parra report --check-schema <file ...>\n\n\
-     --threads defaults to PARRA_THREADS or the \
-     machine's parallelism; reports are identical for every thread \
-     count. --timeout takes fractional seconds; --memory-budget takes \
+     --threads sizes the worker pools of the simplified and concrete \
+     searches (the datalog engine runs on one thread) and defaults to \
+     PARRA_THREADS or the machine's parallelism; reports are identical \
+     for every thread count. --timeout takes fractional seconds; --memory-budget takes \
      bytes with an optional k/m/g suffix (e.g. 512m). Exhausted budgets \
      degrade the verdict to INTERRUPTED (exit code 2), never to SAFE.\n\n\
      --race races every engine concurrently; the first decisive verdict \

@@ -112,6 +112,7 @@ fn union_settled_fleet_is_reported_at_every_thread_count() {
     // `barrier.ra` is SAFE with two guesses, and their union program
     // does not derive the goal.
     let input = example("barrier.ra");
+    let mut seen = Vec::new();
     for threads in ["1", "4"] {
         let path = tmp(&format!("events_union_t{threads}.jsonl"));
         run_ok(
@@ -141,8 +142,22 @@ fn union_settled_fleet_is_reported_at_every_thread_count() {
             Some(1),
             "at {threads} threads"
         );
+        // The fleet runs on one thread at any count, so its maxima and
+        // (absent) winner are deterministic fields.
+        let moved: Vec<_> = ["rules_max", "atoms_max", "winner"]
+            .iter()
+            .map(|k| fields.get(k).and_then(Value::as_u64))
+            .collect();
+        assert!(moved[0].is_some_and(|n| n > 0), "rules_max at {threads}");
+        assert!(moved[1].is_some_and(|n| n > 0), "atoms_max at {threads}");
+        assert_eq!(moved[2], None, "a settled fleet has no winner");
+        seen.push(moved);
         run_ok(&["report", "--check-schema", path.to_str().unwrap()], &[0]);
     }
+    assert_eq!(
+        seen[0], seen[1],
+        "fleet fields differ between 1 and 4 threads"
+    );
 }
 
 #[test]
