@@ -43,10 +43,7 @@ fn measure() -> (Vec<Row>, Vec<String>) {
         engines: vec![EngineId::SimplifiedReach],
         race: false,
         engine_label: EngineId::SimplifiedReach.to_string(),
-        options: VerifierOptions {
-            threads: 1,
-            ..Default::default()
-        },
+        options: VerifierOptions::default(),
         shard: None,
     };
     let manifest = Manifest {

@@ -1,7 +1,7 @@
 //! Datalog-engine benchmark and regression gate.
 //!
-//! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset at
-//! `threads = 1` and records, per (benchmark, engine): best-of-N
+//! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset
+//! and records, per (benchmark, engine): best-of-N
 //! wall-clock, the evaluator's deterministic work counters (join
 //! attempts, index builds, index hits) and the planner's (rules planned
 //! from scratch: each guess's own rules, plus the template segment's
@@ -63,10 +63,7 @@ fn measure() -> (Vec<Row>, Vec<String>) {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
         let rec = Recorder::enabled(Level::Summary);
-        let options = VerifierOptions {
-            threads: 1, // cache-datalog runs on one thread at any count
-            ..Default::default()
-        };
+        let options = VerifierOptions::default();
         let verifier = Verifier::new_with_recorder(&bench.system, options, rec)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         for engine in ENGINES {

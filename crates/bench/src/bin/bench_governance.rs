@@ -6,7 +6,7 @@
 //! best-of-N wall-clock for both. The delta is the cost of the
 //! round-granularity `ResourceBudget::check()` calls; it should stay in
 //! the noise floor because the checks are O(1) and run once per
-//! wave/semi-naive round, not per state.
+//! world, BFS round or semi-naive round, not per state.
 //!
 //! ```text
 //! bench_governance [--out FILE]        # measure and write FILE (default BENCH_governance.json)
@@ -55,12 +55,8 @@ fn measure() -> (Vec<Row>, Vec<String>) {
     for name in BENCHES {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
-        let plain = VerifierOptions {
-            threads: 1,
-            ..Default::default()
-        };
+        let plain = VerifierOptions::default();
         let governed = VerifierOptions {
-            threads: 1,
             timeout: Some(Duration::from_secs(3600)),
             memory_budget: Some(usize::MAX),
             ..Default::default()

@@ -48,10 +48,7 @@ fn measure() -> (Vec<Row>, Vec<String>) {
     for name in BENCHES {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
-        let options = VerifierOptions {
-            threads: 1,
-            ..Default::default()
-        };
+        let options = VerifierOptions::default();
         let off_verifier =
             Verifier::new(&bench.system, options.clone()).unwrap_or_else(|e| panic!("{name}: {e}"));
         for engine in ENGINES {

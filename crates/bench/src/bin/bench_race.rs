@@ -47,7 +47,6 @@ fn measure() -> (Vec<Row>, Vec<String>) {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
         let options = VerifierOptions {
-            threads: 1,
             // A generous race-wide deadline: the gate should fail on a
             // slow race, not hang on a broken one.
             timeout: Some(Duration::from_secs(3600)),

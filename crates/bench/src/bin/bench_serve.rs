@@ -6,8 +6,8 @@
 //! (every request must hit the shared prepared-verifier cache and the
 //! shared plan cache). The serve layer's warm-cache contract is enforced
 //! structurally — every warm request is a cache hit and its reports
-//! carry **zero** `prepare` phase time, i.e. warm requests skip parse/prepare
-//! entirely — and the cold wall-clock is kept under the shared
+//! carry **zero** `prepare` phase time, i.e. warm requests skip
+//! preparation entirely — and the cold wall-clock is kept under the shared
 //! [`gate::WALL_CLOCK`] rule of [`parra_bench::gate`]. The baseline is a
 //! single `litmus-suite` row.
 //!
@@ -58,10 +58,7 @@ fn measure_suite() -> Measurement {
     // The null events sink turns request recording on (phase timers are
     // no-ops under a disabled recorder) without I/O in the timed path.
     let server = Server::new(ServeConfig {
-        options: VerifierOptions {
-            threads: 1,
-            ..Default::default()
-        },
+        options: VerifierOptions::default(),
         engine: EngineId::CacheDatalog.to_string(),
         ..Default::default()
     })

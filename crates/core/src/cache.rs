@@ -3,7 +3,7 @@
 //! Preparing a verifier — classify, unroll, goal-transform, timestamp
 //! budget — is pure in the system text and the verdict-relevant options,
 //! so a host that sees the same program twice can reuse the prepared
-//! verifier instead of re-paying the `plan` phase. [`VerifierCache`] keys
+//! verifier instead of re-paying the `prepare` phase. [`VerifierCache`] keys
 //! on the *canonical* pretty-printed system (so formatting differences in
 //! the source text still hit) combined with
 //! [`VerifierOptions::fingerprint`], using [`content_hash`] — the same
@@ -11,10 +11,11 @@
 //!
 //! The cache stores each prepared verifier pristine; lookups hand out
 //! [`Verifier::rescoped`] clones carrying the request's own options and
-//! recorder. The shared `plan`-phase attribution flag travels with the
+//! recorder. The shared `prepare`-phase attribution flag travels with the
 //! clones, so across a cache entry's whole lifetime exactly one report —
 //! the first engine run of the preparing (cold) request — claims the
-//! preparation time, and every warm request's phase table shows plan = 0.
+//! preparation time, and every warm request's phase table shows no
+//! `prepare` row.
 
 use crate::verify::{Verifier, VerifierError, VerifierOptions};
 use parra_obs::Recorder;
@@ -78,7 +79,7 @@ impl VerifierCache {
     /// Returns a request-scoped verifier for `sys` under `options`,
     /// preparing (and caching) one on a miss. The boolean is `true` on a
     /// cache hit — the returned verifier then skipped preparation and
-    /// carries no `plan` phase.
+    /// carries no `prepare` phase.
     ///
     /// The recorder is attached *after* the cache decision: a cold
     /// request records its preparation phases under `rec` as usual, a
@@ -181,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_lookup_reuses_preparation_and_skips_the_plan_phase() {
+    fn warm_lookup_reuses_preparation_and_skips_the_prepare_phase() {
         let cache = VerifierCache::new();
         let sys = handshake(false);
         let (cold, was_cached) = cache
@@ -202,14 +203,14 @@ mod tests {
         assert_eq!(cold_result.verdict, warm_result.verdict);
         assert_eq!(cold_result.notes, warm_result.notes);
         // The preparation time belongs to the cold request's first run;
-        // the warm report must show no plan phase at all.
+        // the warm report must show no prepare phase at all.
         assert!(
             !warm_result
                 .report
                 .phases
                 .iter()
                 .any(|(n, _)| n == "prepare"),
-            "warm run re-claimed the plan phase: {:?}",
+            "warm run re-claimed the prepare phase: {:?}",
             warm_result.report.phases
         );
     }
@@ -238,7 +239,8 @@ mod tests {
             .expect("prepare");
         assert!(!was_cached);
         assert_eq!(cache.len(), 2);
-        // A scheduling knob (threads/timeout) is not.
+        // Neither is the ignored `threads` nor a scheduling knob
+        // (`timeout`).
         let rescheduled = VerifierOptions {
             threads: 3,
             timeout: Some(std::time::Duration::from_secs(30)),

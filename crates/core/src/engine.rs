@@ -8,15 +8,13 @@
 //! the body in the shared instrumentation, and [`Verifier::run`],
 //! [`Verifier::run_isolated`], and [`Verifier::race`] all go through it.
 //!
-//! [`VerifierOptions::threads`] sizes the worker pools of the two
-//! state-space searches only. The Datalog route evaluates its guesses one
-//! after another on the calling thread, as the paper's procedure tries
-//! them (§4, Theorem 4.1), so its reports never depend on the thread
-//! count.
+//! Every engine runs on the calling thread: the two state-space searches
+//! expand one state at a time, and the Datalog route evaluates its
+//! guesses one after another, as the paper's procedure tries them (§4,
+//! Theorem 4.1).
 //!
 //! [`Verifier::race`] builds on it: the selected engines run
-//! concurrently, each on its own OS thread (the searches keep their own
-//! internal worker pools), and the first *decisive* verdict —
+//! concurrently, each on its own OS thread, and the first *decisive* verdict —
 //! [`Safe`](Verdict::Safe) or [`Unsafe`](Verdict::Unsafe) — cancels the
 //! rest through a race-scoped child
 //! [`CancelToken`](parra_limits::CancelToken). Losers finish as
@@ -351,7 +349,6 @@ impl Verifier {
         let engine = Reachability::new(sys.clone(), self.budget.clone(), self.options.reach_limits)
             .expect("env CAS-freedom checked in Verifier::new")
             .with_recorder(rec.clone())
-            .with_threads(self.options.threads)
             .with_governor(gov.clone());
         let target = SimpTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
         let report = engine.run(target);
@@ -670,7 +667,6 @@ impl Verifier {
                 self.options.concrete_limits,
             )
             .with_recorder(rec.clone())
-            .with_threads(self.options.threads)
             .with_governor(gov.clone());
             let report = explorer.run(Target::MessageGenerated(
                 self.goal.goal_var,

@@ -18,7 +18,6 @@ use parra_program::system::ParamSystem;
 use parra_program::transform;
 use parra_ra::explore::{ExploreLimits, ExploreOutcome, Explorer, Target};
 use parra_ra::Instance;
-use parra_search::Threads;
 use parra_simplified::reach::ReachLimits;
 use parra_simplified::state::Budget;
 use std::fmt;
@@ -400,12 +399,8 @@ pub struct VerifierOptions {
     pub concrete_max_env: usize,
     /// Concrete exploration limits.
     pub concrete_limits: ExploreLimits,
-    /// Worker threads for the two state-space engines. The Datalog route
-    /// ignores it and evaluates its guesses one after another. Reports
-    /// are identical for every value (the searches commit results in a
-    /// deterministic merge order); `1` is the sequential legacy path.
-    /// Defaults to [`Threads::resolve`]`(None)`: `PARRA_THREADS` if set,
-    /// else the machine's parallelism.
+    /// Ignored: every engine runs on the calling thread. Kept for callers
+    /// that still set a thread count.
     pub threads: usize,
     /// Wall-clock budget per engine run (each engine under `--all-engines`
     /// gets the full timeout); `None` is unlimited. An exhausted budget
@@ -446,7 +441,7 @@ impl Default for VerifierOptions {
             makep_limits: MakePLimits::default(),
             concrete_max_env: 4,
             concrete_limits: ExploreLimits::default(),
-            threads: Threads::resolve(None).get(),
+            threads: 1,
             timeout: None,
             deadline_at: None,
             memory_budget: None,
@@ -465,8 +460,7 @@ impl VerifierOptions {
     /// * included: unroll depth and every engine search limit (a larger
     ///   limit can turn `Unknown` into `Safe`/`Unsafe`, so records taken
     ///   under different limits are different experiments);
-    /// * excluded: `threads` (verdicts are thread-count-deterministic by
-    ///   the engines' merge-order contract), `timeout`/`deadline_at`/
+    /// * excluded: the ignored `threads`, `timeout`/`deadline_at`/
     ///   `memory_budget` (exhaustion degrades to `Interrupted`, which
     ///   campaign resumes re-run anyway), `plan_cache` (plans are
     ///   deterministic; sharing is invisible to verdicts), and the
@@ -721,11 +715,7 @@ impl Verifier {
         // same Verifier runs the same engine repeatedly.
         let scope = rec.scoped(&format!("{engine}/"));
         let before = rec.snapshot();
-        scope.event_with(
-            "run_start",
-            &[],
-            &[("threads", self.options.threads as u64)],
-        );
+        scope.event("run_start", &[]);
         let gov = budget.clone().with_cancel(cancel.clone());
         if self.options.fail_point_panic == Some(engine) {
             panic!("fail point: injected panic in {engine}");
@@ -795,14 +785,13 @@ impl Verifier {
         report.interrupted = result.verdict.interrupt_reason();
         if rec.is_enabled() {
             // The run_end event carries the deterministic verdict in
-            // `fields`; durations, phase times, threads, and the stats
-            // (fleet maxima are schedule-dependent) go in `volatile`.
+            // `fields`; durations, phase times, and the stats go in
+            // `volatile`.
             let mut vol: Vec<(String, u64)> = vec![
                 (
                     "duration_us".to_string(),
                     report.duration.as_micros() as u64,
                 ),
-                ("threads".to_string(), self.options.threads as u64),
                 ("states".to_string(), report.stats.states as u64),
                 ("worlds".to_string(), report.stats.worlds as u64),
                 ("guesses".to_string(), report.stats.guesses as u64),
@@ -912,8 +901,7 @@ impl Verifier {
             let explorer = Explorer::new(
                 Instance::new(sys.clone(), n_env),
                 self.options.concrete_limits,
-            )
-            .with_threads(self.options.threads);
+            );
             let report = explorer.run(Target::MessageGenerated(
                 self.goal.goal_var,
                 self.goal.goal_val,
@@ -1550,7 +1538,7 @@ mod tests {
     }
 
     /// A completed run under generous limits is byte-identical (modulo
-    /// wall-clock durations) to an unlimited run, at every thread count.
+    /// wall-clock durations) to an unlimited run.
     #[test]
     fn generous_budget_reports_match_unlimited_byte_for_byte() {
         fn canonical_json(mut report: RunReport) -> String {
@@ -1560,36 +1548,26 @@ mod tests {
         }
         for safe in [false, true] {
             let sys = handshake(safe);
-            for threads in [1, 4] {
-                let unlimited = Verifier::new(
-                    &sys,
-                    VerifierOptions {
-                        threads,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let governed = Verifier::new(
-                    &sys,
-                    VerifierOptions {
-                        threads,
-                        timeout: Some(Duration::from_secs(3600)),
-                        memory_budget: Some(usize::MAX),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                for engine in [
-                    EngineId::SimplifiedReach,
-                    EngineId::BoundedConcrete,
-                    EngineId::CacheDatalog,
-                ] {
-                    assert_eq!(
-                        canonical_json(unlimited.run(engine).report),
-                        canonical_json(governed.run(engine).report),
-                        "{engine}, safe={safe}, threads={threads}"
-                    );
-                }
+            let unlimited = Verifier::new(&sys, VerifierOptions::default()).unwrap();
+            let governed = Verifier::new(
+                &sys,
+                VerifierOptions {
+                    timeout: Some(Duration::from_secs(3600)),
+                    memory_budget: Some(usize::MAX),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            for engine in [
+                EngineId::SimplifiedReach,
+                EngineId::BoundedConcrete,
+                EngineId::CacheDatalog,
+            ] {
+                assert_eq!(
+                    canonical_json(unlimited.run(engine).report),
+                    canonical_json(governed.run(engine).report),
+                    "{engine}, safe={safe}"
+                );
             }
         }
     }
@@ -1667,53 +1645,6 @@ mod tests {
             let out2 = v.concretize_auto(&r2);
             assert!(!out2.from_bound);
             assert_eq!(out2.max_env_searched, DEFAULT_CONCRETIZE_ENV);
-        }
-    }
-
-    /// The thread count is plumbed through every engine and never changes
-    /// a verdict, the deterministic stats, the notes or the witness.
-    #[test]
-    fn verifier_reports_identical_across_thread_counts() {
-        let stats = |r: &VerificationResult| {
-            let mut stats = r.stats.clone();
-            stats.duration = Duration::ZERO;
-            format!("{stats:?}")
-        };
-        for safe in [false, true] {
-            let sys = handshake(safe);
-            let base = Verifier::new(
-                &sys,
-                VerifierOptions {
-                    threads: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let par = Verifier::new(
-                &sys,
-                VerifierOptions {
-                    threads: 4,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            for engine in [
-                EngineId::SimplifiedReach,
-                EngineId::BoundedConcrete,
-                EngineId::CacheDatalog,
-            ] {
-                let a = base.run(engine);
-                let b = par.run(engine);
-                assert_eq!(a.verdict, b.verdict, "{engine}, safe={safe}");
-                assert_eq!(stats(&a), stats(&b), "{engine}, safe={safe}");
-                assert_eq!(a.witness_lines, b.witness_lines, "{engine}, safe={safe}");
-                assert_eq!(a.notes, b.notes, "{engine}, safe={safe}");
-                assert_eq!(a.env_thread_bound, b.env_thread_bound, "{engine}");
-                assert_eq!(
-                    a.report.cache_occupancy, b.report.cache_occupancy,
-                    "{engine}, safe={safe}"
-                );
-            }
         }
     }
 }

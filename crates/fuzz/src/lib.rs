@@ -11,10 +11,9 @@
 //!   ([`gen::SystemGen`]) with a [`gen::GenConfig`] of knobs (variables,
 //!   domain, program length, dis count, CAS, loops) replacing the
 //!   copy-pasted `random_system` helpers the integration tests grew;
-//! * [`oracle`] — the pluggable [`oracle::Oracle`] trait and five concrete
+//! * [`oracle`] — the pluggable [`oracle::Oracle`] trait and its concrete
 //!   oracles (cross-engine agreement, Theorem 3.4 equivalence,
-//!   thread-count determinism, pretty/parse round-trip, verdict
-//!   monotonicity);
+//!   pretty/parse round-trip, verdict monotonicity, and more);
 //! * [`shrink`] — a delta-debugging [`shrink::Shrinker`] minimizing any
 //!   failing system while re-checking the oracle;
 //! * [`corpus`] — persistent `.ra` regression files with provenance

@@ -5,7 +5,6 @@
 //! |---|---|---|
 //! | [`EnginesAgree`] | simplified-reach ≡ cache-datalog verdicts, concrete only strengthens | Thm 4.1 / Lemma 4.3 |
 //! | [`Equivalence`] | simplified ≡ bounded concrete RA on small instances | Thm 3.4 |
-//! | [`ThreadDeterminism`] | 1-thread and N-thread reports are identical | §7c determinism |
 //! | [`RoundTrip`] | `pretty → parse_system` reproduces the system | parser/printer drift |
 //! | [`Monotonicity`] | verdicts persist under larger `max_states` / deeper unrolling | search soundness |
 //! | [`EvalAgree`] | indexed Datalog evaluator ≡ naive reference on `makeP` outputs | evaluator substrate |
@@ -19,9 +18,7 @@
 
 use crate::gen::GenConfig;
 use parra_core::makep::{DatalogTarget, Guess, MakeP, MakePLimits};
-use parra_core::verify::{
-    EngineId, Verdict, VerificationResult, Verifier, VerifierError, VerifierOptions,
-};
+use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
 use parra_datalog::plan::PlanCache;
 use parra_datalog::{Evaluator, NaiveEvaluator};
 use parra_program::parser::parse_system;
@@ -35,7 +32,6 @@ use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
 use parra_simplified::state::Budget;
-use std::time::Duration;
 
 /// The result of one oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +73,6 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     vec![
         Box::new(EnginesAgree),
         Box::new(Equivalence),
-        Box::new(ThreadDeterminism),
         Box::new(RoundTrip),
         Box::new(Monotonicity),
         Box::new(EvalAgree),
@@ -270,84 +265,7 @@ impl Oracle for Equivalence {
 }
 
 // ---------------------------------------------------------------------
-// 3. Thread-count determinism
-// ---------------------------------------------------------------------
-
-/// The sharded parallel searches commit results in a deterministic merge
-/// order, and the Datalog route runs on one thread at any count: every
-/// report field (verdict, stats, notes, witness, §4.3 bound, cache
-/// occupancy) must be identical between a 1-worker and an N-worker run.
-pub struct ThreadDeterminism;
-
-impl Oracle for ThreadDeterminism {
-    fn name(&self) -> &'static str {
-        "thread-determinism"
-    }
-
-    fn gen_config(&self) -> GenConfig {
-        GenConfig::agreement()
-    }
-
-    fn cases_per_second(&self) -> u64 {
-        10
-    }
-
-    fn check(&self, sys: &ParamSystem) -> OracleOutcome {
-        let mk = |threads: usize| {
-            verifier_for(
-                sys,
-                VerifierOptions {
-                    threads,
-                    ..Default::default()
-                },
-            )
-        };
-        let (seq, par) = match (mk(1), mk(4)) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(skip), _) | (_, Err(skip)) => return skip,
-        };
-        let stats = |r: &VerificationResult| {
-            let mut stats = r.stats.clone();
-            stats.duration = Duration::ZERO;
-            format!("{stats:?}")
-        };
-        for engine in [
-            EngineId::SimplifiedReach,
-            EngineId::BoundedConcrete,
-            EngineId::CacheDatalog,
-        ] {
-            let a = seq.run(engine);
-            let b = par.run(engine);
-            let mismatch = |field: &str| {
-                OracleOutcome::Fail(format!(
-                    "{engine}: {field} differs between 1 and 4 worker threads"
-                ))
-            };
-            if a.verdict != b.verdict {
-                return mismatch("verdict");
-            }
-            if stats(&a) != stats(&b) {
-                return mismatch("stats");
-            }
-            if a.notes != b.notes {
-                return mismatch("notes");
-            }
-            if a.witness_lines != b.witness_lines {
-                return mismatch("witness");
-            }
-            if a.env_thread_bound != b.env_thread_bound {
-                return mismatch("env_thread_bound");
-            }
-            if a.report.cache_occupancy != b.report.cache_occupancy {
-                return mismatch("cache_occupancy");
-            }
-        }
-        OracleOutcome::Pass
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. Pretty-printer / parser round-trip
+// 3. Pretty-printer / parser round-trip
 // ---------------------------------------------------------------------
 
 /// `parse_system(pretty(sys))` must reproduce `sys` exactly — same symbol
@@ -398,7 +316,7 @@ impl Oracle for RoundTrip {
 }
 
 // ---------------------------------------------------------------------
-// 5. Verdict monotonicity
+// 4. Verdict monotonicity
 // ---------------------------------------------------------------------
 
 /// Growing a search budget can only refine a verdict, never flip it:
@@ -488,7 +406,7 @@ impl Oracle for Monotonicity {
 }
 
 // ---------------------------------------------------------------------
-// 6. Indexed evaluator ≡ naive reference
+// 5. Indexed evaluator ≡ naive reference
 // ---------------------------------------------------------------------
 
 /// The indexed, interned Datalog evaluator and the unindexed naive
@@ -589,7 +507,7 @@ fn with_makep_fleet(
 }
 
 // ---------------------------------------------------------------------
-// 7. Serve protocol totality and parity
+// 6. Serve protocol totality and parity
 // ---------------------------------------------------------------------
 
 /// The serve protocol is *total*: every frame thrown at a daemon —
@@ -619,10 +537,7 @@ impl Oracle for ServeRoundTrip {
         use parra_serve::proto::MAX_FRAME_BYTES;
         use parra_serve::{ServeConfig, Server};
 
-        let options = VerifierOptions {
-            threads: 1,
-            ..Default::default()
-        };
+        let options = VerifierOptions::default();
         let server = Server::new(ServeConfig {
             options: options.clone(),
             ..Default::default()
@@ -734,7 +649,7 @@ impl Oracle for ServeRoundTrip {
 }
 
 // ---------------------------------------------------------------------
-// 8. The union program over-approximates every guess
+// 7. The union program over-approximates every guess
 // ---------------------------------------------------------------------
 
 /// The cache-datalog fleet settles as safe when the union program `U`
@@ -887,7 +802,6 @@ mod tests {
             vec![
                 "engines-agree",
                 "equivalence",
-                "thread-determinism",
                 "round-trip",
                 "monotonicity",
                 "eval-agree",

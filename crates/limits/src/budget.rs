@@ -125,7 +125,7 @@ impl CancelToken {
 /// The default budget is unlimited: every [`check`](ResourceBudget::check)
 /// passes and a governed run is indistinguishable from an ungoverned one.
 /// Budgets are cheap to clone (an `Instant`, a `usize`, and an `Arc`) and
-/// are handed by value to worker threads.
+/// are handed by value to each engine run (and to each `--race` racer).
 ///
 /// # Example
 ///

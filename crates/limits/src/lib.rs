@@ -21,11 +21,10 @@
 //! | "turn away the 9th request" | [`AdmissionGate`] |
 //!
 //! Engines hold a [`ResourceBudget`] and call [`ResourceBudget::check`]
-//! at **round granularity** — once per search wave, BFS round, or
+//! at **round granularity** — once per pre-closure world, BFS round, or
 //! semi-naive delta round, never per state or per tuple. A check has no
 //! side effects, so a run that *completes* under a budget is
-//! byte-identical to an unlimited run (the determinism guarantee of
-//! `parra-search` is preserved); a run that exhausts its budget stops at
+//! byte-identical to an unlimited run; a run that exhausts its budget stops at
 //! the next round boundary and reports the [`InterruptReason`] alongside
 //! whatever partial statistics it accumulated.
 //!

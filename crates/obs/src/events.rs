@@ -1,24 +1,23 @@
 //! The flight recorder: a structured, append-only event log.
 //!
-//! Engines emit round/wave-granular [`Event`]s into the recorder as they
+//! Engines emit round/world-granular [`Event`]s into the recorder as they
 //! run; the CLI persists them as schema-versioned JSONL (`--events-out`)
 //! and `parra report` aggregates and diffs the resulting files. Each
 //! event separates its payload into two sections:
 //!
 //! - **`fields`** — the deterministic contract. For a run that completes
 //!   (is not interrupted), the sequence of `(seq, scope, kind, fields)`
-//!   tuples is identical at every `--threads` count. Engines only append
-//!   events from their sequential merge/commit points, never from worker
-//!   threads, and never put thread-count-dependent data here.
+//!   tuples is identical from run to run. Engines never put
+//!   timing-dependent data here.
 //! - **`volatile`** — wall-clock and environment-dependent measurements:
-//!   durations, budget headroom, heap high-watermarks, worker counts.
+//!   durations, budget headroom, heap high-watermarks.
 //!   These vary run to run and are exempt from the determinism contract.
 //!
 //! The JSONL schema (version [`SCHEMA_VERSION`]):
 //!
 //! ```json
-//! {"v":1,"seq":0,"t_us":12,"scope":"simplified-reach/","kind":"wave",
-//!  "fields":{"wave":0,"worlds":3},"volatile":{"heap_bytes":4096}}
+//! {"v":1,"seq":0,"t_us":12,"scope":"simplified-reach/","kind":"world",
+//!  "fields":{"world":0,"states":3},"volatile":{"heap_bytes":4096}}
 //! ```
 //!
 //! An optional top-level `"file"` string attributes an event to an input
@@ -91,10 +90,10 @@ pub struct Event {
     pub t_us: u64,
     /// The emitting recorder's scope prefix (e.g. `"simplified-reach/"`).
     pub scope: String,
-    /// The event kind (`run_start`, `wave`, `round`, `run_end`, ...).
+    /// The event kind (`run_start`, `world`, `round`, `run_end`, ...).
     pub kind: String,
-    /// Deterministic payload — identical at every thread count for
-    /// completed runs.
+    /// Deterministic payload — identical from run to run for completed
+    /// runs.
     pub fields: Vec<(String, EventValue)>,
     /// Non-deterministic payload: durations, headroom, heap, etc.
     pub volatile: Vec<(String, u64)>,
@@ -148,7 +147,7 @@ impl Event {
     }
 
     /// The deterministic projection `(seq, scope, kind, fields)` used by
-    /// the cross-thread-count determinism tests.
+    /// the event-log determinism tests.
     pub fn deterministic_key(&self) -> (u64, String, String, Vec<(String, EventValue)>) {
         (
             self.seq,

@@ -187,10 +187,8 @@ impl Recorder {
 
     /// Appends a flight-recorder event with deterministic `fields` only.
     ///
-    /// Call this **only from sequential merge/commit points** (never from
-    /// worker threads) with fields that are identical at every thread
-    /// count — that is the event-log determinism contract (see
-    /// [`events`]).
+    /// Call this with fields that are identical from run to run — that is
+    /// the event-log determinism contract (see [`events`]).
     pub fn event(&self, kind: &str, fields: &[(&str, EventValue)]) {
         self.event_with(kind, fields, &[]);
     }

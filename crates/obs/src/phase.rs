@@ -36,7 +36,7 @@ pub enum Phase {
     IndexBuild,
     /// Semi-naive / naive Datalog fixpoint rounds.
     Fixpoint,
-    /// State-space search (waves, BFS rounds, concrete exploration).
+    /// State-space search (pre-closure worlds, BFS rounds, concrete exploration).
     Search,
     /// Re-deriving and checking a witness after an unsafe verdict.
     WitnessReplay,

@@ -15,14 +15,11 @@
 //! (thread identities never appear in messages), which prunes the
 //! factorial-size symmetric part of the state space.
 //!
-//! The search runs in **batched rounds over a sharded frontier**
-//! (`parra-search`): each round, the frontier is expanded in parallel by
-//! [`Explorer::with_threads`] workers — successor generation and
-//! canonicalization, the clone-heavy hot path, run off-thread — and the
-//! results are merged sequentially *in frontier order*, so state ids,
-//! counts, truncation, and witnesses are identical to the sequential run
-//! whatever the worker count. `threads == 1` never spawns a thread and
-//! streams states one at a time (the legacy code path).
+//! The search is a breadth-first search on the calling thread, one BFS
+//! level per round: each frontier state is expanded (successor generation
+//! and canonicalization, the clone-heavy hot path) and its successors are
+//! merged into the [`SearchGraph`] in generation order, so state ids,
+//! counts, truncation, and witnesses follow the frontier order.
 //!
 //! The explorer is the paper's baseline: exact for a fixed instance and
 //! bounded depth, and the reference point for validating the simplified
@@ -36,7 +33,7 @@ use parra_program::expr::RegVal;
 use parra_program::ident::VarId;
 use parra_program::pretty::{instr_to_string, Names};
 use parra_program::value::Val;
-use parra_search::{ordered_map, SearchGraph, Threads};
+use parra_search::SearchGraph;
 
 /// Search limits.
 #[derive(Debug, Clone, Copy)]
@@ -192,8 +189,8 @@ fn join_views(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// during unwinding — never on the hot path.
 type StepLabel = (ThreadId, u32);
 
-/// One output item of expanding a single state (produced by workers,
-/// consumed by the sequential merge, in generation order).
+/// One output item of expanding a single state, consumed by the merge in
+/// generation order.
 enum ExpandEvent {
     /// An enabled `assert false` edge (only emitted when the target is
     /// [`Target::AssertViolation`]); the sequential search stops here.
@@ -212,19 +209,16 @@ pub struct Explorer {
     instance: Instance,
     limits: ExploreLimits,
     rec: Recorder,
-    threads: Threads,
     gov: ResourceBudget,
 }
 
 impl Explorer {
-    /// Creates an explorer over an instance (sequential; see
-    /// [`Explorer::with_threads`]).
+    /// Creates an explorer over an instance.
     pub fn new(instance: Instance, limits: ExploreLimits) -> Explorer {
         Explorer {
             instance,
             limits,
             rec: Recorder::disabled(),
-            threads: Threads::exact(1),
             gov: ResourceBudget::unlimited(),
         }
     }
@@ -232,14 +226,6 @@ impl Explorer {
     /// The same explorer reporting metrics and phases through `rec`.
     pub fn with_recorder(mut self, rec: Recorder) -> Explorer {
         self.rec = rec;
-        self
-    }
-
-    /// The same explorer expanding each frontier with `n` worker threads
-    /// (clamped to at least 1). Results are bit-identical for every `n`;
-    /// `1` is the sequential legacy path.
-    pub fn with_threads(mut self, n: usize) -> Explorer {
-        self.threads = Threads::exact(n);
         self
     }
 
@@ -262,7 +248,6 @@ impl Explorer {
     fn run_inner(&self, target: Target) -> ExploreReport {
         let instance = &self.instance;
         let n_env = instance.n_env();
-        let n_workers = self.threads.get();
 
         let mut init = CState::initial(instance);
         init.canonicalize(n_env);
@@ -286,13 +271,10 @@ impl Explorer {
         let g_queue = self.rec.gauge("queue_len");
         let g_frontier = self.rec.gauge("frontier_size");
         let h_depth = self.rec.histogram("state_depth");
-        let worker_expanded: Vec<_> = (0..n_workers)
-            .map(|w| self.rec.counter(&format!("worker{w}_expanded")))
-            .collect();
 
-        // The search graph assigns ids in merge order — identical for
-        // every worker count; `depths[id]` tracks the BFS level.
-        let mut graph: SearchGraph<CState, StepLabel> = SearchGraph::new(n_workers);
+        // The search graph assigns ids in merge order; `depths[id]` tracks
+        // the BFS level.
+        let mut graph: SearchGraph<CState, StepLabel> = SearchGraph::new();
         let mut depths: Vec<u32> = Vec::new();
         graph.insert(init, None);
         depths.push(0);
@@ -332,93 +314,68 @@ impl Explorer {
                 .collect();
             frontier.clear();
 
-            // Expansion phase: successor generation + canonicalization
-            // (the clone-heavy part) fans out across the workers in
-            // frontier-order chunks; the graph is frozen (shared borrow)
-            // while a chunk runs, so the buffered successors stay
-            // O(chunk × branching) however large the frontier is.
-            // Sequential mode streams one state at a time instead.
-            for chunk in expandable.chunks(parra_search::round_chunk(n_workers)) {
-                let mut expanded: Vec<Vec<ExpandEvent>> = if n_workers > 1 && chunk.len() > 1 {
-                    let states = graph.states();
-                    ordered_map(n_workers, chunk, |w, _, &si| {
-                        worker_expanded[w].incr();
-                        self.expand_state(&states[si as usize], target)
-                    })
-                } else {
-                    Vec::new()
-                };
-
-                // Merge phase: sequential, in frontier order — id assignment,
-                // dedup, limits, and target checks happen here and only here.
-                for (pos, &si) in chunk.iter().enumerate() {
-                    let events = if expanded.is_empty() {
-                        worker_expanded[0].incr();
-                        self.expand_state(graph.state(si), target)
-                    } else {
-                        std::mem::take(&mut expanded[pos])
-                    };
-                    for event in events {
-                        match event {
-                            ExpandEvent::AssertHit(tid, edge) => {
-                                let mut w = self.witness(&graph, si);
-                                w.push(self.describe(tid, edge));
+            // Expand one state at a time and merge its successors in
+            // generation order — id assignment, dedup, limits, and target
+            // checks.
+            for si in expandable {
+                let events = self.expand_state(graph.state(si), target);
+                for event in events {
+                    match event {
+                        ExpandEvent::AssertHit(tid, edge) => {
+                            let mut w = self.witness(&graph, si);
+                            w.push(self.describe(tid, edge));
+                            return ExploreReport {
+                                outcome: ExploreOutcome::Unsafe,
+                                states: graph.len(),
+                                transitions,
+                                witness: Some(w),
+                            };
+                        }
+                        ExpandEvent::Succ {
+                            thread,
+                            edge,
+                            state,
+                        } => {
+                            transitions += 1;
+                            c_transitions.incr();
+                            if graph.contains(&state) {
+                                c_dedup.incr();
+                                continue;
+                            }
+                            // Goal message check on the new state —
+                            // evaluated BEFORE the capacity drop, so a
+                            // full state table can never mask an Unsafe
+                            // verdict as SafeWithinBounds.
+                            let reached = match target {
+                                Target::MessageGenerated(x, d) => state.has_message(x, d),
+                                Target::AssertViolation => false,
+                            };
+                            if !reached && graph.len() >= self.limits.max_states {
+                                truncated = true;
+                                continue;
+                            }
+                            let ni = graph.insert(state, Some((si, (thread, edge))));
+                            depths.push(depths[si as usize] + 1);
+                            c_states.incr();
+                            h_depth.record(depths[ni as usize] as u64);
+                            g_queue.record_peak(frontier.len() as u64 + 1);
+                            if reached {
                                 return ExploreReport {
                                     outcome: ExploreOutcome::Unsafe,
                                     states: graph.len(),
                                     transitions,
-                                    witness: Some(w),
+                                    witness: Some(self.witness(&graph, ni)),
                                 };
                             }
-                            ExpandEvent::Succ {
-                                thread,
-                                edge,
-                                state,
-                            } => {
-                                transitions += 1;
-                                c_transitions.incr();
-                                if graph.contains(&state) {
-                                    c_dedup.incr();
-                                    continue;
-                                }
-                                // Goal message check on the new state —
-                                // evaluated BEFORE the capacity drop, so a
-                                // full state table can never mask an Unsafe
-                                // verdict as SafeWithinBounds.
-                                let reached = match target {
-                                    Target::MessageGenerated(x, d) => state.has_message(x, d),
-                                    Target::AssertViolation => false,
-                                };
-                                if !reached && graph.len() >= self.limits.max_states {
-                                    truncated = true;
-                                    continue;
-                                }
-                                let ni = graph.insert(state, Some((si, (thread, edge))));
-                                depths.push(depths[si as usize] + 1);
-                                c_states.incr();
-                                h_depth.record(depths[ni as usize] as u64);
-                                g_queue.record_peak(frontier.len() as u64 + 1);
-                                if reached {
-                                    return ExploreReport {
-                                        outcome: ExploreOutcome::Unsafe,
-                                        states: graph.len(),
-                                        transitions,
-                                        witness: Some(self.witness(&graph, ni)),
-                                    };
-                                }
-                                frontier.push(ni);
-                            }
+                            frontier.push(ni);
                         }
                     }
                 }
             }
-            // Flight-recorder event at the end of the sequential merge:
-            // the BFS levels replay identically at every worker count, so
-            // every field is deterministic; shard layout and headroom are
-            // environment-dependent and stay volatile.
+            // Flight-recorder event at the end of each BFS level: every
+            // field is deterministic; only the governor's headroom is
+            // volatile.
             if self.rec.is_enabled() {
-                let mut vol = self.gov.headroom().volatile_fields();
-                vol.push(("shard_imbalance_permille", graph.shard_imbalance_permille()));
                 self.rec.event_with(
                     "round",
                     &[
@@ -427,7 +384,7 @@ impl Explorer {
                         ("states", graph.len().into()),
                         ("transitions", transitions.into()),
                     ],
-                    &vol,
+                    &self.gov.headroom().volatile_fields(),
                 );
             }
         }
@@ -446,8 +403,7 @@ impl Explorer {
 
     /// All expansion events of one state, in the deterministic order the
     /// sequential search would produce them (thread id, then edge order,
-    /// then successor order). Pure with respect to the search state — safe
-    /// to run on any worker.
+    /// then successor order). Pure with respect to the search state.
     fn expand_state(&self, state: &CState, target: Target) -> Vec<ExpandEvent> {
         let instance = &self.instance;
         let n_env = instance.n_env();
@@ -850,70 +806,15 @@ mod tests {
             max_depth: 32,
             max_states: full.states - 1,
         };
-        for n_threads in [1, 4] {
-            let report = Explorer::new(Instance::new(sys.clone(), 1), tight)
-                .with_threads(n_threads)
-                .run(Target::MessageGenerated(x, Val(1)));
-            assert_eq!(
-                report.outcome,
-                ExploreOutcome::Unsafe,
-                "max_states boundary masked the violation ({n_threads} threads)"
-            );
-            assert!(report.witness.is_some());
-            assert_eq!(report.states, full.states);
-        }
-    }
-
-    /// The deterministic-parallelism invariant: every worker count yields
-    /// the same outcome, state count, transition count, and witness.
-    #[test]
-    fn worker_count_does_not_change_reports() {
-        let sys = handshake();
-        let x = parra_program::ident::VarId(0);
-        for target in [
-            Target::AssertViolation,
-            Target::MessageGenerated(x, Val(1)),
-            Target::MessageGenerated(x, Val(7)), // unreachable: exhausts
-        ] {
-            let base = Explorer::new(Instance::new(sys.clone(), 1), limits()).run(target);
-            for n in [2, 3, 8] {
-                let par = Explorer::new(Instance::new(sys.clone(), 1), limits())
-                    .with_threads(n)
-                    .run(target);
-                assert_eq!(par.outcome, base.outcome, "{target:?} with {n} threads");
-                assert_eq!(par.states, base.states, "{target:?} with {n} threads");
-                assert_eq!(
-                    par.transitions, base.transitions,
-                    "{target:?} with {n} threads"
-                );
-                assert_eq!(par.witness, base.witness, "{target:?} with {n} threads");
-            }
-        }
-    }
-
-    /// Depth truncation is reported identically under parallel expansion.
-    #[test]
-    fn depth_bound_parallel_matches_sequential() {
-        let mut b = SystemBuilder::new(2);
-        let x = b.var("x");
-        let mut env = b.program("looper");
-        env.star(|p| {
-            p.store(x, 1);
-        });
-        let env = env.finish();
-        let sys = b.build(env, vec![]);
-        let lim = ExploreLimits {
-            max_depth: 4,
-            max_states: 10_000,
-        };
-        let seq = Explorer::new(Instance::new(sys.clone(), 2), lim).run(Target::AssertViolation);
-        let par = Explorer::new(Instance::new(sys, 2), lim)
-            .with_threads(4)
-            .run(Target::AssertViolation);
-        assert_eq!(seq.outcome, ExploreOutcome::SafeWithinBounds);
-        assert_eq!(par.outcome, seq.outcome);
-        assert_eq!(par.states, seq.states);
-        assert_eq!(par.transitions, seq.transitions);
+        let report =
+            Explorer::new(Instance::new(sys, 1), tight).run(Target::MessageGenerated(x, Val(1)));
+        assert_eq!(
+            report.outcome,
+            ExploreOutcome::Unsafe,
+            "max_states boundary masked the violation"
+        );
+        assert!(report.witness.is_some());
+        assert_eq!(report.states, full.states);
     }
 
     /// An exhausted budget interrupts with partial statistics (the
@@ -931,25 +832,30 @@ mod tests {
         assert!(report.witness.is_none());
     }
 
-    /// A generous budget changes nothing: the governed report equals the
-    /// ungoverned one at every worker count.
+    /// A generous budget changes nothing: the governed report — outcome,
+    /// state and transition counts, witness — equals the ungoverned one,
+    /// for a reachable assert, a reachable message, and an unreachable
+    /// message that exhausts the space.
     #[test]
     fn generous_budget_matches_unlimited_run() {
-        let base =
-            Explorer::new(Instance::new(handshake(), 1), limits()).run(Target::AssertViolation);
-        for n in [1, 4] {
+        let x = parra_program::ident::VarId(0);
+        for target in [
+            Target::AssertViolation,
+            Target::MessageGenerated(x, Val(1)),
+            Target::MessageGenerated(x, Val(7)),
+        ] {
+            let base = Explorer::new(Instance::new(handshake(), 1), limits()).run(target);
             let governed = Explorer::new(Instance::new(handshake(), 1), limits())
-                .with_threads(n)
                 .with_governor(
                     ResourceBudget::unlimited()
                         .with_deadline(std::time::Duration::from_secs(3600))
                         .with_memory_limit(usize::MAX),
                 )
-                .run(Target::AssertViolation);
-            assert_eq!(governed.outcome, base.outcome, "threads {n}");
-            assert_eq!(governed.states, base.states, "threads {n}");
-            assert_eq!(governed.transitions, base.transitions, "threads {n}");
-            assert_eq!(governed.witness, base.witness, "threads {n}");
+                .run(target);
+            assert_eq!(governed.outcome, base.outcome, "{target:?}");
+            assert_eq!(governed.states, base.states, "{target:?}");
+            assert_eq!(governed.transitions, base.transitions, "{target:?}");
+            assert_eq!(governed.witness, base.witness, "{target:?}");
         }
     }
 

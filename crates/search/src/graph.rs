@@ -1,31 +1,35 @@
 //! The search graph: states, parent edges, dedup index, witness unwind.
 
-use crate::shard::ShardedIndex;
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// The bookkeeping both engines share: a dense vector of discovered
 /// states, a parent pointer + edge label per state (for witness
-/// reconstruction), and a [`ShardedIndex`] for dedup.
+/// reconstruction), and a hash index for dedup.
 ///
-/// Ids are assigned in insertion order, and insertions happen only in the
-/// engines' sequential merge phases — in frontier order — so ids, parents,
-/// and therefore unwound witnesses are identical however many workers
-/// expanded the frontier.
+/// Ids are assigned in insertion order, so the engines' frontier order
+/// fixes ids, parents, and therefore unwound witnesses.
 #[derive(Debug, Clone)]
 pub struct SearchGraph<S, L> {
     states: Vec<S>,
     parents: Vec<Option<(u32, L)>>,
-    index: ShardedIndex<S>,
+    index: HashMap<S, u32>,
 }
 
-impl<S: Clone + Hash + Eq, L: Clone> SearchGraph<S, L> {
-    /// An empty graph whose index uses at least `n_shards` shards.
-    pub fn new(n_shards: usize) -> SearchGraph<S, L> {
+impl<S: Clone + Hash + Eq, L: Clone> Default for SearchGraph<S, L> {
+    fn default() -> SearchGraph<S, L> {
         SearchGraph {
             states: Vec::new(),
             parents: Vec::new(),
-            index: ShardedIndex::new(n_shards),
+            index: HashMap::new(),
         }
+    }
+}
+
+impl<S: Clone + Hash + Eq, L: Clone> SearchGraph<S, L> {
+    /// An empty graph.
+    pub fn new() -> SearchGraph<S, L> {
+        SearchGraph::default()
     }
 
     /// Number of states discovered.
@@ -38,34 +42,21 @@ impl<S: Clone + Hash + Eq, L: Clone> SearchGraph<S, L> {
         self.states.is_empty()
     }
 
-    /// The discovered states, in id order.
-    pub fn states(&self) -> &[S] {
-        &self.states
-    }
-
     /// The state with id `id`.
     pub fn state(&self, id: u32) -> &S {
         &self.states[id as usize]
     }
 
-    /// Whether `s` has been discovered. Safe to call from expansion
-    /// workers (they hold `&SearchGraph`; the index is frozen while they
-    /// run).
+    /// Whether `s` has been discovered.
     pub fn contains(&self, s: &S) -> bool {
-        self.index.contains(s)
-    }
-
-    /// Shard imbalance of the dedup index, in permille
-    /// (see [`ShardedIndex::imbalance_permille`]).
-    pub fn shard_imbalance_permille(&self) -> u64 {
-        self.index.imbalance_permille()
+        self.index.contains_key(s)
     }
 
     /// Inserts a new state with its parent edge, returning the assigned
     /// id. The caller must have ruled out duplicates via
     /// [`contains`](Self::contains).
     pub fn insert(&mut self, s: S, parent: Option<(u32, L)>) -> u32 {
-        debug_assert!(!self.index.contains(&s), "insert of a duplicate state");
+        debug_assert!(!self.contains(&s), "insert of a duplicate state");
         let id = self.states.len() as u32;
         self.index.insert(s.clone(), id);
         self.states.push(s);
@@ -92,7 +83,7 @@ mod tests {
 
     #[test]
     fn ids_follow_insertion_order_and_unwind_reverses_parents() {
-        let mut g: SearchGraph<&'static str, char> = SearchGraph::new(2);
+        let mut g: SearchGraph<&'static str, char> = SearchGraph::new();
         let root = g.insert("root", None);
         assert_eq!(root, 0);
         let a = g.insert("a", Some((root, 'a')));

@@ -1,9 +1,9 @@
 //! Racing N *heterogeneous* jobs: first decisive result wins.
 //!
-//! The rest of this crate parallelises one search by sharding its
-//! frontier; this module parallelises a *portfolio* — N different
-//! algorithms attacking the same problem, where any one decisive answer
-//! makes the others redundant. The scheduler:
+//! This module runs a *portfolio* in parallel — N different algorithms
+//! attacking the same problem, where any one decisive answer makes the
+//! others redundant. It is the only place the search layer spawns
+//! threads. The scheduler:
 //!
 //! 1. spawns one scoped thread per job (jobs are closures, so the racers
 //!    can be completely different engines);

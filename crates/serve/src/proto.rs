@@ -19,9 +19,11 @@
 //!
 //! A `verify` request names its system either by `litmus` benchmark name
 //! or inline `program` source, and may override the daemon's defaults
-//! with `engine` (an engine name, `all-engines`, or `race`), `threads`
-//! (clamped to the daemon's own), `unroll`, `timeout_ms` (anchored at *admission*, not connection or
-//! daemon start), and `memory` (a byte size like `"512M"`).
+//! with `engine` (an engine name, `all-engines`, or `race`), `unroll`,
+//! `timeout_ms` (anchored at *admission*, not connection or daemon
+//! start), and `memory` (a byte size like `"512M"`). Unknown fields are
+//! ignored, so a `threads` field from an older client changes nothing:
+//! every engine runs on one thread.
 //!
 //! ## Responses
 //!
@@ -132,8 +134,6 @@ pub struct VerifyRequest {
     /// Engine selection label (`simplified-reach`, …, `all-engines`,
     /// `race`); `None` uses the daemon default.
     pub engine: Option<String>,
-    /// Worker-thread override, clamped to the daemon's own `--threads`.
-    pub threads: Option<usize>,
     /// Per-request wall-clock budget in milliseconds, anchored at
     /// admission.
     pub timeout_ms: Option<u64>,
@@ -235,7 +235,6 @@ fn parse_verify_fields(
         name,
         source,
         engine: field_str(obj, "engine"),
-        threads: field_u64(obj, "threads", id)?.map(|n| n as usize),
         timeout_ms: field_u64(obj, "timeout_ms", id)?,
         memory,
         unroll: field_u64(obj, "unroll", id)?.map(|n| n as usize),
@@ -416,6 +415,8 @@ pub fn canonical_response(line: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// The `threads` field, which older clients send, is unknown and
+    /// ignored.
     #[test]
     fn well_formed_verify_round_trips() {
         let req = parse_request(
@@ -428,7 +429,6 @@ mod tests {
                 assert_eq!(v.name, "rcu");
                 assert!(matches!(v.source, Source::Litmus(ref n) if n == "rcu"));
                 assert_eq!(v.engine.as_deref(), Some("race"));
-                assert_eq!(v.threads, Some(4));
                 assert_eq!(v.timeout_ms, Some(250));
                 assert_eq!(v.memory, Some(64 << 20));
                 assert_eq!(v.unroll, Some(2));
@@ -459,7 +459,7 @@ mod tests {
                 ErrorCode::BadField,
             ),
             (
-                r#"{"proto":1,"type":"verify","litmus":"rcu","threads":-3}"#,
+                r#"{"proto":1,"type":"verify","litmus":"rcu","unroll":-3}"#,
                 ErrorCode::BadField,
             ),
             (r#"{"proto":1,"type":"batch"}"#, ErrorCode::BadField),

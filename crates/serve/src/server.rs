@@ -12,8 +12,8 @@
 //! * **Warm caches.** All requests share one [`VerifierCache`] (prepared
 //!   verifiers keyed on canonical program text + options fingerprint) and
 //!   one [`SharedPlanCache`] (Datalog query plans). A warm request skips
-//!   classify/unroll/goal-transform and planning entirely: its reports
-//!   carry no `plan` phase. Neither cache can change a verdict, a note,
+//!   classify/unroll/goal-transform entirely and reuses the cached join
+//!   plans: its reports carry no `prepare` phase. Neither cache can change a verdict, a note,
 //!   or a deterministic event field — that is the serve/CLI parity
 //!   contract `tests/serve_parity.rs` enforces.
 //! * **Admission.** Each request takes an [`AdmissionGate`] permit
@@ -316,10 +316,8 @@ impl Server {
     }
 
     /// The options one request runs under: the daemon's, with the
-    /// request's overrides applied. A requested `threads` is clamped to
-    /// the daemon's own worker count, so a client cannot make the daemon
-    /// spawn more threads than its operator allowed. The deadline window
-    /// anchors at `admitted`.
+    /// request's overrides applied. The deadline window anchors at
+    /// `admitted`.
     fn request_options(
         &self,
         req: &VerifyRequest,
@@ -327,9 +325,6 @@ impl Server {
         admitted: Instant,
     ) -> VerifierOptions {
         let mut options = self.cfg.options.clone();
-        if let Some(t) = req.threads {
-            options.threads = t.clamp(1, self.cfg.options.threads.max(1));
-        }
         if let Some(u) = req.unroll {
             options.unroll_dis = Some(u);
         }
@@ -448,13 +443,7 @@ mod tests {
     use parra_obs::json::{self, Value};
 
     fn server() -> Server {
-        Server::new(ServeConfig {
-            options: VerifierOptions {
-                threads: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
+        Server::new(ServeConfig::default())
     }
 
     fn verdict_of(response: &str) -> String {
@@ -574,31 +563,24 @@ mod tests {
         assert_eq!(ids, ["1", "", "2"]);
     }
 
-    /// A request's `threads` is clamped to the daemon's worker count;
-    /// only the options are computed, no engine runs.
+    /// A request carrying `threads` (older clients send one) gets the
+    /// same response as the request without it, each on a fresh daemon.
     #[test]
-    fn requested_threads_are_clamped_to_the_daemon() {
-        let s = Server::new(ServeConfig {
-            options: VerifierOptions {
-                threads: 3,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let threads_for = |field: &str| {
-            let line = format!(r#"{{"proto":1,"type":"verify","litmus":"sb"{field}}}"#);
-            let Ok(Request::Verify(req)) = proto::parse_request(&line) else {
-                panic!("{line} parses as a verify request");
-            };
-            s.request_options(&req, EngineId::CacheDatalog, Instant::now())
-                .threads
+    fn a_threads_field_is_ignored() {
+        let line = |extra: &str| {
+            format!(
+                r#"{{"proto":1,"type":"verify","id":"t","litmus":"sb","engine":"all-engines"{extra}}}"#
+            )
         };
-        assert_eq!(threads_for(""), 3);
-        assert_eq!(threads_for(r#","threads":0"#), 1);
-        assert_eq!(threads_for(r#","threads":2"#), 2);
-        assert_eq!(threads_for(r#","threads":3"#), 3);
-        assert_eq!(threads_for(r#","threads":1000000"#), 3);
-        assert_eq!(threads_for(&format!(r#","threads":{}"#, u64::MAX)), 3);
+        let plain = server().process_line(&line("")).expect("response");
+        let with = server()
+            .process_line(&line(r#","threads":4"#))
+            .expect("response");
+        assert_eq!(verdict_of(&with), "UNSAFE");
+        assert_eq!(
+            proto::canonical_response(&plain).unwrap(),
+            proto::canonical_response(&with).unwrap()
+        );
     }
 
     #[test]
@@ -617,10 +599,6 @@ mod tests {
     fn admission_rejects_when_full_without_touching_served_work() {
         let s = Server::new(ServeConfig {
             max_in_flight: 1,
-            options: VerifierOptions {
-                threads: 1,
-                ..Default::default()
-            },
             ..Default::default()
         });
         let _held = s.gate().try_admit().expect("fill the only slot");

@@ -17,26 +17,14 @@
 //! witness, `Safe` means no instance of any size reaches the target
 //! (Theorem 3.4 + Theorem 4.1).
 //!
-//! # Parallelism
+//! # Schedule
 //!
-//! The engine is parallel on two axes, both built on
-//! [`parra_search::ordered_map`] and both *deterministic*: reports are
-//! identical to the sequential engine's for any thread count.
-//!
-//! * **Worlds**: each round of the outer loop pops a *wave* of up to one
-//!   queued pre-closure world per thread and searches them concurrently.
-//!   Results are committed strictly in pop order — totals, spawned-world
-//!   enqueueing, and the `Unsafe` short-circuit all replay the sequential
-//!   schedule. A world whose result a witness from an *earlier* world
-//!   would discard cancels itself (`WaveCancel`).
-//! * **Frontier**: within a world, the BFS runs in batched rounds. Workers
-//!   expand frontier states (successor generation + saturation — the hot
-//!   part) against a frozen [`SearchGraph`]; a sequential merge then walks
-//!   the results in frontier order, doing dedup, target checks, capacity
-//!   accounting, and id assignment.
-//!
-//! With one thread (`--threads 1`) no worker thread is ever spawned and
-//! the engine streams state-by-state exactly like the legacy loop.
+//! The search runs on the calling thread. Pre-closure worlds are
+//! searched one at a time in FIFO pop order; within a world, the BFS
+//! expands one frontier state at a time (successor generation +
+//! saturation) and merges its successors into the [`SearchGraph`] in
+//! generation order — dedup, target checks, capacity accounting, and id
+//! assignment. The first world that finds a witness ends the run.
 
 use crate::state::{Budget, DisStep, SimpState};
 use parra_limits::{InterruptReason, ResourceBudget};
@@ -45,10 +33,9 @@ use parra_program::classify::SystemClass;
 use parra_program::ident::VarId;
 use parra_program::system::ParamSystem;
 use parra_program::value::Val;
-use parra_search::{ordered_map, SearchGraph, Threads};
+use parra_search::SearchGraph;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Search limits (safety nets; the abstract domain is finite).
 #[derive(Debug, Clone, Copy)]
@@ -179,13 +166,11 @@ pub struct Reachability {
     budget: Budget,
     limits: ReachLimits,
     rec: Recorder,
-    threads: Threads,
     gov: ResourceBudget,
 }
 
 impl Reachability {
-    /// Creates an engine (sequential by default; see
-    /// [`with_threads`](Self::with_threads)).
+    /// Creates an engine.
     ///
     /// # Errors
     ///
@@ -203,7 +188,6 @@ impl Reachability {
             budget,
             limits,
             rec: Recorder::disabled(),
-            threads: Threads::exact(1),
             gov: ResourceBudget::unlimited(),
         })
     }
@@ -214,11 +198,9 @@ impl Reachability {
         self
     }
 
-    /// The same engine searching with `n` worker threads (clamped to at
-    /// least 1). The report is identical for every `n`; only wall-clock
-    /// time changes.
-    pub fn with_threads(mut self, n: usize) -> Reachability {
-        self.threads = Threads::exact(n);
+    /// The same engine. `_n` is ignored: the search runs on the calling
+    /// thread. Kept for callers that still pass a thread count.
+    pub fn with_threads(self, _n: usize) -> Reachability {
         self
     }
 
@@ -250,7 +232,6 @@ impl Reachability {
 
     fn run_inner(&self, target: SimpTarget) -> ReachReport {
         let limits = self.limits;
-        let n_workers = self.threads.get();
 
         let metrics = ReachMetrics {
             c_states: self.rec.counter("states"),
@@ -261,9 +242,6 @@ impl Reachability {
             g_msgs: self.rec.gauge("env_msgs"),
             g_cfgs: self.rec.gauge("env_configs"),
             g_frontier: self.rec.gauge("frontier_size"),
-            worker_expanded: (0..n_workers)
-                .map(|w| self.rec.counter(&format!("worker{w}_expanded")))
-                .collect(),
         };
         let c_worlds = self.rec.counter("worlds_explored");
 
@@ -279,81 +257,59 @@ impl Reachability {
         let mut truncated = false;
         let mut interrupted: Option<InterruptReason> = None;
 
-        'waves: while !worlds_queue.is_empty() {
+        while let Some(world) = worlds_queue.pop_front() {
             if let Err(reason) = self.gov.check() {
                 interrupted = Some(reason);
-                break 'waves;
+                break;
             }
-            let remaining = limits.max_worlds.saturating_sub(worlds);
-            if remaining == 0 {
+            if worlds >= limits.max_worlds {
                 truncated = true;
                 break;
             }
-            // A wave: up to one queued world per thread, never past the
-            // world cap. Threads are split between the two axes — a
-            // single-world wave gets every worker for its frontier, a
-            // full wave runs one near-sequential search per worker.
-            let wave_len = worlds_queue.len().min(remaining).min(n_workers);
-            let wave: Vec<BTreeSet<(VarId, u32)>> = worlds_queue.drain(..wave_len).collect();
-            let inner_workers = (n_workers / wave_len).max(1);
-            let cancel = WaveCancel::new();
-            let results: Vec<WorldResult> = ordered_map(wave_len, &wave, |_, pos, world| {
-                self.search_world(world, target, inner_workers, &metrics, &cancel, pos)
-            });
-
-            // Commit strictly in pop order: totals, spawned-world
-            // enqueueing, and the unsafe short-circuit replay the
-            // sequential schedule, so the report is thread-count
-            // independent.
-            for (world, res) in wave.iter().zip(results) {
-                worlds += 1;
-                c_worlds.incr();
-                total_states += res.states;
-                peak_cfg = peak_cfg.max(res.peak_cfg);
-                peak_msg = peak_msg.max(res.peak_msg);
-                truncated |= res.truncated;
-                interrupted = interrupted.or(res.interrupted);
-                // Flight-recorder event, from the sequential commit point
-                // (never from workers): fields replay the pop-order
-                // schedule, so they are thread-count independent; wave
-                // batching and shard layout are not, and stay volatile.
-                if self.rec.is_enabled() {
-                    let mut vol = self.gov.headroom().volatile_fields();
-                    vol.push(("shard_imbalance_permille", res.shard_imbalance));
-                    self.rec.event_with(
-                        "world",
-                        &[
-                            ("world", (worlds as u64 - 1).into()),
-                            ("states", res.states.into()),
-                            ("total_states", total_states.into()),
-                            ("peak_env_msgs", res.peak_msg.into()),
-                            ("peak_env_cfgs", res.peak_cfg.into()),
-                            ("spawned", res.spawned.len().into()),
-                            ("witness", u64::from(res.witness.is_some()).into()),
-                        ],
-                        &vol,
-                    );
-                }
-                if res.witness.is_some() {
-                    return ReachReport {
-                        outcome: ReachOutcome::Unsafe,
-                        states: total_states,
-                        worlds,
-                        peak_env_configs: peak_cfg,
-                        peak_env_msgs: peak_msg,
-                        witness: res.witness,
-                    };
-                }
-                for gap in res.spawned {
-                    let mut w2 = world.clone();
-                    w2.insert(gap);
-                    if worlds_seen.insert(w2.clone()) {
-                        worlds_queue.push_back(w2);
-                    }
-                }
+            let res = self.search_world(&world, target, &metrics);
+            worlds += 1;
+            c_worlds.incr();
+            total_states += res.states;
+            peak_cfg = peak_cfg.max(res.peak_cfg);
+            peak_msg = peak_msg.max(res.peak_msg);
+            truncated |= res.truncated;
+            interrupted = interrupted.or(res.interrupted);
+            // Flight-recorder event: every field follows the pop-order
+            // schedule; only the governor's headroom is volatile.
+            if self.rec.is_enabled() {
+                self.rec.event_with(
+                    "world",
+                    &[
+                        ("world", (worlds as u64 - 1).into()),
+                        ("states", res.states.into()),
+                        ("total_states", total_states.into()),
+                        ("peak_env_msgs", res.peak_msg.into()),
+                        ("peak_env_cfgs", res.peak_cfg.into()),
+                        ("spawned", res.spawned.len().into()),
+                        ("witness", u64::from(res.witness.is_some()).into()),
+                    ],
+                    &self.gov.headroom().volatile_fields(),
+                );
+            }
+            if res.witness.is_some() {
+                return ReachReport {
+                    outcome: ReachOutcome::Unsafe,
+                    states: total_states,
+                    worlds,
+                    peak_env_configs: peak_cfg,
+                    peak_env_msgs: peak_msg,
+                    witness: res.witness,
+                };
             }
             if interrupted.is_some() {
-                break 'waves;
+                break;
+            }
+            for gap in res.spawned {
+                let mut w2 = world.clone();
+                w2.insert(gap);
+                if worlds_seen.insert(w2.clone()) {
+                    worlds_queue.push_back(w2);
+                }
             }
         }
 
@@ -376,17 +332,13 @@ impl Reachability {
         }
     }
 
-    /// Searches one pre-closure world. Pure with respect to the run's
-    /// shared accumulators: everything it learns comes back in the
-    /// [`WorldResult`], which the caller commits in world pop order.
+    /// Searches one pre-closure world. Everything it learns comes back in
+    /// the [`WorldResult`], which the caller adds to the run totals.
     fn search_world(
         &self,
         world: &BTreeSet<(VarId, u32)>,
         target: SimpTarget,
-        workers: usize,
         m: &ReachMetrics,
-        cancel: &WaveCancel,
-        pos: usize,
     ) -> WorldResult {
         let sys = &self.sys;
         let budget = &self.budget;
@@ -403,7 +355,6 @@ impl Reachability {
             interrupted: None,
             peak_cfg: 0,
             peak_msg: 0,
-            shard_imbalance: 0,
             spawned: Vec::new(),
             witness: None,
         };
@@ -425,7 +376,7 @@ impl Reachability {
         m.g_msgs.record_peak(init.env_msgs.len() as u64);
 
         let hit_init = target_holds(&init);
-        let mut graph: SearchGraph<SimpState, DisStep> = SearchGraph::new(workers);
+        let mut graph: SearchGraph<SimpState, DisStep> = SearchGraph::new();
         graph.insert(init, None);
         result.states = 1;
         m.c_states.incr();
@@ -435,17 +386,14 @@ impl Reachability {
                 dis_path: Vec::new(),
                 final_state: graph.state(0).clone(),
             });
-            result.shard_imbalance = graph.shard_imbalance_permille();
-            cancel.found(pos);
             return result;
         }
 
         // One expansion = everything derivable from a frontier state
-        // without touching the shared graph: `dis` successors plus the
-        // (hot) env saturation of each one. This is what workers fan out.
-        let expand = |w: usize, si: u32, states: &[SimpState]| -> Expansion {
-            m.worker_expanded[w].incr();
-            let succs = states[si as usize].dis_successors(sys, budget);
+        // without touching the graph: `dis` successors plus the (hot) env
+        // saturation of each one, all computed before the merge.
+        let expand = |state: &SimpState| -> Expansion {
+            let succs = state.dis_successors(sys, budget);
             let blocked: Vec<(VarId, u32)> = succs
                 .blocked_gaps
                 .into_iter()
@@ -466,91 +414,65 @@ impl Reachability {
         let mut spawned_here: BTreeSet<(VarId, u32)> = BTreeSet::new();
         let mut frontier: Vec<u32> = vec![0];
         while !frontier.is_empty() {
-            if cancel.superseded(pos) {
-                // A world earlier in pop order found a witness; this
-                // world's result will be discarded, so stop searching.
-                return result;
-            }
             if let Err(reason) = self.gov.check() {
                 result.interrupted = Some(reason);
-                result.shard_imbalance = graph.shard_imbalance_permille();
                 return result;
             }
             m.c_rounds.incr();
             m.g_frontier.set(frontier.len() as u64);
 
             let current = std::mem::take(&mut frontier);
-            // Parallel mode buffers expansions one bounded chunk at a
-            // time (memory stays O(chunk × branching), not O(frontier));
-            // sequential mode streams one state at a time through the
-            // same merge code.
-            for chunk in current.chunks(parra_search::round_chunk(workers)) {
-                let mut expansions: Vec<Expansion> = if workers > 1 && chunk.len() > 1 {
-                    ordered_map(workers, chunk, |w, _, &si| expand(w, si, graph.states()))
-                } else {
-                    Vec::new()
-                };
-
-                for (i, &si) in chunk.iter().enumerate() {
-                    let exp = if expansions.is_empty() {
-                        expand(0, si, graph.states())
-                    } else {
-                        std::mem::take(&mut expansions[i])
-                    };
-                    // Blocked CAS gaps propose new pre-closure worlds; the
-                    // outer loop dedups against globally-seen worlds when it
-                    // commits this result.
-                    for gap in exp.blocked {
-                        if spawned_here.insert(gap) {
-                            result.spawned.push(gap);
-                        }
+            for si in current {
+                let exp = expand(graph.state(si));
+                // Blocked CAS gaps propose new pre-closure worlds; the
+                // outer loop dedups against globally-seen worlds when it
+                // commits this result.
+                for gap in exp.blocked {
+                    if spawned_here.insert(gap) {
+                        result.spawned.push(gap);
                     }
-                    for (step, next, env_ok) in exp.steps {
-                        if !env_ok {
-                            result.truncated = true;
-                            continue;
-                        }
-                        result.peak_cfg = result.peak_cfg.max(next.env_threads.len());
-                        result.peak_msg = result.peak_msg.max(next.env_msgs.len());
-                        m.g_cfgs.record_peak(next.env_threads.len() as u64);
-                        m.g_msgs.record_peak(next.env_msgs.len() as u64);
-                        if graph.contains(&next) {
-                            continue;
-                        }
-                        // Evaluate the target *before* the capacity check: a
-                        // truncated search must never drop the successor that
-                        // witnesses unsafety (it may be stored one past
-                        // `max_states`).
-                        let hit = target_holds(&next);
-                        if !hit && graph.len() >= limits.max_states {
-                            result.truncated = true;
-                            continue;
-                        }
-                        let ni = graph.insert(next, Some((si, step)));
-                        result.states += 1;
-                        m.c_states.incr();
-                        if hit {
-                            result.witness = Some(Witness {
-                                preclosed: world.iter().copied().collect(),
-                                dis_path: graph.unwind(ni),
-                                final_state: graph.state(ni).clone(),
-                            });
-                            result.shard_imbalance = graph.shard_imbalance_permille();
-                            cancel.found(pos);
-                            return result;
-                        }
-                        frontier.push(ni);
+                }
+                for (step, next, env_ok) in exp.steps {
+                    if !env_ok {
+                        result.truncated = true;
+                        continue;
                     }
+                    result.peak_cfg = result.peak_cfg.max(next.env_threads.len());
+                    result.peak_msg = result.peak_msg.max(next.env_msgs.len());
+                    m.g_cfgs.record_peak(next.env_threads.len() as u64);
+                    m.g_msgs.record_peak(next.env_msgs.len() as u64);
+                    if graph.contains(&next) {
+                        continue;
+                    }
+                    // Evaluate the target *before* the capacity check: a
+                    // truncated search must never drop the successor that
+                    // witnesses unsafety (it may be stored one past
+                    // `max_states`).
+                    let hit = target_holds(&next);
+                    if !hit && graph.len() >= limits.max_states {
+                        result.truncated = true;
+                        continue;
+                    }
+                    let ni = graph.insert(next, Some((si, step)));
+                    result.states += 1;
+                    m.c_states.incr();
+                    if hit {
+                        result.witness = Some(Witness {
+                            preclosed: world.iter().copied().collect(),
+                            dis_path: graph.unwind(ni),
+                            final_state: graph.state(ni).clone(),
+                        });
+                        return result;
+                    }
+                    frontier.push(ni);
                 }
             }
         }
-        result.shard_imbalance = graph.shard_imbalance_permille();
         result
     }
 }
 
-/// Metric handles shared by the per-world searches (counters and gauges
-/// are atomic; see `parra-obs`).
+/// Metric handles of one run, shared by its per-world searches.
 struct ReachMetrics {
     c_states: Counter,
     c_sat_rounds: Counter,
@@ -560,11 +482,10 @@ struct ReachMetrics {
     g_msgs: Gauge,
     g_cfgs: Gauge,
     g_frontier: Gauge,
-    worker_expanded: Vec<Counter>,
 }
 
-/// Everything one world's search produces. Committed to the run totals
-/// strictly in world pop order.
+/// Everything one world's search produces, added to the run totals in
+/// world pop order.
 struct WorldResult {
     states: usize,
     truncated: bool,
@@ -572,47 +493,16 @@ struct WorldResult {
     interrupted: Option<InterruptReason>,
     peak_cfg: usize,
     peak_msg: usize,
-    /// Dedup-index shard imbalance at the end of this world's search
-    /// (volatile: the shard count follows the worker split).
-    shard_imbalance: u64,
     /// Blocked CAS gaps, in first-discovery order, each proposing the
     /// world extended by that gap.
     spawned: Vec<(VarId, u32)>,
     witness: Option<Witness>,
 }
 
-/// The buffered output of expanding one frontier state.
-#[derive(Default)]
+/// The output of expanding one frontier state, computed before its merge.
 struct Expansion {
     blocked: Vec<(VarId, u32)>,
     steps: Vec<(DisStep, SimpState, bool)>,
-}
-
-/// Cross-world cancellation for a wave searched in parallel. A world may
-/// abandon its search once a world *earlier in pop order* has found a
-/// witness — the in-order commit would discard its result anyway. A world
-/// never aborts because of a *later* witness, so the committed report is
-/// unaffected by cancellation timing.
-struct WaveCancel {
-    earliest_witness: AtomicUsize,
-}
-
-impl WaveCancel {
-    fn new() -> WaveCancel {
-        WaveCancel {
-            earliest_witness: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    /// Records that the world at wave position `pos` found a witness.
-    fn found(&self, pos: usize) {
-        self.earliest_witness.fetch_min(pos, Ordering::Relaxed);
-    }
-
-    /// Whether a world strictly before `pos` has found a witness.
-    fn superseded(&self, pos: usize) -> bool {
-        self.earliest_witness.load(Ordering::Relaxed) < pos
-    }
 }
 
 #[cfg(test)]
@@ -874,19 +764,16 @@ mod tests {
             max_states: full.states - 1,
             ..limits()
         };
-        for threads in [1, 4] {
-            let report = Reachability::new(sys.clone(), budget.clone(), tight)
-                .unwrap()
-                .with_threads(threads)
-                .run(SimpTarget::AssertViolation);
-            assert_eq!(
-                report.outcome,
-                ReachOutcome::Unsafe,
-                "goal at the capacity boundary must stay Unsafe (threads {threads})"
-            );
-            assert_eq!(report.states, full.states);
-            assert!(report.witness.is_some());
-        }
+        let report = Reachability::new(sys, budget, tight)
+            .unwrap()
+            .run(SimpTarget::AssertViolation);
+        assert_eq!(
+            report.outcome,
+            ReachOutcome::Unsafe,
+            "goal at the capacity boundary must stay Unsafe"
+        );
+        assert_eq!(report.states, full.states);
+        assert!(report.witness.is_some());
     }
 
     /// Same regression in a multi-world search: the violating world of
@@ -925,18 +812,14 @@ mod tests {
             max_states: goal_world_states - 1,
             ..limits()
         };
-        for threads in [1, 4] {
-            let report = Reachability::new(sys.clone(), budget.clone(), tight)
-                .unwrap()
-                .with_threads(threads)
-                .run(SimpTarget::AssertViolation);
-            assert_eq!(
-                report.outcome,
-                ReachOutcome::Unsafe,
-                "goal at the per-world capacity boundary must stay Unsafe \
-                 (threads {threads})"
-            );
-        }
+        let report = Reachability::new(sys, budget, tight)
+            .unwrap()
+            .run(SimpTarget::AssertViolation);
+        assert_eq!(
+            report.outcome,
+            ReachOutcome::Unsafe,
+            "goal at the per-world capacity boundary must stay Unsafe"
+        );
     }
 
     /// A budget that is already exhausted interrupts before any world is
@@ -956,59 +839,30 @@ mod tests {
         assert!(report.witness.is_none());
     }
 
-    /// A pre-cancelled token interrupts with `Cancelled`, for every
-    /// thread count.
+    /// A pre-cancelled token interrupts with `Cancelled`.
     #[test]
     fn cancelled_token_interrupts() {
         let sys = handshake();
         let budget = Budget::exact(&sys).unwrap();
         let token = parra_limits::CancelToken::new();
         token.cancel();
-        for threads in [1, 4] {
-            let engine = Reachability::new(sys.clone(), budget.clone(), limits())
-                .unwrap()
-                .with_threads(threads)
-                .with_governor(ResourceBudget::unlimited().with_cancel(token.clone()));
-            let report = engine.run(SimpTarget::AssertViolation);
-            assert_eq!(
-                report.outcome,
-                ReachOutcome::Interrupted(InterruptReason::Cancelled),
-                "threads {threads}"
-            );
-        }
+        let engine = Reachability::new(sys, budget, limits())
+            .unwrap()
+            .with_governor(ResourceBudget::unlimited().with_cancel(token));
+        let report = engine.run(SimpTarget::AssertViolation);
+        assert_eq!(
+            report.outcome,
+            ReachOutcome::Interrupted(InterruptReason::Cancelled)
+        );
     }
 
     /// A completed run under a generous budget is identical to an
-    /// ungoverned run — governance checks have no side effects.
+    /// ungoverned run — governance checks have no side effects. The cases
+    /// cover one world, several worlds, an exhausted search and a
+    /// truncated one; the comparison covers verdict, state/world counts,
+    /// peaks, and the witness.
     #[test]
     fn generous_budget_matches_unlimited_run() {
-        let (sys, x) = churn_system();
-        let budget = Budget::exact(&sys).unwrap();
-        let base = Reachability::new(sys.clone(), budget.clone(), limits())
-            .unwrap()
-            .run(SimpTarget::MessageGenerated(x, Val(7)));
-        for threads in [1, 4] {
-            let governed = Reachability::new(sys.clone(), budget.clone(), limits())
-                .unwrap()
-                .with_threads(threads)
-                .with_governor(
-                    ResourceBudget::unlimited()
-                        .with_deadline(std::time::Duration::from_secs(3600))
-                        .with_memory_limit(usize::MAX),
-                )
-                .run(SimpTarget::MessageGenerated(x, Val(7)));
-            assert_eq!(governed.outcome, base.outcome, "threads {threads}");
-            assert_eq!(governed.states, base.states, "threads {threads}");
-            assert_eq!(governed.worlds, base.worlds, "threads {threads}");
-            assert_eq!(governed.peak_env_configs, base.peak_env_configs);
-            assert_eq!(governed.peak_env_msgs, base.peak_env_msgs);
-        }
-    }
-
-    /// Worker count must not change any observable part of the report:
-    /// verdict, state/world counts, peaks, or the witness.
-    #[test]
-    fn worker_count_does_not_change_reports() {
         let cases: Vec<(ParamSystem, SimpTarget, ReachLimits)> = vec![
             (handshake(), SimpTarget::AssertViolation, limits()),
             (cas_world_system().0, SimpTarget::AssertViolation, limits()),
@@ -1017,7 +871,7 @@ mod tests {
                 SimpTarget::MessageGenerated(churn_system().1, Val(7)),
                 limits(),
             ),
-            // Truncated runs must be deterministic too.
+            // A truncated search.
             (
                 churn_system().0,
                 SimpTarget::MessageGenerated(churn_system().1, Val(7)),
@@ -1032,22 +886,24 @@ mod tests {
             let base = Reachability::new(sys.clone(), budget.clone(), lim)
                 .unwrap()
                 .run(target);
-            for threads in [2, 3, 8] {
-                let r = Reachability::new(sys.clone(), budget.clone(), lim)
-                    .unwrap()
-                    .with_threads(threads)
-                    .run(target);
-                assert_eq!(r.outcome, base.outcome, "case {case}, threads {threads}");
-                assert_eq!(r.states, base.states, "case {case}, threads {threads}");
-                assert_eq!(r.worlds, base.worlds, "case {case}, threads {threads}");
-                assert_eq!(r.peak_env_configs, base.peak_env_configs, "case {case}");
-                assert_eq!(r.peak_env_msgs, base.peak_env_msgs, "case {case}");
-                assert_eq!(
-                    format!("{:?}", r.witness),
-                    format!("{:?}", base.witness),
-                    "case {case}, threads {threads}"
-                );
-            }
+            let r = Reachability::new(sys, budget, lim)
+                .unwrap()
+                .with_governor(
+                    ResourceBudget::unlimited()
+                        .with_deadline(std::time::Duration::from_secs(3600))
+                        .with_memory_limit(usize::MAX),
+                )
+                .run(target);
+            assert_eq!(r.outcome, base.outcome, "case {case}");
+            assert_eq!(r.states, base.states, "case {case}");
+            assert_eq!(r.worlds, base.worlds, "case {case}");
+            assert_eq!(r.peak_env_configs, base.peak_env_configs, "case {case}");
+            assert_eq!(r.peak_env_msgs, base.peak_env_msgs, "case {case}");
+            assert_eq!(
+                format!("{:?}", r.witness),
+                format!("{:?}", base.witness),
+                "case {case}"
+            );
         }
     }
 }

@@ -22,7 +22,7 @@
 //! | [`qbf`] | QBF and the Figure 6 TQBF→PureRA reduction (Section 5) |
 //! | [`litmus`] | the benchmark programs the paper classifies |
 //! | [`obs`] | zero-dependency metrics, phase timing, Chrome-trace emission, flight-recorder events |
-//! | [`search`] | deterministic parallel-search layer shared by the state-space engines |
+//! | [`search`] | search bookkeeping shared by the state-space engines, and the `--race` portfolio |
 //! | [`fuzz`] | differential fuzzing: system generator, cross-engine oracles, shrinker, corpus |
 //! | [`limits`] | resource governance: deadlines, memory budgets, cooperative cancellation |
 //! | [`campaign`] | checkpointed, sharded, resumable, diffable verification campaigns |
@@ -89,7 +89,6 @@ pub mod prelude {
     pub use parra_program::parser::parse_system;
     pub use parra_program::system::{ParamSystem, Program, ThreadKind};
     pub use parra_program::value::{Dom, Val};
-    pub use parra_search::Threads;
     pub use parra_simplified::reach::{ReachLimits, Reachability, SimpTarget};
     pub use parra_simplified::state::Budget;
 }

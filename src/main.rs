@@ -5,11 +5,11 @@
 //! parra verify   <file.ra> [--engine simplified|datalog|concrete]
 //!                          [--unroll N] [--all-engines] [--race] [--concretize]
 //!                          [--timeout SECS] [--memory-budget SIZE]
-//!                          [--threads N] [--stats] [--json]
+//!                          [--stats] [--json]
 //!                          [--trace-out FILE] [--events-out FILE]
 //! parra batch    <dir|file.ra ...> [--engine E] [--all-engines] [--race]
 //!                          [--unroll N] [--timeout SECS]
-//!                          [--memory-budget SIZE] [--threads N]
+//!                          [--memory-budget SIZE]
 //!                          [--events-out FILE] [--strict]
 //! parra print    <file.ra>
 //! parra fuzz     [--oracle NAME] [--seconds N | --cases N | --timeout SECS]
@@ -104,20 +104,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 fn usage() -> String {
     "usage:\n  parra classify <file.ra>\n  parra verify <file.ra> \
      [--engine simplified|datalog|concrete] [--unroll N] [--all-engines] \
-     [--race] [--concretize] [--timeout SECS] [--memory-budget SIZE] [--threads N] \
+     [--race] [--concretize] [--timeout SECS] [--memory-budget SIZE] \
      [--stats] [--json] [--trace-out FILE] [--events-out FILE]\n  \
      parra batch <dir|file.ra ...> [--engine E] [--all-engines] [--race] \
-     [--unroll N] [--timeout SECS] [--memory-budget SIZE] [--threads N] \
+     [--unroll N] [--timeout SECS] [--memory-budget SIZE] \
      [--events-out FILE] [--strict]\n  \
      parra campaign run <dir|file.ra ...> --store DIR [--engine E] \
      [--all-engines] [--race] [--unroll N] [--timeout SECS] \
-     [--memory-budget SIZE] [--threads N] [--shard K/N] [--events-out FILE]\n  \
-     parra campaign resume --store DIR [--threads N] [--events-out FILE]\n  \
+     [--memory-budget SIZE] [--shard K/N] [--events-out FILE]\n  \
+     parra campaign resume --store DIR [--events-out FILE]\n  \
      parra campaign status <store ...> [--merge-out DIR]\n  \
      parra campaign diff <baseline-store> <new-store> [--threshold PCT]\n  \
      parra serve (--socket PATH | --stdio) [--engine E] [--all-engines] \
      [--race] [--unroll N] [--timeout SECS] [--memory-budget SIZE] \
-     [--threads N] [--max-queue N] [--memory-watermark SIZE] \
+     [--max-queue N] [--memory-watermark SIZE] \
      [--events-out FILE]\n  \
      parra serve --send REQUEST|- --socket PATH\n  \
      parra print <file.ra>\n  parra fuzz [--oracle NAME] [--seconds N | \
@@ -126,10 +126,7 @@ fn usage() -> String {
      parra report <file|dir ...> [--threshold PCT]\n  \
      parra report --diff A B [--threshold PCT]\n  \
      parra report --check-schema <file ...>\n\n\
-     --threads sizes the worker pools of the simplified and concrete \
-     searches (the datalog engine runs on one thread) and defaults to \
-     PARRA_THREADS or the machine's parallelism; reports are identical \
-     for every thread count. --timeout takes fractional seconds; --memory-budget takes \
+     --timeout takes fractional seconds; --memory-budget takes \
      bytes with an optional k/m/g suffix (e.g. 512m). Exhausted budgets \
      degrade the verdict to INTERRUPTED (exit code 2), never to SAFE.\n\n\
      --race races every engine concurrently; the first decisive verdict \
@@ -152,8 +149,7 @@ fn usage() -> String {
      stores (verdict flips always fail; duration regressions past \
      --threshold PCT with a 50ms floor; added/removed inputs listed, \
      never fatal) and exits 1 when dirty.\n\nfuzz oracles: engines-agree, \
-     equivalence, \
-     thread-determinism, round-trip, monotonicity, eval-agree, \
+     equivalence, round-trip, monotonicity, eval-agree, \
      serve-roundtrip, union-overapprox, plan-reuse (default: all). A \
      --seconds budget is a deterministic case target (seconds x the \
      oracle's calibrated cases/sec), so repeated runs are identical; \
@@ -170,7 +166,7 @@ fn usage() -> String {
      (protocol v1; one response line per request line) over a Unix \
      socket or --stdio, with request types verify, batch, status, and \
      shutdown. Prepared verifiers and Datalog query plans are cached \
-     across requests (warm requests skip parse/plan); per-request \
+     across requests (warm requests skip the prepare phase); per-request \
      budgets anchor at admission; --max-queue bounds in-flight work and \
      --memory-watermark refuses new work under heap pressure — both \
      reject with a structured `overloaded` error that never touches \
@@ -204,7 +200,6 @@ const VERIFY_FLAGS: Flags = Flags {
         "--unroll",
         "--timeout",
         "--memory-budget",
-        "--threads",
         "--trace-out",
         "--events-out",
     ],
@@ -216,7 +211,6 @@ const BATCH_FLAGS: Flags = Flags {
         "--unroll",
         "--timeout",
         "--memory-budget",
-        "--threads",
         "--events-out",
     ],
 };
@@ -246,7 +240,6 @@ const SERVE_FLAGS: Flags = Flags {
         "--unroll",
         "--timeout",
         "--memory-budget",
-        "--threads",
         "--max-queue",
         "--memory-watermark",
         "--events-out",
@@ -260,14 +253,13 @@ const CAMPAIGN_RUN_FLAGS: Flags = Flags {
         "--unroll",
         "--timeout",
         "--memory-budget",
-        "--threads",
         "--shard",
         "--events-out",
     ],
 };
 const CAMPAIGN_RESUME_FLAGS: Flags = Flags {
     switches: &[],
-    values: &["--store", "--threads", "--events-out"],
+    values: &["--store", "--events-out"],
 };
 const CAMPAIGN_STATUS_FLAGS: Flags = Flags {
     switches: &[],
@@ -382,13 +374,12 @@ fn expand_inputs(args: &Args) -> Result<Vec<std::path::PathBuf>, String> {
 }
 
 /// The `VerifierOptions` of `verify`, `batch`, `campaign run`, and
-/// `serve`, from their shared `--unroll`/`--threads`/`--timeout`/
-/// `--memory-budget` flags.
+/// `serve`, from their shared `--unroll`/`--timeout`/`--memory-budget`
+/// flags.
 fn run_options(args: &Args) -> Result<VerifierOptions, String> {
     let (timeout, memory_budget) = parse_limit_flags(args)?;
     Ok(VerifierOptions {
         unroll_dis: args.parsed("--unroll")?,
-        threads: parra::search::Threads::resolve(args.parsed("--threads")?).get(),
         timeout,
         memory_budget,
         ..Default::default()
@@ -1108,12 +1099,10 @@ fn campaign_resume(args: &[String]) -> Result<ExitCode, String> {
     let store_dir = args
         .value("--store")
         .ok_or("campaign resume: --store DIR is required")?;
-    let threads = args.parsed("--threads")?;
     let (store, manifest) = Store::open(std::path::Path::new(&store_dir))?;
     let (engines, race) = selection_from_label(&manifest.engine)?;
     let options = VerifierOptions {
         unroll_dis: manifest.unroll.map(|n| n as usize),
-        threads: parra::search::Threads::resolve(threads).get(),
         timeout: manifest.timeout_us.map(Duration::from_micros),
         memory_budget: manifest.memory_budget.map(|n| n as usize),
         ..Default::default()

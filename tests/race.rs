@@ -1,6 +1,6 @@
 //! The engine portfolio race, end-to-end: the raced verdict must equal
-//! the sequential `--all-engines` aggregate on every litmus benchmark at
-//! every thread count, the winning engine must be reported, and the CLI
+//! the sequential `--all-engines` aggregate on every litmus benchmark,
+//! the winning engine must be reported, and the CLI
 //! must reject contradictory engine-selection flags instead of silently
 //! ignoring one of them.
 
@@ -17,56 +17,50 @@ fn example(name: &str) -> String {
 
 /// Races the full portfolio on every benchmark in the suite and checks
 /// the race verdict against the sequential aggregate over the same
-/// engines — at 1 and 4 worker threads. Which engine wins is
-/// wall-clock-bound; *that some decisive engine wins*, and the verdict
-/// itself, are not.
+/// engines. Which engine wins is wall-clock-bound; *that some decisive
+/// engine wins*, and the verdict itself, are not.
 #[test]
 fn raced_verdict_equals_sequential_aggregate_on_the_whole_suite() {
-    for threads in [1usize, 4] {
-        for bench in all() {
-            let options = VerifierOptions {
-                threads,
-                ..Default::default()
-            };
-            let sequential = {
-                let v = Verifier::new(&bench.system, options.clone())
-                    .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-                let verdicts: Vec<(EngineId, Verdict)> = EngineId::ALL
-                    .iter()
-                    .map(|&e| (e, v.run_isolated(e).verdict))
-                    .collect();
-                aggregate_verdicts(&verdicts)
-                    .unwrap_or_else(|e| panic!("{}: sequential disagreement: {e}", bench.name))
-            };
-            let v = Verifier::new(&bench.system, options).unwrap();
-            let race = v
-                .race(&EngineId::ALL)
-                .unwrap_or_else(|e| panic!("{}: race disagreement: {e}", bench.name));
-            assert_eq!(
-                race.verdict, sequential,
-                "{} (threads={threads}): raced verdict diverged from the sequential aggregate",
-                bench.name
-            );
-            let expected = match bench.expected {
-                Expected::Safe => Verdict::Safe,
-                Expected::Unsafe => Verdict::Unsafe,
-            };
-            assert_eq!(race.verdict, expected, "{}", bench.name);
-            // Every benchmark is decided by at least one exact engine, so
-            // some racer must have claimed the decisive win — and the
-            // report must attribute it.
-            let winner = race
-                .winner_engine()
-                .unwrap_or_else(|| panic!("{}: decisive race without a winner", bench.name));
-            let wr = race.winner_result().unwrap();
-            assert_eq!(wr.engine, winner, "{}", bench.name);
-            assert!(
-                wr.verdict.is_decided(),
-                "{}: winner's verdict {} is not decisive",
-                bench.name,
-                wr.verdict
-            );
-        }
+    for bench in all() {
+        let options = VerifierOptions::default();
+        let sequential = {
+            let v = Verifier::new(&bench.system, options.clone())
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+            let verdicts: Vec<(EngineId, Verdict)> = EngineId::ALL
+                .iter()
+                .map(|&e| (e, v.run_isolated(e).verdict))
+                .collect();
+            aggregate_verdicts(&verdicts)
+                .unwrap_or_else(|e| panic!("{}: sequential disagreement: {e}", bench.name))
+        };
+        let v = Verifier::new(&bench.system, options).unwrap();
+        let race = v
+            .race(&EngineId::ALL)
+            .unwrap_or_else(|e| panic!("{}: race disagreement: {e}", bench.name));
+        assert_eq!(
+            race.verdict, sequential,
+            "{}: raced verdict diverged from the sequential aggregate",
+            bench.name
+        );
+        let expected = match bench.expected {
+            Expected::Safe => Verdict::Safe,
+            Expected::Unsafe => Verdict::Unsafe,
+        };
+        assert_eq!(race.verdict, expected, "{}", bench.name);
+        // Every benchmark is decided by at least one exact engine, so
+        // some racer must have claimed the decisive win — and the
+        // report must attribute it.
+        let winner = race
+            .winner_engine()
+            .unwrap_or_else(|| panic!("{}: decisive race without a winner", bench.name));
+        let wr = race.winner_result().unwrap();
+        assert_eq!(wr.engine, winner, "{}", bench.name);
+        assert!(
+            wr.verdict.is_decided(),
+            "{}: winner's verdict {} is not decisive",
+            bench.name,
+            wr.verdict
+        );
     }
 }
 

@@ -131,7 +131,7 @@ fn concurrent_clients_get_the_sequential_responses() {
 
     // Sequential baseline: one client, one fresh daemon, program order.
     let seq_sock = sock_path("serve_seq");
-    let daemon = spawn_daemon(&seq_sock, &["--threads", "1"]);
+    let daemon = spawn_daemon(&seq_sock, &[]);
     let sequential = run_client(&seq_sock, &work);
     shutdown_daemon(daemon);
     assert_eq!(sequential.len(), work.len());
@@ -139,7 +139,7 @@ fn concurrent_clients_get_the_sequential_responses() {
     // Concurrent run: the same workload striped across 4 clients, each
     // on its own connection, submitting simultaneously.
     let conc_sock = sock_path("serve_conc");
-    let daemon = spawn_daemon(&conc_sock, &["--threads", "1"]);
+    let daemon = spawn_daemon(&conc_sock, &[]);
     let chunks: Vec<Vec<(String, String)>> = (0..4)
         .map(|c| work.iter().skip(c).step_by(4).cloned().collect::<Vec<_>>())
         .collect();

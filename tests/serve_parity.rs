@@ -1,7 +1,7 @@
 //! Serve/CLI parity: a verdict must not depend on *how* the verifier is
 //! invoked. Every litmus benchmark goes through a spawned `parra serve
-//! --stdio` daemon and through the `Verifier` API directly, at 1 and 4
-//! worker threads; the canonical response projections (verdicts, notes,
+//! --stdio` daemon and through the `Verifier` API directly; the
+//! canonical response projections (verdicts, notes,
 //! witnesses, thread bounds — everything except timing) must be
 //! byte-identical, the raced aggregate must match a direct race, and the
 //! daemon's `--events-out` stream must carry exactly the deterministic
@@ -88,47 +88,41 @@ fn direct_response(name: &str, engine_label: &str, sel: &parra::core::SelectionO
     w.finish()
 }
 
-/// The whole litmus suite through the daemon and through the API, at 1
-/// and 4 threads: canonical responses must be byte-identical. Each
+/// The whole litmus suite through the daemon and through the API:
+/// canonical responses must be byte-identical. Each
 /// benchmark is also requested twice so the warm (verifier-cache hit)
 /// response is checked against the same direct run — the warm-cache
 /// contract says a cache can never change a deterministic field.
 #[test]
 fn served_responses_match_direct_runs_on_the_whole_suite() {
-    for threads in [1usize, 4] {
-        let mut daemon = Daemon::spawn(&["--threads", &threads.to_string()]);
-        for bench in all() {
-            let direct = {
-                let options = VerifierOptions {
-                    threads,
-                    ..Default::default()
-                };
-                let v = Verifier::new(&bench.system, options)
-                    .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-                v.run_selection(&[EngineId::SimplifiedReach], false)
-                    .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
-            };
-            let expected =
-                canonical_response(&direct_response(bench.name, "simplified-reach", &direct))
-                    .expect("direct response canonicalizes");
-            let req = format!(
-                r#"{{"proto":1,"id":"{0}","type":"verify","litmus":"{0}"}}"#,
+    let mut daemon = Daemon::spawn(&[]);
+    for bench in all() {
+        let direct = {
+            let v = Verifier::new(&bench.system, VerifierOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+            v.run_selection(&[EngineId::SimplifiedReach], false)
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
+        };
+        let expected =
+            canonical_response(&direct_response(bench.name, "simplified-reach", &direct))
+                .expect("direct response canonicalizes");
+        let req = format!(
+            r#"{{"proto":1,"id":"{0}","type":"verify","litmus":"{0}"}}"#,
+            bench.name
+        );
+        for pass in ["cold", "warm"] {
+            let served = daemon.request(&req);
+            let got = canonical_response(&served).unwrap_or_else(|e| {
+                panic!("{} ({pass}): response does not parse: {e}", bench.name)
+            });
+            assert_eq!(
+                got, expected,
+                "{} ({pass}): served response diverged from the direct run",
                 bench.name
             );
-            for pass in ["cold", "warm"] {
-                let served = daemon.request(&req);
-                let got = canonical_response(&served).unwrap_or_else(|e| {
-                    panic!("{} ({pass}): response does not parse: {e}", bench.name)
-                });
-                assert_eq!(
-                    got, expected,
-                    "{} (threads={threads}, {pass}): served response diverged from the direct run",
-                    bench.name
-                );
-            }
         }
-        daemon.shutdown();
     }
+    daemon.shutdown();
 }
 
 /// Raced requests: which engine wins is wall-clock-bound, so losers'
@@ -136,14 +130,10 @@ fn served_responses_match_direct_runs_on_the_whole_suite() {
 /// verdict is not, and must equal a direct race over the same portfolio.
 #[test]
 fn raced_serve_verdicts_match_the_direct_race_aggregate() {
-    let mut daemon = Daemon::spawn(&["--race", "--threads", "2"]);
+    let mut daemon = Daemon::spawn(&["--race"]);
     for bench in all() {
         let direct = {
-            let options = VerifierOptions {
-                threads: 2,
-                ..Default::default()
-            };
-            let v = Verifier::new(&bench.system, options)
+            let v = Verifier::new(&bench.system, VerifierOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
             v.run_selection(&EngineId::ALL, true)
                 .unwrap_or_else(|e| panic!("{}: race disagreement: {e}", bench.name))
@@ -176,7 +166,7 @@ fn raced_serve_verdicts_match_the_direct_race_aggregate() {
 fn served_event_stream_matches_a_direct_recorded_run() {
     let picks = ["mp", "sb", "rcu"];
     let path = tmp("serve_parity_events.jsonl");
-    let mut daemon = Daemon::spawn(&["--threads", "1", "--events-out", &path]);
+    let mut daemon = Daemon::spawn(&["--events-out", &path]);
     for name in picks {
         daemon.request(&format!(
             r#"{{"proto":1,"id":"{name}","type":"verify","litmus":"{name}"}}"#
@@ -191,10 +181,7 @@ fn served_event_stream_matches_a_direct_recorded_run() {
     for name in picks {
         let bench = parra_litmus::by_name(name).expect("benchmark exists");
         let rec = Recorder::enabled(Level::Summary);
-        let options = VerifierOptions {
-            threads: 1,
-            ..Default::default()
-        };
+        let options = VerifierOptions::default();
         let v =
             parra::core::verify::Verifier::new_with_recorder(&bench.system, options, rec.clone())
                 .expect("direct verifier");

@@ -102,7 +102,7 @@ fn overload_rejects_the_burst_without_touching_admitted_work() {
     // which is the window the burst lands in.
     let daemon = spawn_daemon(
         &sock,
-        &["--max-queue", "1", "--threads", "1"],
+        &["--max-queue", "1"],
         &[("PARRA_SERVE_INJECT_STALL", "hold-the-slot")],
     );
 
@@ -163,7 +163,7 @@ fn overload_rejects_the_burst_without_touching_admitted_work() {
 #[test]
 fn injected_panic_degrades_one_request_and_spares_the_daemon() {
     let sock = sock_path("serve_panic");
-    let daemon = spawn_daemon(&sock, &["--threads", "1"], &[("PARRA_INJECT_PANIC", "mp")]);
+    let daemon = spawn_daemon(&sock, &[], &[("PARRA_INJECT_PANIC", "mp")]);
 
     let poisoned = request(
         &sock,
@@ -205,11 +205,7 @@ fn injected_deadline_interrupts_one_request_and_spares_the_daemon() {
     let sock = sock_path("serve_deadline");
     // The needle matches the explicit request *name*, so the later plain
     // `rcu` request is untouched.
-    let daemon = spawn_daemon(
-        &sock,
-        &["--threads", "1"],
-        &[("PARRA_INJECT_DEADLINE", "cut-me")],
-    );
+    let daemon = spawn_daemon(&sock, &[], &[("PARRA_INJECT_DEADLINE", "cut-me")]);
 
     let cut = request(
         &sock,
@@ -261,7 +257,6 @@ fn poisoned_shared_plan_cache_recovers() {
     for (name, expected) in [("sb", Verdict::Unsafe), ("mp", Verdict::Safe)] {
         let bench = parra::litmus::by_name(name).expect("litmus benchmark");
         let options = VerifierOptions {
-            threads: 1,
             plan_cache: Some(plans.clone()),
             ..Default::default()
         };
