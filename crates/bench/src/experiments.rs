@@ -218,39 +218,27 @@ pub fn figure3() -> String {
 /// program has computations in which different roles generate (y, 2)
 /// first — the writer role th₁ (which read nothing) or the reader role
 /// th₂ (which read th₁'s (x, 1) and therefore *depends* on it).
+///
+/// Computations need not saturate the `env` part: threads may simply
+/// stop. Computation 2 is the one in which writers stop after publishing
+/// (x, 1); it is searched as its own system, whose writer role stores
+/// only `x := 1`.
 pub fn figure4() -> String {
-    let (sys, y) = figure4_system();
-    let budget = Budget::exact(&sys).unwrap();
-    let engine = Reachability::new(sys.clone(), budget.clone(), ReachLimits::default()).unwrap();
-    let report = engine.run(SimpTarget::MessageGenerated(y, Val(2)));
-    let witness = report.witness.expect("goal reachable");
-
-    // The y-store edge of the writer role: blocking it realizes the
-    // computation in which writer threads stop after publishing (x, 1),
-    // so a reader thread is the first to generate (y, 2).
-    let writer_y_store: Vec<usize> = sys
-        .env
-        .cfa()
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e.instr, parra_program::cfg::Instr::Store(v, _) if v == y))
-        .map(|(i, _)| i)
-        .take(1)
-        .collect();
-
     let mut out = String::new();
-    for (label, blocked) in [
-        (
-            "computation 1: the writer role generates (y,2) first",
-            Vec::new(),
-        ),
+    for (label, writer_stores_y) in [
+        ("computation 1: the writer role generates (y,2) first", true),
         (
             "computation 2: writers stop after (x,1); the reader role generates (y,2)",
-            writer_y_store,
+            false,
         ),
     ] {
-        let graph = DepGraph::build_with_blocked_env_edges(&sys, &budget, &witness, &blocked);
+        let (sys, y) = figure4_system(writer_stores_y);
+        let budget = Budget::exact(&sys).unwrap();
+        let engine =
+            Reachability::new(sys.clone(), budget.clone(), ReachLimits::default()).unwrap();
+        let report = engine.run(SimpTarget::MessageGenerated(y, Val(2)));
+        let witness = report.witness.expect("goal reachable");
+        let graph = DepGraph::build(&sys, &budget, &witness);
         let goal = graph.find_message(y, Val(2)).expect("goal node");
         let _ = writeln!(out, "--- {label} ---");
         let _ = writeln!(
@@ -720,8 +708,9 @@ fn env_cas_system() -> ParamSystem {
 
 /// The Figure 4 system: two roles can both generate the *same* abstract
 /// message (y, 2, ⟨0⁺, 0⁺⟩) — the writer role th₁ directly, and the reader
-/// role th₂ after reading th₁'s (x, 1).
-fn figure4_system() -> (ParamSystem, VarId) {
+/// role th₂ after reading th₁'s (x, 1). Without `writer_stores_y` the
+/// writer role stops after `x := 1`.
+fn figure4_system(writer_stores_y: bool) -> (ParamSystem, VarId) {
     let mut b = SystemBuilder::new(3);
     let x = b.var("x");
     let y = b.var("y");
@@ -730,7 +719,9 @@ fn figure4_system() -> (ParamSystem, VarId) {
     let role_writer = env.block(|p| {
         // Writes x itself, then y.
         p.store(x, 1);
-        p.store(y, 2);
+        if writer_stores_y {
+            p.store(y, 2);
+        }
     });
     let role_reader = env.block(|p| {
         // Reads somebody's x, then writes y — same resulting view shape.
@@ -823,6 +814,8 @@ mod tests {
         let reports = figure4();
         // Both role orders must appear, and the graphs are printed.
         assert!(reports.matches("digraph").count() == 2);
+        assert!(reports.contains("goal (y,2): genthread = env, |depend| = 0, height = 0"));
+        assert!(reports.contains("goal (y,2): genthread = env, |depend| = 1, height = 1"));
     }
 
     #[test]

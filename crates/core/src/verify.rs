@@ -1637,6 +1637,22 @@ mod tests {
         let w = out.witness.expect("the bug concretizes");
         assert!(w.n_env <= out.max_env_searched);
 
+        // A CAS closes a gap that env threads had already stored into;
+        // the bound comes from replaying the search's own saturation.
+        let reopen = parra_program::parser::parse_system(include_str!(
+            "../../../corpus/equivalence-cas-env-reopen.ra"
+        ))
+        .unwrap();
+        let v2 = Verifier::new(&reopen, VerifierOptions::default()).unwrap();
+        let r3 = v2.run(EngineId::SimplifiedReach);
+        assert_eq!(r3.verdict, Verdict::Unsafe, "{:?}", r3.notes);
+        let b = r3.env_thread_bound.expect("unsafe run carries the bound") as usize;
+        let w = v2
+            .concretize_auto(&r3)
+            .witness
+            .expect("the bug concretizes");
+        assert!(w.n_env <= b);
+
         // Without a bound (datalog verdicts carry none) the default cap
         // applies.
         let r2 = v.run(EngineId::CacheDatalog);

@@ -4,7 +4,7 @@
 //! | oracle | checks | theorem |
 //! |---|---|---|
 //! | [`EnginesAgree`] | simplified-reach ≡ cache-datalog verdicts, concrete only strengthens | Thm 4.1 / Lemma 4.3 |
-//! | [`Equivalence`] | simplified ≡ bounded concrete RA on small instances | Thm 3.4 |
+//! | [`Equivalence`] | simplified ≡ bounded concrete RA on small instances; the witness's dependency graph holds exactly its final state's messages | Thm 3.4, Def. 1 |
 //! | [`RoundTrip`] | `pretty → parse_system` reproduces the system | parser/printer drift |
 //! | [`Monotonicity`] | verdicts persist under larger `max_states` / deeper unrolling | search soundness |
 //! | [`EvalAgree`] | indexed Datalog evaluator ≡ naive reference on `makeP` outputs | evaluator substrate |
@@ -30,8 +30,10 @@ use parra_ra::explore::{ExploreLimits, ExploreOutcome, Explorer, Target};
 use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
+use parra_simplified::message::{AMessage, Origin};
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
-use parra_simplified::state::Budget;
+use parra_simplified::state::{Budget, SimpState};
+use std::collections::BTreeSet;
 
 /// The result of one oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,11 +160,28 @@ impl Oracle for EnginesAgree {
 // 2. Simplified ≡ concrete (Theorem 3.4)
 // ---------------------------------------------------------------------
 
+/// Whether `g` holds one node per message of `st`: its `env` nodes are
+/// `st.env_msgs` and its `dis` nodes are `st`'s slot messages.
+fn same_messages(g: &DepGraph, st: &SimpState) -> bool {
+    let nodes = |o: Origin| -> BTreeSet<&AMessage> {
+        g.nodes
+            .iter()
+            .filter(|n| n.msg.origin == o)
+            .map(|n| &n.msg)
+            .collect()
+    };
+    let dis: BTreeSet<&AMessage> = st.dis_msgs.iter().flat_map(|m| m.values()).collect();
+    g.nodes.len() == g.n_vars + st.env_msgs.len() + dis.len()
+        && nodes(Origin::Env) == st.env_msgs.iter().collect()
+        && nodes(Origin::Dis) == dis
+}
+
 /// Theorem 3.4 on small instances: a goal message is generable under the
 /// simplified semantics iff some concrete-RA instance generates it.
 /// Completeness is checked exactly (a concrete hit forces `Unsafe`);
 /// soundness is checked when the tested instances were exhausted and the
-/// §4.3 cost bound says they suffice.
+/// §4.3 cost bound says they suffice. The witness's dependency graph must
+/// hold exactly the messages of its final state.
 pub struct Equivalence;
 
 /// Instances tested by the concrete side of [`Equivalence`].
@@ -209,10 +228,20 @@ impl Oracle for Equivalence {
         if report.outcome == ReachOutcome::Truncated {
             return OracleOutcome::Skip("simplified search truncated".into());
         }
-        let cost_bound = report.witness.as_ref().and_then(|w| {
-            let g = DepGraph::build(&sys, &budget, w);
-            g.find_message(goal, goal_val).map(|n| cost_of_graph(&g, n))
-        });
+        let cost_bound = match &report.witness {
+            Some(w) => {
+                let g = DepGraph::build(&sys, &budget, w);
+                if !same_messages(&g, &w.final_state) {
+                    return OracleOutcome::Fail(
+                        "the dependency graph's messages differ from the witness's \
+                         final state: the graph was not recorded from the search's rules"
+                            .into(),
+                    );
+                }
+                g.find_message(goal, goal_val).map(|n| cost_of_graph(&g, n))
+            }
+            None => None,
+        };
 
         let mut concrete_hit = None;
         let mut concrete_exact = true;

@@ -8,20 +8,23 @@
 //! *read-count* `rc(msg, msg')` counts how often the generating thread read
 //! `msg'` — the multiplicity that drives the §4.3 cost function.
 //!
-//! [`DepGraph::build`] reconstructs the graph from a reachability
-//! [`Witness`] by re-running the saturation with
-//! provenance tracking along the witness's `dis` path.
-//! [`DepGraph::compact`] applies the two reductions behind Lemma 4.5
-//! (fan-in merging and duplicate-pair truncation on `env` nodes).
+//! [`DepGraph::build`] records the graph by observing the search's own
+//! rules: it replays a reachability [`Witness`] through
+//! [`SimpState::dis_successors`] and [`SimpState::saturate`], with a
+//! [`SatObserver`] that keeps the *first-found* read chain of every `env`
+//! configuration. First-found means first insertion in `saturate`'s
+//! semi-naive order, so the graph's messages are exactly those of the
+//! witness's final state. [`DepGraph::compact`] applies the two
+//! reductions behind Lemma 4.5 (fan-in merging and duplicate-pair
+//! truncation on `env` nodes).
 
 use crate::message::{AMessage, Origin};
 use crate::reach::Witness;
-use crate::state::{ALocal, Budget, DisStep, SimpState};
-use parra_program::cfg::Instr;
+use crate::state::{ALocal, Budget, SatObserver, SimpState};
 use parra_program::ident::VarId;
 use parra_program::system::ParamSystem;
 use parra_program::value::Val;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Index of a message node in a [`DepGraph`].
@@ -69,33 +72,75 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    /// Reconstructs the dependency graph from a witness: re-runs the
-    /// pre-closures, saturation, and `dis` path with provenance tracking.
+    /// Reconstructs the dependency graph from a witness by replaying it
+    /// through the search's own rules: the pre-closures, then each `dis`
+    /// step taken from [`SimpState::dis_successors`], each followed by
+    /// [`SimpState::saturate`] with a provenance observer.
     ///
     /// # Panics
     ///
-    /// Panics if the witness does not replay over `sys` (it always does
-    /// when produced by [`Reachability::run`](crate::reach::Reachability)
-    /// on the same system and budget).
+    /// Panics if the witness does not replay over `sys` to its
+    /// `final_state` (it always does when produced by
+    /// [`Reachability::run`](crate::reach::Reachability) on the same system
+    /// and budget).
     pub fn build(sys: &ParamSystem, budget: &Budget, witness: &Witness) -> DepGraph {
-        Builder::new(sys, budget, &[]).run(witness)
-    }
-
-    /// As [`DepGraph::build`], but the provenance re-execution skips the
-    /// given `env` CFA edges.
-    ///
-    /// Computations need not saturate the `env` part — threads may simply
-    /// stop. Blocking edges reconstructs the dependency graph of such a
-    /// computation, e.g. to realize the *other* `genthread` choice of the
-    /// paper's Figure 4 (a message first generated by a thread that read
-    /// someone else's store, because the original storer stopped early).
-    pub fn build_with_blocked_env_edges(
-        sys: &ParamSystem,
-        budget: &Budget,
-        witness: &Witness,
-        blocked_env_edges: &[usize],
-    ) -> DepGraph {
-        Builder::new(sys, budget, blocked_env_edges).run(witness)
+        let n_vars = sys.n_vars() as usize;
+        // The search's cap, as far as this witness can tell: the env part
+        // only grows along a path, so every fully saturated state on it
+        // fits, and a world root that the search cut short at the cap
+        // (then the path is just that root) stops at the same point.
+        let final_env = &witness.final_state;
+        let cap = final_env.env_threads.len() + final_env.env_msgs.len() - 1;
+        let mut state = SimpState::initial(sys);
+        for &(x, g) in &witness.preclosed {
+            state.preclose(x, g);
+        }
+        let mut rec = Provenance {
+            nodes: Vec::new(),
+            env_index: HashMap::new(),
+            dis_index: HashMap::new(),
+            chains: state
+                .env_threads
+                .iter()
+                .map(|c| (c.clone(), BTreeMap::new()))
+                .collect(),
+        };
+        for i in 0..n_vars {
+            let x = VarId(i as u32);
+            rec.push(
+                &AMessage::initial(x, n_vars),
+                GenThread::Init,
+                &BTreeMap::new(),
+            );
+        }
+        state.saturate(sys, budget, cap, &mut rec);
+        // Per dis thread: reads so far (node → count).
+        let mut dis_reads = vec![BTreeMap::new(); sys.dis.len()];
+        for step in &witness.dis_path {
+            let next = state
+                .dis_successors(sys, budget)
+                .steps
+                .into_iter()
+                .find_map(|(s, next)| (s == *step).then_some(next))
+                .expect("witness dis step does not replay");
+            let reads = &mut dis_reads[step.thread];
+            if let Some(read) = &step.read {
+                *reads.entry(rec.node_of(read)).or_insert(0) += 1;
+            }
+            if let Some(wrote) = &step.wrote {
+                rec.push(wrote, GenThread::Dis(step.thread), reads);
+            }
+            state = next;
+            state.saturate(sys, budget, cap, &mut rec);
+        }
+        assert!(
+            state == witness.final_state,
+            "witness replay does not end at the witness's final state"
+        );
+        DepGraph {
+            nodes: rec.nodes,
+            n_vars,
+        }
     }
 
     /// The node holding the first message on `x` with value `d`, if any.
@@ -247,55 +292,21 @@ impl DepGraph {
     }
 }
 
-/// Provenance-tracking re-execution of a witness.
-struct Builder<'a> {
-    sys: &'a ParamSystem,
-    budget: &'a Budget,
-    /// env CFA edges the provenance re-execution must not take.
-    blocked_env_edges: Vec<usize>,
-    n_vars: usize,
-    /// Graph under construction; nodes 0..n_vars are init messages.
+/// Records `genthread`, `depend` and `rc` while [`SimpState::saturate`]
+/// runs: the first-found read chain of every `env` configuration, and a
+/// node for every message on its first insertion.
+struct Provenance {
+    /// Graph under construction; nodes `0..n_vars` are initial messages.
     nodes: Vec<MsgNode>,
-    /// Message identity → node (env keyed by full message; dis keyed by
-    /// (var, slot)).
+    /// `env` messages by identity; `dis` messages by `(var, slot)`.
     env_index: HashMap<AMessage, MsgRef>,
     dis_index: HashMap<(VarId, u32), MsgRef>,
-    /// Per dis thread: reads so far (node, count).
-    dis_reads: Vec<BTreeMap<MsgRef, usize>>,
+    /// Per `env` configuration: the reads (node → count) along the chain
+    /// that first reached it from the initial configuration.
+    chains: HashMap<ALocal, BTreeMap<MsgRef, usize>>,
 }
 
-/// An env configuration with provenance: the reads performed along the
-/// generating chain.
-#[derive(Clone)]
-struct PConfig {
-    local: ALocal,
-    /// Accumulated reads (node → count) along the chain from the initial
-    /// configuration.
-    reads: BTreeMap<MsgRef, usize>,
-}
-
-impl<'a> Builder<'a> {
-    fn new(sys: &'a ParamSystem, budget: &'a Budget, blocked_env_edges: &[usize]) -> Builder<'a> {
-        let n_vars = sys.n_vars() as usize;
-        let nodes = (0..n_vars)
-            .map(|i| MsgNode {
-                msg: AMessage::initial(VarId(i as u32), n_vars),
-                genthread: GenThread::Init,
-                depends: Vec::new(),
-            })
-            .collect();
-        Builder {
-            sys,
-            budget,
-            blocked_env_edges: blocked_env_edges.to_vec(),
-            n_vars,
-            nodes,
-            env_index: HashMap::new(),
-            dis_index: HashMap::new(),
-            dis_reads: vec![BTreeMap::new(); sys.dis.len()],
-        }
-    }
-
+impl Provenance {
     fn node_of(&self, msg: &AMessage) -> MsgRef {
         match msg.origin {
             Origin::Init => msg.var.index(),
@@ -304,205 +315,43 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn run(mut self, witness: &Witness) -> DepGraph {
-        let mut state = SimpState::initial(self.sys);
-        for &(x, g) in &witness.preclosed {
-            state.preclose(x, g);
-        }
-        self.saturate_with_provenance(&mut state);
-        for step in &witness.dis_path {
-            self.apply_dis_step(&mut state, step);
-            self.saturate_with_provenance(&mut state);
-        }
-        DepGraph {
-            nodes: self.nodes,
-            n_vars: self.n_vars,
-        }
-    }
-
-    fn apply_dis_step(&mut self, state: &mut SimpState, step: &DisStep) {
-        let ti = step.thread;
-        let cfa = self.sys.dis[ti].cfa();
-        let edge = &cfa.edges()[step.edge];
-        let dom = self.sys.dom;
-        assert_eq!(
-            state.dis[ti].loc, edge.from,
-            "witness dis step does not replay"
-        );
-        // Record the read.
-        if let Some(read) = &step.read {
-            let node = self.node_of(read);
-            *self.dis_reads[ti].entry(node).or_insert(0) += 1;
-        }
-        // Record the write as a graph node.
-        if let Some(wrote) = &step.wrote {
-            let node = MsgNode {
-                msg: wrote.clone(),
-                genthread: GenThread::Dis(ti),
-                depends: self.dis_reads[ti].iter().map(|(&n, &c)| (n, c)).collect(),
-            };
-            let id = self.nodes.len();
-            self.nodes.push(node);
-            self.dis_index
-                .insert((wrote.var, wrote.timestamp().floor()), id);
-        }
-        // Apply the state update.
-        match &edge.instr {
-            Instr::Skip | Instr::AssertFalse => {}
-            Instr::Assume(e) => {
-                assert!(e.eval(&state.dis[ti].regs, dom).as_bool());
-            }
-            Instr::Assign(r, e) => {
-                let v = e.eval(&state.dis[ti].regs, dom);
-                state.dis[ti].regs.set(*r, v);
-            }
-            Instr::Load(r, _) => {
-                let read = step.read.as_ref().expect("load step carries a message");
-                state.dis[ti].regs.set(*r, read.val);
-                state.dis[ti].view = SimpState::load_view(&state.dis[ti].view, read);
-            }
-            Instr::Store(x, _) => {
-                let wrote = step.wrote.as_ref().expect("store step carries a message");
-                state.dis_msgs[x.index()].insert(wrote.timestamp().floor(), wrote.clone());
-                state.dis[ti].view = wrote.view.clone();
-            }
-            Instr::Cas(x, ..) => {
-                let wrote = step.wrote.as_ref().expect("cas step carries a message");
-                let s1 = wrote.timestamp().floor();
-                state.dis_msgs[x.index()].insert(s1, wrote.clone());
-                state.closed[x.index()].insert(s1 - 1);
-                state.dis[ti].view = wrote.view.clone();
-            }
-        }
-        state.dis[ti].loc = edge.to;
-    }
-
-    /// Saturation with provenance: mirrors [`SimpState::saturate`] but
-    /// tracks, for every newly generated `env` message, the reads of the
-    /// configuration chain that generated it.
-    fn saturate_with_provenance(&mut self, state: &mut SimpState) {
-        let cfa = self.sys.env.cfa_arc();
-        let dom = self.sys.dom;
-        let n_vars = self.n_vars;
-
-        // For every discovered configuration we record the *first-found*
-        // read chain — the provenance `genthread(msg)`'s store inherits.
-        let mut chains: HashMap<ALocal, BTreeMap<MsgRef, usize>> = HashMap::new();
-        let mut queue: VecDeque<PConfig> = VecDeque::new();
-        let init_local = ALocal::initial(cfa.entry(), self.sys.env.n_regs() as usize, n_vars);
-        chains.insert(init_local.clone(), BTreeMap::new());
-        queue.push_back(PConfig {
-            local: init_local,
-            reads: BTreeMap::new(),
+    fn push(&mut self, msg: &AMessage, genthread: GenThread, reads: &BTreeMap<MsgRef, usize>) {
+        let id = self.nodes.len();
+        self.nodes.push(MsgNode {
+            msg: msg.clone(),
+            genthread,
+            depends: reads.iter().map(|(&n, &c)| (n, c)).collect(),
         });
-
-        // Iterate to fixpoint: because new messages can enable old
-        // configurations, loop saturation rounds until nothing changes.
-        loop {
-            let mut changed = false;
-            while let Some(pc) = queue.pop_front() {
-                let edges: Vec<usize> = cfa
-                    .edges()
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, e)| e.from == pc.local.loc && !self.blocked_env_edges.contains(i))
-                    .map(|(i, _)| i)
-                    .collect();
-                for ei in edges {
-                    let edge = &cfa.edges()[ei];
-                    match &edge.instr {
-                        Instr::Skip | Instr::AssertFalse => {
-                            let mut nc = pc.clone();
-                            nc.local.loc = edge.to;
-                            changed |= self.push_config(state, nc, &mut chains, &mut queue);
-                        }
-                        Instr::Assume(e) => {
-                            if e.eval(&pc.local.regs, dom).as_bool() {
-                                let mut nc = pc.clone();
-                                nc.local.loc = edge.to;
-                                changed |= self.push_config(state, nc, &mut chains, &mut queue);
-                            }
-                        }
-                        Instr::Assign(r, e) => {
-                            let mut nc = pc.clone();
-                            let v = e.eval(&pc.local.regs, dom);
-                            nc.local.regs.set(*r, v);
-                            nc.local.loc = edge.to;
-                            changed |= self.push_config(state, nc, &mut chains, &mut queue);
-                        }
-                        Instr::Load(r, x) => {
-                            let candidates: Vec<AMessage> =
-                                state.loadable(*x, &pc.local.view, n_vars).collect();
-                            for m in candidates {
-                                let mut nc = pc.clone();
-                                nc.local.regs.set(*r, m.val);
-                                nc.local.view = SimpState::load_view(&pc.local.view, &m);
-                                nc.local.loc = edge.to;
-                                let node = self.node_of(&m);
-                                *nc.reads.entry(node).or_insert(0) += 1;
-                                changed |= self.push_config(state, nc, &mut chains, &mut queue);
-                            }
-                        }
-                        Instr::Store(x, e) => {
-                            let val = e.eval(&pc.local.regs, dom);
-                            let lo = pc.local.view.get(*x).floor();
-                            for g in lo..=self.budget.slots(*x) {
-                                if state.closed[x.index()].contains(&g) {
-                                    continue;
-                                }
-                                let view = pc.local.view.with(*x, crate::timestamp::ATime::Plus(g));
-                                let msg = AMessage::new(*x, val, view.clone(), Origin::Env);
-                                // Record the node on first generation.
-                                if !self.env_index.contains_key(&msg) {
-                                    let id = self.nodes.len();
-                                    self.nodes.push(MsgNode {
-                                        msg: msg.clone(),
-                                        genthread: GenThread::Env,
-                                        depends: pc.reads.iter().map(|(&n, &c)| (n, c)).collect(),
-                                    });
-                                    self.env_index.insert(msg.clone(), id);
-                                    state.env_msgs.insert(msg.clone());
-                                    changed = true;
-                                }
-                                let mut nc = pc.clone();
-                                nc.local.view = view;
-                                nc.local.loc = edge.to;
-                                changed |= self.push_config(state, nc, &mut chains, &mut queue);
-                            }
-                        }
-                        Instr::Cas(..) => unreachable!("env is CAS-free"),
-                    }
-                }
+        match genthread {
+            GenThread::Init => {}
+            GenThread::Env => {
+                self.env_index.insert(msg.clone(), id);
             }
-            if !changed {
-                break;
-            }
-            // Re-enqueue all known configurations with their recorded
-            // chains: new messages may enable new loads from old
-            // configurations.
-            for (local, reads) in &chains {
-                queue.push_back(PConfig {
-                    local: local.clone(),
-                    reads: reads.clone(),
-                });
+            GenThread::Dis(_) => {
+                self.dis_index
+                    .insert((msg.var, msg.timestamp().floor()), id);
             }
         }
     }
+}
 
-    fn push_config(
-        &mut self,
-        state: &mut SimpState,
-        pc: PConfig,
-        chains: &mut HashMap<ALocal, BTreeMap<MsgRef, usize>>,
-        queue: &mut VecDeque<PConfig>,
-    ) -> bool {
-        if chains.contains_key(&pc.local) {
-            return false;
+impl SatObserver for Provenance {
+    fn fired(&mut self, parent: &ALocal, read: Option<&AMessage>, child: &ALocal) {
+        if self.chains.contains_key(child) {
+            return;
         }
-        chains.insert(pc.local.clone(), pc.reads.clone());
-        state.env_threads.insert(pc.local.clone());
-        queue.push_back(pc);
-        true
+        let mut chain = self.chains[parent].clone();
+        if let Some(m) = read {
+            *chain.entry(self.node_of(m)).or_insert(0) += 1;
+        }
+        self.chains.insert(child.clone(), chain);
+    }
+
+    fn stored(&mut self, storer: &ALocal, msg: &AMessage) {
+        if !self.env_index.contains_key(msg) {
+            let reads = self.chains[storer].clone();
+            self.push(msg, GenThread::Env, &reads);
+        }
     }
 }
 
@@ -609,6 +458,31 @@ mod tests {
         assert!(dot.contains("digraph"));
         assert!(dot.contains("rc="));
         assert!(dot.contains("env"));
+    }
+
+    /// A world root cut short by `max_env_size` can itself be the
+    /// witness; the replay stops where the search did.
+    #[test]
+    fn witness_at_a_capped_root_replays() {
+        let sys = parra_program::parser::parse_system(
+            "system { dom 3; vars goal, x, y; env e { regs r; goal := 1; x := 1; \
+             y := 1; x := 2; y := 2; r <- x; y := r; } dis d { y := 1; } }",
+        )
+        .unwrap();
+        let goal = VarId(0);
+        let budget = Budget::exact(&sys).unwrap();
+        let limits = ReachLimits {
+            max_env_size: 4,
+            ..ReachLimits::default()
+        };
+        let engine = Reachability::new(sys.clone(), budget.clone(), limits).unwrap();
+        let report = engine.run(SimpTarget::MessageGenerated(goal, Val(1)));
+        assert_eq!(report.outcome, ReachOutcome::Unsafe);
+        let witness = report.witness.unwrap();
+        assert!(witness.dis_path.is_empty());
+        let g = DepGraph::build(&sys, &budget, &witness);
+        assert_eq!(g.nodes.len() - g.n_vars, witness.final_state.env_msgs.len());
+        assert!(g.find_message(goal, Val(1)).is_some());
     }
 
     #[test]

@@ -363,7 +363,7 @@ impl Reachability {
         for &(x, g) in world {
             init.preclose(x, g);
         }
-        let (dc, dm) = init.saturate(sys, budget, limits.max_env_size);
+        let (dc, dm) = init.saturate(sys, budget, limits.max_env_size, &mut ());
         m.c_sat_rounds.incr();
         m.c_sat_cfg.add(dc as u64);
         m.c_sat_msg.add(dm as u64);
@@ -401,7 +401,7 @@ impl Reachability {
                 .collect();
             let mut steps = Vec::with_capacity(succs.steps.len());
             for (step, mut next) in succs.steps {
-                let (dc, dm) = next.saturate(sys, budget, limits.max_env_size);
+                let (dc, dm) = next.saturate(sys, budget, limits.max_env_size, &mut ());
                 m.c_sat_rounds.incr();
                 m.c_sat_cfg.add(dc as u64);
                 m.c_sat_msg.add(dm as u64);

@@ -642,8 +642,9 @@ fn batch(args: &[String]) -> Result<ExitCode, String> {
             Recorder::disabled()
         };
         let start = std::time::Instant::now();
-        // Read failures, parse failures, rejected systems, engine
-        // disagreement, and panics all become the line's `error` field.
+        // Read failures, parse failures, rejected systems and engine
+        // disagreement become the line's `error` field. A panicked engine
+        // run is an `UNKNOWN` report with a note; `error` stays `null`.
         let name = file.display().to_string();
         let outcome = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read: {e}"))

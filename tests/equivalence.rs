@@ -14,11 +14,13 @@
 use parra_program::builder::SystemBuilder;
 use parra_program::ident::VarId;
 use parra_program::system::ParamSystem;
+use parra_program::transform;
 use parra_program::value::Val;
 use parra_ra::explore::{ExploreLimits, ExploreOutcome, Explorer, Target};
 use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
+use parra_simplified::message::{AMessage, Origin};
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
 use parra_simplified::state::Budget;
 
@@ -351,4 +353,69 @@ fn random_two_dis_systems_agree() {
         40,
         "random-2dis",
     );
+}
+
+// ---------------------------------------------------------------------
+// Dependency graphs recorded from the search's own rules
+// ---------------------------------------------------------------------
+
+/// The §4.3 dependency graph is recorded while the witness is replayed
+/// through the search's own saturation, so its nodes are exactly the
+/// messages of the witness's final state: one `env` node per
+/// `final_state.env_msgs` entry and one `dis` node per slot message.
+/// Checked on every UNSAFE witness of the litmus suite and
+/// `GenConfig::wide()` seeds `0..1200`. Seed 1094 is a run in which a CAS
+/// closes a gap that env threads had already stored into; the env
+/// configurations that stored there stay reachable and generate more.
+#[test]
+fn dependency_graph_nodes_are_the_final_state_messages() {
+    let gen = SystemGen::new(GenConfig::wide());
+    let systems = parra_litmus::all()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.system))
+        .chain((0..1200).map(|seed| (format!("wide-{seed}"), gen.case(seed).sys)));
+    let mut witnesses = 0;
+    for (label, sys) in systems {
+        let has_assert = sys.env.com().has_assert() || sys.dis.iter().any(|p| p.com().has_assert());
+        if sys.dom.size() < 2 || !has_assert {
+            continue;
+        }
+        let goal = transform::assert_to_goal(&sys);
+        let Some(budget) = Budget::exact(&goal.system) else {
+            continue;
+        };
+        let Ok(engine) =
+            Reachability::new(goal.system.clone(), budget.clone(), ReachLimits::default())
+        else {
+            continue;
+        };
+        let report = engine.run(SimpTarget::MessageGenerated(goal.goal_var, goal.goal_val));
+        let Some(w) = report.witness else {
+            continue;
+        };
+        witnesses += 1;
+        let g = DepGraph::build(&goal.system, &budget, &w);
+        let nodes = |o: Origin| -> Vec<&AMessage> {
+            g.nodes
+                .iter()
+                .filter(|n| n.msg.origin == o)
+                .map(|n| &n.msg)
+                .collect()
+        };
+        let env: Vec<&AMessage> = w.final_state.env_msgs.iter().collect();
+        let mut dis: Vec<&AMessage> = w
+            .final_state
+            .dis_msgs
+            .iter()
+            .flat_map(|m| m.values())
+            .collect();
+        let mut env_nodes = nodes(Origin::Env);
+        let mut dis_nodes = nodes(Origin::Dis);
+        env_nodes.sort();
+        dis_nodes.sort();
+        dis.sort();
+        assert_eq!(env_nodes, env, "{label}: env nodes");
+        assert_eq!(dis_nodes, dis, "{label}: dis nodes");
+    }
+    assert_eq!(witnesses, 581, "UNSAFE witnesses checked");
 }
