@@ -19,7 +19,7 @@
 //! a plan change.
 
 use parra_bench::gate::{self, Row};
-use parra_core::verify::{EngineId, RunReport, Verifier, VerifierOptions};
+use parra_core::verify::{EngineId, VerificationResult, Verifier, VerifierOptions};
 use parra_obs::{Level, Recorder};
 use std::process::ExitCode;
 
@@ -48,8 +48,8 @@ const ENGINES: [EngineId; 1] = [EngineId::CacheDatalog];
 /// Timed repetitions per entry; the best is recorded.
 const REPS: usize = 3;
 
-fn counter(report: &RunReport, name: &str) -> u64 {
-    report
+fn counter(result: &VerificationResult, name: &str) -> u64 {
+    result
         .counters
         .iter()
         .find(|(n, _)| n == name)
@@ -77,10 +77,10 @@ fn measure() -> (Vec<Row>, Vec<String>) {
                         .info("engine", engine.to_string())
                         .exact("verdict", r.verdict.to_string())
                         .wall("wall_us", wall_us)
-                        .exact("join_attempts", counter(&r.report, "join_attempts"))
-                        .exact("index_builds", counter(&r.report, "index_builds"))
-                        .exact("index_hits", counter(&r.report, "index_hits"))
-                        .exact("rules_planned", counter(&r.report, "rules_planned"));
+                        .exact("join_attempts", counter(&r, "join_attempts"))
+                        .exact("index_builds", counter(&r, "index_builds"))
+                        .exact("index_hits", counter(&r, "index_hits"))
+                        .exact("rules_planned", counter(&r, "rules_planned"));
                     best = Some((wall_us, row));
                 }
             }

@@ -16,7 +16,7 @@
 
 use crate::hash::content_key;
 use crate::store::{Record, Store};
-use parra_core::verify::{Verdict, VerifierOptions};
+use parra_core::verify::VerifierOptions;
 use parra_core::{verify_text, EngineId};
 use parra_obs::{Level, Recorder};
 use parra_program::parser::parse_system;
@@ -368,45 +368,20 @@ fn verify_entry(entry: &PlanEntry, copts: &CampaignOptions, rec: &Recorder) -> R
     );
     let duration_us = start.elapsed().as_micros() as u64;
     match outcome {
-        Ok(sel) => {
-            // Batch-line parity: the interruption reason is kept only
-            // while the aggregate is undecided. (`--strict`-style budget
-            // audits live in the CLI, not the store.)
-            let interrupted = if sel.verdict.is_decided() {
-                None
-            } else {
-                sel.interrupted
-            };
-            Record {
-                verdict: Some(sel.verdict.to_verdict_str().to_string()),
-                interrupted: interrupted.map(|r| r.as_str().to_string()),
-                duration_us,
-                ..base
-            }
-        }
+        // The aggregate verdict is `SAFE`, `UNSAFE` or `UNKNOWN`; the
+        // interruption detail lives in its own field, so resumes that
+        // re-run an interrupted input converge on the same text.
+        Ok(sel) => Record {
+            verdict: Some(sel.verdict.to_string()),
+            interrupted: sel.reported_interruption().map(|r| r.as_str().to_string()),
+            duration_us,
+            ..base
+        },
         Err(error) => Record {
             error: Some(error),
             duration_us,
             ..base
         },
-    }
-}
-
-/// The plain verdict word stored in records: `SAFE`, `UNSAFE`, or
-/// `UNKNOWN` — interruption detail lives in the `interrupted` field,
-/// not the verdict string, so resumes that re-run an interrupted input
-/// converge on the same deterministic text.
-trait VerdictStr {
-    fn to_verdict_str(&self) -> &'static str;
-}
-
-impl VerdictStr for Verdict {
-    fn to_verdict_str(&self) -> &'static str {
-        match self {
-            Verdict::Safe => "SAFE",
-            Verdict::Unsafe => "UNSAFE",
-            Verdict::Unknown | Verdict::Interrupted(_) => "UNKNOWN",
-        }
     }
 }
 

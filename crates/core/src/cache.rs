@@ -205,13 +205,9 @@ mod tests {
         // The preparation time belongs to the cold request's first run;
         // the warm report must show no prepare phase at all.
         assert!(
-            !warm_result
-                .report
-                .phases
-                .iter()
-                .any(|(n, _)| n == "prepare"),
+            !warm_result.phases.iter().any(|(n, _)| n == "prepare"),
             "warm run re-claimed the prepare phase: {:?}",
-            warm_result.report.phases
+            warm_result.phases
         );
     }
 

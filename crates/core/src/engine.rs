@@ -24,12 +24,13 @@
 //! propagate upward). The raced verdict therefore equals the sequential
 //! `--all-engines` aggregate: a decisive verdict dominates aggregation,
 //! and with no decisive verdict every engine runs to completion exactly
-//! as it would sequentially.
+//! as it would sequentially. [`Verifier::run_selection`] runs either
+//! shape, and every front end reads its [`SelectionOutcome`].
 
 use crate::makep::{DatalogTarget, Guess, MakeP, MakePLimits, Template};
 use crate::verify::{
-    aggregate_verdicts, EngineId, RunReport, SharedPlanCache, Stats, Verdict, VerificationResult,
-    Verifier, VerifierOptions,
+    aggregate_verdicts, EngineId, SharedPlanCache, Stats, Verdict, VerificationResult, Verifier,
+    VerifierOptions,
 };
 use crate::witness::{self, LinearCheck};
 use parra_datalog::eval::Evaluator;
@@ -54,38 +55,6 @@ pub(crate) struct CachedMakeP {
     built: Result<(Arc<Template>, Arc<[Guess]>), String>,
 }
 
-/// The outcome of one portfolio race ([`Verifier::race`]).
-#[derive(Debug, Clone)]
-pub struct RaceReport {
-    /// The racers, in the order they were passed.
-    pub engines: Vec<EngineId>,
-    /// One result per racer, in `engines` order. Losers cancelled by the
-    /// winner carry `Interrupted(cancelled)` and a race note — they are
-    /// metadata about the race, not engine answers.
-    pub results: Vec<VerificationResult>,
-    /// Index (into `engines`) of the racer whose decisive verdict won,
-    /// if any. Which engine wins is wall-clock-dependent; the aggregate
-    /// `verdict` is not.
-    pub winner: Option<usize>,
-    /// The aggregate verdict — identical to what the sequential
-    /// `--all-engines` aggregation over the same engines reports.
-    pub verdict: Verdict,
-    /// Wall-clock time of the whole race.
-    pub duration: Duration,
-}
-
-impl RaceReport {
-    /// The winning engine, when some racer answered decisively.
-    pub fn winner_engine(&self) -> Option<EngineId> {
-        self.winner.map(|i| self.engines[i])
-    }
-
-    /// The winning result, when some racer answered decisively.
-    pub fn winner_result(&self) -> Option<&VerificationResult> {
-        self.winner.map(|i| &self.results[i])
-    }
-}
-
 impl Verifier {
     /// Races `engines` concurrently; the first decisive verdict (Safe or
     /// Unsafe) cancels the rest via a race-scoped child of
@@ -103,7 +72,7 @@ impl Verifier {
     /// Decisive racers that disagree (a `Safe` next to an `Unsafe`)
     /// indicate an engine bug and surface as an error, as in sequential
     /// aggregation.
-    pub fn race(&self, engines: &[EngineId]) -> Result<RaceReport, String> {
+    pub fn race(&self, engines: &[EngineId]) -> Result<SelectionOutcome, String> {
         let start = Instant::now();
         let race_cancel = self.options.cancel.child();
         let budget = self.base_budget();
@@ -137,10 +106,9 @@ impl Verifier {
             let (weng, wverdict) = (engines[w], results[w].verdict);
             for (i, r) in results.iter_mut().enumerate() {
                 if i != w && r.verdict == Verdict::Interrupted(InterruptReason::Cancelled) {
-                    let note =
-                        format!("cancelled by portfolio race: {weng} answered {wverdict} first");
-                    r.notes.push(note.clone());
-                    r.report.notes.push(note);
+                    r.notes.push(format!(
+                        "cancelled by portfolio race: {weng} answered {wverdict} first"
+                    ));
                 }
             }
         }
@@ -154,12 +122,7 @@ impl Verifier {
             self.options.cancel.acknowledge();
         }
 
-        let verdicts: Vec<(EngineId, Verdict)> = engines
-            .iter()
-            .copied()
-            .zip(results.iter().map(|r| r.verdict))
-            .collect();
-        let verdict = aggregate_verdicts(&verdicts)?;
+        let sel = SelectionOutcome::new(results, outcome.winner, duration)?;
 
         if self.rec.is_enabled() {
             // The engine list and aggregate verdict are deterministic;
@@ -171,7 +134,7 @@ impl Verifier {
                 .collect::<Vec<_>>()
                 .join(",");
             let mut vol: Vec<(&str, u64)> = vec![("duration_us", duration.as_micros() as u64)];
-            if let Some(w) = outcome.winner {
+            if let Some(w) = sel.winner {
                 vol.push(("winner", w as u64));
             }
             self.rec.scoped("race/").event_with(
@@ -179,26 +142,19 @@ impl Verifier {
                 &[
                     ("n_engines", engines.len().into()),
                     ("engines", names.as_str().into()),
-                    ("verdict", verdict.to_string().into()),
+                    ("verdict", sel.verdict.to_string().into()),
                 ],
                 &vol,
             );
         }
 
-        Ok(RaceReport {
-            engines: engines.to_vec(),
-            results,
-            winner: outcome.winner,
-            verdict,
-            duration,
-        })
+        Ok(sel)
     }
 
-    /// Runs an engine *selection* — the portfolio shape both `parra
-    /// batch` and `parra campaign` expose: either each engine in turn
-    /// (isolated, each with the full budget) or all of them raced. The
-    /// aggregate verdict is identical either way; only the scheduling
-    /// differs.
+    /// Runs an engine *selection* — the portfolio shape every front end
+    /// exposes: either each engine in turn (isolated, each with the full
+    /// budget) or all of them raced ([`Verifier::race`]). The aggregate
+    /// verdict is identical either way; only the scheduling differs.
     ///
     /// # Errors
     ///
@@ -210,47 +166,74 @@ impl Verifier {
         race: bool,
     ) -> Result<SelectionOutcome, String> {
         if race {
-            let outcome = self.race(engines)?;
-            let interrupted = outcome
-                .results
-                .iter()
-                .find_map(|r| r.verdict.interrupt_reason());
-            return Ok(SelectionOutcome {
-                verdict: outcome.verdict,
-                interrupted,
-                results: outcome.results,
-            });
+            return self.race(engines);
         }
-        let mut results = Vec::new();
-        let mut verdicts = Vec::new();
-        let mut interrupted = None;
-        for &engine in engines {
-            let result = self.run_isolated(engine);
-            interrupted = interrupted.or(result.verdict.interrupt_reason());
-            verdicts.push((result.engine, result.verdict));
-            results.push(result);
-        }
-        let verdict = aggregate_verdicts(&verdicts)?;
-        Ok(SelectionOutcome {
-            verdict,
-            interrupted,
-            results,
-        })
+        let start = Instant::now();
+        let results = engines.iter().map(|&e| self.run_isolated(e)).collect();
+        SelectionOutcome::new(results, None, start.elapsed())
     }
 }
 
-/// The outcome of [`Verifier::run_selection`].
+/// The outcome of an engine selection ([`Verifier::run_selection`],
+/// [`Verifier::race`]).
 #[derive(Debug, Clone)]
 pub struct SelectionOutcome {
-    /// The aggregate verdict over the selection.
+    /// The aggregate verdict over the selection — for a race, identical
+    /// to what the sequential `--all-engines` aggregation over the same
+    /// engines reports.
     pub verdict: Verdict,
     /// The first interruption reason any engine run reported, decided
-    /// aggregate or not. Callers that mirror `parra batch` lines null
-    /// this out once `verdict.is_decided()`; callers that audit budget
-    /// health (`batch --strict`) read it raw.
+    /// aggregate or not. `batch --strict` audits budget health from it;
+    /// reports show [`SelectionOutcome::reported_interruption`].
     pub interrupted: Option<InterruptReason>,
-    /// One result per engine, in selection order.
+    /// One result per engine, in selection order. Race losers cancelled
+    /// by the winner carry `Interrupted(cancelled)` and a race note —
+    /// they are metadata about the race, not engine answers.
     pub results: Vec<VerificationResult>,
+    /// Index (into `results`) of the racer whose decisive verdict won a
+    /// race, if any; always `None` for a sequential selection. Which
+    /// engine wins is wall-clock-dependent; the aggregate `verdict` is
+    /// not.
+    pub winner: Option<usize>,
+    /// Wall-clock time of the whole selection.
+    pub duration: Duration,
+}
+
+impl SelectionOutcome {
+    /// Aggregates `results` (in selection order).
+    fn new(
+        results: Vec<VerificationResult>,
+        winner: Option<usize>,
+        duration: Duration,
+    ) -> Result<SelectionOutcome, String> {
+        let verdicts: Vec<(EngineId, Verdict)> =
+            results.iter().map(|r| (r.engine, r.verdict)).collect();
+        Ok(SelectionOutcome {
+            verdict: aggregate_verdicts(&verdicts)?,
+            interrupted: results.iter().find_map(|r| r.verdict.interrupt_reason()),
+            results,
+            winner,
+            duration,
+        })
+    }
+
+    /// The winning engine, when some racer answered decisively.
+    pub fn winner_engine(&self) -> Option<EngineId> {
+        self.winner_result().map(|r| r.engine)
+    }
+
+    /// The winning result, when some racer answered decisively.
+    pub fn winner_result(&self) -> Option<&VerificationResult> {
+        self.winner.map(|i| &self.results[i])
+    }
+
+    /// The interruption reason a batch line, serve response or campaign
+    /// record shows: aggregation folds `Interrupted` into `Unknown`, so
+    /// the reason is kept only while the aggregate is undecided (a
+    /// decided selection may still have lost an engine to a budget).
+    pub fn reported_interruption(&self) -> Option<InterruptReason> {
+        self.interrupted.filter(|_| !self.verdict.is_decided())
+    }
 }
 
 /// Verifies one program text under an engine selection: parse and
@@ -291,18 +274,14 @@ pub fn verify_text(
         )?;
         match engines.split_last() {
             Some((&last, head)) if !race && injected("PARRA_INJECT_DEADLINE", name).is_some() => {
-                let mut sel = verifier.run_selection(head, false)?;
+                let start = Instant::now();
+                let mut results: Vec<_> = head.iter().map(|&e| verifier.run_isolated(e)).collect();
                 let spent = VerifierOptions {
                     deadline_at: Some(Instant::now()),
                     ..options.clone()
                 };
-                let result = verifier.rescoped(spent, rec.clone()).run_isolated(last);
-                sel.interrupted = sel.interrupted.or(result.verdict.interrupt_reason());
-                sel.results.push(result);
-                let verdicts: Vec<(EngineId, Verdict)> =
-                    sel.results.iter().map(|r| (r.engine, r.verdict)).collect();
-                sel.verdict = aggregate_verdicts(&verdicts)?;
-                Ok(sel)
+                results.push(verifier.rescoped(spent, rec.clone()).run_isolated(last));
+                SelectionOutcome::new(results, None, start.elapsed())
             }
             _ => verifier.run_selection(engines, race),
         }
@@ -392,8 +371,6 @@ impl Verifier {
             None => (None, Vec::new()),
         };
         VerificationResult {
-            verdict,
-            engine: EngineId::SimplifiedReach,
             stats: Stats {
                 states: report.states,
                 worlds: report.worlds,
@@ -403,7 +380,7 @@ impl Verifier {
             env_thread_bound,
             witness_lines,
             notes,
-            report: RunReport::empty(EngineId::SimplifiedReach),
+            ..VerificationResult::new(EngineId::SimplifiedReach, verdict)
         }
     }
 
@@ -550,19 +527,15 @@ impl Verifier {
         if let Some(r) = self.trivially_safe(engine) {
             return r;
         }
-        let unknown = |note: String| VerificationResult {
-            verdict: Verdict::Unknown,
-            engine,
-            stats: Stats::default(),
-            env_thread_bound: None,
-            witness_lines: vec![],
-            notes: vec![note],
-            report: RunReport::empty(engine),
-        };
         let phases = PhaseTimer::new(rec);
         let (mk, guesses) = match self.makep(&phases, rec) {
             Ok(built) => built,
-            Err(note) => return unknown(note),
+            Err(note) => {
+                return VerificationResult {
+                    notes: vec![note],
+                    ..VerificationResult::new(engine, Verdict::Unknown)
+                }
+            }
         };
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
         // A host-provided shared cache (warm serve requests) takes the
@@ -570,19 +543,20 @@ impl Verifier {
         // difference is who pays for planning.
         let plan_cache = self.options.plan_cache.clone().unwrap_or_default();
         let fleet = self.datalog_fleet(rec, &mk, &guesses, target, &plan_cache, gov);
-        let mut stats = Stats {
-            guesses: guesses.len(),
-            datalog_rules: fleet.rules,
-            datalog_atoms: fleet.atoms,
-            ..Stats::default()
+        let mut result = VerificationResult {
+            stats: Stats {
+                guesses: guesses.len(),
+                datalog_rules: fleet.rules,
+                datalog_atoms: fleet.atoms,
+                ..Stats::default()
+            },
+            ..VerificationResult::new(engine, Verdict::Safe)
         };
-        let mut report = RunReport::empty(engine);
-        let mut notes = Vec::new();
-        let mut witness_lines = Vec::new();
+        let notes = &mut result.notes;
         // A winning guess is a sound Unsafe witness even if other guesses
         // were cut short; without one, an interrupted fleet is
         // inconclusive, never Safe.
-        let mut verdict = match fleet.interrupted {
+        result.verdict = match fleet.interrupted {
             Some(reason) if fleet.winner.is_none() => {
                 notes.push(format!(
                     "interrupted ({reason}): not every guess was evaluated; \
@@ -593,7 +567,7 @@ impl Verifier {
             _ => Verdict::Safe,
         };
         if let Some((wi, plan)) = fleet.winner {
-            verdict = Verdict::Unsafe;
+            result.verdict = Verdict::Unsafe;
             // Lemma 4.6: re-run only the winning guess with provenance on
             // and read a bounded-cache schedule off its derivation,
             // counting intensional atoms only; the schedule is certified
@@ -604,9 +578,9 @@ impl Verifier {
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract(&prog, &goal, rec, 1, Some(plan)) {
                 Some(w) => {
-                    stats.cache_peak = w.peak_intensional;
-                    stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);
-                    report.cache_occupancy = w.occupancy.iter().map(|&c| c as u64).collect();
+                    result.stats.cache_peak = w.peak_intensional;
+                    result.stats.datalog_atoms = result.stats.datalog_atoms.max(w.atoms);
+                    result.cache_occupancy = w.occupancy.iter().map(|&c| c as u64).collect();
                     if w.certified {
                         notes.push(format!(
                             "Lemma 4.6 schedule ({} steps) certified under ⊢ₖ with \
@@ -636,22 +610,14 @@ impl Verifier {
                                 .into(),
                         ),
                     }
-                    witness_lines = witness::render_lines(&prog, &w, 64);
+                    result.witness_lines = witness::render_lines(&prog, &w, 64);
                 }
                 None => notes.push(
                     "witness extraction failed: winning guess did not replay (engine bug)".into(),
                 ),
             }
         }
-        VerificationResult {
-            verdict,
-            engine,
-            stats,
-            env_thread_bound: None,
-            witness_lines,
-            notes,
-            report,
-        }
+        result
     }
 
     pub(crate) fn run_concrete(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
@@ -676,8 +642,6 @@ impl Verifier {
             match report.outcome {
                 ExploreOutcome::Unsafe => {
                     return VerificationResult {
-                        verdict: Verdict::Unsafe,
-                        engine: EngineId::BoundedConcrete,
                         stats,
                         env_thread_bound: Some(n_env as u64),
                         witness_lines: report
@@ -687,7 +651,7 @@ impl Verifier {
                             .map(|s| s.description)
                             .collect(),
                         notes: vec![format!("violation found with {n_env} env threads")],
-                        report: RunReport::empty(EngineId::BoundedConcrete),
+                        ..VerificationResult::new(EngineId::BoundedConcrete, Verdict::Unsafe)
                     }
                 }
                 ExploreOutcome::SafeExhausted => {}
@@ -696,26 +660,21 @@ impl Verifier {
                     // The budget covers the whole engine run, so the
                     // remaining instances would be interrupted too.
                     return VerificationResult {
-                        verdict: Verdict::Interrupted(reason),
-                        engine: EngineId::BoundedConcrete,
                         stats,
-                        env_thread_bound: None,
-                        witness_lines: vec![],
                         notes: vec![format!(
                             "interrupted ({reason}) while exploring the instance with \
                              {n_env} env threads; partial statistics only"
                         )],
-                        report: RunReport::empty(EngineId::BoundedConcrete),
+                        ..VerificationResult::new(
+                            EngineId::BoundedConcrete,
+                            Verdict::Interrupted(reason),
+                        )
                     };
                 }
             }
         }
         VerificationResult {
-            verdict: Verdict::Unknown,
-            engine: EngineId::BoundedConcrete,
             stats,
-            env_thread_bound: None,
-            witness_lines: vec![],
             notes: vec![format!(
                 "no violation up to {} env threads ({}); the engine cannot prove \
                  parameterized safety",
@@ -726,7 +685,7 @@ impl Verifier {
                     "bounds hit"
                 }
             )],
-            report: RunReport::empty(EngineId::BoundedConcrete),
+            ..VerificationResult::new(EngineId::BoundedConcrete, Verdict::Unknown)
         }
     }
 }
@@ -775,11 +734,12 @@ mod tests {
             let v = Verifier::new(&sys, VerifierOptions::default()).unwrap();
             let race = v.race(&EngineId::ALL).expect("no disagreement");
             assert_eq!(race.verdict, seq, "safe={safe}");
-            assert_eq!(race.engines, EngineId::ALL.to_vec());
+            let raced: Vec<EngineId> = race.results.iter().map(|r| r.engine).collect();
+            assert_eq!(raced, EngineId::ALL.to_vec());
             assert_eq!(race.results.len(), 3);
             if let Some(w) = race.winner {
                 assert!(race.results[w].verdict.is_decided());
-                assert_eq!(race.winner_engine(), Some(race.engines[w]));
+                assert_eq!(race.winner_engine(), Some(race.results[w].engine));
             }
         }
     }

@@ -39,7 +39,7 @@ pub mod verify;
 pub mod witness;
 
 pub use cache::VerifierCache;
-pub use engine::{verify_text, RaceReport, SelectionOutcome};
+pub use engine::{verify_text, SelectionOutcome};
 pub use makep::{DisGuess, Guess, MakeP, MakePLimits};
 /// The workspace's one panic boundary, re-exported for the front ends.
 pub use parra_search::catch_panic;

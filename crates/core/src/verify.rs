@@ -4,7 +4,8 @@
 //! The engine-specific decision procedures live in [`crate::engine`];
 //! this module owns the shared plumbing every run goes through —
 //! dispatch on [`EngineId`], recorder scoping, resource governance,
-//! run-scoped cancellation, panic containment, and the [`RunReport`].
+//! run-scoped cancellation, panic containment, and the per-run
+//! [`VerificationResult`].
 
 use crate::engine::CachedMakeP;
 use crate::makep::{MakePError, MakePLimits};
@@ -224,7 +225,12 @@ pub struct Stats {
     pub duration: Duration,
 }
 
-/// The result of a verification.
+/// The result of one engine run: the verdict, the flat [`Stats`], every
+/// metric the engine emitted through its [`Recorder`] scope, a
+/// cache-occupancy time series (CacheDatalog), and the witness and notes.
+/// Renders to JSON with [`VerificationResult::to_json`] (the CLI's
+/// `--json`, and each entry of a batch line's or serve response's
+/// `reports`).
 #[derive(Debug, Clone)]
 pub struct VerificationResult {
     /// The verdict.
@@ -243,32 +249,14 @@ pub struct VerificationResult {
     pub witness_lines: Vec<String>,
     /// Notes (approximations applied, limits hit).
     pub notes: Vec<String>,
-    /// The structured report superseding the flat [`Stats`] view (which is
-    /// kept for compatibility). Populated by [`Verifier::run`].
-    pub report: RunReport,
-}
-
-/// The structured report of one engine run: the legacy [`Stats`] plus
-/// every metric the engine emitted through its [`Recorder`] scope, a
-/// cache-occupancy time series (CacheDatalog), and the witness/notes.
-/// Renders to JSON with [`RunReport::to_json`] (the CLI's `--json`).
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The engine that ran.
-    pub engine: EngineId,
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Wall-clock duration.
-    pub duration: Duration,
-    /// The flat compatibility view.
-    pub stats: Stats,
     /// Counter deltas attributed to this run (name without the engine
     /// prefix, value). `phase/…_us` counters are split out into
-    /// [`phases`](RunReport::phases).
+    /// [`phases`](VerificationResult::phases).
     pub counters: Vec<(String, u64)>,
     /// Phase-attributed time, `(phase name, µs)` — from the engines'
-    /// [`PhaseTimer`]s. These are CPU-time-like sums: phases timed inside
-    /// a worker fleet can exceed the run's wall-clock duration.
+    /// [`PhaseTimer`]s. The first run of a verifier also carries its
+    /// `parse` and `prepare` phases, which fall before the run's
+    /// duration starts.
     pub phases: Vec<(String, u64)>,
     /// Gauges under this engine's scope (name, snapshot).
     pub gauges: Vec<(String, GaugeSnapshot)>,
@@ -277,48 +265,38 @@ pub struct RunReport {
     /// Running intensional-cache occupancy after each schedule step of the
     /// successful guess (CacheDatalog, unsafe runs) — the Lemma 4.6 series.
     pub cache_occupancy: Vec<u64>,
-    /// The §4.3 env-thread bound, when derived.
-    pub env_thread_bound: Option<u64>,
-    /// Witness lines, when unsafe.
-    pub witness: Vec<String>,
-    /// Notes.
-    pub notes: Vec<String>,
-    /// Why the governor stopped the run, when it did (mirrors
-    /// [`Verdict::Interrupted`] for JSON consumers).
-    pub interrupted: Option<InterruptReason>,
     /// The concrete-RA interleaving reproducing an `Unsafe` verdict, when
     /// concretization was requested and succeeded.
     pub concrete: Option<ConcreteWitness>,
 }
 
-impl RunReport {
-    /// An empty report for `engine` (placeholder until [`Verifier::run`]
-    /// fills it in).
-    pub fn empty(engine: EngineId) -> RunReport {
-        RunReport {
+impl VerificationResult {
+    /// A result of `engine` with `verdict` and nothing else recorded yet.
+    pub(crate) fn new(engine: EngineId, verdict: Verdict) -> VerificationResult {
+        VerificationResult {
+            verdict,
             engine,
-            verdict: Verdict::Unknown,
-            duration: Duration::ZERO,
             stats: Stats::default(),
+            env_thread_bound: None,
+            witness_lines: Vec::new(),
+            notes: Vec::new(),
             counters: Vec::new(),
             phases: Vec::new(),
             gauges: Vec::new(),
             histograms: Vec::new(),
             cache_occupancy: Vec::new(),
-            env_thread_bound: None,
-            witness: Vec::new(),
-            notes: Vec::new(),
-            interrupted: None,
             concrete: None,
         }
     }
 
-    /// Renders the report as a single JSON object.
+    /// Renders the result as a single JSON object. The `interrupted`
+    /// field repeats the reason of an [`Verdict::Interrupted`] verdict
+    /// for JSON consumers.
     pub fn to_json(&self) -> String {
         let mut w = ObjWriter::new();
         w.str_field("engine", &self.engine.to_string());
         w.str_field("verdict", &self.verdict.to_string());
-        w.num_field("duration_us", self.duration.as_micros() as u64);
+        w.num_field("duration_us", self.stats.duration.as_micros() as u64);
         let mut stats = ObjWriter::new();
         stats.num_field("states", self.stats.states as u64);
         stats.num_field("worlds", self.stats.worlds as u64);
@@ -365,9 +343,9 @@ impl RunReport {
             Some(b) => w.num_field("env_thread_bound", b),
             None => w.raw_field("env_thread_bound", "null"),
         }
-        w.str_arr_field("witness", &self.witness);
+        w.str_arr_field("witness", &self.witness_lines);
         w.str_arr_field("notes", &self.notes);
-        match self.interrupted {
+        match self.verdict.interrupt_reason() {
             Some(r) => w.str_field("interrupted", r.as_str()),
             None => w.raw_field("interrupted", "null"),
         }
@@ -701,7 +679,7 @@ impl Verifier {
     /// every body alike: it scopes the recorder to `{engine}/`, attaches
     /// the cancel token to the budget, emits `run_start`/`run_end`
     /// events, and attributes counter deltas and phase times to the
-    /// run's [`RunReport`].
+    /// run's result.
     pub(crate) fn run_engine(
         &self,
         engine: EngineId,
@@ -733,16 +711,12 @@ impl Verifier {
 
         let after = rec.snapshot();
         let prefix = format!("{engine}/");
-        let mut report = RunReport::empty(engine);
-        report.verdict = result.verdict;
-        report.duration = result.stats.duration;
-        report.stats = result.stats.clone();
         let (phase_counters, counters): (Vec<_>, Vec<_>) = after
             .counter_deltas(&before, &prefix)
             .into_iter()
             .partition(|(n, _)| n.starts_with("phase/"));
-        report.counters = counters;
-        report.phases = phase_counters
+        result.counters = counters;
+        result.phases = phase_counters
             .into_iter()
             .map(|(n, v)| {
                 let name = n
@@ -754,7 +728,7 @@ impl Verifier {
             })
             .collect();
         // Preparation is shared by every run of this verifier, so the
-        // `parse` and `prepare` phases are claimed by the first report only —
+        // `parse` and `prepare` phases are claimed by the first run only —
         // re-counting them per engine would inflate aggregate phase
         // breakdowns.
         if !self.prep_claimed.swap(true, Ordering::Relaxed) {
@@ -763,50 +737,42 @@ impl Verifier {
                 (Phase::Prepare, self.prepare_us),
             ] {
                 if us > 0 {
-                    report.phases.push((phase.as_str().to_string(), us));
+                    result.phases.push((phase.as_str().to_string(), us));
                 }
             }
-            report.phases.sort();
+            result.phases.sort();
         }
-        report.gauges = after
+        result.gauges = after
             .gauges
             .iter()
             .filter_map(|(k, v)| k.strip_prefix(&prefix).map(|n| (n.to_string(), *v)))
             .collect();
-        report.histograms = after
+        result.histograms = after
             .hists
             .iter()
             .filter_map(|(k, v)| k.strip_prefix(&prefix).map(|n| (n.to_string(), v.clone())))
             .collect();
-        report.cache_occupancy = std::mem::take(&mut result.report.cache_occupancy);
-        report.env_thread_bound = result.env_thread_bound;
-        report.witness = result.witness_lines.clone();
-        report.notes = result.notes.clone();
-        report.interrupted = result.verdict.interrupt_reason();
         if rec.is_enabled() {
             // The run_end event carries the deterministic verdict in
             // `fields`; durations, phase times, and the stats go in
             // `volatile`.
+            let stats = &result.stats;
             let mut vol: Vec<(String, u64)> = vec![
-                (
-                    "duration_us".to_string(),
-                    report.duration.as_micros() as u64,
-                ),
-                ("states".to_string(), report.stats.states as u64),
-                ("worlds".to_string(), report.stats.worlds as u64),
-                ("guesses".to_string(), report.stats.guesses as u64),
+                ("duration_us".to_string(), stats.duration.as_micros() as u64),
+                ("states".to_string(), stats.states as u64),
+                ("worlds".to_string(), stats.worlds as u64),
+                ("guesses".to_string(), stats.guesses as u64),
             ];
-            for (name, v) in &report.phases {
+            for (name, v) in &result.phases {
                 vol.push((format!("phase/{name}_us"), *v));
             }
             let vol: Vec<(&str, u64)> = vol.iter().map(|(k, v)| (k.as_str(), *v)).collect();
             scope.event_with(
                 "run_end",
-                &[("verdict", report.verdict.to_string().into())],
+                &[("verdict", result.verdict.to_string().into())],
                 &vol,
             );
         }
-        result.report = report;
         result
     }
 
@@ -847,16 +813,9 @@ impl Verifier {
                 &[],
             );
         }
-        let mut report = RunReport::empty(engine);
-        report.notes = vec![note.clone()];
         VerificationResult {
-            verdict: Verdict::Unknown,
-            engine,
-            stats: Stats::default(),
-            env_thread_bound: None,
-            witness_lines: vec![],
             notes: vec![note],
-            report,
+            ..VerificationResult::new(engine, Verdict::Unknown)
         }
     }
 
@@ -865,13 +824,8 @@ impl Verifier {
             return None;
         }
         Some(VerificationResult {
-            verdict: Verdict::Safe,
-            engine,
-            stats: Stats::default(),
-            env_thread_bound: None,
-            witness_lines: vec![],
             notes: vec!["program contains no assertions".into()],
-            report: RunReport::empty(engine),
+            ..VerificationResult::new(engine, Verdict::Safe)
         })
     }
 
@@ -1121,9 +1075,9 @@ mod tests {
         let again = warm.run(EngineId::SimplifiedReach);
         assert_eq!(again.verdict, Verdict::Unsafe);
         assert!(
-            !again.report.phases.iter().any(|(n, _)| n == "prepare"),
+            !again.phases.iter().any(|(n, _)| n == "prepare"),
             "rescoped run re-claimed the prepare phase: {:?}",
-            again.report.phases
+            again.phases
         );
     }
 
@@ -1203,33 +1157,28 @@ mod tests {
     }
 
     #[test]
-    fn run_report_mirrors_stats_and_records_metrics() {
+    fn run_records_metrics() {
         let sys = handshake(false);
         let rec = Recorder::enabled(parra_obs::Level::Summary);
         let v = Verifier::new_with_recorder(&sys, VerifierOptions::default(), rec.clone()).unwrap();
         let r = v.run(EngineId::SimplifiedReach);
-        assert_eq!(r.report.verdict, r.verdict);
-        assert_eq!(r.report.stats.states, r.stats.states);
-        assert_eq!(r.report.witness, r.witness_lines);
         assert!(
-            r.report
-                .counters
+            r.counters
                 .iter()
                 .any(|(n, v)| n == "worlds_explored" && *v > 0),
             "simplified-reach counters missing: {:?}",
-            r.report.counters
+            r.counters
         );
-        assert!(r.report.gauges.iter().any(|(n, _)| n == "env_msgs"));
+        assert!(r.gauges.iter().any(|(n, _)| n == "env_msgs"));
         // The datalog engine attaches the Lemma 4.6 occupancy series.
         let r2 = v.run(EngineId::CacheDatalog);
         assert_eq!(r2.verdict, Verdict::Unsafe);
-        assert!(!r2.report.cache_occupancy.is_empty());
+        assert!(!r2.cache_occupancy.is_empty());
         assert_eq!(
-            r2.report.cache_occupancy.iter().copied().max().unwrap(),
+            r2.cache_occupancy.iter().copied().max().unwrap(),
             r2.stats.cache_peak as u64
         );
         assert!(r2
-            .report
             .counters
             .iter()
             .any(|(n, v)| n == "guesses_enumerated" && *v >= 1));
@@ -1255,11 +1204,11 @@ mod tests {
     }
 
     #[test]
-    fn run_report_json_roundtrips() {
+    fn result_json_roundtrips() {
         let sys = handshake(false);
         let v = Verifier::new(&sys, VerifierOptions::default()).unwrap();
         let r = v.run(EngineId::CacheDatalog);
-        let json = parra_obs::json::parse(&r.report.to_json()).expect("valid JSON");
+        let json = parra_obs::json::parse(&r.to_json()).expect("valid JSON");
         assert_eq!(json.get("engine").unwrap().as_str(), Some("cache-datalog"));
         assert_eq!(json.get("verdict").unwrap().as_str(), Some("UNSAFE"));
         let stats = json.get("stats").unwrap();
@@ -1272,7 +1221,7 @@ mod tests {
             Some(r.stats.cache_peak as u64)
         );
         let occ = json.get("cache_occupancy").unwrap().as_arr().unwrap();
-        assert_eq!(occ.len(), r.report.cache_occupancy.len());
+        assert_eq!(occ.len(), r.cache_occupancy.len());
         // With a disabled recorder the metric maps are empty but present.
         assert_eq!(
             json.get("counters").unwrap(),
@@ -1301,7 +1250,7 @@ mod tests {
     }
 
     /// Soundness of reporting: a bounded/truncated run maps to `Unknown`,
-    /// never `Safe` — in the verdict, the `RunReport`, and the notes.
+    /// never `Safe` — in the verdict and the notes.
     #[test]
     fn truncated_runs_report_unknown_not_safe() {
         let sys = handshake(true); // genuinely safe: any Safe claim would be a lie under bounds
@@ -1316,7 +1265,6 @@ mod tests {
         let v = Verifier::new(&sys, tight).unwrap();
         let r = v.run(EngineId::SimplifiedReach);
         assert_eq!(r.verdict, Verdict::Unknown);
-        assert_eq!(r.report.verdict, Verdict::Unknown);
         assert!(r.notes.iter().any(|n| n.contains("limits hit")));
 
         // The concrete engine under a depth bound that is hit: bounded
@@ -1331,7 +1279,6 @@ mod tests {
         let v = Verifier::new(&sys, shallow).unwrap();
         let r = v.run(EngineId::BoundedConcrete);
         assert_eq!(r.verdict, Verdict::Unknown);
-        assert_eq!(r.report.verdict, Verdict::Unknown);
         assert!(r.notes.iter().any(|n| n.contains("bounds hit")));
     }
 
@@ -1361,7 +1308,7 @@ mod tests {
     }
 
     /// A spent deadline degrades every engine to `Interrupted(Deadline)`
-    /// — never `Safe` — with the reason mirrored in the report and notes.
+    /// — never `Safe` — with the reason in the JSON report and notes.
     #[test]
     fn zero_timeout_interrupts_every_engine() {
         let sys = handshake(true); // genuinely safe: Safe here would be a lie
@@ -1379,13 +1326,12 @@ mod tests {
                 "{engine}"
             );
             assert!(!r.verdict.is_decided());
-            assert_eq!(r.report.interrupted, Some(InterruptReason::Deadline));
             assert!(
                 r.notes.iter().any(|n| n.contains("interrupted (deadline)")),
                 "{engine} notes: {:?}",
                 r.notes
             );
-            let json = r.report.to_json();
+            let json = r.to_json();
             assert!(json.contains("\"interrupted\":\"deadline\""), "{json}");
         }
         let snap = rec.snapshot();
@@ -1443,18 +1389,14 @@ mod tests {
             Ok(handshake(false))
         };
         let v = Verifier::parse_and_prepare(parse, VerifierOptions::default(), rec).unwrap();
-        let has_prep = |r: &VerificationResult| {
-            r.report
-                .phases
-                .iter()
-                .any(|(n, _)| n == "prepare" || n == "parse")
-        };
+        let has_prep =
+            |r: &VerificationResult| r.phases.iter().any(|(n, _)| n == "prepare" || n == "parse");
         let first = v.run(EngineId::SimplifiedReach);
         for phase in ["parse", "prepare"] {
             assert!(
-                first.report.phases.iter().any(|(n, _)| n == phase),
+                first.phases.iter().any(|(n, _)| n == phase),
                 "first report should carry the {phase} phase: {:?}",
-                first.report.phases
+                first.phases
             );
         }
         for engine in [
@@ -1466,7 +1408,7 @@ mod tests {
             assert!(
                 !has_prep(&later),
                 "{engine} re-counted the shared preparation time: {:?}",
-                later.report.phases
+                later.phases
             );
         }
     }
@@ -1541,10 +1483,9 @@ mod tests {
     /// wall-clock durations) to an unlimited run.
     #[test]
     fn generous_budget_reports_match_unlimited_byte_for_byte() {
-        fn canonical_json(mut report: RunReport) -> String {
-            report.duration = Duration::ZERO;
-            report.stats.duration = Duration::ZERO;
-            report.to_json()
+        fn canonical_json(mut result: VerificationResult) -> String {
+            result.stats.duration = Duration::ZERO;
+            result.to_json()
         }
         for safe in [false, true] {
             let sys = handshake(safe);
@@ -1564,8 +1505,8 @@ mod tests {
                 EngineId::CacheDatalog,
             ] {
                 assert_eq!(
-                    canonical_json(unlimited.run(engine).report),
-                    canonical_json(governed.run(engine).report),
+                    canonical_json(unlimited.run(engine)),
+                    canonical_json(governed.run(engine)),
                     "{engine}, safe={safe}"
                 );
             }
@@ -1588,7 +1529,6 @@ mod tests {
             "notes: {:?}",
             r.notes
         );
-        assert!(r.report.notes.iter().any(|n| n.contains("engine panicked")));
         // Other engines are unaffected by the fail point.
         assert_eq!(
             v.run_isolated(EngineId::CacheDatalog).verdict,
@@ -1639,10 +1579,9 @@ mod tests {
 
         // A CAS closes a gap that env threads had already stored into;
         // the bound comes from replaying the search's own saturation.
-        let reopen = parra_program::parser::parse_system(include_str!(
-            "../../../corpus/equivalence-cas-env-reopen.ra"
-        ))
-        .unwrap();
+        let reopen =
+            parra_program::parser::parse_system(include_str!("../../../corpus/cas-env-reopen.ra"))
+                .unwrap();
         let v2 = Verifier::new(&reopen, VerifierOptions::default()).unwrap();
         let r3 = v2.run(EngineId::SimplifiedReach);
         assert_eq!(r3.verdict, Verdict::Unsafe, "{:?}", r3.notes);

@@ -19,7 +19,7 @@
 //! | `chrome://tracing` file | [`Recorder::chrome_trace`] |
 //!
 //! Every output has a consumer: the metric registry (phase counters
-//! included) backs the CLI's `--stats` and the per-run `RunReport`, the
+//! included) backs the CLI's `--stats` and each engine run's report, the
 //! phase intervals plus the events the Chrome trace `--trace-out`, and
 //! the event log `--events-out` and `parra report`. The CLI enables a
 //! recorder exactly when one of those flags is given.

@@ -7,13 +7,15 @@
 //!
 //! - the `phase/{name}_us` counter on the recorder the timer was built
 //!   from, which flows with no extra plumbing into metric snapshots,
-//!   per-run counter deltas (and thus `RunReport` / `--json`), `--stats`
+//!   per-run counter deltas (and thus each run's `phases` in `--json`), `--stats`
 //!   and `parra report` aggregation;
 //! - one flat [`PhaseInterval`] in the recorder, which `--trace-out`
 //!   renders as a `"ph":"X"` block.
 //!
-//! Phase counters are *CPU-time-like sums*: when `--race` runs several
-//! engines concurrently their phase times add, so a raced run's phase
+//! A run's own phases fall inside its duration; the first run of a
+//! prepared verifier also carries the `parse` and `prepare` phases,
+//! which fall before its duration starts. Phase times add across runs:
+//! when `--race` runs several engines concurrently, the race's phase
 //! total can exceed its wall-clock duration.
 
 use crate::{Counter, Recorder};

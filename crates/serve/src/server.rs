@@ -24,6 +24,11 @@
 //! * **Budgets anchor at admission.** A request's `timeout_ms` (or the
 //!   daemon default timeout) becomes an absolute deadline at the moment
 //!   the permit is granted — never at daemon start or config parse.
+//! * **One selection path.** A request's engines run through
+//!   `Verifier::run_selection`, the path `parra verify`, `batch` and
+//!   `campaign` take; the response renders its `SelectionOutcome` — the
+//!   verdict, `reported_interruption()` and one report per engine — as a
+//!   batch line does.
 //! * **Isolation.** Engines run through the portfolio's panic-contained
 //!   paths (`run_isolated` / race-job containment) under a per-request
 //!   [`CancelToken`]; anything that still unwinds is caught here and
@@ -419,14 +424,12 @@ impl Server {
             w.str_field("file", &name);
             w.str_field("engine", &label);
             w.str_field("verdict", &sel.verdict.to_string());
-            // Mirror `parra batch`: a decided verdict nulls the
-            // interruption (some losing engine may still have been cut).
-            match sel.interrupted {
-                Some(r) if !sel.verdict.is_decided() => w.str_field("interrupted", r.as_str()),
-                _ => w.raw_field("interrupted", "null"),
+            match sel.reported_interruption() {
+                Some(r) => w.str_field("interrupted", r.as_str()),
+                None => w.raw_field("interrupted", "null"),
             }
             w.raw_field("error", "null");
-            let reports: Vec<String> = sel.results.iter().map(|r| r.report.to_json()).collect();
+            let reports: Vec<String> = sel.results.iter().map(|r| r.to_json()).collect();
             w.raw_field("reports", &format!("[{}]", reports.join(",")));
             let mut vol = ObjWriter::new();
             vol.num_field("cached", u64::from(cached));

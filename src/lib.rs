@@ -78,10 +78,9 @@ pub use parra_simplified as simplified;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use parra_core::engine::RaceReport;
+    pub use parra_core::engine::SelectionOutcome;
     pub use parra_core::verify::{
-        aggregate_verdicts, EngineId, RunReport, Verdict, VerificationResult, Verifier,
-        VerifierOptions,
+        aggregate_verdicts, EngineId, Verdict, VerificationResult, Verifier, VerifierOptions,
     };
     pub use parra_limits::{CancelToken, InterruptReason, ResourceBudget};
     pub use parra_program::builder::{ProgramBuilder, SystemBuilder};

@@ -28,6 +28,10 @@
 //! command line against its own flag table before reading any input: an
 //! unknown flag, or a value flag without a value, exits 64.
 //!
+//! `verify`, `batch`, `campaign` and `serve` all run an engine selection
+//! through [`Verifier::run_selection`](parra::core::verify::Verifier::run_selection)
+//! and render its [`SelectionOutcome`](parra::core::SelectionOutcome).
+//!
 //! `--race` races the whole portfolio concurrently: the first decisive
 //! verdict (SAFE or UNSAFE) cancels the remaining engines, whose
 //! `INTERRUPTED(cancelled)` results are reported as portfolio metadata.
@@ -49,8 +53,8 @@
 //! (`{scope}phase/*_us`) included, to stderr after the run;
 //! `--trace-out FILE` writes a Chrome-trace JSON of the timed phases and
 //! the flight-recorder events (load it in `chrome://tracing` or
-//! Perfetto); `--json` prints each
-//! engine's structured [`RunReport`](parra::core::verify::RunReport) as
+//! Perfetto); `--json` prints each engine run's
+//! [`VerificationResult`](parra::core::verify::VerificationResult) as
 //! one JSON object per line on stdout instead of the human-readable
 //! report; `--events-out FILE` writes the schema-versioned
 //! flight-recorder event log as JSONL (`verify`, `batch`, and `fuzz`).
@@ -460,33 +464,21 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let verifier = Verifier::parse_and_prepare(|| load(input), options, rec.clone())?;
 
     let concretize = args.has("--concretize");
-    let (results, race_meta) = if args.has("--race") {
-        let race = verifier.race(&engines)?;
-        let meta = (race.winner_engine(), race.verdict, race.duration);
-        (race.results, Some(meta))
-    } else {
-        (
-            engines
-                .iter()
-                .map(|&engine| verifier.run_isolated(engine))
-                .collect::<Vec<_>>(),
-            None,
-        )
-    };
-    let mut verdicts: Vec<(EngineId, Verdict)> = Vec::new();
-    for mut result in results {
+    let race = args.has("--race");
+    let mut sel = verifier.run_selection(&engines, race)?;
+    for result in &mut sel.results {
         let engine = result.engine;
         // Concretization runs regardless of the output format, so the
         // witness lands in the JSON report too.
         let concrete = if concretize && result.verdict == Verdict::Unsafe {
-            let outcome = verifier.concretize_auto(&result);
-            result.report.concrete = outcome.witness.clone();
+            let outcome = verifier.concretize_auto(result);
+            result.concrete = outcome.witness.clone();
             Some(outcome)
         } else {
             None
         };
         if json {
-            println!("{}", result.report.to_json());
+            println!("{}", result.to_json());
         } else {
             println!(
                 "[{engine}] {} ({:.2?}, {} states)",
@@ -522,22 +514,18 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
         }
-        verdicts.push((result.engine, result.verdict));
     }
-    if let Some((winner, verdict, duration)) = &race_meta {
-        if !json {
-            match winner {
-                Some(engine) => println!(
-                    "[race] {verdict} in {duration:.2?} — first decisive answer: {engine} \
-                     ({} engines raced)",
-                    verdicts.len()
-                ),
-                None => println!(
-                    "[race] {verdict} in {duration:.2?} — no decisive answer \
-                     ({} engines raced to completion)",
-                    verdicts.len()
-                ),
-            }
+    if race && !json {
+        let (verdict, duration, n) = (sel.verdict, sel.duration, sel.results.len());
+        match sel.winner_engine() {
+            Some(engine) => println!(
+                "[race] {verdict} in {duration:.2?} — first decisive answer: {engine} \
+                 ({n} engines raced)"
+            ),
+            None => println!(
+                "[race] {verdict} in {duration:.2?} — no decisive answer \
+                 ({n} engines raced to completion)"
+            ),
         }
     }
 
@@ -561,14 +549,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("--events-out `{path}`: {e}"))?;
         eprintln!("events written to {path}");
     }
-
-    // The raced aggregate is computed inside `race` (and equals the
-    // sequential aggregate over the same engines).
-    let final_verdict = match race_meta {
-        Some((_, verdict, _)) => verdict,
-        None => aggregate_verdicts(&verdicts)?,
-    };
-    Ok(exit_code_for(final_verdict))
+    Ok(exit_code_for(sel.verdict))
 }
 
 /// Resolves `--engine`/`--all-engines`/`--race` into the engine list to
@@ -660,28 +641,20 @@ fn batch(args: &[String]) -> Result<ExitCode, String> {
         w.str_field("file", &name);
         match outcome {
             Ok(sel) => {
-                let (verdict, interrupted) = (sel.verdict, sel.interrupted);
-                any_unsafe |= verdict == Verdict::Unsafe;
-                any_undecided |= !verdict.is_decided();
+                any_unsafe |= sel.verdict == Verdict::Unsafe;
+                any_undecided |= !sel.verdict.is_decided();
                 any_degraded |= matches!(
-                    interrupted,
+                    sel.interrupted,
                     Some(InterruptReason::Deadline | InterruptReason::Memory)
                 );
-                // Aggregation folds Interrupted into Unknown; the line
-                // keeps the reason only while the file is undecided.
-                let interrupted = if verdict.is_decided() {
-                    None
-                } else {
-                    interrupted
-                };
-                w.str_field("verdict", &verdict.to_string());
-                match interrupted {
+                w.str_field("verdict", &sel.verdict.to_string());
+                match sel.reported_interruption() {
                     Some(r) => w.str_field("interrupted", r.as_str()),
                     None => w.raw_field("interrupted", "null"),
                 }
                 w.raw_field("error", "null");
                 w.num_field("duration_us", duration_us);
-                let reports: Vec<String> = sel.results.iter().map(|r| r.report.to_json()).collect();
+                let reports: Vec<String> = sel.results.iter().map(|r| r.to_json()).collect();
                 w.raw_field("reports", &format!("[{}]", reports.join(",")));
             }
             Err(error) => {

@@ -564,3 +564,93 @@ fn bad_flags_exit_64_before_any_output() {
         std::fs::remove_dir(&cwd).ok();
     }
 }
+
+/// A `--json` report with its timing zeroed: `duration_us` at any depth
+/// and every phase time. The `parse` and `prepare` phases are dropped,
+/// since a phase shorter than a microsecond is not recorded at all.
+fn without_durations(v: &json::Value) -> json::Value {
+    match v {
+        json::Value::Obj(m) => json::Value::Obj(
+            m.iter()
+                .map(|(k, val)| {
+                    let val = match (k.as_str(), val) {
+                        ("duration_us", _) => json::Value::Num(0.0),
+                        ("phases", json::Value::Obj(p)) => json::Value::Obj(
+                            p.keys()
+                                .filter(|n| !matches!(n.as_str(), "parse" | "prepare"))
+                                .map(|n| (n.clone(), json::Value::Num(0.0)))
+                                .collect(),
+                        ),
+                        _ => without_durations(val),
+                    };
+                    (k.clone(), val)
+                })
+                .collect(),
+        ),
+        json::Value::Arr(items) => json::Value::Arr(items.iter().map(without_durations).collect()),
+        other => other.clone(),
+    }
+}
+
+/// `verify` and `batch` run a selection through the same path: on every
+/// example system, `verify --all-engines --json` prints exactly the
+/// per-engine reports of the file's `batch --all-engines` line (metrics
+/// recorded on both sides, durations zeroed), and under `--race` both
+/// give the same aggregate verdict and exit code.
+#[test]
+fn verify_and_batch_report_the_same_selection() {
+    let dir = format!("{}/examples/systems", env!("CARGO_MANIFEST_DIR"));
+    let events = format!("{}/one-selection-path.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    let run = |args: &[&str]| {
+        let out = Command::new(BIN).args(args).output().expect("binary runs");
+        (out.status.code(), String::from_utf8(out.stdout).unwrap())
+    };
+    for selection in ["--all-engines", "--race"] {
+        let (_, batch) = run(&["batch", &dir, selection, "--events-out", &events]);
+        let lines: Vec<json::Value> = batch
+            .lines()
+            .map(|l| json::parse(l).expect("batch line is JSON"))
+            .collect();
+        assert_eq!(lines.len(), 5, "{batch}");
+        for line in &lines {
+            let file = line.get("file").unwrap().as_str().unwrap();
+            let verdict = line.get("verdict").unwrap().as_str().unwrap();
+            let (batch_code, _) = run(&["batch", file, selection]);
+            let (code, stdout) =
+                run(&["verify", file, selection, "--json", "--events-out", &events]);
+            assert_eq!(code, batch_code, "{file} {selection}: exit codes differ");
+            let expected_code = match verdict {
+                "SAFE" => 0,
+                "UNSAFE" => 1,
+                _ => 2,
+            };
+            assert_eq!(code, Some(expected_code), "{file} {selection}: {verdict}");
+            if selection == "--race" {
+                // Which racer wins is wall-clock-bound; the aggregate is not.
+                let (_, text) = run(&["verify", file, selection]);
+                assert!(
+                    text.contains(&format!("[race] {verdict} in ")),
+                    "{file}: batch says {verdict}, verify says {text}"
+                );
+                continue;
+            }
+            let reports: Vec<json::Value> = stdout
+                .lines()
+                .map(|l| without_durations(&json::parse(l).expect("report is JSON")))
+                .collect();
+            let batch_reports: Vec<json::Value> = line
+                .get("reports")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(without_durations)
+                .collect();
+            assert_eq!(reports.len(), 3, "{file}: {stdout}");
+            assert_eq!(
+                reports, batch_reports,
+                "{file}: verify and batch reports differ"
+            );
+        }
+    }
+}

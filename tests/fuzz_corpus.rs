@@ -82,19 +82,42 @@ fn corpus_replays_clean_against_its_oracles() {
     );
 }
 
-/// The corpus naming convention ties each seed entry to a live oracle.
+/// The corpus naming convention ties each seed entry — a file carrying a
+/// `// parra-fuzz: oracle=… seed=…` header — to a live oracle: the
+/// header names a known oracle and the file name starts with it.
+/// Hand-written entries carry no header; an unprefixed one replays
+/// against every oracle.
 #[test]
 fn corpus_seed_entries_name_known_oracles() {
     let oracle_names: Vec<&str> = all_oracles().iter().map(|o| o.name()).collect();
-    for entry in corpus::load_dir(Path::new("corpus")).unwrap() {
-        let stem = entry.path.file_stem().unwrap().to_str().unwrap();
+    let mut seeds = 0;
+    for path in ra_files("corpus") {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let Some(header) = text.lines().find_map(|l| l.strip_prefix("// parra-fuzz: ")) else {
+            continue;
+        };
+        seeds += 1;
+        let oracle = header
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix("oracle="))
+            .unwrap_or_else(|| panic!("{}: header names no oracle", path.display()));
         assert!(
-            oracle_names.iter().any(|n| stem.starts_with(n)),
-            "{}: file name designates no known oracle (known: {})",
-            entry.path.display(),
+            oracle_names.contains(&oracle),
+            "{}: header oracle `{oracle}` is unknown (known: {})",
+            path.display(),
             oracle_names.join(", ")
         );
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        assert!(
+            stem.starts_with(&format!("{oracle}-")),
+            "{}: header oracle `{oracle}` does not match the file name",
+            path.display()
+        );
     }
+    assert!(
+        seeds >= oracle_names.len(),
+        "corpus holds too few seed entries"
+    );
 }
 
 /// Builds the store-buffering shape with its vars/regs/threads interned

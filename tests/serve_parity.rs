@@ -82,7 +82,7 @@ fn direct_response(name: &str, engine_label: &str, sel: &parra::core::SelectionO
         _ => w.raw_field("interrupted", "null"),
     }
     w.raw_field("error", "null");
-    let reports: Vec<String> = sel.results.iter().map(|r| r.report.to_json()).collect();
+    let reports: Vec<String> = sel.results.iter().map(|r| r.to_json()).collect();
     w.raw_field("reports", &format!("[{}]", reports.join(",")));
     w.raw_field("volatile", "{}");
     w.finish()
