@@ -1,11 +1,11 @@
 //! Datalog-engine benchmark and regression gate.
 //!
-//! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset
-//! and records, per (benchmark, engine): best-of-N
-//! wall-clock, the evaluator's deterministic work counters (join
-//! attempts, index builds, index hits) and the planner's (rules planned
-//! from scratch: each guess's own rules, plus the template segment's
-//! once per statistics key).
+//! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset,
+//! each repetition on a fresh verifier, and records, per (benchmark,
+//! engine): best-of-N wall-clock, the evaluator's deterministic work
+//! counters (join attempts, index builds, index hits) and the planner's
+//! (rules planned from scratch: each guess's own rules, plus the
+//! template segment's once per statistics key).
 //!
 //! ```text
 //! bench_datalog [--out FILE]        # measure and write FILE (default BENCH_datalog.json)
@@ -62,13 +62,15 @@ fn measure() -> (Vec<Row>, Vec<String>) {
     for name in BENCHES {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
-        let rec = Recorder::enabled(Level::Summary);
-        let options = VerifierOptions::default();
-        let verifier = Verifier::new_with_recorder(&bench.system, options, rec)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
         for engine in ENGINES {
             let mut best: Option<(u64, Row)> = None;
             for _ in 0..REPS {
+                // A fresh verifier per rep: a verifier keeps its fleet's
+                // plans, so a second run would plan nothing.
+                let rec = Recorder::enabled(Level::Summary);
+                let verifier =
+                    Verifier::new_with_recorder(&bench.system, VerifierOptions::default(), rec)
+                        .unwrap_or_else(|e| panic!("{name}: {e}"));
                 let r = verifier.run(engine);
                 let wall_us = r.stats.duration.as_micros() as u64;
                 if best.as_ref().is_none_or(|(b, _)| wall_us < *b) {

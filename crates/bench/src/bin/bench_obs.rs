@@ -1,10 +1,11 @@
 //! Flight-recorder overhead benchmark and regression gate.
 //!
 //! Runs a litmus subset through the simplified-reach and cache-datalog
-//! engines twice — once with the recorder disabled, once with a fresh
-//! summary-level recorder per repetition (so the event log and metric
-//! registry grow exactly as they would in one `--events-out` run) — and
-//! records best-of-N wall-clock for both. The delta is the cost of the
+//! engines twice, each repetition on a fresh verifier — once with the
+//! recorder disabled, once with a fresh summary-level recorder per
+//! repetition (so the event log and metric registry grow exactly as they
+//! would in one `--events-out` run) — and records best-of-N wall-clock
+//! for both. The delta is the cost of the
 //! per-world/per-round events, the phase timers, and the metric counters.
 //!
 //! ```text
@@ -49,13 +50,17 @@ fn measure() -> (Vec<Row>, Vec<String>) {
         let bench = parra_litmus::by_name(name)
             .unwrap_or_else(|| panic!("unknown litmus benchmark `{name}`"));
         let options = VerifierOptions::default();
-        let off_verifier =
-            Verifier::new(&bench.system, options.clone()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let verifier = || {
+            Verifier::new(&bench.system, options.clone()).unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
         for engine in ENGINES {
             let mut verdict = String::new();
             let mut off_us = u64::MAX;
+            // A fresh verifier per rep on both sides: a verifier keeps its
+            // makeP guesses and plans, so a reused one would skip work
+            // the recorded side does.
             for _ in 0..REPS {
-                let r = off_verifier.run(engine);
+                let r = verifier().run(engine);
                 verdict = r.verdict.to_string();
                 off_us = off_us.min(r.stats.duration.as_micros() as u64);
             }

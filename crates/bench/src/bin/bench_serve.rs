@@ -3,13 +3,13 @@
 //! Runs the whole litmus suite through an in-process `parra serve`
 //! server twice: a cold pass (every request prepares its verifier and
 //! plans its Datalog queries) and a warm pass against the same server
-//! (every request must hit the shared prepared-verifier cache and the
-//! shared plan cache). The serve layer's warm-cache contract is enforced
-//! structurally — every warm request is a cache hit and its reports
-//! carry **zero** `prepare` phase time, i.e. warm requests skip
-//! preparation entirely — and the cold wall-clock is kept under the shared
-//! [`gate::WALL_CLOCK`] rule of [`parra_bench::gate`]. The baseline is a
-//! single `litmus-suite` row.
+//! (every request must hit the shared prepared-verifier cache, whose
+//! verifiers keep their Datalog plans). The serve layer's warm-cache
+//! contract is enforced structurally — every warm request is a cache hit
+//! and its reports carry **zero** `prepare` phase time, i.e. warm
+//! requests skip preparation entirely — and the cold wall-clock is kept
+//! under the shared [`gate::WALL_CLOCK`] rule of [`parra_bench::gate`].
+//! The baseline is a single `litmus-suite` row.
 //!
 //! ```text
 //! bench_serve [--out FILE]        # measure and write FILE (default BENCH_serve.json)

@@ -29,12 +29,11 @@
 
 use crate::makep::{DatalogTarget, Guess, MakeP, MakePLimits, Template};
 use crate::verify::{
-    aggregate_verdicts, EngineId, SharedPlanCache, Stats, Verdict, VerificationResult, Verifier,
-    VerifierOptions,
+    aggregate_verdicts, EngineId, Stats, Verdict, VerificationResult, Verifier, VerifierOptions,
 };
 use crate::witness::{self, LinearCheck};
 use parra_datalog::eval::Evaluator;
-use parra_datalog::plan::Plan;
+use parra_datalog::plan::{Plan, PlanCache};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
 use parra_program::parser::parse_system;
@@ -43,17 +42,20 @@ use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachOutcome, Reachability, SimpTarget};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A prepared verifier's makeP work, kept across its runs and clones:
-/// the template (whose segment keys the plan cache, so warm runs keep
-/// their template plans) and the guesses, or why makeP does not apply.
+/// its fleet, or why makeP does not apply.
 #[derive(Debug)]
 pub(crate) struct CachedMakeP {
     limits: MakePLimits,
-    built: Result<(Arc<Template>, Arc<[Guess]>), String>,
+    built: Result<Fleet, String>,
 }
+
+/// The template, the guesses, and one join-plan slot per fleet program
+/// (each guess, then `U`) that the first run planning it fills.
+type Fleet = (Arc<Template>, Arc<[Guess]>, Arc<[OnceLock<Arc<Plan>>]>);
 
 impl Verifier {
     /// Races `engines` concurrently; the first decisive verdict (Safe or
@@ -395,19 +397,25 @@ impl Verifier {
     /// guess 1, guess 2, …. If `U` completes without the goal, no guess
     /// derives it, so the fleet stops and is safe. Otherwise the fleet
     /// runs on; `U` never makes a winner.
+    ///
+    /// A program whose slot in `plans` is filled evaluates under that
+    /// plan; the others are planned through one run-local [`PlanCache`],
+    /// which plans the template segment once per statistics key, and
+    /// their slots are filled.
     fn datalog_fleet(
         &self,
         rec: &Recorder,
         mk: &MakeP,
         guesses: &[Guess],
+        plans: &[OnceLock<Arc<Plan>>],
         target: DatalogTarget,
-        cache: &SharedPlanCache,
         gov: &ResourceBudget,
     ) -> FleetOutcome {
         let n_guesses = guesses.len();
         let with_union = n_guesses >= 2;
         let phases = PhaseTimer::new(rec);
         let planned = rec.counter("rules_planned");
+        let mut cache = PlanCache::new();
         let mut out = FleetOutcome {
             rules: 0,
             atoms: 0,
@@ -433,13 +441,14 @@ impl Verifier {
                 Some(i) => mk.program(&guesses[i], target),
                 None => mk.union_program(guesses, target),
             };
-            // Guess programs share the template segment; the cache plans
-            // it once per fleet, and shares whole plans between guesses
-            // whose own rules match.
-            let join_plan = phases.start(Phase::JoinPlan);
-            let (plan, n_planned) = cache.plan(&prog);
-            drop(join_plan);
-            planned.add(n_planned as u64);
+            let slot = &plans[guess.unwrap_or(n_guesses)];
+            let plan = match slot.get() {
+                Some(plan) => Arc::clone(plan),
+                None => {
+                    let _join_plan = phases.start(Phase::JoinPlan);
+                    Arc::clone(slot.get_or_init(|| cache.plan(&prog)))
+                }
+            };
             // Round events only for a single-guess run, so that a fleet's
             // event log does not grow with the guesses it evaluates.
             let db = Evaluator::with_plan(&prog, Arc::clone(&plan))
@@ -476,6 +485,7 @@ impl Verifier {
                 _ => {}
             }
         }
+        planned.add(cache.rules_planned() as u64);
         if rec.is_enabled() {
             let mut fields = vec![
                 ("n_guesses", n_guesses.into()),
@@ -495,15 +505,21 @@ impl Verifier {
 
     /// The makeP encoder and guesses of this verifier's system. The first
     /// run builds the template and enumerates the guesses (§4.1, Lemma
-    /// 4.3), timed as the `guess` phase; later runs and clones reuse them
-    /// unless the limits changed.
-    fn makep(
-        &self,
-        phases: &PhaseTimer,
-        rec: &Recorder,
-    ) -> Result<(MakeP<'_>, Arc<[Guess]>), String> {
+    /// 4.3), timed as the `guess` phase; later runs and clones reuse them,
+    /// and the fleet's plans, unless the limits changed.
+    ///
+    /// A panic while the lock was held poisons it; the cache is then
+    /// reset to empty and the poison cleared, so every later run of this
+    /// verifier and its clones rebuilds it rather than reading a
+    /// half-written entry.
+    fn makep(&self, phases: &PhaseTimer, rec: &Recorder) -> Result<(MakeP<'_>, Fleet), String> {
         let limits = self.options.makep_limits;
-        let mut cached = self.makep.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cached = self.makep.lock().unwrap_or_else(|poisoned| {
+            let mut cached = poisoned.into_inner();
+            *cached = None;
+            self.makep.clear_poison();
+            cached
+        });
         if cached.as_ref().is_none_or(|c| c.limits != limits) {
             let _guess = phases.start(Phase::Guess);
             let built = MakeP::new(&self.goal.system, self.budget.clone(), limits)
@@ -513,13 +529,15 @@ impl Verifier {
                     let guesses = mk
                         .guesses()
                         .map_err(|e| format!("guess enumeration failed: {e}"))?;
-                    Ok((mk.template(), guesses.into()))
+                    let plans = (0..=guesses.len()).map(|_| OnceLock::new()).collect();
+                    Ok((mk.template(), guesses.into(), plans))
                 });
             *cached = Some(CachedMakeP { limits, built });
         }
-        let (tpl, guesses) = cached.as_ref().expect("just built").built.clone()?;
+        let fleet = cached.as_ref().expect("just built").built.clone()?;
+        let tpl = Arc::clone(&fleet.0);
         let mk = MakeP::with_template(&self.goal.system, self.budget.clone(), limits, tpl);
-        Ok((mk.with_recorder(rec.clone()), guesses))
+        Ok((mk.with_recorder(rec.clone()), fleet))
     }
 
     pub(crate) fn run_datalog(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
@@ -528,7 +546,7 @@ impl Verifier {
             return r;
         }
         let phases = PhaseTimer::new(rec);
-        let (mk, guesses) = match self.makep(&phases, rec) {
+        let (mk, (_, guesses, plans)) = match self.makep(&phases, rec) {
             Ok(built) => built,
             Err(note) => {
                 return VerificationResult {
@@ -538,11 +556,7 @@ impl Verifier {
             }
         };
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        // A host-provided shared cache (warm serve requests) takes the
-        // place of a run-local one; plans are deterministic, so the only
-        // difference is who pays for planning.
-        let plan_cache = self.options.plan_cache.clone().unwrap_or_default();
-        let fleet = self.datalog_fleet(rec, &mk, &guesses, target, &plan_cache, gov);
+        let fleet = self.datalog_fleet(rec, &mk, &guesses, &plans, target, gov);
         let mut result = VerificationResult {
             stats: Stats {
                 guesses: guesses.len(),
@@ -820,6 +834,25 @@ mod tests {
             panicked.verdict,
             Verdict::Unknown | Verdict::Interrupted(InterruptReason::Cancelled)
         ));
+    }
+
+    #[test]
+    fn a_poisoned_makep_lock_is_reset_and_cleared() {
+        for (name, expected) in [("sb", Verdict::Unsafe), ("mp", Verdict::Safe)] {
+            let bench = parra_litmus::by_name(name).expect("litmus benchmark");
+            let v = Verifier::new(&bench.system, VerifierOptions::default()).unwrap();
+            assert_eq!(v.run(EngineId::CacheDatalog).verdict, expected, "{name}");
+            let makep = Arc::clone(&v.makep);
+            let joined = std::thread::spawn(move || {
+                let _guard = makep.lock().unwrap();
+                panic!("poison the makeP lock");
+            })
+            .join();
+            assert!(joined.is_err() && v.makep.is_poisoned());
+            let warm = v.rescoped(VerifierOptions::default(), Recorder::disabled());
+            assert_eq!(warm.run(EngineId::CacheDatalog).verdict, expected, "{name}");
+            assert!(!v.makep.is_poisoned(), "{name}");
+        }
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub use makep::{DisGuess, Guess, MakeP, MakePLimits};
 /// The workspace's one panic boundary, re-exported for the front ends.
 pub use parra_search::catch_panic;
 pub use verify::{
-    ConcreteWitness, EngineId, SharedPlanCache, Verdict, VerificationResult, Verifier,
-    VerifierOptions,
+    ConcreteWitness, EngineId, Verdict, VerificationResult, Verifier, VerifierOptions,
 };
 pub use witness::{DatalogWitness, LinearCheck};

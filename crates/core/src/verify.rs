@@ -9,8 +9,6 @@
 
 use crate::engine::CachedMakeP;
 use crate::makep::{MakePError, MakePLimits};
-use parra_datalog::plan::{Plan, PlanCache};
-use parra_datalog::Program;
 use parra_limits::{CancelToken, InterruptReason, ResourceBudget};
 use parra_obs::json::ObjWriter;
 use parra_obs::{GaugeSnapshot, HistSnapshot, Phase, PhaseTimer, Recorder};
@@ -25,49 +23,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// A [`PlanCache`] shared across verifiers — the warm-cache backbone of
-/// long-lived hosts like `parra serve`: every Datalog engine run of every
-/// request plans against the same cache. A verifier keeps its makeP
-/// template across runs and clones, so a template segment planned once
-/// is not re-planned while its verifier is cached, and body shapes are
-/// shared across all programs.
-///
-/// Cloning is shallow ([`Arc`]). Runs without a configured shared cache
-/// plan against a fresh one of their own.
-#[derive(Clone, Default)]
-pub struct SharedPlanCache(Arc<Mutex<PlanCache>>);
-
-impl SharedPlanCache {
-    /// An empty shared cache.
-    pub fn new() -> SharedPlanCache {
-        SharedPlanCache::default()
-    }
-
-    /// The underlying lock.
-    pub fn as_mutex(&self) -> &Mutex<PlanCache> {
-        &self.0
-    }
-
-    /// The plan for `program`, and the rules this call planned
-    /// ([`PlanCache::plan_shared`]): the lock is held only for the cache
-    /// lookups.
-    ///
-    /// A panic while the lock was held poisons it; plans are a pure memo,
-    /// so the cache is then reset to empty and the poison cleared rather
-    /// than failing every later run of a long-lived host.
-    pub fn plan(&self, program: &Program) -> (Arc<Plan>, usize) {
-        PlanCache::plan_shared(&self.0, program)
-    }
-}
-
-impl fmt::Debug for SharedPlanCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // PlanCache itself is opaque (and may be locked); identity plus
-        // sharing degree is the useful part.
-        write!(f, "SharedPlanCache(refs={})", Arc::strong_count(&self.0))
-    }
-}
 
 /// Which decision procedure to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,11 +355,6 @@ pub struct VerifierOptions {
     /// Cooperative cancellation shared by every engine run of this
     /// verifier.
     pub cancel: CancelToken,
-    /// A query-plan cache shared *across* verifiers; `None` keeps the
-    /// engines' per-run local caches. Purely an amortization: plans are
-    /// deterministic functions of the emitted program, so sharing never
-    /// changes a verdict, a note, or a deterministic event field.
-    pub plan_cache: Option<SharedPlanCache>,
     /// Test hook: panic inside the named engine's run, to exercise
     /// [`Verifier::run_isolated`]'s panic containment without an
     /// artificially broken system.
@@ -424,7 +374,6 @@ impl Default for VerifierOptions {
             deadline_at: None,
             memory_budget: None,
             cancel: CancelToken::new(),
-            plan_cache: None,
             fail_point_panic: None,
         }
     }
@@ -440,9 +389,8 @@ impl VerifierOptions {
     ///   under different limits are different experiments);
     /// * excluded: the ignored `threads`, `timeout`/`deadline_at`/
     ///   `memory_budget` (exhaustion degrades to `Interrupted`, which
-    ///   campaign resumes re-run anyway), `plan_cache` (plans are
-    ///   deterministic; sharing is invisible to verdicts), and the
-    ///   `cancel`/`fail_point_panic` plumbing.
+    ///   campaign resumes re-run anyway), and the `cancel`/
+    ///   `fail_point_panic` plumbing.
     ///
     /// The campaign layer keys its experiment store on this string; its
     /// format is stable within one store version.
@@ -513,8 +461,8 @@ pub struct Verifier {
     /// Whether some run already claimed the preparation phases. Shared
     /// across clones: a cloned verifier reuses the same preparation work.
     prep_claimed: Arc<AtomicBool>,
-    /// The makeP template and guesses, built by the first `cache-datalog`
-    /// run and shared by every later run and clone.
+    /// The makeP template, guesses and fleet join plans, built by the
+    /// first `cache-datalog` run and shared by every later run and clone.
     pub(crate) makep: Arc<Mutex<Option<CachedMakeP>>>,
 }
 

@@ -67,8 +67,8 @@ const LINEAR_CHECK_MAX_K: usize = 6;
 
 /// Re-evaluates `prog` with provenance on and extracts the bounded-cache
 /// witness for `goal`. `_threads` is ignored: evaluation is sequential.
-/// `plan` reuses the fleet's join plan (it must come from a `PlanCache`
-/// hit on this program's rule list). Returns `None` if the
+/// `plan` reuses the fleet's join plan (it must be planned for this
+/// program's rule list). Returns `None` if the
 /// goal is not derivable (the caller claimed a win that does not replay —
 /// an engine bug surfaced upstream).
 pub fn extract(

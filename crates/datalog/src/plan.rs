@@ -23,10 +23,9 @@
 //! per statistics key, so each guess plans only its own rules.
 
 use crate::ast::{PredId, Program, Rule, Segment, Term};
-use std::collections::hash_map::{Entry, HashMap};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Cheap word-mixing hasher for the planner's maps: SipHash on multi-word
 /// keys showed up as the planner's single largest cost on the fleet.
@@ -399,20 +398,7 @@ pub struct PlanCache {
     plans: FxMap<Vec<u64>, Arc<Plan>>,
     pool: BodyPool,
     computed: usize,
-}
-
-/// What a plan call finds under the cache lock.
-enum Resolved {
-    /// The plan of an earlier program with the same key.
-    Hit(Arc<Plan>),
-    /// The template plan with the segment's start, the own rules' body
-    /// plans, the template rules this call planned, and the key.
-    Miss(
-        Option<(usize, Arc<Rules>)>,
-        Vec<Option<Arc<BodyPlan>>>,
-        usize,
-        Vec<u64>,
-    ),
+    planned: usize,
 }
 
 impl PlanCache {
@@ -432,66 +418,36 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// The plan for `program` ([`PlanCache::plan_shared`] on this cache).
+    /// Rules planned so far: each computed plan's non-fact rules.
+    pub fn rules_planned(&self) -> usize {
+        self.planned
+    }
+
+    /// The plan for `program`.
     pub fn plan(&mut self, program: &Program) -> Arc<Plan> {
-        let cache = Mutex::new(std::mem::take(self));
-        let (plan, _) = PlanCache::plan_shared(&cache, program);
-        *self = cache.into_inner().unwrap_or_else(PoisonError::into_inner);
-        plan
-    }
-
-    /// The plan for `program` from a cache shared between threads, and the
-    /// rules this call planned. The lock is held only for the memo
-    /// lookups; statistics, slot tables and `uses` are built outside it.
-    /// A lock poisoned by a panic is reset to an empty cache (plans are a
-    /// pure memo) and cleared.
-    pub fn plan_shared(cache: &Mutex<PlanCache>, program: &Program) -> (Arc<Plan>, usize) {
-        let lock = || {
-            cache.lock().unwrap_or_else(|poisoned| {
-                let mut guard = poisoned.into_inner();
-                *guard = PlanCache::new();
-                cache.clear_poison();
-                guard
-            })
-        };
         let stats = collect_stats(program);
-        let (template, bodies, planned, key) = match lock().resolve(program, &stats) {
-            Resolved::Hit(plan) => return (plan, 0),
-            Resolved::Miss(template, bodies, planned, key) => (template, bodies, planned, key),
-        };
-        let planned = planned + bodies.iter().flatten().count();
-        let plan = Arc::new(Plan::assemble(program, template, bodies));
-        let mut guard = lock();
-        let cache = &mut *guard;
-        if let Entry::Vacant(slot) = cache.plans.entry(key) {
-            slot.insert(Arc::clone(&plan));
-            cache.computed += 1;
-        }
-        (plan, planned)
-    }
-
-    fn resolve(&mut self, program: &Program, stats: &Stats) -> Resolved {
         let rules = program.rules();
-        let (at, template, planned) = match program.segment() {
-            None => (rules.len(), None, 0),
-            Some((at, segment)) => {
-                let (tpl, planned) = self.template(segment, stats);
-                (at, Some((at, tpl)), planned)
-            }
+        let (at, template) = match program.segment() {
+            None => (rules.len(), None),
+            Some((at, segment)) => (at, Some((at, self.template(segment, &stats)))),
         };
         let end = at + template.as_ref().map_or(0, |(_, t)| t.plans.len());
         let own = || rules[..at].iter().chain(&rules[end..]);
         let tpl = template.as_ref().map_or(0, |(_, t)| Arc::as_ptr(t) as u64);
-        let key = own_key(own(), [tpl, at as u64], stats);
-        match self.plans.get(&key) {
-            Some(plan) => Resolved::Hit(Arc::clone(plan)),
-            None => Resolved::Miss(template, self.pool.bodies(own(), stats), planned, key),
+        let key = own_key(own(), [tpl, at as u64], &stats);
+        if let Some(plan) = self.plans.get(&key) {
+            return Arc::clone(plan);
         }
+        let bodies = self.pool.bodies(own(), &stats);
+        self.planned += bodies.iter().flatten().count();
+        let plan = Arc::new(Plan::assemble(program, template, bodies));
+        self.plans.insert(key, Arc::clone(&plan));
+        self.computed += 1;
+        plan
     }
 
-    /// The plan of `segment` under `stats`, and the rules planning it took
-    /// (none when it was cached).
-    fn template(&mut self, segment: &Segment, stats: &Stats) -> (Arc<Rules>, usize) {
+    /// The plan of `segment` under `stats`.
+    fn template(&mut self, segment: &Segment, stats: &Stats) -> Arc<Rules> {
         let at = Arc::as_ptr(segment) as *const () as u64;
         let (_, reads) = self.reads.entry(at).or_insert_with(|| {
             let reads = segment.iter().flat_map(|r| &r.body).map(|a| a.pred);
@@ -501,14 +457,14 @@ impl PlanCache {
         let words = reads.iter().flat_map(|p| stats.of(*p)).map(|v| v.to_bits());
         let key: Vec<_> = std::iter::once(at).chain(words).collect();
         if let Some(tpl) = self.templates.get(&key) {
-            return (Arc::clone(tpl), 0);
+            return Arc::clone(tpl);
         }
         let bodies = self.pool.bodies(segment.iter(), stats);
-        let planned = bodies.iter().flatten().count();
+        self.planned += bodies.iter().flatten().count();
         let tpl = Arc::new(Rules::build(segment.iter(), bodies, None));
         self.templates.insert(key, Arc::clone(&tpl));
         self.computed += 1;
-        (tpl, planned)
+        tpl
     }
 }
 
@@ -987,18 +943,23 @@ mod tests {
     #[test]
     fn template_segment_is_planned_once_per_statistics_key() {
         let seg = path_segment();
-        let cache = Mutex::new(PlanCache::new());
-        let plan = |prog: &Program| PlanCache::plan_shared(&cache, prog);
-        let len = || cache.lock().unwrap().len();
+        let mut cache = PlanCache::new();
+        // The plan, the plans computed so far and the rules this call
+        // planned.
+        let mut plan = |prog: &Program| {
+            let before = cache.rules_planned();
+            let plan = cache.plan(prog);
+            (plan, cache.len(), cache.rules_planned() - before)
+        };
         // Different facts, same quantized statistics (3 and 4 tuples both
         // round to 4) and different body constants: one segment plan,
         // and each program plans its own rule.
         let p1 = around(&seg, 3, "c0");
         let p2 = around(&seg, 4, "c2");
-        let (plan1, planned) = plan(&p1);
-        assert_eq!((len(), planned), (2, 3), "template plan + program plan");
-        let (plan2, planned) = plan(&p2);
-        assert_eq!((len(), planned), (3, 1));
+        let (plan1, len, planned) = plan(&p1);
+        assert_eq!((len, planned), (2, 3), "template plan + program plan");
+        let (plan2, len, planned) = plan(&p2);
+        assert_eq!((len, planned), (3, 1));
         // The segment sits after the facts: its rules shift, its plan does
         // not.
         assert!(Arc::ptr_eq(
@@ -1006,17 +967,17 @@ mod tests {
             plan2.rule(4).body.as_ref().unwrap()
         ));
         // Same own rules and statistics, other constants: the same plan.
-        let (again, planned) = plan(&around(&seg, 3, "c1"));
+        let (again, len, planned) = plan(&around(&seg, 3, "c1"));
         assert!(Arc::ptr_eq(&again, &plan1));
-        assert_eq!((len(), planned), (3, 0));
+        assert_eq!((len, planned), (3, 0));
         // Statistics the segment reads changed magnitude: planned again.
         let p3 = around(&seg, 40, "c0");
-        let (plan3, planned) = plan(&p3);
-        assert_eq!((len(), planned), (5, 3));
+        let (plan3, len, planned) = plan(&p3);
+        assert_eq!((len, planned), (5, 3));
         // An equal segment that is another allocation is another key.
         let p4 = around(&path_segment(), 3, "c0");
-        let (plan4, planned) = plan(&p4);
-        assert_eq!((len(), planned), (7, 3));
+        let (plan4, len, planned) = plan(&p4);
+        assert_eq!((len, planned), (7, 3));
         // Every assembled plan decides exactly what a from-scratch one
         // does.
         for (prog, plan) in [(&p1, &plan1), (&p2, &plan2), (&p3, &plan3), (&p4, &plan4)] {
@@ -1025,20 +986,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_plans_like_a_private_one_and_recovers_from_poison() {
+    fn cached_plans_decide_what_fresh_plans_decide() {
         let seg = path_segment();
         let prog = around(&seg, 3, "c0");
-        let shared = Mutex::new(PlanCache::new());
-        let (plan, _) = PlanCache::plan_shared(&shared, &prog);
+        let plan = PlanCache::new().plan(&prog);
         assert_eq!(decisions(&plan, &prog), decisions(&Plan::new(&prog), &prog));
-        let _ = std::panic::catch_unwind(|| {
-            let _guard = shared.lock().unwrap();
-            panic!("poison the cache");
-        });
-        assert!(shared.is_poisoned());
-        let (_, planned) = PlanCache::plan_shared(&shared, &prog);
-        assert!(!shared.is_poisoned());
-        assert_eq!(planned, 3, "the reset cache planned afresh");
     }
 
     #[test]

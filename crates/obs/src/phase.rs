@@ -31,8 +31,8 @@ pub enum Phase {
     Prepare,
     /// The makeP template build and guess enumeration (§4.1, Lemma 4.3).
     Guess,
-    /// Join planning: every `PlanCache` call of the guess fleet, of the
-    /// union program and of the witness replay.
+    /// Join planning: every guess program and union program whose plan
+    /// the verifier has not stored yet.
     JoinPlan,
     /// Building or catching up join indices.
     IndexBuild,

@@ -410,7 +410,7 @@ pub fn render_dashboard(set: &ReportSet) -> String {
                 fmt_us(h.p99()),
             ));
         }
-        out.push_str("\nphase breakdown (sums across runs; fleet phases can exceed wall-clock):\n");
+        out.push_str("\nphase breakdown (sums across runs; only --race runs overlap):\n");
         for (engine, runs) in &by_engine {
             let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
             for r in runs {

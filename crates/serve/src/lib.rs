@@ -6,8 +6,7 @@
 //! classify, goal-transform, query planning — for one verdict. This
 //! crate turns the verifier into a *service*: a daemon that holds the
 //! warm state (a [`VerifierCache`](parra_core::VerifierCache) of
-//! prepared verifiers and a
-//! [`SharedPlanCache`](parra_core::SharedPlanCache) of Datalog query
+//! prepared verifiers, each keeping its makeP template and Datalog query
 //! plans) across requests, so the marginal cost of a repeated query is
 //! the engine run alone.
 //!

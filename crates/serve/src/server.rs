@@ -1,4 +1,4 @@
-//! The serve engine: request execution over shared warm caches, behind
+//! The serve engine: request execution over a shared warm cache, behind
 //! an admission gate, with per-request isolation.
 //!
 //! [`Server`] is transport-agnostic — [`Server::process_line`] maps one
@@ -9,13 +9,15 @@
 //!
 //! ## Execution contract
 //!
-//! * **Warm caches.** All requests share one [`VerifierCache`] (prepared
-//!   verifiers keyed on canonical program text + options fingerprint) and
-//!   one [`SharedPlanCache`] (Datalog query plans). A warm request skips
-//!   classify/unroll/goal-transform entirely and reuses the cached join
-//!   plans: its reports carry no `prepare` phase. Neither cache can change a verdict, a note,
-//!   or a deterministic event field — that is the serve/CLI parity
-//!   contract `tests/serve_parity.rs` enforces.
+//! * **Warm cache.** All requests share one [`VerifierCache`] of
+//!   prepared verifiers, keyed on canonical program text + options
+//!   fingerprint; each verifier keeps its makeP template, guesses and
+//!   Datalog join plans. A warm request skips classify/unroll/
+//!   goal-transform: its reports carry no `prepare` phase, and its
+//!   `cache-datalog` run neither guesses nor plans again once an earlier
+//!   request's run did. The cache cannot change a verdict, a note, or a
+//!   deterministic event field — that is the serve/CLI parity contract
+//!   `tests/serve_parity.rs` enforces.
 //! * **Admission.** Each request takes an [`AdmissionGate`] permit
 //!   before touching a verifier; at capacity (queue depth, or the live
 //!   heap watermark when the binary's tracking allocator is installed)
@@ -47,7 +49,7 @@
 
 use crate::proto::{self, ErrorCode, ProtoError, Request, Source, VerifyRequest, PROTO_VERSION};
 use parra_core::engine::injected;
-use parra_core::verify::{selection_from_label, EngineId, SharedPlanCache, VerifierOptions};
+use parra_core::verify::{selection_from_label, EngineId, VerifierOptions};
 use parra_core::VerifierCache;
 use parra_limits::{AdmissionGate, CancelToken};
 use parra_obs::json::ObjWriter;
@@ -98,7 +100,6 @@ pub struct Server {
     cfg: ServeConfig,
     gate: AdmissionGate,
     verifiers: VerifierCache,
-    plans: SharedPlanCache,
     served: AtomicU64,
     errors: AtomicU64,
     panics: AtomicU64,
@@ -124,7 +125,6 @@ impl Server {
             cfg,
             gate,
             verifiers: VerifierCache::new(),
-            plans: SharedPlanCache::new(),
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             panics: AtomicU64::new(0),
@@ -352,7 +352,6 @@ impl Server {
             options.fail_point_panic = Some(first_engine);
         }
         options.cancel = CancelToken::new();
-        options.plan_cache = Some(self.plans.clone());
         options
     }
 

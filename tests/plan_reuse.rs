@@ -10,17 +10,22 @@
 //! decides: per rule and delta position the join order, the bound
 //! columns, `fully_bound` and the probed (predicate, columns); and the
 //! same `uses` and `max_vars`. Slot numbers may differ.
+//!
+//! A prepared verifier keeps the plans of its own fleet: on every litmus
+//! program, its second `cache-datalog` run and a run of a `rescoped`
+//! clone plan nothing and report what the first run reported.
 
 use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
-use parra_core::verify::{Verifier, VerifierOptions};
+use parra_core::verify::{EngineId, Verdict, Verifier, VerifierOptions};
 use parra_datalog::ast::{PredId, Program, Term};
 use parra_datalog::plan::{IndexSpec, Plan, PlanCache, NO_SLOT};
 use parra_fuzz::gen::{GenConfig, SystemGen};
+use parra_obs::{EventValue, Level, Recorder};
 use parra_program::system::ParamSystem;
 use parra_program::transform::GOAL_VAR_NAME;
 use parra_program::value::Val;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const SEEDS: u64 = 2000;
 const MAX_GUESSES: usize = 64;
@@ -198,8 +203,7 @@ fn the_template_segment_is_planned_once_per_fleet_and_statistics_key() {
             .flat_map(|r| r.body.iter().map(|a| a.pred))
             .collect();
         let template_rules = segment.iter().filter(|r| !r.is_fact()).count();
-        let cache = Mutex::new(PlanCache::new());
-        let len = || cache.lock().unwrap().len();
+        let mut cache = PlanCache::new();
         let mut keys = HashSet::new();
         for (i, prog) in fleet.iter().enumerate() {
             assert!(
@@ -208,19 +212,83 @@ fn the_template_segment_is_planned_once_per_fleet_and_statistics_key() {
             );
             let own = prog.rules().iter().filter(|r| !r.is_fact()).count() - template_rules;
             let new_key = keys.insert(stats_key(prog, &reads));
-            let before = len();
-            let (_, planned) = PlanCache::plan_shared(&cache, prog);
+            let (before, rules_before) = (cache.len(), cache.rules_planned());
+            cache.plan(prog);
+            let planned = cache.rules_planned() - rules_before;
             // The template is planned exactly under a statistics key the
             // program is the first to meet. The program's own rules are
             // planned unless an earlier program had the same own rules,
             // statistics and template plan; that is never so under a new
             // key.
             let template = usize::from(new_key);
-            let program = len() - before - template;
+            let program = cache.len() - before - template;
             assert!(program == 1 || (program == 0 && !new_key), "{name} #{i}");
             let want = program * (own + template * template_rules);
             assert_eq!(planned, want, "{name}, program {i}: rules planned");
         }
     });
     assert!(n > 5_000, "the corpus shrank to {n} programs");
+}
+
+/// The deterministic part of one `cache-datalog` run (verdict, notes,
+/// witness lines, the §4.3 bound and the `fleet` events' fields), and
+/// the rules it planned and whether it timed a `join_plan` phase.
+type DatalogRun = (
+    (
+        Verdict,
+        Vec<String>,
+        Vec<String>,
+        Option<u64>,
+        Vec<Vec<(String, EventValue)>>,
+    ),
+    (u64, bool),
+);
+
+fn datalog_run(v: &Verifier, rec: &Recorder) -> DatalogRun {
+    let before = rec.events().len();
+    let r = v.run(EngineId::CacheDatalog);
+    let fleet = rec.events()[before..]
+        .iter()
+        .filter(|e| e.kind == "fleet")
+        .map(|e| e.fields.clone())
+        .collect();
+    let planned = r.counters.iter().find(|(n, _)| n == "rules_planned");
+    let join_plan = r.phases.iter().any(|(n, _)| n == "join_plan");
+    (
+        (
+            r.verdict,
+            r.notes,
+            r.witness_lines,
+            r.env_thread_bound,
+            fleet,
+        ),
+        (planned.map_or(0, |(_, n)| *n), join_plan),
+    )
+}
+
+/// A prepared verifier keeps its fleet's plans: its second run and a run
+/// of a `rescoped` clone plan nothing and report what the first run did.
+#[test]
+fn a_verifier_keeps_its_fleet_plans_across_runs_and_clones() {
+    for bench in parra_litmus::all() {
+        let name = bench.name;
+        let rec = Recorder::enabled(Level::Summary);
+        let options = VerifierOptions::default();
+        let Ok(v) = Verifier::new_with_recorder(&bench.system, options, rec.clone()) else {
+            continue;
+        };
+        let (first, _) = datalog_run(&v, &rec);
+        let second = datalog_run(&v, &rec);
+        let clone_rec = Recorder::enabled(Level::Summary);
+        let clone = v.rescoped(VerifierOptions::default(), clone_rec.clone());
+        let rescoped = datalog_run(&clone, &clone_rec);
+        for (run, (report, planning)) in [("second run", second), ("rescoped clone", rescoped)] {
+            assert_eq!(report, first, "{name}, {run}");
+            assert_eq!(
+                planning,
+                (0, false),
+                "{name}, {run}: (rules planned, join_plan)"
+            );
+        }
+    }
 }

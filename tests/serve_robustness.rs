@@ -235,33 +235,3 @@ fn injected_deadline_interrupts_one_request_and_spares_the_daemon() {
     assert_eq!(field(&healthy, "verdict"), "SAFE", "{healthy:?}");
     shutdown_daemon(daemon);
 }
-
-/// A panic while the shared plan cache's lock is held poisons it. The
-/// cache is a pure memo, so later Datalog runs against it (every later
-/// request of a long-lived daemon) must reset it and still decide,
-/// rather than panic on the poisoned lock and degrade to UNKNOWN.
-#[test]
-fn poisoned_shared_plan_cache_recovers() {
-    use parra::core::verify::{EngineId, SharedPlanCache, Verdict, Verifier, VerifierOptions};
-
-    let plans = SharedPlanCache::new();
-    let poisoner = plans.clone();
-    let joined = std::thread::spawn(move || {
-        let _guard = poisoner.as_mutex().lock().unwrap();
-        panic!("poison the shared plan cache");
-    })
-    .join();
-    assert!(joined.is_err());
-    assert!(plans.as_mutex().is_poisoned());
-
-    for (name, expected) in [("sb", Verdict::Unsafe), ("mp", Verdict::Safe)] {
-        let bench = parra::litmus::by_name(name).expect("litmus benchmark");
-        let options = VerifierOptions {
-            plan_cache: Some(plans.clone()),
-            ..Default::default()
-        };
-        let v = Verifier::new(&bench.system, options).expect("verifier");
-        assert_eq!(v.run(EngineId::CacheDatalog).verdict, expected, "{name}");
-    }
-    assert!(!plans.as_mutex().is_poisoned());
-}
