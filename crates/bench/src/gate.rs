@@ -15,7 +15,7 @@
 //! or repeated flag is a usage error, so a typo can never turn a
 //! `--check` into a baseline rewrite.
 //!
-//! Every baseline is `{"threads":1,"entries":[row,…]}`. A row is an
+//! Every baseline is `{"entries":[row,…]}`. A row is an
 //! ordered list of named cells, written in the order the binary gives
 //! them; its key is its `bench` cell, plus its `engine` cell when it has
 //! one. Each cell is tagged with how `--check` treats it: informational
@@ -170,7 +170,6 @@ fn to_json(rows: &[Row]) -> String {
         })
         .collect();
     let mut root = ObjWriter::new();
-    root.num_field("threads", 1);
     root.raw_field("entries", &format!("[{}]", items.join(",")));
     root.finish() + "\n"
 }
@@ -387,7 +386,7 @@ mod tests {
         let text = to_json(&[sample()]);
         assert_eq!(
             text,
-            "{\"threads\":1,\"entries\":[{\"bench\":\"peterson-ra\",\"engine\":\"cache-datalog\",\
+            "{\"entries\":[{\"bench\":\"peterson-ra\",\"engine\":\"cache-datalog\",\
              \"verdict\":\"UNSAFE\",\"wall_us\":1234,\"join_attempts\":99,\
              \"winner\":\"simplified-reach\"}]}\n"
         );
@@ -505,10 +504,9 @@ mod tests {
         ];
         for (file, text, walls, exacts) in files {
             let root = json::parse(text).unwrap_or_else(|e| panic!("{file}: {e:?}"));
-            assert_eq!(
-                root.get("threads").and_then(Value::as_u64),
-                Some(1),
-                "{file}"
+            assert!(
+                root.get("threads").is_none(),
+                "{file}: stale threads header"
             );
             let entries = parse_baseline(text).unwrap_or_else(|e| panic!("{file}: {e}"));
             assert!(!entries.is_empty(), "{file} has no entries");

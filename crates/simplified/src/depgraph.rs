@@ -20,7 +20,7 @@
 
 use crate::message::{AMessage, Origin};
 use crate::reach::Witness;
-use crate::state::{ALocal, Budget, SatObserver, SimpState};
+use crate::state::{ALocal, Budget, SatObserver, Seed, SimpState};
 use parra_program::ident::VarId;
 use parra_program::system::ParamSystem;
 use parra_program::value::Val;
@@ -91,6 +91,9 @@ impl DepGraph {
         // (then the path is just that root) stops at the same point.
         let final_env = &witness.final_state;
         let cap = final_env.env_threads.len() + final_env.env_msgs.len() - 1;
+        // Every saturation here is a full one: first-found read chains
+        // follow the full semi-naive order, whatever seed the search used
+        // (both reach the same sets).
         let mut state = SimpState::initial(sys);
         for &(x, g) in &witness.preclosed {
             state.preclose(x, g);
@@ -113,7 +116,7 @@ impl DepGraph {
                 &BTreeMap::new(),
             );
         }
-        state.saturate(sys, budget, cap, &mut rec);
+        state.saturate(sys, budget, cap, Seed::Everything, &mut rec);
         // Per dis thread: reads so far (node → count).
         let mut dis_reads = vec![BTreeMap::new(); sys.dis.len()];
         for step in &witness.dis_path {
@@ -131,7 +134,7 @@ impl DepGraph {
                 rec.push(wrote, GenThread::Dis(step.thread), reads);
             }
             state = next;
-            state.saturate(sys, budget, cap, &mut rec);
+            state.saturate(sys, budget, cap, Seed::Everything, &mut rec);
         }
         assert!(
             state == witness.final_state,

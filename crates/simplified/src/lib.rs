@@ -44,6 +44,6 @@ pub use cost::cost_of_graph;
 pub use depgraph::{DepGraph, MsgNode, MsgRef};
 pub use message::{AMessage, Origin};
 pub use reach::{ReachLimits, ReachOutcome, ReachReport, Reachability, SimpTarget};
-pub use state::{Budget, SimpState};
+pub use state::{Budget, Seed, SimpState};
 pub use timestamp::ATime;
 pub use view::AView;

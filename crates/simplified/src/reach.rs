@@ -26,7 +26,7 @@
 //! generation order — dedup, target checks, capacity accounting, and id
 //! assignment. The first world that finds a witness ends the run.
 
-use crate::state::{Budget, DisStep, SimpState};
+use crate::state::{Budget, DisStep, Seed, SimpState};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Counter, Gauge, Phase, PhaseTimer, Recorder};
 use parra_program::classify::SystemClass;
@@ -363,11 +363,11 @@ impl Reachability {
         for &(x, g) in world {
             init.preclose(x, g);
         }
-        let (dc, dm) = init.saturate(sys, budget, limits.max_env_size, &mut ());
+        let (dc, dm) = init.saturate(sys, budget, limits.max_env_size, Seed::Everything, &mut ());
         m.c_sat_rounds.incr();
         m.c_sat_cfg.add(dc as u64);
         m.c_sat_msg.add(dm as u64);
-        if init.env_threads.len() + init.env_msgs.len() > limits.max_env_size {
+        if env_size(&init) > limits.max_env_size {
             result.truncated = true;
         }
         result.peak_cfg = init.env_threads.len();
@@ -391,7 +391,10 @@ impl Reachability {
 
         // One expansion = everything derivable from a frontier state
         // without touching the graph: `dis` successors plus the (hot) env
-        // saturation of each one, all computed before the merge.
+        // saturation of each one, all computed before the merge. Each
+        // successor is saturated from what its step added, unless the
+        // state itself stopped at the cap (only a world root can: other
+        // over-cap states are dropped).
         let expand = |state: &SimpState| -> Expansion {
             let succs = state.dis_successors(sys, budget);
             let blocked: Vec<(VarId, u32)> = succs
@@ -401,11 +404,12 @@ impl Reachability {
                 .collect();
             let mut steps = Vec::with_capacity(succs.steps.len());
             for (step, mut next) in succs.steps {
-                let (dc, dm) = next.saturate(sys, budget, limits.max_env_size, &mut ());
+                let seed = successor_seed(state, limits.max_env_size, &step);
+                let (dc, dm) = next.saturate(sys, budget, limits.max_env_size, seed, &mut ());
                 m.c_sat_rounds.incr();
                 m.c_sat_cfg.add(dc as u64);
                 m.c_sat_msg.add(dm as u64);
-                let env_ok = next.env_threads.len() + next.env_msgs.len() <= limits.max_env_size;
+                let env_ok = env_size(&next) <= limits.max_env_size;
                 steps.push((step, next, env_ok));
             }
             Expansion { blocked, steps }
@@ -469,6 +473,24 @@ impl Reachability {
             }
         }
         result
+    }
+}
+
+/// The combined size of a state's env sets, the quantity
+/// [`ReachLimits::max_env_size`] caps.
+fn env_size(state: &SimpState) -> usize {
+    state.env_threads.len() + state.env_msgs.len()
+}
+
+/// How to saturate the successor `step` leads to from `parent`: from the
+/// step's new message when the parent's env part is closed (see
+/// [`SimpState::saturate`]), else from everything. Only a parent whose
+/// own saturation stopped over `max_env_size` is not closed.
+fn successor_seed<'a>(parent: &SimpState, max_env_size: usize, step: &'a DisStep) -> Seed<'a> {
+    if env_size(parent) <= max_env_size {
+        Seed::Added(step.wrote.as_ref())
+    } else {
+        Seed::Everything
     }
 }
 
@@ -820,6 +842,46 @@ mod tests {
             ReachOutcome::Unsafe,
             "goal at the per-world capacity boundary must stay Unsafe"
         );
+    }
+
+    /// A world root cut short at `max_env_size` is not closed, so its
+    /// children are saturated from everything; under a cap it fits, they
+    /// are seeded from their step's message. (The children of a capped
+    /// root keep its over-cap env part, so the search drops them.)
+    #[test]
+    fn children_of_a_capped_root_take_the_full_path() {
+        let sys = parra_program::parser::parse_system(
+            "system { dom 3; vars goal, x, y; env e { regs r; goal := 1; x := 1; \
+             y := 1; x := 2; y := 2; r <- x; y := r; } dis d { y := 1; } }",
+        )
+        .unwrap();
+        let budget = Budget::exact(&sys).unwrap();
+        let cap = 4;
+        let mut root = SimpState::initial(&sys);
+        root.saturate(&sys, &budget, cap, Seed::Everything, &mut ());
+        assert!(env_size(&root) > cap);
+        let steps = root.dis_successors(&sys, &budget).steps;
+        assert!(!steps.is_empty());
+        for (step, _) in &steps {
+            assert!(step.wrote.is_some());
+            assert_eq!(successor_seed(&root, cap, step), Seed::Everything);
+            assert_eq!(
+                successor_seed(&root, limits().max_env_size, step),
+                Seed::Added(step.wrote.as_ref())
+            );
+        }
+        let report = Reachability::new(
+            sys,
+            budget,
+            ReachLimits {
+                max_env_size: cap,
+                ..limits()
+            },
+        )
+        .unwrap()
+        .run(SimpTarget::MessageGenerated(VarId(0), Val(2)));
+        assert_eq!(report.outcome, ReachOutcome::Truncated);
+        assert_eq!(report.states, 1);
     }
 
     /// A budget that is already exhausted interrupts before any world is

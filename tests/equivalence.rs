@@ -22,7 +22,8 @@ use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::message::{AMessage, Origin};
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
-use parra_simplified::state::Budget;
+use parra_simplified::state::{Budget, Seed, SimpState};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 const GOAL_VAL: Val = Val(1);
 
@@ -418,4 +419,167 @@ fn dependency_graph_nodes_are_the_final_state_messages() {
         assert_eq!(dis_nodes, dis, "{label}: dis nodes");
     }
     assert_eq!(witnesses, 581, "UNSAFE witnesses checked");
+}
+
+// ---------------------------------------------------------------------
+// Seeded saturation ≡ full saturation
+// ---------------------------------------------------------------------
+
+/// Counts of one [`replay_search_checking_seeds`] run.
+#[derive(Debug, Default)]
+struct SeededReplay {
+    states: usize,
+    worlds: usize,
+    /// `dis` successors saturated both ways.
+    successors: usize,
+}
+
+/// Replays `Reachability::run`'s schedule on `sys` with default limits:
+/// pre-closure worlds in FIFO order, a BFS inside each, and a stop at the
+/// first state that generates `(goal, val)`. Every `dis` successor the
+/// search saturates is saturated twice here, from the seed the search
+/// uses and from everything, and the two must add the same
+/// configurations and messages.
+fn replay_search_checking_seeds(
+    sys: &ParamSystem,
+    budget: &Budget,
+    goal: VarId,
+    val: Val,
+    label: &str,
+) -> SeededReplay {
+    let limits = ReachLimits::default();
+    let cap = limits.max_env_size;
+    let env_size = |s: &SimpState| s.env_threads.len() + s.env_msgs.len();
+    let mut out = SeededReplay::default();
+    let mut worlds_seen: BTreeSet<BTreeSet<(VarId, u32)>> = BTreeSet::from([BTreeSet::new()]);
+    let mut worlds: VecDeque<BTreeSet<(VarId, u32)>> = VecDeque::from([BTreeSet::new()]);
+    while let Some(world) = worlds.pop_front() {
+        if out.worlds >= limits.max_worlds {
+            break;
+        }
+        out.worlds += 1;
+        let mut root = SimpState::initial(sys);
+        for &(x, g) in &world {
+            root.preclose(x, g);
+        }
+        root.saturate(sys, budget, cap, Seed::Everything, &mut ());
+        out.states += 1;
+        if root.has_message(goal, val) {
+            return out;
+        }
+        let mut states = vec![root];
+        let mut seen: HashSet<SimpState> = states.iter().cloned().collect();
+        let mut spawned: Vec<(VarId, u32)> = Vec::new();
+        let mut frontier = vec![0];
+        while !frontier.is_empty() {
+            for si in std::mem::take(&mut frontier) {
+                let parent = &states[si];
+                let closed = env_size(parent) <= cap;
+                let succs = parent.dis_successors(sys, budget);
+                for gap in succs.blocked_gaps {
+                    if !world.contains(&gap) && !spawned.contains(&gap) {
+                        spawned.push(gap);
+                    }
+                }
+                let mut children = Vec::new();
+                for (step, child) in succs.steps {
+                    let seed = if closed {
+                        Seed::Added(step.wrote.as_ref())
+                    } else {
+                        Seed::Everything
+                    };
+                    let mut seeded = child.clone();
+                    let mut full = child;
+                    let seeded_added = seeded.saturate(sys, budget, cap, seed, &mut ());
+                    let full_added = full.saturate(sys, budget, cap, Seed::Everything, &mut ());
+                    out.successors += 1;
+                    assert_eq!(
+                        seeded.env_threads, full.env_threads,
+                        "{label}: env configurations after {step:?}"
+                    );
+                    assert_eq!(
+                        seeded.env_msgs, full.env_msgs,
+                        "{label}: env messages after {step:?}"
+                    );
+                    assert_eq!(seeded_added, full_added, "{label}: added after {step:?}");
+                    children.push(seeded);
+                }
+                for child in children {
+                    if env_size(&child) > cap || seen.contains(&child) {
+                        continue;
+                    }
+                    let hit = child.has_message(goal, val);
+                    if !hit && states.len() >= limits.max_states {
+                        continue;
+                    }
+                    out.states += 1;
+                    if hit {
+                        return out;
+                    }
+                    seen.insert(child.clone());
+                    frontier.push(states.len());
+                    states.push(child);
+                }
+            }
+        }
+        for gap in spawned {
+            let mut next = world.clone();
+            next.insert(gap);
+            if worlds_seen.insert(next.clone()) {
+                worlds.push_back(next);
+            }
+        }
+    }
+    out
+}
+
+/// Seeding a `dis` successor's saturation from the message its step
+/// added reaches the same env part, and counts the same additions, as
+/// saturating it from everything. Checked at every successor the search
+/// saturates on the litmus suite and `GenConfig::wide()` seeds `0..3000`;
+/// the replay's state and world counts equal the engine's report, so it
+/// makes the search's own expansions.
+#[test]
+fn seeded_saturation_equals_full_saturation() {
+    let gen = SystemGen::new(GenConfig::wide());
+    let systems = parra_litmus::all()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.system))
+        .chain((0..3000).map(|seed| (format!("wide-{seed}"), gen.case(seed).sys)));
+    let mut checked = 0;
+    let mut successors = 0;
+    for (label, sys) in systems {
+        if sys.dom.size() < 2 {
+            continue;
+        }
+        let goal = transform::assert_to_goal(&sys);
+        let Some(budget) = Budget::exact(&goal.system) else {
+            continue;
+        };
+        let Ok(engine) =
+            Reachability::new(goal.system.clone(), budget.clone(), ReachLimits::default())
+        else {
+            continue;
+        };
+        let report = engine.run(SimpTarget::MessageGenerated(goal.goal_var, goal.goal_val));
+        let replay = replay_search_checking_seeds(
+            &goal.system,
+            &budget,
+            goal.goal_var,
+            goal.goal_val,
+            &label,
+        );
+        assert_eq!(
+            (replay.states, replay.worlds),
+            (report.states, report.worlds),
+            "{label}: the replay left the search's schedule"
+        );
+        checked += 1;
+        successors += replay.successors;
+    }
+    assert_eq!(
+        (checked, successors),
+        (3026, 85894),
+        "systems and successors checked"
+    );
 }
