@@ -32,7 +32,8 @@ use crate::verify::{
     aggregate_verdicts, EngineId, Stats, Verdict, VerificationResult, Verifier, VerifierOptions,
 };
 use crate::witness::{self, LinearCheck};
-use parra_datalog::eval::Evaluator;
+use parra_datalog::ast::{GroundAtom, Program};
+use parra_datalog::eval::{Database, Evaluator};
 use parra_datalog::plan::{Plan, PlanCache};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
@@ -54,7 +55,8 @@ pub(crate) struct CachedMakeP {
 }
 
 /// The template, the guesses, and one join-plan slot per fleet program
-/// (each guess, then `U`) that the first run planning it fills.
+/// (each guess, then `U`, then the base program) that the first run
+/// planning it fills.
 type Fleet = (Arc<Template>, Arc<[Guess]>, Arc<[OnceLock<Arc<Plan>>]>);
 
 impl Verifier {
@@ -315,6 +317,38 @@ struct FleetOutcome {
     /// Set when the governor stopped the fleet or a guess's evaluation
     /// before every guess completed; "no winner" is then inconclusive.
     interrupted: Option<InterruptReason>,
+    /// The atoms of the fleet's base fixpoint, when it was evaluated.
+    base_atoms: usize,
+    /// The programs evaluated in place on the base fixpoint.
+    resumed: usize,
+}
+
+/// What the fleet reads of one program's evaluation.
+struct Evaluated {
+    won: bool,
+    interrupted: Option<InterruptReason>,
+    atoms: usize,
+    resumed: bool,
+}
+
+/// Evaluates `ev`'s program until `goal`: in place on `base` when it
+/// can resume from it ([`Evaluator::resume_until`]), rolling `base` back
+/// afterwards, and from scratch otherwise.
+fn evaluate(ev: &Evaluator<'_>, base: Option<&mut Database>, goal: &GroundAtom) -> Evaluated {
+    let read = |db: &Database, resumed| Evaluated {
+        won: db.contains(goal),
+        interrupted: db.interrupted(),
+        atoms: db.len(),
+        resumed,
+    };
+    if let Some(db) = base {
+        if let Some(mark) = ev.resume_until(db, Some(goal)) {
+            let out = read(db, true);
+            db.rollback(mark);
+            return out;
+        }
+    }
+    read(&ev.run_until(Some(goal)), false)
 }
 
 impl Verifier {
@@ -398,10 +432,17 @@ impl Verifier {
     /// derives it, so the fleet stops and is safe. Otherwise the fleet
     /// runs on; `U` never makes a winner.
     ///
-    /// A program whose slot in `plans` is filled evaluates under that
-    /// plan; the others are planned through one run-local [`PlanCache`],
-    /// which plans the template segment once per statistics key, and
-    /// their slots are filled.
+    /// Before its second program, such a fleet evaluates its base program
+    /// ([`MakeP::base_program`]) to closure once. `U` and every later
+    /// guess then evaluate in place on that database and roll it back
+    /// ([`evaluate`]); a program whose plan does not start with the
+    /// base's join indices, or an interrupted base, evaluates from
+    /// scratch.
+    ///
+    /// A program whose slot in `plans` (each guess, `U`, then the base)
+    /// is filled evaluates under that plan; the others are planned
+    /// through one run-local [`PlanCache`], which plans the template
+    /// segment once per statistics key, and their slots are filled.
     fn datalog_fleet(
         &self,
         rec: &Recorder,
@@ -416,13 +457,23 @@ impl Verifier {
         let phases = PhaseTimer::new(rec);
         let planned = rec.counter("rules_planned");
         let mut cache = PlanCache::new();
+        let mut plan = |slot: &OnceLock<Arc<Plan>>, prog: &Program| match slot.get() {
+            Some(plan) => Arc::clone(plan),
+            None => {
+                let _join_plan = phases.start(Phase::JoinPlan);
+                Arc::clone(slot.get_or_init(|| cache.plan(prog)))
+            }
+        };
         let mut out = FleetOutcome {
             rules: 0,
             atoms: 0,
             winner: None,
             union_settled: false,
             interrupted: None,
+            base_atoms: 0,
+            resumed: 0,
         };
+        let mut base: Option<Database> = None;
         // Guess indices in evaluation order; `None` is the union.
         let mut order = (0..n_guesses.min(1))
             .map(Some)
@@ -437,27 +488,37 @@ impl Verifier {
                 break;
             }
             let Some(guess) = order.next() else { break };
-            let (prog, goal) = match guess {
-                Some(i) => mk.program(&guesses[i], target),
-                None => mk.union_program(guesses, target),
-            };
-            let slot = &plans[guess.unwrap_or(n_guesses)];
-            let plan = match slot.get() {
-                Some(plan) => Arc::clone(plan),
-                None => {
-                    let _join_plan = phases.start(Phase::JoinPlan);
-                    Arc::clone(slot.get_or_init(|| cache.plan(&prog)))
+            // `U` is the fleet's second program: the base is built right
+            // before it, so a fleet that guess 0 wins builds none.
+            if guess.is_none() {
+                let prog = {
+                    let _construct = phases.start(Phase::Construct);
+                    mk.base_program(guesses)
+                };
+                let db = Evaluator::with_plan(&prog, plan(&plans[n_guesses + 1], &prog))
+                    .with_recorder(rec.clone())
+                    .with_governor(gov.clone())
+                    .run();
+                out.base_atoms = db.len();
+                base = Some(db);
+            }
+            let (prog, goal) = {
+                let _construct = phases.start(Phase::Construct);
+                match guess {
+                    Some(i) => mk.program(&guesses[i], target),
+                    None => mk.union_program(guesses, target),
                 }
             };
+            let plan = plan(&plans[guess.unwrap_or(n_guesses)], &prog);
             // Round events only for a single-guess run, so that a fleet's
             // event log does not grow with the guesses it evaluates.
-            let db = Evaluator::with_plan(&prog, Arc::clone(&plan))
+            let ev = Evaluator::with_plan(&prog, Arc::clone(&plan))
                 .with_recorder(rec.clone())
                 .with_events(n_guesses == 1)
-                .with_governor(gov.clone())
-                .run_until(Some(&goal));
-            let won = db.contains(&goal);
-            match (guess, db.interrupted()) {
+                .with_governor(gov.clone());
+            let run = evaluate(&ev, base.as_mut(), &goal);
+            out.resumed += usize::from(run.resumed);
+            match (guess, run.interrupted) {
                 // A partial union database proves nothing; the guesses
                 // after it check the governor themselves.
                 (None, Some(_)) => continue,
@@ -465,20 +526,20 @@ impl Verifier {
                 // "goal not derived" proves nothing for this guess.
                 (Some(_), Some(reason)) => {
                     out.interrupted = Some(reason);
-                    if !won {
+                    if !run.won {
                         break;
                     }
                 }
                 (_, None) => {}
             }
             out.rules = out.rules.max(prog.rules().len());
-            out.atoms = out.atoms.max(db.len());
+            out.atoms = out.atoms.max(run.atoms);
             match guess {
-                Some(i) if won => {
+                Some(i) if run.won => {
                     out.winner = Some((i, plan));
                     break;
                 }
-                None if !won => {
+                None if !run.won => {
                     out.union_settled = true;
                     break;
                 }
@@ -494,6 +555,8 @@ impl Verifier {
             ];
             if with_union {
                 fields.push(("union_settled", u64::from(out.union_settled).into()));
+                fields.push(("base_atoms", out.base_atoms.into()));
+                fields.push(("resumed", out.resumed.into()));
             }
             if let Some((w, _)) = &out.winner {
                 fields.push(("winner", (*w).into()));
@@ -529,7 +592,7 @@ impl Verifier {
                     let guesses = mk
                         .guesses()
                         .map_err(|e| format!("guess enumeration failed: {e}"))?;
-                    let plans = (0..=guesses.len()).map(|_| OnceLock::new()).collect();
+                    let plans = (0..guesses.len() + 2).map(|_| OnceLock::new()).collect();
                     Ok((mk.template(), guesses.into(), plans))
                 });
             *cached = Some(CachedMakeP { limits, built });
@@ -588,7 +651,10 @@ impl Verifier {
             // under ⊢ₖ and cross-checked through the Lemma 4.2
             // cache→linear translation. The program is rebuilt exactly as
             // the fleet built it, so the fleet's plan serves the replay.
-            let (prog, goal) = mk.program(&guesses[wi], target);
+            let (prog, goal) = {
+                let _construct = phases.start(Phase::Construct);
+                mk.program(&guesses[wi], target)
+            };
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract(&prog, &goal, rec, 1, Some(plan)) {
                 Some(w) => {

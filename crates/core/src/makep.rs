@@ -459,18 +459,7 @@ impl<'s> MakeP<'s> {
         let mut enc = self.encoder();
         // Segment B: every candidate gap minus those this guess closes.
         let closed = closed_gaps(self.sys, guess);
-        for (facts, closed_x) in tpl.gapstore.iter().zip(&closed) {
-            let open = facts
-                .iter()
-                .filter(|(g, _)| !closed_x.contains(g))
-                .map(|(_, fact)| fact);
-            enc.prog
-                .extend_shared(open)
-                .expect("gapstore facts fit the registry");
-        }
-        enc.prog
-            .extend_segment(&tpl.env)
-            .expect("env rules fit the registry");
+        self.extend_b_and_c(&mut enc.prog, |x, g| closed[x].contains(&g));
         enc.emit_dis_rules(guess);
         enc.emit_goal_rules(target, &tpl.env_asserts, assert_positions(self.sys, guess));
         (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
@@ -496,14 +485,7 @@ impl<'s> MakeP<'s> {
     pub fn union_program(&self, guesses: &[Guess], target: DatalogTarget) -> (Program, GroundAtom) {
         let tpl = &self.tpl;
         let mut enc = self.encoder();
-        for facts in &tpl.gapstore {
-            enc.prog
-                .extend_shared(facts.iter().map(|(_, fact)| fact))
-                .expect("gapstore facts fit the registry");
-        }
-        enc.prog
-            .extend_segment(&tpl.env)
-            .expect("env rules fit the registry");
+        self.extend_b_and_c(&mut enc.prog, |_, _| false);
         let mut seen = HashSet::new();
         let mut asserts = BTreeSet::new();
         for guess in guesses {
@@ -523,6 +505,39 @@ impl<'s> MakeP<'s> {
         }
         enc.emit_goal_rules(target, &tpl.env_asserts, asserts);
         (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
+    }
+
+    /// The base program of `guesses`: the template's segment A, the
+    /// segment-B facts that no guess closes, and segment C, with the
+    /// template's predicates only.
+    ///
+    /// Every program of the fleet ([`MakeP::program`] of each guess, and
+    /// [`MakeP::union_program`]) is the base program plus facts and the
+    /// rules after segment C, with the same ids, so the base's least model
+    /// lies inside each of theirs and can be resumed by each
+    /// ([`Evaluator::resume_until`](parra_datalog::eval::Evaluator::resume_until)).
+    pub fn base_program(&self, guesses: &[Guess]) -> Program {
+        let mut closed = vec![BTreeSet::new(); self.tpl.gapstore.len()];
+        for guess in guesses {
+            for (all, some) in closed.iter_mut().zip(closed_gaps(self.sys, guess)) {
+                all.extend(some);
+            }
+        }
+        let mut prog = self.tpl.head.clone();
+        self.extend_b_and_c(&mut prog, |x, g| closed[x].contains(&g));
+        prog
+    }
+
+    /// Appends to `prog` segment B, minus the gaps `g` of each variable
+    /// `x` that `closed(x, g)` names, then segment C.
+    fn extend_b_and_c(&self, prog: &mut Program, closed: impl Fn(usize, u32) -> bool) {
+        for (x, facts) in self.tpl.gapstore.iter().enumerate() {
+            let open = facts.iter().filter(|(g, _)| !closed(x, *g));
+            prog.extend_shared(open.map(|(_, fact)| fact))
+                .expect("gapstore facts fit the registry");
+        }
+        prog.extend_segment(&self.tpl.env)
+            .expect("env rules fit the registry");
     }
 
     /// An encoder on top of the template: its registry and segment A.

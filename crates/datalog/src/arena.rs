@@ -224,6 +224,34 @@ impl TupleStore {
         (id, true)
     }
 
+    /// Deletes every tuple with id `len` or above, so the store holds
+    /// what it held after its first `len` interns, and interning one of
+    /// the deleted tuples again gives it back its old id.
+    ///
+    /// The table always equals inserting ids `0, 1, …` in order into a
+    /// table of its length: [`intern`](TupleStore::intern) appends the
+    /// next id, and a grow re-inserts in id order. So no probe chain of
+    /// an older tuple passes through a newer tuple's slot (it was empty
+    /// when the older one was placed), and clearing the slots newest
+    /// first leaves every survivor reachable.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        let mask = self.table.len() - 1;
+        for idx in (len..self.len()).rev() {
+            let mut i = (self.hashes[idx] as usize) & mask;
+            while self.table[i] != idx as u32 + 1 {
+                i = (i + 1) & mask;
+            }
+            self.table[i] = 0;
+        }
+        self.args.truncate(self.spans[len].0 as usize);
+        self.preds.truncate(len);
+        self.spans.truncate(len);
+        self.hashes.truncate(len);
+    }
+
     fn grow_table(&mut self, new_len: usize) {
         debug_assert!(new_len.is_power_of_two());
         let mut table = vec![0u32; new_len];
@@ -311,6 +339,37 @@ mod tests {
         let g = s.ground(id);
         assert_eq!(g.pred, PredId(2));
         assert_eq!(g.args, vec![Const(9), Const(4)]);
+    }
+
+    #[test]
+    fn truncate_keeps_survivors_after_a_grow_and_reinterns_the_same_ids() {
+        let mut s = TupleStore::new();
+        let p = PredId(0);
+        let tuple = |i: u32| [Const(i % 7), Const(i / 7)];
+        for i in 0..10 {
+            s.intern(p, &tuple(i));
+        }
+        let (table_len, args_len) = (s.table.len(), s.args_len());
+        // Enough new tuples to grow the table twice.
+        let ids: Vec<AtomId> = (10..60).map(|i| s.intern(p, &tuple(i)).0).collect();
+        assert!(s.table.len() > table_len);
+        s.truncate(10);
+        assert_eq!((s.len(), s.args_len()), (10, args_len));
+        for i in 0..10 {
+            assert_eq!(s.lookup(p, &tuple(i)), Some(AtomId(i)));
+            assert_eq!(s.args(AtomId(i)), &tuple(i));
+        }
+        for i in 10..60 {
+            assert_eq!(s.lookup(p, &tuple(i)), None, "tuple {i} survived");
+        }
+        let again: Vec<AtomId> = (10..60).map(|i| s.intern(p, &tuple(i)).0).collect();
+        assert_eq!(again, ids);
+        // Truncating to the current length, or beyond, changes nothing.
+        s.truncate(60);
+        s.truncate(100);
+        assert_eq!(s.len(), 60);
+        s.truncate(0);
+        assert!(s.is_empty() && s.table.iter().all(|&slot| slot == 0));
     }
 
     #[test]

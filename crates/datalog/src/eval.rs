@@ -18,13 +18,17 @@
 //! * **Whole-round deltas** — each round derives every candidate tuple
 //!   from the previous round's delta against the database as it stood,
 //!   and only then merges them in delta order.
+//! * **Resumption** — [`Evaluator::resume_until`] extends the complete
+//!   database of a smaller program in place to a larger program's model,
+//!   and [`Database::rollback`] returns it to its [`Mark`], so a `makeP`
+//!   guess fleet evaluates its shared base fixpoint once.
 //!
 //! The pre-rewrite engine survives as [`naive`](crate::naive) and pins
 //! this one differentially (the `eval-agree` fuzz oracle).
 
 use crate::arena::{hash_key, AtomId, TupleStore};
 use crate::ast::{Const, GroundAtom, PredId, Program, Rule, Term};
-use crate::plan::{DeltaPlan, Plan, NO_SLOT};
+use crate::plan::{DeltaPlan, IndexSpec, Plan, NO_SLOT};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Counter, Phase, PhaseTimer, Recorder};
 use std::collections::{HashMap, HashSet};
@@ -98,6 +102,40 @@ pub struct Database {
     /// model (or the goal) was reached; the database is a sound but
     /// possibly incomplete under-approximation.
     interrupted: Option<InterruptReason>,
+    /// Whether evaluation reached the least model: neither the governor
+    /// nor the goal stopped it. Only such a database can be resumed
+    /// ([`Evaluator::resume_until`]).
+    complete: bool,
+}
+
+/// Where a [`Database`] stood before a resumed evaluation, for
+/// [`Database::rollback`].
+#[derive(Debug, Clone)]
+pub struct Mark {
+    atoms: usize,
+    preds: usize,
+    /// Per join index, how many tuples of its predicate it held.
+    indexed: Vec<usize>,
+    interrupted: Option<InterruptReason>,
+    complete: bool,
+}
+
+impl ColumnIndex {
+    fn new(spec: &IndexSpec) -> ColumnIndex {
+        ColumnIndex {
+            pred: spec.pred,
+            cols: spec.cols.clone(),
+            map: PrehashedMap::default(),
+            upto: 0,
+        }
+    }
+
+    /// The key hash of the tuple `args` (`key` is scratch).
+    fn key_hash(&self, args: &[Const], key: &mut Vec<Const>) -> u64 {
+        key.clear();
+        key.extend(self.cols.iter().map(|&c| args[c as usize]));
+        hash_key(key)
+    }
 }
 
 impl Database {
@@ -106,17 +144,65 @@ impl Database {
             store: TupleStore::new(),
             per_pred: vec![Vec::new(); n_preds],
             derivations: provenance.then(Vec::new),
-            indices: plan
-                .indices()
-                .map(|spec| ColumnIndex {
-                    pred: spec.pred,
-                    cols: spec.cols.clone(),
-                    map: PrehashedMap::default(),
-                    upto: 0,
-                })
-                .collect(),
+            indices: plan.indices().map(ColumnIndex::new).collect(),
             interrupted: None,
+            complete: false,
         }
+    }
+
+    /// Where the database stands now; [`Database::rollback`] returns to
+    /// it.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            atoms: self.store.len(),
+            preds: self.per_pred.len(),
+            indexed: self.indices.iter().map(|ix| ix.upto).collect(),
+            interrupted: self.interrupted,
+            complete: self.complete,
+        }
+    }
+
+    /// Deletes everything added since `mark` was taken: the atoms, their
+    /// entries in the per-predicate lists and in the join indices, and
+    /// the indices and predicates added since. The database is then
+    /// exactly as it was at the mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` was not taken on this database, or if the
+    /// database was rolled back past it since.
+    pub fn rollback(&mut self, mark: Mark) {
+        assert!(
+            mark.atoms <= self.store.len() && mark.indexed.len() <= self.indices.len(),
+            "a mark of this database, taken before its current state"
+        );
+        self.indices.truncate(mark.indexed.len());
+        let mut key = Vec::new();
+        for (ix, &upto) in self.indices.iter_mut().zip(&mark.indexed) {
+            let list = &self.per_pred[ix.pred.0 as usize];
+            // Newest first: each tuple is the last entry under its key.
+            for &id in list[upto..ix.upto].iter().rev() {
+                let h = ix.key_hash(self.store.args(id), &mut key);
+                let ids = ix.map.get_mut(&h).expect("an indexed tuple has its key");
+                debug_assert_eq!(ids.last(), Some(&id));
+                ids.pop();
+                if ids.is_empty() {
+                    ix.map.remove(&h);
+                }
+            }
+            ix.upto = upto;
+        }
+        for idx in (mark.atoms..self.store.len()).rev() {
+            let p = self.store.pred(AtomId(idx as u32));
+            self.per_pred[p.0 as usize].pop();
+        }
+        self.per_pred.truncate(mark.preds);
+        self.store.truncate(mark.atoms);
+        if let Some(d) = self.derivations.as_mut() {
+            d.truncate(mark.atoms);
+        }
+        self.interrupted = mark.interrupted;
+        self.complete = mark.complete;
     }
 
     /// Why the governor stopped evaluation early, if it did. A `Some`
@@ -232,12 +318,8 @@ impl Database {
                 built += 1;
             }
             for &id in &list[ix.upto..] {
-                key.clear();
-                let args = store.args(id);
-                for &c in &ix.cols {
-                    key.push(args[c as usize]);
-                }
-                ix.map.entry(hash_key(&key)).or_default().push(id);
+                let h = ix.key_hash(store.args(id), &mut key);
+                ix.map.entry(h).or_default().push(id);
             }
             ix.upto = list.len();
         }
@@ -394,42 +476,104 @@ impl<'p> Evaluator<'p> {
 
     /// Computes the least model, stopping early if `stop_at` is derived.
     pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> Database {
-        let db = self.run_until_inner(stop_at);
-        if self.rec.is_enabled() {
-            // Per-predicate atom counts, keyed by predicate name so traces
-            // across guesses aggregate.
-            for p in self.program.predicates() {
-                let n = db.of_pred(p).count() as u64;
-                if n > 0 {
-                    self.rec
-                        .counter(&format!("atoms/{}", self.program.pred_name(p)))
-                        .add(n);
-                }
-            }
-            self.rec.gauge("arena_atoms").set(db.store.len() as u64);
-            self.rec
-                .gauge("arena_bytes")
-                .set(db.store.heap_bytes() as u64);
-        }
+        let n_preds = self.program.predicates().count();
+        let mut db = Database::new(n_preds, self.provenance, &self.plan);
+        self.evaluate(&mut db, stop_at, false);
+        self.record_sizes(&db);
         db
     }
 
-    fn run_until_inner(&self, stop_at: Option<&GroundAtom>) -> Database {
+    /// Evaluates this program *in place* on `base`, the complete database
+    /// of a smaller program, and returns the mark to
+    /// [`Database::rollback`] to afterwards. The result is this program's
+    /// least model (or a database holding `stop_at`), as
+    /// [`run_until`](Evaluator::run_until) would derive it.
+    ///
+    /// The smaller program must have this program's rules up to the end
+    /// of its [segment](Program::segment), facts aside, a subset of its
+    /// facts, and its predicate and constant ids. Positive Datalog is
+    /// monotone, so `base` lies inside this program's least model and
+    /// only needs extending: the facts `base` lacks are the first delta,
+    /// and in that first round the rules after the segment, which never
+    /// saw `base`, also fire from every atom of one body relation. After
+    /// that, evaluation is ordinary semi-naive.
+    ///
+    /// Returns `None`, leaving `base` untouched, unless `base` is
+    /// complete (neither the governor nor a goal stopped it), has no
+    /// more predicates than this program, and its join indices are the
+    /// leading [`IndexSpec`]s of this evaluator's plan; and unless both
+    /// sides run without provenance.
+    pub fn resume_until(&self, base: &mut Database, stop_at: Option<&GroundAtom>) -> Option<Mark> {
+        let n_preds = self.program.predicates().count();
+        let mut specs = self.plan.indices();
+        let resumable = base.complete
+            && !self.provenance
+            && !base.has_provenance()
+            && base.per_pred.len() <= n_preds
+            && base.indices.iter().all(|ix| {
+                specs
+                    .next()
+                    .is_some_and(|spec| (spec.pred, &spec.cols) == (ix.pred, &ix.cols))
+            });
+        if !resumable {
+            return None;
+        }
+        let mark = base.mark();
+        base.complete = false;
+        base.per_pred.resize(n_preds, Vec::new());
+        base.indices.extend(specs.map(ColumnIndex::new));
+        self.evaluate(base, stop_at, true);
+        self.record_sizes(base);
+        Some(mark)
+    }
+
+    /// Per-predicate atom counts, keyed by predicate name so traces
+    /// across guesses aggregate, and the arena's size.
+    fn record_sizes(&self, db: &Database) {
+        if !self.rec.is_enabled() {
+            return;
+        }
+        for p in self.program.predicates() {
+            let n = db.of_pred(p).count() as u64;
+            if n > 0 {
+                self.rec
+                    .counter(&format!("atoms/{}", self.program.pred_name(p)))
+                    .add(n);
+            }
+        }
+        self.rec.gauge("arena_atoms").set(db.store.len() as u64);
+        self.rec
+            .gauge("arena_bytes")
+            .set(db.store.heap_bytes() as u64);
+    }
+
+    /// Extends `db` with the program's facts, then runs semi-naive rounds
+    /// until nothing new is derived, `stop_at` is, or the governor stops
+    /// them. `resumed` says that `db` is a resumed base (see
+    /// [`resume_until`](Evaluator::resume_until)).
+    fn evaluate(&self, db: &mut Database, stop_at: Option<&GroundAtom>, resumed: bool) {
         let counters = Counters {
             fired: self.rec.counter("rules_fired"),
             joins: self.rec.counter("join_attempts"),
             index_builds: self.rec.counter("index_builds"),
             index_hits: self.rec.counter("index_hits"),
         };
-        let n_preds = self.program.predicates().count();
-        let mut db = Database::new(n_preds, self.provenance, &self.plan);
+        let rules = self.program.rules();
+        let mut scratch = JoinScratch {
+            subst: vec![None; self.plan.max_vars()],
+            ..JoinScratch::default()
+        };
 
-        // Facts are the first delta.
+        // Facts are the first delta; a resumed base already holds most.
         let mut delta: Vec<AtomId> = Vec::new();
-        for (ri, rule) in self.program.rules().iter().enumerate() {
+        for (ri, rule) in rules.iter().enumerate() {
             if rule.is_fact() {
-                let g = rule.head.to_ground();
-                if let Some(id) = db.insert(g.pred, &g.args, ri, Vec::new()) {
+                scratch.buf.clear();
+                scratch.buf.extend(rule.head.terms.iter().map(|t| match t {
+                    Term::Const(c) => *c,
+                    Term::Var(_) => unreachable!("a fact is ground"),
+                }));
+                if let Some(id) = db.insert(rule.head.pred, &scratch.buf, ri, Vec::new()) {
                     counters.fired.incr();
                     delta.push(id);
                 }
@@ -437,9 +581,17 @@ impl<'p> Evaluator<'p> {
         }
         if let Some(goal) = stop_at {
             if db.contains(goal) {
-                return db;
+                return;
             }
         }
+        // In a resumed first round, the rules up to the segment's end have
+        // already joined every combination of base atoms: only the new
+        // facts fire them. The rules after it fire in full.
+        let fresh_from = match self.program.segment() {
+            _ if !resumed => rules.len(),
+            Some((at, segment)) => at + segment.len(),
+            None => 0,
+        };
 
         // Round-based semi-naive: expand the whole delta against the
         // database as it stood, then merge the candidate tuples in delta
@@ -448,18 +600,14 @@ impl<'p> Evaluator<'p> {
         // rule occurrence) table driving the expansion lives in the plan
         // ([`Plan::uses`]).
         let phases = PhaseTimer::new(&self.rec);
-        let mut scratch = JoinScratch {
-            subst: vec![None; self.plan.max_vars()],
-            ..JoinScratch::default()
-        };
         let mut round: u64 = 0;
-        while !delta.is_empty() {
+        while !delta.is_empty() || (round == 0 && fresh_from < rules.len()) {
             if let Err(reason) = self.gov.check() {
                 self.rec
                     .counter(&format!("eval_interrupted_{}", reason.as_str()))
                     .incr();
                 db.interrupted = Some(reason);
-                return db;
+                return;
             }
             let t0 = phases.is_enabled().then(Instant::now);
             counters.index_builds.add(db.catch_up_indices());
@@ -468,8 +616,14 @@ impl<'p> Evaluator<'p> {
             }
             let t0 = phases.is_enabled().then(Instant::now);
             let mut candidates = Vec::new();
+            let below = if round == 0 { fresh_from } else { rules.len() };
             for &d in &delta {
-                self.derive_from(&db, d, &counters, &mut scratch, &mut candidates);
+                self.derive_from(db, d, below, &counters, &mut scratch, &mut candidates);
+            }
+            if round == 0 {
+                for ri in fresh_from..rules.len() {
+                    self.fire_in_full(db, ri, &counters, &mut scratch, &mut candidates);
+                }
             }
             let mut next_delta = Vec::new();
             let mut goal_hit = false;
@@ -503,12 +657,12 @@ impl<'p> Evaluator<'p> {
                 );
             }
             if goal_hit {
-                return db;
+                return;
             }
             round += 1;
             delta = next_delta;
         }
-        db
+        db.complete = true;
     }
 
     /// Computes the full least model.
@@ -521,41 +675,85 @@ impl<'p> Evaluator<'p> {
         self.run_until(Some(goal)).contains(goal)
     }
 
-    /// Appends to `out` all rule firings in which the delta atom `d`
-    /// participates (at every body position of its predicate). Read-only
-    /// over `db`.
+    /// Appends to `out` all firings of the rules below `below` in which
+    /// the delta atom `d` participates (at every body position of its
+    /// predicate). Read-only over `db`.
     fn derive_from(
         &self,
         db: &Database,
         d: AtomId,
+        below: usize,
         counters: &Counters,
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
     ) {
         let pred = db.store.pred(d);
-        'uses: for &(ri, bi) in self.plan.uses(pred) {
-            let (ri, bi) = (ri as usize, bi as usize);
-            let rule = &self.program.rules()[ri];
-            let plans = self.plan.rule(ri);
-            // A rule with an empty body relation cannot fire: skip it
-            // before any matching work.
-            for p in &plans.body_preds {
-                if db.per_pred[p.0 as usize].is_empty() {
-                    continue 'uses;
-                }
+        for &(ri, bi) in self.plan.uses(pred) {
+            if ri as usize >= below {
+                break;
             }
-            scratch.used.clear();
-            scratch.used.resize(rule.body.len(), 0);
-            counters.joins.incr();
-            if self.match_pattern(db, &rule.body[bi], d, scratch) {
-                scratch.used[bi] = d.index();
-                let body = plans.body.as_deref().expect("a rule with a body");
-                let dp = &body.per_delta[bi];
-                let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
-                self.join_steps(db, rule, ri, dp, slots, 0, scratch, out, counters);
-            }
-            unwind(scratch, 0);
+            self.fire(db, d, ri as usize, bi as usize, counters, scratch, out);
         }
+    }
+
+    /// Appends to `out` every firing of rule `ri` over `db`: the atoms of
+    /// its smallest body relation each stand as the delta at that body
+    /// position, and the plan joins the rest.
+    fn fire_in_full(
+        &self,
+        db: &Database,
+        ri: usize,
+        counters: &Counters,
+        scratch: &mut JoinScratch,
+        out: &mut Vec<Derived>,
+    ) {
+        let body = &self.program.rules()[ri].body;
+        let relation = |bi: usize| &db.per_pred[body[bi].pred.0 as usize];
+        let Some(bi) = (0..body.len()).min_by_key(|&bi| relation(bi).len()) else {
+            return;
+        };
+        for &d in relation(bi) {
+            self.fire(db, d, ri, bi, counters, scratch, out);
+        }
+    }
+
+    /// Appends to `out` the firings of rule `ri` with the atom `d` at
+    /// body position `bi`. Inlined into the round loop's two callers:
+    /// out of line, it slowed every evaluation by a few percent.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn fire(
+        &self,
+        db: &Database,
+        d: AtomId,
+        ri: usize,
+        bi: usize,
+        counters: &Counters,
+        scratch: &mut JoinScratch,
+        out: &mut Vec<Derived>,
+    ) {
+        let rule = &self.program.rules()[ri];
+        let plans = self.plan.rule(ri);
+        // A rule with an empty body relation cannot fire: skip it
+        // before any matching work.
+        if plans
+            .body_preds
+            .iter()
+            .any(|p| db.per_pred[p.0 as usize].is_empty())
+        {
+            return;
+        }
+        scratch.used.clear();
+        scratch.used.resize(rule.body.len(), 0);
+        counters.joins.incr();
+        if self.match_pattern(db, &rule.body[bi], d, scratch) {
+            scratch.used[bi] = d.index();
+            let body = plans.body.as_deref().expect("a rule with a body");
+            let dp = &body.per_delta[bi];
+            let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
+            self.join_steps(db, rule, ri, dp, slots, 0, scratch, out, counters);
+        }
+        unwind(scratch, 0);
     }
 
     /// Matches `pattern` against the stored tuple `id`, extending the
@@ -925,6 +1123,159 @@ mod tests {
         );
         assert!(get("index_hits") > 0);
         assert!(snap.gauges.contains_key("arena_atoms"));
+    }
+
+    /// A base program and a larger one over the same registry: edges
+    /// `i → 3i+1 (mod 9)` (the larger one adds `i → i+2` for odd `i`), the
+    /// transitive-closure rules as the segment, and, in the larger one
+    /// only, a `meet` rule after it and a `flag` fact of its own.
+    fn layered(larger: bool) -> (Program, PredId) {
+        let mut p = Program::new();
+        let e = p.predicate("e", 2);
+        let path = p.predicate("path", 2);
+        let meet = p.predicate("meet", 2);
+        let u: Vec<Const> = (0..9).map(|i| p.constant(&format!("u{i}"))).collect();
+        for i in 0..9 {
+            p.fact(e, vec![u[i], u[(3 * i + 1) % 9]]).unwrap();
+            if larger && i % 2 == 1 {
+                p.fact(e, vec![u[i], u[(i + 2) % 9]]).unwrap();
+            }
+        }
+        let (x, y, z) = (Term::Var(0), Term::Var(1), Term::Var(2));
+        let mut tc = Program::new();
+        let (te, tpath) = (tc.predicate("e", 2), tc.predicate("path", 2));
+        tc.rule(
+            Atom::new(tpath, vec![x, y]),
+            vec![Atom::new(te, vec![x, y])],
+        )
+        .unwrap();
+        tc.rule(
+            Atom::new(tpath, vec![x, z]),
+            vec![Atom::new(tpath, vec![x, y]), Atom::new(te, vec![y, z])],
+        )
+        .unwrap();
+        let segment: crate::ast::Segment = tc.split_rules_off(0).into();
+        p.extend_segment(&segment).unwrap();
+        if larger {
+            let flag = p.predicate("flag", 1);
+            p.fact(flag, vec![u[0]]).unwrap();
+            p.rule(
+                Atom::new(meet, vec![y, z]),
+                vec![
+                    Atom::new(flag, vec![x]),
+                    Atom::new(path, vec![x, y]),
+                    Atom::new(path, vec![x, z]),
+                ],
+            )
+            .unwrap();
+        }
+        (p, meet)
+    }
+
+    /// Everything a rollback must restore, in comparable form.
+    #[allow(clippy::type_complexity)]
+    fn snapshot(
+        db: &Database,
+    ) -> (
+        Vec<GroundAtom>,
+        Vec<Vec<AtomId>>,
+        Vec<(PredId, Vec<u8>, Vec<(u64, Vec<AtomId>)>, usize)>,
+        (usize, Option<InterruptReason>, bool),
+    ) {
+        for (i, g) in db.iter().enumerate() {
+            assert_eq!(db.index_of(&g), Some(i), "{g:?} is not found by lookup");
+        }
+        let indices = db.indices.iter().map(|ix| {
+            let mut map: Vec<_> = ix.map.iter().map(|(h, ids)| (*h, ids.clone())).collect();
+            map.sort();
+            (ix.pred, ix.cols.clone(), map, ix.upto)
+        });
+        (
+            db.iter().collect(),
+            db.per_pred.clone(),
+            indices.collect(),
+            (db.store.args_len(), db.interrupted, db.complete),
+        )
+    }
+
+    fn model(db: &Database) -> HashSet<GroundAtom> {
+        db.iter().collect()
+    }
+
+    #[test]
+    fn a_resumed_evaluation_derives_the_scratch_model_and_rolls_back_exactly() {
+        let (base_prog, _) = layered(false);
+        let (prog, meet) = layered(true);
+        let mut base = Evaluator::new(&base_prog).run();
+        let before = snapshot(&base);
+        let ev = Evaluator::new(&prog);
+        let scratch = ev.run();
+        assert!(scratch.of_pred(meet).count() > 0);
+        let mark = ev.resume_until(&mut base, None).expect("resumable");
+        assert_eq!(model(&base), model(&scratch));
+        assert!(base.complete && base.indices.len() > before.2.len());
+        base.rollback(mark);
+        assert_eq!(snapshot(&base), before);
+        // Resuming again after the rollback, to the goal this time.
+        let goal = scratch.ground(scratch.len() - 1);
+        let mark = ev.resume_until(&mut base, Some(&goal)).expect("resumable");
+        assert!(base.contains(&goal) && !base.complete);
+        base.rollback(mark);
+        assert_eq!(snapshot(&base), before);
+        // The base program resumes from itself and derives nothing more.
+        let mark = Evaluator::new(&base_prog).resume_until(&mut base, None);
+        assert_eq!(base.len(), before.0.len());
+        base.rollback(mark.expect("resumable"));
+        assert_eq!(snapshot(&base), before);
+    }
+
+    #[test]
+    fn an_interrupted_resume_rolls_back_exactly() {
+        let (base_prog, _) = layered(false);
+        let (prog, _) = layered(true);
+        let mut base = Evaluator::new(&base_prog).run();
+        let before = snapshot(&base);
+        let spent = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let ev = Evaluator::new(&prog).with_governor(spent);
+        let mark = ev.resume_until(&mut base, None).expect("resumable");
+        assert_eq!(base.interrupted(), Some(InterruptReason::Deadline));
+        base.rollback(mark);
+        assert_eq!(snapshot(&base), before);
+    }
+
+    #[test]
+    fn only_a_complete_provenance_free_base_with_the_leading_indices_resumes() {
+        let (base_prog, _) = layered(false);
+        let (prog, meet) = layered(true);
+        let ev = Evaluator::new(&prog);
+        let untouched = |mut base: Database, ev: &Evaluator| {
+            let before = snapshot(&base);
+            assert!(ev.resume_until(&mut base, None).is_none());
+            assert_eq!(snapshot(&base), before);
+        };
+        // Stopped by the governor, or at a goal: not closed.
+        let spent = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+        untouched(Evaluator::new(&base_prog).with_governor(spent).run(), &ev);
+        let full = Evaluator::new(&base_prog).run();
+        let goal = full.ground(full.len() - 1);
+        untouched(Evaluator::new(&base_prog).run_until(Some(&goal)), &ev);
+        // Provenance on either side.
+        untouched(Evaluator::new(&base_prog).with_provenance(true).run(), &ev);
+        let with_provenance = Evaluator::new(&prog).with_provenance(true);
+        untouched(Evaluator::new(&base_prog).run(), &with_provenance);
+        // A base whose join indices are not the plan's leading ones.
+        let mut reordered = prog.clone();
+        let tail = reordered.split_rules_off(0);
+        let (facts, rules): (Vec<_>, Vec<_>) = tail.into_iter().partition(|r| r.is_fact());
+        reordered.extend_shared(facts.iter()).unwrap();
+        reordered.extend_shared(rules.iter().rev()).unwrap();
+        let reordered_ev = Evaluator::new(&reordered);
+        untouched(Evaluator::new(&base_prog).run(), &reordered_ev);
+        // The reordered program still derives the same model from scratch.
+        assert_eq!(
+            reordered_ev.run().of_pred(meet).count(),
+            ev.run().of_pred(meet).count()
+        );
     }
 
     #[test]

@@ -19,6 +19,8 @@
 use crate::gen::GenConfig;
 use parra_core::makep::{DatalogTarget, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
+use parra_datalog::ast::{GroundAtom, Program};
+use parra_datalog::eval::Database;
 use parra_datalog::plan::PlanCache;
 use parra_datalog::{Evaluator, NaiveEvaluator};
 use parra_program::parser::parse_system;
@@ -33,7 +35,7 @@ use parra_simplified::depgraph::DepGraph;
 use parra_simplified::message::{AMessage, Origin};
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
 use parra_simplified::state::{Budget, SimpState};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// The result of one oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -690,9 +692,15 @@ impl Oracle for ServeRoundTrip {
 ///   (the whole fleet is evaluated, none skipped).
 /// * *Containment:* the full least models of the first few guesses,
 ///   compared by printed atom, are subsets of `U`'s.
+/// * *Resumption:* `U` and those guesses, each evaluated in place on the
+///   fleet's base fixpoint ([`MakeP::base_program`],
+///   [`Evaluator::resume_until`]) as the engine evaluates them, derive
+///   exactly their from-scratch models, and rolling each back leaves the
+///   base as it was.
 pub struct UnionOverapprox;
 
-/// Guesses whose full models are compared against `U`'s.
+/// Guesses whose full models are compared against `U`'s, and resumed
+/// from the base.
 const UNION_CONTAINMENT_GUESSES: usize = 4;
 
 impl Oracle for UnionOverapprox {
@@ -710,9 +718,38 @@ impl Oracle for UnionOverapprox {
 
     fn check(&self, sys: &ParamSystem) -> OracleOutcome {
         with_makep_fleet(sys, |mk, guesses, target| {
+            // The base fixpoint, planned through one cache as the engine
+            // plans a fleet, so that the programs' plans lead with its
+            // join indices.
+            let mut cache = PlanCache::new();
+            let base_prog = mk.base_program(guesses);
+            let mut base = Evaluator::with_plan(&base_prog, cache.plan(&base_prog)).run();
+            let base_atoms: Vec<GroundAtom> = base.iter().collect();
+            let mut resumes = |which: &str, prog: &Program, scratch: &Database| {
+                let ev = Evaluator::with_plan(prog, cache.plan(prog));
+                let Some(mark) = ev.resume_until(&mut base, None) else {
+                    return Ok(());
+                };
+                let resumed: HashSet<GroundAtom> = base.iter().collect();
+                base.rollback(mark);
+                if resumed != scratch.iter().collect() {
+                    return Err(format!(
+                        "{which} resumed from the base derives {} atoms, from scratch {}",
+                        resumed.len(),
+                        scratch.len()
+                    ));
+                }
+                if !base.iter().eq(base_atoms.iter().cloned()) {
+                    return Err(format!("rolling {which} back changed the base"));
+                }
+                Ok(())
+            };
             let (union, goal) = mk.union_program(guesses, target);
             let union_db = Evaluator::new(&union).run();
-            let union_atoms: std::collections::HashSet<String> =
+            if let Err(msg) = resumes("the union program", &union, &union_db) {
+                return OracleOutcome::Fail(msg);
+            }
+            let union_atoms: HashSet<String> =
                 union_db.iter().map(|a| union.display_ground(&a)).collect();
             let settled = !union_db.contains(&goal);
             for (gi, guess) in guesses.iter().enumerate() {
@@ -722,6 +759,11 @@ impl Oracle for UnionOverapprox {
                 }
                 let (prog, goal) = mk.program(guess, target);
                 let db = Evaluator::new(&prog).run();
+                if contain {
+                    if let Err(msg) = resumes(&format!("guess {gi}"), &prog, &db) {
+                        return OracleOutcome::Fail(msg);
+                    }
+                }
                 if settled && db.contains(&goal) {
                     return OracleOutcome::Fail(format!(
                         "the union of {} guesses does not derive the goal, \

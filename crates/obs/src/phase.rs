@@ -31,8 +31,11 @@ pub enum Phase {
     Prepare,
     /// The makeP template build and guess enumeration (§4.1, Lemma 4.3).
     Guess,
-    /// Join planning: every guess program and union program whose plan
-    /// the verifier has not stored yet.
+    /// Building the programs of a makeP fleet from its template: each
+    /// guess's, the union program and the fleet's base program.
+    Construct,
+    /// Join planning: every program of the fleet (guess, union or base)
+    /// whose plan the verifier has not stored yet.
     JoinPlan,
     /// Building or catching up join indices.
     IndexBuild,
@@ -46,10 +49,11 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Parse,
         Phase::Prepare,
         Phase::Guess,
+        Phase::Construct,
         Phase::JoinPlan,
         Phase::IndexBuild,
         Phase::Fixpoint,
@@ -63,6 +67,7 @@ impl Phase {
             Phase::Parse => "parse",
             Phase::Prepare => "prepare",
             Phase::Guess => "guess",
+            Phase::Construct => "construct",
             Phase::JoinPlan => "join_plan",
             Phase::IndexBuild => "index_build",
             Phase::Fixpoint => "fixpoint",
@@ -286,6 +291,7 @@ mod tests {
                 "parse",
                 "prepare",
                 "guess",
+                "construct",
                 "join_plan",
                 "index_build",
                 "fixpoint",

@@ -139,15 +139,22 @@ fn union_settled_fleet_is_reported_at_every_thread_count() {
             Some(1),
             "in run {run}"
         );
-        // The fleet runs on one thread, so its maxima and (absent)
-        // winner are deterministic fields.
-        let moved: Vec<_> = ["rules_max", "atoms_max", "winner"]
+        // The fleet runs on one thread, so its maxima, (absent) winner
+        // and base fixpoint are deterministic fields.
+        let moved: Vec<_> = ["rules_max", "atoms_max", "winner", "base_atoms", "resumed"]
             .iter()
             .map(|k| fields.get(k).and_then(Value::as_u64))
             .collect();
         assert!(moved[0].is_some_and(|n| n > 0), "rules_max in run {run}");
         assert!(moved[1].is_some_and(|n| n > 0), "atoms_max in run {run}");
         assert_eq!(moved[2], None, "a settled fleet has no winner");
+        // Guess 0 runs from scratch; `U` resumes from the base fixpoint,
+        // which holds fewer atoms than `U`'s model.
+        assert!(
+            moved[3].is_some_and(|n| n > 0 && n < moved[1].unwrap()),
+            "base_atoms in run {run}"
+        );
+        assert_eq!(moved[4], Some(1), "resumed in run {run}");
         seen.push(moved);
         run_ok(&["report", "--check-schema", path.to_str().unwrap()], &[0]);
     }
