@@ -3,9 +3,12 @@
 //! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset,
 //! each repetition on a fresh verifier, and records, per (benchmark,
 //! engine): best-of-N wall-clock, the evaluator's deterministic work
-//! counters (join attempts, index builds, index hits) and the planner's
-//! (rules planned from scratch: each guess's own rules, plus the
-//! template segment's once per statistics key).
+//! counters (join attempts, index builds, index hits), the planner's
+//! (rules planned from scratch: guess 0's, the template segment's once
+//! per statistics key, `U`'s own, and the winner's for its witness
+//! replay) and the encoder's (rules `MakeP` encodes for the run's
+//! programs: the `dis` and goal rules of guess 0, of `U` and of the
+//! winner's replay).
 //!
 //! ```text
 //! bench_datalog [--out FILE]        # measure and write FILE (default BENCH_datalog.json)
@@ -14,7 +17,7 @@
 //!
 //! The check ([`parra_bench::gate`]) fails when an entry's wall-clock
 //! regresses past [`gate::WALL_CLOCK`], or when its verdict or any of
-//! the four counters differs from the baseline at all: the Datalog route
+//! the five counters differs from the baseline at all: the Datalog route
 //! runs on one thread, so the counters are deterministic and any drift is
 //! a plan change.
 
@@ -82,7 +85,8 @@ fn measure() -> (Vec<Row>, Vec<String>) {
                         .exact("join_attempts", counter(&r, "join_attempts"))
                         .exact("index_builds", counter(&r, "index_builds"))
                         .exact("index_hits", counter(&r, "index_hits"))
-                        .exact("rules_planned", counter(&r, "rules_planned"));
+                        .exact("rules_planned", counter(&r, "rules_planned"))
+                        .exact("rules_encoded", counter(&r, "rules_encoded"));
                     best = Some((wall_us, row));
                 }
             }

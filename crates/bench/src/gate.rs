@@ -469,6 +469,7 @@ mod tests {
                     "index_builds",
                     "index_hits",
                     "rules_planned",
+                    "rules_encoded",
                 ],
             ),
             (

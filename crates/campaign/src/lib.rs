@@ -5,8 +5,8 @@
 //! `parra batch` is one process and one pass with no memory of prior
 //! runs. This crate turns batch sweeps into *campaigns*: persistent,
 //! checkpointed, sharded, resumable, and diffable experiments over a
-//! plain-directory store — the regression-fleet layer ROADMAP item 2
-//! asks for, modelled on crater's experiment/checkpoint/report split.
+//! plain-directory store — a regression-fleet layer, modelled on
+//! crater's experiment/checkpoint/report split.
 //!
 //! The moving parts:
 //!

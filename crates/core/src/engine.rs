@@ -27,13 +27,13 @@
 //! as it would sequentially. [`Verifier::run_selection`] runs either
 //! shape, and every front end reads its [`SelectionOutcome`].
 
-use crate::makep::{DatalogTarget, Guess, MakeP, MakePLimits, Template};
+use crate::makep::{DatalogTarget, Fleet, Guess, MakeP, MakePLimits, Template};
 use crate::verify::{
     aggregate_verdicts, EngineId, Stats, Verdict, VerificationResult, Verifier, VerifierOptions,
 };
 use crate::witness::{self, LinearCheck};
-use parra_datalog::ast::{GroundAtom, Program};
-use parra_datalog::eval::{Database, Evaluator};
+use parra_datalog::ast::GroundAtom;
+use parra_datalog::eval::{Database, EvalMetrics, Evaluator};
 use parra_datalog::plan::{Plan, PlanCache};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
@@ -43,6 +43,7 @@ use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachOutcome, Reachability, SimpTarget};
+use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -51,13 +52,39 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub(crate) struct CachedMakeP {
     limits: MakePLimits,
-    built: Result<Fleet, String>,
+    built: Result<Prepared, String>,
 }
 
-/// The template, the guesses, and one join-plan slot per fleet program
-/// (each guess, then `U`, then the base program) that the first run
-/// planning it fills.
-type Fleet = (Arc<Template>, Arc<[Guess]>, Arc<[OnceLock<Arc<Plan>>]>);
+/// The template, the guesses, and the fleet's join plans.
+type Prepared = (Arc<Template>, Arc<[Guess]>, Arc<FleetPlans>);
+
+/// A fleet's join plans, each filled by the first run that plans it.
+#[derive(Debug)]
+struct FleetPlans {
+    /// Per guess: guess 0's whole program's, then each later guess's
+    /// delta's.
+    guesses: Box<[OnceLock<Arc<Plan>>]>,
+    /// `U`'s delta's.
+    union: OnceLock<Arc<Plan>>,
+    /// The base program's.
+    base: OnceLock<Arc<Plan>>,
+    /// The winning guess's whole program's, for the witness replay, when
+    /// that is not guess 0.
+    replay: OnceLock<Arc<Plan>>,
+}
+
+/// The plan in `slot`, planned by `plan` (timed as `join_plan`) when the
+/// slot is empty.
+fn planned(
+    slot: &OnceLock<Arc<Plan>>,
+    phases: &PhaseTimer,
+    plan: impl FnOnce() -> Arc<Plan>,
+) -> Arc<Plan> {
+    Arc::clone(slot.get_or_init(|| {
+        let _join_plan = phases.start(Phase::JoinPlan);
+        plan()
+    }))
+}
 
 impl Verifier {
     /// Races `engines` concurrently; the first decisive verdict (Safe or
@@ -308,9 +335,8 @@ struct FleetOutcome {
     /// Max derived-atom count over the evaluated databases, the union
     /// included.
     atoms: usize,
-    /// The first guess whose query derived the goal, with the plan it ran
-    /// under (the witness replay reuses it).
-    winner: Option<(usize, Arc<Plan>)>,
+    /// The first guess whose query derived the goal.
+    winner: Option<usize>,
     /// The union program reached its fixpoint without the goal, which
     /// settles the fleet as safe.
     union_settled: bool,
@@ -328,27 +354,16 @@ struct Evaluated {
     won: bool,
     interrupted: Option<InterruptReason>,
     atoms: usize,
-    resumed: bool,
 }
 
-/// Evaluates `ev`'s program until `goal`: in place on `base` when it
-/// can resume from it ([`Evaluator::resume_until`]), rolling `base` back
-/// afterwards, and from scratch otherwise.
-fn evaluate(ev: &Evaluator<'_>, base: Option<&mut Database>, goal: &GroundAtom) -> Evaluated {
-    let read = |db: &Database, resumed| Evaluated {
-        won: db.contains(goal),
-        interrupted: db.interrupted(),
-        atoms: db.len(),
-        resumed,
-    };
-    if let Some(db) = base {
-        if let Some(mark) = ev.resume_until(db, Some(goal)) {
-            let out = read(db, true);
-            db.rollback(mark);
-            return out;
+impl Evaluated {
+    fn of(db: &Database, goal: &GroundAtom) -> Evaluated {
+        Evaluated {
+            won: db.contains(goal),
+            interrupted: db.interrupted(),
+            atoms: db.len(),
         }
     }
-    read(&ev.run_until(Some(goal)), false)
 }
 
 impl Verifier {
@@ -427,43 +442,41 @@ impl Verifier {
     /// the goal: `Safe`).
     ///
     /// A fleet of two or more guesses also evaluates the union program
-    /// `U` ([`MakeP::union_program`]) right after guess 0: guess 0, `U`,
-    /// guess 1, guess 2, …. If `U` completes without the goal, no guess
-    /// derives it, so the fleet stops and is safe. Otherwise the fleet
-    /// runs on; `U` never makes a winner.
+    /// `U` right after guess 0: guess 0, `U`, guess 1, guess 2, …. If `U`
+    /// completes without the goal, no guess derives it, so the fleet
+    /// stops and is safe. Otherwise the fleet runs on; `U` never makes a
+    /// winner.
     ///
-    /// Before its second program, such a fleet evaluates its base program
-    /// ([`MakeP::base_program`]) to closure once. `U` and every later
-    /// guess then evaluate in place on that database and roll it back
-    /// ([`evaluate`]); a program whose plan does not start with the
-    /// base's join indices, or an interrupted base, evaluates from
-    /// scratch.
+    /// Guess 0 is evaluated as a whole program ([`MakeP::program`]).
+    /// Before its second program, a fleet is built in delta form
+    /// ([`MakeP::fleet`]) and its base program evaluated to closure once.
+    /// `U` and every later guess are then deltas, each evaluated in place
+    /// on that database and rolled back; an interrupted base interrupts
+    /// the fleet.
     ///
-    /// A program whose slot in `plans` (each guess, `U`, then the base)
-    /// is filled evaluates under that plan; the others are planned
-    /// through one run-local [`PlanCache`], which plans the template
-    /// segment once per statistics key, and their slots are filled.
+    /// A program whose slot in `plans` is filled evaluates under that
+    /// plan; the others are planned through `cache`, and their slots are
+    /// filled. The cache plans the template segment with guess 0 and the
+    /// base, and `U`'s own rules, from whose plans each later guess takes
+    /// its own.
+    #[allow(clippy::too_many_arguments)]
     fn datalog_fleet(
         &self,
         rec: &Recorder,
         mk: &MakeP,
         guesses: &[Guess],
-        plans: &[OnceLock<Arc<Plan>>],
+        plans: &FleetPlans,
+        cache: &mut PlanCache,
         target: DatalogTarget,
         gov: &ResourceBudget,
     ) -> FleetOutcome {
         let n_guesses = guesses.len();
         let with_union = n_guesses >= 2;
         let phases = PhaseTimer::new(rec);
-        let planned = rec.counter("rules_planned");
-        let mut cache = PlanCache::new();
-        let mut plan = |slot: &OnceLock<Arc<Plan>>, prog: &Program| match slot.get() {
-            Some(plan) => Arc::clone(plan),
-            None => {
-                let _join_plan = phases.start(Phase::JoinPlan);
-                Arc::clone(slot.get_or_init(|| cache.plan(prog)))
-            }
-        };
+        // The evaluators of `U`'s registry share their metric handles,
+        // resolved when the fleet is built.
+        let metrics = OnceCell::new();
+        let metrics = || metrics.get_or_init(|| EvalMetrics::new(rec));
         let mut out = FleetOutcome {
             rules: 0,
             atoms: 0,
@@ -473,7 +486,8 @@ impl Verifier {
             base_atoms: 0,
             resumed: 0,
         };
-        let mut base: Option<Database> = None;
+        // The fleet in delta form, with its base's plan and database.
+        let mut fleet: Option<(Fleet, Arc<Plan>, Database)> = None;
         // Guess indices in evaluation order; `None` is the union.
         let mut order = (0..n_guesses.min(1))
             .map(Some)
@@ -488,36 +502,67 @@ impl Verifier {
                 break;
             }
             let Some(guess) = order.next() else { break };
-            // `U` is the fleet's second program: the base is built right
-            // before it, so a fleet that guess 0 wins builds none.
-            if guess.is_none() {
-                let prog = {
+            let (run, rules) = if guess == Some(0) {
+                let (prog, goal) = {
                     let _construct = phases.start(Phase::Construct);
-                    mk.base_program(guesses)
+                    mk.program(&guesses[0], target)
                 };
-                let db = Evaluator::with_plan(&prog, plan(&plans[n_guesses + 1], &prog))
+                let plan = planned(&plans.guesses[0], &phases, || cache.plan(&prog));
+                // Round events only for a single-guess run, so that a
+                // fleet's event log does not grow with its guesses.
+                let db = Evaluator::with_plan(&prog, plan)
                     .with_recorder(rec.clone())
+                    .with_events(n_guesses == 1)
                     .with_governor(gov.clone())
-                    .run();
-                out.base_atoms = db.len();
-                base = Some(db);
-            }
-            let (prog, goal) = {
-                let _construct = phases.start(Phase::Construct);
-                match guess {
-                    Some(i) => mk.program(&guesses[i], target),
-                    None => mk.union_program(guesses, target),
+                    .run_until(Some(&goal));
+                (Evaluated::of(&db, &goal), prog.rules().len())
+            } else {
+                // `U` is the fleet's second program: the fleet and its
+                // base are built right before it, so a fleet that guess
+                // 0 wins builds neither.
+                if fleet.is_none() {
+                    let built = {
+                        let _construct = phases.start(Phase::Construct);
+                        mk.fleet(guesses, target)
+                    };
+                    let (program, base_len) = (&built.program, built.base_len);
+                    let plan = planned(&plans.base, &phases, || {
+                        cache.plan_prefix(program, base_len)
+                    });
+                    let db = Evaluator::with_delta(program, base_len, &[], Arc::clone(&plan))
+                        .with_metrics(metrics())
+                        .with_governor(gov.clone())
+                        .run();
+                    out.base_atoms = db.len();
+                    if let Some(reason) = db.interrupted() {
+                        out.interrupted = Some(reason);
+                        break;
+                    }
+                    fleet = Some((built, plan, db));
                 }
+                let (built, base_plan, base) = fleet.as_mut().expect("built above");
+                let (delta, slot) = match guess {
+                    Some(i) => (&built.guesses[i], &plans.guesses[i]),
+                    None => (&built.union, &plans.union),
+                };
+                let (program, base_len) = (&built.program, built.base_len);
+                let plan = planned(slot, &phases, || {
+                    cache.plan_delta(program, base_plan, base_len, delta)
+                });
+                let mark = Evaluator::with_delta(program, base_len, delta, plan)
+                    .with_metrics(metrics())
+                    .with_governor(gov.clone())
+                    .resume_until(base, Some(&built.goal))
+                    .expect("a complete base resumes");
+                let run = Evaluated::of(base, &built.goal);
+                let t0 = phases.is_enabled().then(Instant::now);
+                base.rollback(mark);
+                if let Some(t0) = t0 {
+                    phases.add_us(Phase::Fixpoint, t0.elapsed().as_micros() as u64);
+                }
+                out.resumed += 1;
+                (run, base_len + delta.len())
             };
-            let plan = plan(&plans[guess.unwrap_or(n_guesses)], &prog);
-            // Round events only for a single-guess run, so that a fleet's
-            // event log does not grow with the guesses it evaluates.
-            let ev = Evaluator::with_plan(&prog, Arc::clone(&plan))
-                .with_recorder(rec.clone())
-                .with_events(n_guesses == 1)
-                .with_governor(gov.clone());
-            let run = evaluate(&ev, base.as_mut(), &goal);
-            out.resumed += usize::from(run.resumed);
             match (guess, run.interrupted) {
                 // A partial union database proves nothing; the guesses
                 // after it check the governor themselves.
@@ -532,11 +577,11 @@ impl Verifier {
                 }
                 (_, None) => {}
             }
-            out.rules = out.rules.max(prog.rules().len());
+            out.rules = out.rules.max(rules);
             out.atoms = out.atoms.max(run.atoms);
             match guess {
                 Some(i) if run.won => {
-                    out.winner = Some((i, plan));
+                    out.winner = Some(i);
                     break;
                 }
                 None if !run.won => {
@@ -546,7 +591,6 @@ impl Verifier {
                 _ => {}
             }
         }
-        planned.add(cache.rules_planned() as u64);
         if rec.is_enabled() {
             let mut fields = vec![
                 ("n_guesses", n_guesses.into()),
@@ -558,8 +602,8 @@ impl Verifier {
                 fields.push(("base_atoms", out.base_atoms.into()));
                 fields.push(("resumed", out.resumed.into()));
             }
-            if let Some((w, _)) = &out.winner {
-                fields.push(("winner", (*w).into()));
+            if let Some(w) = out.winner {
+                fields.push(("winner", w.into()));
             }
             rec.event("fleet", &fields);
         }
@@ -575,7 +619,7 @@ impl Verifier {
     /// reset to empty and the poison cleared, so every later run of this
     /// verifier and its clones rebuilds it rather than reading a
     /// half-written entry.
-    fn makep(&self, phases: &PhaseTimer, rec: &Recorder) -> Result<(MakeP<'_>, Fleet), String> {
+    fn makep(&self, phases: &PhaseTimer, rec: &Recorder) -> Result<(MakeP<'_>, Prepared), String> {
         let limits = self.options.makep_limits;
         let mut cached = self.makep.lock().unwrap_or_else(|poisoned| {
             let mut cached = poisoned.into_inner();
@@ -592,8 +636,13 @@ impl Verifier {
                     let guesses = mk
                         .guesses()
                         .map_err(|e| format!("guess enumeration failed: {e}"))?;
-                    let plans = (0..guesses.len() + 2).map(|_| OnceLock::new()).collect();
-                    Ok((mk.template(), guesses.into(), plans))
+                    let plans = FleetPlans {
+                        guesses: guesses.iter().map(|_| OnceLock::new()).collect(),
+                        union: OnceLock::new(),
+                        base: OnceLock::new(),
+                        replay: OnceLock::new(),
+                    };
+                    Ok((mk.template(), guesses.into(), Arc::new(plans)))
                 });
             *cached = Some(CachedMakeP { limits, built });
         }
@@ -619,7 +668,8 @@ impl Verifier {
             }
         };
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        let fleet = self.datalog_fleet(rec, &mk, &guesses, &plans, target, gov);
+        let mut cache = PlanCache::new();
+        let fleet = self.datalog_fleet(rec, &mk, &guesses, &plans, &mut cache, target, gov);
         let mut result = VerificationResult {
             stats: Stats {
                 guesses: guesses.len(),
@@ -643,18 +693,25 @@ impl Verifier {
             }
             _ => Verdict::Safe,
         };
-        if let Some((wi, plan)) = fleet.winner {
+        if let Some(wi) = fleet.winner {
             result.verdict = Verdict::Unsafe;
             // Lemma 4.6: re-run only the winning guess with provenance on
             // and read a bounded-cache schedule off its derivation,
             // counting intensional atoms only; the schedule is certified
             // under ⊢ₖ and cross-checked through the Lemma 4.2
-            // cache→linear translation. The program is rebuilt exactly as
-            // the fleet built it, so the fleet's plan serves the replay.
+            // cache→linear translation. The replay evaluates the guess's
+            // whole program under a whole-program plan: guess 0's is the
+            // fleet's own, a later guess's is planned once and kept.
             let (prog, goal) = {
                 let _construct = phases.start(Phase::Construct);
                 mk.program(&guesses[wi], target)
             };
+            let slot = if wi == 0 {
+                &plans.guesses[0]
+            } else {
+                &plans.replay
+            };
+            let plan = planned(slot, &phases, || cache.plan(&prog));
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract(&prog, &goal, rec, 1, Some(plan)) {
                 Some(w) => {
@@ -697,6 +754,8 @@ impl Verifier {
                 ),
             }
         }
+        rec.counter("rules_planned")
+            .add(cache.rules_planned() as u64);
         result
     }
 

@@ -35,6 +35,7 @@
 //! message predicate), the property the cache bound of Lemma 4.4 exploits.
 
 use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Segment, Term};
+use parra_datalog::plan::FxMap;
 use parra_obs::{Counter, Recorder};
 use parra_program::cfg::{Cfa, Instr, Loc};
 use parra_program::expr::RegVal;
@@ -46,6 +47,7 @@ use parra_simplified::timestamp::ATime;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a guessed CAS obtains its loaded message.
@@ -460,72 +462,117 @@ impl<'s> MakeP<'s> {
         // Segment B: every candidate gap minus those this guess closes.
         let closed = closed_gaps(self.sys, guess);
         self.extend_b_and_c(&mut enc.prog, |x, g| closed[x].contains(&g));
+        let shared = enc.prog.rules().len();
         enc.emit_dis_rules(guess);
         enc.emit_goal_rules(target, &tpl.env_asserts, assert_positions(self.sys, guess));
+        self.rec
+            .counter("rules_encoded")
+            .add((enc.prog.rules().len() - shared) as u64);
         (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
     }
 
-    /// The union `U` of the programs of `guesses`, matched up by
-    /// predicate key: the template's segments A and C, every candidate
-    /// segment-B fact, the rules of each distinct `dis` step, and the
-    /// goal rules once.
+    /// The fleet of `guesses` in delta form: the union program `U`, whose
+    /// first rules are the fleet's base program, and `U` and every guess
+    /// as a delta of it ([`Fleet`]).
     ///
-    /// Every guess program embeds rule for rule into `U`, and positive
-    /// Datalog is monotone, so `U ⊬ goal` proves that no guess derives
-    /// the goal (Lemma 4.3: the fleet is safe). `U ⊢ goal` proves
-    /// nothing: `U` conflates mutually exclusive `dis` executions.
+    /// `U` is the union of the guesses' programs, matched up by
+    /// predicate key: every program of the fleet embeds rule for rule
+    /// into it, and positive Datalog is monotone, so `U ⊬ goal` proves
+    /// that no guess derives the goal (Lemma 4.3: the fleet is safe).
+    /// `U ⊢ goal` proves nothing: `U` conflates mutually exclusive `dis`
+    /// executions.
     ///
     /// A step's rules depend only on its thread, position, guessed step
-    /// and the register valuation before it, so steps are deduplicated
-    /// on that key before any rule is encoded.
+    /// and the register valuation before it, so `U` encodes each distinct
+    /// step once, and a guess's delta lists the rules of its steps.
     ///
     /// # Panics
     ///
     /// As [`MakeP::program`], for every guess.
-    pub fn union_program(&self, guesses: &[Guess], target: DatalogTarget) -> (Program, GroundAtom) {
+    pub fn fleet(&self, guesses: &[Guess], target: DatalogTarget) -> Fleet {
         let tpl = &self.tpl;
+        let closed: Vec<Vec<Vec<u32>>> = guesses
+            .iter()
+            .map(|guess| {
+                assert_eq!(
+                    guess.dis.len(),
+                    self.sys.dis.len(),
+                    "a guess has one skeleton per dis thread"
+                );
+                closed_gaps(self.sys, guess)
+            })
+            .collect();
+        let closed_by_some = |x: usize, g: u32| closed.iter().any(|c| c[x].contains(&g));
         let mut enc = self.encoder();
-        self.extend_b_and_c(&mut enc.prog, |_, _| false);
-        let mut seen = HashSet::new();
+        self.extend_b_and_c(&mut enc.prog, closed_by_some);
+        let base_len = enc.prog.rules().len();
+        // The B facts some guess closes: (variable, gap, rule index).
+        let mut gaps = Vec::new();
+        for (x, facts) in tpl.gapstore.iter().enumerate() {
+            for (g, fact) in facts.iter().filter(|(g, _)| closed_by_some(x, *g)) {
+                gaps.push((x, *g, enc.prog.rules().len() as u32));
+                enc.prog
+                    .extend_shared([fact])
+                    .expect("gapstore facts fit the registry");
+            }
+        }
+        let encoded_from = enc.prog.rules().len();
+        // Per (thread, position, step), the rules of each register
+        // valuation it is taken under.
+        let mut steps: FxMap<_, Vec<(RegVal, Range<u32>)>> = FxMap::default();
         let mut asserts = BTreeSet::new();
-        for guess in guesses {
-            assert_eq!(
-                guess.dis.len(),
-                self.sys.dis.len(),
-                "a guess has one skeleton per dis thread"
-            );
+        let mut deltas: Vec<Vec<u32>> = Vec::with_capacity(guesses.len());
+        for (guess, closed) in guesses.iter().zip(&closed) {
+            let open = gaps.iter().filter(|(x, g, _)| !closed[*x].contains(g));
+            let mut delta: Vec<u32> = open.map(|&(_, _, ri)| ri).collect();
             for (ti, skel) in guess.dis.iter().enumerate() {
                 walk_dis(self.sys, ti, skel, |pos, step, rv| {
-                    if seen.insert((ti, pos, step, rv.clone())) {
-                        enc.emit_dis_step(ti, pos, step, rv);
-                    }
+                    let taken = steps.entry((ti, pos, step)).or_default();
+                    let rules = match taken.iter().find(|(r, _)| r == rv) {
+                        Some((_, rules)) => rules.clone(),
+                        None => {
+                            let start = enc.prog.rules().len() as u32;
+                            enc.emit_dis_step(ti, pos, step, rv);
+                            let rules = start..enc.prog.rules().len() as u32;
+                            taken.push((rv.clone(), rules.clone()));
+                            rules
+                        }
+                    };
+                    delta.extend(rules);
                 });
             }
             asserts.extend(assert_positions(self.sys, guess));
+            deltas.push(delta);
         }
-        enc.emit_goal_rules(target, &tpl.env_asserts, asserts);
-        (enc.prog, GroundAtom::new(tpl.syms.goal, Vec::new()))
-    }
-
-    /// The base program of `guesses`: the template's segment A, the
-    /// segment-B facts that no guess closes, and segment C, with the
-    /// template's predicates only.
-    ///
-    /// Every program of the fleet ([`MakeP::program`] of each guess, and
-    /// [`MakeP::union_program`]) is the base program plus facts and the
-    /// rules after segment C, with the same ids, so the base's least model
-    /// lies inside each of theirs and can be resumed by each
-    /// ([`Evaluator::resume_until`](parra_datalog::eval::Evaluator::resume_until)).
-    pub fn base_program(&self, guesses: &[Guess]) -> Program {
-        let mut closed = vec![BTreeSet::new(); self.tpl.gapstore.len()];
-        for guess in guesses {
-            for (all, some) in closed.iter_mut().zip(closed_gaps(self.sys, guess)) {
-                all.extend(some);
+        // The goal rules: those of every program, then, for an assert
+        // target, one per `dis` assert.
+        let goals_at = enc.prog.rules().len() as u32;
+        let asserts: Vec<(usize, usize)> = asserts.into_iter().collect();
+        enc.emit_goal_rules(target, &tpl.env_asserts, asserts.iter().copied());
+        let end = enc.prog.rules().len() as u32;
+        let dis_asserts = match target {
+            DatalogTarget::AssertViolation => asserts.len() as u32,
+            DatalogTarget::MessageGenerated(..) => 0,
+        };
+        let shared = goals_at..end - dis_asserts;
+        for (delta, guess) in deltas.iter_mut().zip(guesses) {
+            delta.extend(shared.clone());
+            if dis_asserts > 0 {
+                delta.extend(assert_positions(self.sys, guess).map(|at| {
+                    shared.end + asserts.binary_search(&at).expect("an assert of U") as u32
+                }));
             }
         }
-        let mut prog = self.tpl.head.clone();
-        self.extend_b_and_c(&mut prog, |x, g| closed[x].contains(&g));
-        prog
+        self.rec
+            .counter("rules_encoded")
+            .add((enc.prog.rules().len() - encoded_from) as u64);
+        Fleet {
+            program: enc.prog,
+            goal: GroundAtom::new(tpl.syms.goal, Vec::new()),
+            base_len,
+            union: (base_len as u32..end).collect(),
+            guesses: deltas,
+        }
     }
 
     /// Appends to `prog` segment B, minus the gaps `g` of each variable
@@ -570,6 +617,32 @@ impl<'s> MakeP<'s> {
     }
 }
 
+/// A guess fleet in delta form ([`MakeP::fleet`]): one program, `U`,
+/// whose first rules are the fleet's base program, with `U` and every
+/// guess as a *delta* of it — the indices of the rules it adds to the
+/// base ([`Evaluator::with_delta`](parra_datalog::eval::Evaluator::with_delta)).
+///
+/// The base program is segment A, the segment-B facts no guess closes,
+/// and segment C. After it, `U` holds the other B facts, the rules of
+/// each distinct `dis` step and the goal rules. A guess's delta is the
+/// B facts it leaves open that the base lacks, the rules of its steps in
+/// order, and its goal rules: the base program plus the delta is the
+/// guess's program ([`MakeP::program`]) with its rules in the same
+/// order, facts aside, and its predicates renumbered as in `U`.
+#[derive(Debug)]
+pub struct Fleet {
+    /// The union program `U`.
+    pub program: Program,
+    /// The goal atom.
+    pub goal: GroundAtom,
+    /// The number of `program`'s rules that form the base program.
+    pub base_len: usize,
+    /// `U`'s delta: every rule after the base.
+    pub union: Vec<u32>,
+    /// Each guess's delta, in guess order.
+    pub guesses: Vec<Vec<u32>>,
+}
+
 /// The guess-independent part of every program of one encoder.
 ///
 /// A program is laid out in four segments:
@@ -586,8 +659,9 @@ impl<'s> MakeP<'s> {
 /// in the order a from-scratch encoding creates it, and every program
 /// gets the same ids, rules and rule order as one. B's candidates and C
 /// are shared by [`Arc`] rather than copied per guess, and C is every
-/// program's recorded [`Segment`], so a `PlanCache` plans it once per
-/// fleet.
+/// program's recorded [`Segment`]. A fleet plans C with guess 0's
+/// program and with its base program ([`Fleet`]), each under its own
+/// statistics; the guesses after the first are deltas on that base.
 #[derive(Debug)]
 pub(crate) struct Template {
     /// The registry after segment C, holding segment A's rules.
@@ -1251,8 +1325,8 @@ mod tests {
         });
         assert!(proved);
         // The union over-approximates the fleet, so it derives the goal too.
-        let (union, goal) = mk.union_program(&guesses, target);
-        assert!(Evaluator::new(&union).query(&goal));
+        let fleet = mk.fleet(&guesses, target);
+        assert!(Evaluator::new(&fleet.program).query(&fleet.goal));
     }
 
     #[test]
@@ -1285,8 +1359,8 @@ mod tests {
         // `dtp` predicates key on the position alone, so the union joins
         // the load-0 guess's first step to the load-1 guess's rest and
         // derives the goal: `U ⊢ goal` proves nothing.
-        let (union, goal) = mk.union_program(&guesses, target);
-        assert!(Evaluator::new(&union).query(&goal));
+        let fleet = mk.fleet(&guesses, target);
+        assert!(Evaluator::new(&fleet.program).query(&fleet.goal));
     }
 
     #[test]
@@ -1359,9 +1433,58 @@ mod tests {
             assert!(Arc::ptr_eq(a, b), "env rule copied, not shared: {a:?}");
         }
         // Both programs, and the union, record the template's segment.
-        let (u, _) = mk.union_program(&guesses, target);
+        let u = mk.fleet(&guesses, target).program;
         let seg = |p: &Program| Arc::clone(p.segment().expect("a recorded segment").1);
         assert!(Arc::ptr_eq(&seg(&p0), &seg(&p1)) && Arc::ptr_eq(&seg(&p0), &seg(&u)));
+    }
+
+    #[test]
+    fn a_guess_on_the_base_is_its_program() {
+        let (sys, goal_var) = handshake();
+        let mk = MakeP::new(&sys, Budget::exact(&sys).unwrap(), MakePLimits::default()).unwrap();
+        let guesses = mk.guesses().unwrap();
+        assert!(guesses.len() >= 2);
+        // A rule with names for ids, so that registries can differ.
+        let render = |p: &Program, r: &Rule| {
+            let atom = |a: &Atom| {
+                let terms: Vec<String> = a
+                    .terms
+                    .iter()
+                    .map(|t| match t {
+                        Term::Var(v) => format!("X{v}"),
+                        Term::Const(c) => p.const_name(*c).unwrap().to_string(),
+                    })
+                    .collect();
+                format!("{}({})", p.pred_name(a.pred), terms.join(","))
+            };
+            let body: Vec<String> = r.body.iter().map(atom).collect();
+            format!("{} :- {}", atom(&r.head), body.join(", "))
+        };
+        // Its facts as a set, its other rules in order.
+        let split = |p: &Program, rules: &mut dyn Iterator<Item = &Arc<Rule>>| {
+            let (facts, rules): (Vec<_>, Vec<_>) = rules.partition(|r| r.is_fact());
+            let facts: BTreeSet<String> = facts.iter().map(|r| render(p, r)).collect();
+            (
+                facts,
+                rules.iter().map(|r| render(p, r)).collect::<Vec<_>>(),
+            )
+        };
+        let target = DatalogTarget::MessageGenerated(goal_var, Val(1));
+        let fleet = mk.fleet(&guesses, target);
+        let rules = fleet.program.rules();
+        let delta_of = |delta: &[u32]| -> Vec<&Arc<Rule>> {
+            let picked = delta.iter().map(|&ri| &rules[ri as usize]);
+            rules[..fleet.base_len].iter().chain(picked).collect()
+        };
+        for (guess, delta) in guesses.iter().zip(&fleet.guesses) {
+            let (whole, _) = mk.program(guess, target);
+            assert_eq!(
+                split(&fleet.program, &mut delta_of(delta).into_iter()),
+                split(&whole, &mut whole.rules().iter())
+            );
+        }
+        // `U`'s delta is every rule after the base.
+        assert_eq!(delta_of(&fleet.union).len(), rules.len());
     }
 
     #[test]

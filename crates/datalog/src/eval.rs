@@ -18,10 +18,13 @@
 //! * **Whole-round deltas** — each round derives every candidate tuple
 //!   from the previous round's delta against the database as it stood,
 //!   and only then merges them in delta order.
-//! * **Resumption** — [`Evaluator::resume_until`] extends the complete
-//!   database of a smaller program in place to a larger program's model,
-//!   and [`Database::rollback`] returns it to its [`Mark`], so a `makeP`
-//!   guess fleet evaluates its shared base fixpoint once.
+//! * **Deltas** — an evaluator can cover a program's first rules (its
+//!   *base*) plus a chosen *delta* of its later rules
+//!   ([`Evaluator::with_delta`]). [`Evaluator::resume_until`] extends the
+//!   base's complete database in place to the model with the delta, and
+//!   [`Database::rollback`] returns it to its [`Mark`], so a `makeP`
+//!   guess fleet evaluates its shared base fixpoint once and each guess
+//!   is only its own rules.
 //!
 //! The pre-rewrite engine survives as [`naive`](crate::naive) and pins
 //! this one differentially (the `eval-agree` fuzz oracle).
@@ -30,7 +33,8 @@ use crate::arena::{hash_key, AtomId, TupleStore};
 use crate::ast::{Const, GroundAtom, PredId, Program, Rule, Term};
 use crate::plan::{DeltaPlan, IndexSpec, Plan, NO_SLOT};
 use parra_limits::{InterruptReason, ResourceBudget};
-use parra_obs::{Counter, Phase, PhaseTimer, Recorder};
+use parra_obs::{Counter, Gauge, Phase, PhaseTimer, Recorder};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -73,8 +77,8 @@ type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<PrehashedU64>>;
 struct ColumnIndex {
     /// The indexed predicate.
     pred: PredId,
-    /// The key columns, ascending.
-    cols: Vec<u8>,
+    /// The key columns, as a bitmask.
+    cols: u64,
     /// Key hash → matching tuples, in insertion order. Hash collisions are
     /// harmless: every candidate is re-verified against the pattern.
     map: PrehashedMap<Vec<AtomId>>,
@@ -124,7 +128,7 @@ impl ColumnIndex {
     fn new(spec: &IndexSpec) -> ColumnIndex {
         ColumnIndex {
             pred: spec.pred,
-            cols: spec.cols.clone(),
+            cols: spec.cols,
             map: PrehashedMap::default(),
             upto: 0,
         }
@@ -133,7 +137,7 @@ impl ColumnIndex {
     /// The key hash of the tuple `args` (`key` is scratch).
     fn key_hash(&self, args: &[Const], key: &mut Vec<Const>) -> u64 {
         key.clear();
-        key.extend(self.cols.iter().map(|&c| args[c as usize]));
+        key.extend(columns(self.cols).map(|c| args[c]));
         hash_key(key)
     }
 }
@@ -339,6 +343,7 @@ impl Database {
 
 /// A head tuple produced by a worker, merged sequentially.
 struct Derived {
+    /// The deriving rule, in plan order.
     rule: usize,
     pred: PredId,
     args: Vec<Const>,
@@ -346,13 +351,56 @@ struct Derived {
     body: Vec<usize>,
 }
 
-/// The evaluator's hot-loop counters (near-no-ops when the recorder is
-/// disabled).
-struct Counters {
+/// An evaluator's metric handles (near-no-ops when the recorder is
+/// disabled): its hot-loop counters, its phase timer and the per-predicate
+/// `atoms/{name}` counters of a registry, each resolved once.
+///
+/// [`Evaluator::with_metrics`] shares one set between every evaluator of
+/// a `makeP` guess fleet whose programs share a registry; an evaluator
+/// without one resolves its own per run.
+#[derive(Debug)]
+pub struct EvalMetrics {
+    rec: Recorder,
     fired: Counter,
     joins: Counter,
     index_builds: Counter,
     index_hits: Counter,
+    arena_atoms: Gauge,
+    arena_bytes: Gauge,
+    phases: PhaseTimer,
+    /// Per predicate id, its `atoms/{name}` counter, resolved on first
+    /// use.
+    atoms: RefCell<Vec<Option<Counter>>>,
+}
+
+impl EvalMetrics {
+    /// The handles of `rec`.
+    pub fn new(rec: &Recorder) -> EvalMetrics {
+        EvalMetrics {
+            rec: rec.clone(),
+            fired: rec.counter("rules_fired"),
+            joins: rec.counter("join_attempts"),
+            index_builds: rec.counter("index_builds"),
+            index_hits: rec.counter("index_hits"),
+            arena_atoms: rec.gauge("arena_atoms"),
+            arena_bytes: rec.gauge("arena_bytes"),
+            phases: PhaseTimer::new(rec),
+            atoms: RefCell::default(),
+        }
+    }
+
+    /// Adds `n` to the `atoms/{name}` counter of `program`'s predicate
+    /// `p`.
+    fn add_atoms(&self, program: &Program, p: PredId, n: u64) {
+        let mut atoms = self.atoms.borrow_mut();
+        let i = p.0 as usize;
+        if atoms.len() <= i {
+            atoms.resize(i + 1, None);
+        }
+        atoms[i]
+            .get_or_insert_with(|| self.rec.counter(&format!("atoms/{}", program.pred_name(p))))
+            .add(n);
+    }
 }
 
 /// Scratch for one delta item's rule firings, allocated once per run and
@@ -390,8 +438,21 @@ struct JoinScratch {
 #[derive(Debug)]
 pub struct Evaluator<'p> {
     program: &'p Program,
+    /// The program's first `base_len` rules form the base program.
+    base_len: usize,
+    /// The indices of the delta's rules, after the base's.
+    delta: &'p [u32],
+    /// The rules with a body, in plan order: the base's, then the
+    /// delta's.
+    rules: Vec<&'p Rule>,
+    /// The program index of each of `rules`.
+    ids: Vec<u32>,
+    /// How many of `rules` are the base's: a resumed first round fires
+    /// only the rules after them in full.
+    n_base: usize,
     plan: Arc<Plan>,
     rec: Recorder,
+    metrics: Option<&'p EvalMetrics>,
     events: bool,
     provenance: bool,
     gov: ResourceBudget,
@@ -417,25 +478,59 @@ impl<'p> Evaluator<'p> {
     /// Panics if the plan covers another number of rules, and in debug
     /// builds also if any rule's body length or variable count differs.
     pub fn with_plan(program: &'p Program, plan: Arc<Plan>) -> Evaluator<'p> {
+        Evaluator::with_delta(program, program.rules().len(), &[], plan)
+    }
+
+    /// Creates an evaluator for the program of `program`'s first
+    /// `base_len` rules (the *base*) and its rules at `delta`, under
+    /// `plan`, the delta's plan
+    /// ([`PlanCache::plan_delta`](crate::plan::PlanCache::plan_delta)).
+    /// Nothing is copied: the rules stay `program`'s, and so do the
+    /// predicate and constant ids. [`Evaluator::resume_until`] evaluates
+    /// the delta in place on the base's database.
+    ///
+    /// # Panics
+    ///
+    /// As [`Evaluator::with_plan`], and if an index in `delta` is out of
+    /// range.
+    pub fn with_delta(
+        program: &'p Program,
+        base_len: usize,
+        delta: &'p [u32],
+        plan: Arc<Plan>,
+    ) -> Evaluator<'p> {
+        let rules = program.rules();
+        let with_body = |ri: &usize| !rules[*ri].is_fact();
+        let mut ids: Vec<u32> = (0..base_len)
+            .filter(with_body)
+            .map(|ri| ri as u32)
+            .collect();
+        let n_base = ids.len();
+        ids.extend(delta.iter().filter(|&&ri| with_body(&(ri as usize))));
         assert_eq!(
             plan.n_rules(),
-            program.rules().len(),
+            ids.len(),
             "join plan built for another rule list"
         );
         #[cfg(debug_assertions)]
-        for (ri, rule) in program.rules().iter().enumerate() {
-            let rp = plan.rule(ri);
-            let n_body = rp.body.as_ref().map_or(0, |b| b.per_delta.len());
+        for (k, &ri) in ids.iter().enumerate() {
+            let (rule, rp) = (&rules[ri as usize], plan.rule(k));
             assert_eq!(
-                (n_body, rp.n_vars),
+                (rp.body.per_delta.len(), rp.n_vars),
                 (rule.body.len(), crate::plan::rule_n_vars(rule)),
                 "join plan of rule {ri} built for another rule"
             );
         }
         Evaluator {
             program,
+            base_len,
+            delta,
+            rules: ids.iter().map(|&ri| &*rules[ri as usize]).collect(),
+            ids,
+            n_base,
             plan,
             rec: Recorder::disabled(),
+            metrics: None,
             events: false,
             provenance: false,
             gov: ResourceBudget::unlimited(),
@@ -445,6 +540,16 @@ impl<'p> Evaluator<'p> {
     /// The same evaluator reporting metrics through `rec`.
     pub fn with_recorder(mut self, rec: Recorder) -> Evaluator<'p> {
         self.rec = rec;
+        self.metrics = None;
+        self
+    }
+
+    /// The same evaluator reporting metrics through `metrics`' handles
+    /// (and its recorder), which must serve programs of this program's
+    /// registry.
+    pub fn with_metrics(mut self, metrics: &'p EvalMetrics) -> Evaluator<'p> {
+        self.rec = metrics.rec.clone();
+        self.metrics = Some(metrics);
         self
     }
 
@@ -474,124 +579,141 @@ impl<'p> Evaluator<'p> {
         self
     }
 
-    /// Computes the least model, stopping early if `stop_at` is derived.
-    pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> Database {
-        let n_preds = self.program.predicates().count();
-        let mut db = Database::new(n_preds, self.provenance, &self.plan);
-        self.evaluate(&mut db, stop_at, false);
-        self.record_sizes(&db);
-        db
+    /// Runs `f` with this evaluator's metric handles.
+    fn metered<T>(&self, f: impl FnOnce(&EvalMetrics) -> T) -> T {
+        match self.metrics {
+            Some(m) => f(m),
+            None => f(&EvalMetrics::new(&self.rec)),
+        }
     }
 
-    /// Evaluates this program *in place* on `base`, the complete database
-    /// of a smaller program, and returns the mark to
-    /// [`Database::rollback`] to afterwards. The result is this program's
-    /// least model (or a database holding `stop_at`), as
+    /// Computes the least model, stopping early if `stop_at` is derived.
+    pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> Database {
+        self.metered(|m| {
+            let t0 = m.phases.is_enabled().then(Instant::now);
+            let n_preds = self.program.predicates().count();
+            let mut db = Database::new(n_preds, self.provenance, &self.plan);
+            self.evaluate(m, &mut db, stop_at, false, t0);
+            self.record_sizes(m, &db);
+            db
+        })
+    }
+
+    /// Evaluates the delta *in place* on `base`, the complete database of
+    /// the base program under its plan, and returns the mark to
+    /// [`Database::rollback`] to afterwards. The result is the whole
+    /// program's least model (or a database holding `stop_at`), as
     /// [`run_until`](Evaluator::run_until) would derive it.
     ///
-    /// The smaller program must have this program's rules up to the end
-    /// of its [segment](Program::segment), facts aside, a subset of its
-    /// facts, and its predicate and constant ids. Positive Datalog is
-    /// monotone, so `base` lies inside this program's least model and
-    /// only needs extending: the facts `base` lacks are the first delta,
-    /// and in that first round the rules after the segment, which never
-    /// saw `base`, also fire from every atom of one body relation. After
-    /// that, evaluation is ordinary semi-naive.
+    /// Positive Datalog is monotone, so `base` lies inside the whole
+    /// program's least model and only needs extending: the delta's facts
+    /// `base` lacks are the first delta, and in that first round the
+    /// delta's rules, which never saw `base`, also fire from every atom of
+    /// one body relation. After that, evaluation is ordinary semi-naive.
+    /// The plan's leading join indices are the base plan's, which are
+    /// `base`'s.
     ///
     /// Returns `None`, leaving `base` untouched, unless `base` is
-    /// complete (neither the governor nor a goal stopped it), has no
-    /// more predicates than this program, and its join indices are the
-    /// leading [`IndexSpec`]s of this evaluator's plan; and unless both
-    /// sides run without provenance.
+    /// complete (neither the governor nor a goal stopped it) and has no
+    /// more predicates than this program, and unless both sides run
+    /// without provenance.
     pub fn resume_until(&self, base: &mut Database, stop_at: Option<&GroundAtom>) -> Option<Mark> {
         let n_preds = self.program.predicates().count();
-        let mut specs = self.plan.indices();
         let resumable = base.complete
             && !self.provenance
             && !base.has_provenance()
-            && base.per_pred.len() <= n_preds
-            && base.indices.iter().all(|ix| {
-                specs
-                    .next()
-                    .is_some_and(|spec| (spec.pred, &spec.cols) == (ix.pred, &ix.cols))
-            });
+            && base.per_pred.len() <= n_preds;
         if !resumable {
             return None;
         }
-        let mark = base.mark();
-        base.complete = false;
-        base.per_pred.resize(n_preds, Vec::new());
-        base.indices.extend(specs.map(ColumnIndex::new));
-        self.evaluate(base, stop_at, true);
-        self.record_sizes(base);
-        Some(mark)
+        Some(self.metered(|m| {
+            let t0 = m.phases.is_enabled().then(Instant::now);
+            let mut specs = self.plan.indices();
+            debug_assert!(
+                base.indices
+                    .iter()
+                    .all(|ix| specs
+                        .next()
+                        .is_some_and(|spec| (spec.pred, &spec.cols) == (ix.pred, &ix.cols))),
+                "the base's join indices lead the delta's plan"
+            );
+            let mark = base.mark();
+            base.complete = false;
+            base.per_pred.resize(n_preds, Vec::new());
+            let new_specs = self.plan.indices().skip(mark.indexed.len());
+            base.indices.extend(new_specs.map(ColumnIndex::new));
+            self.evaluate(m, base, stop_at, true, t0);
+            self.record_sizes(m, base);
+            mark
+        }))
     }
 
     /// Per-predicate atom counts, keyed by predicate name so traces
     /// across guesses aggregate, and the arena's size.
-    fn record_sizes(&self, db: &Database) {
+    fn record_sizes(&self, m: &EvalMetrics, db: &Database) {
         if !self.rec.is_enabled() {
             return;
         }
-        for p in self.program.predicates() {
-            let n = db.of_pred(p).count() as u64;
-            if n > 0 {
-                self.rec
-                    .counter(&format!("atoms/{}", self.program.pred_name(p)))
-                    .add(n);
+        for (p, atoms) in db.per_pred.iter().enumerate() {
+            if !atoms.is_empty() {
+                m.add_atoms(self.program, PredId(p as u32), atoms.len() as u64);
             }
         }
-        self.rec.gauge("arena_atoms").set(db.store.len() as u64);
-        self.rec
-            .gauge("arena_bytes")
-            .set(db.store.heap_bytes() as u64);
+        m.arena_atoms.set(db.store.len() as u64);
+        m.arena_bytes.set(db.store.heap_bytes() as u64);
     }
 
-    /// Extends `db` with the program's facts, then runs semi-naive rounds
-    /// until nothing new is derived, `stop_at` is, or the governor stops
-    /// them. `resumed` says that `db` is a resumed base (see
-    /// [`resume_until`](Evaluator::resume_until)).
-    fn evaluate(&self, db: &mut Database, stop_at: Option<&GroundAtom>, resumed: bool) {
-        let counters = Counters {
-            fired: self.rec.counter("rules_fired"),
-            joins: self.rec.counter("join_attempts"),
-            index_builds: self.rec.counter("index_builds"),
-            index_hits: self.rec.counter("index_hits"),
-        };
+    /// Extends `db` with the program's facts (the delta's only, when
+    /// `db` is a resumed base), then runs semi-naive rounds until nothing
+    /// new is derived, `stop_at` is, or the governor stops them.
+    /// `resumed` says that `db` is the base's complete database (see
+    /// [`resume_until`](Evaluator::resume_until)). The setup since `t0`
+    /// and the fact loading are timed as `fixpoint`.
+    fn evaluate(
+        &self,
+        m: &EvalMetrics,
+        db: &mut Database,
+        stop_at: Option<&GroundAtom>,
+        resumed: bool,
+        t0: Option<Instant>,
+    ) {
         let rules = self.program.rules();
         let mut scratch = JoinScratch {
             subst: vec![None; self.plan.max_vars()],
             ..JoinScratch::default()
         };
 
-        // Facts are the first delta; a resumed base already holds most.
+        // Facts are the first delta; a resumed base already holds the
+        // base's.
+        let base = if resumed { 0..0 } else { 0..self.base_len };
+        let facts = base.chain(self.delta.iter().map(|&ri| ri as usize));
         let mut delta: Vec<AtomId> = Vec::new();
-        for (ri, rule) in rules.iter().enumerate() {
-            if rule.is_fact() {
-                scratch.buf.clear();
-                scratch.buf.extend(rule.head.terms.iter().map(|t| match t {
-                    Term::Const(c) => *c,
-                    Term::Var(_) => unreachable!("a fact is ground"),
-                }));
-                if let Some(id) = db.insert(rule.head.pred, &scratch.buf, ri, Vec::new()) {
-                    counters.fired.incr();
-                    delta.push(id);
-                }
+        for ri in facts.filter(|&ri| rules[ri].is_fact()) {
+            let head = &rules[ri].head;
+            scratch.buf.clear();
+            scratch.buf.extend(head.terms.iter().map(|t| match t {
+                Term::Const(c) => *c,
+                Term::Var(_) => unreachable!("a fact is ground"),
+            }));
+            if let Some(id) = db.insert(head.pred, &scratch.buf, ri, Vec::new()) {
+                m.fired.incr();
+                delta.push(id);
             }
+        }
+        if let Some(t0) = t0 {
+            m.phases
+                .add_us(Phase::Fixpoint, t0.elapsed().as_micros() as u64);
         }
         if let Some(goal) = stop_at {
             if db.contains(goal) {
                 return;
             }
         }
-        // In a resumed first round, the rules up to the segment's end have
-        // already joined every combination of base atoms: only the new
-        // facts fire them. The rules after it fire in full.
-        let fresh_from = match self.program.segment() {
-            _ if !resumed => rules.len(),
-            Some((at, segment)) => at + segment.len(),
-            None => 0,
-        };
+        // In a resumed first round, the base's rules have already joined
+        // every combination of base atoms: only the new facts fire them.
+        // The delta's rules fire in full.
+        let n_rules = self.rules.len();
+        let fresh_from = if resumed { self.n_base } else { n_rules };
 
         // Round-based semi-naive: expand the whole delta against the
         // database as it stood, then merge the candidate tuples in delta
@@ -599,9 +721,9 @@ impl<'p> Evaluator<'p> {
         // first, so the expansion only reads them. The (body predicate →
         // rule occurrence) table driving the expansion lives in the plan
         // ([`Plan::uses`]).
-        let phases = PhaseTimer::new(&self.rec);
+        let phases = &m.phases;
         let mut round: u64 = 0;
-        while !delta.is_empty() || (round == 0 && fresh_from < rules.len()) {
+        while !delta.is_empty() || (round == 0 && fresh_from < n_rules) {
             if let Err(reason) = self.gov.check() {
                 self.rec
                     .counter(&format!("eval_interrupted_{}", reason.as_str()))
@@ -610,19 +732,19 @@ impl<'p> Evaluator<'p> {
                 return;
             }
             let t0 = phases.is_enabled().then(Instant::now);
-            counters.index_builds.add(db.catch_up_indices());
+            m.index_builds.add(db.catch_up_indices());
             if let Some(t0) = t0 {
                 phases.add_us(Phase::IndexBuild, t0.elapsed().as_micros() as u64);
             }
             let t0 = phases.is_enabled().then(Instant::now);
             let mut candidates = Vec::new();
-            let below = if round == 0 { fresh_from } else { rules.len() };
+            let below = if round == 0 { fresh_from } else { n_rules };
             for &d in &delta {
-                self.derive_from(db, d, below, &counters, &mut scratch, &mut candidates);
+                self.derive_from(db, d, below, m, &mut scratch, &mut candidates);
             }
             if round == 0 {
-                for ri in fresh_from..rules.len() {
-                    self.fire_in_full(db, ri, &counters, &mut scratch, &mut candidates);
+                for k in fresh_from..n_rules {
+                    self.fire_in_full(db, k, m, &mut scratch, &mut candidates);
                 }
             }
             let mut next_delta = Vec::new();
@@ -631,9 +753,9 @@ impl<'p> Evaluator<'p> {
                 let hit = stop_at
                     .map(|g| g.pred == derived.pred && g.args[..] == derived.args[..])
                     .unwrap_or(false);
-                if let Some(id) = db.insert(derived.pred, &derived.args, derived.rule, derived.body)
-                {
-                    counters.fired.incr();
+                let rule = self.ids[derived.rule] as usize;
+                if let Some(id) = db.insert(derived.pred, &derived.args, rule, derived.body) {
+                    m.fired.incr();
                     next_delta.push(id);
                     if hit {
                         goal_hit = true;
@@ -675,65 +797,67 @@ impl<'p> Evaluator<'p> {
         self.run_until(Some(goal)).contains(goal)
     }
 
-    /// Appends to `out` all firings of the rules below `below` in which
-    /// the delta atom `d` participates (at every body position of its
-    /// predicate). Read-only over `db`.
+    /// Appends to `out` all firings of the rules below `below` (in plan
+    /// order) in which the delta atom `d` participates (at every body
+    /// position of its predicate). Read-only over `db`.
     fn derive_from(
         &self,
         db: &Database,
         d: AtomId,
         below: usize,
-        counters: &Counters,
+        m: &EvalMetrics,
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
     ) {
         let pred = db.store.pred(d);
-        for &(ri, bi) in self.plan.uses(pred) {
-            if ri as usize >= below {
-                break;
+        for uses in self.plan.uses_by_layer(pred) {
+            for &(k, bi) in uses {
+                if k as usize >= below {
+                    return;
+                }
+                self.fire(db, d, k as usize, bi as usize, m, scratch, out);
             }
-            self.fire(db, d, ri as usize, bi as usize, counters, scratch, out);
         }
     }
 
-    /// Appends to `out` every firing of rule `ri` over `db`: the atoms of
-    /// its smallest body relation each stand as the delta at that body
-    /// position, and the plan joins the rest.
+    /// Appends to `out` every firing of rule `k` (in plan order) over
+    /// `db`: the atoms of its smallest body relation each stand as the
+    /// delta at that body position, and the plan joins the rest.
     fn fire_in_full(
         &self,
         db: &Database,
-        ri: usize,
-        counters: &Counters,
+        k: usize,
+        m: &EvalMetrics,
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
     ) {
-        let body = &self.program.rules()[ri].body;
+        let body = &self.rules[k].body;
         let relation = |bi: usize| &db.per_pred[body[bi].pred.0 as usize];
         let Some(bi) = (0..body.len()).min_by_key(|&bi| relation(bi).len()) else {
             return;
         };
         for &d in relation(bi) {
-            self.fire(db, d, ri, bi, counters, scratch, out);
+            self.fire(db, d, k, bi, m, scratch, out);
         }
     }
 
-    /// Appends to `out` the firings of rule `ri` with the atom `d` at
-    /// body position `bi`. Inlined into the round loop's two callers:
-    /// out of line, it slowed every evaluation by a few percent.
+    /// Appends to `out` the firings of rule `k` (in plan order) with the
+    /// atom `d` at body position `bi`. Inlined into the round loop's two
+    /// callers: out of line, it slowed every evaluation by a few percent.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn fire(
         &self,
         db: &Database,
         d: AtomId,
-        ri: usize,
+        k: usize,
         bi: usize,
-        counters: &Counters,
+        m: &EvalMetrics,
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
     ) {
-        let rule = &self.program.rules()[ri];
-        let plans = self.plan.rule(ri);
+        let rule = self.rules[k];
+        let plans = self.plan.rule(k);
         // A rule with an empty body relation cannot fire: skip it
         // before any matching work.
         if plans
@@ -745,13 +869,13 @@ impl<'p> Evaluator<'p> {
         }
         scratch.used.clear();
         scratch.used.resize(rule.body.len(), 0);
-        counters.joins.incr();
+        m.joins.incr();
         if self.match_pattern(db, &rule.body[bi], d, scratch) {
             scratch.used[bi] = d.index();
-            let body = plans.body.as_deref().expect("a rule with a body");
+            let body = plans.body;
             let dp = &body.per_delta[bi];
             let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
-            self.join_steps(db, rule, ri, dp, slots, 0, scratch, out, counters);
+            self.join_steps(db, rule, k, dp, slots, 0, scratch, out, m);
         }
         unwind(scratch, 0);
     }
@@ -790,19 +914,20 @@ impl<'p> Evaluator<'p> {
         true
     }
 
-    /// Solves plan steps `si..`, emitting a head tuple per full match.
+    /// Solves plan steps `si..` of rule `k` (in plan order), emitting a
+    /// head tuple per full match.
     #[allow(clippy::too_many_arguments)]
     fn join_steps(
         &self,
         db: &Database,
         rule: &Rule,
-        ri: usize,
+        k: usize,
         dp: &DeltaPlan,
         slots: &[u32],
         si: usize,
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
-        counters: &Counters,
+        m: &EvalMetrics,
     ) {
         if si == dp.steps.len() {
             scratch.buf.clear();
@@ -813,7 +938,7 @@ impl<'p> Evaluator<'p> {
                 });
             }
             out.push(Derived {
-                rule: ri,
+                rule: k,
                 pred: rule.head.pred,
                 args: scratch.buf.clone(),
                 body: if self.provenance {
@@ -835,10 +960,10 @@ impl<'p> Evaluator<'p> {
                     Term::Var(v) => scratch.subst[*v as usize].expect("planner: bound"),
                 });
             }
-            counters.joins.incr();
+            m.joins.incr();
             if let Some(id) = db.store.lookup(pattern.pred, &scratch.buf) {
                 scratch.used[step.pos] = id.index();
-                self.join_steps(db, rule, ri, dp, slots, si + 1, scratch, out, counters);
+                self.join_steps(db, rule, k, dp, slots, si + 1, scratch, out, m);
             }
             return;
         }
@@ -847,27 +972,41 @@ impl<'p> Evaluator<'p> {
         let slot = slots[si];
         let candidates: &[AtomId] = if slot != NO_SLOT {
             scratch.buf.clear();
-            for &c in &step.cols {
-                scratch.buf.push(match &pattern.terms[c as usize] {
+            let mut cols = step.cols;
+            while cols != 0 {
+                let c = cols.trailing_zeros() as usize;
+                cols &= cols - 1;
+                scratch.buf.push(match &pattern.terms[c] {
                     Term::Const(k) => *k,
                     Term::Var(v) => scratch.subst[*v as usize].expect("planner: bound col"),
                 });
             }
-            counters.index_hits.incr();
+            m.index_hits.incr();
             db.probe(slot, hash_key(&scratch.buf))
         } else {
             &db.per_pred[pattern.pred.0 as usize]
         };
         for &id in candidates {
-            counters.joins.incr();
+            m.joins.incr();
             let mark = scratch.trail.len();
             if self.match_pattern(db, pattern, id, scratch) {
                 scratch.used[step.pos] = id.index();
-                self.join_steps(db, rule, ri, dp, slots, si + 1, scratch, out, counters);
+                self.join_steps(db, rule, k, dp, slots, si + 1, scratch, out, m);
                 unwind(scratch, mark);
             }
         }
     }
+}
+
+/// The columns of the bitmask `cols`, ascending.
+fn columns(mut cols: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (cols != 0).then(|| {
+            let c = cols.trailing_zeros() as usize;
+            cols &= cols - 1;
+            c
+        })
+    })
 }
 
 /// Pops trail entries down to `mark`, unbinding their variables.
@@ -1125,11 +1264,12 @@ mod tests {
         assert!(snap.gauges.contains_key("arena_atoms"));
     }
 
-    /// A base program and a larger one over the same registry: edges
-    /// `i → 3i+1 (mod 9)` (the larger one adds `i → i+2` for odd `i`), the
-    /// transitive-closure rules as the segment, and, in the larger one
-    /// only, a `meet` rule after it and a `flag` fact of its own.
-    fn layered(larger: bool) -> (Program, PredId) {
+    /// A program whose first rules are a base: edges `i → 3i+1 (mod 9)`
+    /// and the transitive-closure rules as its segment. After the base
+    /// come the delta's rules: edges `i → i+2` for odd `i`, a `flag` fact
+    /// and a `meet` rule. Returns the program, the base's length, the
+    /// delta and `meet`.
+    fn layered() -> (Program, usize, Vec<u32>, PredId) {
         let mut p = Program::new();
         let e = p.predicate("e", 2);
         let path = p.predicate("path", 2);
@@ -1137,9 +1277,6 @@ mod tests {
         let u: Vec<Const> = (0..9).map(|i| p.constant(&format!("u{i}"))).collect();
         for i in 0..9 {
             p.fact(e, vec![u[i], u[(3 * i + 1) % 9]]).unwrap();
-            if larger && i % 2 == 1 {
-                p.fact(e, vec![u[i], u[(i + 2) % 9]]).unwrap();
-            }
         }
         let (x, y, z) = (Term::Var(0), Term::Var(1), Term::Var(2));
         let mut tc = Program::new();
@@ -1156,20 +1293,38 @@ mod tests {
         .unwrap();
         let segment: crate::ast::Segment = tc.split_rules_off(0).into();
         p.extend_segment(&segment).unwrap();
-        if larger {
-            let flag = p.predicate("flag", 1);
-            p.fact(flag, vec![u[0]]).unwrap();
-            p.rule(
-                Atom::new(meet, vec![y, z]),
-                vec![
-                    Atom::new(flag, vec![x]),
-                    Atom::new(path, vec![x, y]),
-                    Atom::new(path, vec![x, z]),
-                ],
-            )
-            .unwrap();
+        let base_len = p.rules().len();
+        for i in (1..9).step_by(2) {
+            p.fact(e, vec![u[i], u[(i + 2) % 9]]).unwrap();
         }
-        (p, meet)
+        let flag = p.predicate("flag", 1);
+        p.fact(flag, vec![u[0]]).unwrap();
+        p.rule(
+            Atom::new(meet, vec![y, z]),
+            vec![
+                Atom::new(flag, vec![x]),
+                Atom::new(path, vec![x, y]),
+                Atom::new(path, vec![x, z]),
+            ],
+        )
+        .unwrap();
+        let delta = (base_len as u32..p.rules().len() as u32).collect();
+        (p, base_len, delta, meet)
+    }
+
+    /// The base's evaluator and the delta's, planned through one cache.
+    fn base_and_delta<'p>(
+        p: &'p Program,
+        base_len: usize,
+        delta: &'p [u32],
+    ) -> (Evaluator<'p>, Evaluator<'p>) {
+        let mut cache = crate::plan::PlanCache::new();
+        let base_plan = cache.plan_prefix(p, base_len);
+        let delta_plan = cache.plan_delta(p, &base_plan, base_len, delta);
+        (
+            Evaluator::with_delta(p, base_len, &[], base_plan),
+            Evaluator::with_delta(p, base_len, delta, delta_plan),
+        )
     }
 
     /// Everything a rollback must restore, in comparable form.
@@ -1179,7 +1334,7 @@ mod tests {
     ) -> (
         Vec<GroundAtom>,
         Vec<Vec<AtomId>>,
-        Vec<(PredId, Vec<u8>, Vec<(u64, Vec<AtomId>)>, usize)>,
+        Vec<(PredId, u64, Vec<(u64, Vec<AtomId>)>, usize)>,
         (usize, Option<InterruptReason>, bool),
     ) {
         for (i, g) in db.iter().enumerate() {
@@ -1188,7 +1343,7 @@ mod tests {
         let indices = db.indices.iter().map(|ix| {
             let mut map: Vec<_> = ix.map.iter().map(|(h, ids)| (*h, ids.clone())).collect();
             map.sort();
-            (ix.pred, ix.cols.clone(), map, ix.upto)
+            (ix.pred, ix.cols, map, ix.upto)
         });
         (
             db.iter().collect(),
@@ -1204,13 +1359,14 @@ mod tests {
 
     #[test]
     fn a_resumed_evaluation_derives_the_scratch_model_and_rolls_back_exactly() {
-        let (base_prog, _) = layered(false);
-        let (prog, meet) = layered(true);
-        let mut base = Evaluator::new(&base_prog).run();
+        let (p, base_len, delta, meet) = layered();
+        let (base_ev, ev) = base_and_delta(&p, base_len, &delta);
+        let mut base = base_ev.run();
         let before = snapshot(&base);
-        let ev = Evaluator::new(&prog);
-        let scratch = ev.run();
+        let scratch = Evaluator::new(&p).run();
         assert!(scratch.of_pred(meet).count() > 0);
+        // The delta's evaluator from scratch derives the whole model too.
+        assert_eq!(model(&ev.run()), model(&scratch));
         let mark = ev.resume_until(&mut base, None).expect("resumable");
         assert_eq!(model(&base), model(&scratch));
         assert!(base.complete && base.indices.len() > before.2.len());
@@ -1222,8 +1378,8 @@ mod tests {
         assert!(base.contains(&goal) && !base.complete);
         base.rollback(mark);
         assert_eq!(snapshot(&base), before);
-        // The base program resumes from itself and derives nothing more.
-        let mark = Evaluator::new(&base_prog).resume_until(&mut base, None);
+        // The base resumes from itself and derives nothing more.
+        let mark = base_ev.resume_until(&mut base, None);
         assert_eq!(base.len(), before.0.len());
         base.rollback(mark.expect("resumable"));
         assert_eq!(snapshot(&base), before);
@@ -1231,23 +1387,21 @@ mod tests {
 
     #[test]
     fn an_interrupted_resume_rolls_back_exactly() {
-        let (base_prog, _) = layered(false);
-        let (prog, _) = layered(true);
-        let mut base = Evaluator::new(&base_prog).run();
+        let (p, base_len, delta, _) = layered();
+        let (base_ev, ev) = base_and_delta(&p, base_len, &delta);
+        let mut base = base_ev.run();
         let before = snapshot(&base);
         let spent = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let ev = Evaluator::new(&prog).with_governor(spent);
-        let mark = ev.resume_until(&mut base, None).expect("resumable");
+        let mark = ev.with_governor(spent).resume_until(&mut base, None);
         assert_eq!(base.interrupted(), Some(InterruptReason::Deadline));
-        base.rollback(mark);
+        base.rollback(mark.expect("resumable"));
         assert_eq!(snapshot(&base), before);
     }
 
     #[test]
-    fn only_a_complete_provenance_free_base_with_the_leading_indices_resumes() {
-        let (base_prog, _) = layered(false);
-        let (prog, meet) = layered(true);
-        let ev = Evaluator::new(&prog);
+    fn only_a_complete_provenance_free_base_resumes() {
+        let (p, base_len, delta, _) = layered();
+        let (base_ev, ev) = base_and_delta(&p, base_len, &delta);
         let untouched = |mut base: Database, ev: &Evaluator| {
             let before = snapshot(&base);
             assert!(ev.resume_until(&mut base, None).is_none());
@@ -1255,27 +1409,15 @@ mod tests {
         };
         // Stopped by the governor, or at a goal: not closed.
         let spent = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        untouched(Evaluator::new(&base_prog).with_governor(spent).run(), &ev);
-        let full = Evaluator::new(&base_prog).run();
+        let (stopped, _) = base_and_delta(&p, base_len, &delta);
+        untouched(stopped.with_governor(spent).run(), &ev);
+        let full = base_ev.run();
         let goal = full.ground(full.len() - 1);
-        untouched(Evaluator::new(&base_prog).run_until(Some(&goal)), &ev);
+        untouched(base_ev.run_until(Some(&goal)), &ev);
         // Provenance on either side.
-        untouched(Evaluator::new(&base_prog).with_provenance(true).run(), &ev);
-        let with_provenance = Evaluator::new(&prog).with_provenance(true);
-        untouched(Evaluator::new(&base_prog).run(), &with_provenance);
-        // A base whose join indices are not the plan's leading ones.
-        let mut reordered = prog.clone();
-        let tail = reordered.split_rules_off(0);
-        let (facts, rules): (Vec<_>, Vec<_>) = tail.into_iter().partition(|r| r.is_fact());
-        reordered.extend_shared(facts.iter()).unwrap();
-        reordered.extend_shared(rules.iter().rev()).unwrap();
-        let reordered_ev = Evaluator::new(&reordered);
-        untouched(Evaluator::new(&base_prog).run(), &reordered_ev);
-        // The reordered program still derives the same model from scratch.
-        assert_eq!(
-            reordered_ev.run().of_pred(meet).count(),
-            ev.run().of_pred(meet).count()
-        );
+        let (traced, with_provenance) = base_and_delta(&p, base_len, &delta);
+        untouched(traced.with_provenance(true).run(), &ev);
+        untouched(base_ev.run(), &with_provenance.with_provenance(true));
     }
 
     #[test]

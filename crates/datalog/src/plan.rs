@@ -15,22 +15,28 @@
 //! relations) and flat defaults for intensional ones. Fully bound atoms
 //! are always hoisted; otherwise the estimated candidate count decides.
 //!
+//! Plans cover the rules with a body only, numbered in program order:
+//! a fact has nothing to plan.
+//!
 //! Planning is on the critical path of every guess in the `makeP` fleet.
 //! A [`PlanCache`] plans each *body signature* (canonicalized term
 //! structure plus statistics) once ([`BodyPlan`]), every rule keeping
-//! only its own index-slot table ([`RulePlans::slots`]); and it plans the
+//! only its own index-slot table ([`RulePlans::slots`]). It plans the
 //! rules a program shares with its template ([`Program::segment`]) once
-//! per statistics key, so each guess plans only its own rules.
+//! per statistics key, and a guess evaluated on its fleet's base program
+//! as a *delta* ([`PlanCache::plan_delta`]) plans only the delta's rules,
+//! after the base's plan.
 
 use crate::ast::{PredId, Program, Rule, Segment, Term};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// Cheap word-mixing hasher for the planner's maps: SipHash on multi-word
-/// keys showed up as the planner's single largest cost on the fleet.
+/// Cheap word-mixing hasher for the planner's maps (and the `makeP`
+/// encoder's): SipHash on multi-word keys showed up as the planner's
+/// single largest cost on the fleet.
 #[derive(Default)]
-struct FxWords(u64);
+pub struct FxWords(u64);
 
 impl Hasher for FxWords {
     #[inline]
@@ -55,7 +61,8 @@ impl Hasher for FxWords {
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxWords>>;
+/// A hash map under [`FxWords`].
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxWords>>;
 
 /// The slot value meaning "this step probes no index" (fully bound, or a
 /// column set that cannot be bitmask-keyed).
@@ -68,9 +75,11 @@ pub const NO_SLOT: u32 = u32::MAX;
 pub struct JoinStep {
     /// The body position being solved at this step.
     pub pos: usize,
-    /// The argument columns (ascending) whose values are known when the
-    /// probe happens: constants plus already-bound variables.
-    pub cols: Vec<u8>,
+    /// The argument columns whose values are known when the probe
+    /// happens (constants plus already-bound variables), as a bitmask;
+    /// 0 when one of them lies beyond the 64th, so that no index can
+    /// serve the probe.
+    pub cols: u64,
     /// Whether *every* argument is known — the probe degenerates to a
     /// membership test on the tuple arena.
     pub fully_bound: bool,
@@ -91,8 +100,11 @@ pub struct BodyPlan {
     /// `per_delta[bi]` is the plan when body atom `bi` is the delta.
     pub per_delta: Vec<DeltaPlan>,
     /// Flat step offset of each delta position into a rule's
-    /// [`RulePlans::slots`] table.
+    /// [`RulePlans::slots`] table, then the number of steps.
     offsets: Vec<usize>,
+    /// The flat steps that probe an index, with their delta position and
+    /// step.
+    probes: Vec<(usize, usize, usize)>,
 }
 
 impl BodyPlan {
@@ -101,34 +113,49 @@ impl BodyPlan {
     pub fn slot_offset(&self, bi: usize) -> usize {
         self.offsets[bi]
     }
+
+    /// The number of steps over all delta positions.
+    fn n_steps(&self) -> usize {
+        self.offsets.last().copied().unwrap_or(0)
+    }
 }
 
-/// All plans of one rule: a shared [`BodyPlan`] plus the rule's own
-/// index-slot table.
-#[derive(Debug, Clone, Default)]
-pub struct RulePlans {
+/// All plans of one rule with a body ([`Plan::rule`]): a shared
+/// [`BodyPlan`] plus the rule's own index-slot table. Facts have none.
+#[derive(Debug, Clone, Copy)]
+pub struct RulePlans<'p> {
     /// The join orders, shared by every rule with the same body
-    /// signature; `None` for facts.
-    pub body: Option<Arc<BodyPlan>>,
+    /// signature.
+    pub body: &'p BodyPlan,
     /// Dense index-slot per step, flattened over delta positions:
     /// `slots[body.slot_offset(bi) + si]` pairs with
     /// `body.per_delta[bi].steps[si]`.
-    pub slots: Vec<u32>,
+    pub slots: &'p [u32],
     /// One more than the rule's largest variable id.
     pub n_vars: usize,
     /// The distinct predicates of the rule's body: if one has an empty
     /// relation, the rule cannot fire this round.
-    pub body_preds: Vec<PredId>,
+    pub body_preds: &'p [PredId],
+}
+
+/// The plans of one rule, as [`RulePlans`] shows them.
+#[derive(Debug, Clone)]
+struct RuleAt {
+    body: Arc<BodyPlan>,
+    n_vars: u32,
+    slots: Box<[u32]>,
+    /// Shared with the rule's plans in other runs.
+    preds: Arc<[PredId]>,
 }
 
 /// A join index required by some plan step: a predicate and the bound
-/// columns (ascending) the probes key on.
-#[derive(Debug, Clone)]
+/// columns the probes key on.
+#[derive(Debug, Clone, Copy)]
 pub struct IndexSpec {
     /// The indexed predicate.
     pub pred: PredId,
-    /// The key columns, ascending.
-    pub cols: Vec<u8>,
+    /// The key columns, as a bitmask.
+    pub cols: u64,
 }
 
 /// Default estimated relation size for intensional predicates.
@@ -153,39 +180,57 @@ impl Stats {
     }
 }
 
-/// The plans of a run of rules, and the index slots they add.
+/// The plans of a run of rules with bodies, and the index slots they
+/// add.
 #[derive(Debug, Clone, Default)]
 struct Rules {
-    plans: Vec<RulePlans>,
+    rules: Vec<RuleAt>,
     /// The specs of the slots these rules probe first, in slot order;
-    /// their ids follow those of the run planned before (the template
-    /// segment's, for a program's own rules).
+    /// their ids follow those of the runs planned before.
     indices: Vec<IndexSpec>,
     slot_ids: FxMap<(u64, u64), u32>,
 }
 
-/// The static plan for a whole program: its template segment's shared
-/// plan, if it has one, plus the plans of its own rules.
+/// What a plan's own rules follow.
+#[derive(Debug, Clone)]
+enum Lead {
+    /// Nothing: the plan covers every rule itself.
+    None,
+    /// The template segment's shared plans, after this many own rules.
+    Template(usize, Arc<Rules>),
+    /// The plan of the base program this one extends (a delta plan):
+    /// its rules come first and its index slots lead.
+    Base(Arc<Plan>),
+}
+
+/// The static plan for a program's rules with bodies, numbered in
+/// program order with facts skipped: its template segment's shared plan
+/// or the plan of the base program it extends, if any, plus the plans of
+/// its own rules.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// The template segment's plans and the index of its first rule.
-    template: Option<(usize, Arc<Rules>)>,
-    /// Every other rule, in program order.
+    lead: Lead,
+    /// The number of the base plan's rules (0 without one): the own
+    /// rules' numbers start there.
+    first: usize,
     own: Rules,
-    /// For each predicate, every (rule, body position) where it occurs —
-    /// the semi-naive "uses" of a delta atom.
-    uses: Vec<Vec<(u32, u32)>>,
+    /// For each predicate, every (rule, body position) of this plan's
+    /// template and own rules where it occurs — the semi-naive "uses" of
+    /// a delta atom: `uses[uses_at[p]..uses_at[p + 1]]`.
+    uses_at: Vec<u32>,
+    uses: Vec<(u32, u32)>,
     max_vars: usize,
 }
 
-/// The bitmask of a sorted column set (all columns < 64).
-fn colmask(cols: &[u8]) -> u64 {
-    cols.iter().fold(0u64, |m, &c| m | (1u64 << c))
+/// Whether a step probes an index: some columns, all among the first
+/// 64, are known, but not all.
+fn is_probe(step: &JoinStep) -> bool {
+    !step.fully_bound && step.cols != 0
 }
 
-/// Whether a column set can be served by a bitmask-keyed index.
-fn indexable(cols: &[u8]) -> bool {
-    !cols.is_empty() && cols.iter().all(|&c| c < 64)
+/// The rules of `rules` with a body.
+fn with_body(rules: &[Arc<Rule>]) -> impl Iterator<Item = &Rule> + Clone {
+    rules.iter().map(|r| &**r).filter(|r| !r.is_fact())
 }
 
 /// Memo of [`BodyPlan`]s keyed by body signature: every body shape is
@@ -197,19 +242,18 @@ struct BodyPool {
     canon: Vec<u32>,
     bound: Vec<bool>,
     bound_list: Vec<u32>,
+    remaining: Vec<usize>,
 }
 
 impl BodyPool {
-    /// The body plan of each rule (`None` for facts), planning only the
-    /// signatures never seen before.
+    /// The body plan of each rule, planning only the signatures never
+    /// seen before.
     fn bodies<'r>(
         &mut self,
-        rules: impl Iterator<Item = &'r Arc<Rule>>,
+        rules: impl Iterator<Item = &'r Rule>,
         stats: &Stats,
-    ) -> Vec<Option<Arc<BodyPlan>>> {
-        rules
-            .map(|rule| (!rule.is_fact()).then(|| self.body(rule, stats)))
-            .collect()
+    ) -> Vec<Arc<BodyPlan>> {
+        rules.map(|rule| self.body(rule, stats)).collect()
     }
 
     fn body(&mut self, rule: &Rule, stats: &Stats) -> Arc<BodyPlan> {
@@ -223,79 +267,107 @@ impl BodyPool {
             return Arc::clone(body);
         }
         let mut offsets = Vec::with_capacity(rule.body.len());
+        let mut probes = Vec::new();
         let mut flat = 0usize;
         let per_delta: Vec<DeltaPlan> = (0..rule.body.len())
             .map(|bi| {
-                let dp = plan_delta(rule, bi, stats, &mut self.bound, &mut self.bound_list);
+                let scratch = (
+                    &mut self.bound[..],
+                    &mut self.bound_list,
+                    &mut self.remaining,
+                );
+                let dp = plan_delta(rule, bi, stats, scratch);
                 for v in self.bound_list.drain(..) {
                     self.bound[v as usize] = false;
                 }
                 offsets.push(flat);
+                for (si, step) in dp.steps.iter().enumerate() {
+                    if is_probe(step) {
+                        probes.push((flat + si, bi, si));
+                    }
+                }
                 flat += dp.steps.len();
                 dp
             })
             .collect();
-        let body = Arc::new(BodyPlan { per_delta, offsets });
+        offsets.push(flat);
+        let body = Arc::new(BodyPlan {
+            per_delta,
+            offsets,
+            probes,
+        });
         self.entries.insert(self.sig.clone(), Arc::clone(&body));
         body
     }
 }
 
 impl Rules {
+    /// The plans of the run's `i`-th rule.
+    #[inline]
+    fn plans(&self, i: usize) -> RulePlans<'_> {
+        let at = &self.rules[i];
+        RulePlans {
+            body: &at.body,
+            slots: &at.slots,
+            n_vars: at.n_vars as usize,
+            body_preds: &at.preds,
+        }
+    }
+
+    /// The number of rules in the run.
+    fn len(&self) -> usize {
+        self.rules.len()
+    }
+
     /// Plans `rules` from their body plans, numbering new index slots
-    /// after `base`'s and reusing `base`'s slot for a probe it shares.
+    /// from `first` and reusing the slot of a probe some `prior` run
+    /// shares.
     fn build<'r>(
-        rules: impl Iterator<Item = &'r Arc<Rule>>,
-        bodies: Vec<Option<Arc<BodyPlan>>>,
-        base: Option<&Rules>,
+        rules: impl Iterator<Item = &'r Rule>,
+        bodies: Vec<Arc<BodyPlan>>,
+        prior: &[&Rules],
+        first: usize,
     ) -> Rules {
-        let first = base.map_or(0, |b| b.indices.len());
         let mut out = Rules::default();
-        // Per body plan, the (predicate, slot) each step last resolved to:
+        // Per body plan, the (predicate, slot) each probe last resolved to:
         // rules sharing a body plan mostly probe the same predicates, so
-        // most steps resolve with one comparison instead of a lookup.
+        // most probes resolve with one comparison instead of a lookup.
         let mut memos: FxMap<u64, Vec<(PredId, u32)>> = FxMap::default();
+        let (mut body_preds, mut slots) = (Vec::new(), Vec::new());
         for (rule, body) in rules.zip(bodies) {
-            let Some(body) = body else {
-                out.plans.push(RulePlans::default());
-                continue;
-            };
-            let n_vars = rule_n_vars(rule);
-            let mut body_preds: Vec<PredId> = rule.body.iter().map(|a| a.pred).collect();
+            body_preds.clear();
+            body_preds.extend(rule.body.iter().map(|a| a.pred));
             body_preds.sort_unstable_by_key(|p| p.0);
             body_preds.dedup();
-            let steps = body.per_delta.iter().flat_map(|dp| &dp.steps);
             let memo = memos
                 .entry(Arc::as_ptr(&body) as u64)
-                .or_insert_with(|| vec![(PredId(u32::MAX), NO_SLOT); steps.clone().count()]);
-            let mut slots = Vec::with_capacity(memo.len());
-            for (step, memo) in steps.zip(memo.iter_mut()) {
+                .or_insert_with(|| vec![(PredId(u32::MAX), NO_SLOT); body.probes.len()]);
+            slots.clear();
+            slots.resize(body.n_steps(), NO_SLOT);
+            for (&(flat, bi, si), memo) in body.probes.iter().zip(memo.iter_mut()) {
+                let step = &body.per_delta[bi].steps[si];
                 let pred = rule.body[step.pos].pred;
-                if step.fully_bound || !indexable(&step.cols) {
-                    slots.push(NO_SLOT);
-                } else if memo.0 == pred {
-                    slots.push(memo.1);
-                } else {
-                    let key = (pred.0 as u64, colmask(&step.cols));
-                    let shared = base.and_then(|b| b.slot_ids.get(&key).copied());
+                if memo.0 != pred {
+                    let key = (pred.0 as u64, step.cols);
+                    let shared = prior.iter().find_map(|r| r.slot_ids.get(&key).copied());
                     let slot = shared.unwrap_or_else(|| {
                         *out.slot_ids.entry(key).or_insert_with(|| {
                             out.indices.push(IndexSpec {
                                 pred,
-                                cols: step.cols.clone(),
+                                cols: step.cols,
                             });
                             (first + out.indices.len() - 1) as u32
                         })
                     });
                     *memo = (pred, slot);
-                    slots.push(slot);
                 }
+                slots[flat] = memo.1;
             }
-            out.plans.push(RulePlans {
-                body: Some(body),
-                slots,
-                n_vars,
-                body_preds,
+            out.rules.push(RuleAt {
+                body,
+                n_vars: rule_n_vars(rule) as u32,
+                slots: slots.as_slice().into(),
+                preds: body_preds.as_slice().into(),
             });
         }
         out
@@ -306,68 +378,149 @@ impl Plan {
     /// Computes the plan for `program` (once per load; evaluation only
     /// reads it). Every rule is planned, a shared segment included.
     pub fn new(program: &Program) -> Plan {
-        let stats = collect_stats(program);
-        let bodies = BodyPool::default().bodies(program.rules().iter(), &stats);
-        Plan::assemble(program, None, bodies)
+        let stats = collect_stats(program, program.rules().iter().map(|r| &**r));
+        let rules: Vec<&Rule> = with_body(program.rules()).collect();
+        let bodies = BodyPool::default().bodies(rules.iter().copied(), &stats);
+        Plan::assemble(program, &rules, Lead::None, bodies)
     }
 
-    /// The plan of `program` from its template plan (with the segment's
-    /// start) and its own rules' body plans: the own rules' slot tables,
-    /// and the `uses` table over every rule.
+    /// The plan of `rules`, a program's rules with bodies in order (the
+    /// lead's template segment among them), from the lead and the body
+    /// plans of the own rules.
     fn assemble(
         program: &Program,
-        template: Option<(usize, Arc<Rules>)>,
-        bodies: Vec<Option<Arc<BodyPlan>>>,
+        rules: &[&Rule],
+        lead: Lead,
+        bodies: Vec<Arc<BodyPlan>>,
     ) -> Plan {
-        let rules = program.rules();
-        let base = template.as_ref().map(|(_, t)| &**t);
-        let at = template.as_ref().map_or(rules.len(), |(at, _)| *at);
-        let end = at + base.map_or(0, |t| t.plans.len());
-        let own = Rules::build(rules[..at].iter().chain(&rules[end..]), bodies, base);
-        let mut uses = vec![Vec::new(); program.predicates().count()];
-        for (ri, rule) in rules.iter().enumerate() {
+        let (prior, own_rules): (Vec<&Rules>, _) = match &lead {
+            Lead::None => (Vec::new(), [rules, &[]]),
+            Lead::Template(at, tpl) => {
+                let own = [&rules[..*at], &rules[at + tpl.len()..]];
+                (vec![&**tpl], own)
+            }
+            Lead::Base(base) => (base.runs().collect(), [rules, &[]]),
+        };
+        let first_slot = prior.iter().map(|r| r.indices.len()).sum();
+        let own_rules = own_rules.into_iter().flatten().copied();
+        let own = Rules::build(own_rules, bodies, &prior, first_slot);
+        Plan::with_own(program, rules, lead, own)
+    }
+
+    /// The plan of `rules` whose own rules are planned in `own`: with
+    /// the `uses` table over `rules`.
+    fn with_own(program: &Program, rules: &[&Rule], lead: Lead, own: Rules) -> Plan {
+        let first = match &lead {
+            Lead::Base(base) => base.n_rules(),
+            _ => 0,
+        };
+        let n_preds = program.predicates().count();
+        let mut uses_at = vec![0u32; n_preds + 1];
+        for atom in rules.iter().flat_map(|r| &r.body) {
+            uses_at[atom.pred.0 as usize + 1] += 1;
+        }
+        for p in 0..n_preds {
+            uses_at[p + 1] += uses_at[p];
+        }
+        let mut uses = vec![(0, 0); uses_at[n_preds] as usize];
+        let mut next = uses_at.clone();
+        for (k, rule) in rules.iter().enumerate() {
             for (bi, atom) in rule.body.iter().enumerate() {
-                uses[atom.pred.0 as usize].push((ri as u32, bi as u32));
+                let at = &mut next[atom.pred.0 as usize];
+                uses[*at as usize] = ((first + k) as u32, bi as u32);
+                *at += 1;
             }
         }
-        let all = own.plans.iter().chain(base.iter().flat_map(|t| &t.plans));
-        let max_vars = all.map(|p| p.n_vars).max().unwrap_or(0);
+        let lead_vars = match &lead {
+            Lead::None => 0,
+            Lead::Template(_, tpl) => tpl
+                .rules
+                .iter()
+                .map(|r| r.n_vars as usize)
+                .max()
+                .unwrap_or(0),
+            Lead::Base(base) => base.max_vars,
+        };
+        let own_vars = own
+            .rules
+            .iter()
+            .map(|r| r.n_vars as usize)
+            .max()
+            .unwrap_or(0);
         Plan {
-            template,
+            lead,
+            first,
             own,
+            uses_at,
             uses,
-            max_vars,
+            max_vars: lead_vars.max(own_vars),
         }
     }
 
-    /// The number of rules the plan covers.
-    pub fn n_rules(&self) -> usize {
-        self.own.plans.len() + self.template.as_ref().map_or(0, |(_, t)| t.plans.len())
+    /// This plan's template and own runs of rule plans, in slot order: a
+    /// delta plan's base runs are its base's.
+    fn runs(&self) -> impl Iterator<Item = &Rules> {
+        let tpl = match &self.lead {
+            Lead::Template(_, tpl) => Some(&**tpl),
+            _ => None,
+        };
+        tpl.into_iter().chain([&self.own])
     }
 
-    /// The plans of rule `ri`.
+    /// The number of rules with a body the plan covers.
+    pub fn n_rules(&self) -> usize {
+        let tpl = match &self.lead {
+            Lead::Template(_, tpl) => tpl.len(),
+            _ => 0,
+        };
+        self.first + tpl + self.own.len()
+    }
+
+    /// The plans of the `k`-th rule with a body.
     #[inline]
-    pub fn rule(&self, ri: usize) -> &RulePlans {
-        match &self.template {
-            Some((at, tpl)) if ri >= *at => match tpl.plans.get(ri - at) {
-                Some(plans) => plans,
-                None => &self.own.plans[ri - tpl.plans.len()],
-            },
-            _ => &self.own.plans[ri],
+    pub fn rule(&self, k: usize) -> RulePlans<'_> {
+        match &self.lead {
+            Lead::Base(base) if k < self.first => base.rule(k),
+            Lead::Template(at, tpl) if k >= *at && k - at < tpl.len() => tpl.plans(k - at),
+            Lead::Template(_, tpl) if k >= tpl.len() => self.own.plans(k - tpl.len()),
+            _ => self.own.plans(k - self.first),
         }
     }
 
     /// Every join index any plan step can probe, in slot order.
     pub fn indices(&self) -> impl Iterator<Item = &IndexSpec> {
-        let tpl = self.template.iter().flat_map(|(_, t)| &t.indices);
-        tpl.chain(&self.own.indices)
+        let base = match &self.lead {
+            Lead::Base(base) => Some(base.runs()),
+            _ => None,
+        };
+        base.into_iter()
+            .flatten()
+            .chain(self.runs())
+            .flat_map(|r| &r.indices)
     }
 
     /// Every (rule, body position) in which predicate `p` occurs — where
-    /// a delta atom of `p` can fire.
+    /// a delta atom of `p` can fire — in rule order.
+    pub fn uses(&self, p: PredId) -> impl Iterator<Item = &(u32, u32)> {
+        self.uses_by_layer(p).into_iter().flatten()
+    }
+
+    /// [`Plan::uses`] as two runs: the base plan's, then this plan's.
     #[inline]
-    pub fn uses(&self, p: PredId) -> &[(u32, u32)] {
-        self.uses.get(p.0 as usize).map_or(&[], Vec::as_slice)
+    pub(crate) fn uses_by_layer(&self, p: PredId) -> [&[(u32, u32)]; 2] {
+        let base = match &self.lead {
+            Lead::Base(base) => base.own_uses(p),
+            _ => &[],
+        };
+        [base, self.own_uses(p)]
+    }
+
+    fn own_uses(&self, p: PredId) -> &[(u32, u32)] {
+        let p = p.0 as usize;
+        match (self.uses_at.get(p), self.uses_at.get(p + 1)) {
+            (Some(&lo), Some(&hi)) => &self.uses[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// The largest `n_vars` over all rules (shared substitution buffer
@@ -381,12 +534,21 @@ impl Plan {
 ///
 /// A program's template segment ([`Program::segment`]) is planned once
 /// per *statistics key* (the quantized statistics of the predicates its
-/// bodies read); each program then plans only its own rules, unless an
-/// earlier one had the same template plan and the same own rules and
-/// statistics, whose plan it shares. Reuse is exact: a segment matches
-/// by address, and its entry holds the [`Segment`], so no address is
-/// reused while its plans are cached. Every plan decides what
-/// [`Plan::new`] decides, up to slot numbering.
+/// bodies read); each program then plans only its own rules. A delta
+/// ([`PlanCache::plan_delta`]) plans only its own rules, after its base
+/// program's plan, and the first delta planned on a base is kept as the
+/// base's *table*: a later delta on that base takes the plan of each of
+/// its rules the table holds, rather than planning it again, when no
+/// fact of either delta defines a predicate the rule reads (the
+/// statistics it was planned under are then its own). A fleet plans `U`
+/// first, which holds every rule of its guesses.
+///
+/// Reuse is exact: a segment or base plan matches by address, and the
+/// cache holds it (and a table its rules), so no address is reused while
+/// its plans are cached. Every plan decides what [`Plan::new`] of the
+/// whole program decides, up to slot numbering, except that a delta's
+/// base rules keep the base's plan. All plans come from one pool of body
+/// plans.
 #[derive(Default)]
 pub struct PlanCache {
     /// Per segment address: the segment, and the predicates its bodies
@@ -394,11 +556,80 @@ pub struct PlanCache {
     reads: FxMap<u64, (Segment, BTreeSet<PredId>)>,
     /// Template plans by segment address and the statistics of `reads`.
     templates: FxMap<Vec<u64>, Arc<Rules>>,
-    /// Program plans by [`own_key`].
-    plans: FxMap<Vec<u64>, Arc<Plan>>,
+    /// The table of the last base a delta was planned on.
+    table: Option<Table>,
     pool: BodyPool,
     computed: usize,
     planned: usize,
+}
+
+/// The first delta plan on a base, whose rule plans later deltas on the
+/// base take.
+struct Table {
+    base: Arc<Plan>,
+    plan: Arc<Plan>,
+    /// Per rule with a body, by address: the rule, kept so that no
+    /// address is reused, and its place among `plan`'s own rules.
+    at: FxMap<u64, (Arc<Rule>, u32)>,
+    /// Whether the delta's facts define each predicate.
+    facts: Vec<bool>,
+}
+
+impl Table {
+    /// The plan of `rules` (the program's rules at a delta on the
+    /// table's base, with `facts` their facts' predicates) from the
+    /// table's rule plans, with the table's new index slots each probe
+    /// uses renumbered after the base's; `None` unless the table holds
+    /// every rule with a body and no fact of either delta defines a
+    /// predicate one of them reads.
+    fn select(&self, program: &Program, rules: &[&Arc<Rule>], facts: &[PredId]) -> Option<Plan> {
+        let own = &self.plan.own;
+        let defined = |p: &PredId| self.facts.get(p.0 as usize) == Some(&true) || facts.contains(p);
+        let mut picked = Vec::with_capacity(rules.len());
+        for rule in rules.iter().filter(|r| !r.is_fact()) {
+            let &(_, k) = self.at.get(&(Arc::as_ptr(rule) as u64))?;
+            if own.plans(k as usize).body_preds.iter().any(defined) {
+                return None;
+            }
+            picked.push(k as usize);
+        }
+        let first_slot = self.base.indices().count();
+        let mut renumbered = vec![NO_SLOT; own.indices.len()];
+        let mut out = Rules::default();
+        for k in picked {
+            let at = &own.rules[k];
+            let slots = at.slots.iter().map(|&slot| {
+                let Some(i) = (slot as usize)
+                    .checked_sub(first_slot)
+                    .filter(|_| slot != NO_SLOT)
+                else {
+                    return slot;
+                };
+                if renumbered[i] == NO_SLOT {
+                    renumbered[i] = (first_slot + out.indices.len()) as u32;
+                    out.indices.push(own.indices[i]);
+                }
+                renumbered[i]
+            });
+            out.rules.push(RuleAt {
+                body: Arc::clone(&at.body),
+                n_vars: at.n_vars,
+                slots: slots.collect(),
+                preds: Arc::clone(&at.preds),
+            });
+        }
+        let rules: Vec<&Rule> = rules
+            .iter()
+            .map(|r| &***r)
+            .filter(|r| !r.is_fact())
+            .collect();
+        Some(Plan::with_own(
+            program,
+            &rules,
+            Lead::Base(Arc::clone(&self.base)),
+            out,
+        ))
+    }
 }
 
 impl PlanCache {
@@ -408,7 +639,7 @@ impl PlanCache {
     }
 
     /// Number of plans computed so far: template plans, one per segment
-    /// and statistics key, and program plans, one per distinct key.
+    /// and statistics key, and program and delta plans.
     pub fn len(&self) -> usize {
         self.computed
     }
@@ -418,32 +649,125 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Rules planned so far: each computed plan's non-fact rules.
+    /// Rules planned so far: the rules with a body of each computed plan,
+    /// rules taken from a table aside.
     pub fn rules_planned(&self) -> usize {
         self.planned
     }
 
     /// The plan for `program`.
     pub fn plan(&mut self, program: &Program) -> Arc<Plan> {
-        let stats = collect_stats(program);
-        let rules = program.rules();
-        let (at, template) = match program.segment() {
-            None => (rules.len(), None),
-            Some((at, segment)) => (at, Some((at, self.template(segment, &stats)))),
+        self.plan_prefix(program, program.rules().len())
+    }
+
+    /// The plan for the program of `program`'s first `len` rules: the
+    /// base of [`PlanCache::plan_delta`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the number of rules.
+    pub fn plan_prefix(&mut self, program: &Program, len: usize) -> Arc<Plan> {
+        let prefix = &program.rules()[..len];
+        let stats = collect_stats(program, prefix.iter().map(|r| &**r));
+        let rules: Vec<&Rule> = with_body(prefix).collect();
+        let lead = match program.segment() {
+            Some((at, segment)) if at + segment.len() <= len => {
+                let before = with_body(&prefix[..at]).count();
+                Lead::Template(before, self.template(segment, &stats))
+            }
+            _ => Lead::None,
         };
-        let end = at + template.as_ref().map_or(0, |(_, t)| t.plans.len());
-        let own = || rules[..at].iter().chain(&rules[end..]);
-        let tpl = template.as_ref().map_or(0, |(_, t)| Arc::as_ptr(t) as u64);
-        let key = own_key(own(), [tpl, at as u64], &stats);
-        if let Some(plan) = self.plans.get(&key) {
-            return Arc::clone(plan);
+        let own = match &lead {
+            Lead::Template(at, tpl) => [&rules[..*at], &rules[at + tpl.len()..]].concat(),
+            _ => rules.clone(),
+        };
+        self.layer(program, &rules, &own, lead, &stats)
+    }
+
+    /// The plan for `program`'s rules at `delta` evaluated on top of its
+    /// first `base_len` rules, whose plan is `base`
+    /// ([`PlanCache::plan_prefix`]): the delta's rules with a body,
+    /// numbered after the base's, planned under the statistics of the
+    /// base's facts and the delta's or taken from the base's table; the
+    /// base's rules keep `base`'s plans and its index slots lead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is itself a delta's plan, or an index is out of
+    /// range.
+    pub fn plan_delta(
+        &mut self,
+        program: &Program,
+        base: &Arc<Plan>,
+        base_len: usize,
+        delta: &[u32],
+    ) -> Arc<Plan> {
+        assert!(
+            !matches!(base.lead, Lead::Base(_)),
+            "a delta plan extends a base program's plan"
+        );
+        let all = program.rules();
+        let picked: Vec<&Arc<Rule>> = delta.iter().map(|&ri| &all[ri as usize]).collect();
+        let mut facts: Vec<PredId> = picked
+            .iter()
+            .filter(|r| r.is_fact())
+            .map(|r| r.head.pred)
+            .collect();
+        facts.sort_unstable();
+        facts.dedup();
+        let table = self.table.as_ref().filter(|t| Arc::ptr_eq(&t.base, base));
+        let tabled = table.is_some();
+        if let Some(plan) = table.and_then(|t| t.select(program, &picked, &facts)) {
+            self.computed += 1;
+            return Arc::new(plan);
         }
-        let bodies = self.pool.bodies(own(), &stats);
-        self.planned += bodies.iter().flatten().count();
-        let plan = Arc::new(Plan::assemble(program, template, bodies));
-        self.plans.insert(key, Arc::clone(&plan));
-        self.computed += 1;
+        let prefix = all[..base_len].iter().map(|r| &**r);
+        let stats = collect_stats(program, prefix.chain(picked.iter().map(|r| &***r)));
+        let rules: Vec<&Rule> = picked
+            .iter()
+            .map(|r| &***r)
+            .filter(|r| !r.is_fact())
+            .collect();
+        let plan = self.layer(
+            program,
+            &rules,
+            &rules,
+            Lead::Base(Arc::clone(base)),
+            &stats,
+        );
+        if !tabled {
+            let mut defined = vec![false; program.predicates().count()];
+            for p in facts {
+                defined[p.0 as usize] = true;
+            }
+            let with_body = picked.into_iter().filter(|r| !r.is_fact());
+            self.table = Some(Table {
+                base: Arc::clone(base),
+                plan: Arc::clone(&plan),
+                at: with_body
+                    .enumerate()
+                    .map(|(k, r)| (Arc::as_ptr(r) as u64, (Arc::clone(r), k as u32)))
+                    .collect(),
+                facts: defined,
+            });
+        }
         plan
+    }
+
+    /// The plan of `rules` after `lead`, planning `own`, those not in the
+    /// lead's template.
+    fn layer(
+        &mut self,
+        program: &Program,
+        rules: &[&Rule],
+        own: &[&Rule],
+        lead: Lead,
+        stats: &Stats,
+    ) -> Arc<Plan> {
+        let bodies = self.pool.bodies(own.iter().copied(), stats);
+        self.planned += bodies.len();
+        self.computed += 1;
+        Arc::new(Plan::assemble(program, rules, lead, bodies))
     }
 
     /// The plan of `segment` under `stats`.
@@ -459,9 +783,9 @@ impl PlanCache {
         if let Some(tpl) = self.templates.get(&key) {
             return Arc::clone(tpl);
         }
-        let bodies = self.pool.bodies(segment.iter(), stats);
-        self.planned += bodies.iter().flatten().count();
-        let tpl = Arc::new(Rules::build(segment.iter(), bodies, None));
+        let bodies = self.pool.bodies(with_body(segment), stats);
+        self.planned += bodies.len();
+        let tpl = Arc::new(Rules::build(with_body(segment), bodies, &[], 0));
         self.templates.insert(key, Arc::clone(&tpl));
         self.computed += 1;
         tpl
@@ -512,43 +836,14 @@ fn body_signature(rule: &Rule, stats: &Stats, sig: &mut Vec<u64>, canon: &mut [u
     }
 }
 
-/// Everything a program's plan depends on beside its template plan
-/// (`first`: that plan's address and the segment's start): per own rule,
-/// its body length, then its atoms' predicates, arities and terms
-/// (constants collapsed), with each body predicate's statistics.
-fn own_key<'r>(
-    rules: impl Iterator<Item = &'r Arc<Rule>>,
-    first: [u64; 2],
-    stats: &Stats,
-) -> Vec<u64> {
-    let mut key = first.to_vec();
-    for rule in rules {
-        key.push(rule.body.len() as u64);
-        for (i, atom) in std::iter::once(&rule.head).chain(&rule.body).enumerate() {
-            if rule.is_fact() {
-                break;
-            }
-            key.push((atom.pred.0 as u64) << 32 | atom.terms.len() as u64);
-            if i > 0 {
-                key.extend(stats.of(atom.pred).iter().map(|v| v.to_bits()));
-            }
-            key.extend(atom.terms.iter().map(|t| match t {
-                Term::Var(v) => (1u64 << 32) | *v as u64,
-                Term::Const(_) => 2u64 << 32,
-            }));
-        }
-    }
-    key
-}
-
 /// Rounds a count up to a power of two (the quantization grid).
 fn quantize(n: f64) -> f64 {
     (n.max(1.0) as u64).next_power_of_two() as f64
 }
 
-/// Statistics for predicates defined by facts (quantized), defaults
-/// otherwise.
-fn collect_stats(program: &Program) -> Stats {
+/// Statistics over `program`'s predicates: for those defined by the
+/// facts among `rules`, quantized from them; defaults otherwise.
+fn collect_stats<'r>(program: &Program, rules: impl Iterator<Item = &'r Rule>) -> Stats {
     let mut at = vec![0u32];
     for p in program.predicates() {
         at.push(at[p.0 as usize] + 1 + program.pred_arity(p) as u32);
@@ -559,7 +854,7 @@ fn collect_stats(program: &Program) -> Stats {
     // constants are its set bits.
     let words = program.n_constants().div_ceil(64).max(1);
     let mut seen = vec![0u64; vals.len() * words];
-    for rule in program.rules().iter().filter(|r| r.is_fact()) {
+    for rule in rules.filter(|r| r.is_fact()) {
         let p = rule.head.pred.0 as usize;
         counts[p] += 1;
         for (col, t) in rule.head.terms.iter().enumerate() {
@@ -587,13 +882,13 @@ fn collect_stats(program: &Program) -> Stats {
 
 /// Greedy most-bound-first order for one (rule, delta-position) pair.
 /// `bound` is caller-provided scratch (all false on entry); every variable
-/// set true is pushed onto `bound_list` so the caller can clear it.
+/// set true is pushed onto `bound_list` so the caller can clear it;
+/// `remaining` is scratch too.
 fn plan_delta(
     rule: &Rule,
     delta_pos: usize,
     stats: &Stats,
-    bound: &mut [bool],
-    bound_list: &mut Vec<u32>,
+    (bound, bound_list, remaining): (&mut [bool], &mut Vec<u32>, &mut Vec<usize>),
 ) -> DeltaPlan {
     let mut bind = |bound: &mut [bool], pos: usize| {
         for t in &rule.body[pos].terms {
@@ -606,7 +901,8 @@ fn plan_delta(
         }
     };
     bind(bound, delta_pos);
-    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&b| b != delta_pos).collect();
+    remaining.clear();
+    remaining.extend((0..rule.body.len()).filter(|&b| b != delta_pos));
     let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         // Pick the cheapest next atom; ties resolve to the lowest body
@@ -622,14 +918,23 @@ fn plan_delta(
         }
         let pos = remaining.remove(choice);
         let atom = &rule.body[pos];
-        let cols: Vec<u8> = (0..atom.terms.len() as u8)
-            .filter(|&col| known(&atom.terms[col as usize], bound))
-            .collect();
-        let fully_bound = cols.len() == atom.terms.len();
+        let (mut cols, mut known_cols) = (0u64, 0usize);
+        for (col, _) in atom
+            .terms
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| known(t, bound))
+        {
+            cols |= 1u64.checked_shl(col as u32).unwrap_or(0);
+            known_cols += 1;
+        }
+        if known_cols != cols.count_ones() as usize {
+            cols = 0;
+        }
         steps.push(JoinStep {
             pos,
             cols,
-            fully_bound,
+            fully_bound: known_cols == atom.terms.len(),
         });
         bind(bound, pos);
     }
@@ -673,7 +978,7 @@ mod tests {
     /// The (step, slot) pairs of one delta position.
     fn steps_of(plan: &Plan, ri: usize, bi: usize) -> Vec<(&JoinStep, u32)> {
         let rp = plan.rule(ri);
-        let bp = rp.body.as_deref().expect("a rule, not a fact");
+        let bp = rp.body;
         let off = bp.slot_offset(bi);
         bp.per_delta[bi]
             .steps
@@ -706,15 +1011,16 @@ mod tests {
         )
         .unwrap();
         let plan = Plan::new(&prog);
-        let steps = steps_of(&plan, 1, 2); // rule 0 is the fact; delta = edge
+        let steps = steps_of(&plan, 0, 2); // the fact has no plan; delta = edge
         assert_eq!(steps.len(), 2);
         assert!(steps.iter().all(|(s, _)| s.fully_bound));
         assert!(steps.iter().all(|(_, slot)| *slot == NO_SLOT));
-        assert_eq!(plan.rule(1).n_vars, 2);
-        assert_eq!(plan.rule(1).body_preds, vec![p, q, edge]);
-        // Delta uses: edge occurs at (rule 1, position 2).
-        assert_eq!(plan.uses(edge), &[(1, 2)]);
-        assert!(plan.uses(r).is_empty());
+        assert_eq!(plan.n_rules(), 1);
+        assert_eq!(plan.rule(0).n_vars, 2);
+        assert_eq!(plan.rule(0).body_preds, [p, q, edge]);
+        // Delta uses: edge occurs at (rule 0, position 2).
+        assert!(plan.uses(edge).eq(&[(0, 2)]));
+        assert!(plan.uses(r).next().is_none());
     }
 
     #[test]
@@ -738,18 +1044,17 @@ mod tests {
         )
         .unwrap();
         let plan = Plan::new(&prog);
-        let ri = prog.rules().len() - 1;
-        let steps = steps_of(&plan, ri, 0);
+        let steps = steps_of(&plan, 0, 0);
         assert_eq!(steps.len(), 1);
         let (step, slot) = steps[0];
         assert_eq!(step.pos, 1);
-        assert_eq!(step.cols, vec![0]);
+        assert_eq!(step.cols, 1);
         assert!(!step.fully_bound);
         // The probe got a dense slot, and the plan exposes its spec.
         assert_ne!(slot, NO_SLOT);
         let spec = plan.indices().nth(slot as usize).unwrap();
         assert_eq!(spec.pred, link);
-        assert_eq!(spec.cols, vec![0]);
+        assert_eq!(spec.cols, 1);
     }
 
     #[test]
@@ -771,7 +1076,7 @@ mod tests {
         let plan = Plan::new(&prog);
         let steps = steps_of(&plan, 0, 0);
         assert_eq!(steps[0].0.pos, 1);
-        assert_eq!(steps[0].0.cols, vec![0]);
+        assert_eq!(steps[0].0.cols, 1);
     }
 
     #[test]
@@ -790,17 +1095,17 @@ mod tests {
         .unwrap();
         let plan = Plan::new(&prog);
         let rp = plan.rule(0);
-        let bp = rp.body.as_deref().unwrap();
+        let bp = rp.body;
         assert_eq!(bp.per_delta.len(), 3);
-        assert_eq!(rp.body_preds, vec![e]);
-        assert_eq!(plan.uses(e), &[(0, 0), (0, 1), (0, 2)]);
+        assert_eq!(rp.body_preds, [e]);
+        assert!(plan.uses(e).eq(&[(0, 0), (0, 1), (0, 2)]));
         for (bi, dp) in bp.per_delta.iter().enumerate() {
             assert_eq!(dp.steps.len(), 2);
             // Each remaining atom shares a variable with what is already
             // bound, so every probe has at least one bound column.
             for s in &dp.steps {
                 assert_ne!(s.pos, bi);
-                assert!(!s.cols.is_empty());
+                assert_ne!(s.cols, 0);
             }
         }
         // Both probe column sets of `e` ({0} and {1}) get distinct slots.
@@ -829,8 +1134,7 @@ mod tests {
             .unwrap();
         }
         let plan = Plan::new(&prog);
-        let (b0, b1) = (plan.rule(0).body.as_ref(), plan.rule(1).body.as_ref());
-        assert!(Arc::ptr_eq(b0.unwrap(), b1.unwrap()));
+        assert!(std::ptr::eq(plan.rule(0).body, plan.rule(1).body));
         // Same shape, but each rule probes its own predicate's index.
         let s0 = steps_of(&plan, 0, 0)[0].1;
         let s1 = steps_of(&plan, 1, 0)[0].1;
@@ -866,8 +1170,8 @@ mod tests {
         )
         .unwrap();
         let plan = Plan::new(&prog);
-        let slots0: Vec<u32> = plan.rule(0).slots.clone();
-        let slots1: Vec<u32> = plan.rule(1).slots.clone();
+        let slots0: Vec<u32> = plan.rule(0).slots.to_vec();
+        let slots1: Vec<u32> = plan.rule(1).slots.to_vec();
         let used0: Vec<u32> = slots0.into_iter().filter(|&s| s != NO_SLOT).collect();
         let used1: Vec<u32> = slots1.into_iter().filter(|&s| s != NO_SLOT).collect();
         assert!(used0.iter().any(|s| used1.contains(s)));
@@ -879,25 +1183,26 @@ mod tests {
     fn decisions(plan: &Plan, prog: &Program) -> Vec<String> {
         let specs: Vec<&IndexSpec> = plan.indices().collect();
         let mut out = vec![format!("max_vars {}", plan.max_vars())];
-        for ri in 0..prog.rules().len() {
-            let rp = plan.rule(ri);
-            out.push(format!("rule {ri}: {} {:?}", rp.n_vars, rp.body_preds));
-            let Some(bp) = rp.body.as_deref() else {
-                continue;
-            };
+        for k in 0..plan.n_rules() {
+            let rp = plan.rule(k);
+            out.push(format!("rule {k}: {} {:?}", rp.n_vars, rp.body_preds));
+            let bp = rp.body;
             for (bi, dp) in bp.per_delta.iter().enumerate() {
                 for (si, st) in dp.steps.iter().enumerate() {
                     let slot = rp.slots[bp.slot_offset(bi) + si];
                     let probe = (slot != NO_SLOT).then(|| {
                         let spec = specs[slot as usize];
-                        (spec.pred, spec.cols.clone())
+                        (spec.pred, spec.cols)
                     });
                     out.push(format!("{bi}.{si}: {st:?} {probe:?}"));
                 }
             }
         }
         for p in prog.predicates() {
-            out.push(format!("uses {p:?}: {:?}", plan.uses(p)));
+            out.push(format!(
+                "uses {p:?}: {:?}",
+                plan.uses(p).collect::<Vec<_>>()
+            ));
         }
         out
     }
@@ -960,16 +1265,8 @@ mod tests {
         assert_eq!((len, planned), (2, 3), "template plan + program plan");
         let (plan2, len, planned) = plan(&p2);
         assert_eq!((len, planned), (3, 1));
-        // The segment sits after the facts: its rules shift, its plan does
-        // not.
-        assert!(Arc::ptr_eq(
-            plan1.rule(3).body.as_ref().unwrap(),
-            plan2.rule(4).body.as_ref().unwrap()
-        ));
-        // Same own rules and statistics, other constants: the same plan.
-        let (again, len, planned) = plan(&around(&seg, 3, "c1"));
-        assert!(Arc::ptr_eq(&again, &plan1));
-        assert_eq!((len, planned), (3, 0));
+        // Plans skip facts: the segment's rules come first in both.
+        assert!(std::ptr::eq(plan1.rule(0).body, plan2.rule(0).body));
         // Statistics the segment reads changed magnitude: planned again.
         let p3 = around(&seg, 40, "c0");
         let (plan3, len, planned) = plan(&p3);
@@ -991,6 +1288,57 @@ mod tests {
         let prog = around(&seg, 3, "c0");
         let plan = PlanCache::new().plan(&prog);
         assert_eq!(decisions(&plan, &prog), decisions(&Plan::new(&prog), &prog));
+    }
+
+    #[test]
+    fn deltas_take_their_rules_plans_from_the_first_delta_on_a_base() {
+        // The base: facts `e` and the path segment. After it: `out(X) :-
+        // path(c0, X)`, `back(X) :- e(X, c1)` and one more `e` fact.
+        let seg = path_segment();
+        let mut prog = around(&seg, 3, "c0");
+        let base_len = prog.rules().len() - 1;
+        let (e, back) = (prog.lookup_pred("e").unwrap(), prog.predicate("back", 1));
+        let (c1, c9) = (prog.constant("c1"), prog.constant("c9"));
+        prog.rule(
+            Atom::new(back, vec![Term::Var(0)]),
+            vec![Atom::new(e, vec![Term::Var(0), Term::Const(c1)])],
+        )
+        .unwrap();
+        prog.fact(e, vec![c9, c1]).unwrap();
+        let (out_rule, back_rule, fact) =
+            (base_len as u32, base_len as u32 + 1, base_len as u32 + 2);
+        // The program of the base and `delta`, on its own.
+        let whole = |delta: &[u32]| {
+            let mut whole = prog.clone();
+            let tail = whole.split_rules_off(base_len);
+            let picked = delta.iter().map(|&ri| &tail[ri as usize - base_len]);
+            whole.extend_shared(picked).unwrap();
+            whole
+        };
+        let mut cache = PlanCache::new();
+        let base = cache.plan_prefix(&prog, base_len);
+        // The first delta plans its rules; a later one takes the plan of
+        // `out`, which reads nothing a delta's fact defines, and plans
+        // `back`, which reads `e`.
+        for (delta, planned) in [
+            (vec![out_rule, back_rule, fact], 2),
+            (vec![out_rule], 0),
+            (vec![back_rule], 1),
+        ] {
+            let before = cache.rules_planned();
+            let plan = cache.plan_delta(&prog, &base, base_len, &delta);
+            assert_eq!(cache.rules_planned() - before, planned, "{delta:?}");
+            let whole = whole(&delta);
+            assert_eq!(
+                decisions(&plan, &whole),
+                decisions(&Plan::new(&whole), &whole)
+            );
+            // The base's index slots lead.
+            assert!(base
+                .indices()
+                .zip(plan.indices())
+                .all(|(a, b)| (a.pred, a.cols) == (b.pred, b.cols)));
+        }
     }
 
     #[test]
@@ -1026,9 +1374,8 @@ mod tests {
         let plan2 = cache.plan(&p2);
         assert_eq!(cache.len(), 2, "programs without a segment are keyed whole");
         // The recursive rule's body plan object is pooled: same Arc.
-        let (b1, b2) = (plan1.rule(0).body.as_ref(), plan2.rule(0).body.as_ref());
         assert!(
-            Arc::ptr_eq(b1.unwrap(), b2.unwrap()),
+            std::ptr::eq(plan1.rule(0).body, plan2.rule(0).body),
             "pooled body plans are shared"
         );
     }

@@ -10,14 +10,14 @@
 //! | [`EvalAgree`] | indexed Datalog evaluator ≡ naive reference on `makeP` outputs | evaluator substrate |
 //! | [`ServeRoundTrip`] | every serve frame — mangled or not — gets one structured response; served verdicts match direct runs | §7i protocol totality |
 //! | [`UnionOverapprox`] | the union program over-approximates every guess: `U ⊬ goal` ⇒ no guess derives it; guess models ⊆ `U`'s | Lemma 4.3, monotonicity |
-//! | [`PlanReuse`] | a fleet's shared `PlanCache` plans evaluate every guess and `U` to the same model as a fresh `Plan::new` | planner substrate |
+//! | [`PlanReuse`] | a fleet's shared `PlanCache` plans evaluate guess 0, and `U` and every guess as deltas on the base, to the same models as fresh `Plan::new`s of their whole programs | planner substrate |
 //!
 //! An oracle returns [`OracleOutcome::Skip`] when the system is outside
 //! its preconditions (undecidable class, truncated search, no target) —
 //! a skip is not a pass, and the fuzz summary counts them separately.
 
 use crate::gen::GenConfig;
-use parra_core::makep::{DatalogTarget, Guess, MakeP, MakePLimits};
+use parra_core::makep::{DatalogTarget, Fleet, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
 use parra_datalog::ast::{GroundAtom, Program};
 use parra_datalog::eval::Database;
@@ -36,6 +36,7 @@ use parra_simplified::message::{AMessage, Origin};
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
 use parra_simplified::state::{Budget, SimpState};
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// The result of one oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -684,23 +685,22 @@ impl Oracle for ServeRoundTrip {
 // ---------------------------------------------------------------------
 
 /// The cache-datalog fleet settles as safe when the union program `U`
-/// ([`MakeP::union_program`]) does not derive the goal. That is sound
-/// only if every guess program's least model sits inside `U`'s: this
-/// oracle checks both halves on generated systems.
+/// ([`MakeP::fleet`]) does not derive the goal. That is sound only if
+/// every guess program's least model sits inside `U`'s: this oracle
+/// checks both halves on generated systems.
 ///
 /// * *Soundness:* when `U ⊬ goal`, no guess program derives the goal
 ///   (the whole fleet is evaluated, none skipped).
 /// * *Containment:* the full least models of the first few guesses,
 ///   compared by printed atom, are subsets of `U`'s.
-/// * *Resumption:* `U` and those guesses, each evaluated in place on the
-///   fleet's base fixpoint ([`MakeP::base_program`],
-///   [`Evaluator::resume_until`]) as the engine evaluates them, derive
-///   exactly their from-scratch models, and rolling each back leaves the
-///   base as it was.
+/// * *Deltas:* `U` and those guesses, each evaluated as a delta in place
+///   on the fleet's base fixpoint as the engine evaluates them, derive
+///   exactly their whole programs' from-scratch models
+///   ([`check_fleet_deltas`]).
 pub struct UnionOverapprox;
 
-/// Guesses whose full models are compared against `U`'s, and resumed
-/// from the base.
+/// Guesses whose full models are compared against `U`'s, and evaluated
+/// as deltas on the base.
 const UNION_CONTAINMENT_GUESSES: usize = 4;
 
 impl Oracle for UnionOverapprox {
@@ -718,40 +718,17 @@ impl Oracle for UnionOverapprox {
 
     fn check(&self, sys: &ParamSystem) -> OracleOutcome {
         with_makep_fleet(sys, |mk, guesses, target| {
-            // The base fixpoint, planned through one cache as the engine
-            // plans a fleet, so that the programs' plans lead with its
-            // join indices.
-            let mut cache = PlanCache::new();
-            let base_prog = mk.base_program(guesses);
-            let mut base = Evaluator::with_plan(&base_prog, cache.plan(&base_prog)).run();
-            let base_atoms: Vec<GroundAtom> = base.iter().collect();
-            let mut resumes = |which: &str, prog: &Program, scratch: &Database| {
-                let ev = Evaluator::with_plan(prog, cache.plan(prog));
-                let Some(mark) = ev.resume_until(&mut base, None) else {
-                    return Ok(());
-                };
-                let resumed: HashSet<GroundAtom> = base.iter().collect();
-                base.rollback(mark);
-                if resumed != scratch.iter().collect() {
-                    return Err(format!(
-                        "{which} resumed from the base derives {} atoms, from scratch {}",
-                        resumed.len(),
-                        scratch.len()
-                    ));
-                }
-                if !base.iter().eq(base_atoms.iter().cloned()) {
-                    return Err(format!("rolling {which} back changed the base"));
-                }
-                Ok(())
-            };
-            let (union, goal) = mk.union_program(guesses, target);
-            let union_db = Evaluator::new(&union).run();
-            if let Err(msg) = resumes("the union program", &union, &union_db) {
+            let fleet = mk.fleet(guesses, target);
+            if let Err(msg) =
+                check_fleet_deltas(mk, guesses, &fleet, target, UNION_CONTAINMENT_GUESSES)
+            {
                 return OracleOutcome::Fail(msg);
             }
+            let union = &fleet.program;
+            let union_db = Evaluator::new(union).run();
             let union_atoms: HashSet<String> =
                 union_db.iter().map(|a| union.display_ground(&a)).collect();
-            let settled = !union_db.contains(&goal);
+            let settled = !union_db.contains(&fleet.goal);
             for (gi, guess) in guesses.iter().enumerate() {
                 let contain = gi < UNION_CONTAINMENT_GUESSES;
                 if !settled && !contain {
@@ -759,11 +736,6 @@ impl Oracle for UnionOverapprox {
                 }
                 let (prog, goal) = mk.program(guess, target);
                 let db = Evaluator::new(&prog).run();
-                if contain {
-                    if let Err(msg) = resumes(&format!("guess {gi}"), &prog, &db) {
-                        return OracleOutcome::Fail(msg);
-                    }
-                }
                 if settled && db.contains(&goal) {
                     return OracleOutcome::Fail(format!(
                         "the union of {} guesses does not derive the goal, \
@@ -788,12 +760,76 @@ impl Oracle for UnionOverapprox {
     }
 }
 
-/// A fleet shares one [`PlanCache`]: the template segment is planned
-/// once per statistics key and each program plans only its own rules.
-/// Reusing those plans must never change a model, so every guess program
-/// and the union `U`, evaluated to their full least models under the
-/// fleet's cache, must derive exactly the atoms a fresh `Plan::new`
-/// derives.
+/// Evaluates `U` and the first `n` guesses of `fleet` (the delta form of
+/// `guesses`) as the engine does: the base program planned and evaluated
+/// to closure once, each delta planned after it through the same
+/// [`PlanCache`] and evaluated to closure in place on that database.
+/// Each must derive exactly the from-scratch model of its whole program
+/// (`U`, or [`MakeP::program`] of the guess) under a fresh `Plan::new`,
+/// compared by printed atom, and rolling it back must leave the base as
+/// it was.
+///
+/// # Errors
+///
+/// Names the first program that fails, and how.
+pub fn check_fleet_deltas(
+    mk: &MakeP,
+    guesses: &[Guess],
+    fleet: &Fleet,
+    target: DatalogTarget,
+    n: usize,
+) -> Result<(), String> {
+    let (program, base_len) = (&fleet.program, fleet.base_len);
+    let mut cache = PlanCache::new();
+    let base_plan = cache.plan_prefix(program, base_len);
+    let mut base = Evaluator::with_delta(program, base_len, &[], Arc::clone(&base_plan)).run();
+    let before: Vec<GroundAtom> = base.iter().collect();
+    let printed = |prog: &Program, db: &Database| -> HashSet<String> {
+        db.iter().map(|a| prog.display_ground(&a)).collect()
+    };
+    let guess_deltas = guesses.iter().zip(&fleet.guesses).take(n).map(Some);
+    for (i, entry) in std::iter::once(None).chain(guess_deltas).enumerate() {
+        let (which, delta) = match entry {
+            None => ("the union program".to_string(), &fleet.union),
+            Some((_, delta)) => (format!("guess {}", i - 1), delta),
+        };
+        let plan = cache.plan_delta(program, &base_plan, base_len, delta);
+        let mark = Evaluator::with_delta(program, base_len, delta, plan)
+            .resume_until(&mut base, None)
+            .ok_or_else(|| format!("{which} did not resume from the base"))?;
+        let resumed = printed(program, &base);
+        base.rollback(mark);
+        let scratch = match entry {
+            None => printed(program, &Evaluator::new(program).run()),
+            Some((guess, _)) => {
+                let (whole, _) = mk.program(guess, target);
+                printed(&whole, &Evaluator::new(&whole).run())
+            }
+        };
+        if resumed != scratch {
+            let diff = resumed.symmetric_difference(&scratch).next();
+            return Err(format!(
+                "{which} as a delta on the base derives {} atoms, its whole program \
+                 from scratch {}; first difference: {}",
+                resumed.len(),
+                scratch.len(),
+                diff.map_or("none", String::as_str)
+            ));
+        }
+        if !base.iter().eq(before.iter().cloned()) {
+            return Err(format!("rolling {which} back changed the base"));
+        }
+    }
+    Ok(())
+}
+
+/// A fleet plans through one [`PlanCache`]: guess 0's whole program,
+/// the base program with the template segment, and for `U` and every
+/// later guess only the delta's rules, after the base's plan. Reusing
+/// those plans must never change a model: guess 0 under the cache's plan
+/// must derive exactly the atoms a fresh `Plan::new` derives, and `U`
+/// and every guess as deltas on the base exactly their whole programs'
+/// from-scratch models ([`check_fleet_deltas`]).
 pub struct PlanReuse;
 
 impl Oracle for PlanReuse {
@@ -811,31 +847,29 @@ impl Oracle for PlanReuse {
 
     fn check(&self, sys: &ParamSystem) -> OracleOutcome {
         with_makep_fleet(sys, |mk, guesses, target| {
-            let mut cache = PlanCache::new();
-            let union = (guesses.len() >= 2).then(|| mk.union_program(guesses, target));
-            let programs = guesses.iter().map(|g| mk.program(g, target)).chain(union);
-            for (i, (prog, _)) in programs.enumerate() {
-                let reused = Evaluator::with_plan(&prog, cache.plan(&prog)).run();
-                let fresh = Evaluator::new(&prog).run();
-                let reused: std::collections::HashSet<_> = reused.iter().collect();
-                let fresh: std::collections::HashSet<_> = fresh.iter().collect();
-                if reused != fresh {
-                    let which = if i < guesses.len() {
-                        format!("guess {i}")
-                    } else {
-                        "the union program".into()
-                    };
-                    let diff = reused.symmetric_difference(&fresh).next();
-                    return OracleOutcome::Fail(format!(
-                        "{which}: the shared plan derived {} atoms, a fresh plan {}; \
-                         first difference: {}",
-                        reused.len(),
-                        fresh.len(),
-                        diff.map_or("none".into(), |a| prog.display_ground(a)),
-                    ));
-                }
+            let Some(first) = guesses.first() else {
+                return OracleOutcome::Pass;
+            };
+            let (prog, _) = mk.program(first, target);
+            let reused = Evaluator::with_plan(&prog, PlanCache::new().plan(&prog)).run();
+            let fresh = Evaluator::new(&prog).run();
+            let reused: HashSet<_> = reused.iter().collect();
+            let fresh: HashSet<_> = fresh.iter().collect();
+            if reused != fresh {
+                let diff = reused.symmetric_difference(&fresh).next();
+                return OracleOutcome::Fail(format!(
+                    "guess 0: the shared plan derived {} atoms, a fresh plan {}; \
+                     first difference: {}",
+                    reused.len(),
+                    fresh.len(),
+                    diff.map_or("none".into(), |a| prog.display_ground(a)),
+                ));
             }
-            OracleOutcome::Pass
+            let fleet = mk.fleet(guesses, target);
+            match check_fleet_deltas(mk, guesses, &fleet, target, guesses.len()) {
+                Ok(()) => OracleOutcome::Pass,
+                Err(msg) => OracleOutcome::Fail(msg),
+            }
         })
     }
 }
@@ -932,8 +966,8 @@ mod tests {
             // Count the multi-guess fleets whose union leaves the goal
             // underived: those exercise the soundness half.
             with_makep_fleet(&sys, |mk, guesses, target| {
-                let (union, goal) = mk.union_program(guesses, target);
-                if guesses.len() >= 2 && !Evaluator::new(&union).query(&goal) {
+                let fleet = mk.fleet(guesses, target);
+                if guesses.len() >= 2 && !Evaluator::new(&fleet.program).query(&fleet.goal) {
                     settled += 1;
                 }
                 OracleOutcome::Pass

@@ -7,25 +7,24 @@
 //! construction), so the system here is minimal: one env store and the
 //! query for the stored message.
 //!
-//! Also: every program of a guess fleet, evaluated in place on the
-//! fleet's base fixpoint, derives exactly its from-scratch model.
+//! Also: `U` and every guess of a fleet, evaluated as deltas in place on
+//! the fleet's base fixpoint, derive exactly their whole programs'
+//! from-scratch models.
 
 use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
 use parra_core::verify::{Verifier, VerifierOptions};
-use parra_datalog::ast::GroundAtom;
 use parra_datalog::cache::{cache_schedule, prove_with_cache, verify_schedule};
 use parra_datalog::eval::Evaluator;
 use parra_datalog::linear::{is_linear, LinearEvaluator};
-use parra_datalog::plan::PlanCache;
 use parra_datalog::specialize::specialize_edb;
 use parra_datalog::translate::cache_to_linear;
 use parra_fuzz::gen::{GenConfig, SystemGen};
+use parra_fuzz::oracle::check_fleet_deltas;
 use parra_program::builder::SystemBuilder;
 use parra_program::system::ParamSystem;
 use parra_program::transform::GOAL_VAR_NAME;
 use parra_program::value::Val;
 use parra_simplified::state::Budget;
-use std::collections::HashSet;
 
 /// env: x := 1 — a single env store, no dis threads (T = 0).
 fn tiny_system() -> (ParamSystem, parra_program::ident::VarId) {
@@ -108,10 +107,11 @@ fn safe_system_through_the_whole_pipeline() {
 /// band) that the resumption battery takes, in seed order.
 const BAND_FLEETS: usize = 100;
 
-/// Resumes every guess program of `sys`'s fleet, then `U`, from the
-/// fleet's base fixpoint to closure and compares each with its
-/// from-scratch model; the base must be unchanged after every rollback.
-/// Returns the fleet's size, or `None` when makeP does not apply.
+/// Evaluates `U` and every guess of `sys`'s fleet as deltas on the
+/// fleet's base fixpoint, to closure, and compares each with its whole
+/// program's from-scratch model by printed atom; the base must be
+/// unchanged after every rollback (`check_fleet_deltas`). Returns the
+/// fleet's size, or `None` when makeP does not apply.
 fn resume_fleet(name: &str, sys: &ParamSystem, band: bool) -> Option<usize> {
     let v = Verifier::new(sys, VerifierOptions::default()).ok()?;
     let goal_sys = v.goal_system();
@@ -122,31 +122,9 @@ fn resume_fleet(name: &str, sys: &ParamSystem, band: bool) -> Option<usize> {
     }
     let goal_var = goal_sys.vars.lookup(GOAL_VAR_NAME)?;
     let target = DatalogTarget::MessageGenerated(parra_program::ident::VarId(goal_var), Val(1));
-    // One plan cache per fleet, as the engine plans it.
-    let mut cache = PlanCache::new();
-    let base_prog = mk.base_program(&guesses);
-    let mut base = Evaluator::with_plan(&base_prog, cache.plan(&base_prog)).run();
-    let before: Vec<GroundAtom> = base.iter().collect();
-    let union = (guesses.len() >= 2).then(|| mk.union_program(&guesses, target).0);
-    let programs = guesses.iter().map(|g| mk.program(g, target).0).chain(union);
-    for (i, prog) in programs.enumerate() {
-        let ev = Evaluator::with_plan(&prog, cache.plan(&prog));
-        let scratch: HashSet<GroundAtom> = ev.run().iter().collect();
-        let mark = ev
-            .resume_until(&mut base, None)
-            .unwrap_or_else(|| panic!("{name}, program {i}: did not resume from the base"));
-        let resumed: HashSet<GroundAtom> = base.iter().collect();
-        base.rollback(mark);
-        assert!(
-            resumed == scratch,
-            "{name}, program {i}: resumed {} atoms, from scratch {}",
-            resumed.len(),
-            scratch.len()
-        );
-        assert!(
-            base.iter().eq(before.iter().cloned()),
-            "{name}, program {i}: the rollback changed the base"
-        );
+    let fleet = mk.fleet(&guesses, target);
+    if let Err(msg) = check_fleet_deltas(&mk, &guesses, &fleet, target, guesses.len()) {
+        panic!("{name}: {msg}");
     }
     Some(guesses.len())
 }

@@ -346,3 +346,41 @@ fn json_report_carries_phases_and_percentiles() {
         }
     }
 }
+
+/// The `cache-datalog` phases account for its runs' wall-clock: summed
+/// over the litmus suite, they cover at least 85% of the summed
+/// `duration` (the first run's `parse` and `prepare` fall before it and
+/// are left out). A preemption inside an untimed stretch can cost a
+/// short run its whole margin, so the suite gets three tries.
+#[test]
+fn datalog_phases_cover_the_litmus_runs() {
+    use parra::core::verify::{EngineId, Verifier, VerifierOptions};
+    use parra::obs::{Level, Recorder};
+    let _serial = serial();
+    let coverage = || {
+        let (mut phased, mut total) = (0u64, 0u64);
+        for bench in parra::litmus::all() {
+            let rec = Recorder::enabled(Level::Summary);
+            let options = VerifierOptions::default();
+            let Ok(v) = Verifier::new_with_recorder(&bench.system, options, rec) else {
+                continue;
+            };
+            let r = v.run(EngineId::CacheDatalog);
+            let timed = r
+                .phases
+                .iter()
+                .filter(|(n, _)| n != "parse" && n != "prepare");
+            phased += timed.map(|(_, us)| us).sum::<u64>();
+            total += r.stats.duration.as_micros() as u64;
+        }
+        phased as f64 / total as f64
+    };
+    let mut tries = Vec::new();
+    for _ in 0..3 {
+        tries.push(coverage());
+        if tries.last().is_some_and(|&c| c >= 0.85) {
+            return;
+        }
+    }
+    panic!("phases cover {tries:?} of the summed duration, below 0.85");
+}

@@ -1,23 +1,27 @@
-//! Segment plans are exact.
+//! Fleet plans are exact.
 //!
-//! A guess fleet shares one `PlanCache`: the rules every program shares
-//! with the `makeP` template (its recorded segment) are planned once per
-//! statistics key, and each program plans only its own rules. Over the
-//! litmus suite and `GenConfig::wide()` seeds `0..2000` (each prepared
-//! through `Verifier::new`, at most 64 guesses per system, both
-//! `DatalogTarget`s), every guess program and the union `U` get, from
-//! their fleet's cache, a plan that decides exactly what `Plan::new`
-//! decides: per rule and delta position the join order, the bound
+//! A guess fleet plans through one `PlanCache`, as the engine plans it:
+//! guess 0's whole program, then the base program with the template
+//! segment, then `U` and every later guess as a delta that plans only its
+//! own rules after the base's plan. Over the litmus suite and
+//! `GenConfig::wide()` seeds `0..2000` (each prepared through
+//! `Verifier::new`, at most 64 guesses per system, both
+//! `DatalogTarget`s), each plan decides exactly what `Plan::new` of the
+//! matching whole program decides: guess 0's and the base's their own
+//! programs', a delta's rules its whole program's (the facts, and so the
+//! statistics, are the same), and the segment under a delta the base's.
+//! Compared are, per rule and delta position, the join order, the bound
 //! columns, `fully_bound` and the probed (predicate, columns); and the
-//! same `uses` and `max_vars`. Slot numbers may differ.
+//! `uses` and `max_vars`. Predicates match by name, slot numbers may
+//! differ.
 //!
 //! A prepared verifier keeps the plans of its own fleet: on every litmus
 //! program, its second `cache-datalog` run and a run of a `rescoped`
 //! clone plan nothing and report what the first run reported.
 
-use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
+use parra_core::makep::{DatalogTarget, Fleet, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierOptions};
-use parra_datalog::ast::{PredId, Program, Term};
+use parra_datalog::ast::{PredId, Program, Rule, Term};
 use parra_datalog::plan::{IndexSpec, Plan, PlanCache, NO_SLOT};
 use parra_fuzz::gen::{GenConfig, SystemGen};
 use parra_obs::{EventValue, Level, Recorder};
@@ -25,54 +29,65 @@ use parra_program::system::ParamSystem;
 use parra_program::transform::GOAL_VAR_NAME;
 use parra_program::value::Val;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::ops::Range;
 
 const SEEDS: u64 = 2000;
 const MAX_GUESSES: usize = 64;
 
-/// The first difference between what two plans of `prog` decide.
-fn first_difference(got: &Plan, want: &Plan, prog: &Program) -> Option<String> {
-    if got.max_vars() != want.max_vars() {
-        return Some(format!(
-            "max_vars {} != {}",
-            got.max_vars(),
-            want.max_vars()
-        ));
-    }
-    for p in prog.predicates() {
-        if got.uses(p) != want.uses(p) {
-            return Some(format!("uses of {}", prog.pred_name(p)));
+/// The first difference between what `got`, a plan of `gp`'s rules, and
+/// `want`, one of `wp`'s, decide for the rules with a body numbered
+/// `rules`, and, with `whole`, for `uses` and `max_vars`.
+fn first_difference(
+    (got, gp): (&Plan, &Program),
+    (want, wp): (&Plan, &Program),
+    rules: Range<usize>,
+    whole: bool,
+) -> Option<String> {
+    if whole {
+        if (got.n_rules(), got.max_vars()) != (want.n_rules(), want.max_vars()) {
+            return Some("rule count or max_vars".into());
+        }
+        for p in gp.predicates() {
+            let theirs = wp.lookup_pred(gp.pred_name(p));
+            let want_uses: Vec<_> = theirs.map_or(Vec::new(), |w| want.uses(w).collect());
+            if got.uses(p).collect::<Vec<_>>() != want_uses {
+                return Some(format!("uses of {}", gp.pred_name(p)));
+            }
         }
     }
     let (got_specs, want_specs): (Vec<&IndexSpec>, Vec<&IndexSpec>) =
         (got.indices().collect(), want.indices().collect());
-    let probe = |specs: &[&IndexSpec], slot: u32| {
-        (slot != NO_SLOT).then(|| (specs[slot as usize].pred, specs[slot as usize].cols.clone()))
+    let probe = |prog: &Program, specs: &[&IndexSpec], slot: u32| {
+        (slot != NO_SLOT).then(|| {
+            let spec = specs[slot as usize];
+            (prog.pred_name(spec.pred).to_string(), spec.cols)
+        })
     };
-    for ri in 0..prog.rules().len() {
-        let (g, w) = (got.rule(ri), want.rule(ri));
-        if (g.n_vars, &g.body_preds) != (w.n_vars, &w.body_preds) {
-            return Some(format!("rule {ri}: n_vars or body predicates"));
-        }
-        let (Some(gb), Some(wb)) = (g.body.as_deref(), w.body.as_deref()) else {
-            if g.body.is_some() != w.body.is_some() {
-                return Some(format!("rule {ri}: a plan on one side only"));
-            }
-            continue;
+    for k in rules {
+        let (g, w) = (got.rule(k), want.rule(k));
+        let names = |prog: &Program, preds: &[PredId]| -> BTreeSet<String> {
+            preds
+                .iter()
+                .map(|&p| prog.pred_name(p).to_string())
+                .collect()
         };
+        if g.n_vars != w.n_vars || names(gp, g.body_preds) != names(wp, w.body_preds) {
+            return Some(format!("rule {k}: n_vars or body predicates"));
+        }
+        let (gb, wb) = (g.body, w.body);
         if gb.per_delta.len() != wb.per_delta.len() {
-            return Some(format!("rule {ri}: delta positions"));
+            return Some(format!("rule {k}: delta positions"));
         }
         for (bi, (gd, wd)) in gb.per_delta.iter().zip(&wb.per_delta).enumerate() {
             if gd.steps != wd.steps {
-                return Some(format!("rule {ri} delta {bi}: join order"));
+                return Some(format!("rule {k} delta {bi}: join order"));
             }
             for si in 0..gd.steps.len() {
-                let gp = probe(&got_specs, g.slots[gb.slot_offset(bi) + si]);
-                let wp = probe(&want_specs, w.slots[wb.slot_offset(bi) + si]);
-                if gp != wp {
+                let gp_ = probe(gp, &got_specs, g.slots[gb.slot_offset(bi) + si]);
+                let wp_ = probe(wp, &want_specs, w.slots[wb.slot_offset(bi) + si]);
+                if gp_ != wp_ {
                     return Some(format!(
-                        "rule {ri} delta {bi} step {si}: probe {gp:?} != {wp:?}"
+                        "rule {k} delta {bi} step {si}: probe {gp_:?} != {wp_:?}"
                     ));
                 }
             }
@@ -81,18 +96,17 @@ fn first_difference(got: &Plan, want: &Plan, prog: &Program) -> Option<String> {
     None
 }
 
-/// Each fleet of `sys` (one per target): its guess programs, then `U`
-/// when there are two or more.
-fn fleets(sys: &ParamSystem) -> Vec<Vec<Program>> {
+/// Each fleet of `sys` (one per target), with its makeP encoder.
+fn with_fleets(sys: &ParamSystem, mut f: impl FnMut(&MakeP, &[Guess], DatalogTarget, &Fleet)) {
     let Ok(v) = Verifier::new(sys, VerifierOptions::default()) else {
-        return Vec::new();
+        return;
     };
     let goal_sys = v.goal_system();
     let Ok(mk) = MakeP::new(goal_sys, v.budget().clone(), MakePLimits::default()) else {
-        return Vec::new();
+        return;
     };
     let Ok(guesses) = mk.guesses() else {
-        return Vec::new();
+        return;
     };
     let guesses = &guesses[..guesses.len().min(MAX_GUESSES)];
     let goal_var = goal_sys
@@ -100,25 +114,27 @@ fn fleets(sys: &ParamSystem) -> Vec<Vec<Program>> {
         .lookup(GOAL_VAR_NAME)
         .map(parra_program::ident::VarId)
         .expect("prepared systems declare the goal variable");
-    [
+    for target in [
         DatalogTarget::AssertViolation,
         DatalogTarget::MessageGenerated(goal_var, Val(1)),
-    ]
-    .into_iter()
-    .map(|target| {
-        let union = (guesses.len() >= 2).then(|| mk.union_program(guesses, target).0);
-        guesses
-            .iter()
-            .map(|g| mk.program(g, target).0)
-            .chain(union)
-            .collect()
-    })
-    .collect()
+    ] {
+        f(&mk, guesses, target, &mk.fleet(guesses, target));
+    }
+}
+
+/// The base program of `fleet` on its own.
+fn base_program(fleet: &Fleet) -> Program {
+    let mut base = fleet.program.clone();
+    base.split_rules_off(fleet.base_len);
+    base
 }
 
 /// Runs `check` on every fleet of the corpus, on a few threads; returns
-/// how many programs it saw.
-fn for_each_fleet(seeds: u64, check: impl Fn(&str, &[Program]) + Sync) -> usize {
+/// how many plans it saw (guess 0, the base, `U` and each later guess).
+fn for_each_fleet(
+    seeds: u64,
+    check: impl Fn(&str, &MakeP, &[Guess], DatalogTarget, &Fleet) + Sync,
+) -> usize {
     let gen = SystemGen::new(GenConfig::wide());
     let systems: Vec<(String, ParamSystem)> = parra_litmus::all()
         .into_iter()
@@ -135,10 +151,10 @@ fn for_each_fleet(seeds: u64, check: impl Fn(&str, &[Program]) + Sync) -> usize 
                 s.spawn(move || {
                     let mut n = 0;
                     for (name, sys) in part {
-                        for fleet in fleets(sys) {
-                            check(name, &fleet);
-                            n += fleet.len();
-                        }
+                        with_fleets(sys, |mk, guesses, target, fleet| {
+                            check(name, mk, guesses, target, fleet);
+                            n += guesses.len() + 2;
+                        });
                     }
                     n
                 })
@@ -150,26 +166,61 @@ fn for_each_fleet(seeds: u64, check: impl Fn(&str, &[Program]) + Sync) -> usize 
 
 #[test]
 fn segment_plans_decide_exactly_what_fresh_plans_decide() {
-    let n = for_each_fleet(SEEDS, |name, fleet| {
+    let n = for_each_fleet(SEEDS, |name, mk, guesses, target, fleet| {
         let mut cache = PlanCache::new();
-        for (i, prog) in fleet.iter().enumerate() {
-            assert!(prog.segment().is_some(), "{name} #{i}: no template segment");
-            let got = cache.plan(prog);
-            if let Some(diff) = first_difference(&got, &Plan::new(prog), prog) {
-                panic!("{name}, program {i} of its fleet: {diff}");
+        let (first, _) = mk.program(&guesses[0], target);
+        assert!(first.segment().is_some(), "{name}: no template segment");
+        let got = cache.plan(&first);
+        let whole = 0..got.n_rules();
+        if let Some(diff) =
+            first_difference((&got, &first), (&Plan::new(&first), &first), whole, true)
+        {
+            panic!("{name}, guess 0: {diff}");
+        }
+        let (program, base_len) = (&fleet.program, fleet.base_len);
+        let base = cache.plan_prefix(program, base_len);
+        let base_prog = base_program(fleet);
+        let base_fresh = Plan::new(&base_prog);
+        let segment = 0..base.n_rules();
+        if let Some(diff) = first_difference(
+            (&base, program),
+            (&base_fresh, &base_prog),
+            segment.clone(),
+            false,
+        ) {
+            panic!("{name}, the base: {diff}");
+        }
+        let union = (&fleet.union, None);
+        let deltas = fleet.guesses.iter().zip(guesses).map(|(d, g)| (d, Some(g)));
+        for (i, (delta, guess)) in std::iter::once(union).chain(deltas).enumerate() {
+            let got = cache.plan_delta(program, &base, base_len, delta);
+            let whole_prog = guess.map_or_else(|| program.clone(), |g| mk.program(g, target).0);
+            let want = Plan::new(&whole_prog);
+            let own = base.n_rules()..got.n_rules();
+            let diff =
+                first_difference((&got, program), (&want, &whole_prog), own, true).or_else(|| {
+                    let base_side = (&base_fresh, &base_prog);
+                    first_difference((&got, program), base_side, segment.clone(), false)
+                });
+            if let Some(diff) = diff {
+                panic!("{name}, delta {i} of its fleet (0 is U): {diff}");
             }
         }
     });
-    assert!(n > 70_000, "the corpus shrank to {n} programs");
+    assert!(n > 70_000, "the corpus shrank to {n} plans");
 }
 
 /// What the planner reads of `preds`' statistics: the fact count and the
 /// distinct constants per column, rounded up to powers of two, or its
 /// defaults (256 tuples, 8 values per column) without facts.
-fn stats_key(prog: &Program, preds: &BTreeSet<PredId>) -> Vec<u64> {
+fn stats_key<'r>(
+    prog: &Program,
+    rules: impl Iterator<Item = &'r Rule>,
+    preds: &BTreeSet<PredId>,
+) -> Vec<u64> {
     let quantize = |n: usize| n.max(1).next_power_of_two() as u64;
     let mut facts: HashMap<PredId, (usize, Vec<HashSet<Term>>)> = HashMap::new();
-    for rule in prog.rules().iter().filter(|r| r.is_fact()) {
+    for rule in rules.filter(|r| r.is_fact()) {
         let (count, cols) = facts
             .entry(rule.head.pred)
             .or_insert_with(|| (0, vec![HashSet::new(); rule.head.terms.len()]));
@@ -196,38 +247,64 @@ fn stats_key(prog: &Program, preds: &BTreeSet<PredId>) -> Vec<u64> {
 
 #[test]
 fn the_template_segment_is_planned_once_per_fleet_and_statistics_key() {
-    let n = for_each_fleet(SEEDS / 10, |name, fleet| {
-        let (_, segment) = fleet[0].segment().expect("a template segment");
+    let n = for_each_fleet(SEEDS / 10, |name, mk, guesses, target, fleet| {
+        let (first, _) = mk.program(&guesses[0], target);
+        let (_, segment) = first.segment().expect("a template segment");
         let reads: BTreeSet<PredId> = segment
             .iter()
             .flat_map(|r| r.body.iter().map(|a| a.pred))
             .collect();
         let template_rules = segment.iter().filter(|r| !r.is_fact()).count();
+        let with_body = |prog: &Program| prog.rules().iter().filter(|r| !r.is_fact()).count();
         let mut cache = PlanCache::new();
-        let mut keys = HashSet::new();
-        for (i, prog) in fleet.iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(prog.segment().unwrap().1, segment),
-                "{name} #{i}"
+        let mut planned = |plan: &mut dyn FnMut(&mut PlanCache)| {
+            let before = cache.rules_planned();
+            plan(&mut cache);
+            cache.rules_planned() - before
+        };
+        // Guess 0 plans all of its rules, the segment under its
+        // statistics key.
+        assert_eq!(
+            planned(&mut |c| drop(c.plan(&first))),
+            with_body(&first),
+            "{name}, guess 0"
+        );
+        // The base plans the segment again only under another key.
+        let (program, base_len) = (&fleet.program, fleet.base_len);
+        assert!(std::sync::Arc::ptr_eq(
+            program.segment().unwrap().1,
+            segment
+        ));
+        let prefix = &program.rules()[..base_len];
+        let new_key = stats_key(&first, first.rules().iter().map(|r| &**r), &reads)
+            != stats_key(program, prefix.iter().map(|r| &**r), &reads);
+        let mut base = None;
+        assert_eq!(
+            planned(&mut |c| base = Some(c.plan_prefix(program, base_len))),
+            usize::from(new_key) * template_rules,
+            "{name}, the base"
+        );
+        let base = base.expect("planned");
+        // `U` plans its own rules, never the segment; each later guess
+        // takes its rules' plans from `U`'s and plans nothing.
+        let union_rules = fleet
+            .union
+            .iter()
+            .filter(|&&ri| !program.rules()[ri as usize].is_fact());
+        assert_eq!(
+            planned(&mut |c| drop(c.plan_delta(program, &base, base_len, &fleet.union))),
+            union_rules.count(),
+            "{name}, U"
+        );
+        for (i, delta) in fleet.guesses.iter().enumerate() {
+            assert_eq!(
+                planned(&mut |c| drop(c.plan_delta(program, &base, base_len, delta))),
+                0,
+                "{name}, guess {i}"
             );
-            let own = prog.rules().iter().filter(|r| !r.is_fact()).count() - template_rules;
-            let new_key = keys.insert(stats_key(prog, &reads));
-            let (before, rules_before) = (cache.len(), cache.rules_planned());
-            cache.plan(prog);
-            let planned = cache.rules_planned() - rules_before;
-            // The template is planned exactly under a statistics key the
-            // program is the first to meet. The program's own rules are
-            // planned unless an earlier program had the same own rules,
-            // statistics and template plan; that is never so under a new
-            // key.
-            let template = usize::from(new_key);
-            let program = cache.len() - before - template;
-            assert!(program == 1 || (program == 0 && !new_key), "{name} #{i}");
-            let want = program * (own + template * template_rules);
-            assert_eq!(planned, want, "{name}, program {i}: rules planned");
         }
     });
-    assert!(n > 5_000, "the corpus shrank to {n} programs");
+    assert!(n > 5_000, "the corpus shrank to {n} plans");
 }
 
 /// The deterministic part of one `cache-datalog` run (verdict, notes,
