@@ -20,8 +20,8 @@
 //! timeline `{0, 0⁺, …, T, T⁺}` (Section 3.4):
 //!
 //! * `etp_s(v̄)` — an `env` thread is at control state `s` (location ×
-//!   register valuation, grounded) with view `v̄` (one argument per shared
-//!   variable);
+//!   register valuation, grounded over the states reachable from the
+//!   entry) with view `v̄` (one argument per shared variable);
 //! * `emp_x_d(v̄)` / `dmp_x_d(v̄)` — an `env`/`dis` (or initial) message on
 //!   `x` with value `d` and view `v̄`;
 //! * `dtpᵢ_k(v̄)` — `dis` thread `i` has executed `k` steps of its guessed
@@ -41,10 +41,10 @@ use parra_program::cfg::{Cfa, Instr, Loc};
 use parra_program::expr::RegVal;
 use parra_program::ident::VarId;
 use parra_program::system::ParamSystem;
-use parra_program::value::Val;
+use parra_program::value::{Dom, Val};
 use parra_simplified::state::Budget;
 use parra_simplified::timestamp::ATime;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 use std::ops::Range;
@@ -95,7 +95,8 @@ pub struct Guess {
 pub struct MakePLimits {
     /// Maximum number of guesses to enumerate.
     pub max_guesses: usize,
-    /// Maximum number of grounded `env` control states (`loc × rv`).
+    /// Maximum number of `env` control states (`loc × rv`), reachable or
+    /// not.
     pub max_env_states: usize,
 }
 
@@ -511,9 +512,7 @@ impl<'s> MakeP<'s> {
         for (x, facts) in tpl.gapstore.iter().enumerate() {
             for (g, fact) in facts.iter().filter(|(g, _)| closed_by_some(x, *g)) {
                 gaps.push((x, *g, enc.prog.rules().len() as u32));
-                enc.prog
-                    .extend_shared([fact])
-                    .expect("gapstore facts fit the registry");
+                enc.prog.extend_validated([fact]);
             }
         }
         let encoded_from = enc.prog.rules().len();
@@ -576,15 +575,14 @@ impl<'s> MakeP<'s> {
     }
 
     /// Appends to `prog` segment B, minus the gaps `g` of each variable
-    /// `x` that `closed(x, g)` names, then segment C.
+    /// `x` that `closed(x, g)` names, then segment C. The template
+    /// validated both against its registry, which `prog`'s extends.
     fn extend_b_and_c(&self, prog: &mut Program, closed: impl Fn(usize, u32) -> bool) {
         for (x, facts) in self.tpl.gapstore.iter().enumerate() {
             let open = facts.iter().filter(|(g, _)| !closed(x, *g));
-            prog.extend_shared(open.map(|(_, fact)| fact))
-                .expect("gapstore facts fit the registry");
+            prog.extend_validated(open.map(|(_, fact)| fact));
         }
-        prog.extend_segment(&self.tpl.env)
-            .expect("env rules fit the registry");
+        prog.extend_segment(&self.tpl.env);
     }
 
     /// An encoder on top of the template: its registry and segment A.
@@ -650,7 +648,8 @@ pub struct Fleet {
 /// * **A** — the timeline facts (`tle`, `tlt`, `tmax`, `gapjoin`);
 /// * **B** — the `gapstore_x` facts, minus the gaps the guess's
 ///   integer-read CAS steps close;
-/// * **C** — the initial facts and the grounded `env` rules;
+/// * **C** — the initial facts and the `env` rules, grounded over the
+///   reachable `env` control states;
 /// * **D** — the `dis` rules along the guessed skeletons, then the goal
 ///   rules.
 ///
@@ -658,8 +657,9 @@ pub struct Fleet {
 /// predicate before C's are all declared. So `head` carries the registry
 /// in the order a from-scratch encoding creates it, and every program
 /// gets the same ids, rules and rule order as one. B's candidates and C
-/// are shared by [`Arc`] rather than copied per guess, and C is every
-/// program's recorded [`Segment`]. A fleet plans C with guess 0's
+/// are validated once, against `head`'s registry, which every program's
+/// extends; they are shared by [`Arc`] rather than copied per guess, and
+/// C is every program's recorded [`Segment`]. A fleet plans C with guess 0's
 /// program and with its base program ([`Fleet`]), each under its own
 /// statistics; the guesses after the first are deltas on that base.
 #[derive(Debug)]
@@ -698,20 +698,22 @@ impl Template {
             mut prog, preds, ..
         } = enc;
         let env = prog.split_rules_off(a_len).into();
-        let t = |a: ATime| Term::Const(syms.tc[&a]);
-        let gapstore = (0..syms.n_vars)
-            .map(|x| {
-                let mut facts = Vec::new();
-                for &a in timeline {
-                    for g in a.floor()..=budget.slots(VarId(x as u32)) {
-                        let head = Atom::new(syms.gapstore[x], vec![t(a), t(ATime::Plus(g))]);
-                        let body = Vec::new();
-                        facts.push((g, Arc::new(Rule { head, body })));
-                    }
+        // Segment B's candidates, validated here once, as segment C is.
+        let mut gaps = Vec::new();
+        for x in 0..syms.n_vars {
+            for &a in timeline {
+                for g in a.floor()..=budget.slots(VarId(x as u32)) {
+                    let args = vec![syms.tc[&a], syms.tc[&ATime::Plus(g)]];
+                    prog.fact(syms.gapstore[x], args)
+                        .expect("gapstore facts fit the registry");
+                    gaps.push((x, g));
                 }
-                facts
-            })
-            .collect();
+            }
+        }
+        let mut gapstore = vec![Vec::new(); syms.n_vars];
+        for ((x, g), fact) in gaps.into_iter().zip(prog.split_rules_off(a_len)) {
+            gapstore[x].push((g, fact));
+        }
         let assert_locs: BTreeSet<Loc> = sys
             .env
             .cfa()
@@ -974,53 +976,32 @@ impl Encoder<'_> {
         }
     }
 
-    /// Env transition rules, grounded over register valuations.
+    /// Env transition rules from the reachable env control states
+    /// ([`reachable_env_states`]), in register-valuation order, then edge
+    /// order: the full grounding over `dom^n_regs` restricted to them.
     fn emit_env_rules(&mut self) {
         let sys = self.sys;
         let cfa = sys.env.cfa_arc();
-        let dom = sys.dom;
-        let rvs = enumerate_rvs(sys.env.n_regs() as usize, dom);
-        for rv in &rvs {
-            for edge in cfa.edges() {
+        for (rv, from) in &reachable_env_states(sys) {
+            for edge in cfa.edges().iter().filter(|e| from[e.from.index()]) {
                 let src = self.etp_pred(edge.from, rv);
-                match &edge.instr {
-                    Instr::Skip | Instr::AssertFalse => {
-                        let dst = self.etp_pred(edge.to, rv);
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Assume(e) => {
-                        if e.eval(rv, dom).as_bool() {
-                            let dst = self.etp_pred(edge.to, rv);
-                            let v = self.vvec(0);
-                            self.prog
-                                .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                                .unwrap();
+                for (rv2, loaded) in env_steps(&edge.instr, rv, sys.dom) {
+                    let dst = self.etp_pred(edge.to, &rv2);
+                    let src_atom = Atom::new(src, self.vvec(0));
+                    match &edge.instr {
+                        Instr::Load(_, x) => {
+                            let d = loaded.expect("a load step reads a value");
+                            self.emit_load_rules(src_atom, dst, *x, d);
                         }
-                    }
-                    Instr::Assign(r, e) => {
-                        let rv2 = rv.with(*r, e.eval(rv, dom));
-                        let dst = self.etp_pred(edge.to, &rv2);
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Load(r, x) => {
-                        for d in dom.iter() {
-                            let rv2 = rv.with(*r, d);
-                            let dst = self.etp_pred(edge.to, &rv2);
-                            self.emit_load_rules(Atom::new(src, self.vvec(0)), dst, *x, d);
+                        Instr::Store(x, e) => {
+                            let d = e.eval(rv, sys.dom);
+                            self.emit_env_store_rules(src_atom, dst, *x, d);
                         }
+                        _ => self
+                            .prog
+                            .rule(Atom::new(dst, self.vvec(0)), vec![src_atom])
+                            .unwrap(),
                     }
-                    Instr::Store(x, e) => {
-                        let d = e.eval(rv, dom);
-                        let dst = self.etp_pred(edge.to, rv);
-                        self.emit_env_store_rules(Atom::new(src, self.vvec(0)), dst, *x, d);
-                    }
-                    Instr::Cas(..) => unreachable!("env is CAS-free"),
                 }
             }
         }
@@ -1259,19 +1240,45 @@ impl Encoder<'_> {
     }
 }
 
-/// All register valuations over `n_regs` registers.
-fn enumerate_rvs(n_regs: usize, dom: parra_program::value::Dom) -> Vec<RegVal> {
-    let mut out = vec![RegVal::new(n_regs)];
-    for r in 0..n_regs {
-        let mut next = Vec::new();
-        for rv in &out {
-            for d in dom.iter() {
-                next.push(rv.with(parra_program::ident::RegId(r as u32), d));
-            }
-        }
-        out = next;
+/// The `env` steps along `instr` from register valuation `rv`: each
+/// step's valuation after it, and the value it loads. Segment C's rules
+/// and [`reachable_env_states`] take exactly these.
+fn env_steps(instr: &Instr, rv: &RegVal, dom: Dom) -> Vec<(RegVal, Option<Val>)> {
+    match instr {
+        Instr::Skip | Instr::AssertFalse | Instr::Store(..) => vec![(rv.clone(), None)],
+        Instr::Assume(e) if e.eval(rv, dom).as_bool() => vec![(rv.clone(), None)],
+        Instr::Assume(_) => Vec::new(),
+        Instr::Assign(r, e) => vec![(rv.with(*r, e.eval(rv, dom)), None)],
+        Instr::Load(r, _) => dom.iter().map(|d| (rv.with(*r, d), Some(d))).collect(),
+        Instr::Cas(..) => unreachable!("env is CAS-free"),
     }
-    out
+}
+
+/// The `env` control states reachable from `(entry, 0̄)` in the CFA
+/// with every load yielding any domain value, as a location set per
+/// register valuation, in valuation order (DESIGN §4, decision 12).
+///
+/// An `etp` atom is derived only from the initial fact or by an env rule
+/// from another `etp` atom, and those rules take exactly these steps
+/// ([`env_steps`]): no env rule from another state can fire.
+fn reachable_env_states(sys: &ParamSystem) -> BTreeMap<RegVal, Vec<bool>> {
+    let cfa = sys.env.cfa();
+    let n_locs = cfa.n_locs() as usize;
+    let mut seen: BTreeMap<RegVal, Vec<bool>> = BTreeMap::new();
+    let mut work = vec![(RegVal::new(sys.env.n_regs() as usize), cfa.entry())];
+    while let Some((rv, loc)) = work.pop() {
+        let locs = seen
+            .entry(rv.clone())
+            .or_insert_with(|| vec![false; n_locs]);
+        if std::mem::replace(&mut locs[loc.index()], true) {
+            continue;
+        }
+        for edge in cfa.outgoing(loc) {
+            let steps = env_steps(&edge.instr, &rv, sys.dom);
+            work.extend(steps.into_iter().map(|(rv2, _)| (rv2, edge.to)));
+        }
+    }
+    seen
 }
 
 #[cfg(test)]
@@ -1519,6 +1526,54 @@ mod tests {
         for p in &programs[1..] {
             assert_eq!(p.rules(), programs[0].rules());
         }
+    }
+
+    #[test]
+    fn no_env_rule_leaves_a_dead_location() {
+        use crate::verify::{EngineId, Verdict, Verifier, VerifierOptions};
+        use parra_program::expr::Expr;
+        // env: either `assume false; r <- x; assert false`, whose load
+        // sits behind an assume no valuation passes, or
+        // `x := 1; r <- x; assume r == 1; assert false`.
+        let mut b = SystemBuilder::new(2);
+        let x = b.var("x");
+        let mut env = b.program("env");
+        let r = env.reg("r");
+        env.choice(
+            |p| {
+                p.assume(Expr::val(0)).load(r, x).assert_false();
+            },
+            |p| {
+                p.store(x, 1).load(r, x).assume_eq(r, 1).assert_false();
+            },
+        );
+        let sys = b.build(env.finish(), vec![]);
+        let edges = sys.env.cfa().edges();
+        let dead = edges
+            .iter()
+            .find(|e| matches!(&e.instr, Instr::Assume(c) if *c == Expr::val(0)))
+            .expect("the dead branch's assume")
+            .to;
+        assert!(edges
+            .iter()
+            .any(|e| e.from == dead && matches!(e.instr, Instr::Load(..))));
+        let mk = MakeP::new(&sys, Budget::exact(&sys).unwrap(), MakePLimits::default()).unwrap();
+        let guesses = mk.guesses().unwrap();
+        let (prog, _) = mk.program(&guesses[0], DatalogTarget::AssertViolation);
+        let at_dead = format!("etp_{}_", dead.0);
+        for rule in prog.rules() {
+            for atom in std::iter::once(&rule.head).chain(&rule.body) {
+                assert!(
+                    !prog.pred_name(atom.pred).starts_with(&at_dead),
+                    "a rule at the dead location: {rule:?}"
+                );
+            }
+        }
+        // The live branch loads too, and both engines find its assert.
+        let v = Verifier::new(&sys, VerifierOptions::default()).unwrap();
+        let datalog = v.run(EngineId::CacheDatalog).verdict;
+        assert_eq!(datalog, Verdict::Unsafe);
+        assert_eq!(v.run(EngineId::SimplifiedReach).verdict, datalog);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use parra_datalog::linear::LinearEvaluator;
 use parra_datalog::plan::Plan;
 use parra_datalog::translate::cache_to_linear;
 use parra_datalog::{GroundAtom, Program};
+use parra_limits::ResourceBudget;
 use parra_obs::Recorder;
 use std::sync::Arc;
 
@@ -38,8 +39,11 @@ pub enum LinearCheck {
     /// engine bug.
     Disagrees,
     /// The program is outside the ≤2-atom-body fragment Lemma 4.2
-    /// translates (every real `makeP` output is).
+    /// translates (most real `makeP` outputs are).
     OutsideFragment,
+    /// The linear evaluation outgrew its bound (or the run's budget) before
+    /// deriving the goal: no verdict either way.
+    OverBound,
 }
 
 /// A bounded-cache witness for one winning guess.
@@ -64,6 +68,9 @@ pub struct DatalogWitness {
 /// Upper bounds gating the (exponential) Lemma 4.2 cross-check.
 const LINEAR_CHECK_MAX_SIZE: usize = 400;
 const LINEAR_CHECK_MAX_K: usize = 6;
+/// The most cache configurations the cross-check's linear evaluation
+/// derives before it gives up.
+const LINEAR_CHECK_MAX_CONFIGS: usize = 1_000;
 
 /// Re-evaluates `prog` with provenance on and extracts the bounded-cache
 /// witness for `goal`. `_threads` is ignored: evaluation is sequential.
@@ -77,6 +84,17 @@ pub fn extract(
     rec: &Recorder,
     _threads: usize,
     plan: Option<Arc<Plan>>,
+) -> Option<DatalogWitness> {
+    extract_within(prog, goal, rec, plan, &ResourceBudget::unlimited())
+}
+
+/// As [`extract`], with the Lemma 4.2 cross-check also stopped by `gov`.
+pub fn extract_within(
+    prog: &Program,
+    goal: &GroundAtom,
+    rec: &Recorder,
+    plan: Option<Arc<Plan>>,
+    gov: &ResourceBudget,
 ) -> Option<DatalogWitness> {
     let ev = match plan {
         Some(p) => Evaluator::with_plan(prog, p),
@@ -109,7 +127,7 @@ pub fn extract(
         occupancy.push(cache);
     }
     let certified = verify_schedule(prog, goal, &schedule, schedule.peak);
-    let linear_check = linear_cross_check(prog, goal, schedule.peak);
+    let linear_check = linear_cross_check(prog, goal, schedule.peak, gov);
     Some(DatalogWitness {
         schedule,
         peak_intensional: peak,
@@ -121,20 +139,29 @@ pub fn extract(
 }
 
 /// Runs the Lemma 4.2 translation and the linear worklist evaluator when
-/// the program is inside the translatable fragment and small enough.
-fn linear_cross_check(prog: &Program, goal: &GroundAtom, k: usize) -> LinearCheck {
+/// the program is inside the translatable fragment and small enough; the
+/// evaluation stops at [`LINEAR_CHECK_MAX_CONFIGS`] or when `gov` is
+/// exhausted.
+fn linear_cross_check(
+    prog: &Program,
+    goal: &GroundAtom,
+    k: usize,
+    gov: &ResourceBudget,
+) -> LinearCheck {
     let in_fragment = prog.rules().iter().all(|r| r.body.len() <= 2);
     if !in_fragment || prog.size() > LINEAR_CHECK_MAX_SIZE || k > LINEAR_CHECK_MAX_K || k == 0 {
         return LinearCheck::OutsideFragment;
     }
     match cache_to_linear(prog, goal, k) {
-        Ok(t) => {
-            if LinearEvaluator::new(&t.program).query(&t.goal) {
-                LinearCheck::Agrees
-            } else {
-                LinearCheck::Disagrees
-            }
-        }
+        Ok(t) => match LinearEvaluator::new(&t.program).query_within(
+            &t.goal,
+            LINEAR_CHECK_MAX_CONFIGS,
+            gov,
+        ) {
+            Some(true) => LinearCheck::Agrees,
+            Some(false) => LinearCheck::Disagrees,
+            None => LinearCheck::OverBound,
+        },
         Err(_) => LinearCheck::OutsideFragment,
     }
 }
@@ -203,6 +230,20 @@ mod tests {
         // No predicate here matches the makeP EDB prefixes except `next`…
         // which does not, so the intensional peak tracks the full peak.
         assert!(w.peak_intensional <= w.schedule.peak);
+    }
+
+    #[test]
+    fn a_cut_short_cross_check_is_over_its_bound() {
+        // chain(8) needs more cache configurations than the bound allows.
+        let (p, goal) = chain(8);
+        let w = extract(&p, &goal, &Recorder::disabled(), 1, None).unwrap();
+        assert!(w.certified);
+        assert_eq!(w.linear_check, LinearCheck::OverBound);
+        // A spent budget stops the check before it derives the goal.
+        let (p, goal) = chain(5);
+        let spent = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let w = extract_within(&p, &goal, &Recorder::disabled(), None, &spent).unwrap();
+        assert_eq!(w.linear_check, LinearCheck::OverBound);
     }
 
     #[test]

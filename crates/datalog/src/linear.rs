@@ -8,6 +8,7 @@
 //! combinatorics that make linear Datalog PSPACE rather than EXPTIME.
 
 use crate::ast::{GroundAtom, Program, Term};
+use parra_limits::ResourceBudget;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Whether every rule is linear (body of at most one atom).
@@ -38,8 +39,32 @@ impl<'p> LinearEvaluator<'p> {
         self.run_until(Some(goal)).contains(goal)
     }
 
+    /// `Prog ⊢ g` with early exit, or `None` once more than `max_atoms`
+    /// atoms are derived without the goal, or `gov` is exhausted.
+    pub fn query_within(
+        &self,
+        goal: &GroundAtom,
+        max_atoms: usize,
+        gov: &ResourceBudget,
+    ) -> Option<bool> {
+        self.run(Some(goal), max_atoms, Some(gov))
+            .map(|derived| derived.contains(goal))
+    }
+
     /// Derives all atoms (or stops early once `stop_at` appears).
     pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> HashSet<GroundAtom> {
+        self.run(stop_at, usize::MAX, None)
+            .expect("an unbounded run completes")
+    }
+
+    /// The worklist loop; `None` when the atom or governor bound cuts it
+    /// short. The governor is checked once per popped atom.
+    fn run(
+        &self,
+        stop_at: Option<&GroundAtom>,
+        max_atoms: usize,
+        gov: Option<&ResourceBudget>,
+    ) -> Option<HashSet<GroundAtom>> {
         let mut derived: HashSet<GroundAtom> = HashSet::new();
         let mut queue: VecDeque<GroundAtom> = VecDeque::new();
 
@@ -63,8 +88,11 @@ impl<'p> LinearEvaluator<'p> {
         while let Some(atom) = queue.pop_front() {
             if let Some(goal) = stop_at {
                 if *goal == atom {
-                    return derived;
+                    return Some(derived);
                 }
+            }
+            if derived.len() > max_atoms || gov.is_some_and(|g| g.check().is_err()) {
+                return None;
             }
             let Some(rules) = by_pred.get(&atom.pred.0) else {
                 continue;
@@ -117,7 +145,7 @@ impl<'p> LinearEvaluator<'p> {
                 }
             }
         }
-        derived
+        Some(derived)
     }
 }
 

@@ -18,7 +18,7 @@ use parra_program::transform::GOAL_VAR_NAME;
 use parra_program::value::Val;
 
 /// The digest of the encoder's output over the corpus below.
-const PROGRAMS_DIGEST: &str = "2ef834e76e1d9b68fc50423620b0f6bf";
+const PROGRAMS_DIGEST: &str = "9c561010f9a76bcac0511b950b0bea35";
 /// How many programs the digest covers.
 const PROGRAMS: usize = 76_356;
 
