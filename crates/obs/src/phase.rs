@@ -19,7 +19,8 @@
 //! total can exceed its wall-clock duration.
 
 use crate::{Counter, Recorder};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// The phase taxonomy — every run decomposes into these buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -105,6 +106,9 @@ pub struct PhaseInterval {
 #[derive(Debug)]
 pub struct PhaseTimer {
     counters: [Counter; Phase::ALL.len()],
+    /// Per phase, the nanoseconds [`PhaseTimer::add_elapsed`] has not
+    /// yet added to its counter (always under a microsecond).
+    carry_ns: [AtomicU64; Phase::ALL.len()],
     rec: Recorder,
 }
 
@@ -122,6 +126,7 @@ impl PhaseTimer {
         };
         PhaseTimer {
             counters: Phase::ALL.map(counter),
+            carry_ns: Default::default(),
             rec: rec.clone(),
         }
     }
@@ -140,11 +145,20 @@ impl PhaseTimer {
         }
     }
 
-    /// Directly adds `us` microseconds to `phase`'s counter, for call
-    /// sites that measure themselves inside a tight loop. Such time has
-    /// no interval, so it shows in the counters but not in the trace.
-    pub fn add_us(&self, phase: Phase, us: u64) {
-        self.counters[phase as usize].add(us);
+    /// Directly adds `elapsed` to `phase`'s counter, for call sites that
+    /// measure themselves inside a tight loop. Such time has no interval,
+    /// so it shows in the counters but not in the trace. The part under a
+    /// whole microsecond carries over to the phase's next call rather
+    /// than being dropped, since a loop's regions are often shorter than
+    /// a microsecond each.
+    pub fn add_elapsed(&self, phase: Phase, elapsed: Duration) {
+        let ns = elapsed.as_nanos() as u64;
+        let carry = &self.carry_ns[phase as usize];
+        let us = (carry.fetch_add(ns, Ordering::Relaxed) + ns) / 1000;
+        if us > 0 {
+            carry.fetch_sub(us * 1000, Ordering::Relaxed);
+            self.counters[phase as usize].add(us);
+        }
     }
 }
 
@@ -168,7 +182,7 @@ impl PhaseGuard<'_> {
             return 0;
         };
         let dur_us = start.elapsed().as_micros() as u64;
-        self.timer.add_us(self.phase, dur_us);
+        self.timer.counters[self.phase as usize].add(dur_us);
         self.timer.rec.record_phase(self.phase, start, dur_us);
         dur_us
     }
@@ -204,7 +218,7 @@ mod tests {
             let _g = timer.start(Phase::Search);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        timer.add_us(Phase::IndexBuild, 123);
+        timer.add_elapsed(Phase::IndexBuild, Duration::from_micros(123));
         let snap = rec.snapshot();
         assert_eq!(snap.counters["engine/phase/index_build_us"], 123);
         let search_us = snap.counters["engine/phase/search_us"];
@@ -216,6 +230,18 @@ mod tests {
         assert_eq!(intervals[0].phase, Phase::Search);
         assert_eq!(intervals[0].scope, "engine/");
         assert_eq!(intervals[0].dur_us, search_us);
+    }
+
+    /// Regions shorter than a microsecond still add up: 1,000 of 300 ns
+    /// each count as 300 µs, not 0.
+    #[test]
+    fn sub_microsecond_regions_carry_over() {
+        let rec = Recorder::enabled(Level::Summary);
+        let timer = PhaseTimer::new(&rec);
+        for _ in 0..1000 {
+            timer.add_elapsed(Phase::Fixpoint, Duration::from_nanos(300));
+        }
+        assert_eq!(rec.snapshot().counters["phase/fixpoint_us"], 300);
     }
 
     /// The one measurement feeds both outputs: per (scope, phase), the
