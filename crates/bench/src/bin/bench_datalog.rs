@@ -3,12 +3,11 @@
 //! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset,
 //! each repetition on a fresh verifier, and records, per (benchmark,
 //! engine): best-of-N wall-clock, the evaluator's deterministic work
-//! counters (join attempts, index builds, index hits), the planner's
-//! (rules planned from scratch: guess 0's, the template segment's once
-//! per statistics key, `U`'s own, and the winner's for its witness
-//! replay) and the encoder's (rules `MakeP` encodes for the run's
-//! programs: the `dis` and goal rules of guess 0, of `U` and of the
-//! winner's replay).
+//! counters (join attempts, index builds at an index's first probe,
+//! index hits), the planner's (join orders planned, one per body
+//! signature and delta position some evaluation first needed) and the
+//! encoder's (rules `MakeP` encodes for the run's programs: the `dis`
+//! and goal rules of guess 0, of `U` and of the winner's replay).
 //!
 //! ```text
 //! bench_datalog [--out FILE]        # measure and write FILE (default BENCH_datalog.json)

@@ -58,19 +58,21 @@ pub(crate) struct CachedMakeP {
 /// The template, the guesses, and the fleet's join plans.
 type Prepared = (Arc<Template>, Arc<[Guess]>, Arc<FleetPlans>);
 
-/// A fleet's join plans, each filled by the first run that plans it.
-#[derive(Debug)]
+/// A fleet's join plans, each made by the first run that needs it. Their
+/// join orders fill in as runs need them, from one pool.
+#[derive(Debug, Default)]
 struct FleetPlans {
-    /// Per guess: guess 0's whole program's, then each later guess's
-    /// delta's.
-    guesses: Box<[OnceLock<Arc<Plan>>]>,
-    /// `U`'s delta's.
+    /// Guess 0's whole program's.
+    first: OnceLock<Arc<Plan>>,
+    /// `U`'s delta's, which every later guess evaluates under.
     union: OnceLock<Arc<Plan>>,
     /// The base program's.
     base: OnceLock<Arc<Plan>>,
     /// The winning guess's whole program's, for the witness replay, when
     /// that is not guess 0.
     replay: OnceLock<Arc<Plan>>,
+    /// The pool the plans share.
+    cache: PlanCache,
 }
 
 /// The plan in `slot`, planned by `plan` (timed as `join_plan`) when the
@@ -84,6 +86,17 @@ fn planned(
         let _join_plan = phases.start(Phase::JoinPlan);
         plan()
     }))
+}
+
+/// Runs `f`, adding its time to `phase` when `phases` records: for the
+/// short regions of a fleet's per-program loop.
+fn timed<T>(phases: &PhaseTimer, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let t0 = phases.is_enabled().then(Instant::now);
+    let out = f();
+    if let Some(t0) = t0 {
+        phases.add_elapsed(phase, t0.elapsed());
+    }
+    out
 }
 
 impl Verifier {
@@ -454,15 +467,16 @@ impl Verifier {
     /// on that database and rolled back; an interrupted base interrupts
     /// the fleet.
     ///
-    /// A program whose slot in `plans` is filled evaluates under that
-    /// plan; the others are planned through `cache`, and their slots are
-    /// filled. The cache plans the template segment with guess 0 and the
-    /// base, and `U`'s own rules, from whose plans each later guess takes
-    /// its own.
+    /// Guess 0, the base and `U` evaluate under their plans in `plans`,
+    /// made through `cache` by the first run that needs them. Every later
+    /// guess evaluates under `U`'s plan, its own rules masked in: `U` holds
+    /// them all, and their facts define no predicate they read, so `U`'s
+    /// plan orders their joins as a plan of their own would.
     #[allow(clippy::too_many_arguments)]
     fn datalog_fleet(
         &self,
         rec: &Recorder,
+        phases: &PhaseTimer,
         mk: &MakeP,
         guesses: &[Guess],
         plans: &FleetPlans,
@@ -472,7 +486,6 @@ impl Verifier {
     ) -> FleetOutcome {
         let n_guesses = guesses.len();
         let with_union = n_guesses >= 2;
-        let phases = PhaseTimer::new(rec);
         // The evaluators of `U`'s registry share their metric handles,
         // resolved when the fleet is built.
         let metrics = OnceCell::new();
@@ -507,14 +520,18 @@ impl Verifier {
                     let _construct = phases.start(Phase::Construct);
                     mk.program(&guesses[0], target)
                 };
-                let plan = planned(&plans.guesses[0], &phases, || cache.plan(&prog));
+                let plan = planned(&plans.first, phases, || cache.plan(&prog));
                 // Round events only for a single-guess run, so that a
                 // fleet's event log does not grow with its guesses.
-                let db = Evaluator::with_plan(&prog, plan)
-                    .with_recorder(rec.clone())
-                    .with_events(n_guesses == 1)
-                    .with_governor(gov.clone())
-                    .run_until(Some(&goal));
+                // Guess 0's program has a registry of its own.
+                let own_metrics = timed(phases, Phase::Fixpoint, || EvalMetrics::new(rec));
+                let ev = timed(phases, Phase::Fixpoint, || {
+                    Evaluator::with_plan(&prog, plan)
+                        .with_metrics(&own_metrics)
+                        .with_events(n_guesses == 1)
+                        .with_governor(gov.clone())
+                });
+                let db = ev.run_until(Some(&goal));
                 (Evaluated::of(&db, &goal), prog.rules().len())
             } else {
                 // `U` is the fleet's second program: the fleet and its
@@ -526,13 +543,14 @@ impl Verifier {
                         mk.fleet(guesses, target)
                     };
                     let (program, base_len) = (&built.program, built.base_len);
-                    let plan = planned(&plans.base, &phases, || {
-                        cache.plan_prefix(program, base_len)
+                    let plan =
+                        planned(&plans.base, phases, || cache.plan_prefix(program, base_len));
+                    let ev = timed(phases, Phase::Fixpoint, || {
+                        Evaluator::with_delta(program, base_len, &[], Arc::clone(&plan))
+                            .with_metrics(metrics())
+                            .with_governor(gov.clone())
                     });
-                    let db = Evaluator::with_delta(program, base_len, &[], Arc::clone(&plan))
-                        .with_metrics(metrics())
-                        .with_governor(gov.clone())
-                        .run();
+                    let db = ev.run();
                     out.base_atoms = db.len();
                     if let Some(reason) = db.interrupted() {
                         out.interrupted = Some(reason);
@@ -541,25 +559,29 @@ impl Verifier {
                     fleet = Some((built, plan, db));
                 }
                 let (built, base_plan, base) = fleet.as_mut().expect("built above");
-                let (delta, slot) = match guess {
-                    Some(i) => (&built.guesses[i], &plans.guesses[i]),
-                    None => (&built.union, &plans.union),
-                };
                 let (program, base_len) = (&built.program, built.base_len);
-                let plan = planned(slot, &phases, || {
-                    cache.plan_delta(program, base_plan, base_len, delta)
+                let union = planned(&plans.union, phases, || {
+                    cache.plan_delta(program, base_plan, base_len, &built.union)
                 });
-                let mark = Evaluator::with_delta(program, base_len, delta, plan)
-                    .with_metrics(metrics())
-                    .with_governor(gov.clone())
+                let delta = guess.map_or(&built.union, |i| &built.guesses[i]);
+                let fits = guess.is_none() || union.fits(program, delta);
+                debug_assert!(fits, "a guess's facts define no predicate its rules read");
+                let plan = if fits {
+                    union
+                } else {
+                    let _join_plan = phases.start(Phase::JoinPlan);
+                    cache.plan_delta(program, base_plan, base_len, delta)
+                };
+                let ev = timed(phases, Phase::Fixpoint, || {
+                    Evaluator::with_delta(program, base_len, delta, plan)
+                        .with_metrics(metrics())
+                        .with_governor(gov.clone())
+                });
+                let mark = ev
                     .resume_until(base, Some(&built.goal))
                     .expect("a complete base resumes");
                 let run = Evaluated::of(base, &built.goal);
-                let t0 = phases.is_enabled().then(Instant::now);
-                base.rollback(mark);
-                if let Some(t0) = t0 {
-                    phases.add_elapsed(Phase::Fixpoint, t0.elapsed());
-                }
+                timed(phases, Phase::Fixpoint, || base.rollback(mark));
                 out.resumed += 1;
                 (run, base_len + delta.len())
             };
@@ -636,13 +658,8 @@ impl Verifier {
                     let guesses = mk
                         .guesses()
                         .map_err(|e| format!("guess enumeration failed: {e}"))?;
-                    let plans = FleetPlans {
-                        guesses: guesses.iter().map(|_| OnceLock::new()).collect(),
-                        union: OnceLock::new(),
-                        base: OnceLock::new(),
-                        replay: OnceLock::new(),
-                    };
-                    Ok((mk.template(), guesses.into(), Arc::new(plans)))
+                    let plans = Arc::new(FleetPlans::default());
+                    Ok((mk.template(), guesses.into(), plans))
                 });
             *cached = Some(CachedMakeP { limits, built });
         }
@@ -668,8 +685,9 @@ impl Verifier {
             }
         };
         let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        let mut cache = PlanCache::new();
-        let fleet = self.datalog_fleet(rec, &mk, &guesses, &plans, &mut cache, target, gov);
+        let mut cache = plans.cache.clone();
+        let fleet =
+            self.datalog_fleet(rec, &phases, &mk, &guesses, &plans, &mut cache, target, gov);
         let mut result = VerificationResult {
             stats: Stats {
                 guesses: guesses.len(),
@@ -706,11 +724,7 @@ impl Verifier {
                 let _construct = phases.start(Phase::Construct);
                 mk.program(&guesses[wi], target)
             };
-            let slot = if wi == 0 {
-                &plans.guesses[0]
-            } else {
-                &plans.replay
-            };
+            let slot = if wi == 0 { &plans.first } else { &plans.replay };
             let plan = planned(slot, &phases, || cache.plan(&prog));
             let _replay = phases.start(Phase::WitnessReplay);
             match witness::extract_within(&prog, &goal, rec, Some(plan), gov) {
@@ -757,8 +771,6 @@ impl Verifier {
                 ),
             }
         }
-        rec.counter("rules_planned")
-            .add(cache.rules_planned() as u64);
         result
     }
 

@@ -34,7 +34,7 @@
 //! have at most two *intensional* body atoms (a thread predicate and a
 //! message predicate), the property the cache bound of Lemma 4.4 exploits.
 
-use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Segment, Term};
+use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Term};
 use parra_datalog::plan::FxMap;
 use parra_obs::{Counter, Recorder};
 use parra_program::cfg::{Cfa, Instr, Loc};
@@ -582,7 +582,7 @@ impl<'s> MakeP<'s> {
             let open = facts.iter().filter(|(g, _)| !closed(x, *g));
             prog.extend_validated(open.map(|(_, fact)| fact));
         }
-        prog.extend_segment(&self.tpl.env);
+        prog.extend_validated(self.tpl.env.iter());
     }
 
     /// An encoder on top of the template: its registry and segment A.
@@ -658,10 +658,9 @@ pub struct Fleet {
 /// in the order a from-scratch encoding creates it, and every program
 /// gets the same ids, rules and rule order as one. B's candidates and C
 /// are validated once, against `head`'s registry, which every program's
-/// extends; they are shared by [`Arc`] rather than copied per guess, and
-/// C is every program's recorded [`Segment`]. A fleet plans C with guess 0's
-/// program and with its base program ([`Fleet`]), each under its own
-/// statistics; the guesses after the first are deltas on that base.
+/// extends; they are shared by [`Arc`] rather than copied per guess. The
+/// guesses after the first are deltas on a fleet's base program
+/// ([`Fleet`]), which ends with C.
 #[derive(Debug)]
 pub(crate) struct Template {
     /// The registry after segment C, holding segment A's rules.
@@ -670,7 +669,7 @@ pub(crate) struct Template {
     /// order.
     gapstore: Vec<Vec<(u32, Arc<Rule>)>>,
     /// Segment C.
-    env: Segment,
+    env: Vec<Arc<Rule>>,
     syms: Symbols,
     /// The predicates segment C created.
     preds: PredMaps,
@@ -697,7 +696,7 @@ impl Template {
         let Encoder {
             mut prog, preds, ..
         } = enc;
-        let env = prog.split_rules_off(a_len).into();
+        let env = prog.split_rules_off(a_len);
         // Segment B's candidates, validated here once, as segment C is.
         let mut gaps = Vec::new();
         for x in 0..syms.n_vars {
@@ -1439,10 +1438,10 @@ mod tests {
         for (a, b) in env0.iter().zip(&env1) {
             assert!(Arc::ptr_eq(a, b), "env rule copied, not shared: {a:?}");
         }
-        // Both programs, and the union, record the template's segment.
+        // And so does the union.
         let u = mk.fleet(&guesses, target).program;
-        let seg = |p: &Program| Arc::clone(p.segment().expect("a recorded segment").1);
-        assert!(Arc::ptr_eq(&seg(&p0), &seg(&p1)) && Arc::ptr_eq(&seg(&p0), &seg(&u)));
+        let env_u: Vec<&Arc<Rule>> = u.rules().iter().filter(|r| is_env(&u, r)).collect();
+        assert!(env0.iter().zip(&env_u).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

@@ -192,9 +192,7 @@ struct PredInfo {
 ///
 /// Rules are stored behind [`Arc`], so programs built from a common
 /// template (the `makeP` guess fleet) can share rule values instead of
-/// copying them; see [`Program::extend_validated`]. A program also records
-/// one shared [`Segment`] ([`Program::extend_segment`]), which lets a
-/// planner reuse that run of rules' plan across every program holding it.
+/// copying them; see [`Program::extend_validated`].
 ///
 /// # Example
 ///
@@ -221,14 +219,7 @@ pub struct Program {
     const_names: Vec<Arc<str>>,
     const_index: HashMap<Arc<str>, Const>,
     rules: Vec<Arc<Rule>>,
-    /// The recorded shared segment and the index of its first rule.
-    segment: Option<(usize, Segment)>,
 }
-
-/// A run of rules that programs share by identity: every program built
-/// from one template appends the same `Arc`, so "same segment" is an
-/// address comparison, never a structural one.
-pub type Segment = Arc<[Arc<Rule>]>;
 
 impl Program {
     /// An empty program.
@@ -338,34 +329,13 @@ impl Program {
         }
     }
 
-    /// Appends `segment`'s rules as [`Program::extend_validated`] does and
-    /// records where they start, replacing any earlier record.
-    pub fn extend_segment(&mut self, segment: &Segment) {
-        let at = self.rules.len();
-        self.extend_validated(segment.iter());
-        self.segment = Some((at, Arc::clone(segment)));
-    }
-
-    /// The recorded shared segment and the index of its first rule.
-    pub fn segment(&self) -> Option<(usize, &Segment)> {
-        self.segment.as_ref().map(|(at, seg)| (*at, seg))
-    }
-
     /// Removes and returns the rules from index `at` on, like
-    /// [`Vec::split_off`]; the registry is left as it is, and a recorded
-    /// segment that loses rules is forgotten.
+    /// [`Vec::split_off`]; the registry is left as it is.
     ///
     /// # Panics
     ///
     /// Panics if `at` exceeds the number of rules.
     pub fn split_rules_off(&mut self, at: usize) -> Vec<Arc<Rule>> {
-        if self
-            .segment
-            .as_ref()
-            .is_some_and(|(start, seg)| at < start + seg.len())
-        {
-            self.segment = None;
-        }
         self.rules.split_off(at)
     }
 
@@ -602,33 +572,6 @@ mod tests {
         let mut copy = p.clone();
         copy.extend_validated(&shared);
         assert!(Arc::ptr_eq(&copy.rules()[1], &shared[0]));
-    }
-
-    #[test]
-    fn a_segment_is_recorded_where_it_starts_and_forgotten_when_cut() {
-        let mut p = Program::new();
-        let q = p.predicate("q", 1);
-        let a = p.constant("a");
-        p.fact(q, vec![a]).unwrap();
-        p.rule(
-            Atom::new(q, vec![Term::Var(0)]),
-            vec![Atom::new(q, vec![Term::Var(0)])],
-        )
-        .unwrap();
-        let seg: Segment = p.split_rules_off(1).into();
-        assert!(p.segment().is_none());
-        let mut copy = p.clone();
-        copy.extend_segment(&seg);
-        copy.fact(q, vec![a]).unwrap();
-        let (at, got) = copy.segment().expect("recorded");
-        assert_eq!(at, 1);
-        assert!(Arc::ptr_eq(got, &seg));
-        assert!(Arc::ptr_eq(&copy.rules()[1], &seg[0]));
-        // Cutting after the segment keeps it; cutting into it forgets it.
-        copy.split_rules_off(2);
-        assert!(copy.segment().is_some());
-        copy.split_rules_off(1);
-        assert!(copy.segment().is_none());
     }
 
     #[test]

@@ -139,128 +139,121 @@ pub fn schedule_from_database(db: &Database, goal: &GroundAtom) -> Option<CacheS
 /// Replays a schedule under the Cache semantics, checking that every Add
 /// is justified by a rule whose body is in the cache, and that the cache
 /// never exceeds `k`. Returns whether the goal ends up derived.
+///
+/// This is the checker of the evaluator's work, so it shares none of its
+/// code: it keeps the cache bucketed by predicate, tries only the rules
+/// whose head predicate is the added atom's, and matches against one
+/// reused substitution, undoing bindings from a trail.
 pub fn verify_schedule(
     program: &Program,
     goal: &GroundAtom,
     schedule: &CacheSchedule,
     k: usize,
 ) -> bool {
-    let mut cache: BTreeSet<GroundAtom> = BTreeSet::new();
+    let n_preds = program.predicates().count();
+    let mut by_head: Vec<Vec<&Rule>> = vec![Vec::new(); n_preds];
+    for rule in program.rules() {
+        by_head[rule.head.pred.0 as usize].push(rule);
+    }
+    let n_vars = program.rules().iter().map(|r| crate::plan::rule_n_vars(r));
+    let mut m = Matcher {
+        cache: vec![Vec::new(); n_preds],
+        subst: vec![None; n_vars.max().unwrap_or(0)],
+        trail: Vec::new(),
+    };
+    let mut size = 0usize;
     let mut derived_goal = false;
     for step in &schedule.steps {
         match step {
             ScheduleStep::Add(g) => {
-                if !addable(program, &cache, g) {
+                let Some(rules) = by_head.get(g.pred.0 as usize) else {
+                    return false;
+                };
+                if !rules.iter().any(|rule| m.yields(rule, g)) {
                     return false;
                 }
-                cache.insert(g.clone());
-                if cache.len() > k {
+                let bucket = &mut m.cache[g.pred.0 as usize];
+                if !bucket.contains(&g) {
+                    bucket.push(g);
+                    size += 1;
+                }
+                if size > k {
                     return false;
                 }
-                if g == goal {
-                    derived_goal = true;
-                }
+                derived_goal |= g == goal;
             }
             ScheduleStep::Drop(g) => {
-                if !cache.remove(g) {
+                let bucket = m.cache.get_mut(g.pred.0 as usize);
+                let Some((bucket, at)) =
+                    bucket.and_then(|b| b.iter().position(|a| *a == g).map(|at| (b, at)))
+                else {
                     return false;
-                }
+                };
+                bucket.swap_remove(at);
+                size -= 1;
             }
         }
     }
     derived_goal
 }
 
-/// Whether `g` can be inferred in one Add step from `cache`.
-fn addable(program: &Program, cache: &BTreeSet<GroundAtom>, g: &GroundAtom) -> bool {
-    program
-        .rules()
-        .iter()
-        .any(|rule| rule_yields(rule, cache, g))
+/// The cache of [`verify_schedule`], bucketed by predicate, and the
+/// substitution its rule matching binds, by variable id.
+struct Matcher<'s> {
+    cache: Vec<Vec<&'s GroundAtom>>,
+    subst: Vec<Option<crate::ast::Const>>,
+    trail: Vec<u32>,
 }
 
-/// Whether some instantiation of `rule` with body in `cache` has head `g`.
-fn rule_yields(rule: &Rule, cache: &BTreeSet<GroundAtom>, g: &GroundAtom) -> bool {
-    // Match the head against g first.
-    let mut subst: HashMap<u32, crate::ast::Const> = HashMap::new();
-    if rule.head.pred != g.pred || rule.head.terms.len() != g.args.len() {
-        return false;
+impl Matcher<'_> {
+    /// Whether some instantiation of `rule` with body in the cache has
+    /// head `g`.
+    fn yields(&mut self, rule: &Rule, g: &GroundAtom) -> bool {
+        let found = self.bind(&rule.head.terms, &g.args) && self.satisfy(rule, 0);
+        self.unwind(0);
+        found
     }
-    for (t, c) in rule.head.terms.iter().zip(&g.args) {
-        match t {
-            Term::Const(k) => {
-                if k != c {
-                    return false;
-                }
+
+    /// Satisfies `rule`'s body atoms from `i` on from the cache,
+    /// backtracking.
+    fn satisfy(&mut self, rule: &Rule, i: usize) -> bool {
+        let Some(pattern) = rule.body.get(i) else {
+            return true;
+        };
+        for at in 0..self.cache[pattern.pred.0 as usize].len() {
+            let atom = self.cache[pattern.pred.0 as usize][at];
+            let mark = self.trail.len();
+            if self.bind(&pattern.terms, &atom.args) && self.satisfy(rule, i + 1) {
+                return true;
             }
-            Term::Var(v) => match subst.get(v) {
-                Some(bound) if bound != c => return false,
-                Some(_) => {}
-                None => {
-                    subst.insert(*v, *c);
-                }
-            },
+            self.unwind(mark);
         }
+        false
     }
-    // Then satisfy the body from the cache (backtracking).
-    satisfy(rule, 0, &mut subst, cache)
-}
 
-fn satisfy(
-    rule: &Rule,
-    i: usize,
-    subst: &mut HashMap<u32, crate::ast::Const>,
-    cache: &BTreeSet<GroundAtom>,
-) -> bool {
-    if i == rule.body.len() {
-        return true;
-    }
-    let pattern = &rule.body[i];
-    for atom in cache {
-        if atom.pred != pattern.pred || atom.args.len() != pattern.terms.len() {
-            continue;
-        }
-        let saved: Vec<(u32, Option<crate::ast::Const>)> = pattern
-            .variables()
-            .into_iter()
-            .map(|v| (v, subst.get(&v).copied()))
-            .collect();
-        let mut ok = true;
-        for (t, c) in pattern.terms.iter().zip(&atom.args) {
-            match t {
-                Term::Const(k) => {
-                    if k != c {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match subst.get(v) {
-                    Some(bound) if bound != c => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
+    /// Matches `terms` against `args`, binding unbound variables; false
+    /// on a mismatch, with the bindings made so far left on the trail.
+    fn bind(&mut self, terms: &[Term], args: &[crate::ast::Const]) -> bool {
+        terms.len() == args.len()
+            && terms.iter().zip(args).all(|(t, c)| match t {
+                Term::Const(k) => k == c,
+                Term::Var(v) => match self.subst[*v as usize] {
+                    Some(bound) => bound == *c,
                     None => {
-                        subst.insert(*v, *c);
+                        self.subst[*v as usize] = Some(*c);
+                        self.trail.push(*v);
+                        true
                     }
                 },
-            }
-        }
-        if ok && satisfy(rule, i + 1, subst, cache) {
-            return true;
-        }
-        for (v, old) in saved {
-            match old {
-                Some(c) => {
-                    subst.insert(v, c);
-                }
-                None => {
-                    subst.remove(&v);
-                }
-            }
+            })
+    }
+
+    /// Unbinds the variables bound since the trail held `mark`.
+    fn unwind(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.subst[v as usize] = None;
         }
     }
-    false
 }
 
 /// Exact decision of `Prog ⊢ₖ g`: breadth-first search over cache

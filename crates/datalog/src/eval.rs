@@ -7,9 +7,10 @@
 //!   every derived ground tuple is interned once and handled by a `Copy`
 //!   [`AtomId`]; no `GroundAtom` is cloned on the insert path.
 //! * **Column-keyed join indices** — each rule body is solved following a
-//!   static [`Plan`]; partially bound probes go through
-//!   a hash index keyed on the bound columns, built lazily per
-//!   (predicate, bound-column-set) and caught up incrementally from the
+//!   [`Plan`], whose join orders are planned before the round that first
+//!   needs them; partially bound probes go through a hash index keyed on
+//!   the bound columns, built per (predicate, bound-column-set) when a
+//!   join step first probes it and caught up incrementally from the
 //!   semi-naive deltas at the start of every round.
 //! * **Optional provenance** — derivation recording is a mode flag
 //!   ([`Evaluator::with_provenance`]); witness extraction
@@ -24,21 +25,22 @@
 //!   base's complete database in place to the model with the delta, and
 //!   [`Database::rollback`] returns it to its [`Mark`], so a `makeP`
 //!   guess fleet evaluates its shared base fixpoint once and each guess
-//!   is only its own rules.
+//!   is only its own rules. One delta plan serves every delta whose rules
+//!   it holds; the evaluator masks out the others.
 //!
 //! The pre-rewrite engine survives as [`naive`](crate::naive) and pins
 //! this one differentially (the `eval-agree` fuzz oracle).
 
 use crate::arena::{hash_key, AtomId, TupleStore};
 use crate::ast::{Const, GroundAtom, PredId, Program, Rule, Term};
-use crate::plan::{DeltaPlan, IndexSpec, Plan, NO_SLOT};
+use crate::plan::{DeltaPlan, Plan, Uses};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Counter, Gauge, Phase, PhaseTimer, Recorder};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Hasher for keys that are already well-mixed 64-bit hashes (the FNV
 /// digests produced by [`hash_key`]): a single multiply-xor finisher
@@ -70,15 +72,8 @@ impl Hasher for PrehashedU64 {
 type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<PrehashedU64>>;
 
 /// A hash index over one predicate keyed by a set of bound columns.
-/// Indices exist one per plan *slot* (see [`Plan::indices`]) and are
-/// addressed by slot id — no hash lookup decides which index a probe
-/// uses.
 #[derive(Debug, Clone)]
 struct ColumnIndex {
-    /// The indexed predicate.
-    pred: PredId,
-    /// The key columns, as a bitmask.
-    cols: u64,
     /// Key hash → matching tuples, in insertion order. Hash collisions are
     /// harmless: every candidate is re-verified against the pattern.
     map: PrehashedMap<Vec<AtomId>>,
@@ -100,8 +95,11 @@ pub struct Database {
     /// atoms used to derive it first. `None` when evaluation ran without
     /// provenance.
     derivations: Option<Vec<(usize, Vec<usize>)>>,
-    /// Join indices in plan-slot order (see [`Plan::indices`]).
-    indices: Vec<ColumnIndex>,
+    /// Per predicate, its join indices: the key columns, as a bitmask,
+    /// and the index. A round's plans register the indices they can probe
+    /// before it starts; an index is built when a join step first probes
+    /// it, and then kept, through a rollback too.
+    indices: Vec<Vec<(u64, OnceCell<ColumnIndex>)>>,
     /// Set when the resource governor stopped evaluation before the least
     /// model (or the goal) was reached; the database is a sound but
     /// possibly incomplete under-approximation.
@@ -118,37 +116,37 @@ pub struct Database {
 pub struct Mark {
     atoms: usize,
     preds: usize,
-    /// Per join index, how many tuples of its predicate it held.
-    indexed: Vec<usize>,
     interrupted: Option<InterruptReason>,
     complete: bool,
 }
 
 impl ColumnIndex {
-    fn new(spec: &IndexSpec) -> ColumnIndex {
-        ColumnIndex {
-            pred: spec.pred,
-            cols: spec.cols,
-            map: PrehashedMap::default(),
-            upto: 0,
+    /// Adds the tuples of `list` (a predicate's tuples in `store`) after
+    /// the ones it holds, keyed on `cols`.
+    fn catch_up(&mut self, store: &TupleStore, list: &[AtomId], cols: u64) {
+        let mut key = Vec::new();
+        for &id in &list[self.upto..] {
+            let h = key_hash(store.args(id), cols, &mut key);
+            self.map.entry(h).or_default().push(id);
         }
-    }
-
-    /// The key hash of the tuple `args` (`key` is scratch).
-    fn key_hash(&self, args: &[Const], key: &mut Vec<Const>) -> u64 {
-        key.clear();
-        key.extend(columns(self.cols).map(|c| args[c]));
-        hash_key(key)
+        self.upto = list.len();
     }
 }
 
+/// The key hash of the tuple `args` on `cols` (`key` is scratch).
+fn key_hash(args: &[Const], cols: u64, key: &mut Vec<Const>) -> u64 {
+    key.clear();
+    key.extend(columns(cols).map(|c| args[c]));
+    hash_key(key)
+}
+
 impl Database {
-    fn new(n_preds: usize, provenance: bool, plan: &Plan) -> Database {
+    fn new(n_preds: usize, provenance: bool) -> Database {
         Database {
             store: TupleStore::new(),
             per_pred: vec![Vec::new(); n_preds],
             derivations: provenance.then(Vec::new),
-            indices: plan.indices().map(ColumnIndex::new).collect(),
+            indices: vec![Vec::new(); n_preds],
             interrupted: None,
             complete: false,
         }
@@ -160,7 +158,6 @@ impl Database {
         Mark {
             atoms: self.store.len(),
             preds: self.per_pred.len(),
-            indexed: self.indices.iter().map(|ix| ix.upto).collect(),
             interrupted: self.interrupted,
             complete: self.complete,
         }
@@ -168,8 +165,9 @@ impl Database {
 
     /// Deletes everything added since `mark` was taken: the atoms, their
     /// entries in the per-predicate lists and in the join indices, and
-    /// the indices and predicates added since. The database is then
-    /// exactly as it was at the mark.
+    /// the predicates added since. The database then holds exactly what
+    /// it held at the mark; the join indices built since stay built,
+    /// holding its tuples.
     ///
     /// # Panics
     ///
@@ -177,30 +175,38 @@ impl Database {
     /// database was rolled back past it since.
     pub fn rollback(&mut self, mark: Mark) {
         assert!(
-            mark.atoms <= self.store.len() && mark.indexed.len() <= self.indices.len(),
+            mark.atoms <= self.store.len() && mark.preds <= self.per_pred.len(),
             "a mark of this database, taken before its current state"
         );
-        self.indices.truncate(mark.indexed.len());
+        let mut touched: Vec<PredId> = (mark.atoms..self.store.len())
+            .map(|idx| self.store.pred(AtomId(idx as u32)))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
         let mut key = Vec::new();
-        for (ix, &upto) in self.indices.iter_mut().zip(&mark.indexed) {
-            let list = &self.per_pred[ix.pred.0 as usize];
-            // Newest first: each tuple is the last entry under its key.
-            for &id in list[upto..ix.upto].iter().rev() {
-                let h = ix.key_hash(self.store.args(id), &mut key);
-                let ids = ix.map.get_mut(&h).expect("an indexed tuple has its key");
-                debug_assert_eq!(ids.last(), Some(&id));
-                ids.pop();
-                if ids.is_empty() {
-                    ix.map.remove(&h);
+        for p in touched {
+            let list = &mut self.per_pred[p.0 as usize];
+            let keep = list.partition_point(|id| id.index() < mark.atoms);
+            for (cols, ix) in &mut self.indices[p.0 as usize] {
+                let Some(ix) = ix.get_mut().filter(|ix| ix.upto > keep) else {
+                    continue;
+                };
+                // Newest first: each tuple is the last entry under its key.
+                for &id in list[keep..ix.upto].iter().rev() {
+                    let h = key_hash(self.store.args(id), *cols, &mut key);
+                    let ids = ix.map.get_mut(&h).expect("an indexed tuple has its key");
+                    debug_assert_eq!(ids.last(), Some(&id));
+                    ids.pop();
+                    if ids.is_empty() {
+                        ix.map.remove(&h);
+                    }
                 }
+                ix.upto = keep;
             }
-            ix.upto = upto;
-        }
-        for idx in (mark.atoms..self.store.len()).rev() {
-            let p = self.store.pred(AtomId(idx as u32));
-            self.per_pred[p.0 as usize].pop();
+            list.truncate(keep);
         }
         self.per_pred.truncate(mark.preds);
+        self.indices.truncate(mark.preds);
         self.store.truncate(mark.atoms);
         if let Some(d) = self.derivations.as_mut() {
             d.truncate(mark.atoms);
@@ -306,38 +312,23 @@ impl Database {
         Some(id)
     }
 
-    /// Catches every index up with its predicate's tuple list; returns the
-    /// number of indices materialized for the first time (they saw their
-    /// first tuples).
-    fn catch_up_indices(&mut self) -> u64 {
-        let store = &self.store;
-        let mut built = 0u64;
-        let mut key: Vec<Const> = Vec::new();
-        for ix in &mut self.indices {
-            let list = &self.per_pred[ix.pred.0 as usize];
-            if ix.upto == list.len() {
-                continue;
+    /// Catches the built join indices of `p` up with its tuple list.
+    fn catch_up(&mut self, p: PredId) {
+        let list = &self.per_pred[p.0 as usize];
+        for (cols, ix) in &mut self.indices[p.0 as usize] {
+            if let Some(ix) = ix.get_mut() {
+                ix.catch_up(&self.store, list, *cols);
             }
-            if ix.upto == 0 {
-                built += 1;
-            }
-            for &id in &list[ix.upto..] {
-                let h = ix.key_hash(store.args(id), &mut key);
-                ix.map.entry(h).or_default().push(id);
-            }
-            ix.upto = list.len();
         }
-        built
     }
 
-    /// The candidates of an index probe (empty if the key has no tuples).
-    #[inline]
-    fn probe(&self, slot: u32, key_hash: u64) -> &[AtomId] {
-        self.indices[slot as usize]
-            .map
-            .get(&key_hash)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Registers the join index of `p` on `cols`, unbuilt, unless it is
+    /// registered already.
+    fn register(&mut self, p: PredId, cols: u64) {
+        let indices = &mut self.indices[p.0 as usize];
+        if !indices.iter().any(|(c, _)| *c == cols) {
+            indices.push((cols, OnceCell::new()));
+        }
     }
 }
 
@@ -363,6 +354,7 @@ pub struct EvalMetrics {
     rec: Recorder,
     fired: Counter,
     joins: Counter,
+    planned: Counter,
     index_builds: Counter,
     index_hits: Counter,
     arena_atoms: Gauge,
@@ -377,14 +369,24 @@ impl EvalMetrics {
     /// The handles of `rec`.
     pub fn new(rec: &Recorder) -> EvalMetrics {
         EvalMetrics {
+            phases: PhaseTimer::new(rec),
+            ..EvalMetrics::untimed(rec)
+        }
+    }
+
+    /// The handles of `rec`, with no phase timer: for an evaluation that
+    /// runs inside a phase its caller times.
+    pub fn untimed(rec: &Recorder) -> EvalMetrics {
+        EvalMetrics {
             rec: rec.clone(),
             fired: rec.counter("rules_fired"),
             joins: rec.counter("join_attempts"),
+            planned: rec.counter("rules_planned"),
             index_builds: rec.counter("index_builds"),
             index_hits: rec.counter("index_hits"),
             arena_atoms: rec.gauge("arena_atoms"),
             arena_bytes: rec.gauge("arena_bytes"),
-            phases: PhaseTimer::new(rec),
+            phases: PhaseTimer::new(&Recorder::disabled()),
             atoms: RefCell::default(),
         }
     }
@@ -416,6 +418,10 @@ struct JoinScratch {
     used: Vec<usize>,
     /// Instantiation buffer for keys, membership tests, and heads.
     buf: Vec<Const>,
+    /// Time spent planning join orders in the current round.
+    plan_time: Duration,
+    /// Time spent building join indices in the current round.
+    index_time: Duration,
 }
 
 /// Bottom-up evaluator.
@@ -442,14 +448,13 @@ pub struct Evaluator<'p> {
     base_len: usize,
     /// The indices of the delta's rules, after the base's.
     delta: &'p [u32],
-    /// The rules with a body, in plan order: the base's, then the
-    /// delta's.
-    rules: Vec<&'p Rule>,
-    /// The program index of each of `rules`.
-    ids: Vec<u32>,
-    /// How many of `rules` are the base's: a resumed first round fires
-    /// only the rules after them in full.
+    /// How many of the plan's rules are the base's: a resumed first round
+    /// fires only the rules after them in full.
     n_base: usize,
+    /// When the plan holds more rules after the base's than the delta's:
+    /// the delta's rules with a body, by their numbers in the plan and in
+    /// delta order, and their uses. The plan's other rules stay out.
+    masked: Option<(Vec<u32>, Uses)>,
     plan: Arc<Plan>,
     rec: Recorder,
     metrics: Option<&'p EvalMetrics>,
@@ -466,8 +471,8 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Creates an evaluator reusing a precomputed plan — typically from a
-    /// [`PlanCache`](crate::plan::PlanCache), which plans a guess fleet's
-    /// shared template once.
+    /// [`PlanCache`](crate::plan::PlanCache), whose plans share the join
+    /// orders they plan.
     ///
     /// `plan` must have been computed for a program with an identical rule
     /// list (the cache guarantees this); plans reference rules by index
@@ -476,22 +481,25 @@ impl<'p> Evaluator<'p> {
     /// # Panics
     ///
     /// Panics if the plan covers another number of rules, and in debug
-    /// builds also if any rule's body length or variable count differs.
+    /// builds also if any of its rules differs from the program's.
     pub fn with_plan(program: &'p Program, plan: Arc<Plan>) -> Evaluator<'p> {
         Evaluator::with_delta(program, program.rules().len(), &[], plan)
     }
 
     /// Creates an evaluator for the program of `program`'s first
     /// `base_len` rules (the *base*) and its rules at `delta`, under
-    /// `plan`, the delta's plan
-    /// ([`PlanCache::plan_delta`](crate::plan::PlanCache::plan_delta)).
+    /// `plan`: a delta plan
+    /// ([`PlanCache::plan_delta`](crate::plan::PlanCache::plan_delta))
+    /// whose rules after the base's include the delta's, the others
+    /// masked out, or a plan of exactly the base's and the delta's rules.
     /// Nothing is copied: the rules stay `program`'s, and so do the
     /// predicate and constant ids. [`Evaluator::resume_until`] evaluates
     /// the delta in place on the base's database.
     ///
     /// # Panics
     ///
-    /// As [`Evaluator::with_plan`], and if an index in `delta` is out of
+    /// As [`Evaluator::with_plan`], if a rule of `delta` with a body is
+    /// not among a delta plan's, and if an index in `delta` is out of
     /// range.
     pub fn with_delta(
         program: &'p Program,
@@ -500,24 +508,40 @@ impl<'p> Evaluator<'p> {
         plan: Arc<Plan>,
     ) -> Evaluator<'p> {
         let rules = program.rules();
-        let with_body = |ri: &usize| !rules[*ri].is_fact();
-        let mut ids: Vec<u32> = (0..base_len)
-            .filter(with_body)
-            .map(|ri| ri as u32)
-            .collect();
-        let n_base = ids.len();
-        ids.extend(delta.iter().filter(|&&ri| with_body(&(ri as usize))));
-        assert_eq!(
-            plan.n_rules(),
-            ids.len(),
-            "join plan built for another rule list"
-        );
+        let with_body = |ri: &&u32| !rules[**ri as usize].is_fact();
+        let delta_rules = delta.iter().filter(with_body);
+        let (n_base, masked) = match plan.base() {
+            Some(base) => {
+                let ks: Vec<u32> = delta_rules
+                    .map(|&ri| {
+                        plan.own_rule(ri)
+                            .expect("join plan built for another rule list")
+                            as u32
+                    })
+                    .collect();
+                let masked = (ks.len() < plan.n_own()).then(|| {
+                    let numbered = ks.iter().map(|&k| (k as usize, plan.rule(k as usize)));
+                    let uses = Uses::new(program, numbered);
+                    (ks, uses)
+                });
+                (base.n_rules(), masked)
+            }
+            None => {
+                let n_base = (0..base_len as u32).filter(|ri| with_body(&ri)).count();
+                assert_eq!(
+                    plan.n_rules(),
+                    n_base + delta_rules.count(),
+                    "join plan built for another rule list"
+                );
+                (n_base, None)
+            }
+        };
         #[cfg(debug_assertions)]
-        for (k, &ri) in ids.iter().enumerate() {
-            let (rule, rp) = (&rules[ri as usize], plan.rule(k));
-            assert_eq!(
-                (rp.body.per_delta.len(), rp.n_vars),
-                (rule.body.len(), crate::plan::rule_n_vars(rule)),
+        for k in 0..plan.n_rules() {
+            let (ri, rule) = (plan.id(k), plan.rule(k));
+            let theirs = &*rules[ri as usize];
+            assert!(
+                std::ptr::eq(rule, theirs) || *rule == *theirs,
                 "join plan of rule {ri} built for another rule"
             );
         }
@@ -525,9 +549,8 @@ impl<'p> Evaluator<'p> {
             program,
             base_len,
             delta,
-            rules: ids.iter().map(|&ri| &*rules[ri as usize]).collect(),
-            ids,
             n_base,
+            masked,
             plan,
             rec: Recorder::disabled(),
             metrics: None,
@@ -592,7 +615,7 @@ impl<'p> Evaluator<'p> {
         self.metered(|m| {
             let t0 = m.phases.is_enabled().then(Instant::now);
             let n_preds = self.program.predicates().count();
-            let mut db = Database::new(n_preds, self.provenance, &self.plan);
+            let mut db = Database::new(n_preds, self.provenance);
             self.evaluate(m, &mut db, stop_at, false, t0);
             self.record_sizes(m, &db);
             db
@@ -610,8 +633,6 @@ impl<'p> Evaluator<'p> {
     /// `base` lacks are the first delta, and in that first round the
     /// delta's rules, which never saw `base`, also fire from every atom of
     /// one body relation. After that, evaluation is ordinary semi-naive.
-    /// The plan's leading join indices are the base plan's, which are
-    /// `base`'s.
     ///
     /// Returns `None`, leaving `base` untouched, unless `base` is
     /// complete (neither the governor nor a goal stopped it) and has no
@@ -628,20 +649,10 @@ impl<'p> Evaluator<'p> {
         }
         Some(self.metered(|m| {
             let t0 = m.phases.is_enabled().then(Instant::now);
-            let mut specs = self.plan.indices();
-            debug_assert!(
-                base.indices
-                    .iter()
-                    .all(|ix| specs
-                        .next()
-                        .is_some_and(|spec| (spec.pred, &spec.cols) == (ix.pred, &ix.cols))),
-                "the base's join indices lead the delta's plan"
-            );
             let mark = base.mark();
             base.complete = false;
             base.per_pred.resize(n_preds, Vec::new());
-            let new_specs = self.plan.indices().skip(mark.indexed.len());
-            base.indices.extend(new_specs.map(ColumnIndex::new));
+            base.indices.resize(n_preds, Vec::new());
             self.evaluate(m, base, stop_at, true, t0);
             self.record_sizes(m, base);
             mark
@@ -649,11 +660,13 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Per-predicate atom counts, keyed by predicate name so traces
-    /// across guesses aggregate, and the arena's size.
+    /// across guesses aggregate, and the arena's size; timed as
+    /// `fixpoint`.
     fn record_sizes(&self, m: &EvalMetrics, db: &Database) {
         if !self.rec.is_enabled() {
             return;
         }
+        let t0 = Instant::now();
         for (p, atoms) in db.per_pred.iter().enumerate() {
             if !atoms.is_empty() {
                 m.add_atoms(self.program, PredId(p as u32), atoms.len() as u64);
@@ -661,6 +674,7 @@ impl<'p> Evaluator<'p> {
         }
         m.arena_atoms.set(db.store.len() as u64);
         m.arena_bytes.set(db.store.heap_bytes() as u64);
+        m.phases.add_elapsed(Phase::Fixpoint, t0.elapsed());
     }
 
     /// Extends `db` with the program's facts (the delta's only, when
@@ -711,18 +725,25 @@ impl<'p> Evaluator<'p> {
         // In a resumed first round, the base's rules have already joined
         // every combination of base atoms: only the new facts fire them.
         // The delta's rules fire in full.
-        let n_rules = self.rules.len();
+        let n_rules = self.plan.n_rules();
         let fresh_from = if resumed { self.n_base } else { n_rules };
+        let in_full: Vec<usize> = match &self.masked {
+            Some((ks, _)) if resumed => ks.iter().map(|&k| k as usize).collect(),
+            _ => (fresh_from..n_rules).collect(),
+        };
 
         // Round-based semi-naive: expand the whole delta against the
         // database as it stood, then merge the candidate tuples in delta
-        // order. Indices catch up with the previous round's insertions
-        // first, so the expansion only reads them. The (body predicate →
-        // rule occurrence) table driving the expansion lives in the plan
-        // ([`Plan::uses`]).
+        // order. Each round first catches the indices up with the
+        // previous round's insertions and plans what it can reach, so
+        // the expansion only reads the database and the plan. The (body
+        // predicate → rule occurrence) table driving the expansion lives
+        // in the plan ([`Plan::uses`]).
         let phases = &m.phases;
+        let mut preds = Vec::new();
+        let mut seen = vec![false; db.per_pred.len()];
         let mut round: u64 = 0;
-        while !delta.is_empty() || (round == 0 && fresh_from < n_rules) {
+        while !delta.is_empty() || (round == 0 && !in_full.is_empty()) {
             if let Err(reason) = self.gov.check() {
                 self.rec
                     .counter(&format!("eval_interrupted_{}", reason.as_str()))
@@ -731,18 +752,38 @@ impl<'p> Evaluator<'p> {
                 return;
             }
             let t0 = phases.is_enabled().then(Instant::now);
-            m.index_builds.add(db.catch_up_indices());
+            preds.clear();
+            for &d in &delta {
+                let p = db.store.pred(d);
+                if !std::mem::replace(&mut seen[p.0 as usize], true) {
+                    preds.push(p);
+                }
+            }
+            for &p in &preds {
+                seen[p.0 as usize] = false;
+                db.catch_up(p);
+            }
             if let Some(t0) = t0 {
                 phases.add_elapsed(Phase::IndexBuild, t0.elapsed());
             }
             let t0 = phases.is_enabled().then(Instant::now);
-            let mut candidates = Vec::new();
             let below = if round == 0 { fresh_from } else { n_rules };
+            for &p in &preds {
+                self.plan_uses(db, p, below, m, &mut scratch);
+            }
+            if round == 0 {
+                for &k in &in_full {
+                    if let Some(bi) = self.smallest_relation(db, k) {
+                        self.plan_join(db, k, bi, m, &mut scratch);
+                    }
+                }
+            }
+            let mut candidates = Vec::new();
             for &d in &delta {
                 self.derive_from(db, d, below, m, &mut scratch, &mut candidates);
             }
             if round == 0 {
-                for k in fresh_from..n_rules {
+                for &k in &in_full {
                     self.fire_in_full(db, k, m, &mut scratch, &mut candidates);
                 }
             }
@@ -752,7 +793,7 @@ impl<'p> Evaluator<'p> {
                 let hit = stop_at
                     .map(|g| g.pred == derived.pred && g.args[..] == derived.args[..])
                     .unwrap_or(false);
-                let rule = self.ids[derived.rule] as usize;
+                let rule = self.plan.id(derived.rule) as usize;
                 if let Some(id) = db.insert(derived.pred, &derived.args, rule, derived.body) {
                     m.fired.incr();
                     next_delta.push(id);
@@ -763,7 +804,14 @@ impl<'p> Evaluator<'p> {
                 }
             }
             if let Some(t0) = t0 {
-                phases.add_elapsed(Phase::Fixpoint, t0.elapsed());
+                // The round planned the join orders it first needed, and
+                // its joins built the indices they first probed.
+                let planned = std::mem::take(&mut scratch.plan_time);
+                let built = std::mem::take(&mut scratch.index_time);
+                let rest = t0.elapsed().saturating_sub(planned + built);
+                phases.add_elapsed(Phase::Fixpoint, rest);
+                phases.add_elapsed(Phase::JoinPlan, planned);
+                phases.add_elapsed(Phase::IndexBuild, built);
             }
             if self.events && self.rec.is_enabled() {
                 self.rec.event_with(
@@ -796,6 +844,90 @@ impl<'p> Evaluator<'p> {
         self.run_until(Some(goal)).contains(goal)
     }
 
+    /// Every (rule, body position) of the evaluation where predicate `p`
+    /// occurs, as two runs: the base's rules', then the delta's.
+    #[inline]
+    fn uses(&self, p: PredId) -> [&[(u32, u32)]; 2] {
+        let [base, own] = self.plan.uses_by_layer(p);
+        match &self.masked {
+            Some((_, uses)) => [base, uses.of(p)],
+            None => [base, own],
+        }
+    }
+
+    /// Whether some body relation of rule `k` is empty, so that the rule
+    /// cannot fire this round.
+    #[inline]
+    fn starved(&self, db: &Database, k: usize) -> bool {
+        let body = &self.plan.rule(k).body;
+        body.iter()
+            .any(|a| db.per_pred[a.pred.0 as usize].is_empty())
+    }
+
+    /// The body position of rule `k`'s smallest relation (the first of
+    /// several), if the rule can fire this round.
+    fn smallest_relation(&self, db: &Database, k: usize) -> Option<usize> {
+        let body = &self.plan.rule(k).body;
+        let relation = |bi: usize| db.per_pred[body[bi].pred.0 as usize].len();
+        (0..body.len())
+            .min_by_key(|&bi| relation(bi))
+            .filter(|&bi| relation(bi) > 0)
+    }
+
+    /// Plans the uses of predicate `p` that a delta atom of it fires this
+    /// round ([`Evaluator::derive_from`]).
+    fn plan_uses(
+        &self,
+        db: &mut Database,
+        p: PredId,
+        below: usize,
+        m: &EvalMetrics,
+        scratch: &mut JoinScratch,
+    ) {
+        for uses in self.uses(p) {
+            for &(k, bi) in uses {
+                let k = k as usize;
+                if k >= below {
+                    return;
+                }
+                if !self.starved(db, k) {
+                    self.plan_join(db, k, bi as usize, m, scratch);
+                }
+            }
+        }
+    }
+
+    /// Makes the join order of rule `k` with delta position `bi` before a
+    /// round that fires it: plans it (timed as `join_plan`) unless a run
+    /// did before, and registers the indices its steps probe.
+    fn plan_join(
+        &self,
+        db: &mut Database,
+        k: usize,
+        bi: usize,
+        m: &EvalMetrics,
+        scratch: &mut JoinScratch,
+    ) {
+        let order = match self.plan.planned(k, bi) {
+            Some(order) => order,
+            None => {
+                let t0 = m.phases.is_enabled().then(Instant::now);
+                let (order, planned) = self.plan.fill(k, bi);
+                if planned {
+                    m.planned.incr();
+                }
+                if let Some(t0) = t0 {
+                    scratch.plan_time += t0.elapsed();
+                }
+                order
+            }
+        };
+        let body = &self.plan.rule(k).body;
+        for step in order.steps.iter().filter(|s| s.probes()) {
+            db.register(body[step.pos].pred, step.cols);
+        }
+    }
+
     /// Appends to `out` all firings of the rules below `below` (in plan
     /// order) in which the delta atom `d` participates (at every body
     /// position of its predicate). Read-only over `db`.
@@ -809,7 +941,7 @@ impl<'p> Evaluator<'p> {
         out: &mut Vec<Derived>,
     ) {
         let pred = db.store.pred(d);
-        for uses in self.plan.uses_by_layer(pred) {
+        for uses in self.uses(pred) {
             for &(k, bi) in uses {
                 if k as usize >= below {
                     return;
@@ -830,12 +962,11 @@ impl<'p> Evaluator<'p> {
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
     ) {
-        let body = &self.rules[k].body;
-        let relation = |bi: usize| &db.per_pred[body[bi].pred.0 as usize];
-        let Some(bi) = (0..body.len()).min_by_key(|&bi| relation(bi).len()) else {
+        let Some(bi) = self.smallest_relation(db, k) else {
             return;
         };
-        for &d in relation(bi) {
+        let body = &self.plan.rule(k).body;
+        for &d in &db.per_pred[body[bi].pred.0 as usize] {
             self.fire(db, d, k, bi, m, scratch, out);
         }
     }
@@ -855,26 +986,19 @@ impl<'p> Evaluator<'p> {
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
     ) {
-        let rule = self.rules[k];
-        let plans = self.plan.rule(k);
         // A rule with an empty body relation cannot fire: skip it
         // before any matching work.
-        if plans
-            .body_preds
-            .iter()
-            .any(|p| db.per_pred[p.0 as usize].is_empty())
-        {
+        if self.starved(db, k) {
             return;
         }
+        let rule = self.plan.rule(k);
         scratch.used.clear();
         scratch.used.resize(rule.body.len(), 0);
         m.joins.incr();
         if self.match_pattern(db, &rule.body[bi], d, scratch) {
             scratch.used[bi] = d.index();
-            let body = plans.body;
-            let dp = &body.per_delta[bi];
-            let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
-            self.join_steps(db, rule, k, dp, slots, 0, scratch, out, m);
+            let order = self.plan.planned(k, bi).expect("planned before the round");
+            self.join_steps(db, rule, k, order, 0, scratch, out, m);
         }
         unwind(scratch, 0);
     }
@@ -922,7 +1046,6 @@ impl<'p> Evaluator<'p> {
         rule: &Rule,
         k: usize,
         dp: &DeltaPlan,
-        slots: &[u32],
         si: usize,
         scratch: &mut JoinScratch,
         out: &mut Vec<Derived>,
@@ -962,14 +1085,14 @@ impl<'p> Evaluator<'p> {
             m.joins.incr();
             if let Some(id) = db.store.lookup(pattern.pred, &scratch.buf) {
                 scratch.used[step.pos] = id.index();
-                self.join_steps(db, rule, k, dp, slots, si + 1, scratch, out, m);
+                self.join_steps(db, rule, k, dp, si + 1, scratch, out, m);
             }
             return;
         }
         // Candidate enumeration: an index probe on the bound columns when
         // possible, otherwise the full per-predicate list.
-        let slot = slots[si];
-        let candidates: &[AtomId] = if slot != NO_SLOT {
+        let list = &db.per_pred[pattern.pred.0 as usize];
+        let candidates: &[AtomId] = if step.cols != 0 {
             scratch.buf.clear();
             let mut cols = step.cols;
             while cols != 0 {
@@ -981,16 +1104,35 @@ impl<'p> Evaluator<'p> {
                 });
             }
             m.index_hits.incr();
-            db.probe(slot, hash_key(&scratch.buf))
+            let (_, index) = db.indices[pattern.pred.0 as usize]
+                .iter()
+                .find(|(cols, _)| *cols == step.cols)
+                .expect("registered before the round");
+            let index = index.get().unwrap_or_else(|| {
+                // The first probe builds the index.
+                let t0 = m.phases.is_enabled().then(Instant::now);
+                let mut ix = ColumnIndex {
+                    map: PrehashedMap::default(),
+                    upto: 0,
+                };
+                ix.catch_up(&db.store, list, step.cols);
+                m.index_builds.incr();
+                if let Some(t0) = t0 {
+                    scratch.index_time += t0.elapsed();
+                }
+                index.get_or_init(|| ix)
+            });
+            let h = hash_key(&scratch.buf);
+            index.map.get(&h).map_or(&[], Vec::as_slice)
         } else {
-            &db.per_pred[pattern.pred.0 as usize]
+            list
         };
         for &id in candidates {
             m.joins.incr();
             let mark = scratch.trail.len();
             if self.match_pattern(db, pattern, id, scratch) {
                 scratch.used[step.pos] = id.index();
-                self.join_steps(db, rule, k, dp, slots, si + 1, scratch, out, m);
+                self.join_steps(db, rule, k, dp, si + 1, scratch, out, m);
                 unwind(scratch, mark);
             }
         }
@@ -1264,9 +1406,9 @@ mod tests {
     }
 
     /// A program whose first rules are a base: edges `i → 3i+1 (mod 9)`
-    /// and the transitive-closure rules as its segment. After the base
-    /// come the delta's rules: edges `i → i+2` for odd `i`, a `flag` fact
-    /// and a `meet` rule. Returns the program, the base's length, the
+    /// and the transitive-closure rules. After the base come the delta's
+    /// rules: edges `i → i+2` for odd `i`, a `flag` fact and a `meet`
+    /// rule. Returns the program, the base's length, the
     /// delta and `meet`.
     fn layered() -> (Program, usize, Vec<u32>, PredId) {
         let mut p = Program::new();
@@ -1290,16 +1432,14 @@ mod tests {
             vec![Atom::new(tpath, vec![x, y]), Atom::new(te, vec![y, z])],
         )
         .unwrap();
-        let segment: crate::ast::Segment = tc.split_rules_off(0).into();
-        p.extend_segment(&segment);
+        p.extend_validated(&tc.split_rules_off(0));
         let base_len = p.rules().len();
         for i in (1..9).step_by(2) {
             p.fact(e, vec![u[i], u[(i + 2) % 9]]).unwrap();
         }
         let flag = p.predicate("flag", 1);
         p.fact(flag, vec![u[0]]).unwrap();
-        // `e` by its second column: an index the base plan has no slot
-        // for, since the delta's facts extend `e`.
+        // `e` by its second column: an index no base rule probes.
         p.rule(
             Atom::new(meet, vec![y, z]),
             vec![
@@ -1328,28 +1468,50 @@ mod tests {
         )
     }
 
-    /// Everything a rollback must restore, in comparable form.
+    /// The join indices `db` has built, as (predicate, columns).
+    fn built(db: &Database) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        for (p, indices) in db.indices.iter().enumerate() {
+            let built = indices.iter().filter(|(_, ix)| ix.get().is_some());
+            out.extend(built.map(|(cols, _)| (p, *cols)));
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Everything a rollback must restore, in comparable form, after
+    /// checking that every built join index holds exactly its
+    /// predicate's tuples.
     #[allow(clippy::type_complexity)]
     fn snapshot(
         db: &Database,
     ) -> (
         Vec<GroundAtom>,
         Vec<Vec<AtomId>>,
-        Vec<(PredId, u64, Vec<(u64, Vec<AtomId>)>, usize)>,
         (usize, Option<InterruptReason>, bool),
     ) {
         for (i, g) in db.iter().enumerate() {
             assert_eq!(db.index_of(&g), Some(i), "{g:?} is not found by lookup");
         }
-        let indices = db.indices.iter().map(|ix| {
+        let sorted = |ix: &ColumnIndex| {
             let mut map: Vec<_> = ix.map.iter().map(|(h, ids)| (*h, ids.clone())).collect();
             map.sort();
-            (ix.pred, ix.cols, map, ix.upto)
-        });
+            (map, ix.upto)
+        };
+        for (p, indices) in db.indices.iter().enumerate() {
+            for (cols, ix) in indices {
+                let Some(ix) = ix.get() else { continue };
+                let mut fresh = ColumnIndex {
+                    map: PrehashedMap::default(),
+                    upto: 0,
+                };
+                fresh.catch_up(&db.store, &db.per_pred[p], *cols);
+                assert_eq!(sorted(ix), sorted(&fresh), "index ({p}, {cols:b})");
+            }
+        }
         (
             db.iter().collect(),
             db.per_pred.clone(),
-            indices.collect(),
             (db.store.args_len(), db.interrupted, db.complete),
         )
     }
@@ -1368,11 +1530,15 @@ mod tests {
         assert!(scratch.of_pred(meet).count() > 0);
         // The delta's evaluator from scratch derives the whole model too.
         assert_eq!(model(&ev.run()), model(&scratch));
+        let built_before = built(&base);
         let mark = ev.resume_until(&mut base, None).expect("resumable");
         assert_eq!(model(&base), model(&scratch));
-        assert!(base.complete && base.indices.len() > before.2.len());
+        assert!(base.complete && built(&base).len() > built_before.len());
+        let built_by_delta = built(&base);
         base.rollback(mark);
         assert_eq!(snapshot(&base), before);
+        // The indices the delta built stay built, with the base's tuples.
+        assert_eq!(built(&base), built_by_delta);
         // Resuming again after the rollback, to the goal this time.
         let goal = scratch.ground(scratch.len() - 1);
         let mark = ev.resume_until(&mut base, Some(&goal)).expect("resumable");
@@ -1384,6 +1550,127 @@ mod tests {
         assert_eq!(base.len(), before.0.len());
         base.rollback(mark.expect("resumable"));
         assert_eq!(snapshot(&base), before);
+    }
+
+    #[test]
+    fn an_index_that_is_never_probed_is_never_built() {
+        // q(Y) :- a(X), b(X), e(X, Y): with `a` as the delta, `b(X)` is a
+        // membership test that fails, so the probe of `e` is never
+        // reached. r(Y) :- z(X), e(X, Y) never fires: `z` is empty.
+        let mut p = Program::new();
+        let (a, b, z) = (
+            p.predicate("a", 1),
+            p.predicate("b", 1),
+            p.predicate("z", 1),
+        );
+        let (e, q, r) = (
+            p.predicate("e", 2),
+            p.predicate("q", 1),
+            p.predicate("r", 1),
+        );
+        let c: Vec<Const> = (0..3).map(|i| p.constant(&format!("c{i}"))).collect();
+        p.fact(a, vec![c[0]]).unwrap();
+        p.fact(b, vec![c[1]]).unwrap();
+        p.fact(e, vec![c[0], c[2]]).unwrap();
+        p.fact(e, vec![c[1], c[2]]).unwrap();
+        let (x, y) = (Term::Var(0), Term::Var(1));
+        let body = |first: PredId| vec![Atom::new(first, vec![x]), Atom::new(e, vec![x, y])];
+        let mut q_body = body(a);
+        q_body.insert(1, Atom::new(b, vec![x]));
+        p.rule(Atom::new(q, vec![y]), q_body).unwrap();
+        p.rule(Atom::new(r, vec![y]), body(z)).unwrap();
+        let rec = Recorder::enabled(parra_obs::Level::Summary);
+        let db = Evaluator::new(&p).with_recorder(rec.clone()).run();
+        assert_eq!(db.len(), 4);
+        assert!(built(&db).is_empty());
+        assert_eq!(
+            rec.snapshot().counters.get("index_builds").copied(),
+            Some(0)
+        );
+        // With `b(c0)`, the probe is reached and its index built.
+        p.fact(b, vec![c[0]]).unwrap();
+        let db = Evaluator::new(&p).run();
+        assert!(db.contains(&GroundAtom::new(q, vec![c[2]])));
+        assert_eq!(built(&db), [(e.0 as usize, 1)]);
+    }
+
+    #[test]
+    fn an_index_first_built_during_a_delta_survives_rollback_with_the_bases_tuples() {
+        let (p, base_len, delta, _) = layered();
+        let (base_ev, ev) = base_and_delta(&p, base_len, &delta);
+        let mut base = base_ev.run();
+        let e = p.lookup_pred("e").unwrap().0 as usize;
+        // `meet` probes `e` by its second column; no base rule does.
+        assert!(!built(&base).contains(&(e, 0b10)));
+        let n_e = base.per_pred[e].len();
+        let mark = ev.resume_until(&mut base, None).expect("resumable");
+        assert!(base.per_pred[e].len() > n_e);
+        base.rollback(mark);
+        let (_, ix) = base.indices[e]
+            .iter()
+            .find(|(cols, _)| *cols == 0b10)
+            .unwrap();
+        let ix = ix.get().expect("kept through the rollback");
+        assert_eq!(ix.upto, n_e);
+        assert_eq!(ix.map.values().map(Vec::len).sum::<usize>(), n_e);
+        // `snapshot` checks its entries against the base's tuples.
+        snapshot(&base);
+    }
+
+    #[test]
+    fn a_delta_plan_evaluates_the_deltas_whose_rules_it_holds() {
+        // `layered`, with one more rule after the base: `lo(X) :- path(X,
+        // X)`. Under the plan of the whole delta, each part of it derives
+        // the model of the base and that part alone.
+        let (mut p, base_len, mut delta, _) = layered();
+        let (path, lo) = (p.lookup_pred("path").unwrap(), p.predicate("lo", 1));
+        let x = Term::Var(0);
+        p.rule(Atom::new(lo, vec![x]), vec![Atom::new(path, vec![x, x])])
+            .unwrap();
+        delta.push(p.rules().len() as u32 - 1);
+        let (base_ev, _) = base_and_delta(&p, base_len, &delta);
+        let mut cache = crate::plan::PlanCache::new();
+        let base_plan = cache.plan_prefix(&p, base_len);
+        let plan = cache.plan_delta(&p, &base_plan, base_len, &delta);
+        let mut base = base_ev.run();
+        let before = snapshot(&base);
+        let (facts, rules): (Vec<u32>, Vec<u32>) = delta
+            .iter()
+            .partition(|&&ri| p.rules()[ri as usize].is_fact());
+        let parts = [
+            facts.clone(),
+            rules.clone(),
+            [&facts[..1], &rules[1..]].concat(),
+        ];
+        // The delta's `e` facts feed `meet`, so the parts do not fit the
+        // plan's statistics; their models are the same all the same.
+        assert!(!plan.fits(&p, &facts));
+        for part in &parts {
+            let mut whole = p.clone();
+            let tail = whole.split_rules_off(base_len);
+            whole.extend_validated(part.iter().map(|&ri| &tail[ri as usize - base_len]));
+            let ev = Evaluator::with_delta(&p, base_len, part, Arc::clone(&plan));
+            let mark = ev.resume_until(&mut base, None).expect("resumable");
+            assert_eq!(
+                model(&base),
+                model(&Evaluator::new(&whole).run()),
+                "{part:?}"
+            );
+            base.rollback(mark);
+            assert_eq!(snapshot(&base), before);
+            assert_eq!(model(&ev.run()), model(&Evaluator::new(&whole).run()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "join plan built for another rule list")]
+    fn a_delta_plan_refuses_a_rule_it_does_not_hold() {
+        let (p, base_len, delta, _) = layered();
+        let mut cache = crate::plan::PlanCache::new();
+        let base_plan = cache.plan_prefix(&p, base_len);
+        let facts: Vec<u32> = delta[..delta.len() - 1].to_vec();
+        let plan = cache.plan_delta(&p, &base_plan, base_len, &facts);
+        let _ = Evaluator::with_delta(&p, base_len, &delta, plan);
     }
 
     #[test]

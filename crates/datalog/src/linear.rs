@@ -7,7 +7,8 @@
 //! [`LinearEvaluator`] exploits this: no joins, a plain worklist — the
 //! combinatorics that make linear Datalog PSPACE rather than EXPTIME.
 
-use crate::ast::{GroundAtom, Program, Term};
+use crate::ast::{Const, GroundAtom, Program, Term};
+use crate::plan::rule_n_vars;
 use parra_limits::ResourceBudget;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -84,6 +85,11 @@ impl<'p> LinearEvaluator<'p> {
                 by_pred.entry(b.pred.0).or_default().push(ri);
             }
         }
+        // One substitution for every match, by variable id, and the
+        // variables a match bound.
+        let n_vars = self.program.rules().iter().map(|r| rule_n_vars(r));
+        let mut subst: Vec<Option<Const>> = vec![None; n_vars.max().unwrap_or(0)];
+        let mut bound: Vec<u32> = Vec::new();
 
         while let Some(atom) = queue.pop_front() {
             if let Some(goal) = stop_at {
@@ -101,34 +107,19 @@ impl<'p> LinearEvaluator<'p> {
                 let rule = &self.program.rules()[ri];
                 let body = &rule.body[0];
                 // Match the single body atom.
-                let mut subst: HashMap<u32, crate::ast::Const> = HashMap::new();
-                let mut ok = body.terms.len() == atom.args.len();
-                if ok {
-                    for (t, c) in body.terms.iter().zip(&atom.args) {
-                        match t {
-                            Term::Const(k) => {
-                                if k != c {
-                                    ok = false;
-                                    break;
-                                }
+                let matched = body.terms.len() == atom.args.len()
+                    && body.terms.iter().zip(&atom.args).all(|(t, c)| match t {
+                        Term::Const(k) => k == c,
+                        Term::Var(v) => match subst[*v as usize] {
+                            Some(b) => b == *c,
+                            None => {
+                                subst[*v as usize] = Some(*c);
+                                bound.push(*v);
+                                true
                             }
-                            Term::Var(v) => match subst.get(v) {
-                                Some(bound) if bound != c => {
-                                    ok = false;
-                                    break;
-                                }
-                                Some(_) => {}
-                                None => {
-                                    subst.insert(*v, *c);
-                                }
-                            },
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let head = GroundAtom {
+                        },
+                    });
+                let head = matched.then(|| GroundAtom {
                     pred: rule.head.pred,
                     args: rule
                         .head
@@ -136,12 +127,17 @@ impl<'p> LinearEvaluator<'p> {
                         .iter()
                         .map(|t| match t {
                             Term::Const(c) => *c,
-                            Term::Var(v) => *subst.get(v).expect("safe rule"),
+                            Term::Var(v) => subst[*v as usize].expect("safe rule"),
                         })
                         .collect(),
-                };
-                if derived.insert(head.clone()) {
-                    queue.push_back(head);
+                });
+                for v in bound.drain(..) {
+                    subst[v as usize] = None;
+                }
+                if let Some(head) = head {
+                    if derived.insert(head.clone()) {
+                        queue.push_back(head);
+                    }
                 }
             }
         }

@@ -451,8 +451,8 @@ mod tests {
         for name in ns.counters.keys() {
             assert!(es.counters.contains_key(name), "eval missing {name}");
         }
-        // The optimized engine's extras are exactly its index/arena
-        // machinery, which the naive engine has no analogue for.
+        // The optimized engine's extras are exactly its planning and
+        // index machinery, which the naive engine has no analogue for.
         // (`phase/*` counters are the PhaseTimer's — reports pull them
         // out as phase attributions, not evaluation metrics.)
         let extras: Vec<&str> = es
@@ -461,7 +461,7 @@ mod tests {
             .filter(|n| !ns.counters.contains_key(*n) && !n.starts_with("phase/"))
             .map(String::as_str)
             .collect();
-        assert_eq!(extras, vec!["index_builds", "index_hits"]);
+        assert_eq!(extras, vec!["index_builds", "index_hits", "rules_planned"]);
         // Both engines define "fired" as a successful insert, so the
         // values agree exactly — as do the per-predicate atom counts,
         // since both reach the same fixpoint.

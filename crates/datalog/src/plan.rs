@@ -1,14 +1,11 @@
-//! Static join planner: orders rule bodies most-bound-first.
+//! Join planner: orders rule bodies most-bound-first, on demand.
 //!
-//! For every rule and every choice of *delta position* (the body atom
-//! matched against a newly derived tuple in semi-naive evaluation), the
-//! planner fixes — once, at program load — the order in which the
-//! remaining body atoms are joined and which argument columns are bound
-//! when each of them is probed. The evaluator turns each step into either
-//! a membership test (all columns bound) or a probe of a column-keyed
-//! index (some columns bound), so the plan fully determines which indices
-//! an evaluation can ever need: they are enumerated here and addressed by
-//! dense *slot* ids, sparing the evaluator a hash lookup per probe.
+//! For a rule and a choice of *delta position* (the body atom matched
+//! against a newly derived tuple in semi-naive evaluation), the planner
+//! fixes the order in which the remaining body atoms are joined and which
+//! argument columns are bound when each of them is probed. The evaluator
+//! turns each step into either a membership test (all columns bound) or a
+//! probe of the predicate's join index keyed on the bound columns.
 //!
 //! The cost model is greedy most-bound-first with statistics quantized to
 //! powers of two for predicates defined by facts (the `makeP` EDB
@@ -18,19 +15,25 @@
 //! Plans cover the rules with a body only, numbered in program order:
 //! a fact has nothing to plan.
 //!
-//! Planning is on the critical path of every guess in the `makeP` fleet.
-//! A [`PlanCache`] plans each *body signature* (canonicalized term
-//! structure plus statistics) once ([`BodyPlan`]), every rule keeping
-//! only its own index-slot table ([`RulePlans::slots`]). It plans the
-//! rules a program shares with its template ([`Program::segment`]) once
-//! per statistics key, and a guess evaluated on its fleet's base program
-//! as a *delta* ([`PlanCache::plan_delta`]) plans only the delta's rules,
-//! after the base's plan.
+//! Planning is on the critical path of every guess in the `makeP` fleet,
+//! and only a small part of a `makeP` program ever fires. So a [`Plan`]
+//! holds its rules and the statistics they are planned under, and plans
+//! a (rule, delta position) the first time the evaluator needs it
+//! ([`Plan::join_order`]): the plan fills in, and every later run under
+//! it reads what the first one planned. The plans of a [`PlanCache`]
+//! share one pool that plans each *body signature* (canonicalized term
+//! structure plus statistics) once per delta position (`BodyPlan`), so
+//! a join order depends on its rule's signature alone and is the one an
+//! eager planner gives. A guess evaluated on its fleet's base program as
+//! a *delta* ([`PlanCache::plan_delta`]) adds only the delta's rules to
+//! the base's plan, and one delta plan serves every delta whose rules it
+//! holds ([`Plan::fits`]).
 
-use crate::ast::{PredId, Program, Rule, Segment, Term};
-use std::collections::{BTreeSet, HashMap};
+use crate::ast::{PredId, Program, Rule, Term};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cheap word-mixing hasher for the planner's maps (and the `makeP`
 /// encoder's): SipHash on multi-word keys showed up as the planner's
@@ -64,13 +67,7 @@ impl Hasher for FxWords {
 /// A hash map under [`FxWords`].
 pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxWords>>;
 
-/// The slot value meaning "this step probes no index" (fully bound, or a
-/// column set that cannot be bitmask-keyed).
-pub const NO_SLOT: u32 = u32::MAX;
-
-/// One join step: probe body atom `pos` with `cols` bound. The index slot
-/// probed, if any, lives in the owning rule's [`RulePlans::slots`] (steps
-/// are shared between rules, slots are not).
+/// One join step: probe body atom `pos` with `cols` bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinStep {
     /// The body position being solved at this step.
@@ -85,6 +82,14 @@ pub struct JoinStep {
     pub fully_bound: bool,
 }
 
+impl JoinStep {
+    /// Whether the step probes a join index: some columns, all among the
+    /// first 64, are known, but not all.
+    pub(crate) fn probes(&self) -> bool {
+        !self.fully_bound && self.cols != 0
+    }
+}
+
 /// The join order for one (rule, delta-position) pair.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaPlan {
@@ -94,68 +99,11 @@ pub struct DeltaPlan {
 }
 
 /// The join orders of one *body shape*, shared by every rule whose body
-/// has the same canonical term structure and statistics.
-#[derive(Debug, Clone, Default)]
-pub struct BodyPlan {
-    /// `per_delta[bi]` is the plan when body atom `bi` is the delta.
-    pub per_delta: Vec<DeltaPlan>,
-    /// Flat step offset of each delta position into a rule's
-    /// [`RulePlans::slots`] table, then the number of steps.
-    offsets: Vec<usize>,
-    /// The flat steps that probe an index, with their delta position and
-    /// step.
-    probes: Vec<(usize, usize, usize)>,
-}
-
-impl BodyPlan {
-    /// The slot table range of delta position `bi`.
-    #[inline]
-    pub fn slot_offset(&self, bi: usize) -> usize {
-        self.offsets[bi]
-    }
-
-    /// The number of steps over all delta positions.
-    fn n_steps(&self) -> usize {
-        self.offsets.last().copied().unwrap_or(0)
-    }
-}
-
-/// All plans of one rule with a body ([`Plan::rule`]): a shared
-/// [`BodyPlan`] plus the rule's own index-slot table. Facts have none.
-#[derive(Debug, Clone, Copy)]
-pub struct RulePlans<'p> {
-    /// The join orders, shared by every rule with the same body
-    /// signature.
-    pub body: &'p BodyPlan,
-    /// Dense index-slot per step, flattened over delta positions:
-    /// `slots[body.slot_offset(bi) + si]` pairs with
-    /// `body.per_delta[bi].steps[si]`.
-    pub slots: &'p [u32],
-    /// One more than the rule's largest variable id.
-    pub n_vars: usize,
-    /// The distinct predicates of the rule's body: if one has an empty
-    /// relation, the rule cannot fire this round.
-    pub body_preds: &'p [PredId],
-}
-
-/// The plans of one rule, as [`RulePlans`] shows them.
-#[derive(Debug, Clone)]
-struct RuleAt {
-    body: Arc<BodyPlan>,
-    n_vars: u32,
-    slots: Box<[u32]>,
-    /// Shared with the rule's plans in other runs.
-    preds: Arc<[PredId]>,
-}
-
-/// A join index required by some plan step: a predicate and the bound
-/// columns the probes key on.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexSpec {
-    /// The indexed predicate.
-    pub pred: PredId,
-    /// The key columns, as a bitmask.
-    pub cols: u64,
+/// has the same canonical term structure and statistics: `per_delta[bi]`
+/// is the plan when body atom `bi` is the delta, made when first needed.
+#[derive(Debug)]
+struct BodyPlan {
+    per_delta: Box<[OnceLock<DeltaPlan>]>,
 }
 
 /// Default estimated relation size for intensional predicates.
@@ -168,6 +116,7 @@ const DEFAULT_DISTINCT: f64 = 8.0;
 /// and coarse stats let same-shaped rules share one memoized plan.
 /// Predicate `p`'s values, `vals[at[p]..at[p + 1]]`, are its estimated
 /// size, then per column the reciprocal of its distinct values.
+#[derive(Debug)]
 struct Stats {
     at: Vec<u32>,
     vals: Vec<f64>,
@@ -180,344 +129,212 @@ impl Stats {
     }
 }
 
-/// The plans of a run of rules with bodies, and the index slots they
-/// add.
-#[derive(Debug, Clone, Default)]
-struct Rules {
-    rules: Vec<RuleAt>,
-    /// The specs of the slots these rules probe first, in slot order;
-    /// their ids follow those of the runs planned before.
-    indices: Vec<IndexSpec>,
-    slot_ids: FxMap<(u64, u64), u32>,
-}
-
-/// What a plan's own rules follow.
-#[derive(Debug, Clone)]
-enum Lead {
-    /// Nothing: the plan covers every rule itself.
-    None,
-    /// The template segment's shared plans, after this many own rules.
-    Template(usize, Arc<Rules>),
-    /// The plan of the base program this one extends (a delta plan):
-    /// its rules come first and its index slots lead.
-    Base(Arc<Plan>),
-}
-
-/// The static plan for a program's rules with bodies, numbered in
-/// program order with facts skipped: its template segment's shared plan
-/// or the plan of the base program it extends, if any, plus the plans of
-/// its own rules.
-#[derive(Debug, Clone)]
-pub struct Plan {
-    lead: Lead,
-    /// The number of the base plan's rules (0 without one): the own
-    /// rules' numbers start there.
-    first: usize,
-    own: Rules,
-    /// For each predicate, every (rule, body position) of this plan's
-    /// template and own rules where it occurs — the semi-naive "uses" of
-    /// a delta atom: `uses[uses_at[p]..uses_at[p + 1]]`.
-    uses_at: Vec<u32>,
-    uses: Vec<(u32, u32)>,
-    max_vars: usize,
-}
-
-/// Whether a step probes an index: some columns, all among the first
-/// 64, are known, but not all.
-fn is_probe(step: &JoinStep) -> bool {
-    !step.fully_bound && step.cols != 0
-}
-
-/// The rules of `rules` with a body.
-fn with_body(rules: &[Arc<Rule>]) -> impl Iterator<Item = &Rule> + Clone {
-    rules.iter().map(|r| &**r).filter(|r| !r.is_fact())
-}
-
-/// Memo of [`BodyPlan`]s keyed by body signature: every body shape is
-/// planned once per pool lifetime.
-#[derive(Default)]
+/// Memo of [`BodyPlan`]s keyed by body signature, with the signature
+/// scratch.
+#[derive(Debug, Default)]
 struct BodyPool {
     entries: FxMap<Vec<u64>, Arc<BodyPlan>>,
     sig: Vec<u64>,
     canon: Vec<u32>,
-    bound: Vec<bool>,
-    bound_list: Vec<u32>,
-    remaining: Vec<usize>,
 }
 
 impl BodyPool {
-    /// The body plan of each rule, planning only the signatures never
-    /// seen before.
-    fn bodies<'r>(
-        &mut self,
-        rules: impl Iterator<Item = &'r Rule>,
-        stats: &Stats,
-    ) -> Vec<Arc<BodyPlan>> {
-        rules.map(|rule| self.body(rule, stats)).collect()
-    }
-
+    /// The body plan of `rule` under `stats`: the pooled one of its
+    /// signature, or a new one with nothing planned yet.
     fn body(&mut self, rule: &Rule, stats: &Stats) -> Arc<BodyPlan> {
         let n_vars = rule_n_vars(rule);
         if self.canon.len() < n_vars {
             self.canon.resize(n_vars, u32::MAX);
-            self.bound.resize(n_vars, false);
         }
         body_signature(rule, stats, &mut self.sig, &mut self.canon);
         if let Some(body) = self.entries.get(self.sig.as_slice()) {
             return Arc::clone(body);
         }
-        let mut offsets = Vec::with_capacity(rule.body.len());
-        let mut probes = Vec::new();
-        let mut flat = 0usize;
-        let per_delta: Vec<DeltaPlan> = (0..rule.body.len())
-            .map(|bi| {
-                let scratch = (
-                    &mut self.bound[..],
-                    &mut self.bound_list,
-                    &mut self.remaining,
-                );
-                let dp = plan_delta(rule, bi, stats, scratch);
-                for v in self.bound_list.drain(..) {
-                    self.bound[v as usize] = false;
-                }
-                offsets.push(flat);
-                for (si, step) in dp.steps.iter().enumerate() {
-                    if is_probe(step) {
-                        probes.push((flat + si, bi, si));
-                    }
-                }
-                flat += dp.steps.len();
-                dp
-            })
-            .collect();
-        offsets.push(flat);
-        let body = Arc::new(BodyPlan {
-            per_delta,
-            offsets,
-            probes,
-        });
+        let per_delta = rule.body.iter().map(|_| OnceLock::new()).collect();
+        let body = Arc::new(BodyPlan { per_delta });
         self.entries.insert(self.sig.clone(), Arc::clone(&body));
         body
     }
 }
 
-impl Rules {
-    /// The plans of the run's `i`-th rule.
-    #[inline]
-    fn plans(&self, i: usize) -> RulePlans<'_> {
-        let at = &self.rules[i];
-        RulePlans {
-            body: &at.body,
-            slots: &at.slots,
-            n_vars: at.n_vars as usize,
-            body_preds: &at.preds,
-        }
-    }
+/// The body plans a cache's plans share, and the join orders planned
+/// into them so far. Runs under shared plans fill it concurrently.
+#[derive(Debug, Default)]
+struct Pool {
+    memo: Mutex<BodyPool>,
+    planned: AtomicUsize,
+}
 
-    /// The number of rules in the run.
-    fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Plans `rules` from their body plans, numbering new index slots
-    /// from `first` and reusing the slot of a probe some `prior` run
-    /// shares.
-    fn build<'r>(
-        rules: impl Iterator<Item = &'r Rule>,
-        bodies: Vec<Arc<BodyPlan>>,
-        prior: &[&Rules],
-        first: usize,
-    ) -> Rules {
-        let mut out = Rules::default();
-        // Per body plan, the (predicate, slot) each probe last resolved to:
-        // rules sharing a body plan mostly probe the same predicates, so
-        // most probes resolve with one comparison instead of a lookup.
-        let mut memos: FxMap<u64, Vec<(PredId, u32)>> = FxMap::default();
-        let (mut body_preds, mut slots) = (Vec::new(), Vec::new());
-        for (rule, body) in rules.zip(bodies) {
-            body_preds.clear();
-            body_preds.extend(rule.body.iter().map(|a| a.pred));
-            body_preds.sort_unstable_by_key(|p| p.0);
-            body_preds.dedup();
-            let memo = memos
-                .entry(Arc::as_ptr(&body) as u64)
-                .or_insert_with(|| vec![(PredId(u32::MAX), NO_SLOT); body.probes.len()]);
-            slots.clear();
-            slots.resize(body.n_steps(), NO_SLOT);
-            for (&(flat, bi, si), memo) in body.probes.iter().zip(memo.iter_mut()) {
-                let step = &body.per_delta[bi].steps[si];
-                let pred = rule.body[step.pos].pred;
-                if memo.0 != pred {
-                    let key = (pred.0 as u64, step.cols);
-                    let shared = prior.iter().find_map(|r| r.slot_ids.get(&key).copied());
-                    let slot = shared.unwrap_or_else(|| {
-                        *out.slot_ids.entry(key).or_insert_with(|| {
-                            out.indices.push(IndexSpec {
-                                pred,
-                                cols: step.cols,
-                            });
-                            (first + out.indices.len() - 1) as u32
-                        })
-                    });
-                    *memo = (pred, slot);
-                }
-                slots[flat] = memo.1;
-            }
-            out.rules.push(RuleAt {
-                body,
-                n_vars: rule_n_vars(rule) as u32,
-                slots: slots.as_slice().into(),
-                preds: body_preds.as_slice().into(),
-            });
-        }
-        out
+impl Pool {
+    /// The pooled body plan of `rule` under `stats`. A panic while the
+    /// memo was locked may have left its scratch half-written: the memo
+    /// then starts over empty and the poison is cleared, so that it
+    /// outlives no more than the run that caused it.
+    fn body(&self, rule: &Rule, stats: &Stats) -> Arc<BodyPlan> {
+        let mut memo = self.memo.lock().unwrap_or_else(|poisoned| {
+            let mut memo = poisoned.into_inner();
+            *memo = BodyPool::default();
+            self.memo.clear_poison();
+            memo
+        });
+        memo.body(rule, stats)
     }
 }
 
+/// The plan of a program's rules with bodies, numbered in program order
+/// with facts skipped: the plan of the base program it extends, if any,
+/// then its own rules, each with the body plan of its signature, bound
+/// when one of its join orders is first needed.
+#[derive(Debug)]
+pub struct Plan {
+    /// The plan of the base program this one extends (a delta plan):
+    /// its rules come first.
+    base: Option<Arc<Plan>>,
+    /// The number of the base plan's rules (0 without one): the own
+    /// rules' numbers start there.
+    first: usize,
+    /// The own rules, and the program index of each.
+    rules: Box<[Arc<Rule>]>,
+    ids: Box<[u32]>,
+    /// Whether `ids` ascend.
+    ids_sorted: bool,
+    bodies: Box<[OnceLock<Arc<BodyPlan>>]>,
+    stats: Stats,
+    pool: Arc<Pool>,
+    /// The uses of the own rules' body predicates.
+    uses: Uses,
+    max_vars: usize,
+    /// Whether a fact of the delta defines a predicate one of the own
+    /// rules reads (delta plans only).
+    reads_own_facts: bool,
+}
+
 impl Plan {
-    /// Computes the plan for `program` (once per load; evaluation only
-    /// reads it). Every rule is planned, a shared segment included.
+    /// The plan for `program`, with nothing planned yet.
     pub fn new(program: &Program) -> Plan {
-        let stats = collect_stats(program, program.rules().iter().map(|r| &**r));
-        let rules: Vec<&Rule> = with_body(program.rules()).collect();
-        let bodies = BodyPool::default().bodies(rules.iter().copied(), &stats);
-        Plan::assemble(program, &rules, Lead::None, bodies)
+        let rules = program.rules();
+        Plan::build(
+            &Arc::default(),
+            program,
+            None,
+            0..rules.len() as u32,
+            rules.iter(),
+        )
     }
 
-    /// The plan of `rules`, a program's rules with bodies in order (the
-    /// lead's template segment among them), from the lead and the body
-    /// plans of the own rules.
-    fn assemble(
+    /// The plan of `program`'s rules at `own` (after `base`'s) under the
+    /// statistics of the facts among `facts`.
+    fn build<'r>(
+        pool: &Arc<Pool>,
         program: &Program,
-        rules: &[&Rule],
-        lead: Lead,
-        bodies: Vec<Arc<BodyPlan>>,
+        base: Option<Arc<Plan>>,
+        own: impl Iterator<Item = u32>,
+        facts: impl Iterator<Item = &'r Arc<Rule>>,
     ) -> Plan {
-        let (prior, own_rules): (Vec<&Rules>, _) = match &lead {
-            Lead::None => (Vec::new(), [rules, &[]]),
-            Lead::Template(at, tpl) => {
-                let own = [&rules[..*at], &rules[at + tpl.len()..]];
-                (vec![&**tpl], own)
-            }
-            Lead::Base(base) => (base.runs().collect(), [rules, &[]]),
-        };
-        let first_slot = prior.iter().map(|r| r.indices.len()).sum();
-        let own_rules = own_rules.into_iter().flatten().copied();
-        let own = Rules::build(own_rules, bodies, &prior, first_slot);
-        Plan::with_own(program, rules, lead, own)
-    }
-
-    /// The plan of `rules` whose own rules are planned in `own`: with
-    /// the `uses` table over `rules`.
-    fn with_own(program: &Program, rules: &[&Rule], lead: Lead, own: Rules) -> Plan {
-        let first = match &lead {
-            Lead::Base(base) => base.n_rules(),
-            _ => 0,
-        };
-        let n_preds = program.predicates().count();
-        let mut uses_at = vec![0u32; n_preds + 1];
-        for atom in rules.iter().flat_map(|r| &r.body) {
-            uses_at[atom.pred.0 as usize + 1] += 1;
-        }
-        for p in 0..n_preds {
-            uses_at[p + 1] += uses_at[p];
-        }
-        let mut uses = vec![(0, 0); uses_at[n_preds] as usize];
-        let mut next = uses_at.clone();
-        for (k, rule) in rules.iter().enumerate() {
-            for (bi, atom) in rule.body.iter().enumerate() {
-                let at = &mut next[atom.pred.0 as usize];
-                uses[*at as usize] = ((first + k) as u32, bi as u32);
-                *at += 1;
-            }
-        }
-        let lead_vars = match &lead {
-            Lead::None => 0,
-            Lead::Template(_, tpl) => tpl
-                .rules
-                .iter()
-                .map(|r| r.n_vars as usize)
-                .max()
-                .unwrap_or(0),
-            Lead::Base(base) => base.max_vars,
-        };
-        let own_vars = own
-            .rules
-            .iter()
-            .map(|r| r.n_vars as usize)
-            .max()
-            .unwrap_or(0);
+        let all = program.rules();
+        let (ids, rules): (Vec<u32>, Vec<Arc<Rule>>) = own
+            .map(|ri| (ri, Arc::clone(&all[ri as usize])))
+            .filter(|(_, r)| !r.is_fact())
+            .unzip();
+        let first = base.as_ref().map_or(0, |b| b.n_rules());
+        let numbered = rules.iter().enumerate().map(|(k, r)| (first + k, &**r));
+        let uses = Uses::new(program, numbered);
+        let own_vars = rules.iter().map(|r| rule_n_vars(r)).max().unwrap_or(0);
         Plan {
-            lead,
+            max_vars: base.as_ref().map_or(0, |b| b.max_vars).max(own_vars),
+            base,
             first,
-            own,
-            uses_at,
+            bodies: rules.iter().map(|_| OnceLock::new()).collect(),
+            rules: rules.into(),
+            ids_sorted: ids.windows(2).all(|w| w[0] < w[1]),
+            ids: ids.into(),
+            stats: collect_stats(program, facts.map(|r| &**r)),
+            pool: Arc::clone(pool),
             uses,
-            max_vars: lead_vars.max(own_vars),
+            reads_own_facts: false,
         }
-    }
-
-    /// Adds a slot after this plan's own for each of `specs` that no run
-    /// of it has yet.
-    fn reserve(&mut self, specs: Vec<IndexSpec>) {
-        let tpl = match &self.lead {
-            Lead::Template(_, tpl) => Some(&**tpl),
-            _ => None,
-        };
-        let first = tpl.map_or(0, |t| t.indices.len());
-        let own = &mut self.own;
-        for spec in specs {
-            let key = (spec.pred.0 as u64, spec.cols);
-            if tpl.is_some_and(|t| t.slot_ids.contains_key(&key)) {
-                continue;
-            }
-            own.slot_ids.entry(key).or_insert_with(|| {
-                own.indices.push(spec);
-                (first + own.indices.len() - 1) as u32
-            });
-        }
-    }
-
-    /// This plan's template and own runs of rule plans, in slot order: a
-    /// delta plan's base runs are its base's.
-    fn runs(&self) -> impl Iterator<Item = &Rules> {
-        let tpl = match &self.lead {
-            Lead::Template(_, tpl) => Some(&**tpl),
-            _ => None,
-        };
-        tpl.into_iter().chain([&self.own])
     }
 
     /// The number of rules with a body the plan covers.
     pub fn n_rules(&self) -> usize {
-        let tpl = match &self.lead {
-            Lead::Template(_, tpl) => tpl.len(),
-            _ => 0,
-        };
-        self.first + tpl + self.own.len()
+        self.first + self.rules.len()
     }
 
-    /// The plans of the `k`-th rule with a body.
+    /// The base plan this one extends, if it is a delta plan.
+    pub(crate) fn base(&self) -> Option<&Arc<Plan>> {
+        self.base.as_ref()
+    }
+
+    /// The number of the own rule at program index `ri`, if it is one.
+    pub fn own_rule(&self, ri: u32) -> Option<usize> {
+        let at = match self.ids.binary_search(&ri) {
+            Ok(at) if self.ids_sorted => Some(at),
+            _ if self.ids_sorted => None,
+            _ => self.ids.iter().position(|&id| id == ri),
+        };
+        at.map(|at| self.first + at)
+    }
+
+    /// The number of own rules.
+    pub(crate) fn n_own(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// The `k`-th rule with a body.
     #[inline]
-    pub fn rule(&self, k: usize) -> RulePlans<'_> {
-        match &self.lead {
-            Lead::Base(base) if k < self.first => base.rule(k),
-            Lead::Template(at, tpl) if k >= *at && k - at < tpl.len() => tpl.plans(k - at),
-            Lead::Template(_, tpl) if k >= tpl.len() => self.own.plans(k - tpl.len()),
-            _ => self.own.plans(k - self.first),
+    pub fn rule(&self, k: usize) -> &Rule {
+        match &self.base {
+            Some(base) if k < self.first => base.rule(k),
+            _ => &self.rules[k - self.first],
         }
     }
 
-    /// Every join index any plan step can probe, in slot order.
-    pub fn indices(&self) -> impl Iterator<Item = &IndexSpec> {
-        let base = match &self.lead {
-            Lead::Base(base) => Some(base.runs()),
-            _ => None,
-        };
-        base.into_iter()
-            .flatten()
-            .chain(self.runs())
-            .flat_map(|r| &r.indices)
+    /// The program index of the `k`-th rule with a body.
+    #[inline]
+    pub(crate) fn id(&self, k: usize) -> u32 {
+        match &self.base {
+            Some(base) if k < self.first => base.id(k),
+            _ => self.ids[k - self.first],
+        }
+    }
+
+    /// The join order of rule `k` with body atom `bi` as the delta, if it
+    /// was planned already.
+    #[inline]
+    pub(crate) fn planned(&self, k: usize, bi: usize) -> Option<&DeltaPlan> {
+        match &self.base {
+            Some(base) if k < self.first => base.planned(k, bi),
+            _ => self.bodies[k - self.first].get()?.per_delta[bi].get(),
+        }
+    }
+
+    /// The join order of rule `k` with body atom `bi` as the delta,
+    /// planned now if no run planned it before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` or `bi` is out of range.
+    pub fn join_order(&self, k: usize, bi: usize) -> &DeltaPlan {
+        self.fill(k, bi).0
+    }
+
+    /// [`Plan::join_order`], and whether this call planned it.
+    pub(crate) fn fill(&self, k: usize, bi: usize) -> (&DeltaPlan, bool) {
+        if let Some(base) = self.base.as_ref().filter(|_| k < self.first) {
+            return base.fill(k, bi);
+        }
+        let own = k - self.first;
+        let rule = &*self.rules[own];
+        let body = self.bodies[own].get_or_init(|| self.pool.body(rule, &self.stats));
+        let mut planned = false;
+        let order = body.per_delta[bi].get_or_init(|| {
+            planned = true;
+            plan_delta(rule, bi, &self.stats)
+        });
+        if planned {
+            self.pool.planned.fetch_add(1, Ordering::Relaxed);
+        }
+        (order, planned)
     }
 
     /// Every (rule, body position) in which predicate `p` occurs — where
@@ -529,19 +346,12 @@ impl Plan {
     /// [`Plan::uses`] as two runs: the base plan's, then this plan's.
     #[inline]
     pub(crate) fn uses_by_layer(&self, p: PredId) -> [&[(u32, u32)]; 2] {
-        let base = match &self.lead {
-            Lead::Base(base) => base.own_uses(p),
-            _ => &[],
-        };
+        let base = self.base.as_ref().map_or(&[][..], |b| b.own_uses(p));
         [base, self.own_uses(p)]
     }
 
     fn own_uses(&self, p: PredId) -> &[(u32, u32)] {
-        let p = p.0 as usize;
-        match (self.uses_at.get(p), self.uses_at.get(p + 1)) {
-            (Some(&lo), Some(&hi)) => &self.uses[lo as usize..hi as usize],
-            _ => &[],
-        }
+        self.uses.of(p)
     }
 
     /// The largest `n_vars` over all rules (shared substitution buffer
@@ -549,108 +359,89 @@ impl Plan {
     pub fn max_vars(&self) -> usize {
         self.max_vars
     }
-}
 
-/// Shares join plans between the programs of a `makeP` guess fleet.
-///
-/// A program's template segment ([`Program::segment`]) is planned once
-/// per *statistics key* (the quantized statistics of the predicates its
-/// bodies read); each program then plans only its own rules. A delta
-/// ([`PlanCache::plan_delta`]) plans only its own rules, after its base
-/// program's plan, and the first delta planned on a base is kept as the
-/// base's *table*: a later delta on that base takes the plan of each of
-/// its rules the table holds, rather than planning it again, when no
-/// fact of either delta defines a predicate the rule reads (the
-/// statistics it was planned under are then its own). A fleet plans `U`
-/// first, which holds every rule of its guesses.
-///
-/// Reuse is exact: a segment or base plan matches by address, and the
-/// cache holds it (and a table its rules), so no address is reused while
-/// its plans are cached. Every plan decides what [`Plan::new`] of the
-/// whole program decides, up to slot numbering, except that a delta's
-/// base rules keep the base's plan. All plans come from one pool of body
-/// plans.
-#[derive(Default)]
-pub struct PlanCache {
-    /// Per segment address: the segment, and the predicates its bodies
-    /// read.
-    reads: FxMap<u64, (Segment, BTreeSet<PredId>)>,
-    /// Template plans by segment address and the statistics of `reads`.
-    templates: FxMap<Vec<u64>, Arc<Rules>>,
-    /// The table of the last base a delta was planned on.
-    table: Option<Table>,
-    pool: BodyPool,
-    computed: usize,
-    planned: usize,
-}
-
-/// The first delta plan on a base, whose rule plans later deltas on the
-/// base take.
-struct Table {
-    base: Arc<Plan>,
-    plan: Arc<Plan>,
-    /// Per rule with a body, by address: the rule, kept so that no
-    /// address is reused, and its place among `plan`'s own rules.
-    at: FxMap<u64, (Arc<Rule>, u32)>,
-    /// Whether the delta's facts define each predicate.
-    facts: Vec<bool>,
-}
-
-impl Table {
-    /// The plan of `rules` (the program's rules at a delta on the
-    /// table's base, with `facts` their facts' predicates) from the
-    /// table's rule plans, with the table's new index slots each probe
-    /// uses renumbered after the base's; `None` unless the table holds
-    /// every rule with a body and no fact of either delta defines a
-    /// predicate one of them reads.
-    fn select(&self, program: &Program, rules: &[&Arc<Rule>], facts: &[PredId]) -> Option<Plan> {
-        let own = &self.plan.own;
-        let defined = |p: &PredId| self.facts.get(p.0 as usize) == Some(&true) || facts.contains(p);
-        let mut picked = Vec::with_capacity(rules.len());
-        for rule in rules.iter().filter(|r| !r.is_fact()) {
-            let &(_, k) = self.at.get(&(Arc::as_ptr(rule) as u64))?;
-            if own.plans(k as usize).body_preds.iter().any(defined) {
-                return None;
-            }
-            picked.push(k as usize);
-        }
-        let first_slot = self.base.indices().count();
-        let mut renumbered = vec![NO_SLOT; own.indices.len()];
-        let mut out = Rules::default();
-        for k in picked {
-            let at = &own.rules[k];
-            let slots = at.slots.iter().map(|&slot| {
-                let Some(i) = (slot as usize)
-                    .checked_sub(first_slot)
-                    .filter(|_| slot != NO_SLOT)
-                else {
-                    return slot;
-                };
-                if renumbered[i] == NO_SLOT {
-                    renumbered[i] = (first_slot + out.indices.len()) as u32;
-                    out.indices.push(own.indices[i]);
-                }
-                renumbered[i]
-            });
-            out.rules.push(RuleAt {
-                body: Arc::clone(&at.body),
-                n_vars: at.n_vars,
-                slots: slots.collect(),
-                preds: Arc::clone(&at.preds),
-            });
-        }
-        let rules: Vec<&Rule> = rules
-            .iter()
-            .map(|r| &***r)
-            .filter(|r| !r.is_fact())
-            .collect();
-        Some(Plan::with_own(
-            program,
-            &rules,
-            Lead::Base(Arc::clone(&self.base)),
-            out,
-        ))
+    /// Whether `program`'s rules at `delta`, whose rules with a body are
+    /// among this delta plan's own, evaluate under this plan with the
+    /// join orders a plan of their own would give: no fact of this plan's
+    /// delta or of `delta` defines a predicate one of its own rules reads,
+    /// so they were planned under the statistics `delta`'s plan would
+    /// use. The rules of a `makeP` guess and of its fleet's `U` read no
+    /// predicate their facts define.
+    pub fn fits(&self, program: &Program, delta: &[u32]) -> bool {
+        !self.reads_own_facts && !self.reads_facts_of(program, delta)
     }
+
+    /// Whether a fact of `program`'s rules at `delta` defines a predicate
+    /// one of the own rules reads.
+    fn reads_facts_of(&self, program: &Program, delta: &[u32]) -> bool {
+        let facts = delta.iter().map(|&ri| &program.rules()[ri as usize]);
+        let mut facts = facts.filter(|r| r.is_fact());
+        facts.any(|r| !self.own_uses(r.head.pred).is_empty())
+    }
+}
+
+/// For each predicate, every (rule, body position) of a run of rules
+/// where it occurs — the semi-naive "uses" of a delta atom:
+/// `list[at[p]..at[p + 1]]`.
+#[derive(Debug)]
+pub(crate) struct Uses {
+    at: Vec<u32>,
+    list: Vec<(u32, u32)>,
+}
+
+impl Uses {
+    /// The uses of `rules`, each with its number, over `program`'s
+    /// predicates.
+    pub(crate) fn new<'r>(
+        program: &Program,
+        rules: impl Iterator<Item = (usize, &'r Rule)> + Clone,
+    ) -> Uses {
+        let n_preds = program.predicates().count();
+        let mut at = vec![0u32; n_preds + 1];
+        for atom in rules.clone().flat_map(|(_, r)| &r.body) {
+            at[atom.pred.0 as usize + 1] += 1;
+        }
+        for p in 0..n_preds {
+            at[p + 1] += at[p];
+        }
+        let mut list = vec![(0, 0); at[n_preds] as usize];
+        let mut next = at.clone();
+        for (k, rule) in rules {
+            for (bi, atom) in rule.body.iter().enumerate() {
+                let at = &mut next[atom.pred.0 as usize];
+                list[*at as usize] = (k as u32, bi as u32);
+                *at += 1;
+            }
+        }
+        Uses { at, list }
+    }
+
+    /// The uses of `p`, in rule order.
+    pub(crate) fn of(&self, p: PredId) -> &[(u32, u32)] {
+        let p = p.0 as usize;
+        match (self.at.get(p), self.at.get(p + 1)) {
+            (Some(&lo), Some(&hi)) => &self.list[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// Plans the programs of a `makeP` guess fleet from one pool of body
+/// plans.
+///
+/// Every plan starts with nothing planned and fills in as runs need its
+/// join orders ([`Plan::join_order`]). A join order depends on its
+/// rule's body signature alone, so the pool plans each signature and
+/// delta position once, whichever plan of the cache needs it first; a
+/// clone of the cache shares its pool. A base program's plan
+/// ([`PlanCache::plan_prefix`]) serves every delta on it
+/// ([`PlanCache::plan_delta`]), which adds only the delta's own rules.
+/// Every plan decides what [`Plan::new`] of its whole program decides,
+/// except that a delta's base rules keep the base's plan.
+#[derive(Debug, Clone, Default)]
+pub struct PlanCache {
+    pool: Arc<Pool>,
+    computed: usize,
 }
 
 impl PlanCache {
@@ -659,21 +450,21 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Number of plans computed so far: template plans, one per segment
-    /// and statistics key, and program and delta plans.
+    /// Number of plans made so far through this cache: program, base and
+    /// delta plans.
     pub fn len(&self) -> usize {
         self.computed
     }
 
-    /// Whether no plan has been computed yet.
+    /// Whether no plan has been made yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Rules planned so far: the rules with a body of each computed plan,
-    /// rules taken from a table aside.
+    /// Join orders planned so far into the pool, by any run under any of
+    /// its plans: one per body signature and delta position.
     pub fn rules_planned(&self) -> usize {
-        self.planned
+        self.pool.planned.load(Ordering::Relaxed)
     }
 
     /// The plan for `program`.
@@ -689,65 +480,17 @@ impl PlanCache {
     /// Panics if `len` exceeds the number of rules.
     pub fn plan_prefix(&mut self, program: &Program, len: usize) -> Arc<Plan> {
         let prefix = &program.rules()[..len];
-        let stats = collect_stats(program, prefix.iter().map(|r| &**r));
-        let rules: Vec<&Rule> = with_body(prefix).collect();
-        let lead = match program.segment() {
-            Some((at, segment)) if at + segment.len() <= len => {
-                let before = with_body(&prefix[..at]).count();
-                Lead::Template(before, self.template(segment, &stats))
-            }
-            _ => Lead::None,
-        };
-        let own = match &lead {
-            Lead::Template(at, tpl) => [&rules[..*at], &rules[at + tpl.len()..]].concat(),
-            _ => rules.clone(),
-        };
-        let mut plan = self.layer(program, &rules, &own, lead, &stats);
-        if len < program.rules().len() {
-            let reserved = self.reserved(program, len);
-            Arc::get_mut(&mut plan)
-                .expect("a plan just computed")
-                .reserve(reserved);
-        }
-        plan
-    }
-
-    /// The index specs the rules after `program`'s first `len` probe on
-    /// predicates that no rule after them defines, planned as a delta
-    /// holding all of them (a fleet's `U`) plans them. A base plan
-    /// reserves their slots: the base builds them once and keeps them
-    /// whole through every delta on it, which would each rebuild them.
-    fn reserved(&mut self, program: &Program, len: usize) -> Vec<IndexSpec> {
-        let later = &program.rules()[len..];
-        let mut defined = vec![false; program.predicates().count()];
-        for rule in later {
-            defined[rule.head.pred.0 as usize] = true;
-        }
-        let stats = collect_stats(program, program.rules().iter().map(|r| &**r));
-        let rules: Vec<&Rule> = with_body(later).collect();
-        let bodies = self.pool.bodies(rules.iter().copied(), &stats);
-        let mut out = Vec::new();
-        for (rule, body) in rules.iter().zip(&bodies) {
-            for &(_, bi, si) in &body.probes {
-                let step = &body.per_delta[bi].steps[si];
-                let pred = rule.body[step.pos].pred;
-                if !defined[pred.0 as usize] {
-                    out.push(IndexSpec {
-                        pred,
-                        cols: step.cols,
-                    });
-                }
-            }
-        }
-        out
+        self.computed += 1;
+        let plan = Plan::build(&self.pool, program, None, 0..len as u32, prefix.iter());
+        Arc::new(plan)
     }
 
     /// The plan for `program`'s rules at `delta` evaluated on top of its
     /// first `base_len` rules, whose plan is `base`
     /// ([`PlanCache::plan_prefix`]): the delta's rules with a body,
-    /// numbered after the base's, planned under the statistics of the
-    /// base's facts and the delta's or taken from the base's table; the
-    /// base's rules keep `base`'s plans and its index slots lead.
+    /// numbered after the base's and planned under the statistics of the
+    /// base's facts and the delta's; the base's rules keep `base`'s
+    /// plans.
     ///
     /// # Panics
     ///
@@ -761,92 +504,18 @@ impl PlanCache {
         delta: &[u32],
     ) -> Arc<Plan> {
         assert!(
-            !matches!(base.lead, Lead::Base(_)),
+            base.base.is_none(),
             "a delta plan extends a base program's plan"
         );
         let all = program.rules();
-        let picked: Vec<&Arc<Rule>> = delta.iter().map(|&ri| &all[ri as usize]).collect();
-        let mut facts: Vec<PredId> = picked
+        let facts = all[..base_len]
             .iter()
-            .filter(|r| r.is_fact())
-            .map(|r| r.head.pred)
-            .collect();
-        facts.sort_unstable();
-        facts.dedup();
-        let table = self.table.as_ref().filter(|t| Arc::ptr_eq(&t.base, base));
-        let tabled = table.is_some();
-        if let Some(plan) = table.and_then(|t| t.select(program, &picked, &facts)) {
-            self.computed += 1;
-            return Arc::new(plan);
-        }
-        let prefix = all[..base_len].iter().map(|r| &**r);
-        let stats = collect_stats(program, prefix.chain(picked.iter().map(|r| &***r)));
-        let rules: Vec<&Rule> = picked
-            .iter()
-            .map(|r| &***r)
-            .filter(|r| !r.is_fact())
-            .collect();
-        let plan = self.layer(
-            program,
-            &rules,
-            &rules,
-            Lead::Base(Arc::clone(base)),
-            &stats,
-        );
-        if !tabled {
-            let mut defined = vec![false; program.predicates().count()];
-            for p in facts {
-                defined[p.0 as usize] = true;
-            }
-            let with_body = picked.into_iter().filter(|r| !r.is_fact());
-            self.table = Some(Table {
-                base: Arc::clone(base),
-                plan: Arc::clone(&plan),
-                at: with_body
-                    .enumerate()
-                    .map(|(k, r)| (Arc::as_ptr(r) as u64, (Arc::clone(r), k as u32)))
-                    .collect(),
-                facts: defined,
-            });
-        }
-        plan
-    }
-
-    /// The plan of `rules` after `lead`, planning `own`, those not in the
-    /// lead's template.
-    fn layer(
-        &mut self,
-        program: &Program,
-        rules: &[&Rule],
-        own: &[&Rule],
-        lead: Lead,
-        stats: &Stats,
-    ) -> Arc<Plan> {
-        let bodies = self.pool.bodies(own.iter().copied(), stats);
-        self.planned += bodies.len();
+            .chain(delta.iter().map(|&ri| &all[ri as usize]));
+        let own = delta.iter().copied();
+        let mut plan = Plan::build(&self.pool, program, Some(Arc::clone(base)), own, facts);
+        plan.reads_own_facts = plan.reads_facts_of(program, delta);
         self.computed += 1;
-        Arc::new(Plan::assemble(program, rules, lead, bodies))
-    }
-
-    /// The plan of `segment` under `stats`.
-    fn template(&mut self, segment: &Segment, stats: &Stats) -> Arc<Rules> {
-        let at = Arc::as_ptr(segment) as *const () as u64;
-        let (_, reads) = self.reads.entry(at).or_insert_with(|| {
-            let reads = segment.iter().flat_map(|r| &r.body).map(|a| a.pred);
-            (Arc::clone(segment), reads.collect())
-        });
-        // Two programs with equal keys plan the segment identically.
-        let words = reads.iter().flat_map(|p| stats.of(*p)).map(|v| v.to_bits());
-        let key: Vec<_> = std::iter::once(at).chain(words).collect();
-        if let Some(tpl) = self.templates.get(&key) {
-            return Arc::clone(tpl);
-        }
-        let bodies = self.pool.bodies(with_body(segment), stats);
-        self.planned += bodies.len();
-        let tpl = Arc::new(Rules::build(with_body(segment), bodies, &[], 0));
-        self.templates.insert(key, Arc::clone(&tpl));
-        self.computed += 1;
-        tpl
+        Arc::new(plan)
     }
 }
 
@@ -860,7 +529,7 @@ pub(crate) fn rule_n_vars(rule: &Rule) -> usize {
     vars.max().unwrap_or(0)
 }
 
-/// Everything `plan_delta` reads from a rule body, flattened to words:
+/// Everything [`plan_delta`] reads from a rule body, flattened to words:
 /// per atom, its statistics (as raw f64 bits) and its term structure,
 /// *canonicalized* — constants collapse to one token and variables are
 /// renumbered by first occurrence — so the large rule families `makeP`
@@ -939,28 +608,17 @@ fn collect_stats<'r>(program: &Program, rules: impl Iterator<Item = &'r Rule>) -
 }
 
 /// Greedy most-bound-first order for one (rule, delta-position) pair.
-/// `bound` is caller-provided scratch (all false on entry); every variable
-/// set true is pushed onto `bound_list` so the caller can clear it;
-/// `remaining` is scratch too.
-fn plan_delta(
-    rule: &Rule,
-    delta_pos: usize,
-    stats: &Stats,
-    (bound, bound_list, remaining): (&mut [bool], &mut Vec<u32>, &mut Vec<usize>),
-) -> DeltaPlan {
-    let mut bind = |bound: &mut [bool], pos: usize| {
+fn plan_delta(rule: &Rule, delta_pos: usize, stats: &Stats) -> DeltaPlan {
+    let mut bound = vec![false; rule_n_vars(rule)];
+    let bind = |bound: &mut [bool], pos: usize| {
         for t in &rule.body[pos].terms {
             if let Term::Var(v) = *t {
-                if !bound[v as usize] {
-                    bound[v as usize] = true;
-                    bound_list.push(v);
-                }
+                bound[v as usize] = true;
             }
         }
     };
-    bind(bound, delta_pos);
-    remaining.clear();
-    remaining.extend((0..rule.body.len()).filter(|&b| b != delta_pos));
+    bind(&mut bound, delta_pos);
+    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&b| b != delta_pos).collect();
     let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         // Pick the cheapest next atom; ties resolve to the lowest body
@@ -968,7 +626,7 @@ fn plan_delta(
         let mut choice = 0usize;
         let mut best = f64::INFINITY;
         for (i, &pos) in remaining.iter().enumerate() {
-            let c = cost(rule, pos, bound, stats);
+            let c = cost(rule, pos, &bound, stats);
             if c < best {
                 best = c;
                 choice = i;
@@ -981,7 +639,7 @@ fn plan_delta(
             .terms
             .iter()
             .enumerate()
-            .filter(|(_, t)| known(t, bound))
+            .filter(|(_, t)| known(t, &bound))
         {
             cols |= 1u64.checked_shl(col as u32).unwrap_or(0);
             known_cols += 1;
@@ -994,7 +652,7 @@ fn plan_delta(
             cols,
             fully_bound: known_cols == atom.terms.len(),
         });
-        bind(bound, pos);
+        bind(&mut bound, pos);
     }
     DeltaPlan { steps }
 }
@@ -1032,18 +690,15 @@ fn cost(rule: &Rule, pos: usize, bound: &[bool], stats: &Stats) -> f64 {
 mod tests {
     use super::*;
     use crate::ast::{Atom, Program, Term};
+    use std::collections::BTreeSet;
 
-    /// The (step, slot) pairs of one delta position.
-    fn steps_of(plan: &Plan, ri: usize, bi: usize) -> Vec<(&JoinStep, u32)> {
-        let rp = plan.rule(ri);
-        let bp = rp.body;
-        let off = bp.slot_offset(bi);
-        bp.per_delta[bi]
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(si, s)| (s, rp.slots[off + si]))
-            .collect()
+    /// The steps of rule `k`'s join order at delta position `bi`, with
+    /// the (predicate, columns) each probe keys on.
+    fn steps_of(plan: &Plan, k: usize, bi: usize) -> Vec<(JoinStep, Option<(PredId, u64)>)> {
+        let rule = plan.rule(k);
+        let order = plan.join_order(k, bi);
+        let probe = |s: &JoinStep| s.probes().then(|| (rule.body[s.pos].pred, s.cols));
+        order.steps.iter().map(|s| (s.clone(), probe(s))).collect()
     }
 
     #[test]
@@ -1071,11 +726,10 @@ mod tests {
         let plan = Plan::new(&prog);
         let steps = steps_of(&plan, 0, 2); // the fact has no plan; delta = edge
         assert_eq!(steps.len(), 2);
-        assert!(steps.iter().all(|(s, _)| s.fully_bound));
-        assert!(steps.iter().all(|(_, slot)| *slot == NO_SLOT));
-        assert_eq!(plan.n_rules(), 1);
-        assert_eq!(plan.rule(0).n_vars, 2);
-        assert_eq!(plan.rule(0).body_preds, [p, q, edge]);
+        assert!(steps
+            .iter()
+            .all(|(s, probe)| s.fully_bound && probe.is_none()));
+        assert_eq!((plan.n_rules(), plan.id(0), plan.max_vars()), (1, 1, 2));
         // Delta uses: edge occurs at (rule 0, position 2).
         assert!(plan.uses(edge).eq(&[(0, 2)]));
         assert!(plan.uses(r).next().is_none());
@@ -1104,15 +758,9 @@ mod tests {
         let plan = Plan::new(&prog);
         let steps = steps_of(&plan, 0, 0);
         assert_eq!(steps.len(), 1);
-        let (step, slot) = steps[0];
-        assert_eq!(step.pos, 1);
-        assert_eq!(step.cols, 1);
-        assert!(!step.fully_bound);
-        // The probe got a dense slot, and the plan exposes its spec.
-        assert_ne!(slot, NO_SLOT);
-        let spec = plan.indices().nth(slot as usize).unwrap();
-        assert_eq!(spec.pred, link);
-        assert_eq!(spec.cols, 1);
+        let (step, probe) = &steps[0];
+        assert_eq!((step.pos, step.cols, step.fully_bound), (1, 1, false));
+        assert_eq!(*probe, Some((link, 1)));
     }
 
     #[test]
@@ -1122,7 +770,6 @@ mod tests {
         let out = prog.predicate("out", 1);
         let a = prog.constant("a");
         let trigger = prog.predicate("t", 0);
-        let _ = a;
         prog.rule(
             Atom::new(out, vec![Term::Var(0)]),
             vec![
@@ -1133,12 +780,11 @@ mod tests {
         .unwrap();
         let plan = Plan::new(&prog);
         let steps = steps_of(&plan, 0, 0);
-        assert_eq!(steps[0].0.pos, 1);
-        assert_eq!(steps[0].0.cols, 1);
+        assert_eq!((steps[0].0.pos, steps[0].0.cols), (1, 1));
     }
 
-    #[test]
-    fn every_delta_position_gets_a_plan() {
+    /// `tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).`
+    fn triangle() -> (Program, PredId) {
         let mut prog = Program::new();
         let e = prog.predicate("e", 2);
         let tri = prog.predicate("tri", 3);
@@ -1151,31 +797,54 @@ mod tests {
             ],
         )
         .unwrap();
+        (prog, e)
+    }
+
+    #[test]
+    fn every_delta_position_gets_a_plan() {
+        let (prog, e) = triangle();
         let plan = Plan::new(&prog);
-        let rp = plan.rule(0);
-        let bp = rp.body;
-        assert_eq!(bp.per_delta.len(), 3);
-        assert_eq!(rp.body_preds, [e]);
         assert!(plan.uses(e).eq(&[(0, 0), (0, 1), (0, 2)]));
-        for (bi, dp) in bp.per_delta.iter().enumerate() {
-            assert_eq!(dp.steps.len(), 2);
+        let mut probed = BTreeSet::new();
+        for bi in 0..3 {
+            let steps = steps_of(&plan, 0, bi);
+            assert_eq!(steps.len(), 2);
             // Each remaining atom shares a variable with what is already
             // bound, so every probe has at least one bound column.
-            for s in &dp.steps {
+            for (s, probe) in steps {
                 assert_ne!(s.pos, bi);
                 assert_ne!(s.cols, 0);
+                probed.extend(probe);
             }
         }
-        // Both probe column sets of `e` ({0} and {1}) get distinct slots.
-        assert_eq!(plan.indices().count(), 2);
+        // `e` is probed on column 0 and on column 1.
+        assert_eq!(probed.len(), 2);
         assert_eq!(plan.max_vars(), 3);
     }
 
     #[test]
-    fn structurally_identical_rules_share_a_body_plan() {
+    fn join_orders_are_planned_on_demand_and_once() {
+        let (prog, _) = triangle();
+        let mut cache = PlanCache::new();
+        let plan = cache.plan(&prog);
+        assert_eq!((cache.len(), cache.rules_planned()), (1, 0));
+        assert!((0..3).all(|bi| plan.planned(0, bi).is_none()));
+        let (_, planned) = plan.fill(0, 1);
+        assert!(planned);
+        assert!(plan.planned(0, 1).is_some() && plan.planned(0, 0).is_none());
+        assert_eq!(cache.rules_planned(), 1);
+        // A second plan of the program reads the pooled join order.
+        let again = cache.plan(&prog);
+        assert!(!again.fill(0, 1).1);
+        assert!(std::ptr::eq(again.join_order(0, 1), plan.join_order(0, 1)));
+        assert_eq!((cache.len(), cache.rules_planned()), (2, 1));
+    }
+
+    #[test]
+    fn structurally_identical_rules_share_their_join_orders() {
         // Two transitive-closure-style rules over different predicates but
-        // identical term shapes and statistics: one BodyPlan, two slot
-        // tables (the probed predicates differ).
+        // identical term shapes and statistics: one join order per delta
+        // position, each rule probing its own predicate.
         let mut prog = Program::new();
         let e1 = prog.predicate("e1", 2);
         let e2 = prog.predicate("e2", 2);
@@ -1192,68 +861,20 @@ mod tests {
             .unwrap();
         }
         let plan = Plan::new(&prog);
-        assert!(std::ptr::eq(plan.rule(0).body, plan.rule(1).body));
-        // Same shape, but each rule probes its own predicate's index.
-        let s0 = steps_of(&plan, 0, 0)[0].1;
-        let s1 = steps_of(&plan, 1, 0)[0].1;
-        assert_ne!(s0, NO_SLOT);
-        assert_ne!(s1, NO_SLOT);
-        assert_ne!(s0, s1, "distinct predicates need distinct indices");
-        assert_eq!(plan.indices().count(), 2);
+        assert!(std::ptr::eq(plan.join_order(0, 0), plan.join_order(1, 0)));
+        assert_eq!(steps_of(&plan, 0, 0)[0].1, Some((e1, 1)));
+        assert_eq!(steps_of(&plan, 1, 0)[0].1, Some((e2, 1)));
     }
 
-    #[test]
-    fn shared_slots_deduplicate_identical_probes() {
-        // Two rules probing the same predicate on the same column set must
-        // share one index slot (even though their body plans differ).
-        let mut prog = Program::new();
-        let e = prog.predicate("e", 2);
-        let a = prog.predicate("a", 1);
-        let c = prog.predicate("c", 1);
-        let b = prog.predicate("b", 2);
-        prog.rule(
-            Atom::new(a, vec![Term::Var(1)]),
-            vec![
-                Atom::new(a, vec![Term::Var(0)]),
-                Atom::new(e, vec![Term::Var(0), Term::Var(1)]),
-            ],
-        )
-        .unwrap();
-        prog.rule(
-            Atom::new(b, vec![Term::Var(0), Term::Var(1)]),
-            vec![
-                Atom::new(c, vec![Term::Var(0)]),
-                Atom::new(e, vec![Term::Var(0), Term::Var(1)]),
-            ],
-        )
-        .unwrap();
-        let plan = Plan::new(&prog);
-        let slots0: Vec<u32> = plan.rule(0).slots.to_vec();
-        let slots1: Vec<u32> = plan.rule(1).slots.to_vec();
-        let used0: Vec<u32> = slots0.into_iter().filter(|&s| s != NO_SLOT).collect();
-        let used1: Vec<u32> = slots1.into_iter().filter(|&s| s != NO_SLOT).collect();
-        assert!(used0.iter().any(|s| used1.contains(s)));
-    }
-
-    /// Everything a plan decides, flattened with slots resolved to the
-    /// (predicate, columns) they probe: two plans of `prog` with equal
-    /// flattenings join identically.
+    /// Everything a plan decides, with every join order planned and each
+    /// probe resolved to the (predicate, columns) it keys on: two plans of
+    /// `prog` with equal flattenings join identically.
     fn decisions(plan: &Plan, prog: &Program) -> Vec<String> {
-        let specs: Vec<&IndexSpec> = plan.indices().collect();
         let mut out = vec![format!("max_vars {}", plan.max_vars())];
         for k in 0..plan.n_rules() {
-            let rp = plan.rule(k);
-            out.push(format!("rule {k}: {} {:?}", rp.n_vars, rp.body_preds));
-            let bp = rp.body;
-            for (bi, dp) in bp.per_delta.iter().enumerate() {
-                for (si, st) in dp.steps.iter().enumerate() {
-                    let slot = rp.slots[bp.slot_offset(bi) + si];
-                    let probe = (slot != NO_SLOT).then(|| {
-                        let spec = specs[slot as usize];
-                        (spec.pred, spec.cols)
-                    });
-                    out.push(format!("{bi}.{si}: {st:?} {probe:?}"));
-                }
+            out.push(format!("rule {k}: {}", plan.id(k)));
+            for bi in 0..plan.rule(k).body.len() {
+                out.push(format!("{bi}: {:?}", steps_of(plan, k, bi)));
             }
         }
         for p in prog.predicates() {
@@ -1265,9 +886,10 @@ mod tests {
         out
     }
 
-    /// A program of `n_facts` facts `e(c_i, c_i+1)`, then `segment`, then
-    /// one own rule `out(X) :- e(k, X)`.
-    fn around(segment: &Segment, n_facts: usize, k: &str) -> Program {
+    /// A program of `n_facts` facts `e(c_i, c_i+1)`, then
+    /// `path(X, Y) :- e(X, Y).  path(X, Z) :- path(X, Y), e(Y, Z).`, then
+    /// one more rule `out(X) :- path(k, X)`.
+    fn around(n_facts: usize, k: &str) -> Program {
         let mut prog = Program::new();
         let e = prog.predicate("e", 2);
         let path = prog.predicate("path", 2);
@@ -1278,20 +900,6 @@ mod tests {
             let b = prog.constant(&format!("c{}", i + 1));
             prog.fact(e, vec![a, b]).unwrap();
         }
-        prog.extend_segment(segment);
-        prog.rule(
-            Atom::new(out, vec![Term::Var(0)]),
-            vec![Atom::new(path, vec![Term::Const(k), Term::Var(0)])],
-        )
-        .unwrap();
-        prog
-    }
-
-    /// `path(X, Y) :- e(X, Y).  path(X, Z) :- path(X, Y), e(Y, Z).`
-    fn path_segment() -> Segment {
-        let mut prog = Program::new();
-        let e = prog.predicate("e", 2);
-        let path = prog.predicate("path", 2);
         let (x, y, z) = (Term::Var(0), Term::Var(1), Term::Var(2));
         prog.rule(Atom::new(path, vec![x, y]), vec![Atom::new(e, vec![x, y])])
             .unwrap();
@@ -1300,189 +908,96 @@ mod tests {
             vec![Atom::new(path, vec![x, y]), Atom::new(e, vec![y, z])],
         )
         .unwrap();
-        prog.split_rules_off(0).into()
-    }
-
-    #[test]
-    fn template_segment_is_planned_once_per_statistics_key() {
-        let seg = path_segment();
-        let mut cache = PlanCache::new();
-        // The plan, the plans computed so far and the rules this call
-        // planned.
-        let mut plan = |prog: &Program| {
-            let before = cache.rules_planned();
-            let plan = cache.plan(prog);
-            (plan, cache.len(), cache.rules_planned() - before)
-        };
-        // Different facts, same quantized statistics (3 and 4 tuples both
-        // round to 4) and different body constants: one segment plan,
-        // and each program plans its own rule.
-        let p1 = around(&seg, 3, "c0");
-        let p2 = around(&seg, 4, "c2");
-        let (plan1, len, planned) = plan(&p1);
-        assert_eq!((len, planned), (2, 3), "template plan + program plan");
-        let (plan2, len, planned) = plan(&p2);
-        assert_eq!((len, planned), (3, 1));
-        // Plans skip facts: the segment's rules come first in both.
-        assert!(std::ptr::eq(plan1.rule(0).body, plan2.rule(0).body));
-        // Statistics the segment reads changed magnitude: planned again.
-        let p3 = around(&seg, 40, "c0");
-        let (plan3, len, planned) = plan(&p3);
-        assert_eq!((len, planned), (5, 3));
-        // An equal segment that is another allocation is another key.
-        let p4 = around(&path_segment(), 3, "c0");
-        let (plan4, len, planned) = plan(&p4);
-        assert_eq!((len, planned), (7, 3));
-        // Every assembled plan decides exactly what a from-scratch one
-        // does.
-        for (prog, plan) in [(&p1, &plan1), (&p2, &plan2), (&p3, &plan3), (&p4, &plan4)] {
-            assert_eq!(decisions(plan, prog), decisions(&Plan::new(prog), prog));
-        }
-    }
-
-    #[test]
-    fn cached_plans_decide_what_fresh_plans_decide() {
-        let seg = path_segment();
-        let prog = around(&seg, 3, "c0");
-        let plan = PlanCache::new().plan(&prog);
-        assert_eq!(decisions(&plan, &prog), decisions(&Plan::new(&prog), &prog));
-    }
-
-    #[test]
-    fn deltas_take_their_rules_plans_from_the_first_delta_on_a_base() {
-        // The base: facts `e` and the path segment. After it: `out(X) :-
-        // path(c0, X)`, `back(X) :- e(X, c1)` and one more `e` fact.
-        let seg = path_segment();
-        let mut prog = around(&seg, 3, "c0");
-        let base_len = prog.rules().len() - 1;
-        let (e, back) = (prog.lookup_pred("e").unwrap(), prog.predicate("back", 1));
-        let (c1, c9) = (prog.constant("c1"), prog.constant("c9"));
         prog.rule(
-            Atom::new(back, vec![Term::Var(0)]),
-            vec![Atom::new(e, vec![Term::Var(0), Term::Const(c1)])],
+            Atom::new(out, vec![x]),
+            vec![Atom::new(path, vec![Term::Const(k), x])],
         )
         .unwrap();
-        prog.fact(e, vec![c9, c1]).unwrap();
-        let (out_rule, back_rule, fact) =
-            (base_len as u32, base_len as u32 + 1, base_len as u32 + 2);
-        // The program of the base and `delta`, on its own.
-        let whole = |delta: &[u32]| {
-            let mut whole = prog.clone();
-            let tail = whole.split_rules_off(base_len);
-            let picked = delta.iter().map(|&ri| &tail[ri as usize - base_len]);
-            whole.extend_validated(picked);
-            whole
-        };
+        prog
+    }
+
+    #[test]
+    fn body_shapes_are_planned_once_per_statistics_key() {
         let mut cache = PlanCache::new();
-        let base = cache.plan_prefix(&prog, base_len);
-        // The first delta plans its rules; a later one takes the plan of
-        // `out`, which reads nothing a delta's fact defines, and plans
-        // `back`, which reads `e`.
-        for (delta, planned) in [
-            (vec![out_rule, back_rule, fact], 2),
-            (vec![out_rule], 0),
-            (vec![back_rule], 1),
-        ] {
+        // The join orders a program's plan computes, all of them forced.
+        let mut planned = |prog: &Program| {
             let before = cache.rules_planned();
-            let plan = cache.plan_delta(&prog, &base, base_len, &delta);
-            assert_eq!(cache.rules_planned() - before, planned, "{delta:?}");
-            let whole = whole(&delta);
-            assert_eq!(
-                decisions(&plan, &whole),
-                decisions(&Plan::new(&whole), &whole)
-            );
-            // The base's index slots lead.
-            assert!(base
-                .indices()
-                .zip(plan.indices())
-                .all(|(a, b)| (a.pred, a.cols) == (b.pred, b.cols)));
-        }
+            let plan = cache.plan(prog);
+            let decided = decisions(&plan, prog);
+            assert_eq!(decided, decisions(&Plan::new(prog), prog));
+            cache.rules_planned() - before
+        };
+        // Three and four facts both quantize to four: the second program
+        // plans nothing, though its body constant differs.
+        assert_eq!(planned(&around(3, "c0")), 4);
+        assert_eq!(planned(&around(4, "c2")), 0);
+        // The statistics of `e` changed magnitude: the rules reading it
+        // are planned again, `out` is not.
+        assert_eq!(planned(&around(40, "c0")), 3);
     }
 
     #[test]
-    fn a_base_reserves_the_slots_later_rules_probe_on_predicates_it_completes() {
-        // The base: facts `e` and `g(c0)`, and `r(X) :- e(X, Y)`. After
-        // it: one more `g` fact and `q(Y) :- g(X), e(X, Y), r(Y)`, which
-        // probes `e` (no later rule defines it) and `g` (a later fact
-        // does).
-        let mut prog = Program::new();
-        let (e, g) = (prog.predicate("e", 2), prog.predicate("g", 1));
-        let (r, q) = (prog.predicate("r", 1), prog.predicate("q", 1));
-        let c: Vec<_> = (0..3).map(|i| prog.constant(&format!("c{i}"))).collect();
-        prog.fact(e, vec![c[0], c[1]]).unwrap();
-        prog.fact(e, vec![c[1], c[2]]).unwrap();
-        prog.fact(g, vec![c[0]]).unwrap();
-        let (x, y) = (Term::Var(0), Term::Var(1));
-        prog.rule(Atom::new(r, vec![x]), vec![Atom::new(e, vec![x, y])])
-            .unwrap();
+    fn a_delta_plan_serves_the_deltas_whose_rules_it_holds() {
+        // The base: facts `e` and the path rules. After it: `out(X) :-
+        // path(c0, X)`, `back(X) :- e(X, c1)`, and a `flag` fact that no
+        // rule reads.
+        let mut prog = around(3, "c0");
+        prog.split_rules_off(prog.rules().len() - 1);
         let base_len = prog.rules().len();
-        prog.fact(g, vec![c[1]]).unwrap();
-        let body = vec![
-            Atom::new(g, vec![x]),
-            Atom::new(e, vec![x, y]),
-            Atom::new(r, vec![y]),
-        ];
-        prog.rule(Atom::new(q, vec![y]), body).unwrap();
+        let (e, path) = (
+            prog.lookup_pred("e").unwrap(),
+            prog.lookup_pred("path").unwrap(),
+        );
+        let (out, back, flag) = (
+            prog.predicate("out", 1),
+            prog.predicate("back", 1),
+            prog.predicate("flag", 1),
+        );
+        let (c0, c1) = (prog.constant("c0"), prog.constant("c1"));
+        let x = Term::Var(0);
+        prog.rule(
+            Atom::new(out, vec![x]),
+            vec![Atom::new(path, vec![Term::Const(c0), x])],
+        )
+        .unwrap();
+        prog.rule(
+            Atom::new(back, vec![x]),
+            vec![Atom::new(e, vec![x, Term::Const(c1)])],
+        )
+        .unwrap();
+        prog.fact(flag, vec![c0]).unwrap();
+        let at = |i: usize| (base_len + i) as u32;
         let mut cache = PlanCache::new();
         let base = cache.plan_prefix(&prog, base_len);
-        let specs = |plan: &Plan| -> Vec<(PredId, u64)> {
-            plan.indices().map(|s| (s.pred, s.cols)).collect()
-        };
-        let mut base_prog = prog.clone();
-        base_prog.split_rules_off(base_len);
-        let reserved = specs(&base);
-        assert!(specs(&Plan::new(&base_prog)).is_empty());
-        assert!(reserved.iter().all(|&(p, _)| p == e) && !reserved.is_empty());
-        // The delta probes `e` through the base's slots only.
-        let delta = [base_len as u32, base_len as u32 + 1];
-        let plan = cache.plan_delta(&prog, &base, base_len, &delta);
-        let whole = specs(&Plan::new(&prog));
-        let got = specs(&plan);
-        assert_eq!(got[..reserved.len()], reserved[..]);
-        assert!(got[reserved.len()..].iter().all(|&(p, _)| p != e));
-        let sorted = |mut v: Vec<(PredId, u64)>| {
-            v.sort_unstable_by_key(|&(p, cols)| (p.0, cols));
-            v
-        };
-        assert_eq!(sorted(got), sorted(whole));
+        let union = cache.plan_delta(&prog, &base, base_len, &[at(0), at(1), at(2)]);
+        assert_eq!(
+            (union.n_rules(), union.id(2), union.id(3)),
+            (4, at(0), at(1))
+        );
+        assert!(union.fits(&prog, &[at(0)]) && union.fits(&prog, &[at(1), at(2)]));
+        // A fact of `e`, which `back` reads, would change the statistics
+        // `back` was planned under.
+        let mut fed = prog.clone();
+        fed.fact(e, vec![c1, c1]).unwrap();
+        assert!(!union.fits(&fed, &[at(1), at(3)]));
+        let fed_union = cache.plan_delta(&fed, &base, base_len, &[at(0), at(1), at(3)]);
+        assert!(!fed_union.fits(&fed, &[at(0)]));
+        // The base's rules keep the base's plans.
+        assert!(std::ptr::eq(union.join_order(1, 0), base.join_order(1, 0)));
     }
 
     #[test]
-    fn pooled_body_plans_are_shared_between_cached_plans() {
-        // Two programs with different rule counts still share the pooled
-        // body plan of their common rule shape.
-        let chain = |n: usize| {
-            let mut prog = Program::new();
-            let e = prog.predicate("e", 2);
-            let path = prog.predicate("path", 2);
-            let extra = prog.predicate("extra", 1);
-            prog.rule(
-                Atom::new(path, vec![Term::Var(0), Term::Var(2)]),
-                vec![
-                    Atom::new(path, vec![Term::Var(0), Term::Var(1)]),
-                    Atom::new(e, vec![Term::Var(1), Term::Var(2)]),
-                ],
-            )
-            .unwrap();
-            if n > 1 {
-                prog.rule(
-                    Atom::new(extra, vec![Term::Var(0)]),
-                    vec![Atom::new(path, vec![Term::Var(0), Term::Var(0)])],
-                )
-                .unwrap();
-            }
-            prog
-        };
-        let p1 = chain(1);
-        let p2 = chain(2);
-        let mut cache = PlanCache::new();
-        let plan1 = cache.plan(&p1);
-        let plan2 = cache.plan(&p2);
-        assert_eq!(cache.len(), 2, "programs without a segment are keyed whole");
-        // The recursive rule's body plan object is pooled: same Arc.
-        assert!(
-            std::ptr::eq(plan1.rule(0).body, plan2.rule(0).body),
-            "pooled body plans are shared"
-        );
+    fn a_poisoned_pool_is_reset_and_cleared() {
+        let (prog, _) = triangle();
+        let plan = Arc::new(Plan::new(&prog));
+        let poisoner = Arc::clone(&plan);
+        let joined = std::thread::spawn(move || {
+            let _memo = poisoner.pool.memo.lock().unwrap();
+            panic!("poison the pool");
+        })
+        .join();
+        assert!(joined.is_err() && plan.pool.memo.is_poisoned());
+        assert_eq!(plan.join_order(0, 0).steps.len(), 2);
+        assert!(!plan.pool.memo.is_poisoned());
     }
 }

@@ -10,7 +10,7 @@
 //! | [`EvalAgree`] | indexed Datalog evaluator ≡ naive reference on `makeP` outputs | evaluator substrate |
 //! | [`ServeRoundTrip`] | every serve frame — mangled or not — gets one structured response; served verdicts match direct runs | §7i protocol totality |
 //! | [`UnionOverapprox`] | the union program over-approximates every guess: `U ⊬ goal` ⇒ no guess derives it; guess models ⊆ `U`'s | Lemma 4.3, monotonicity |
-//! | [`PlanReuse`] | a fleet's shared `PlanCache` plans evaluate guess 0, and `U` and every guess as deltas on the base, to the same models as fresh `Plan::new`s of their whole programs | planner substrate |
+//! | [`PlanReuse`] | a fleet's shared `PlanCache` plans, every join order planned, decide what fresh `Plan::new`s of their whole programs decide, and evaluate guess 0, and `U` and every guess as deltas on the base, to the same models | planner substrate |
 //!
 //! An oracle returns [`OracleOutcome::Skip`] when the system is outside
 //! its preconditions (undecidable class, truncated search, no target) —
@@ -21,7 +21,7 @@ use parra_core::makep::{DatalogTarget, Fleet, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
 use parra_datalog::ast::{GroundAtom, Program};
 use parra_datalog::eval::Database;
-use parra_datalog::plan::PlanCache;
+use parra_datalog::plan::{Plan, PlanCache};
 use parra_datalog::{Evaluator, NaiveEvaluator};
 use parra_program::parser::parse_system;
 use parra_program::pretty;
@@ -762,12 +762,16 @@ impl Oracle for UnionOverapprox {
 
 /// Evaluates `U` and the first `n` guesses of `fleet` (the delta form of
 /// `guesses`) as the engine does: the base program planned and evaluated
-/// to closure once, each delta planned after it through the same
-/// [`PlanCache`] and evaluated to closure in place on that database.
+/// to closure once, `U`'s delta planned after it through the same
+/// [`PlanCache`], and `U` and each guess evaluated under `U`'s plan to
+/// closure in place on that database.
 /// Each must derive exactly the from-scratch model of its whole program
 /// (`U`, or [`MakeP::program`] of the guess) under a fresh `Plan::new`,
 /// compared by printed atom, and rolling it back must leave the base as
-/// it was.
+/// it was. Evaluated to the goal, each guess under `U`'s plan must also
+/// derive the same atoms in the same order as under a delta plan of its
+/// own (the engine's fallback), so that where a run stops does not
+/// depend on the plan.
 ///
 /// # Errors
 ///
@@ -783,6 +787,7 @@ pub fn check_fleet_deltas(
     let mut cache = PlanCache::new();
     let base_plan = cache.plan_prefix(program, base_len);
     let mut base = Evaluator::with_delta(program, base_len, &[], Arc::clone(&base_plan)).run();
+    let union = cache.plan_delta(program, &base_plan, base_len, &fleet.union);
     let before: Vec<GroundAtom> = base.iter().collect();
     let printed = |prog: &Program, db: &Database| -> HashSet<String> {
         db.iter().map(|a| prog.display_ground(&a)).collect()
@@ -793,7 +798,7 @@ pub fn check_fleet_deltas(
             None => ("the union program".to_string(), &fleet.union),
             Some((_, delta)) => (format!("guess {}", i - 1), delta),
         };
-        let plan = cache.plan_delta(program, &base_plan, base_len, delta);
+        let plan = Arc::clone(&union);
         let mark = Evaluator::with_delta(program, base_len, delta, plan)
             .resume_until(&mut base, None)
             .ok_or_else(|| format!("{which} did not resume from the base"))?;
@@ -819,13 +824,31 @@ pub fn check_fleet_deltas(
         if !base.iter().eq(before.iter().cloned()) {
             return Err(format!("rolling {which} back changed the base"));
         }
+        if entry.is_some() {
+            let own = cache.plan_delta(program, &base_plan, base_len, delta);
+            let mut to_goal = |plan: &Arc<Plan>| {
+                let ev = Evaluator::with_delta(program, base_len, delta, Arc::clone(plan));
+                let mark = ev.resume_until(&mut base, Some(&fleet.goal));
+                let atoms: Vec<GroundAtom> = base.iter().collect();
+                base.rollback(mark.expect("a complete base resumes"));
+                atoms
+            };
+            if to_goal(&union) != to_goal(&own) {
+                return Err(format!(
+                    "{which} under U's plan derives other atoms, or in another order, \
+                     than under its own plan"
+                ));
+            }
+        }
     }
     Ok(())
 }
 
 /// A fleet plans through one [`PlanCache`]: guess 0's whole program,
-/// the base program with the template segment, and for `U` and every
-/// later guess only the delta's rules, after the base's plan. Reusing
+/// the base program, and `U`'s delta after the base's plan, under which
+/// every later guess evaluates too. Each plan must decide exactly what a
+/// fresh `Plan::new` of its whole program decides, every join order
+/// planned (the base's rules under a delta keep the base's), and reusing
 /// those plans must never change a model: guess 0 under the cache's plan
 /// must derive exactly the atoms a fresh `Plan::new` derives, and `U`
 /// and every guess as deltas on the base exactly their whole programs'
@@ -851,7 +874,14 @@ impl Oracle for PlanReuse {
                 return OracleOutcome::Pass;
             };
             let (prog, _) = mk.program(first, target);
-            let reused = Evaluator::with_plan(&prog, PlanCache::new().plan(&prog)).run();
+            let mut cache = PlanCache::new();
+            let shared = cache.plan(&prog);
+            let fresh = Plan::new(&prog);
+            let all = (0..fresh.n_rules()).map(|k| (k, k));
+            if let Some(diff) = plan_difference((&shared, &prog), (&fresh, &prog), all, true) {
+                return OracleOutcome::Fail(format!("guess 0's plan: {diff}"));
+            }
+            let reused = Evaluator::with_plan(&prog, shared).run();
             let fresh = Evaluator::new(&prog).run();
             let reused: HashSet<_> = reused.iter().collect();
             let fresh: HashSet<_> = fresh.iter().collect();
@@ -866,12 +896,119 @@ impl Oracle for PlanReuse {
                 ));
             }
             let fleet = mk.fleet(guesses, target);
+            if let Err(msg) = check_fleet_plans(mk, guesses, &fleet, target, &mut cache) {
+                return OracleOutcome::Fail(msg);
+            }
             match check_fleet_deltas(mk, guesses, &fleet, target, guesses.len()) {
                 Ok(()) => OracleOutcome::Pass,
                 Err(msg) => OracleOutcome::Fail(msg),
             }
         })
     }
+}
+
+/// The first difference between the join orders that `got`, a plan of
+/// `gp`'s rules, and `want`, one of `wp`'s, give the rules each pair in
+/// `pairs` numbers in them, at every delta position (both plans plan
+/// them all now); with `whole`, also between the plans' rule counts,
+/// `max_vars` and the uses of every predicate. Predicates match by name.
+pub fn plan_difference(
+    (got, gp): (&Plan, &Program),
+    (want, wp): (&Plan, &Program),
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+    whole: bool,
+) -> Option<String> {
+    if whole {
+        if (got.n_rules(), got.max_vars()) != (want.n_rules(), want.max_vars()) {
+            return Some("rule count or max_vars".into());
+        }
+        for p in gp.predicates() {
+            let theirs = wp.lookup_pred(gp.pred_name(p));
+            let want_uses: Vec<_> = theirs.map_or(Vec::new(), |w| want.uses(w).collect());
+            if got.uses(p).collect::<Vec<_>>() != want_uses {
+                return Some(format!("uses of {}", gp.pred_name(p)));
+            }
+        }
+    }
+    for (kg, kw) in pairs {
+        let names = |plan: &Plan, prog: &Program, k: usize| -> Vec<String> {
+            let body = &plan.rule(k).body;
+            body.iter()
+                .map(|a| prog.pred_name(a.pred).to_string())
+                .collect()
+        };
+        if names(got, gp, kg) != names(want, wp, kw) {
+            return Some(format!("rule {kg}: body predicates"));
+        }
+        for bi in 0..got.rule(kg).body.len() {
+            if got.join_order(kg, bi).steps != want.join_order(kw, bi).steps {
+                return Some(format!("rule {kg} delta {bi}: join order"));
+            }
+        }
+    }
+    None
+}
+
+/// Plans `fleet` through `cache` as the engine does (the base program,
+/// then `U`'s delta after it) and compares every join order with fresh
+/// `Plan::new`s: the base's with its program's, `U`'s with its whole
+/// program's, and each guess's rules under `U`'s plan with those of the
+/// guess's whole program ([`MakeP::program`]), whose base rules come
+/// first and whose own follow in delta order. Every guess must fit
+/// `U`'s plan ([`Plan::fits`]).
+///
+/// # Errors
+///
+/// Names the first plan that differs, and where.
+pub fn check_fleet_plans(
+    mk: &MakeP,
+    guesses: &[Guess],
+    fleet: &Fleet,
+    target: DatalogTarget,
+    cache: &mut PlanCache,
+) -> Result<(), String> {
+    let (program, base_len) = (&fleet.program, fleet.base_len);
+    let base = cache.plan_prefix(program, base_len);
+    let mut base_prog = program.clone();
+    base_prog.split_rules_off(base_len);
+    let n_base = base.n_rules();
+    let all = (0..n_base).map(|k| (k, k));
+    let fresh = (&Plan::new(&base_prog), &base_prog);
+    if let Some(diff) = plan_difference((&base, program), fresh, all, true) {
+        return Err(format!("the base's plan: {diff}"));
+    }
+    let union = cache.plan_delta(program, &base, base_len, &fleet.union);
+    let own = (n_base..union.n_rules()).map(|k| (k, k));
+    if let Some(diff) =
+        plan_difference((&union, program), (&Plan::new(program), program), own, true)
+    {
+        return Err(format!("U's plan: {diff}"));
+    }
+    for (i, (guess, delta)) in guesses.iter().zip(&fleet.guesses).enumerate() {
+        if !union.fits(program, delta) {
+            return Err(format!("guess {i} does not fit U's plan"));
+        }
+        let (whole, _) = mk.program(guess, target);
+        let rules = delta
+            .iter()
+            .filter(|&&ri| !program.rules()[ri as usize].is_fact());
+        let mut pairs = Vec::new();
+        for (j, &ri) in rules.enumerate() {
+            let k = union
+                .own_rule(ri)
+                .ok_or(format!("guess {i}: U lacks rule {ri}"))?;
+            pairs.push((k, n_base + j));
+        }
+        if let Some(diff) = plan_difference(
+            (&union, program),
+            (&Plan::new(&whole), &whole),
+            pairs,
+            false,
+        ) {
+            return Err(format!("guess {i} under U's plan: {diff}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

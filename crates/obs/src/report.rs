@@ -570,8 +570,38 @@ fn key_label(k: &(String, String, usize)) -> String {
     }
 }
 
-/// Diffs two report sets: verdict flips, phase regressions past the
-/// threshold, and coverage differences.
+/// Per (file, engine), the fastest of its runs phase by phase: the least
+/// `duration` (as the pseudo-phase `total`), then the least time of each
+/// phase, a run without the phase counting 0. A stall slows one run of a
+/// repeated input; a regression slows every run.
+fn fastest(set: &ReportSet) -> BTreeMap<(String, String), BTreeMap<&str, u64>> {
+    let mut runs: BTreeMap<(String, String), Vec<&RunRecord>> = BTreeMap::new();
+    for r in &set.runs {
+        let key = (r.file.clone().unwrap_or_default(), r.engine.clone());
+        runs.entry(key).or_default().push(r);
+    }
+    let mut out = BTreeMap::new();
+    for (key, runs) in runs {
+        let names = runs
+            .iter()
+            .flat_map(|r| r.phases.keys().map(String::as_str));
+        let mut least: BTreeMap<&str, u64> = names.map(|n| (n, 0)).collect();
+        for (name, us) in &mut least {
+            let times = runs
+                .iter()
+                .map(|r| r.phases.get(*name).copied().unwrap_or(0));
+            *us = times.min().unwrap_or(0);
+        }
+        let total = runs.iter().map(|r| r.duration_us).min().unwrap_or(0);
+        least.insert("total", total);
+        out.insert(key, least);
+    }
+    out
+}
+
+/// Diffs two report sets: verdict flips (run by run), phase regressions
+/// past the threshold (between the fastest runs of each input and
+/// engine, phase by phase), and coverage differences.
 pub fn diff(a: &ReportSet, b: &ReportSet, opts: DiffOptions) -> DiffReport {
     let (ka, kb) = (keyed(a), keyed(b));
     let mut report = DiffReport::default();
@@ -588,24 +618,19 @@ pub fn diff(a: &ReportSet, b: &ReportSet, opts: DiffOptions) -> DiffReport {
                 to: rb.verdict.clone(),
             });
         }
-        let mut phases: Vec<(&str, u64, u64)> = vec![("total", ra.duration_us, rb.duration_us)];
-        let names: std::collections::BTreeSet<&str> = ra
-            .phases
-            .keys()
-            .chain(rb.phases.keys())
-            .map(String::as_str)
-            .collect();
-        for name in names {
-            phases.push((
-                name,
-                ra.phases.get(name).copied().unwrap_or(0),
-                rb.phases.get(name).copied().unwrap_or(0),
-            ));
-        }
-        for (phase, a_us, b_us) in phases {
+    }
+    let (fa, fb) = (fastest(a), fastest(b));
+    for (key, pa) in &fa {
+        let Some(pb) = fb.get(key) else { continue };
+        let names: std::collections::BTreeSet<&str> = pa.keys().chain(pb.keys()).copied().collect();
+        // `total` first, then the phases by name.
+        let phases = std::iter::once("total").chain(names.into_iter().filter(|n| *n != "total"));
+        for phase in phases {
+            let time = |least: &BTreeMap<&str, u64>| least.get(phase).copied().unwrap_or(0);
+            let (a_us, b_us) = (time(pa), time(pb));
             if opts.regressed(a_us, b_us) {
                 report.regressions.push(PhaseRegression {
-                    key: key_label(k),
+                    key: key_label(&(key.0.clone(), key.1.clone(), 0)),
                     phase: phase.to_string(),
                     a_us,
                     b_us,
@@ -797,6 +822,33 @@ mod tests {
             ..Default::default()
         };
         assert!(diff(&base, &new, DiffOptions::default()).is_clean());
+    }
+
+    #[test]
+    fn repeated_runs_compare_their_fastest_phases() {
+        // Three runs of one input per set. A stall in one run of the new
+        // set does not move its fastest time; a planted 10x slowdown of
+        // `search` in every run does.
+        let set = |search_us: [u64; 3]| ReportSet {
+            runs: search_us
+                .iter()
+                .map(|&us| run("a.ra", "e", "safe", us + 500, us))
+                .collect(),
+            ..Default::default()
+        };
+        let base = set([300, 310, 305]);
+        let stalled = set([300, 3_000, 320]);
+        assert!(diff(&base, &stalled, DiffOptions::default()).is_clean());
+        let slower = set([3_000, 3_100, 3_050]);
+        let d = diff(&base, &slower, DiffOptions::default());
+        let flagged: Vec<(&str, u64, u64)> = d
+            .regressions
+            .iter()
+            .map(|r| (r.phase.as_str(), r.a_us, r.b_us))
+            .collect();
+        assert_eq!(flagged, [("total", 800, 3_500), ("search", 300, 3_000)]);
+        assert_eq!(d.regressions[0].key, "a.ra · e");
+        assert!(render_diff(&d).contains("SLOWER a.ra · e [search]: 300µs -> 3.0ms"));
     }
 
     #[test]

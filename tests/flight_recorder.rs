@@ -255,6 +255,7 @@ fn batch_event_logs_diff_clean_against_themselves() {
     let mut paths = Vec::new();
     for rep in ["a", "b"] {
         let path = tmp(&format!("batch_events_{rep}.jsonl"));
+        // Each file twice: the diff compares an input's fastest runs.
         run_ok(
             &[
                 "batch",
@@ -264,6 +265,7 @@ fn batch_event_logs_diff_clean_against_themselves() {
                 "30",
                 "--events-out",
                 path.to_str().unwrap(),
+                &dir,
                 &dir,
             ],
             &[0, 1, 2],
@@ -288,9 +290,11 @@ fn batch_event_logs_diff_clean_against_themselves() {
         "dashboard missing the engine: {dash}"
     );
 
-    // Two identical batch runs must report zero verdict flips. A wide
-    // --threshold keeps wall-clock wobble on sub-millisecond phases from
-    // flagging spurious regressions; flips are timing-independent.
+    // Two identical batch runs must report zero verdict flips. Phases
+    // compare each input's fastest of its two runs, so one stalled run
+    // flags nothing, and a wide --threshold keeps wall-clock wobble on
+    // sub-millisecond phases from flagging spurious regressions; flips
+    // are timing-independent.
     let out = run_ok(
         &[
             "report",
@@ -348,7 +352,7 @@ fn json_report_carries_phases_and_percentiles() {
 }
 
 /// The `cache-datalog` phases account for its runs' wall-clock: summed
-/// over the litmus suite, they cover at least 85% of the summed
+/// over the litmus suite, they cover at least 90% of the summed
 /// `duration` (the first run's `parse` and `prepare` fall before it and
 /// are left out). A preemption inside an untimed stretch can cost a
 /// short run its whole margin, so the suite gets three tries.
@@ -378,9 +382,9 @@ fn datalog_phases_cover_the_litmus_runs() {
     let mut tries = Vec::new();
     for _ in 0..3 {
         tries.push(coverage());
-        if tries.last().is_some_and(|&c| c >= 0.85) {
+        if tries.last().is_some_and(|&c| c >= 0.90) {
             return;
         }
     }
-    panic!("phases cover {tries:?} of the summed duration, below 0.85");
+    panic!("phases cover {tries:?} of the summed duration, below 0.90");
 }

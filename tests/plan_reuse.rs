@@ -1,19 +1,19 @@
 //! Fleet plans are exact.
 //!
 //! A guess fleet plans through one `PlanCache`, as the engine plans it:
-//! guess 0's whole program, then the base program with the template
-//! segment, then `U` and every later guess as a delta that plans only its
-//! own rules after the base's plan. Over the litmus suite and
-//! `GenConfig::wide()` seeds `0..2000` (each prepared through
-//! `Verifier::new`, at most 64 guesses per system, both
-//! `DatalogTarget`s), each plan decides exactly what `Plan::new` of the
-//! matching whole program decides: guess 0's and the base's their own
-//! programs', a delta's rules its whole program's (the facts, and so the
-//! statistics, are the same), and the segment under a delta the base's.
-//! Compared are, per rule and delta position, the join order, the bound
-//! columns, `fully_bound` and the probed (predicate, columns); and the
-//! `uses` and `max_vars`. Predicates match by name, slot numbers may
-//! differ.
+//! guess 0's whole program, then the base program, then `U`'s delta
+//! after the base's plan, under which every later guess evaluates too.
+//! Plans make their join orders on demand; here every (rule, delta
+//! position) is planned. Over the litmus suite and `GenConfig::wide()`
+//! seeds `0..2000` (each prepared through `Verifier::new`, at most 64
+//! guesses per system, both `DatalogTarget`s), each join order is the one
+//! `Plan::new` of the matching whole program gives: guess 0's and the
+//! base's their own programs', `U`'s rules its whole program's, and each
+//! guess's rules under `U`'s plan the guess's whole program's (the facts
+//! they read, and so their statistics, are the same). Compared are, per
+//! rule and delta position, the join order, the bound columns and
+//! `fully_bound`, and the body predicates; and for whole plans the `uses`
+//! and `max_vars`. Predicates match by name.
 //!
 //! A prepared verifier keeps the plans of its own fleet: on every litmus
 //! program, its second `cache-datalog` run and a run of a `rescoped`
@@ -22,79 +22,18 @@
 use parra_core::makep::{DatalogTarget, Fleet, Guess, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierOptions};
 use parra_datalog::ast::{PredId, Program, Rule, Term};
-use parra_datalog::plan::{IndexSpec, Plan, PlanCache, NO_SLOT};
+use parra_datalog::plan::{Plan, PlanCache};
 use parra_fuzz::gen::{GenConfig, SystemGen};
+use parra_fuzz::oracle::{check_fleet_plans, plan_difference};
 use parra_obs::{EventValue, Level, Recorder};
 use parra_program::system::ParamSystem;
 use parra_program::transform::GOAL_VAR_NAME;
 use parra_program::value::Val;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::ops::Range;
+use std::sync::Arc;
 
 const SEEDS: u64 = 2000;
 const MAX_GUESSES: usize = 64;
-
-/// The first difference between what `got`, a plan of `gp`'s rules, and
-/// `want`, one of `wp`'s, decide for the rules with a body numbered
-/// `rules`, and, with `whole`, for `uses` and `max_vars`.
-fn first_difference(
-    (got, gp): (&Plan, &Program),
-    (want, wp): (&Plan, &Program),
-    rules: Range<usize>,
-    whole: bool,
-) -> Option<String> {
-    if whole {
-        if (got.n_rules(), got.max_vars()) != (want.n_rules(), want.max_vars()) {
-            return Some("rule count or max_vars".into());
-        }
-        for p in gp.predicates() {
-            let theirs = wp.lookup_pred(gp.pred_name(p));
-            let want_uses: Vec<_> = theirs.map_or(Vec::new(), |w| want.uses(w).collect());
-            if got.uses(p).collect::<Vec<_>>() != want_uses {
-                return Some(format!("uses of {}", gp.pred_name(p)));
-            }
-        }
-    }
-    let (got_specs, want_specs): (Vec<&IndexSpec>, Vec<&IndexSpec>) =
-        (got.indices().collect(), want.indices().collect());
-    let probe = |prog: &Program, specs: &[&IndexSpec], slot: u32| {
-        (slot != NO_SLOT).then(|| {
-            let spec = specs[slot as usize];
-            (prog.pred_name(spec.pred).to_string(), spec.cols)
-        })
-    };
-    for k in rules {
-        let (g, w) = (got.rule(k), want.rule(k));
-        let names = |prog: &Program, preds: &[PredId]| -> BTreeSet<String> {
-            preds
-                .iter()
-                .map(|&p| prog.pred_name(p).to_string())
-                .collect()
-        };
-        if g.n_vars != w.n_vars || names(gp, g.body_preds) != names(wp, w.body_preds) {
-            return Some(format!("rule {k}: n_vars or body predicates"));
-        }
-        let (gb, wb) = (g.body, w.body);
-        if gb.per_delta.len() != wb.per_delta.len() {
-            return Some(format!("rule {k}: delta positions"));
-        }
-        for (bi, (gd, wd)) in gb.per_delta.iter().zip(&wb.per_delta).enumerate() {
-            if gd.steps != wd.steps {
-                return Some(format!("rule {k} delta {bi}: join order"));
-            }
-            for si in 0..gd.steps.len() {
-                let gp_ = probe(gp, &got_specs, g.slots[gb.slot_offset(bi) + si]);
-                let wp_ = probe(wp, &want_specs, w.slots[wb.slot_offset(bi) + si]);
-                if gp_ != wp_ {
-                    return Some(format!(
-                        "rule {k} delta {bi} step {si}: probe {gp_:?} != {wp_:?}"
-                    ));
-                }
-            }
-        }
-    }
-    None
-}
 
 /// Each fleet of `sys` (one per target), with its makeP encoder.
 fn with_fleets(sys: &ParamSystem, mut f: impl FnMut(&MakeP, &[Guess], DatalogTarget, &Fleet)) {
@@ -120,13 +59,6 @@ fn with_fleets(sys: &ParamSystem, mut f: impl FnMut(&MakeP, &[Guess], DatalogTar
     ] {
         f(&mk, guesses, target, &mk.fleet(guesses, target));
     }
-}
-
-/// The base program of `fleet` on its own.
-fn base_program(fleet: &Fleet) -> Program {
-    let mut base = fleet.program.clone();
-    base.split_rules_off(fleet.base_len);
-    base
 }
 
 /// Runs `check` on every fleet of the corpus, on a few threads; returns
@@ -169,42 +101,14 @@ fn segment_plans_decide_exactly_what_fresh_plans_decide() {
     let n = for_each_fleet(SEEDS, |name, mk, guesses, target, fleet| {
         let mut cache = PlanCache::new();
         let (first, _) = mk.program(&guesses[0], target);
-        assert!(first.segment().is_some(), "{name}: no template segment");
         let got = cache.plan(&first);
-        let whole = 0..got.n_rules();
-        if let Some(diff) =
-            first_difference((&got, &first), (&Plan::new(&first), &first), whole, true)
+        let all = (0..got.n_rules()).map(|k| (k, k));
+        if let Some(diff) = plan_difference((&got, &first), (&Plan::new(&first), &first), all, true)
         {
             panic!("{name}, guess 0: {diff}");
         }
-        let (program, base_len) = (&fleet.program, fleet.base_len);
-        let base = cache.plan_prefix(program, base_len);
-        let base_prog = base_program(fleet);
-        let base_fresh = Plan::new(&base_prog);
-        let segment = 0..base.n_rules();
-        if let Some(diff) = first_difference(
-            (&base, program),
-            (&base_fresh, &base_prog),
-            segment.clone(),
-            false,
-        ) {
-            panic!("{name}, the base: {diff}");
-        }
-        let union = (&fleet.union, None);
-        let deltas = fleet.guesses.iter().zip(guesses).map(|(d, g)| (d, Some(g)));
-        for (i, (delta, guess)) in std::iter::once(union).chain(deltas).enumerate() {
-            let got = cache.plan_delta(program, &base, base_len, delta);
-            let whole_prog = guess.map_or_else(|| program.clone(), |g| mk.program(g, target).0);
-            let want = Plan::new(&whole_prog);
-            let own = base.n_rules()..got.n_rules();
-            let diff =
-                first_difference((&got, program), (&want, &whole_prog), own, true).or_else(|| {
-                    let base_side = (&base_fresh, &base_prog);
-                    first_difference((&got, program), base_side, segment.clone(), false)
-                });
-            if let Some(diff) = diff {
-                panic!("{name}, delta {i} of its fleet (0 is U): {diff}");
-            }
+        if let Err(diff) = check_fleet_plans(mk, guesses, fleet, target, &mut cache) {
+            panic!("{name}: {diff}");
         }
     });
     assert!(n > 70_000, "the corpus shrank to {n} plans");
@@ -245,63 +149,74 @@ fn stats_key<'r>(
     key
 }
 
+/// Plans every join order of `plan`'s rules numbered `rules`.
+fn plan_all(plan: &Plan, rules: std::ops::Range<usize>) {
+    for k in rules {
+        for bi in 0..plan.rule(k).body.len() {
+            plan.join_order(k, bi);
+        }
+    }
+}
+
 #[test]
 fn the_template_segment_is_planned_once_per_fleet_and_statistics_key() {
     let n = for_each_fleet(SEEDS / 10, |name, mk, guesses, target, fleet| {
         let (first, _) = mk.program(&guesses[0], target);
-        let (_, segment) = first.segment().expect("a template segment");
+        // Segment C's rules: the base's rules with a body, which open
+        // guess 0's program too, the same allocations.
+        let (program, base_len) = (&fleet.program, fleet.base_len);
+        let with_body = |rules: &[Arc<Rule>]| -> Vec<Arc<Rule>> {
+            rules.iter().filter(|r| !r.is_fact()).cloned().collect()
+        };
+        let segment = with_body(&program.rules()[..base_len]);
+        let first_rules = with_body(first.rules());
+        assert!(segment
+            .iter()
+            .zip(&first_rules)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
         let reads: BTreeSet<PredId> = segment
             .iter()
             .flat_map(|r| r.body.iter().map(|a| a.pred))
             .collect();
-        let template_rules = segment.iter().filter(|r| !r.is_fact()).count();
-        let with_body = |prog: &Program| prog.rules().iter().filter(|r| !r.is_fact()).count();
+        let positions = |rules: &[Arc<Rule>]| -> usize { rules.iter().map(|r| r.body.len()).sum() };
         let mut cache = PlanCache::new();
-        let mut planned = |plan: &mut dyn FnMut(&mut PlanCache)| {
-            let before = cache.rules_planned();
-            plan(&mut cache);
-            cache.rules_planned() - before
+        // A clone of the cache shares its pool, and so its count.
+        let pool = cache.clone();
+        let planned = |plan: &Plan, rules: std::ops::Range<usize>| {
+            let before = pool.rules_planned();
+            plan_all(plan, rules);
+            pool.rules_planned() - before
         };
-        // Guess 0 plans all of its rules, the segment under its
-        // statistics key.
-        assert_eq!(
-            planned(&mut |c| drop(c.plan(&first))),
-            with_body(&first),
-            "{name}, guess 0"
-        );
+        // Guess 0 plans the segment's join orders under its statistics
+        // key, and at most one per delta position of its rules.
+        let guess0 = cache.plan(&first);
+        let all = 0..guess0.n_rules();
+        let guess0_planned = planned(&guess0, all);
+        assert!(guess0_planned <= positions(&first_rules), "{name}, guess 0");
         // The base plans the segment again only under another key.
-        let (program, base_len) = (&fleet.program, fleet.base_len);
-        assert!(std::sync::Arc::ptr_eq(
-            program.segment().unwrap().1,
-            segment
-        ));
         let prefix = &program.rules()[..base_len];
         let new_key = stats_key(&first, first.rules().iter().map(|r| &**r), &reads)
             != stats_key(program, prefix.iter().map(|r| &**r), &reads);
-        let mut base = None;
-        assert_eq!(
-            planned(&mut |c| base = Some(c.plan_prefix(program, base_len))),
-            usize::from(new_key) * template_rules,
-            "{name}, the base"
+        let base = cache.plan_prefix(program, base_len);
+        let base_planned = planned(&base, 0..base.n_rules());
+        assert!(
+            if new_key {
+                base_planned <= positions(&segment)
+            } else {
+                base_planned == 0
+            },
+            "{name}, the base: {base_planned} join orders planned"
         );
-        let base = base.expect("planned");
-        // `U` plans its own rules, never the segment; each later guess
-        // takes its rules' plans from `U`'s and plans nothing.
-        let union_rules = fleet
-            .union
-            .iter()
-            .filter(|&&ri| !program.rules()[ri as usize].is_fact());
-        assert_eq!(
-            planned(&mut |c| drop(c.plan_delta(program, &base, base_len, &fleet.union))),
-            union_rules.count(),
-            "{name}, U"
-        );
+        // `U` plans at most its own rules, never the segment; every later
+        // guess fits `U`'s plan and plans nothing.
+        let union = cache.plan_delta(program, &base, base_len, &fleet.union);
+        let n_base = base.n_rules();
+        let union_rules = with_body(&program.rules()[base_len..]);
+        let union_planned = planned(&union, n_base..union.n_rules());
+        assert!(union_planned <= positions(&union_rules), "{name}, U");
+        assert_eq!(planned(&base, 0..n_base), 0, "{name}, U's base rules");
         for (i, delta) in fleet.guesses.iter().enumerate() {
-            assert_eq!(
-                planned(&mut |c| drop(c.plan_delta(program, &base, base_len, delta))),
-                0,
-                "{name}, guess {i}"
-            );
+            assert!(union.fits(program, delta), "{name}, guess {i}");
         }
     });
     assert!(n > 5_000, "the corpus shrank to {n} plans");
