@@ -7,7 +7,8 @@
 //! index hits), the planner's (join orders planned, one per body
 //! signature and delta position some evaluation first needed) and the
 //! encoder's (rules `MakeP` encodes for the run's programs: the `dis`
-//! and goal rules of guess 0, of `U` and of the winner's replay).
+//! and goal rules of a single guess, or of `U` and of the winner's
+//! replay).
 //!
 //! ```text
 //! bench_datalog [--out FILE]        # measure and write FILE (default BENCH_datalog.json)

@@ -31,8 +31,8 @@ use crate::makep::{DatalogTarget, Fleet, Guess, MakeP, MakePLimits, Template};
 use crate::verify::{
     aggregate_verdicts, EngineId, Stats, Verdict, VerificationResult, Verifier, VerifierOptions,
 };
-use crate::witness::{self, LinearCheck};
-use parra_datalog::ast::GroundAtom;
+use crate::witness;
+use parra_datalog::ast::{GroundAtom, Program};
 use parra_datalog::eval::{Database, EvalMetrics, Evaluator};
 use parra_datalog::plan::{Plan, PlanCache};
 use parra_limits::{InterruptReason, ResourceBudget};
@@ -62,15 +62,13 @@ type Prepared = (Arc<Template>, Arc<[Guess]>, Arc<FleetPlans>);
 /// join orders fill in as runs need them, from one pool.
 #[derive(Debug, Default)]
 struct FleetPlans {
-    /// Guess 0's whole program's.
-    first: OnceLock<Arc<Plan>>,
-    /// `U`'s delta's, which every later guess evaluates under.
+    /// A whole program's: the single guess's, or the winning guess's for
+    /// the witness replay of a fleet of two or more.
+    whole: OnceLock<Arc<Plan>>,
+    /// `U`'s delta's, which every guess evaluates under.
     union: OnceLock<Arc<Plan>>,
     /// The base program's.
     base: OnceLock<Arc<Plan>>,
-    /// The winning guess's whole program's, for the witness replay, when
-    /// that is not guess 0.
-    replay: OnceLock<Arc<Plan>>,
     /// The pool the plans share.
     cache: PlanCache,
 }
@@ -342,6 +340,7 @@ pub fn injected(var: &str, name: &str) -> Option<String> {
 }
 
 /// Aggregate outcome of the Datalog guess fleet.
+#[derive(Default)]
 struct FleetOutcome {
     /// Max rule count over the evaluated programs, the union included.
     rules: usize,
@@ -360,6 +359,9 @@ struct FleetOutcome {
     base_atoms: usize,
     /// The programs evaluated in place on the base fixpoint.
     resumed: usize,
+    /// The single guess's program, goal and provenance-recording
+    /// database, when it won: its witness is read off them.
+    won: Option<(Program, GroundAtom, Database)>,
 }
 
 /// What the fleet reads of one program's evaluation.
@@ -448,30 +450,31 @@ impl Verifier {
         }
     }
 
-    /// Evaluates the guesses' Datalog queries with provenance *off*, one
-    /// after another on the calling thread, stopping at the first guess
-    /// that derives the goal. Returns the max program/database sizes seen
-    /// and that winning guess (`None` means every query completed without
-    /// the goal: `Safe`).
+    /// Evaluates the guesses' Datalog queries one after another on the
+    /// calling thread, stopping at the first guess that derives the goal.
+    /// Returns the max program/database sizes seen and that winning guess
+    /// (`None` means every query completed without the goal: `Safe`).
     ///
-    /// A fleet of two or more guesses also evaluates the union program
-    /// `U` right after guess 0: guess 0, `U`, guess 1, guess 2, …. If `U`
-    /// completes without the goal, no guess derives it, so the fleet
-    /// stops and is safe. Otherwise the fleet runs on; `U` never makes a
-    /// winner.
+    /// A single guess is evaluated as a whole program ([`MakeP::program`])
+    /// under the whole-program plan in `plans`, with provenance on: when it
+    /// wins, its program and database come back, and its witness is read
+    /// off them.
     ///
-    /// Guess 0 is evaluated as a whole program ([`MakeP::program`]).
-    /// Before its second program, a fleet is built in delta form
-    /// ([`MakeP::fleet`]) and its base program evaluated to closure once.
-    /// `U` and every later guess are then deltas, each evaluated in place
-    /// on that database and rolled back; an interrupted base interrupts
-    /// the fleet.
+    /// A fleet of two or more guesses is built in delta form
+    /// ([`MakeP::fleet`]) and its base program evaluated to closure once,
+    /// with provenance off; an interrupted base interrupts the fleet. Every
+    /// guess and the union program `U` are then deltas, each evaluated in
+    /// place on that database and rolled back, in the order guess 0, `U`,
+    /// guess 1, guess 2, …. If `U` completes without the goal, no guess
+    /// derives it, so the fleet stops and is safe. Otherwise the fleet
+    /// runs on; `U` never makes a winner.
     ///
-    /// Guess 0, the base and `U` evaluate under their plans in `plans`,
-    /// made through `cache` by the first run that needs them. Every later
-    /// guess evaluates under `U`'s plan, its own rules masked in: `U` holds
-    /// them all, and their facts define no predicate they read, so `U`'s
-    /// plan orders their joins as a plan of their own would.
+    /// The whole program, the base and `U` evaluate under their plans in
+    /// `plans`, made through `cache` by the first run that needs them.
+    /// Every guess of a fleet evaluates under `U`'s plan, its own rules
+    /// masked in: `U` holds them all, and their facts define no predicate
+    /// they read, so `U`'s plan orders their joins as a plan of their own
+    /// would.
     #[allow(clippy::too_many_arguments)]
     fn datalog_fleet(
         &self,
@@ -486,19 +489,11 @@ impl Verifier {
     ) -> FleetOutcome {
         let n_guesses = guesses.len();
         let with_union = n_guesses >= 2;
-        // The evaluators of `U`'s registry share their metric handles,
-        // resolved when the fleet is built.
+        // The evaluators of one registry share their metric handles,
+        // resolved by the first.
         let metrics = OnceCell::new();
         let metrics = || metrics.get_or_init(|| EvalMetrics::new(rec));
-        let mut out = FleetOutcome {
-            rules: 0,
-            atoms: 0,
-            winner: None,
-            union_settled: false,
-            interrupted: None,
-            base_atoms: 0,
-            resumed: 0,
-        };
+        let mut out = FleetOutcome::default();
         // The fleet in delta form, with its base's plan and database.
         let mut fleet: Option<(Fleet, Arc<Plan>, Database)> = None;
         // Guess indices in evaluation order; `None` is the union.
@@ -515,28 +510,30 @@ impl Verifier {
                 break;
             }
             let Some(guess) = order.next() else { break };
-            let (run, rules) = if guess == Some(0) {
+            let (run, rules) = if !with_union {
                 let (prog, goal) = {
                     let _construct = phases.start(Phase::Construct);
                     mk.program(&guesses[0], target)
                 };
-                let plan = planned(&plans.first, phases, || cache.plan(&prog));
+                let plan = planned(&plans.whole, phases, || cache.plan(&prog));
                 // Round events only for a single-guess run, so that a
                 // fleet's event log does not grow with its guesses.
-                // Guess 0's program has a registry of its own.
-                let own_metrics = timed(phases, Phase::Fixpoint, || EvalMetrics::new(rec));
-                let ev = timed(phases, Phase::Fixpoint, || {
+                let db = timed(phases, Phase::Fixpoint, || {
                     Evaluator::with_plan(&prog, plan)
-                        .with_metrics(&own_metrics)
-                        .with_events(n_guesses == 1)
+                        .with_metrics(metrics())
+                        .with_events(true)
+                        .with_provenance(true)
                         .with_governor(gov.clone())
-                });
-                let db = ev.run_until(Some(&goal));
-                (Evaluated::of(&db, &goal), prog.rules().len())
+                })
+                .run_until(Some(&goal));
+                let run = (Evaluated::of(&db, &goal), prog.rules().len());
+                if run.0.won {
+                    out.won = Some((prog, goal, db));
+                }
+                run
             } else {
-                // `U` is the fleet's second program: the fleet and its
-                // base are built right before it, so a fleet that guess
-                // 0 wins builds neither.
+                // The fleet and its base are built before its first
+                // program.
                 if fleet.is_none() {
                     let built = {
                         let _construct = phases.start(Phase::Construct);
@@ -564,7 +561,8 @@ impl Verifier {
                     cache.plan_delta(program, base_plan, base_len, &built.union)
                 });
                 let delta = guess.map_or(&built.union, |i| &built.guesses[i]);
-                let fits = guess.is_none() || union.fits(program, delta);
+                let fits = guess.is_none()
+                    || timed(phases, Phase::Fixpoint, || union.fits(program, delta));
                 debug_assert!(fits, "a guess's facts define no predicate its rules read");
                 let plan = if fits {
                     union
@@ -580,8 +578,11 @@ impl Verifier {
                 let mark = ev
                     .resume_until(base, Some(&built.goal))
                     .expect("a complete base resumes");
-                let run = Evaluated::of(base, &built.goal);
-                timed(phases, Phase::Fixpoint, || base.rollback(mark));
+                let run = timed(phases, Phase::Fixpoint, || {
+                    let run = Evaluated::of(base, &built.goal);
+                    base.rollback(mark);
+                    run
+                });
                 out.resumed += 1;
                 (run, base_len + delta.len())
             };
@@ -613,6 +614,8 @@ impl Verifier {
                 _ => {}
             }
         }
+        // Freeing the base's database ends the fleet's evaluation.
+        timed(phases, Phase::Fixpoint, || drop(fleet));
         if rec.is_enabled() {
             let mut fields = vec![
                 ("n_guesses", n_guesses.into()),
@@ -713,21 +716,30 @@ impl Verifier {
         };
         if let Some(wi) = fleet.winner {
             result.verdict = Verdict::Unsafe;
-            // Lemma 4.6: re-run only the winning guess with provenance on
-            // and read a bounded-cache schedule off its derivation,
-            // counting intensional atoms only; the schedule is certified
-            // under ⊢ₖ and cross-checked through the Lemma 4.2
-            // cache→linear translation. The replay evaluates the guess's
-            // whole program under a whole-program plan: guess 0's is the
-            // fleet's own, a later guess's is planned once and kept.
-            let (prog, goal) = {
-                let _construct = phases.start(Phase::Construct);
-                mk.program(&guesses[wi], target)
+            // Lemma 4.6: read a bounded-cache schedule off the winning
+            // guess's derivation, counting intensional atoms only; the
+            // schedule is certified under ⊢ₖ and cross-checked through the
+            // Lemma 4.2 cache→linear translation. A single guess's
+            // derivation is in its own evaluation's database. A fleet's
+            // winner is re-run alone with provenance on, as a whole program
+            // under a whole-program plan, planned once and kept.
+            let (prog, goal, db) = match fleet.won {
+                Some((prog, goal, db)) => (prog, goal, Some(db)),
+                None => {
+                    let _construct = phases.start(Phase::Construct);
+                    let (prog, goal) = mk.program(&guesses[wi], target);
+                    (prog, goal, None)
+                }
             };
-            let slot = if wi == 0 { &plans.first } else { &plans.replay };
-            let plan = planned(slot, &phases, || cache.plan(&prog));
+            let plan = db
+                .is_none()
+                .then(|| planned(&plans.whole, &phases, || cache.plan(&prog)));
             let _replay = phases.start(Phase::WitnessReplay);
-            match witness::extract_within(&prog, &goal, rec, Some(plan), gov) {
+            let w = match &db {
+                Some(db) => witness::from_database(&prog, &goal, db, gov),
+                None => witness::extract_within(&prog, &goal, rec, plan, gov),
+            };
+            match &w {
                 Some(w) => {
                     result.stats.cache_peak = w.peak_intensional;
                     result.stats.datalog_atoms = result.stats.datalog_atoms.max(w.atoms);
@@ -747,29 +759,16 @@ impl Verifier {
                                 .into(),
                         );
                     }
-                    match w.linear_check {
-                        LinearCheck::Agrees => notes
-                            .push("Lemma 4.2 cache→linear translation re-derives the goal".into()),
-                        LinearCheck::Disagrees => notes.push(
-                            "Lemma 4.2 cross-check FAILED: the translated linear program \
-                             does not derive the goal (engine bug)"
-                                .into(),
-                        ),
-                        LinearCheck::OutsideFragment => notes.push(
-                            "Lemma 4.2 cross-check skipped: program outside the \
-                             ≤2-atom-body fragment"
-                                .into(),
-                        ),
-                        LinearCheck::OverBound => {
-                            notes.push("Lemma 4.2 cross-check skipped: over its bound".into())
-                        }
-                    }
-                    result.witness_lines = witness::render_lines(&prog, &w, 64);
+                    notes.push(w.linear_check.note().into());
+                    result.witness_lines = witness::render_lines(&prog, w, 64);
                 }
                 None => notes.push(
                     "witness extraction failed: winning guess did not replay (engine bug)".into(),
                 ),
             }
+            // Freeing the evaluation the witness was read off ends the
+            // replay's phase.
+            drop((w, db, prog));
         }
         result
     }

@@ -40,7 +40,7 @@ pub mod witness;
 
 pub use cache::VerifierCache;
 pub use engine::{verify_text, SelectionOutcome};
-pub use makep::{DisGuess, Guess, MakeP, MakePLimits};
+pub use makep::{Guess, MakeP, MakePLimits};
 /// The workspace's one panic boundary, re-exported for the front ends.
 pub use parra_search::catch_panic;
 pub use verify::{

@@ -8,13 +8,15 @@
 //! This module enumerates the guesses explicitly.
 //!
 //! **A guess** ([`Guess`]) fixes, per distinguished thread, a run skeleton
-//! ([`DisGuess`]): a path through its loop-free CFA, the value loaded at
-//! each load/CAS on the path, a per-variable-injective integer slot for
-//! each store/CAS, and whether each CAS reads an integer-timestamped
-//! message (init/`dis`) or an `env` message. Guessing the skeleton keeps
-//! the `dis` part of the Datalog program *deterministic* — crucial because
-//! Datalog's monotone semantics would otherwise conflate mutually
-//! exclusive `dis` executions (two values stored "at the same slot").
+//! (a path through its loop-free CFA and the value loaded at each
+//! load/CAS on the path), a per-variable-injective integer slot for each
+//! store/CAS, and whether each CAS reads an integer-timestamped message
+//! (init/`dis`) or an `env` message. The template enumerates each
+//! thread's skeletons once; a guess holds their indices and its slots.
+//! Guessing the skeleton keeps the `dis` part of the Datalog program
+//! *deterministic* — crucial because Datalog's monotone semantics would
+//! otherwise conflate mutually exclusive `dis` executions (two values
+//! stored "at the same slot").
 //!
 //! **The program** uses the paper's predicates, spread over the abstract
 //! timeline `{0, 0⁺, …, T, T⁺}` (Section 3.4):
@@ -62,32 +64,35 @@ pub enum CasRead {
 }
 
 /// One step of a guessed `dis` run skeleton.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DisStepGuess {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct DisStepGuess {
     /// The CFA edge taken.
-    pub edge: usize,
+    edge: usize,
     /// For loads and CAS: the value assumed to be loaded.
-    pub loaded: Option<Val>,
-    /// For stores and CAS: the integer slot of the written message.
-    pub slot: Option<u32>,
-    /// For CAS: where the loaded message comes from.
-    pub cas_read: Option<CasRead>,
+    loaded: Option<Val>,
+    /// For stores and CAS: the integer slot of the written message, once
+    /// a guess has assigned it.
+    slot: Option<u32>,
+    /// For CAS: where the loaded message comes from, once a guess has
+    /// chosen it.
+    cas_read: Option<CasRead>,
 }
 
-/// A guessed run skeleton for one `dis` thread: a path through its
-/// loop-free CFA with resolved loads and slots. Register valuations along
-/// the path are determined by the skeleton.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DisGuess {
-    /// The steps in order (a path from the CFA entry).
-    pub steps: Vec<DisStepGuess>,
-}
-
-/// A full `makeP` guess: one skeleton per `dis` thread.
+/// A full `makeP` guess: per `dis` thread, one of its run skeletons, and
+/// for each store or CAS on them an integer slot (injective per
+/// variable) and, for a CAS, whether it reads an integer-timestamped or
+/// an `env` message.
+///
+/// A guess names each skeleton by its index among its thread's, which
+/// every encoder of the same system enumerates alike
+/// ([`MakeP::guesses`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Guess {
-    /// Per-thread skeletons.
-    pub dis: Vec<DisGuess>,
+    /// Per `dis` thread, the index of its skeleton.
+    skeletons: Box<[u32]>,
+    /// Per store or CAS step of the skeletons, in thread then step
+    /// order: its slot and, for a CAS, its read kind.
+    sites: Box<[(u32, Option<CasRead>)]>,
 }
 
 /// Enumeration limits.
@@ -238,36 +243,34 @@ impl<'s> MakeP<'s> {
     ///
     /// Fails with [`MakePError::TooManyGuesses`] beyond the limit.
     pub fn guesses(&self) -> Result<Vec<Guess>, MakePError> {
-        // Per-thread skeleton candidates (paths with loaded values).
-        let mut per_thread: Vec<Vec<DisGuess>> = Vec::new();
-        for d in &self.sys.dis {
-            per_thread.push(self.thread_skeletons(d.cfa()));
-        }
+        let per_thread = &self.tpl.skeletons;
         self.rec
             .counter("skeletons")
             .add(per_thread.iter().map(|v| v.len() as u64).sum());
         // Product over threads, then assign slots (injective per variable).
         let mut out: Vec<Guess> = Vec::new();
         let mut partial = Vec::new();
-        self.product(&per_thread, 0, &mut partial, &mut out)?;
+        self.product(0, &mut partial, &mut out)?;
         self.rec.counter("guesses_enumerated").add(out.len() as u64);
         Ok(out)
     }
 
+    /// Extends `partial`, a skeleton index per thread before `i`, by each
+    /// skeleton of thread `i` in turn, down to the last thread.
     fn product(
         &self,
-        per_thread: &[Vec<DisGuess>],
         i: usize,
-        partial: &mut Vec<DisGuess>,
+        partial: &mut Vec<u32>,
         out: &mut Vec<Guess>,
     ) -> Result<(), MakePError> {
+        let per_thread = &self.tpl.skeletons;
         if i == per_thread.len() {
             // Assign slots for all store-ish steps, injective per variable.
             return self.assign_slots(partial, out);
         }
-        for skel in &per_thread[i] {
-            partial.push(skel.clone());
-            self.product(per_thread, i + 1, partial, out)?;
+        for k in 0..per_thread[i].len() as u32 {
+            partial.push(k);
+            self.product(i + 1, partial, out)?;
             partial.pop();
         }
         Ok(())
@@ -275,8 +278,7 @@ impl<'s> MakeP<'s> {
 
     /// All (maximal) path skeletons of one `dis` thread: DFS over the
     /// acyclic CFA, branching on loaded values. Slots are left `None` here.
-    fn thread_skeletons(&self, cfa: &Cfa) -> Vec<DisGuess> {
-        let dom = self.sys.dom;
+    fn thread_skeletons(cfa: &Cfa, dom: Dom) -> Vec<Vec<DisStepGuess>> {
         let mut out = Vec::new();
         // DFS state: (loc, rv, steps so far).
         let mut stack: Vec<(Loc, RegVal, Vec<DisStepGuess>)> =
@@ -335,7 +337,7 @@ impl<'s> MakeP<'s> {
                 }
             }
             if !extended {
-                out.push(DisGuess { steps });
+                out.push(steps);
             }
         }
         // Deduplicate (diamond CFAs can reconverge).
@@ -343,105 +345,75 @@ impl<'s> MakeP<'s> {
         out
     }
 
-    /// Extends skeletons with slot assignments (injective per variable)
-    /// and CAS read kinds.
-    fn assign_slots(&self, skeletons: &[DisGuess], out: &mut Vec<Guess>) -> Result<(), MakePError> {
-        // Collect store-ish steps: (thread, step index, var, is_cas).
-        let mut sites: Vec<(usize, usize, VarId, bool)> = Vec::new();
-        for (ti, skel) in skeletons.iter().enumerate() {
-            let cfa = self.sys.dis[ti].cfa();
-            for (si, step) in skel.steps.iter().enumerate() {
-                match &cfa.edges()[step.edge].instr {
-                    Instr::Store(x, _) => sites.push((ti, si, *x, false)),
-                    Instr::Cas(x, ..) => sites.push((ti, si, *x, true)),
+    /// Extends a combination of skeletons, one index per thread, with
+    /// slot assignments (injective per variable) and CAS read kinds.
+    fn assign_slots(&self, skeletons: &[u32], out: &mut Vec<Guess>) -> Result<(), MakePError> {
+        // The store-ish steps' variables, in thread then step order, and
+        // whether each is a CAS.
+        let mut sites: Vec<(VarId, bool)> = Vec::new();
+        for (ti, &k) in skeletons.iter().enumerate() {
+            let edges = self.sys.dis[ti].cfa().edges();
+            for step in &self.tpl.skeletons[ti][k as usize] {
+                match &edges[step.edge].instr {
+                    Instr::Store(x, _) => sites.push((*x, false)),
+                    Instr::Cas(x, ..) => sites.push((*x, true)),
                     _ => {}
                 }
             }
         }
-        let budget = &self.budget;
         let pruned = self.rec.counter("slot_assignments_pruned");
-        // Backtracking assignment.
-        #[allow(clippy::too_many_arguments)]
-        fn rec(
-            sites: &[(usize, usize, VarId, bool)],
-            i: usize,
-            budget: &Budget,
-            used: &mut HashMap<VarId, BTreeSet<u32>>,
-            choice: &mut Vec<(u32, Option<CasRead>)>,
-            skeletons: &[DisGuess],
-            out: &mut Vec<Guess>,
-            max: usize,
-            pruned: &Counter,
-        ) -> Result<(), MakePError> {
-            if i == sites.len() {
-                // Materialize the guess.
-                let mut dis: Vec<DisGuess> = skeletons.to_vec();
-                for (k, &(ti, si, _x, is_cas)) in sites.iter().enumerate() {
-                    let (slot, cas_read) = choice[k];
-                    dis[ti].steps[si].slot = Some(slot);
-                    if is_cas {
-                        dis[ti].steps[si].cas_read = cas_read;
-                    }
-                }
-                out.push(Guess { dis });
-                if out.len() > max {
-                    return Err(MakePError::TooManyGuesses);
-                }
-                return Ok(());
-            }
-            let (_, _, x, is_cas) = sites[i];
-            for slot in 1..=budget.slots(x) {
-                if used.get(&x).map(|s| s.contains(&slot)).unwrap_or(false) {
-                    pruned.incr();
-                    continue;
-                }
-                used.entry(x).or_default().insert(slot);
-                if is_cas {
-                    for read in [CasRead::IntSlot, CasRead::EnvMessage] {
-                        choice.push((slot, Some(read)));
-                        rec(
-                            sites,
-                            i + 1,
-                            budget,
-                            used,
-                            choice,
-                            skeletons,
-                            out,
-                            max,
-                            pruned,
-                        )?;
-                        choice.pop();
-                    }
-                } else {
-                    choice.push((slot, None));
-                    rec(
-                        sites,
-                        i + 1,
-                        budget,
-                        used,
-                        choice,
-                        skeletons,
-                        out,
-                        max,
-                        pruned,
-                    )?;
-                    choice.pop();
-                }
-                used.get_mut(&x).unwrap().remove(&slot);
-            }
-            Ok(())
-        }
-        rec(
+        let mut choice = Vec::with_capacity(sites.len());
+        self.assign(
             &sites,
-            0,
-            budget,
-            &mut HashMap::new(),
-            &mut Vec::new(),
             skeletons,
+            &mut HashMap::new(),
+            &mut choice,
             out,
-            self.limits.max_guesses,
             &pruned,
         )
+    }
+
+    /// Backtracking assignment of the store-ish `sites` left after
+    /// `choice`, the slots (`used`, per variable) and read kinds chosen
+    /// so far; pushes each complete guess of `skeletons` to `out`.
+    fn assign(
+        &self,
+        sites: &[(VarId, bool)],
+        skeletons: &[u32],
+        used: &mut HashMap<VarId, BTreeSet<u32>>,
+        choice: &mut Vec<(u32, Option<CasRead>)>,
+        out: &mut Vec<Guess>,
+        pruned: &Counter,
+    ) -> Result<(), MakePError> {
+        let Some((&(x, is_cas), rest)) = sites.split_first() else {
+            out.push(Guess {
+                skeletons: skeletons.into(),
+                sites: choice.as_slice().into(),
+            });
+            if out.len() > self.limits.max_guesses {
+                return Err(MakePError::TooManyGuesses);
+            }
+            return Ok(());
+        };
+        let reads: &[Option<CasRead>] = if is_cas {
+            &[Some(CasRead::IntSlot), Some(CasRead::EnvMessage)]
+        } else {
+            &[None]
+        };
+        for slot in 1..=self.budget.slots(x) {
+            if used.get(&x).is_some_and(|s| s.contains(&slot)) {
+                pruned.incr();
+                continue;
+            }
+            used.entry(x).or_default().insert(slot);
+            for &read in reads {
+                choice.push((slot, read));
+                self.assign(rest, skeletons, used, choice, out, pruned)?;
+                choice.pop();
+            }
+            used.get_mut(&x).unwrap().remove(&slot);
+        }
+        Ok(())
     }
 
     /// Emits the Datalog query instance `(Prog, goal)` for one guess:
@@ -453,19 +425,16 @@ impl<'s> MakeP<'s> {
     /// Panics unless `guess` has one skeleton per `dis` thread, as every
     /// guess from [`MakeP::guesses`] does.
     pub fn program(&self, guess: &Guess, target: DatalogTarget) -> (Program, GroundAtom) {
-        assert_eq!(
-            guess.dis.len(),
-            self.sys.dis.len(),
-            "a guess has one skeleton per dis thread"
-        );
         let tpl = &self.tpl;
         let mut enc = self.encoder();
         // Segment B: every candidate gap minus those this guess closes.
-        let closed = closed_gaps(self.sys, guess);
+        let closed = self.closed_gaps(guess);
         self.extend_b_and_c(&mut enc.prog, |x, g| closed[x].contains(&g));
         let shared = enc.prog.rules().len();
-        enc.emit_dis_rules(guess);
-        enc.emit_goal_rules(target, &tpl.env_asserts, assert_positions(self.sys, guess));
+        self.walk(guess, |ti, pos, step, rv| {
+            enc.emit_dis_step(ti, pos, &step, rv)
+        });
+        enc.emit_goal_rules(target, &tpl.env_asserts, self.assert_positions(guess));
         self.rec
             .counter("rules_encoded")
             .add((enc.prog.rules().len() - shared) as u64);
@@ -492,17 +461,7 @@ impl<'s> MakeP<'s> {
     /// As [`MakeP::program`], for every guess.
     pub fn fleet(&self, guesses: &[Guess], target: DatalogTarget) -> Fleet {
         let tpl = &self.tpl;
-        let closed: Vec<Vec<Vec<u32>>> = guesses
-            .iter()
-            .map(|guess| {
-                assert_eq!(
-                    guess.dis.len(),
-                    self.sys.dis.len(),
-                    "a guess has one skeleton per dis thread"
-                );
-                closed_gaps(self.sys, guess)
-            })
-            .collect();
+        let closed: Vec<Vec<Vec<u32>>> = guesses.iter().map(|g| self.closed_gaps(g)).collect();
         let closed_by_some = |x: usize, g: u32| closed.iter().any(|c| c[x].contains(&g));
         let mut enc = self.encoder();
         self.extend_b_and_c(&mut enc.prog, closed_by_some);
@@ -524,23 +483,21 @@ impl<'s> MakeP<'s> {
         for (guess, closed) in guesses.iter().zip(&closed) {
             let open = gaps.iter().filter(|(x, g, _)| !closed[*x].contains(g));
             let mut delta: Vec<u32> = open.map(|&(_, _, ri)| ri).collect();
-            for (ti, skel) in guess.dis.iter().enumerate() {
-                walk_dis(self.sys, ti, skel, |pos, step, rv| {
-                    let taken = steps.entry((ti, pos, step)).or_default();
-                    let rules = match taken.iter().find(|(r, _)| r == rv) {
-                        Some((_, rules)) => rules.clone(),
-                        None => {
-                            let start = enc.prog.rules().len() as u32;
-                            enc.emit_dis_step(ti, pos, step, rv);
-                            let rules = start..enc.prog.rules().len() as u32;
-                            taken.push((rv.clone(), rules.clone()));
-                            rules
-                        }
-                    };
-                    delta.extend(rules);
-                });
-            }
-            asserts.extend(assert_positions(self.sys, guess));
+            self.walk(guess, |ti, pos, step, rv| {
+                let taken = steps.entry((ti, pos, step)).or_default();
+                let rules = match taken.iter().find(|(r, _)| r == rv) {
+                    Some((_, rules)) => rules.clone(),
+                    None => {
+                        let start = enc.prog.rules().len() as u32;
+                        enc.emit_dis_step(ti, pos, &step, rv);
+                        let rules = start..enc.prog.rules().len() as u32;
+                        taken.push((rv.clone(), rules.clone()));
+                        rules
+                    }
+                };
+                delta.extend(rules);
+            });
+            asserts.extend(self.assert_positions(guess));
             deltas.push(delta);
         }
         // The goal rules: those of every program, then, for an assert
@@ -557,7 +514,7 @@ impl<'s> MakeP<'s> {
         for (delta, guess) in deltas.iter_mut().zip(guesses) {
             delta.extend(shared.clone());
             if dis_asserts > 0 {
-                delta.extend(assert_positions(self.sys, guess).map(|at| {
+                delta.extend(self.assert_positions(guess).map(|at| {
                     shared.end + asserts.binary_search(&at).expect("an assert of U") as u32
                 }));
             }
@@ -583,6 +540,70 @@ impl<'s> MakeP<'s> {
             prog.extend_validated(open.map(|(_, fact)| fact));
         }
         prog.extend_validated(self.tpl.env.iter());
+    }
+
+    /// Calls `f(ti, pos, step, rv)` along each thread `ti`'s skeleton of
+    /// `guess`, with the step's slot and read kind filled in, where `rv`
+    /// is the register valuation before the step.
+    fn walk(&self, guess: &Guess, mut f: impl FnMut(usize, usize, DisStepGuess, &RegVal)) {
+        assert_eq!(
+            guess.skeletons.len(),
+            self.sys.dis.len(),
+            "a guess has one skeleton per dis thread"
+        );
+        let mut sites = guess.sites.iter();
+        for (ti, &k) in guess.skeletons.iter().enumerate() {
+            let dis = &self.sys.dis[ti];
+            let edges = dis.cfa().edges();
+            let mut rv = RegVal::new(dis.n_regs() as usize);
+            let skeleton = &self.tpl.skeletons[ti][k as usize];
+            for (pos, mut step) in skeleton.iter().copied().enumerate() {
+                let instr = &edges[step.edge].instr;
+                if matches!(instr, Instr::Store(..) | Instr::Cas(..)) {
+                    let &(slot, read) = sites.next().expect("a slot per store-ish step");
+                    step.slot = Some(slot);
+                    step.cas_read = read;
+                }
+                f(ti, pos, step, &rv);
+                match instr {
+                    Instr::Assign(r, e) => rv.set(*r, e.eval(&rv, self.sys.dom)),
+                    Instr::Load(r, _) => rv.set(*r, step.loaded.expect("a load carries a value")),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Per variable, the gaps closed by the guess's integer-read CAS steps.
+    fn closed_gaps(&self, guess: &Guess) -> Vec<Vec<u32>> {
+        let mut closed = vec![Vec::new(); self.sys.n_vars() as usize];
+        self.walk(guess, |ti, _, step, _| {
+            let instr = &self.sys.dis[ti].cfa().edges()[step.edge].instr;
+            if let (Instr::Cas(x, ..), Some(CasRead::IntSlot)) = (instr, step.cas_read) {
+                closed[x.index()].push(step.slot.expect("cas step has a slot") - 1);
+            }
+        });
+        closed
+    }
+
+    /// The `(thread, position)` of each `assert false` step of `guess`, in
+    /// order.
+    fn assert_positions<'g>(
+        &'g self,
+        guess: &'g Guess,
+    ) -> impl Iterator<Item = (usize, usize)> + 'g {
+        guess
+            .skeletons
+            .iter()
+            .enumerate()
+            .flat_map(move |(ti, &k)| {
+                let edges = self.sys.dis[ti].cfa().edges();
+                self.tpl.skeletons[ti][k as usize]
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, step)| matches!(edges[step.edge].instr, Instr::AssertFalse))
+                    .map(move |(pos, _)| (ti, pos))
+            })
     }
 
     /// An encoder on top of the template: its registry and segment A.
@@ -676,6 +697,10 @@ pub(crate) struct Template {
     /// `etp` predicates at `env` locations with an outgoing assert edge,
     /// in creation order.
     env_asserts: Vec<PredId>,
+    /// Per `dis` thread, its run skeletons, which guesses index.
+    /// Each skeleton is a path from the CFA entry with resolved loads
+    /// (register valuations along it follow), its steps without slots.
+    skeletons: Vec<Vec<Vec<DisStepGuess>>>,
 }
 
 impl Template {
@@ -728,6 +753,11 @@ impl Template {
             .map(|(_, &p)| p)
             .collect();
         env_asserts.sort_unstable();
+        let skeletons = sys
+            .dis
+            .iter()
+            .map(|d| MakeP::thread_skeletons(d.cfa(), sys.dom))
+            .collect();
         Template {
             head: prog,
             gapstore,
@@ -735,6 +765,7 @@ impl Template {
             syms,
             preds,
             env_asserts,
+            skeletons,
         }
     }
 }
@@ -806,62 +837,6 @@ fn pred_for<K: Hash + Eq>(
     }
     *own.entry(key)
         .or_insert_with(|| prog.predicate(&name(), arity))
-}
-
-/// Per variable, the gaps closed by the guess's integer-read CAS steps.
-fn closed_gaps(sys: &ParamSystem, guess: &Guess) -> Vec<Vec<u32>> {
-    let mut closed = vec![Vec::new(); sys.n_vars() as usize];
-    for (ti, skel) in guess.dis.iter().enumerate() {
-        let cfa = sys.dis[ti].cfa();
-        for step in &skel.steps {
-            if let Instr::Cas(x, ..) = &cfa.edges()[step.edge].instr {
-                if step.cas_read == Some(CasRead::IntSlot) {
-                    let slot = step.slot.expect("cas step has a slot");
-                    closed[x.index()].push(slot - 1);
-                }
-            }
-        }
-    }
-    closed
-}
-
-/// Calls `f(pos, step, rv)` along thread `ti`'s skeleton, where `rv` is
-/// the register valuation before the step.
-fn walk_dis<'g>(
-    sys: &ParamSystem,
-    ti: usize,
-    skel: &'g DisGuess,
-    mut f: impl FnMut(usize, &'g DisStepGuess, &RegVal),
-) {
-    let cfa = sys.dis[ti].cfa();
-    let mut rv = RegVal::new(sys.dis[ti].n_regs() as usize);
-    for (pos, step) in skel.steps.iter().enumerate() {
-        f(pos, step, &rv);
-        match &cfa.edges()[step.edge].instr {
-            Instr::Assign(r, e) => {
-                let d = e.eval(&rv, sys.dom);
-                rv.set(*r, d);
-            }
-            Instr::Load(r, _) => rv.set(*r, step.loaded.expect("load step carries a value")),
-            _ => {}
-        }
-    }
-}
-
-/// The `(thread, position)` of each `assert false` step of `guess`, in
-/// order.
-fn assert_positions<'g>(
-    sys: &'g ParamSystem,
-    guess: &'g Guess,
-) -> impl Iterator<Item = (usize, usize)> + 'g {
-    guess.dis.iter().enumerate().flat_map(move |(ti, skel)| {
-        let edges = sys.dis[ti].cfa().edges();
-        skel.steps
-            .iter()
-            .enumerate()
-            .filter(move |(_, step)| matches!(edges[step.edge].instr, Instr::AssertFalse))
-            .map(move |(pos, _)| (ti, pos))
-    })
 }
 
 /// Emits rules into one program: the template's segments A and C, or
@@ -1058,16 +1033,6 @@ impl Encoder<'_> {
             .rule(Atom::new(emp, head_view.clone()), body.clone())
             .unwrap();
         self.prog.rule(Atom::new(dst, head_view), body).unwrap();
-    }
-
-    /// Dis rules along the guessed skeletons.
-    fn emit_dis_rules(&mut self, guess: &Guess) {
-        let sys = self.sys;
-        for (ti, skel) in guess.dis.iter().enumerate() {
-            walk_dis(sys, ti, skel, |pos, step, rv| {
-                self.emit_dis_step(ti, pos, step, rv)
-            });
-        }
     }
 
     /// The rules of thread `ti`'s step from position `pos`, taken under
@@ -1314,7 +1279,7 @@ mod tests {
         // load 1 → store goal. Plus slot choices.
         assert!(!guesses.is_empty());
         for g in &guesses {
-            assert_eq!(g.dis.len(), 1);
+            assert_eq!(g.skeletons.len(), 1);
         }
     }
 

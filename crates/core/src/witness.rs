@@ -1,11 +1,13 @@
 //! Datalog witness extraction: turning a winning `makeP` guess into the
 //! paper's bounded-cache certificate.
 //!
-//! The guess fleet in [`verify`](crate::verify) evaluates every `makeP`
-//! query with provenance *off* — the fast path pays nothing for
-//! derivation tracking. Only when a guess derives the goal is its program
-//! re-evaluated here with provenance *on*, and the recorded derivation is
-//! turned into the Lemma 4.6 cache schedule:
+//! A guess fleet of two or more guesses evaluates its `makeP` queries
+//! with provenance *off* — the fast path pays nothing for derivation
+//! tracking — so a winner among them is re-evaluated here with
+//! provenance *on* ([`extract`]). A single-guess run evaluates its one
+//! program with provenance on in the first place, and its witness is
+//! read off that database ([`from_database`]). Either way the recorded
+//! derivation is turned into the Lemma 4.6 cache schedule:
 //!
 //! * the **peak over intensional atoms** is the empirical Lemma 4.4
 //!   number (EDB facts — timeline orders, gap tables — are free in the
@@ -21,7 +23,7 @@
 
 use crate::makep::MakeP;
 use parra_datalog::cache::{schedule_from_database, verify_schedule, CacheSchedule, ScheduleStep};
-use parra_datalog::eval::{EvalMetrics, Evaluator};
+use parra_datalog::eval::{Database, EvalMetrics, Evaluator};
 use parra_datalog::linear::LinearEvaluator;
 use parra_datalog::plan::Plan;
 use parra_datalog::translate::cache_to_linear;
@@ -46,6 +48,23 @@ pub enum LinearCheck {
     OverBound,
 }
 
+impl LinearCheck {
+    /// The note a report carries for this outcome.
+    pub fn note(&self) -> &'static str {
+        match self {
+            LinearCheck::Agrees => "Lemma 4.2 cache→linear translation re-derives the goal",
+            LinearCheck::Disagrees => {
+                "Lemma 4.2 cross-check FAILED: the translated linear program \
+                 does not derive the goal (engine bug)"
+            }
+            LinearCheck::OutsideFragment => {
+                "Lemma 4.2 cross-check skipped: program outside the ≤2-atom-body fragment"
+            }
+            LinearCheck::OverBound => "Lemma 4.2 cross-check skipped: over its bound",
+        }
+    }
+}
+
 /// A bounded-cache witness for one winning guess.
 #[derive(Debug, Clone)]
 pub struct DatalogWitness {
@@ -61,7 +80,7 @@ pub struct DatalogWitness {
     pub certified: bool,
     /// The Lemma 4.2 translation cross-check.
     pub linear_check: LinearCheck,
-    /// Atoms derived by the provenance re-run.
+    /// Atoms in the evaluation it was read off.
     pub atoms: usize,
 }
 
@@ -110,8 +129,20 @@ pub fn extract_within(
         .with_metrics(&metrics)
         .with_provenance(true)
         .run_until(Some(goal));
+    from_database(prog, goal, &db, gov)
+}
+
+/// Extracts the bounded-cache witness for `goal` from `db`, an
+/// evaluation of `prog` with provenance on, with the Lemma 4.2
+/// cross-check stopped by `gov`. Returns `None` unless `db` holds `goal`.
+pub fn from_database(
+    prog: &Program,
+    goal: &GroundAtom,
+    db: &Database,
+    gov: &ResourceBudget,
+) -> Option<DatalogWitness> {
     let atoms = db.len();
-    let schedule = schedule_from_database(&db, goal)?;
+    let schedule = schedule_from_database(db, goal)?;
     let edb = MakeP::edb_predicates(prog);
     let mut cache = 0usize;
     let mut peak = 0usize;

@@ -420,7 +420,8 @@ struct JoinScratch {
     buf: Vec<Const>,
     /// Time spent planning join orders in the current round.
     plan_time: Duration,
-    /// Time spent building join indices in the current round.
+    /// Time spent catching up and building join indices in the current
+    /// round.
     index_time: Duration,
 }
 
@@ -616,8 +617,12 @@ impl<'p> Evaluator<'p> {
             let t0 = m.phases.is_enabled().then(Instant::now);
             let n_preds = self.program.predicates().count();
             let mut db = Database::new(n_preds, self.provenance);
-            self.evaluate(m, &mut db, stop_at, false, t0);
+            let other = self.evaluate(m, &mut db, stop_at, false);
             self.record_sizes(m, &db);
+            if let Some(t0) = t0 {
+                let spent = t0.elapsed().saturating_sub(other);
+                m.phases.add_elapsed(Phase::Fixpoint, spent);
+            }
             db
         })
     }
@@ -653,20 +658,22 @@ impl<'p> Evaluator<'p> {
             base.complete = false;
             base.per_pred.resize(n_preds, Vec::new());
             base.indices.resize(n_preds, Vec::new());
-            self.evaluate(m, base, stop_at, true, t0);
+            let other = self.evaluate(m, base, stop_at, true);
             self.record_sizes(m, base);
+            if let Some(t0) = t0 {
+                let spent = t0.elapsed().saturating_sub(other);
+                m.phases.add_elapsed(Phase::Fixpoint, spent);
+            }
             mark
         }))
     }
 
     /// Per-predicate atom counts, keyed by predicate name so traces
-    /// across guesses aggregate, and the arena's size; timed as
-    /// `fixpoint`.
+    /// across guesses aggregate, and the arena's size.
     fn record_sizes(&self, m: &EvalMetrics, db: &Database) {
         if !self.rec.is_enabled() {
             return;
         }
-        let t0 = Instant::now();
         for (p, atoms) in db.per_pred.iter().enumerate() {
             if !atoms.is_empty() {
                 m.add_atoms(self.program, PredId(p as u32), atoms.len() as u64);
@@ -674,23 +681,22 @@ impl<'p> Evaluator<'p> {
         }
         m.arena_atoms.set(db.store.len() as u64);
         m.arena_bytes.set(db.store.heap_bytes() as u64);
-        m.phases.add_elapsed(Phase::Fixpoint, t0.elapsed());
     }
 
     /// Extends `db` with the program's facts (the delta's only, when
     /// `db` is a resumed base), then runs semi-naive rounds until nothing
     /// new is derived, `stop_at` is, or the governor stops them.
     /// `resumed` says that `db` is the base's complete database (see
-    /// [`resume_until`](Evaluator::resume_until)). The setup since `t0`
-    /// and the fact loading are timed as `fixpoint`.
+    /// [`resume_until`](Evaluator::resume_until)). Returns the time it
+    /// added to `index_build` and `join_plan`; the caller times the rest
+    /// of the evaluation as `fixpoint`.
     fn evaluate(
         &self,
         m: &EvalMetrics,
         db: &mut Database,
         stop_at: Option<&GroundAtom>,
         resumed: bool,
-        t0: Option<Instant>,
-    ) {
+    ) -> Duration {
         let rules = self.program.rules();
         let mut scratch = JoinScratch {
             subst: vec![None; self.plan.max_vars()],
@@ -714,12 +720,9 @@ impl<'p> Evaluator<'p> {
                 delta.push(id);
             }
         }
-        if let Some(t0) = t0 {
-            m.phases.add_elapsed(Phase::Fixpoint, t0.elapsed());
-        }
         if let Some(goal) = stop_at {
             if db.contains(goal) {
-                return;
+                return Duration::ZERO;
             }
         }
         // In a resumed first round, the base's rules have already joined
@@ -740,6 +743,7 @@ impl<'p> Evaluator<'p> {
         // predicate → rule occurrence) table driving the expansion lives
         // in the plan ([`Plan::uses`]).
         let phases = &m.phases;
+        let mut other = Duration::ZERO;
         let mut preds = Vec::new();
         let mut seen = vec![false; db.per_pred.len()];
         let mut round: u64 = 0;
@@ -749,7 +753,7 @@ impl<'p> Evaluator<'p> {
                     .counter(&format!("eval_interrupted_{}", reason.as_str()))
                     .incr();
                 db.interrupted = Some(reason);
-                return;
+                return other;
             }
             let t0 = phases.is_enabled().then(Instant::now);
             preds.clear();
@@ -764,9 +768,8 @@ impl<'p> Evaluator<'p> {
                 db.catch_up(p);
             }
             if let Some(t0) = t0 {
-                phases.add_elapsed(Phase::IndexBuild, t0.elapsed());
+                scratch.index_time += t0.elapsed();
             }
-            let t0 = phases.is_enabled().then(Instant::now);
             let below = if round == 0 { fresh_from } else { n_rules };
             for &p in &preds {
                 self.plan_uses(db, p, below, m, &mut scratch);
@@ -803,15 +806,15 @@ impl<'p> Evaluator<'p> {
                     }
                 }
             }
-            if let Some(t0) = t0 {
-                // The round planned the join orders it first needed, and
-                // its joins built the indices they first probed.
+            if phases.is_enabled() {
+                // The round caught its indices up, planned the join orders
+                // it first needed, and its joins built the indices they
+                // first probed.
                 let planned = std::mem::take(&mut scratch.plan_time);
                 let built = std::mem::take(&mut scratch.index_time);
-                let rest = t0.elapsed().saturating_sub(planned + built);
-                phases.add_elapsed(Phase::Fixpoint, rest);
                 phases.add_elapsed(Phase::JoinPlan, planned);
                 phases.add_elapsed(Phase::IndexBuild, built);
+                other += planned + built;
             }
             if self.events && self.rec.is_enabled() {
                 self.rec.event_with(
@@ -826,12 +829,13 @@ impl<'p> Evaluator<'p> {
                 );
             }
             if goal_hit {
-                return;
+                return other;
             }
             round += 1;
             delta = next_delta;
         }
         db.complete = true;
+        other
     }
 
     /// Computes the full least model.

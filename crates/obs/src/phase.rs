@@ -106,8 +106,8 @@ pub struct PhaseInterval {
 #[derive(Debug)]
 pub struct PhaseTimer {
     counters: [Counter; Phase::ALL.len()],
-    /// Per phase, the nanoseconds [`PhaseTimer::add_elapsed`] has not
-    /// yet added to its counter (always under a microsecond).
+    /// Per phase, the nanoseconds not yet added to its counter (always
+    /// under a microsecond).
     carry_ns: [AtomicU64; Phase::ALL.len()],
     rec: Recorder,
 }
@@ -152,6 +152,13 @@ impl PhaseTimer {
     /// than being dropped, since a loop's regions are often shorter than
     /// a microsecond each.
     pub fn add_elapsed(&self, phase: Phase, elapsed: Duration) {
+        self.add_carried(phase, elapsed);
+    }
+
+    /// Adds `elapsed` to `phase`'s counter in whole microseconds, carrying
+    /// the rest over to the phase's next region; returns the microseconds
+    /// added.
+    fn add_carried(&self, phase: Phase, elapsed: Duration) -> u64 {
         let ns = elapsed.as_nanos() as u64;
         let carry = &self.carry_ns[phase as usize];
         let us = (carry.fetch_add(ns, Ordering::Relaxed) + ns) / 1000;
@@ -159,6 +166,7 @@ impl PhaseTimer {
             carry.fetch_sub(us * 1000, Ordering::Relaxed);
             self.counters[phase as usize].add(us);
         }
+        us
     }
 }
 
@@ -181,8 +189,7 @@ impl PhaseGuard<'_> {
         let Some(start) = self.start.take() else {
             return 0;
         };
-        let dur_us = start.elapsed().as_micros() as u64;
-        self.timer.counters[self.phase as usize].add(dur_us);
+        let dur_us = self.timer.add_carried(self.phase, start.elapsed());
         self.timer.rec.record_phase(self.phase, start, dur_us);
         dur_us
     }

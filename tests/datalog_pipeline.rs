@@ -290,3 +290,72 @@ fn wide_971_decides_in_under_100_ms() {
         "wide seed 971 took {fastest:?}"
     );
 }
+
+/// A single-guess run reads its witness off its own evaluation rather
+/// than replaying it. On every single-guess UNSAFE run of the litmus
+/// suite, `examples/systems` and wide seeds 0..3000, the reported
+/// witness — the schedule's length and `k` (its certificate note), its
+/// per-step occupancy, the intensional peak, the Lemma 4.2 note and the
+/// rendered inference lines — equals `witness::extract` on a fresh
+/// evaluation of the guess's program.
+#[test]
+fn single_guess_witnesses_equal_a_fresh_replay() {
+    use parra_core::verify::{EngineId, Verdict};
+    use parra_core::witness;
+    let mut systems: Vec<(String, ParamSystem)> = parra_litmus::all()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.system))
+        .collect();
+    let dir = format!("{}/examples/systems", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let sys = parra_program::parser::parse_system(&text).unwrap();
+        systems.push((path.display().to_string(), sys));
+    }
+    let gen = SystemGen::new(GenConfig::wide());
+    systems.extend((0..3000).map(|seed| (format!("wide seed {seed}"), gen.case(seed).sys)));
+    let mut checked = 0;
+    for (name, sys) in &systems {
+        let Ok(v) = Verifier::new(sys, VerifierOptions::default()) else {
+            continue;
+        };
+        let r = v.run(EngineId::CacheDatalog);
+        if r.verdict != Verdict::Unsafe || r.stats.guesses != 1 {
+            continue;
+        }
+        let goal_sys = v.goal_system();
+        let mk = MakeP::new(goal_sys, v.budget().clone(), MakePLimits::default()).unwrap();
+        let guesses = mk.guesses().unwrap();
+        let goal_var = goal_sys.vars.lookup(GOAL_VAR_NAME).unwrap();
+        let target = DatalogTarget::MessageGenerated(parra_program::ident::VarId(goal_var), Val(1));
+        let (prog, goal) = mk.program(&guesses[0], target);
+        let rec = parra_obs::Recorder::disabled();
+        let w = witness::extract(&prog, &goal, &rec, 1, None).expect("the winner replays");
+        assert!(w.certified, "{name}");
+        let schedule = format!(
+            "Lemma 4.6 schedule ({} steps) certified under ⊢ₖ with k = {} (intensional peak {})",
+            w.schedule.steps.len(),
+            w.schedule.peak,
+            w.peak_intensional,
+        );
+        let linear = w.linear_check.note().to_string();
+        assert!(r.notes.contains(&schedule), "{name}: {:?}", r.notes);
+        assert!(r.notes.contains(&linear), "{name}: {:?}", r.notes);
+        let occupancy: Vec<u64> = w.occupancy.iter().map(|&c| c as u64).collect();
+        assert_eq!(r.cache_occupancy, occupancy, "{name}");
+        assert_eq!(r.stats.cache_peak, w.peak_intensional, "{name}");
+        assert_eq!(r.stats.datalog_atoms, w.atoms, "{name}");
+        assert_eq!(
+            r.witness_lines,
+            witness::render_lines(&prog, &w, 64),
+            "{name}"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 80, "only {checked} single-guess UNSAFE runs");
+}

@@ -148,13 +148,13 @@ fn union_settled_fleet_is_reported_at_every_thread_count() {
         assert!(moved[0].is_some_and(|n| n > 0), "rules_max in run {run}");
         assert!(moved[1].is_some_and(|n| n > 0), "atoms_max in run {run}");
         assert_eq!(moved[2], None, "a settled fleet has no winner");
-        // Guess 0 runs from scratch; `U` resumes from the base fixpoint,
-        // which holds fewer atoms than `U`'s model.
+        // Guess 0 and `U` resume from the base fixpoint, which holds
+        // fewer atoms than `U`'s model.
         assert!(
             moved[3].is_some_and(|n| n > 0 && n < moved[1].unwrap()),
             "base_atoms in run {run}"
         );
-        assert_eq!(moved[4], Some(1), "resumed in run {run}");
+        assert_eq!(moved[4], Some(2), "resumed in run {run}");
         seen.push(moved);
         run_ok(&["report", "--check-schema", path.to_str().unwrap()], &[0]);
     }
@@ -352,7 +352,7 @@ fn json_report_carries_phases_and_percentiles() {
 }
 
 /// The `cache-datalog` phases account for its runs' wall-clock: summed
-/// over the litmus suite, they cover at least 90% of the summed
+/// over the litmus suite, they cover at least 95% of the summed
 /// `duration` (the first run's `parse` and `prepare` fall before it and
 /// are left out). A preemption inside an untimed stretch can cost a
 /// short run its whole margin, so the suite gets three tries.
@@ -382,9 +382,9 @@ fn datalog_phases_cover_the_litmus_runs() {
     let mut tries = Vec::new();
     for _ in 0..3 {
         tries.push(coverage());
-        if tries.last().is_some_and(|&c| c >= 0.90) {
+        if tries.last().is_some_and(|&c| c >= 0.95) {
             return;
         }
     }
-    panic!("phases cover {tries:?} of the summed duration, below 0.90");
+    panic!("phases cover {tries:?} of the summed duration, below 0.95");
 }
