@@ -391,12 +391,13 @@ impl Verifier {
             return r;
         }
         let sys = &self.goal.system;
+        let phases = PhaseTimer::new(rec);
         let engine = Reachability::new(sys.clone(), self.budget.clone(), self.options.reach_limits)
             .expect("env CAS-freedom checked in Verifier::new")
             .with_recorder(rec.clone())
             .with_governor(gov.clone());
         let target = SimpTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        let report = engine.run(target);
+        let report = engine.run_timed(target, &phases);
         let mut notes = Vec::new();
         let verdict = match report.outcome {
             ReachOutcome::Unsafe => Verdict::Unsafe,
@@ -415,6 +416,9 @@ impl Verifier {
         };
         let (env_thread_bound, witness_lines) = match &report.witness {
             Some(w) => {
+                // The §4.3 dependency graph is built from the witness's
+                // replay, so its time is the run's `witness_replay`.
+                let _replay = phases.start(Phase::WitnessReplay);
                 let graph = DepGraph::build(sys, &self.budget, w);
                 let bound = graph
                     .find_message(self.goal.goal_var, self.goal.goal_val)

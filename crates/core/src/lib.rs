@@ -44,6 +44,6 @@ pub use makep::{Guess, MakeP, MakePLimits};
 /// The workspace's one panic boundary, re-exported for the front ends.
 pub use parra_search::catch_panic;
 pub use verify::{
-    ConcreteWitness, EngineId, Verdict, VerificationResult, Verifier, VerifierOptions,
+    ConcreteWitness, EngineId, ParsedSystem, Verdict, VerificationResult, Verifier, VerifierOptions,
 };
 pub use witness::{DatalogWitness, LinearCheck};

@@ -441,6 +441,16 @@ impl fmt::Display for VerifierError {
 
 impl std::error::Error for VerifierError {}
 
+/// A system read by [`Verifier::parse_timed`], with the time that took.
+#[derive(Debug, Clone)]
+pub struct ParsedSystem {
+    /// The system.
+    pub system: ParamSystem,
+    /// µs spent parsing it, claimed as the `parse` phase by the first
+    /// report of the verifier prepared from it.
+    pub parse_us: u64,
+}
+
 /// The verifier: owns the (goal-transformed) system and dispatches engines.
 #[derive(Debug, Clone)]
 pub struct Verifier {
@@ -450,8 +460,8 @@ pub struct Verifier {
     pub(crate) options: VerifierOptions,
     notes: Vec<String>,
     pub(crate) rec: Recorder,
-    /// Time spent parsing the input ([`Verifier::parse_and_prepare`];
-    /// zero when the caller parsed) and preparing it
+    /// Time spent parsing the input ([`Verifier::parse_timed`]; zero
+    /// when the caller parsed) and preparing it
     /// (classify/unroll/goal-transform). Both are shared by every engine
     /// run of this verifier, so they are attributed as the `parse` and
     /// `prepare` phases exactly once — to the first report — rather than
@@ -524,11 +534,47 @@ impl Verifier {
         })
     }
 
-    /// Parses the input with `parse`, timed as the `parse` phase, and
-    /// prepares a verifier ([`Verifier::new_with_recorder`]) whose first
-    /// report claims both the `parse` and the `prepare` phase. This is the
-    /// one path by which a front end that reads its own input gets that
-    /// input's parse time into a report.
+    /// Parses the input with `parse`, timed as the `parse` phase under
+    /// `rec` (zero when `rec` is disabled). A host that looks the system
+    /// up in a cache before preparing it parses here, and hands the
+    /// result to [`Verifier::prepare_parsed`] on a miss.
+    ///
+    /// # Errors
+    ///
+    /// `parse`'s error.
+    pub fn parse_timed<E>(
+        parse: impl FnOnce() -> Result<ParamSystem, E>,
+        rec: &Recorder,
+    ) -> Result<ParsedSystem, E> {
+        let phase_timer = PhaseTimer::new(rec);
+        let parse_guard = phase_timer.start(Phase::Parse);
+        let system = parse()?;
+        Ok(ParsedSystem {
+            system,
+            parse_us: parse_guard.finish(),
+        })
+    }
+
+    /// Prepares a verifier ([`Verifier::new_with_recorder`]) from a
+    /// system [`Verifier::parse_timed`] read; its first report claims
+    /// both the `parse` and the `prepare` phase.
+    ///
+    /// # Errors
+    ///
+    /// See [`VerifierError`].
+    pub fn prepare_parsed(
+        parsed: &ParsedSystem,
+        options: VerifierOptions,
+        rec: Recorder,
+    ) -> Result<Verifier, VerifierError> {
+        let mut verifier = Verifier::new_with_recorder(&parsed.system, options, rec)?;
+        verifier.parse_us = parsed.parse_us;
+        Ok(verifier)
+    }
+
+    /// [`Verifier::parse_timed`] then [`Verifier::prepare_parsed`]. This
+    /// is the one path by which a front end that reads its own input
+    /// gets that input's parse time into a report.
     ///
     /// # Errors
     ///
@@ -538,14 +584,8 @@ impl Verifier {
         options: VerifierOptions,
         rec: Recorder,
     ) -> Result<Verifier, String> {
-        let phase_timer = PhaseTimer::new(&rec);
-        let parse_guard = phase_timer.start(Phase::Parse);
-        let sys = parse()?;
-        let parse_us = parse_guard.finish();
-        let mut verifier =
-            Verifier::new_with_recorder(&sys, options, rec).map_err(|e| e.to_string())?;
-        verifier.parse_us = parse_us;
-        Ok(verifier)
+        let parsed = Verifier::parse_timed(parse, &rec)?;
+        Verifier::prepare_parsed(&parsed, options, rec).map_err(|e| e.to_string())
     }
 
     /// Replaces the recorder (builder style).

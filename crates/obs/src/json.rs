@@ -209,6 +209,7 @@ impl std::error::Error for ParseError {}
 /// allowed).
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -222,6 +223,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -326,56 +328,61 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string literal. Each run of bytes up to the next `"` or `\` is
+    /// copied as one slice of the input, so a string parses in time
+    /// linear in its length. Both delimiters are ASCII and the input is a
+    /// `&str`, so every run starts and ends on a character boundary and
+    /// needs no UTF-8 validation of its own.
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for our own
-                            // output (we only escape control characters);
-                            // map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.escape(&mut out)?,
             }
         }
+    }
+
+    /// One escape sequence, from its `\`, appended to `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                if self.pos + 5 > self.bytes.len() {
+                    return Err(self.err("truncated \\u escape"));
+                }
+                let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                    .map_err(|_| self.err("bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                // Surrogate pairs are not needed for our own output (we
+                // only escape control characters); map lone surrogates to
+                // U+FFFD.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.pos += 4;
+            }
+            _ => return Err(self.err("bad escape")),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -458,5 +465,49 @@ mod tests {
         assert_eq!(out, "\"a\\u0001b\"");
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some("a\u{1}b"));
+    }
+
+    /// A string as long as a serve frame allows parses in time linear in
+    /// its length: a parser that re-validates the rest of the input for
+    /// each character it copies takes tens of seconds on it, even in a
+    /// release build.
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        let text = format!("\"{}\"", "x".repeat(1_000_000));
+        let start = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.as_str().map(str::len), Some(1_000_000));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "1,000,000-byte string took {took:?}"
+        );
+    }
+
+    #[test]
+    fn multibyte_runs_round_trip_with_escapes_at_their_edges() {
+        let vals = ["é🦀\"é🦀\\🦀", "\n🦀é\t", "\"\"🦀🦀\u{1}éé\\", "🦀", "é\r"];
+        for val in vals {
+            let mut w = ObjWriter::new();
+            w.str_field("s", val);
+            let text = w.finish();
+            let back = parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(back.get("s").and_then(Value::as_str), Some(val));
+        }
+        // Escapes a client may send that our writer never does.
+        let v = parse(r#""é\/🦀é\b\f🦀""#).unwrap();
+        assert_eq!(v.as_str(), Some("é/🦀é\u{8}\u{c}🦀"));
+    }
+
+    #[test]
+    fn an_unterminated_long_string_fails_at_the_end_of_input() {
+        let text = format!("{{\"program\":\"{}é🦀", "x".repeat(100_000));
+        let err = parse(&text).unwrap_err();
+        assert_eq!(err.at, text.len());
+        assert_eq!(err.msg, "unterminated string");
+        // So does one cut off inside an escape.
+        let err = parse(&format!("\"{}\\", "y".repeat(1000))).unwrap_err();
+        assert_eq!(err.at, 1002);
+        assert_eq!(err.msg, "bad escape");
     }
 }

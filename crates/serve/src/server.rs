@@ -13,11 +13,14 @@
 //!   prepared verifiers, keyed on canonical program text + options
 //!   fingerprint; each verifier keeps its makeP template, guesses and
 //!   Datalog join plans. A warm request skips classify/unroll/
-//!   goal-transform: its reports carry no `prepare` phase, and its
-//!   `cache-datalog` run neither guesses nor plans again once an earlier
-//!   request's run did. The cache cannot change a verdict, a note, or a
-//!   deterministic event field — that is the serve/CLI parity contract
-//!   `tests/serve_parity.rs` enforces.
+//!   goal-transform: its reports carry no `parse` or `prepare` phase,
+//!   and its `cache-datalog` run neither guesses nor plans again once an
+//!   earlier request's run did. A `program` text that reached an entry
+//!   before is an alias of it, so sending the same text again skips the
+//!   parse and the canonical print as well; only a new text is parsed,
+//!   timed as the cold report's `parse` phase. The cache cannot change a
+//!   verdict, a note, or a deterministic event field — that is the
+//!   serve/CLI parity contract `tests/serve_parity.rs` enforces.
 //! * **Admission.** Each request takes an [`AdmissionGate`] permit
 //!   before touching a verifier; at capacity (queue depth, or the live
 //!   heap watermark when the binary's tracking allocator is installed)
@@ -50,12 +53,11 @@
 use crate::proto::{self, ErrorCode, ProtoError, Request, Source, VerifyRequest, PROTO_VERSION};
 use parra_core::engine::injected;
 use parra_core::verify::{selection_from_label, EngineId, VerifierOptions};
-use parra_core::VerifierCache;
+use parra_core::{ParsedSystem, Verifier, VerifierCache};
 use parra_limits::{AdmissionGate, CancelToken};
 use parra_obs::json::ObjWriter;
 use parra_obs::{Level, Recorder};
 use parra_program::parser::parse_system;
-use parra_program::system::ParamSystem;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -297,38 +299,46 @@ impl Server {
         vol.num_field("in_flight", self.gate.in_flight() as u64);
         vol.num_field("cache_hits", hits);
         vol.num_field("cache_misses", misses);
+        vol.num_field("cache_entries", self.verifiers.len() as u64);
+        vol.num_field("cache_aliases", self.verifiers.aliases() as u64);
         w.raw_field("volatile", &vol.finish());
         w.finish()
     }
 
-    fn resolve_system(&self, req: &VerifyRequest) -> Result<ParamSystem, ProtoError> {
-        match &req.source {
-            Source::Litmus(name) => {
-                parra_litmus::by_name(name)
-                    .map(|b| b.system)
-                    .ok_or_else(|| ProtoError {
-                        code: ErrorCode::BadField,
-                        message: format!("unknown litmus benchmark `{name}`"),
-                        id: Some(req.id.clone()),
-                    })
-            }
-            Source::Program(text) => parse_system(text).map_err(|e| ProtoError {
-                code: ErrorCode::BadProgram,
-                message: e.to_string(),
-                id: Some(req.id.clone()),
-            }),
-        }
+    /// Reads the request's system through the timed `parse` path, so a
+    /// cold request's first report carries `parse` as `parra verify`'s
+    /// does.
+    fn resolve_system(
+        &self,
+        req: &VerifyRequest,
+        rec: &Recorder,
+    ) -> Result<ParsedSystem, ProtoError> {
+        Verifier::parse_timed(
+            || match &req.source {
+                Source::Litmus(name) => {
+                    parra_litmus::by_name(name)
+                        .map(|b| b.system)
+                        .ok_or_else(|| ProtoError {
+                            code: ErrorCode::BadField,
+                            message: format!("unknown litmus benchmark `{name}`"),
+                            id: Some(req.id.clone()),
+                        })
+                }
+                Source::Program(text) => parse_system(text).map_err(|e| ProtoError {
+                    code: ErrorCode::BadProgram,
+                    message: e.to_string(),
+                    id: Some(req.id.clone()),
+                }),
+            },
+            rec,
+        )
     }
 
     /// The options one request runs under: the daemon's, with the
-    /// request's overrides applied. The deadline window anchors at
-    /// `admitted`.
-    fn request_options(
-        &self,
-        req: &VerifyRequest,
-        first_engine: EngineId,
-        admitted: Instant,
-    ) -> VerifierOptions {
+    /// request's overrides applied. The request window (explicit or the
+    /// daemon default) is left in `timeout` until [`anchor_window`]
+    /// turns it into a deadline at admission.
+    fn request_options(&self, req: &VerifyRequest, first_engine: EngineId) -> VerifierOptions {
         let mut options = self.cfg.options.clone();
         if let Some(u) = req.unroll {
             options.unroll_dis = Some(u);
@@ -336,17 +346,8 @@ impl Server {
         if let Some(m) = req.memory {
             options.memory_budget = Some(m);
         }
-        // The request window (explicit or the daemon default) anchors at
-        // admission; the relative `timeout` is cleared so nothing
-        // re-anchors it at run time.
-        let window = req
-            .timeout_ms
-            .map(Duration::from_millis)
-            .or(options.timeout);
-        options.timeout = None;
-        options.deadline_at = window.map(|d| admitted + d);
-        if injected("PARRA_INJECT_DEADLINE", &req.name).is_some() {
-            options.deadline_at = Some(admitted);
+        if let Some(ms) = req.timeout_ms {
+            options.timeout = Some(Duration::from_millis(ms));
         }
         if injected("PARRA_INJECT_PANIC", &req.name).is_some() {
             options.fail_point_panic = Some(first_engine);
@@ -358,6 +359,11 @@ impl Server {
     /// Admits and executes one verify request. Returns a closure that
     /// writes the result fields (everything after `type`) so the caller
     /// can embed them in a top-level response or a batch item alike.
+    ///
+    /// A program text that reached a cache entry before is not parsed
+    /// again: its alias finds the prepared verifier. Any other request
+    /// is parsed before admission, so a bad program is reported as
+    /// `bad-program` even when the daemon is full.
     #[allow(clippy::type_complexity)]
     fn admit_and_run(
         &self,
@@ -372,7 +378,24 @@ impl Server {
             message,
             id: Some(req.id.clone()),
         })?;
-        let sys = self.resolve_system(req)?;
+        let mut options = self.request_options(req, engines[0]);
+        let rec = if self.events.is_some() {
+            Recorder::enabled(Level::Summary)
+        } else {
+            Recorder::disabled()
+        };
+        let text_key = match &req.source {
+            Source::Program(text) => Some(VerifierCache::text_key(text, &options)),
+            Source::Litmus(_) => None,
+        };
+        let known = text_key
+            .as_deref()
+            .is_some_and(|key| self.verifiers.knows_text(key));
+        let parsed = if known {
+            None
+        } else {
+            Some(self.resolve_system(req, &rec)?)
+        };
 
         // Admission: the permit is held (and the deadline window opens)
         // from here until the response is assembled.
@@ -385,22 +408,32 @@ impl Server {
         if injected("PARRA_SERVE_INJECT_STALL", &req.name).is_some() {
             std::thread::sleep(INJECT_STALL);
         }
+        anchor_window(&mut options, admitted, &req.name);
 
-        let options = self.request_options(req, engines[0], admitted);
-
-        let rec = if self.events.is_some() {
-            Recorder::enabled(Level::Summary)
-        } else {
-            Recorder::disabled()
+        let by_text = match &text_key {
+            Some(key) if known => self
+                .verifiers
+                .get_by_text(key, options.clone(), rec.clone()),
+            _ => None,
         };
-        let (verifier, cached) = self
-            .verifiers
-            .get_or_prepare(&sys, options, rec.clone())
-            .map_err(|e| ProtoError {
-                code: ErrorCode::BadProgram,
-                message: e.to_string(),
-                id: Some(req.id.clone()),
-            })?;
+        let (verifier, cached) = match by_text {
+            Some(verifier) => (verifier, true),
+            None => {
+                // A known text whose alias a cache reset dropped since
+                // parses here; it parsed before, so it parses again.
+                let parsed = match parsed {
+                    Some(parsed) => parsed,
+                    None => self.resolve_system(req, &rec)?,
+                };
+                self.verifiers
+                    .get_or_prepare(&parsed, text_key.as_deref(), options, rec.clone())
+                    .map_err(|e| ProtoError {
+                        code: ErrorCode::BadProgram,
+                        message: e.to_string(),
+                        id: Some(req.id.clone()),
+                    })?
+            }
+        };
         let sel = verifier
             .run_selection(&engines, race)
             .map_err(|message| ProtoError {
@@ -439,6 +472,16 @@ impl Server {
     }
 }
 
+/// Opens a request's window at its admission: the relative `timeout`
+/// becomes an absolute deadline and is cleared, so nothing re-anchors it
+/// at run time.
+fn anchor_window(options: &mut VerifierOptions, admitted: Instant, name: &str) {
+    options.deadline_at = options.timeout.take().map(|d| admitted + d);
+    if injected("PARRA_INJECT_DEADLINE", name).is_some() {
+        options.deadline_at = Some(admitted);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,6 +497,67 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap_or_else(|| panic!("no verdict in {response}"))
             .to_string()
+    }
+
+    fn litmus_text(name: &str) -> String {
+        parra_program::pretty::system_to_string(&parra_litmus::by_name(name).unwrap().system)
+    }
+
+    fn program_request(id: &str, text: &str) -> String {
+        let mut w = ObjWriter::new();
+        w.num_field("proto", PROTO_VERSION);
+        w.str_field("type", "verify");
+        w.str_field("id", id);
+        w.str_field("program", text);
+        w.finish()
+    }
+
+    /// The phases and `cached` flag of a one-report response.
+    fn phases_and_cached(response: &str) -> (Vec<String>, u64) {
+        let v = json::parse(response).expect("response parses");
+        let report = &v.get("reports").and_then(Value::as_arr).expect("reports")[0];
+        let phases = report
+            .get("phases")
+            .and_then(Value::as_obj)
+            .map(|m| m.keys().cloned().collect())
+            .unwrap_or_default();
+        let cached = v
+            .get("volatile")
+            .and_then(|vol| vol.get("cached"))
+            .and_then(Value::as_u64)
+            .expect("cached flag");
+        (phases, cached)
+    }
+
+    /// A cold program request parses through the timed path, so its
+    /// report carries `parse` and `prepare`; a hit by the same text (an
+    /// alias) or by another formatting of it (the canonical key) carries
+    /// neither.
+    #[test]
+    fn a_cold_program_reports_its_parse_and_a_hit_reports_none() {
+        let s = server().with_events_sink(Box::new(std::io::sink()));
+        let text = litmus_text("mp");
+        let cold = s.process_line(&program_request("c", &text)).unwrap();
+        let (phases, cached) = phases_and_cached(&cold);
+        assert_eq!(cached, 0);
+        for phase in ["parse", "prepare", "search"] {
+            assert!(phases.iter().any(|p| p == phase), "cold: {phases:?}");
+        }
+        let reformatted = text.replace('\n', "\n\n    ");
+        for (pass, text) in [("alias", &text), ("reformatted", &reformatted)] {
+            let warm = s.process_line(&program_request(pass, text)).unwrap();
+            let (phases, cached) = phases_and_cached(&warm);
+            assert_eq!(cached, 1, "{pass}");
+            assert!(
+                !phases.iter().any(|p| p == "parse" || p == "prepare"),
+                "{pass}: {phases:?}"
+            );
+            assert_eq!(
+                proto::canonical_response(&cold).unwrap(),
+                proto::canonical_response(&warm).unwrap().replace(pass, "c"),
+            );
+        }
+        assert_eq!(s.cache_counters(), (2, 1));
     }
 
     #[test]
@@ -523,6 +627,28 @@ mod tests {
             .expect("response");
         let v = json::parse(&status).expect("status parses");
         assert_eq!(v.get("type").and_then(Value::as_str), Some("status"));
+        let vol = |v: &Value, key: &str| {
+            v.get("volatile")
+                .and_then(|vol| vol.get(key))
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("status has no volatile `{key}`"))
+        };
+        // Two litmus entries; a request by name adds no alias.
+        assert_eq!(vol(&v, "cache_entries"), 2);
+        assert_eq!(vol(&v, "cache_aliases"), 0);
+
+        // A third program's text twice: one entry, one alias, one hit.
+        let line = program_request("t", &litmus_text("rcu"));
+        s.process_line(&line).expect("response");
+        s.process_line(&line).expect("response");
+        let v = json::parse(
+            &s.process_line(r#"{"proto":1,"type":"status","id":"s2"}"#)
+                .unwrap(),
+        )
+        .expect("status parses");
+        assert_eq!(vol(&v, "cache_entries"), 3);
+        assert_eq!(vol(&v, "cache_aliases"), 1);
+        assert_eq!((vol(&v, "cache_hits"), vol(&v, "cache_misses")), (1, 3));
 
         assert!(!s.is_shutdown());
         let bye = s

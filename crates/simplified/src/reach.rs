@@ -223,9 +223,14 @@ impl Reachability {
         &self.budget
     }
 
-    /// Runs the search.
+    /// Runs the search, timed as the `search` phase.
     pub fn run(&self, target: SimpTarget) -> ReachReport {
-        let phases = PhaseTimer::new(&self.rec);
+        self.run_timed(target, &PhaseTimer::new(&self.rec))
+    }
+
+    /// [`Reachability::run`] timed on the caller's `phases`, which can
+    /// then time the caller's own work on the report (its witness) too.
+    pub fn run_timed(&self, target: SimpTarget, phases: &PhaseTimer) -> ReachReport {
         let _search = phases.start(Phase::Search);
         self.run_inner(target)
     }

@@ -351,14 +351,13 @@ fn json_report_carries_phases_and_percentiles() {
     }
 }
 
-/// The `cache-datalog` phases account for its runs' wall-clock: summed
-/// over the litmus suite, they cover at least 95% of the summed
-/// `duration` (the first run's `parse` and `prepare` fall before it and
-/// are left out). A preemption inside an untimed stretch can cost a
-/// short run its whole margin, so the suite gets three tries.
-#[test]
-fn datalog_phases_cover_the_litmus_runs() {
-    use parra::core::verify::{EngineId, Verifier, VerifierOptions};
+/// An engine's phases account for its runs' wall-clock: summed over the
+/// litmus suite, they cover at least 95% of the summed `duration` (the
+/// first run's `parse` and `prepare` fall before it and are left out). A
+/// preemption inside an untimed stretch can cost a short run its whole
+/// margin, so the suite gets three tries.
+fn assert_phases_cover_the_litmus_runs(engine: parra::core::verify::EngineId) {
+    use parra::core::verify::{Verifier, VerifierOptions};
     use parra::obs::{Level, Recorder};
     let _serial = serial();
     let coverage = || {
@@ -369,7 +368,7 @@ fn datalog_phases_cover_the_litmus_runs() {
             let Ok(v) = Verifier::new_with_recorder(&bench.system, options, rec) else {
                 continue;
             };
-            let r = v.run(EngineId::CacheDatalog);
+            let r = v.run(engine);
             let timed = r
                 .phases
                 .iter()
@@ -386,5 +385,17 @@ fn datalog_phases_cover_the_litmus_runs() {
             return;
         }
     }
-    panic!("phases cover {tries:?} of the summed duration, below 0.95");
+    panic!("{engine} phases cover {tries:?} of the summed duration, below 0.95");
+}
+
+#[test]
+fn datalog_phases_cover_the_litmus_runs() {
+    assert_phases_cover_the_litmus_runs(parra::core::verify::EngineId::CacheDatalog);
+}
+
+/// The search is `search`; the §4.3 dependency graph an UNSAFE run
+/// builds from its witness is `witness_replay`.
+#[test]
+fn simplified_phases_cover_the_litmus_runs() {
+    assert_phases_cover_the_litmus_runs(parra::core::verify::EngineId::SimplifiedReach);
 }

@@ -10,8 +10,10 @@
 use parra::obs::json::{self, ObjWriter, Value};
 use parra::obs::{Level, Recorder};
 use parra::prelude::*;
+use parra::program::pretty::system_to_string;
 use parra::serve::canonical_response;
 use parra_litmus::all;
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
@@ -122,6 +124,149 @@ fn served_responses_match_direct_runs_on_the_whole_suite() {
             );
         }
     }
+    daemon.shutdown();
+}
+
+/// A verify request carrying `text` as its `program`, answered under
+/// the attribution `name`.
+fn program_request(name: &str, text: &str, unroll: Option<u64>) -> String {
+    let mut w = ObjWriter::new();
+    w.num_field("proto", parra::serve::PROTO_VERSION);
+    w.str_field("id", name);
+    w.str_field("type", "verify");
+    w.str_field("name", name);
+    w.str_field("program", text);
+    if let Some(u) = unroll {
+        w.num_field("unroll", u);
+    }
+    w.finish()
+}
+
+/// The `cached` flag of a result response.
+fn cached_flag(response: &str) -> u64 {
+    json::parse(response)
+        .expect("response parses")
+        .get("volatile")
+        .and_then(|v| v.get("cached"))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no cached flag in {response}"))
+}
+
+/// The daemon's `(cache_hits, cache_misses)`.
+fn cache_counts(daemon: &mut Daemon) -> (u64, u64) {
+    let status = json::parse(&daemon.request(r#"{"proto":1,"id":"s","type":"status"}"#))
+        .expect("status parses");
+    let count = |key: &str| {
+        status
+            .get("volatile")
+            .and_then(|v| v.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("status has no `{key}`"))
+    };
+    (count("cache_hits"), count("cache_misses"))
+}
+
+/// Every litmus program sent as `program` text three times: cold, warm
+/// (the same text again, which its alias finds without a parse) and
+/// reformatted with blank lines and indentation (another text of the
+/// same program, which finds the entry by its canonical key). Each
+/// response must project to the direct run's, with `cached` 0, 1, 1.
+/// The daemon's hit and miss counts are those the canonical keys alone
+/// give — one miss per distinct program, a hit for every other request —
+/// so the alias changes no counter.
+#[test]
+fn program_texts_match_direct_runs_cold_warm_and_reformatted() {
+    let mut daemon = Daemon::spawn(&[]);
+    let mut programs = HashSet::new();
+    let (mut hits, mut misses) = (0, 0);
+    for bench in all() {
+        let direct = {
+            let v = Verifier::new(&bench.system, VerifierOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+            v.run_selection(&[EngineId::SimplifiedReach], false)
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
+        };
+        let expected =
+            canonical_response(&direct_response(bench.name, "simplified-reach", &direct))
+                .expect("direct response canonicalizes");
+        let text = system_to_string(&bench.system);
+        let reformatted: String = text.lines().map(|l| format!("\n    {l}\n")).collect();
+        let canonical = parse_system(&text).map(|sys| system_to_string(&sys));
+        assert!(
+            programs.insert(canonical.expect("printed text parses")),
+            "{}: two litmus programs share a canonical text",
+            bench.name
+        );
+        for (pass, text, cached) in [
+            ("cold", &text, 0),
+            ("warm", &text, 1),
+            ("reformatted", &reformatted, 1),
+        ] {
+            let served = daemon.request(&program_request(bench.name, text, None));
+            let got = canonical_response(&served).unwrap_or_else(|e| {
+                panic!("{} ({pass}): response does not parse: {e}", bench.name)
+            });
+            assert_eq!(
+                got, expected,
+                "{} ({pass}): served response diverged from the direct run",
+                bench.name
+            );
+            assert_eq!(cached_flag(&served), cached, "{} ({pass})", bench.name);
+            if cached == 1 {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+    }
+    assert_eq!(cache_counts(&mut daemon), (hits, misses));
+    daemon.shutdown();
+}
+
+/// The alias is the exact text under the exact verdict-relevant options:
+/// a text one token away (which flips the verdict) and the same text
+/// under another `unroll` are misses that run their own verifier.
+#[test]
+fn a_changed_token_or_unroll_misses_the_alias() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/systems/handshake.ra"
+    ))
+    .expect("example exists");
+    let changed = text.replacen("y := 1;", "y := 0;", 1);
+    assert_ne!(changed, text);
+    let direct = |text: &str, unroll: Option<usize>| {
+        let sys = parse_system(text).expect("parses");
+        let options = VerifierOptions {
+            unroll_dis: unroll,
+            ..VerifierOptions::default()
+        };
+        let v = Verifier::new(&sys, options).expect("prepares");
+        let sel = v
+            .run_selection(&[EngineId::SimplifiedReach], false)
+            .expect("runs");
+        assert!(sel.verdict.is_decided());
+        canonical_response(&direct_response("handshake", "simplified-reach", &sel)).unwrap()
+    };
+    assert_ne!(direct(&text, None), direct(&changed, None));
+
+    let mut daemon = Daemon::spawn(&[]);
+    for (pass, text, unroll, cached) in [
+        ("cold", &text, None, 0),
+        ("warm", &text, None, 1),
+        ("one token changed", &changed, None, 0),
+        ("unroll 2", &text, Some(2), 0),
+        ("unroll 2 again", &text, Some(2), 1),
+    ] {
+        let served = daemon.request(&program_request("handshake", text, unroll));
+        assert_eq!(
+            canonical_response(&served).unwrap(),
+            direct(text, unroll.map(|u| u as usize)),
+            "{pass}: served response diverged from the direct run"
+        );
+        assert_eq!(cached_flag(&served), cached, "{pass}");
+    }
+    assert_eq!(cache_counts(&mut daemon), (2, 3));
     daemon.shutdown();
 }
 

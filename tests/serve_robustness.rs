@@ -235,3 +235,45 @@ fn injected_deadline_interrupts_one_request_and_spares_the_daemon() {
     assert_eq!(field(&healthy, "verdict"), "SAFE", "{healthy:?}");
     shutdown_daemon(daemon);
 }
+
+/// A verify request as large as a frame may be — a program padded with
+/// whitespace to just under `MAX_FRAME_BYTES` — gets its one structured
+/// response promptly, the first time and again as a hit by its text.
+/// The request line is parsed before admission counts it, so a parser
+/// slower than linear in a string's length would stall the connection
+/// outside every bound the daemon enforces.
+#[test]
+fn a_program_just_under_the_frame_bound_is_answered_promptly() {
+    let sock = sock_path("serve_frame");
+    let daemon = spawn_daemon(&sock, &[], &[]);
+    let program = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/systems/handshake.ra"
+    ))
+    .expect("example exists");
+    let line = |padding: usize| {
+        let mut w = parra::obs::json::ObjWriter::new();
+        w.num_field("proto", 1);
+        w.str_field("id", "big");
+        w.str_field("type", "verify");
+        w.str_field("program", &format!("{program}{}", " ".repeat(padding)));
+        w.finish()
+    };
+    let frame = parra::serve::proto::MAX_FRAME_BYTES;
+    let big = line(frame - 1 - line(0).len());
+    assert_eq!(big.len(), frame - 1);
+    for cached in [0, 1] {
+        let start = Instant::now();
+        let resp = request(&sock, &big);
+        let took = start.elapsed();
+        assert_eq!(field(&resp, "type"), "result", "{resp:?}");
+        assert_eq!(field(&resp, "verdict"), "UNSAFE", "{resp:?}");
+        let flag = resp
+            .get("volatile")
+            .and_then(|v| v.get("cached"))
+            .and_then(Value::as_u64);
+        assert_eq!(flag, Some(cached));
+        assert!(took < Duration::from_secs(10), "answered in {took:?}");
+    }
+    shutdown_daemon(daemon);
+}
